@@ -11,9 +11,11 @@ import (
 // TestEngineBenchGate is the CI throughput gate for the parallel engine:
 // it replays the flagship scenario (the same one BenchmarkEngineFlagship
 // measures) and fails if quanta/sec fall more than the committed tolerance
-// below the BENCH_engine.json row recorded for this GOMAXPROCS. Opt-in via
-// BENCH_GATE=1 so ordinary `go test ./...` runs — and laptops under load —
-// are never gated; CI sets the variable explicitly.
+// below the BENCH_engine.json row recorded for this GOMAXPROCS, or — on a
+// host with at least two cores — if the parallel engine fails to reach 1.5
+// times the sequential engine's throughput measured in the same run (the
+// baseline's rows read 2x at GOMAXPROCS=2). Opt-in via BENCH_GATE=1 so ordinary `go test ./...` runs — and
+// laptops under load — are never gated; CI sets the variable explicitly.
 func TestEngineBenchGate(t *testing.T) {
 	if os.Getenv("BENCH_GATE") == "" {
 		t.Skip("set BENCH_GATE=1 to enforce the flagship throughput gate")
@@ -56,18 +58,33 @@ func TestEngineBenchGate(t *testing.T) {
 
 	flagshipRun(t, "par") // warm-up: JIT-free, but page/alloc caches settle
 	const reps = 3
-	var quanta uint64
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		q, _ := flagshipRun(t, "par")
-		quanta += q
+	throughput := func(engine string) float64 {
+		var quanta uint64
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			q, _ := flagshipRun(t, engine)
+			quanta += q
+		}
+		return float64(quanta) / time.Since(start).Seconds()
 	}
-	got := float64(quanta) / time.Since(start).Seconds()
+	got := throughput("par")
 	floor := want * (1 - tol)
 	t.Logf("flagship par throughput: %.0f quanta/s over %d reps (baseline %.0f @ GOMAXPROCS=%d, floor %.0f)",
 		got, reps, want, wantProcs, floor)
 	if got < floor {
 		t.Errorf("parallel engine regressed: %.0f quanta/s is more than %.0f%% below the committed baseline %.0f (GOMAXPROCS=%d)",
 			got, tol*100, want, wantProcs)
+	}
+
+	// The eight job-pair groups must actually run on two cores: the absolute
+	// floor above cannot tell a parallel engine from a fast sequential one.
+	if procs >= 2 && runtime.NumCPU() >= 2 {
+		const minParOverSeq = 1.5
+		seq := throughput("seq")
+		t.Logf("flagship seq throughput: %.0f quanta/s; par/seq %.2fx (floor %.1fx)", seq, got/seq, minParOverSeq)
+		if got < minParOverSeq*seq {
+			t.Errorf("parallel engine does not scale: %.0f quanta/s is %.2fx the sequential engine's %.0f, want at least %.1fx",
+				got, got/seq, seq, minParOverSeq)
+		}
 	}
 }

@@ -380,3 +380,20 @@ func CycleCost(a Arch, op Op) int64 {
 		return 1
 	}
 }
+
+// CostTable holds CycleCost for every value of Op — one entry per uint8, so
+// indexing it by an Op needs no bounds check.
+type CostTable [256]int64
+
+var costTables = func() (t [NumArch]CostTable) {
+	for _, a := range Arches {
+		for op := range t[a] {
+			t[a][op] = CycleCost(a, Op(op))
+		}
+	}
+	return t
+}()
+
+// Costs returns arch a's CycleCost as a table, for the interpreter's
+// per-instruction lookup. It is built from CycleCost and never written.
+func Costs(a Arch) *CostTable { return &costTables[a] }

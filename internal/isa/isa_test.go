@@ -208,3 +208,15 @@ func TestInstrString(t *testing.T) {
 		}
 	}
 }
+
+// The interpreter's cost tables are CycleCost, for every arch and every
+// value an Op can hold.
+func TestCostTablesMatchCycleCost(t *testing.T) {
+	for _, a := range Arches {
+		for op := 0; op < len(Costs(a)); op++ {
+			if got, want := Costs(a)[op], CycleCost(a, Op(op)); got != want {
+				t.Errorf("%s %s: table says %d, CycleCost %d", a, Op(op), got, want)
+			}
+		}
+	}
+}

@@ -234,9 +234,10 @@ func (k *Kernel) attach(cs *coreSlot, t *Thread) {
 	c.RegsF = t.Regs.F
 	c.CurTID = t.Tid
 	c.CurNode = int64(k.Node)
-	if mc, ok := t.Proc.Img.FuncAddr[k.Arch]["__migrate_check"]; ok {
-		c.MigrateCheckEntry = mc
-	}
+	// Zero when the image has no migration points: every image links its
+	// text at the same base, so a previous thread's entry address would
+	// name some unrelated function of this one.
+	c.MigrateCheckEntry = t.Proc.Img.FuncAddr[k.Arch]["__migrate_check"]
 	if err := c.SetPC(t.PC); err != nil {
 		// A thread with a wild PC is killed with its process.
 		k.killProcess(t.Proc, fmt.Errorf("dispatch: %w", err))
@@ -269,14 +270,11 @@ func (k *Kernel) runCore(cs *coreSlot, end float64) {
 	budget := int64((end - start) * clock) // cycles available this quantum
 	c.Cycles = 0
 
+run:
 	for budget > 0 {
-		if c.Cycles >= budget {
-			break
-		}
-		ev := c.Step()
-		switch ev {
+		switch c.Run(budget) {
 		case machine.EvNone:
-			continue
+			break run // budget exhausted
 		case machine.EvSyscall:
 			budget -= c.Cycles
 			k.accountCore(c)

@@ -8,8 +8,9 @@
 package link
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"heterodc/internal/compiler"
 	"heterodc/internal/ir"
@@ -30,13 +31,30 @@ type Func struct {
 	Addr []uint64
 	// Info is the per-ISA stackmap/unwind metadata with addresses resolved.
 	Info *stackmap.FuncInfo
+
+	// callAt lists, ascending, the indices in Code of the OpCall
+	// instructions, and callee[i] is the function callAt[i] targets (nil for
+	// an undefined symbol) — resolved once when the program is sealed, so
+	// that executing a call hashes no symbol name. A side table, and a
+	// sparse one: Code stays exactly as compiled, and an image costs a few
+	// bytes per call rather than per instruction.
+	callAt []int32
+	callee []*Func
+}
+
+// Callee returns the function that the OpCall at Code[idx] targets, or nil
+// when its symbol is undefined.
+func (f *Func) Callee(idx int) *Func {
+	if i, ok := slices.BinarySearch(f.callAt, int32(idx)); ok {
+		return f.callee[i]
+	}
+	return nil
 }
 
 // IndexOf returns the instruction index at address pc (which must be an
 // instruction boundary inside the function).
 func (f *Func) IndexOf(pc uint64) (int, error) {
-	i := sort.Search(len(f.Addr), func(i int) bool { return f.Addr[i] >= pc })
-	if i < len(f.Addr) && f.Addr[i] == pc {
+	if i, ok := slices.BinarySearch(f.Addr, pc); ok {
 		return i, nil
 	}
 	return 0, fmt.Errorf("link: pc %#x is not an instruction boundary in %s", pc, f.Name)
@@ -49,17 +67,22 @@ type Program struct {
 	ByName map[string]*Func
 	SMap   *stackmap.Map
 
+	// bases[i] is the entry address of byAddr[i], ascending.
 	bases  []uint64
+	byAddr []*Func
 	byBase map[uint64]*Func
 }
 
 // FuncAt returns the function containing pc, or nil.
 func (p *Program) FuncAt(pc uint64) *Func {
-	i := sort.Search(len(p.bases), func(i int) bool { return p.bases[i] > pc })
-	if i == 0 {
+	i, entry := slices.BinarySearch(p.bases, pc)
+	if !entry {
+		i-- // the last function starting below pc
+	}
+	if i < 0 {
 		return nil
 	}
-	f := p.byBase[p.bases[i-1]]
+	f := p.byAddr[i]
 	if pc >= f.Base+f.Size {
 		return nil
 	}
@@ -73,10 +96,34 @@ func (p *Program) FuncEntry(addr uint64) *Func { return p.byBase[addr] }
 func (p *Program) seal() {
 	p.byBase = make(map[uint64]*Func, len(p.Funcs))
 	for _, f := range p.Funcs {
-		p.bases = append(p.bases, f.Base)
 		p.byBase[f.Base] = f
 	}
-	sort.Slice(p.bases, func(i, j int) bool { return p.bases[i] < p.bases[j] })
+	p.byAddr = slices.Clone(p.Funcs)
+	slices.SortFunc(p.byAddr, func(a, b *Func) int { return cmp.Compare(a.Base, b.Base) })
+	p.bases = make([]uint64, len(p.byAddr))
+	for i, f := range p.byAddr {
+		p.bases[i] = f.Base
+	}
+	// One backing array each for the whole program's call sites.
+	calls := 0
+	for _, f := range p.Funcs {
+		for i := range f.Code {
+			if f.Code[i].Op == isa.OpCall {
+				calls++
+			}
+		}
+	}
+	callAt, callee := make([]int32, 0, calls), make([]*Func, 0, calls)
+	for _, f := range p.Funcs {
+		first := len(callAt)
+		for i := range f.Code {
+			if f.Code[i].Op == isa.OpCall {
+				callAt = append(callAt, int32(i))
+				callee = append(callee, p.ByName[f.Code[i].Sym])
+			}
+		}
+		f.callAt, f.callee = callAt[first:len(callAt):len(callAt)], callee[first:len(callee):len(callee)]
+	}
 	p.SMap.Seal()
 }
 

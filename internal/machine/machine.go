@@ -99,6 +99,10 @@ type Core struct {
 	// InstrProfile, when non-nil, accumulates retired instructions per
 	// function (diagnostics; expensive).
 	InstrProfile map[string]uint64
+
+	// tlb caches Mem's page translations for guest loads and stores. It is
+	// allocated at the first instruction: most cores of a fleet never run.
+	tlb *mem.TLB
 }
 
 // NewCore builds a core for desc with fresh caches.
@@ -112,16 +116,22 @@ func NewCore(desc *isa.Desc) *Core {
 
 // SetPC repositions execution at pc, resolving the containing function.
 func (c *Core) SetPC(pc uint64) error {
-	fn := c.Prog.FuncAt(pc)
-	if fn == nil {
-		return fmt.Errorf("machine: jump to unmapped pc %#x", pc)
-	}
-	idx, err := fn.IndexOf(pc)
+	fn, idx, err := c.locate(pc)
 	if err != nil {
 		return err
 	}
 	c.Fn, c.Idx, c.PC = fn, idx, pc
 	return nil
+}
+
+// locate resolves pc to its function and instruction index.
+func (c *Core) locate(pc uint64) (*link.Func, int, error) {
+	fn := c.Prog.FuncAt(pc)
+	if fn == nil {
+		return nil, 0, fmt.Errorf("machine: jump to unmapped pc %#x", pc)
+	}
+	idx, err := fn.IndexOf(pc)
+	return fn, idx, err
 }
 
 // ResetPointCounters clears the migration-point instrumentation baselines
@@ -142,328 +152,401 @@ func (c *Core) errorf(format string, args ...interface{}) Event {
 	return EvError
 }
 
-// dataAddr charges the D-cache for an access at addr.
-func (c *Core) dataAccess(addr uint64, size int64) {
-	c.Cycles += c.DCache.AccessRange(addr, size)
-}
-
-// readU64 performs a data read with vDSO magic handling.
-func (c *Core) readU64(addr uint64) (uint64, bool, Event) {
+// load performs an 8-byte data read with vDSO magic handling and returns
+// the value and the D-cache penalty. ok is false on a page fault, which is
+// recorded in FaultAddr/FaultWrite.
+func (c *Core) load(addr uint64) (v uint64, penalty int64, ok bool) {
 	switch addr {
 	case sys.VDSOTidAddr:
-		return uint64(c.CurTID), true, EvNone
+		return uint64(c.CurTID), 0, true
 	case sys.VDSONodeAddr:
-		return uint64(c.CurNode), true, EvNone
+		return uint64(c.CurNode), 0, true
 	}
-	v, err := c.Mem.ReadU64(addr)
-	if err != nil {
-		return 0, false, c.fault(addr, false)
+	if v, ok = c.tlb.ReadU64(addr); !ok {
+		c.fault(addr, false)
+		return 0, 0, false
 	}
-	c.dataAccess(addr, 8)
-	return v, true, EvNone
+	if !c.DCache.Repeat(addr, 8) {
+		penalty = c.DCache.AccessRange(addr, 8)
+	}
+	return v, penalty, true
 }
 
-func (c *Core) writeU64(addr uint64, v uint64) (bool, Event) {
-	if err := c.Mem.WriteU64(addr, v); err != nil {
-		return false, c.fault(addr, true)
+// store performs an 8-byte data write and returns the D-cache penalty; ok
+// is false on a page fault, which is recorded in FaultAddr/FaultWrite.
+func (c *Core) store(addr uint64, v uint64) (penalty int64, ok bool) {
+	if !c.tlb.WriteU64(addr, v) {
+		c.fault(addr, true)
+		return 0, false
 	}
-	c.dataAccess(addr, 8)
-	return true, EvNone
+	if !c.DCache.Repeat(addr, 8) {
+		penalty = c.DCache.AccessRange(addr, 8)
+	}
+	return penalty, true
 }
 
 // Step executes one instruction. On EvNone/EvSyscall the PC has advanced;
 // on EvFault/EvError it has not.
 func (c *Core) Step() Event {
-	in := &c.Fn.Code[c.Idx]
-	d := c.Desc
-	if c.InstrProfile != nil {
-		c.InstrProfile[c.Fn.Name]++
-	}
-
-	// Instruction fetch: I-cache cost plus base op cost.
-	var cost int64
-	if c.CostFn != nil {
-		cost = c.CostFn(in.Op)
-	} else {
-		cost = isa.CycleCost(d.Arch, in.Op)
-	}
-	cost += c.ICache.AccessRange(c.PC, in.Size)
-
-	advance := true
-	ri := &c.RegsI
-	rf := &c.RegsF
-
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpAdd:
-		ri[in.Rd] = ri[in.Rs1] + ri[in.Rs2]
-	case isa.OpSub:
-		ri[in.Rd] = ri[in.Rs1] - ri[in.Rs2]
-	case isa.OpMul:
-		ri[in.Rd] = ri[in.Rs1] * ri[in.Rs2]
-	case isa.OpDiv:
-		b := ri[in.Rs2]
-		if b == 0 {
-			return c.errorf("machine: division by zero at %#x (%s)", c.PC, c.Fn.Name)
-		}
-		a := ri[in.Rs1]
-		if a == math.MinInt64 && b == -1 {
-			ri[in.Rd] = math.MinInt64
-		} else {
-			ri[in.Rd] = a / b
-		}
-	case isa.OpRem:
-		b := ri[in.Rs2]
-		if b == 0 {
-			return c.errorf("machine: remainder by zero at %#x (%s)", c.PC, c.Fn.Name)
-		}
-		a := ri[in.Rs1]
-		if a == math.MinInt64 && b == -1 {
-			ri[in.Rd] = 0
-		} else {
-			ri[in.Rd] = a % b
-		}
-	case isa.OpAnd:
-		ri[in.Rd] = ri[in.Rs1] & ri[in.Rs2]
-	case isa.OpOr:
-		ri[in.Rd] = ri[in.Rs1] | ri[in.Rs2]
-	case isa.OpXor:
-		ri[in.Rd] = ri[in.Rs1] ^ ri[in.Rs2]
-	case isa.OpShl:
-		ri[in.Rd] = ri[in.Rs1] << (uint64(ri[in.Rs2]) & 63)
-	case isa.OpShr:
-		ri[in.Rd] = ri[in.Rs1] >> (uint64(ri[in.Rs2]) & 63)
-	case isa.OpAddI:
-		ri[in.Rd] = ri[in.Rs1] + in.Imm
-	case isa.OpMulI:
-		ri[in.Rd] = ri[in.Rs1] * in.Imm
-	case isa.OpAndI:
-		ri[in.Rd] = ri[in.Rs1] & in.Imm
-	case isa.OpOrI:
-		ri[in.Rd] = ri[in.Rs1] | in.Imm
-	case isa.OpXorI:
-		ri[in.Rd] = ri[in.Rs1] ^ in.Imm
-	case isa.OpShlI:
-		ri[in.Rd] = ri[in.Rs1] << (uint64(in.Imm) & 63)
-	case isa.OpShrI:
-		ri[in.Rd] = ri[in.Rs1] >> (uint64(in.Imm) & 63)
-	case isa.OpLdi:
-		ri[in.Rd] = in.Imm
-	case isa.OpMov:
-		ri[in.Rd] = ri[in.Rs1]
-	case isa.OpCmpEq:
-		ri[in.Rd] = b2i(ri[in.Rs1] == ri[in.Rs2])
-	case isa.OpCmpNe:
-		ri[in.Rd] = b2i(ri[in.Rs1] != ri[in.Rs2])
-	case isa.OpCmpLt:
-		ri[in.Rd] = b2i(ri[in.Rs1] < ri[in.Rs2])
-	case isa.OpCmpLe:
-		ri[in.Rd] = b2i(ri[in.Rs1] <= ri[in.Rs2])
-	case isa.OpCmpGt:
-		ri[in.Rd] = b2i(ri[in.Rs1] > ri[in.Rs2])
-	case isa.OpCmpGe:
-		ri[in.Rd] = b2i(ri[in.Rs1] >= ri[in.Rs2])
-	case isa.OpFAdd:
-		rf[in.Rd] = rf[in.Rs1] + rf[in.Rs2]
-	case isa.OpFSub:
-		rf[in.Rd] = rf[in.Rs1] - rf[in.Rs2]
-	case isa.OpFMul:
-		rf[in.Rd] = rf[in.Rs1] * rf[in.Rs2]
-	case isa.OpFDiv:
-		rf[in.Rd] = rf[in.Rs1] / rf[in.Rs2]
-	case isa.OpFNeg:
-		rf[in.Rd] = -rf[in.Rs1]
-	case isa.OpFSqrt:
-		rf[in.Rd] = math.Sqrt(rf[in.Rs1])
-	case isa.OpFMov:
-		rf[in.Rd] = rf[in.Rs1]
-	case isa.OpFLdi:
-		rf[in.Rd] = in.FImm
-	case isa.OpFCmpEq:
-		ri[in.Rd] = b2i(rf[in.Rs1] == rf[in.Rs2])
-	case isa.OpFCmpNe:
-		ri[in.Rd] = b2i(rf[in.Rs1] != rf[in.Rs2])
-	case isa.OpFCmpLt:
-		ri[in.Rd] = b2i(rf[in.Rs1] < rf[in.Rs2])
-	case isa.OpFCmpLe:
-		ri[in.Rd] = b2i(rf[in.Rs1] <= rf[in.Rs2])
-	case isa.OpFCmpGt:
-		ri[in.Rd] = b2i(rf[in.Rs1] > rf[in.Rs2])
-	case isa.OpFCmpGe:
-		ri[in.Rd] = b2i(rf[in.Rs1] >= rf[in.Rs2])
-	case isa.OpI2F:
-		rf[in.Rd] = float64(ri[in.Rs1])
-	case isa.OpF2I:
-		ri[in.Rd] = f2i(rf[in.Rs1])
-	case isa.OpLd:
-		addr := uint64(ri[in.Rs1] + in.Imm)
-		v, ok, ev := c.readU64(addr)
-		if !ok {
-			return ev
-		}
-		ri[in.Rd] = int64(v)
-	case isa.OpSt:
-		addr := uint64(ri[in.Rs1] + in.Imm)
-		if ok, ev := c.writeU64(addr, uint64(ri[in.Rs2])); !ok {
-			return ev
-		}
-	case isa.OpLdB:
-		addr := uint64(ri[in.Rs1] + in.Imm)
-		v, err := c.Mem.ReadU8(addr)
-		if err != nil {
-			return c.fault(addr, false)
-		}
-		c.dataAccess(addr, 1)
-		ri[in.Rd] = int64(v)
-	case isa.OpStB:
-		addr := uint64(ri[in.Rs1] + in.Imm)
-		if err := c.Mem.WriteU8(addr, byte(ri[in.Rs2])); err != nil {
-			return c.fault(addr, true)
-		}
-		c.dataAccess(addr, 1)
-	case isa.OpFLd:
-		addr := uint64(ri[in.Rs1] + in.Imm)
-		v, ok, ev := c.readU64(addr)
-		if !ok {
-			return ev
-		}
-		rf[in.Rd] = math.Float64frombits(v)
-	case isa.OpFSt:
-		addr := uint64(ri[in.Rs1] + in.Imm)
-		if ok, ev := c.writeU64(addr, math.Float64bits(rf[in.Rs2])); !ok {
-			return ev
-		}
-	case isa.OpLea:
-		ri[in.Rd] = in.Imm // linker resolved Sym+off into Imm
-	case isa.OpAtomicAdd:
-		addr := uint64(ri[in.Rs1] + in.Imm)
-		v, ok, ev := c.readU64(addr)
-		if !ok {
-			return ev
-		}
-		if ok, ev := c.writeU64(addr, uint64(int64(v)+ri[in.Rs2])); !ok {
-			return ev
-		}
-		ri[in.Rd] = int64(v)
-	case isa.OpAtomicCAS:
-		addr := uint64(ri[in.Rs1] + in.Imm)
-		v, ok, ev := c.readU64(addr)
-		if !ok {
-			return ev
-		}
-		// The write-access check must pass even when the compare fails, so
-		// ownership (and thus cross-machine atomicity) is exclusive.
-		if !c.Mem.Writable(addr) {
-			return c.fault(addr, true)
-		}
-		if int64(v) == ri[in.Rs2] {
-			if ok, ev := c.writeU64(addr, uint64(ri[in.Rs3])); !ok {
-				return ev
-			}
-		}
-		ri[in.Rd] = int64(v)
-	case isa.OpPush:
-		sp := uint64(ri[d.SP]) - 8
-		if ok, ev := c.writeU64(sp, uint64(ri[in.Rs1])); !ok {
-			return ev
-		}
-		ri[d.SP] = int64(sp)
-	case isa.OpPop:
-		sp := uint64(ri[d.SP])
-		v, ok, ev := c.readU64(sp)
-		if !ok {
-			return ev
-		}
-		ri[in.Rd] = int64(v)
-		ri[d.SP] = int64(sp + 8)
-	case isa.OpBr:
-		c.Idx = in.Target
-		c.PC = c.Fn.Addr[c.Idx]
-		advance = false
-	case isa.OpBeqz:
-		if ri[in.Rs1] == 0 {
-			c.Idx = in.Target
-			c.PC = c.Fn.Addr[c.Idx]
-			advance = false
-		}
-	case isa.OpBnez:
-		if ri[in.Rs1] != 0 {
-			c.Idx = in.Target
-			c.PC = c.Fn.Addr[c.Idx]
-			advance = false
-		}
-	case isa.OpCall:
-		callee := c.Prog.ByName[in.Sym]
-		if callee == nil {
-			return c.errorf("machine: call to undefined %q", in.Sym)
-		}
-		if ev, ok := c.doCall(callee); !ok {
-			return ev
-		}
-		advance = false
-	case isa.OpCallR:
-		callee := c.Prog.FuncEntry(uint64(ri[in.Rs1]))
-		if callee == nil {
-			return c.errorf("machine: indirect call to non-entry %#x", uint64(ri[in.Rs1]))
-		}
-		if ev, ok := c.doCall(callee); !ok {
-			return ev
-		}
-		advance = false
-	case isa.OpRet:
-		var ret uint64
-		if d.RetAddrOnStack {
-			sp := uint64(ri[d.SP])
-			v, ok, ev := c.readU64(sp)
-			if !ok {
-				return ev
-			}
-			ri[d.SP] = int64(sp + 8)
-			ret = v
-		} else {
-			ret = uint64(ri[d.LR])
-		}
-		if ret == 0 {
-			return c.errorf("machine: return from entry shim %s (pc=%#x sp=%#x fp=%#x)",
-				c.Fn.Name, c.PC, uint64(ri[d.SP]), uint64(ri[d.FP]))
-		}
-		if err := c.SetPC(ret); err != nil {
-			c.Err = err
-			return EvError
-		}
-		advance = false
-	case isa.OpSyscall:
-		c.Cycles += cost
-		c.Instrs++
-		c.advance()
-		return EvSyscall
-	default:
-		return c.errorf("machine: unimplemented op %s", in.Op)
-	}
-
-	c.Cycles += cost
-	c.Instrs++
-	if advance {
-		c.advance()
-	}
-	return EvNone
+	// Any cycle count exhausts this budget, so run retires one instruction.
+	return c.run(math.MinInt64)
 }
 
-// doCall performs the ISA's return-address discipline and jumps to callee.
-// Returns (event, ok=false) if the x86 return-address push faulted.
-func (c *Core) doCall(callee *link.Func) (Event, bool) {
-	d := c.Desc
-	retAddr := c.PC + uint64(c.Fn.Code[c.Idx].Size)
-	if d.RetAddrOnStack {
-		sp := uint64(c.RegsI[d.SP]) - 8
-		if ok, ev := c.writeU64(sp, retAddr); !ok {
-			return ev, false
-		}
-		c.RegsI[d.SP] = int64(sp)
-	} else {
-		c.RegsI[d.LR] = int64(retAddr)
+// Run executes instructions until one surfaces an event other than EvNone
+// or Cycles reaches budget, whichever comes first; it returns EvNone for an
+// exhausted budget. It is the loop `for c.Cycles < budget { c.Step() }`
+// with the core's state held in locals between instructions. The hooks may
+// read the core (it is brought up to date before they fire) but must leave
+// it, and the presence and protection of Mem's pages, alone.
+func (c *Core) Run(budget int64) Event {
+	if c.Cycles >= budget {
+		return EvNone
 	}
-	// Migration-point / call instrumentation.
+	return c.run(budget)
+}
+
+// run is the interpreter: it executes at least one instruction, then more
+// while Cycles stays below budget.
+func (c *Core) run(budget int64) Event {
+	d := c.Desc
+	costs := isa.Costs(d.Arch)
+	// CostFn and InstrProfile are consulted per instruction, behind one flag.
+	slow := c.CostFn != nil || c.InstrProfile != nil
+	if c.tlb == nil {
+		c.tlb = new(mem.TLB)
+	}
+	c.tlb.Attach(c.Mem)
+	ic := c.ICache
+	ri := &c.RegsI
+	rf := &c.RegsF
+	fn, idx, pc := c.Fn, c.Idx, c.PC
+	code, addrs := fn.Code, fn.Addr
+	cycles, instrs := c.Cycles, c.Instrs
+	ev := EvNone
+
+loop:
+	for {
+		in := &code[idx]
+
+		// Instruction fetch: base op cost plus I-cache cost.
+		cost := costs[in.Op]
+		if slow {
+			if c.InstrProfile != nil {
+				c.InstrProfile[fn.Name]++
+			}
+			if c.CostFn != nil {
+				cost = c.CostFn(in.Op)
+			}
+		}
+		if !ic.Repeat(pc, in.Size) {
+			cost += ic.AccessRange(pc, in.Size)
+		}
+
+		next := idx + 1
+		switch in.Op {
+		case isa.OpNop:
+		case isa.OpAdd:
+			ri[in.Rd] = ri[in.Rs1] + ri[in.Rs2]
+		case isa.OpSub:
+			ri[in.Rd] = ri[in.Rs1] - ri[in.Rs2]
+		case isa.OpMul:
+			ri[in.Rd] = ri[in.Rs1] * ri[in.Rs2]
+		case isa.OpDiv:
+			b := ri[in.Rs2]
+			if b == 0 {
+				ev = c.errorf("machine: division by zero at %#x (%s)", pc, fn.Name)
+				break loop
+			}
+			a := ri[in.Rs1]
+			if a == math.MinInt64 && b == -1 {
+				ri[in.Rd] = math.MinInt64
+			} else {
+				ri[in.Rd] = a / b
+			}
+		case isa.OpRem:
+			b := ri[in.Rs2]
+			if b == 0 {
+				ev = c.errorf("machine: remainder by zero at %#x (%s)", pc, fn.Name)
+				break loop
+			}
+			a := ri[in.Rs1]
+			if a == math.MinInt64 && b == -1 {
+				ri[in.Rd] = 0
+			} else {
+				ri[in.Rd] = a % b
+			}
+		case isa.OpAnd:
+			ri[in.Rd] = ri[in.Rs1] & ri[in.Rs2]
+		case isa.OpOr:
+			ri[in.Rd] = ri[in.Rs1] | ri[in.Rs2]
+		case isa.OpXor:
+			ri[in.Rd] = ri[in.Rs1] ^ ri[in.Rs2]
+		case isa.OpShl:
+			ri[in.Rd] = ri[in.Rs1] << (uint64(ri[in.Rs2]) & 63)
+		case isa.OpShr:
+			ri[in.Rd] = ri[in.Rs1] >> (uint64(ri[in.Rs2]) & 63)
+		case isa.OpAddI:
+			ri[in.Rd] = ri[in.Rs1] + in.Imm
+		case isa.OpMulI:
+			ri[in.Rd] = ri[in.Rs1] * in.Imm
+		case isa.OpAndI:
+			ri[in.Rd] = ri[in.Rs1] & in.Imm
+		case isa.OpOrI:
+			ri[in.Rd] = ri[in.Rs1] | in.Imm
+		case isa.OpXorI:
+			ri[in.Rd] = ri[in.Rs1] ^ in.Imm
+		case isa.OpShlI:
+			ri[in.Rd] = ri[in.Rs1] << (uint64(in.Imm) & 63)
+		case isa.OpShrI:
+			ri[in.Rd] = ri[in.Rs1] >> (uint64(in.Imm) & 63)
+		case isa.OpLdi:
+			ri[in.Rd] = in.Imm
+		case isa.OpMov:
+			ri[in.Rd] = ri[in.Rs1]
+		case isa.OpCmpEq:
+			ri[in.Rd] = b2i(ri[in.Rs1] == ri[in.Rs2])
+		case isa.OpCmpNe:
+			ri[in.Rd] = b2i(ri[in.Rs1] != ri[in.Rs2])
+		case isa.OpCmpLt:
+			ri[in.Rd] = b2i(ri[in.Rs1] < ri[in.Rs2])
+		case isa.OpCmpLe:
+			ri[in.Rd] = b2i(ri[in.Rs1] <= ri[in.Rs2])
+		case isa.OpCmpGt:
+			ri[in.Rd] = b2i(ri[in.Rs1] > ri[in.Rs2])
+		case isa.OpCmpGe:
+			ri[in.Rd] = b2i(ri[in.Rs1] >= ri[in.Rs2])
+		case isa.OpFAdd:
+			rf[in.Rd] = rf[in.Rs1] + rf[in.Rs2]
+		case isa.OpFSub:
+			rf[in.Rd] = rf[in.Rs1] - rf[in.Rs2]
+		case isa.OpFMul:
+			rf[in.Rd] = rf[in.Rs1] * rf[in.Rs2]
+		case isa.OpFDiv:
+			rf[in.Rd] = rf[in.Rs1] / rf[in.Rs2]
+		case isa.OpFNeg:
+			rf[in.Rd] = -rf[in.Rs1]
+		case isa.OpFSqrt:
+			rf[in.Rd] = math.Sqrt(rf[in.Rs1])
+		case isa.OpFMov:
+			rf[in.Rd] = rf[in.Rs1]
+		case isa.OpFLdi:
+			rf[in.Rd] = in.FImm
+		case isa.OpFCmpEq:
+			ri[in.Rd] = b2i(rf[in.Rs1] == rf[in.Rs2])
+		case isa.OpFCmpNe:
+			ri[in.Rd] = b2i(rf[in.Rs1] != rf[in.Rs2])
+		case isa.OpFCmpLt:
+			ri[in.Rd] = b2i(rf[in.Rs1] < rf[in.Rs2])
+		case isa.OpFCmpLe:
+			ri[in.Rd] = b2i(rf[in.Rs1] <= rf[in.Rs2])
+		case isa.OpFCmpGt:
+			ri[in.Rd] = b2i(rf[in.Rs1] > rf[in.Rs2])
+		case isa.OpFCmpGe:
+			ri[in.Rd] = b2i(rf[in.Rs1] >= rf[in.Rs2])
+		case isa.OpI2F:
+			rf[in.Rd] = float64(ri[in.Rs1])
+		case isa.OpF2I:
+			ri[in.Rd] = f2i(rf[in.Rs1])
+		case isa.OpLd:
+			v, penalty, ok := c.load(uint64(ri[in.Rs1] + in.Imm))
+			if !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+			ri[in.Rd] = int64(v)
+		case isa.OpSt:
+			penalty, ok := c.store(uint64(ri[in.Rs1]+in.Imm), uint64(ri[in.Rs2]))
+			if !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+		case isa.OpLdB:
+			addr := uint64(ri[in.Rs1] + in.Imm)
+			v, ok := c.tlb.ReadU8(addr)
+			if !ok {
+				ev = c.fault(addr, false)
+				break loop
+			}
+			cycles += c.DCache.Access(addr)
+			ri[in.Rd] = int64(v)
+		case isa.OpStB:
+			addr := uint64(ri[in.Rs1] + in.Imm)
+			if !c.tlb.WriteU8(addr, byte(ri[in.Rs2])) {
+				ev = c.fault(addr, true)
+				break loop
+			}
+			cycles += c.DCache.Access(addr)
+		case isa.OpFLd:
+			v, penalty, ok := c.load(uint64(ri[in.Rs1] + in.Imm))
+			if !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+			rf[in.Rd] = math.Float64frombits(v)
+		case isa.OpFSt:
+			penalty, ok := c.store(uint64(ri[in.Rs1]+in.Imm), math.Float64bits(rf[in.Rs2]))
+			if !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+		case isa.OpLea:
+			ri[in.Rd] = in.Imm // linker resolved Sym+off into Imm
+		case isa.OpAtomicAdd:
+			addr := uint64(ri[in.Rs1] + in.Imm)
+			old, penalty, ok := c.load(addr)
+			if !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+			if penalty, ok = c.store(addr, uint64(int64(old)+ri[in.Rs2])); !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+			ri[in.Rd] = int64(old)
+		case isa.OpAtomicCAS:
+			addr := uint64(ri[in.Rs1] + in.Imm)
+			old, penalty, ok := c.load(addr)
+			if !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+			// The write-access check must pass even when the compare fails, so
+			// ownership (and thus cross-machine atomicity) is exclusive.
+			if !c.Mem.Writable(addr) {
+				ev = c.fault(addr, true)
+				break loop
+			}
+			if int64(old) == ri[in.Rs2] {
+				if penalty, ok = c.store(addr, uint64(ri[in.Rs3])); !ok {
+					ev = EvFault
+					break loop
+				}
+				cycles += penalty
+			}
+			ri[in.Rd] = int64(old)
+		case isa.OpPush:
+			sp := uint64(ri[d.SP]) - 8
+			penalty, ok := c.store(sp, uint64(ri[in.Rs1]))
+			if !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+			ri[d.SP] = int64(sp)
+		case isa.OpPop:
+			sp := uint64(ri[d.SP])
+			v, penalty, ok := c.load(sp)
+			if !ok {
+				ev = EvFault
+				break loop
+			}
+			cycles += penalty
+			ri[in.Rd] = int64(v)
+			ri[d.SP] = int64(sp + 8)
+		case isa.OpBr:
+			next = in.Target
+		case isa.OpBeqz:
+			if ri[in.Rs1] == 0 {
+				next = in.Target
+			}
+		case isa.OpBnez:
+			if ri[in.Rs1] != 0 {
+				next = in.Target
+			}
+		case isa.OpCall, isa.OpCallR:
+			var callee *link.Func
+			if in.Op == isa.OpCall {
+				if callee = fn.Callee(idx); callee == nil {
+					ev = c.errorf("machine: call to undefined %q", in.Sym)
+					break loop
+				}
+			} else if callee = c.Prog.FuncEntry(uint64(ri[in.Rs1])); callee == nil {
+				ev = c.errorf("machine: indirect call to non-entry %#x", uint64(ri[in.Rs1]))
+				break loop
+			}
+			// The ISA's return-address discipline.
+			retAddr := pc + uint64(in.Size)
+			if d.RetAddrOnStack {
+				sp := uint64(ri[d.SP]) - 8
+				penalty, ok := c.store(sp, retAddr)
+				if !ok {
+					ev = EvFault
+					break loop
+				}
+				cycles += penalty
+				ri[d.SP] = int64(sp)
+			} else {
+				ri[d.LR] = int64(retAddr)
+			}
+			if c.OnAnyCall != nil || (c.MigrateCheckEntry != 0 && callee.Base == c.MigrateCheckEntry) {
+				c.Fn, c.Idx, c.PC, c.Cycles, c.Instrs = fn, idx, pc, cycles, instrs
+				c.callHooks(callee)
+			}
+			fn, code, addrs, next = callee, callee.Code, callee.Addr, 0
+		case isa.OpRet:
+			var ret uint64
+			if d.RetAddrOnStack {
+				sp := uint64(ri[d.SP])
+				v, penalty, ok := c.load(sp)
+				if !ok {
+					ev = EvFault
+					break loop
+				}
+				cycles += penalty
+				ri[d.SP] = int64(sp + 8)
+				ret = v
+			} else {
+				ret = uint64(ri[d.LR])
+			}
+			if ret == 0 {
+				ev = c.errorf("machine: return from entry shim %s (pc=%#x sp=%#x fp=%#x)",
+					fn.Name, pc, uint64(ri[d.SP]), uint64(ri[d.FP]))
+				break loop
+			}
+			to, at, err := c.locate(ret)
+			if err != nil {
+				c.Err = err
+				ev = EvError
+				break loop
+			}
+			fn, code, addrs, next = to, to.Code, to.Addr, at
+		case isa.OpSyscall:
+			ev = EvSyscall // retires like any other instruction, then traps
+		default:
+			ev = c.errorf("machine: unimplemented op %s", in.Op)
+			break loop
+		}
+
+		// Retire and advance.
+		cycles += cost
+		instrs++
+		idx = next
+		if idx < len(code) {
+			pc = addrs[idx]
+		} else {
+			// Fell off the end of a function: functions always end in RET or
+			// a branch, so this is unreachable for verified code.
+			pc = fn.Base + fn.Size
+		}
+		if cycles >= budget || ev != EvNone {
+			break
+		}
+	}
+
+	c.Fn, c.Idx, c.PC, c.Cycles, c.Instrs = fn, idx, pc, cycles, instrs
+	return ev
+}
+
+// callHooks fires the migration-point and call instrumentation for a call
+// to callee; the core's fields describe the calling instruction.
+func (c *Core) callHooks(callee *link.Func) {
 	if c.OnAnyCall != nil {
 		c.OnAnyCall(c.Instrs - c.lastAnyCall)
 		c.lastAnyCall = c.Instrs
@@ -480,21 +563,6 @@ func (c *Core) doCall(callee *link.Func) (Event, bool) {
 		}
 		c.lastMigratePoint = c.Instrs
 	}
-	c.Fn = callee
-	c.Idx = 0
-	c.PC = callee.Base
-	return EvNone, true
-}
-
-func (c *Core) advance() {
-	c.Idx++
-	if c.Idx < len(c.Fn.Code) {
-		c.PC = c.Fn.Addr[c.Idx]
-		return
-	}
-	// Fell off the end of a function: functions always end in RET or a
-	// branch, so this is unreachable for verified code; trap via SetPC.
-	c.PC = c.Fn.Base + c.Fn.Size
 }
 
 // SyscallArgs extracts the syscall number and arguments per the ABI.

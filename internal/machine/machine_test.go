@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -281,5 +282,40 @@ func TestCostFnOverride(t *testing.T) {
 	runUntilSyscall(t, over)
 	if over.Cycles < 10*base.Cycles {
 		t.Errorf("cost override ineffective: %d vs %d", over.Cycles, base.Cycles)
+	}
+	// Run charges through the same override as Step.
+	ran, _ := buildCore(t, src, isa.X86)
+	ran.CostFn = over.CostFn
+	if ev := ran.Run(math.MaxInt64); ev != EvSyscall {
+		t.Fatalf("Run stopped with event %d: %v", ev, ran.Err)
+	}
+	if ran.Cycles != over.Cycles || ran.Instrs != over.Instrs {
+		t.Errorf("Run under CostFn: %d cycles, %d instrs; Step loop: %d, %d", ran.Cycles, ran.Instrs, over.Cycles, over.Instrs)
+	}
+}
+
+// Run stops at the first instruction that takes Cycles to the budget, and
+// does nothing when it is already there.
+func TestRunHonoursBudget(t *testing.T) {
+	src := `long main(void){
+		long s = 0;
+		for (long i = 0; i < 1000; i++) s += i;
+		__syscall(1, s);
+		return 0; }`
+	c, _ := buildCore(t, src, isa.ARM64)
+	ref, _ := buildCore(t, src, isa.ARM64)
+	if ev := c.Run(100); ev != EvNone {
+		t.Fatalf("event %d before the budget: %v", ev, c.Err)
+	}
+	for ref.Cycles < 100 {
+		ref.Step()
+	}
+	if c.Cycles < 100 || c.Cycles != ref.Cycles || c.Instrs != ref.Instrs || c.PC != ref.PC {
+		t.Errorf("Run(100): %d cycles, %d instrs, pc %#x; Step loop: %d, %d, %#x",
+			c.Cycles, c.Instrs, c.PC, ref.Cycles, ref.Instrs, ref.PC)
+	}
+	instrs := c.Instrs
+	if ev := c.Run(c.Cycles); ev != EvNone || c.Instrs != instrs {
+		t.Errorf("Run with an exhausted budget retired %d instructions (event %d)", c.Instrs-instrs, ev)
 	}
 }

@@ -87,6 +87,9 @@ func (e *FaultError) Error() string {
 type Memory struct {
 	pages map[uint64]*Page
 	ro    map[uint64]bool
+	// epoch counts the changes that can make a cached translation wrong: a
+	// page dropped or its protection changed. A TLB compares it on Attach.
+	epoch uint64
 }
 
 // NewMemory returns an empty memory with no pages present.
@@ -95,10 +98,16 @@ func NewMemory() *Memory {
 }
 
 // Protect marks the page containing addr read-only.
-func (m *Memory) Protect(addr uint64) { m.ro[PageIndex(addr)] = true }
+func (m *Memory) Protect(addr uint64) {
+	m.ro[PageIndex(addr)] = true
+	m.epoch++
+}
 
 // Unprotect clears the read-only bit on the page containing addr.
-func (m *Memory) Unprotect(addr uint64) { delete(m.ro, PageIndex(addr)) }
+func (m *Memory) Unprotect(addr uint64) {
+	delete(m.ro, PageIndex(addr))
+	m.epoch++
+}
 
 // Writable reports whether the page containing addr is present and writable.
 func (m *Memory) Writable(addr uint64) bool {
@@ -135,9 +144,11 @@ func (m *Memory) Page(addr uint64) *Page {
 func (m *Memory) DropPage(addr uint64) {
 	delete(m.pages, PageIndex(addr))
 	delete(m.ro, PageIndex(addr))
+	m.epoch++
 }
 
 // InstallPage copies the given page content in at the page containing addr.
+// A page already present keeps its *Page, so cached translations stay valid.
 func (m *Memory) InstallPage(addr uint64, data *Page) {
 	p := m.EnsurePage(addr)
 	*p = *data

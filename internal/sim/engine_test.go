@@ -3,7 +3,9 @@ package sim
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // The toy model: each node executes scripted batches of fixed-length quanta,
@@ -35,6 +37,8 @@ type toyModel struct {
 	evIdx  []int
 
 	frontiers []float64
+
+	eng Engine // unused by the toy; the back-pointer kernel.Cluster keeps
 }
 
 func newToy(scripts [][]toyBatch) *toyModel {
@@ -293,5 +297,43 @@ func TestLookaheadFloorsEpoch(t *testing.T) {
 	}
 	if math.IsNaN(e.epoch) {
 		t.Fatal("epoch NaN")
+	}
+}
+
+// TestDroppedParallelEngineStopsItsWorkers builds and drops engines whose
+// model points back at them, as kernel.Cluster does: once collected, each
+// pool's finalizer must close its channel and the workers must exit.
+func TestDroppedParallelEngineStopsItsWorkers(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("the pool only starts on a multi-core host")
+	}
+	if old := runtime.GOMAXPROCS(0); old < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		m := newToy(twoPairScripts())
+		m.groups = [][]int{{0, 1}, {2, 3}}
+		e := NewParallel(m, Options{EpochSec: 10e-6})
+		m.eng = e
+		for e.Step() {
+		}
+		if e.pool == nil {
+			t.Fatal("the scenario never fanned out, so no pool started")
+		}
+	}
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("no workers running before collection")
+	}
+	// Finalizers run on the runtime's own goroutine some time after the
+	// collection that found the pools dead; wait for the workers' exit.
+	runtime.GC()
+	runtime.GC()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d: dropped engines' workers still running",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

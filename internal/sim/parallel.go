@@ -36,16 +36,25 @@ type Parallel struct {
 	epoch float64
 
 	// The worker pool, started lazily at the first multi-group window.
-	// Workers capture only (model, work, wg) — never the engine — so the
-	// finalizer that closes the channel can actually fire.
-	work     chan groupTask
-	wg       *sync.WaitGroup
+	pool     *pool
 	active   [][]int // per-window scratch
 	poolSize int     // 0 until the first fan-out sizes the pool
 }
 
-// groupTask is one group's share of a window.
+// pool is the engine's handle on its workers. They capture only the
+// channel and the wait group — never the pool, the engine, or the model
+// (which points back at the engine) — so a dropped engine becomes
+// unreachable and the pool with it. The finalizer that closes the channel
+// sits on the pool, not the engine: engine and model form a cycle, and the
+// runtime never finalizes an object it can reach from itself.
+type pool struct {
+	work chan groupTask
+	wg   *sync.WaitGroup
+}
+
+// groupTask is one group's share of a window, with the model to run it on.
 type groupTask struct {
+	m   Model
 	g   []int
 	end float64
 }
@@ -59,7 +68,7 @@ func NewParallel(m Model, opt Options) *Parallel {
 	if opt.LookaheadSec > ep {
 		ep = opt.LookaheadSec
 	}
-	return &Parallel{m: m, nodes: allNodes(m.NumNodes()), epoch: ep, wg: &sync.WaitGroup{}}
+	return &Parallel{m: m, nodes: allNodes(m.NumNodes()), epoch: ep}
 }
 
 // runGroup replays one group's schedule up to limit on the caller's
@@ -161,21 +170,20 @@ func (e *Parallel) fanOut(end float64) {
 		}
 		return
 	}
-	e.wg.Add(len(e.active) - 1)
+	e.pool.wg.Add(len(e.active) - 1)
 	for _, g := range e.active[1:] {
-		e.work <- groupTask{g, end}
+		e.pool.work <- groupTask{e.m, g, end}
 	}
 	runGroup(e.m, e.active[0], end)
-	e.wg.Wait()
+	e.pool.wg.Wait()
 }
 
 // startPool sizes the pool to the effective parallelism — GOMAXPROCS,
 // clamped by the physical core count (extra workers on a smaller machine
 // only preempt each other) and the node count — and spawns the workers.
-// The workers hold the model and channel, never the engine, so when the
-// engine becomes unreachable its finalizer closes the channel and the pool
-// exits — engines have no Close and are dropped freely by tests and
-// benchmarks.
+// When the engine becomes unreachable the pool's finalizer closes the
+// channel and the workers exit — engines have no Close and are dropped
+// freely by tests and benchmarks.
 func (e *Parallel) startPool() {
 	n := runtime.GOMAXPROCS(0)
 	if c := runtime.NumCPU(); n > c {
@@ -188,16 +196,18 @@ func (e *Parallel) startPool() {
 	if n == 1 {
 		return
 	}
-	e.work = make(chan groupTask, 2*n)
+	// 2n slots: the scheduling goroutine queues a window's groups ahead of
+	// the workers instead of handing them over one at a time.
+	e.pool = &pool{work: make(chan groupTask, 2*n), wg: new(sync.WaitGroup)}
 	for i := 0; i < n; i++ {
-		go worker(e.m, e.work, e.wg)
+		go worker(e.pool.work, e.pool.wg)
 	}
-	runtime.SetFinalizer(e, func(p *Parallel) { close(p.work) })
+	runtime.SetFinalizer(e.pool, func(p *pool) { close(p.work) })
 }
 
-func worker(m Model, work <-chan groupTask, wg *sync.WaitGroup) {
+func worker(work <-chan groupTask, wg *sync.WaitGroup) {
 	for t := range work {
-		runGroup(m, t.g, t.end)
+		runGroup(t.m, t.g, t.end)
 		wg.Done()
 	}
 }
