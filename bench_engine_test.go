@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heterodc/internal/core"
+	"heterodc/internal/fault"
 	"heterodc/internal/isa"
 	"heterodc/internal/kernel"
 	"heterodc/internal/link"
@@ -147,21 +148,75 @@ func (t *benchTicker) Fire(now float64) {
 
 func BenchmarkEngineFlagship(b *testing.B) {
 	for _, engine := range []string{"seq", "par"} {
-		b.Run(engine, func(b *testing.B) {
-			b.ReportAllocs()
-			var quanta uint64
-			var simSec float64
-			for i := 0; i < b.N; i++ {
-				q, s := flagshipRun(b, engine)
-				quanta += q
-				simSec += s
-			}
-			el := b.Elapsed().Seconds()
-			if el > 0 {
-				b.ReportMetric(float64(quanta)/el, "quanta/s")
-				b.ReportMetric(simSec/el, "simsec/s")
-			}
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
+		b.Run(engine, func(b *testing.B) { reportEngineRun(b, engine, flagshipRun) })
+	}
+}
+
+// reportEngineRun times run on one engine and reports the rates
+// BENCH_engine.json records.
+func reportEngineRun(b *testing.B, engine string, run func(testing.TB, string) (uint64, float64)) {
+	b.ReportAllocs()
+	var quanta uint64
+	var simSec float64
+	for i := 0; i < b.N; i++ {
+		q, s := run(b, engine)
+		quanta += q
+		simSec += s
+	}
+	el := b.Elapsed().Seconds()
+	if el > 0 {
+		b.ReportMetric(float64(quanta)/el, "quanta/s")
+		b.ReportMetric(simSec/el, "simsec/s")
+	}
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+}
+
+// The idle-fleet engine benchmark: the flagship's opposite. 256 nodes in 16
+// racks on a 4:1 fat-tree run SWIM at a 1 ms period with no process
+// anywhere, and one node crashes for good at half time, so the first half
+// is quiet membership (the parallel engine fans out between rounds) and the
+// second suspicion, verdict and gossip (it collapses). No guest instruction
+// retires: what is measured is the engine finding the next action, the
+// horizon and partition at each barrier, RunDue and fabric routing. It is
+// the scenario of the benchmark suite's idle_fleet workload.
+func idleFleetRun(b testing.TB, engine string) (uint64, float64) {
+	const (
+		nodes, racks = 256, 16
+		period       = 1e-3
+		rounds       = 80
+		crashNode    = 1
+		horizon      = rounds * period
+	)
+	arches := make([]isa.Arch, nodes)
+	for i := range arches {
+		if i%2 == 1 {
+			arches[i] = isa.ARM64
+		}
+	}
+	cl, _, err := kernel.NewClusterTopo(arches, kernel.DefaultInterconnect(),
+		topo.Spec{Kind: topo.KindFatTree, Racks: racks, Oversub: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if engine == "par" {
+		cl.UseParallelEngine(0)
+	}
+	cl.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Node: crashNode, At: horizon / 2}}})
+	svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: period, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if t := cl.Run(horizon); t < horizon {
+		b.Fatalf("%s: idle fleet drained at t=%v", engine, t)
+	}
+	if d := svc.Deaths(); len(d) != 1 || d[0].Node != crashNode {
+		b.Fatalf("%s: want exactly the crash of node %d detected, got %+v", engine, crashNode, d)
+	}
+	return cl.Quanta(), cl.Time()
+}
+
+func BenchmarkEngineIdleFleet(b *testing.B) {
+	for _, engine := range []string{"seq", "par"} {
+		b.Run(engine, func(b *testing.B) { reportEngineRun(b, engine, idleFleetRun) })
 	}
 }

@@ -67,6 +67,10 @@
 //
 // -scale quick|default|full selects the parameter grid (full is the paper's
 // grid and takes tens of minutes).
+//
+// -cpuprofile and -memprofile write host profiles of the simulator itself
+// over whatever experiments ran (go tool pprof reads them); both files are
+// created before the first experiment starts.
 package main
 
 import (
@@ -79,6 +83,7 @@ import (
 	"strings"
 
 	"heterodc/internal/exp"
+	"heterodc/internal/hostprof"
 	"heterodc/internal/trace"
 	"heterodc/internal/traffic"
 )
@@ -212,6 +217,8 @@ func main() {
 	slo := flag.Float64("slo", 0, "fleet/storm: per-job latency target in seconds (0: scale default)")
 	stormMTTF := flag.Float64("storm-mttf", 0, "storm: node-churn mean time to failure in seconds (0: scale default; needs -storm-mttr)")
 	stormMTTR := flag.Float64("storm-mttr", 0, "storm: node-churn mean time to repair in seconds (0: scale default; needs -storm-mttf)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the simulator to this file")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile of the simulator to this file at exit")
 	flag.Parse()
 
 	rateSet, sloSet, mttfSet, mttrSet := false, false, false, false
@@ -261,6 +268,24 @@ func main() {
 		os.Exit(2)
 	}
 
+	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	// exit finishes the profiles first: a failed study is still worth one.
+	exit := func(code int) {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+		if code != 0 {
+			os.Exit(code)
+		}
+	}
+
 	// Every experiment registers its name here so an unrecognised -exp can
 	// list what exists instead of silently running nothing and exiting 0.
 	var expNames []string
@@ -274,15 +299,16 @@ func main() {
 		fmt.Printf("\n===== %s =====\n", name)
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	defer func() {
 		if *expName != "all" && !matched {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s, or all)\n",
 				*expName, strings.Join(expNames, ", "))
-			os.Exit(2)
+			exit(2)
 		}
+		exit(0)
 	}()
 
 	run("fig1", func() error {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"heterodc/internal/cmdtest"
 )
 
 func TestFleetOptions(t *testing.T) {
@@ -149,5 +152,46 @@ func TestParseFracs(t *testing.T) {
 				t.Errorf("parseFracs(%q)[%d] = %g, want %g", c.in, i, got[i], c.want[i])
 			}
 		}
+	}
+}
+
+func TestMain(m *testing.M) { cmdtest.Main(m, main) }
+
+func TestProfilesAreWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	out, errOut, code := cmdtest.Run(t, "-exp", "tab1", "-scale", "quick", "-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 || !strings.Contains(out, "===== tab1 =====") {
+		t.Fatalf("exit %d, stderr %q, stdout %q", code, errOut, out)
+	}
+	for _, p := range []string{cpu, mem} {
+		if !cmdtest.IsPprof(t, p) {
+			t.Errorf("%s is not a profile", p)
+		}
+	}
+}
+
+func TestUnwritableProfileFailsBeforeTheRun(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "x.prof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		out, errOut, code := cmdtest.Run(t, "-exp", "tab1", "-scale", "quick", flag, missing)
+		if code == 0 || !strings.Contains(errOut, flag) || !strings.Contains(errOut, "no-such-dir") {
+			t.Errorf("%s: exit %d, stderr %q: want a failure naming the flag and the path", flag, code, errOut)
+		}
+		if strings.Contains(out, "=====") {
+			t.Errorf("%s: an experiment started before the profile path was checked:\n%s", flag, out)
+		}
+	}
+}
+
+// A failed study still leaves a finished profile behind.
+func TestProfileSurvivesAnUnknownExperiment(t *testing.T) {
+	cpu := filepath.Join(t.TempDir(), "cpu.prof")
+	_, errOut, code := cmdtest.Run(t, "-exp", "nonesuch", "-cpuprofile", cpu)
+	if code != 2 || !strings.Contains(errOut, "unknown experiment") {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	if !cmdtest.IsPprof(t, cpu) {
+		t.Errorf("%s was left unfinished", cpu)
 	}
 }

@@ -365,6 +365,9 @@ func inspectGroups(path string) {
 	perGroup := make([]map[string]int, len(d.Groups))
 	totals := map[string]int{}
 	for _, m := range d.Merges {
+		if m.A < 0 || m.A >= d.Nodes || m.B < 0 || m.B >= d.Nodes {
+			fatal(fmt.Errorf("%s: merge joins nodes %d and %d, out of range", path, m.A, m.B))
+		}
 		g := groupOf[m.A]
 		if perGroup[g] == nil {
 			perGroup[g] = map[string]int{}

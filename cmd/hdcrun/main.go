@@ -66,6 +66,9 @@
 // -migrate-at, checkpointing, restore, the detector and fault injection):
 //
 //	hdcrun -arrivals bursty -rate 300 -slo 0.25 -jobs 20 -class S
+//
+// -cpuprofile and -memprofile write host profiles of the simulator itself
+// (go tool pprof reads them); both files are created before the run starts.
 package main
 
 import (
@@ -78,6 +81,7 @@ import (
 	"heterodc/internal/ckpt"
 	"heterodc/internal/core"
 	"heterodc/internal/fault"
+	"heterodc/internal/hostprof"
 	"heterodc/internal/kernel"
 	"heterodc/internal/link"
 	"heterodc/internal/member"
@@ -258,7 +262,14 @@ func main() {
 	rate := flag.Float64("rate", 0, "stream: offered arrival rate in jobs/sec (default 250)")
 	sloTarget := flag.Float64("slo", 0, "stream: per-job latency target in seconds (default 0.25)")
 	jobsN := flag.Int("jobs", 0, "stream: number of offered jobs (default 16)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the simulator to this file")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile of the simulator to this file at exit")
 	flag.Parse()
+
+	stop, err := hostprof.Start(*cpuProfile, *memProfile)
+	fatal(err)
+	stopProfiles = stop
+	defer func() { fatal(stopProfiles()) }()
 
 	rateSet, sloSet, jobsSet := false, false, false
 	flag.Visit(func(f *flag.Flag) {
@@ -509,9 +520,16 @@ func main() {
 	}
 }
 
+// stopProfiles finishes the host profiles. A failing run finishes them too:
+// a CPU profile that is never stopped is an empty file.
+var stopProfiles = func() error { return nil }
+
 func fatal(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdcrun:", err)
+		if perr := stopProfiles(); perr != nil {
+			fmt.Fprintln(os.Stderr, "hdcrun:", perr)
+		}
 		os.Exit(1)
 	}
 }

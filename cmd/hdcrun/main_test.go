@@ -2,9 +2,11 @@ package main
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"heterodc/internal/cmdtest"
 	"heterodc/internal/traffic"
 )
 
@@ -128,5 +130,46 @@ func TestDetectorConfigValidation(t *testing.T) {
 		if cfg.HeartbeatPeriod != c.wantPeriod || cfg.SuspectTimeout != c.wantTO || cfg.Quorum != c.wantQuorum {
 			t.Errorf("%s: cfg = %+v, want period %g timeout %g quorum %d", c.name, cfg, c.wantPeriod, c.wantTO, c.wantQuorum)
 		}
+	}
+}
+
+func TestMain(m *testing.M) { cmdtest.Main(m, main) }
+
+func TestProfilesAreWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	out, errOut, code := cmdtest.Run(t, "-bench", "is", "-class", "S", "-output=false", "-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 || !strings.Contains(out, "exit code      : 0") {
+		t.Fatalf("exit %d, stderr %q, stdout %q", code, errOut, out)
+	}
+	for _, p := range []string{cpu, mem} {
+		if !cmdtest.IsPprof(t, p) {
+			t.Errorf("%s is not a profile", p)
+		}
+	}
+}
+
+func TestUnwritableProfileFailsBeforeTheRun(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "x.prof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		out, errOut, code := cmdtest.Run(t, "-bench", "is", "-class", "S", flag, missing)
+		if code == 0 || !strings.Contains(errOut, flag) || !strings.Contains(errOut, "no-such-dir") {
+			t.Errorf("%s: exit %d, stderr %q: want a failure naming the flag and the path", flag, code, errOut)
+		}
+		if out != "" {
+			t.Errorf("%s: the run started before the profile path was checked:\n%s", flag, out)
+		}
+	}
+}
+
+// A failed run still leaves a finished profile behind.
+func TestProfileSurvivesAFailedRun(t *testing.T) {
+	cpu := filepath.Join(t.TempDir(), "cpu.prof")
+	_, errOut, code := cmdtest.Run(t, "-bench", "nonesuch", "-class", "S", "-cpuprofile", cpu)
+	if code != 1 || !strings.Contains(errOut, "hdcrun:") {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	if !cmdtest.IsPprof(t, cpu) {
+		t.Errorf("%s was left unfinished", cpu)
 	}
 }

@@ -73,8 +73,13 @@ type Cluster struct {
 	lastFrontier float64
 
 	// eng is the attached time engine; nil lazily selects the sequential
-	// reference engine, preserving the original Step/Run semantics.
-	eng sim.Engine
+	// reference engine, preserving the original Step/Run semantics. feed is
+	// that engine's change feed (nil: none attached yet, or an engine without
+	// one): every write to an input of ReadyTime, NextEvent or a node clock
+	// reports its node there, so the engine re-reads only those nodes. See
+	// changed for the write sites.
+	eng  sim.Engine
+	feed *sim.Feed
 	// cbMu serialises user observer callbacks (OnMigration, OnCheckpoint)
 	// that may fire concurrently from different sharing groups.
 	cbMu sync.Mutex
@@ -122,8 +127,7 @@ func NewCluster(arches []isa.Arch, cfg msg.Config) *Cluster {
 	for i, a := range arches {
 		cl.Kernels = append(cl.Kernels, newKernel(cl, i, a))
 	}
-	cl.IC.Grow(len(cl.Kernels))
-	cl.initMembership()
+	cl.init()
 	return cl
 }
 
@@ -143,10 +147,39 @@ func NewClusterSpec(specs []MachineSpec, cfg msg.Config) *Cluster {
 	for i, s := range specs {
 		cl.Kernels = append(cl.Kernels, newKernelSpec(cl, i, s))
 	}
-	cl.IC.Grow(len(cl.Kernels))
-	cl.initMembership()
+	cl.init()
 	return cl
 }
+
+// init finishes construction once the kernels exist.
+func (cl *Cluster) init() {
+	cl.IC.Grow(len(cl.Kernels))
+	cl.IC.OnQueueChange(cl.changed)
+	cl.initMembership()
+}
+
+// changed reports that an input of node's ReadyTime, NextEvent or clock was
+// written, so the attached engine re-reads the node before its next
+// decision. The inputs and who writes them:
+//
+//   - the node's cores, run queue, sleep heap and down flag: Kernel.enqueue,
+//     dispatch, attach, detach, sleep, step (sleeper pops), reapProcess,
+//     CrashNode, RecoverNode;
+//   - its clock: Kernel.step and skipTo (control-event handlers; the
+//     engine's own SkipTo drags are the engine's business);
+//   - its delivery queue: the interconnect's queue hook (push, PopDue,
+//     Drain, Sweep);
+//   - its crash schedule cursor: ApplyEvent; its membership due time: the
+//     service's DueReporter hook; the timer source (node 0): timerChanged.
+//
+// Bulk edits (InjectFaults, SetMembership) rebuild instead.
+// Inside a grouped parallel window the call comes from the worker that owns
+// the node's sharing group, which is the only goroutine allowed to write
+// the node at all.
+func (cl *Cluster) changed(node int) { cl.feed.Changed(node) }
+
+// changed reports k's node; see Cluster.changed.
+func (k *Kernel) changed() { k.cluster.feed.Changed(k.Node) }
 
 // NewTestbed builds the paper's evaluation pair: node 0 is the x86 server
 // (Xeon E5-1650 v2 flavour), node 1 the ARM server (X-Gene 1 flavour),
@@ -213,6 +246,7 @@ func (cl *Cluster) InjectFaults(plan fault.Plan) {
 		evs := cl.events[n]
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].time < evs[j].time })
 	}
+	cl.feed.Rebuild()
 }
 
 // SetTracer installs an event sink on the cluster and its interconnect.
@@ -284,6 +318,7 @@ func (cl *Cluster) CrashNode(node int) {
 		return
 	}
 	k.down = true
+	k.changed()
 	cl.tracefNode(node, k.now, "crash", "node %d down", node)
 	if cl.member != nil {
 		cl.member.NodeCrashed(node, k.now)
@@ -383,6 +418,7 @@ func (cl *Cluster) RecoverNode(node int) {
 		return
 	}
 	k.down = false
+	k.changed()
 	cl.abortCheckpoints(k.now, node)
 	if cl.deadInc != nil && cl.deadInc[node] >= cl.incarnation[node] {
 		cl.incarnation[node]++
@@ -412,28 +448,49 @@ func (cl *Cluster) applyNodeEvent(ev nodeEvent) {
 // grouped-execution flag: an observer calling Groups() between steps — a
 // test assertion, an inspector dump — must not leave the next sequential
 // quantum believing it runs inside a parallel window. The parallel backend
-// re-derives the flag for every window it fans out.
+// re-derives the flag for every window it fans out. It is also where a
+// timer source the driver may have re-armed between entries is re-read.
 func (cl *Cluster) engine() sim.Engine {
 	cl.parGroups = false
 	if cl.eng == nil {
-		cl.eng = sim.NewSequential(cl)
+		cl.SetEngine(sim.NewSequential(cl))
 	}
+	cl.timerChanged()
 	return cl.eng
 }
 
-// SetEngine attaches a time engine built over this cluster (as a sim.Model).
-// Pass nil to fall back to the sequential reference backend.
-func (cl *Cluster) SetEngine(e sim.Engine) { cl.eng = e }
+// SetEngine attaches a time engine built over this cluster (as a sim.Model,
+// directly or behind a decorator that forwards every call). Pass nil to
+// fall back to the sequential reference backend. An engine that exposes a
+// change feed is fed from here on, whatever model it was built over: the
+// reports name nodes, and the nodes are this cluster's.
+func (cl *Cluster) SetEngine(e sim.Engine) {
+	cl.eng = e
+	cl.feed = nil
+	if fed, ok := e.(interface{ Feed() *sim.Feed }); ok {
+		cl.feed = fed.Feed()
+	}
+	cl.vouch()
+}
+
+// vouch tells the attached engine whether every write is reported. The one
+// layer that may not is an installed membership service without the
+// DueReporter hook; the engine then re-reads every node after every action,
+// as the scanning engines did.
+func (cl *Cluster) vouch() {
+	_, reports := cl.member.(DueReporter)
+	cl.feed.Vouch(cl.member == nil || reports)
+}
 
 // UseParallelEngine attaches the conservative parallel backend. The
 // interconnect's minimum link latency is its lookahead floor; epochSec <= 0
 // selects the default epoch. Results are byte-identical to the sequential
 // backend for barrier-driven workloads (see internal/sim and DESIGN.md §11).
 func (cl *Cluster) UseParallelEngine(epochSec float64) {
-	cl.eng = sim.NewParallel(cl, sim.Options{
+	cl.SetEngine(sim.NewParallel(cl, sim.Options{
 		EpochSec:     epochSec,
 		LookaheadSec: cl.IC.MinLatency(),
-	})
+	}))
 }
 
 // readyTime returns when k can next make progress, or inf.
@@ -514,6 +571,7 @@ func (cl *Cluster) reapProcess(p *Process) {
 				cs.thr = nil
 			}
 		}
+		k.changed()
 		// Sleepers are reaped lazily: their State is Exited, so the wake
 		// path drops them.
 	}

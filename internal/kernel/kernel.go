@@ -145,6 +145,7 @@ func (k *Kernel) RunnableLoad() int { return k.BusyCores() + len(k.runq) }
 func (k *Kernel) enqueue(t *Thread) {
 	t.State = Ready
 	k.runq = append(k.runq, t)
+	k.changed()
 }
 
 // sleep blocks t until wakeAt.
@@ -152,6 +153,7 @@ func (k *Kernel) sleep(t *Thread, wakeAt float64) {
 	t.State = Sleeping
 	t.wakeAt = wakeAt
 	heap.Push(&k.sleepers, t)
+	k.changed()
 }
 
 // nextEventTime returns the earliest future event (sleeper wake or message
@@ -202,12 +204,16 @@ func (k *Kernel) step() {
 		k.runCore(cs, end)
 	}
 	k.now = end
+	// One report covers everything the quantum did to this node (messages
+	// and sleepers popped, threads dispatched, the clock).
+	k.changed()
 }
 
 // skipTo advances an idle kernel's clock without work.
 func (k *Kernel) skipTo(t float64) {
 	if t > k.now {
 		k.now = t
+		k.changed()
 	}
 }
 
@@ -225,6 +231,7 @@ func (k *Kernel) dispatch() {
 // attach loads thread state onto a core.
 func (k *Kernel) attach(cs *coreSlot, t *Thread) {
 	cs.thr = t
+	k.changed()
 	t.State = Running
 	t.sliceStart = k.now
 	c := cs.core
@@ -255,6 +262,7 @@ func (k *Kernel) detach(cs *coreSlot) {
 	t.Regs.F = c.RegsF
 	t.PC = c.PC
 	cs.thr = nil
+	k.changed()
 }
 
 // runCore executes cs.thr until the quantum ends or the thread leaves the

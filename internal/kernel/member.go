@@ -62,6 +62,16 @@ type GroupLocal interface {
 	Quiet() bool
 }
 
+// DueReporter is the optional Membership extension that lets the engine
+// skip nodes whose membership schedule did not move: the service calls
+// changed(node) whenever NextDue(node) would return a new value (from a
+// sharing group's worker only for nodes of that group — Deliver's own).
+// SetMembership installs the hook; a service without it makes the engine
+// re-read every node after every action.
+type DueReporter interface {
+	ReportDue(changed func(node int))
+}
+
 // initMembership sizes the incarnation registry; every node starts life as
 // incarnation 1 and deadInc 0 ("never declared dead"), so the fence admits
 // everything until a detector actually declares a death.
@@ -78,7 +88,13 @@ func (cl *Cluster) initMembership() {
 
 // SetMembership installs a membership service. Pass nil to detach and fall
 // back to the NodeDown oracle.
-func (cl *Cluster) SetMembership(m Membership) { cl.member = m }
+func (cl *Cluster) SetMembership(m Membership) {
+	cl.member = m
+	if r, ok := m.(DueReporter); ok {
+		r.ReportDue(cl.changed)
+	}
+	cl.vouch()
+}
 
 // Membership returns the installed membership service, or nil.
 func (cl *Cluster) Membership() Membership { return cl.member }

@@ -21,8 +21,13 @@ func (cl *Cluster) ReadyTime(node int) float64 { return cl.Kernels[node].readyTi
 // StepNode advances node by one kernel quantum.
 func (cl *Cluster) StepNode(node int) { cl.Kernels[node].step() }
 
-// SkipTo drags node's clock forward to t without executing work.
-func (cl *Cluster) SkipTo(node int, t float64) { cl.Kernels[node].skipTo(t) }
+// SkipTo drags node's clock forward to t without executing work. It is the
+// engine's own write, so unlike Kernel.skipTo it reports nothing (sim.Feed).
+func (cl *Cluster) SkipTo(node int, t float64) {
+	if k := cl.Kernels[node]; t > k.now {
+		k.now = t
+	}
+}
 
 // Now returns node's local clock.
 func (cl *Cluster) Now(node int) float64 { return cl.Kernels[node].now }
@@ -79,6 +84,7 @@ func (cl *Cluster) ApplyEvent(node int) {
 	if evT <= memT && evT <= timT {
 		ev := cl.events[node][cl.eventIdx[node]]
 		cl.eventIdx[node]++
+		cl.changed(node)
 		cl.applyNodeEvent(ev)
 		return
 	}

@@ -13,7 +13,10 @@ package kernel
 // TimerSource schedules simulated-instant callbacks on the cluster.
 type TimerSource interface {
 	// NextDue returns the next due instant, or >= 1e30 when idle. It must
-	// be pure: the engine polls it while choosing the next action.
+	// be pure, and its answer may change only inside Fire or while the
+	// driver holds control (between Step/Run/AdvanceTo calls): the engine
+	// re-reads it after every firing and at every driver entry, not while
+	// choosing each action.
 	NextDue() float64
 	// Fire runs the action due at now. It executes in engine context (on
 	// node 0's event stream) and may spawn processes, request migrations or
@@ -32,7 +35,18 @@ type TimerSource interface {
 // and the timer holds no other engine-visible state, so groups still run
 // concurrently and results stay byte-identical to the sequential
 // reference.
-func (cl *Cluster) SetTimerSource(ts TimerSource) { cl.timer = ts }
+func (cl *Cluster) SetTimerSource(ts TimerSource) {
+	cl.timer = ts
+	cl.changed(0)
+}
+
+// timerChanged reports that the timer's due instant (node 0's event time)
+// may have moved: after a firing, and at every driver entry.
+func (cl *Cluster) timerChanged() {
+	if cl.timer != nil {
+		cl.changed(0)
+	}
+}
 
 // timerDueTime returns node's next timer instant, or inf. Only node 0
 // carries timer events, which gives every firing one deterministic owner.
@@ -52,4 +66,5 @@ func (cl *Cluster) fireTimer(due float64) {
 		now = k.now
 	}
 	cl.timer.Fire(now)
+	cl.timerChanged()
 }

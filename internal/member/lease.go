@@ -45,6 +45,9 @@ type Lease struct {
 	views     [][]leaseView // views[observer][target]
 	nextEmit  []float64     // next heartbeat emission per node (inf while down)
 	nextCheck []float64     // earliest suspicion deadline per observer (cached)
+	// dueChanged hears of every rewrite of a node's schedule
+	// (kernel.DueReporter).
+	dueChanged func(node int)
 
 	stats  Stats
 	deaths []DeathRecord
@@ -98,6 +101,20 @@ func (s *Lease) StateRecords() int {
 	return n * (n - 1)
 }
 
+// ReportDue installs the cluster's hook for NextDue changes
+// (kernel.DueReporter), which lets the time engine re-read only the nodes
+// whose membership schedule moved.
+func (s *Lease) ReportDue(changed func(node int)) { s.dueChanged = changed }
+
+// moved reports that node's schedule may have been rewritten. The four
+// protocol entry points below write nextEmit and nextCheck of the node they
+// are called for and of no other, so each reports that node on its way out.
+func (s *Lease) moved(node int) {
+	if s.dueChanged != nil {
+		s.dueChanged(node)
+	}
+}
+
 // recomputeCheck refreshes observer's cached earliest suspicion deadline.
 func (s *Lease) recomputeCheck(observer int) {
 	min := inf
@@ -125,6 +142,7 @@ func (s *Lease) NextDue(node int) float64 {
 // idle gap, emit the periodic heartbeat round, and evaluate expired
 // suspicion deadlines.
 func (s *Lease) RunDue(node int, now float64) {
+	defer s.moved(node)
 	if s.cl.NodeDown(node) {
 		// Defensive: a crashed node neither leases nor observes. NodeCrashed
 		// already parked its schedule.
@@ -218,6 +236,7 @@ func (s *Lease) declareDead(observer, target int, now float64) {
 
 // Deliver processes one heartbeat arriving at node `to`.
 func (s *Lease) Deliver(to int, m *msg.Message) {
+	defer s.moved(to)
 	hb, ok := m.Payload.(*hbPayload)
 	if !ok {
 		return
@@ -274,6 +293,7 @@ func (s *Lease) SuspectedAny(target int) bool {
 // nor observes until recovery. Its peers are told nothing — they learn from
 // the silence, after a real detection latency.
 func (s *Lease) NodeCrashed(node int, now float64) {
+	defer s.moved(node)
 	s.nextEmit[node] = inf
 	s.nextCheck[node] = inf
 }
@@ -283,6 +303,7 @@ func (s *Lease) NodeCrashed(node int, now float64) {
 // outage) and refreshes its own views — it heard nothing while down, and
 // treating the outage as peer silence would burst false suspicions.
 func (s *Lease) NodeRecovered(node int, inc uint64, now float64) {
+	defer s.moved(node)
 	s.nextEmit[node] = now
 	s.resetViews(node, now)
 }

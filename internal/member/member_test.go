@@ -9,18 +9,18 @@ import (
 	"heterodc/internal/msg"
 )
 
-func testService(t *testing.T, cfg Config) (*kernel.Cluster, *Service) {
+func testService(t *testing.T, cfg Config) (*kernel.Cluster, *audited) {
 	t.Helper()
 	cl := kernel.NewTestbed()
 	s, err := Attach(cl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl, s
+	return cl, audit(t, cl, s)
 }
 
 // swimCluster builds an n-node mixed-ISA cluster with the SWIM detector.
-func swimCluster(t *testing.T, n int, cfg Config) (*kernel.Cluster, *Service) {
+func swimCluster(t *testing.T, n int, cfg Config) (*kernel.Cluster, *audited) {
 	t.Helper()
 	arches := make([]isa.Arch, n)
 	for i := range arches {
@@ -35,13 +35,13 @@ func swimCluster(t *testing.T, n int, cfg Config) (*kernel.Cluster, *Service) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl, s
+	return cl, audit(t, cl, s)
 }
 
 // driveNode replays node's membership schedule (probe rounds, escalations and
 // suspicion checks) up to horizon, without delivering anything — every peer
 // is silent.
-func driveNode(s *Service, node int, horizon float64) {
+func driveNode(s *audited, node int, horizon float64) {
 	for {
 		due := s.NextDue(node)
 		if due >= horizon || due >= inf {
@@ -53,7 +53,7 @@ func driveNode(s *Service, node int, horizon float64) {
 
 // deliverAll pops every message queued at node and hands the membership ones
 // to the service, returning how many were delivered.
-func deliverAll(cl *kernel.Cluster, s *Service, node int) int {
+func deliverAll(cl *kernel.Cluster, s *audited, node int) int {
 	c := 0
 	for {
 		m := cl.IC.PopDue(node, inf)

@@ -169,6 +169,8 @@ type Service struct {
 	gossip    [][]gossipEntry
 
 	nextDue []float64 // cached earliest due time per node
+	// dueChanged hears of every change to nextDue (kernel.DueReporter).
+	dueChanged func(node int)
 
 	// stats is sharded by acting node (the prober, sender or receiver), so
 	// counters have a single writer inside a parallel window; Stats sums
@@ -205,6 +207,14 @@ type Service struct {
 	// and parks the engine in collapsed mode for the rest of the run —
 	// conservative, never wrong.
 	airborne int
+
+	// loud counts the remaining entries that break quietness: open verdict
+	// polls, views that remember a death (deadInc != 0, never forgotten) and
+	// queued non-Alive gossip. With suspects (views not Alive — a parked
+	// verdict is always one of those) and airborne it makes Quiet O(1). Like
+	// them it only ever moves in collapsed context: a grouped window starts
+	// quiet, and Deliver on a quiet service touches none of the three.
+	loud int
 }
 
 // Attach validates cfg (after resolving defaults), builds the SWIM service
@@ -251,6 +261,22 @@ func Attach(cl *kernel.Cluster, cfg Config) (*Service, error) {
 	return s, nil
 }
 
+// ReportDue installs the cluster's hook for nextDue changes
+// (kernel.DueReporter), which lets the time engine re-read only the nodes
+// whose membership schedule moved.
+func (s *Service) ReportDue(changed func(node int)) { s.dueChanged = changed }
+
+// setDue is the one writer of nextDue after construction.
+func (s *Service) setDue(node int, t float64) {
+	if s.nextDue[node] == t {
+		return
+	}
+	s.nextDue[node] = t
+	if s.dueChanged != nil {
+		s.dueChanged(node)
+	}
+}
+
 // Config returns the resolved configuration.
 func (s *Service) Config() Config { return s.cfg }
 
@@ -292,26 +318,39 @@ func (s *Service) Stats() Stats {
 // detector attached. An in-flight probe does not break quietness: its ack
 // is shard-local and its expiry deadlines are protocol actions bounding
 // the Horizon.
-func (s *Service) Quiet() bool {
-	if s.suspects != 0 || s.airborne != 0 {
-		return false
+func (s *Service) Quiet() bool { return s.suspects == 0 && s.airborne == 0 && s.loud == 0 }
+
+// dropPoll closes observer's verdict poll on target, if one is open.
+func (s *Service) dropPoll(observer, target int) {
+	if _, open := s.polls[observer][target]; open {
+		delete(s.polls[observer], target)
+		s.loud--
 	}
-	for o := 0; o < s.n; o++ {
-		if len(s.polls[o]) != 0 {
-			return false
-		}
-		for _, v := range s.views[o] {
-			if v.state != Alive || v.deadInc != 0 || v.deferred {
-				return false
-			}
-		}
-		for _, e := range s.gossip[o] {
-			if e.upd.state != Alive {
-				return false
-			}
+}
+
+// dropPolls closes every verdict poll of observer.
+func (s *Service) dropPolls(observer int) {
+	s.loud -= len(s.polls[observer])
+	s.polls[observer] = make(map[int]*pollState)
+}
+
+// dropGossip empties node's dissemination queue.
+func (s *Service) dropGossip(node int) {
+	for _, e := range s.gossip[node] {
+		if e.upd.state != Alive {
+			s.loud--
 		}
 	}
-	return true
+	s.gossip[node] = nil
+}
+
+// holdDead records that v's observer holds incarnation inc of the target
+// dead.
+func (s *Service) holdDead(v *view, inc uint64) {
+	if v.deadInc == 0 && inc != 0 {
+		s.loud++
+	}
+	v.deadInc = inc
 }
 
 // Deaths returns every death declaration in declaration order.
@@ -424,7 +463,7 @@ func (s *Service) recompute(node int) {
 			t = v.deadline
 		}
 	}
-	s.nextDue[node] = t
+	s.setDue(node, t)
 }
 
 // NextDue returns node's next membership action time.
@@ -434,9 +473,9 @@ func (s *Service) NextDue(node int) float64 { return s.nextDue[node] }
 func (s *Service) park(node int) {
 	s.nextProbe[node] = inf
 	s.probes[node].target = -1
-	s.polls[node] = make(map[int]*pollState)
-	s.gossip[node] = nil
-	s.nextDue[node] = inf
+	s.dropPolls(node)
+	s.dropGossip(node)
+	s.setDue(node, inf)
 }
 
 // RunDue performs node's membership actions due at now: expire the
@@ -455,7 +494,7 @@ func (s *Service) RunDue(node int, now float64) {
 		// and re-arm live suspicions instead of letting the gap's silence
 		// read as verdicts.
 		s.probes[node].target = -1
-		s.polls[node] = make(map[int]*pollState)
+		s.dropPolls(node)
 		for _, t := range s.viewKeys(node) {
 			if v := s.views[node][t]; v.state == Suspect && !v.deferred {
 				v.deadline = now + s.cfg.SuspectTimeout
@@ -550,7 +589,7 @@ func (s *Service) verdict(observer, target int, now float64) {
 		// delays acks exactly like a cut severs them, so the suspect gets
 		// the lease detector's grace — DeathMisses re-polls on a doubling
 		// backoff before the observer concludes anything.
-		delete(s.polls[observer], target)
+		s.dropPoll(observer, target)
 		v.missed++
 		if v.missed < s.cfg.DeathMisses {
 			if v.backoff == 0 {
@@ -581,7 +620,9 @@ func (s *Service) verdict(observer, target int, now float64) {
 	}
 	s.pollSeq[observer]++
 	p := &pollState{seq: s.pollSeq[observer], inc: v.inc, deadline: now + s.cfg.ProbeTimeout}
+	s.dropPoll(observer, target) // a stale incarnation's poll, if any
 	s.polls[observer][target] = p
+	s.loud++
 	v.deadline = p.deadline
 	s.trace(now, "verdict-poll", "node %d polls for a live quorum to declare node %d (incarnation %d) dead",
 		observer, target, v.inc)
@@ -613,9 +654,9 @@ func (s *Service) executeDeath(observer, target int, now float64) {
 	if v == nil || v.state != Suspect {
 		return
 	}
-	delete(s.polls[observer], target)
+	s.dropPoll(observer, target)
 	v.state = Dead
-	v.deadInc = v.inc
+	s.holdDead(v, v.inc)
 	v.deadline = inf
 	v.deferred = false
 	s.enqueueUpdate(observer, update{state: Dead, node: target, inc: v.inc})
@@ -785,10 +826,20 @@ func (s *Service) enqueueUpdate(node int, upd update) {
 	for i := range g {
 		if g[i].upd.node == upd.node {
 			if supersedes(upd, g[i].upd) {
+				if was, is := g[i].upd.state != Alive, upd.state != Alive; was != is {
+					if is {
+						s.loud++
+					} else {
+						s.loud--
+					}
+				}
 				g[i] = gossipEntry{upd: upd, budget: s.gossipBudget()}
 			}
 			return
 		}
+	}
+	if upd.state != Alive {
+		s.loud++
 	}
 	s.gossip[node] = append(g, gossipEntry{upd: upd, budget: s.gossipBudget()})
 }
@@ -825,6 +876,8 @@ func (s *Service) takePiggyback(node int) []update {
 	for _, e := range g {
 		if e.budget > 0 {
 			kept = append(kept, e)
+		} else if e.upd.state != Alive {
+			s.loud--
 		}
 	}
 	s.gossip[node] = kept
@@ -989,7 +1042,7 @@ func (s *Service) applyAlive(observer, target int, inc, epoch uint64, now float6
 	}
 	if was != Alive {
 		s.suspects--
-		delete(s.polls[observer], target)
+		s.dropPoll(observer, target)
 		s.enqueueUpdate(observer, update{state: Alive, node: target, inc: v.inc, epoch: v.epoch})
 		s.reevaluateDeferred(observer, now)
 	}
@@ -1036,7 +1089,7 @@ func (s *Service) applyUpdate(observer int, u update, now float64) {
 		if v0.state == Dead {
 			if u.inc > v0.deadInc {
 				v := s.mview(observer, u.node)
-				v.deadInc = u.inc
+				s.holdDead(v, u.inc)
 				if u.inc > v.inc {
 					v.inc = u.inc
 				}
@@ -1055,10 +1108,10 @@ func (s *Service) applyUpdate(observer int, u update, now float64) {
 		if u.inc > v.inc {
 			v.inc = u.inc
 		}
-		v.deadInc = u.inc
+		s.holdDead(v, u.inc)
 		v.deadline = inf
 		v.deferred = false
-		delete(s.polls[observer], u.node)
+		s.dropPoll(observer, u.node)
 		s.enqueueUpdate(observer, u)
 		s.trace(now, "member-dead", "node %d learns node %d (incarnation %d) dead via gossip", observer, u.node, u.inc)
 	}
@@ -1150,8 +1203,8 @@ func (s *Service) NodeRecovered(node int, inc uint64, now float64) {
 		v.deferred = false
 		s.maybePrune(node, t)
 	}
-	s.gossip[node] = nil
-	s.polls[node] = make(map[int]*pollState)
+	s.dropGossip(node)
+	s.dropPolls(node)
 	s.enqueueUpdate(node, update{state: Alive, node: node, inc: inc})
 	s.nextProbe[node] = now
 	s.probes[node].target = -1

@@ -267,6 +267,10 @@ type Interconnect struct {
 	links []linkState // n*n, indexed from*n+to
 	nodes []nodeState
 	stats []Stats // per sending node
+
+	// queueChanged, when set, hears of every change to a node's delivery
+	// queue (see OnQueueChange).
+	queueChanged func(node int)
 }
 
 // New builds an interconnect with cfg. Node structures grow on first use
@@ -446,11 +450,24 @@ func (ic *Interconnect) transmit(now float64, from, to int, t Type, size int64, 
 	}
 }
 
+// OnQueueChange installs fn to be called with the destination node
+// whenever that node's delivery queue gains or loses a message — NextDeliver
+// may answer differently afterwards. It runs on the goroutine that made the
+// change, which inside a parallel window is the worker owning the node.
+func (ic *Interconnect) OnQueueChange(fn func(node int)) { ic.queueChanged = fn }
+
+func (ic *Interconnect) noteQueue(node int) {
+	if ic.queueChanged != nil {
+		ic.queueChanged(node)
+	}
+}
+
 func (ic *Interconnect) push(m *Message) {
 	ns := ic.node(m.To)
 	ns.arrivals++
 	m.arrival = ns.arrivals
 	heap.Push(&ns.q, m)
+	ic.noteQueue(m.To)
 }
 
 // Send enqueues a message at time now and returns its (possibly jittered)
@@ -739,6 +756,7 @@ func (ic *Interconnect) PopDue(node int, now float64) *Message {
 	if ns.q.Len() == 0 || ns.q[0].Deliver > now {
 		return nil
 	}
+	ic.noteQueue(node)
 	return heap.Pop(&ns.q).(*Message)
 }
 
@@ -765,6 +783,7 @@ func (ic *Interconnect) Drain(node int) []*Message {
 	for ns.q.Len() > 0 {
 		out = append(out, heap.Pop(&ns.q).(*Message))
 	}
+	ic.noteQueue(node)
 	return out
 }
 
@@ -816,6 +835,7 @@ func (ic *Interconnect) Sweep(nodes []int, drop func(*Message) bool) int {
 		}
 		*q = kept
 		heap.Init(q)
+		ic.noteQueue(nd)
 	}
 	return n
 }

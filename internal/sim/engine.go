@@ -3,8 +3,8 @@
 // cluster) supplies the domain semantics. Two interchangeable backends
 // implement the same schedule:
 //
-//   - Sequential: the reference engine, one global min-ready-time loop —
-//     exactly the loop the kernel package used to own.
+//   - Sequential: the reference engine, one global min-ready-time rule —
+//     exactly the rule the kernel package used to own.
 //   - Parallel: a conservative (Chandy-Misra style) parallel discrete-event
 //     engine. Nodes are partitioned into sharing groups — the connected
 //     components of the "might interact" relation the model reports — and
@@ -17,6 +17,10 @@
 // schedule restricted to that group (ready times and tie-breaks are
 // group-local), the parallel backend produces byte-identical results; see
 // DESIGN.md §11 for the full argument.
+//
+// Both backends make every decision through one scheduling index (index.go)
+// that re-reads only the nodes a model reports as changed (Feed); a model
+// that reports nothing gets every node re-read after every action.
 package sim
 
 // Inf is the engine's "never" time. It mirrors the kernel's internal
@@ -112,112 +116,4 @@ func allNodes(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// nextEvent returns the earliest control event over nodes (lowest node wins
-// ties), or (-1, Inf).
-func nextEvent(m Model, nodes []int) (int, float64) {
-	evN, evT := -1, Inf
-	for _, n := range nodes {
-		if t := m.NextEvent(n); t < evT {
-			evT, evN = t, n
-		}
-	}
-	return evN, evT
-}
-
-// nextActionTime returns the earliest ready time or control event over
-// nodes, or >= Inf when the set is fully drained.
-func nextActionTime(m Model, nodes []int) float64 {
-	t := Inf
-	for _, n := range nodes {
-		if r := m.ReadyTime(n); r < t {
-			t = r
-		}
-		if e := m.NextEvent(n); e < t {
-			t = e
-		}
-	}
-	return t
-}
-
-// stepOnce makes the single scheduling decision of the reference loop,
-// restricted to the given node set and bounded by limit: apply the next due
-// control event, or step the lowest-ready-time node (ties to the lowest
-// node index) and drag the set's idle nodes up to its clock. Nothing due
-// before limit returns stepNone.
-func stepOnce(m Model, nodes []int, limit float64) stepResult {
-	bestT := Inf
-	best := -1
-	for _, n := range nodes {
-		if t := m.ReadyTime(n); t < bestT {
-			bestT = t
-			best = n
-		}
-	}
-	// A scheduled crash/recovery due before the next quantum is the next
-	// thing that happens — including when every live node is drained but a
-	// recovery would thaw frozen work.
-	if evN, evT := nextEvent(m, nodes); evN >= 0 && evT <= bestT {
-		if evT >= limit {
-			return stepNone
-		}
-		// Simulated time has globally reached evT: no node in the set can act
-		// earlier. Drag fully drained nodes up to the event instant BEFORE the
-		// handler runs, so clocks (and the frontier a handler may read) are
-		// identical on both engines — without this, the sequential loop leaves
-		// drained clocks at their last work-step drag while the parallel
-		// barrier has already pulled them forward, and a handler that stamps
-		// the frontier (a checkpoint policy clock, a restore record) or spawns
-		// onto a drained node diverges between engines.
-		for _, n := range nodes {
-			if m.ReadyTime(n) >= Inf && m.Now(n) < evT {
-				m.SkipTo(n, evT)
-			}
-		}
-		m.ApplyEvent(evN)
-		return stepEvent
-	}
-	if best < 0 || bestT >= Inf || bestT >= limit {
-		return stepNone
-	}
-	m.SkipTo(best, bestT)
-	m.StepNode(best)
-	// Drag fully idle nodes forward so the time frontier advances (their
-	// idle power is still integrated over the skipped span).
-	bn := m.Now(best)
-	for _, n := range nodes {
-		if n != best && m.ReadyTime(n) >= Inf && m.Now(n) < bn {
-			m.SkipTo(n, bn)
-		}
-	}
-	return stepWork
-}
-
-// advanceTo implements Engine.AdvanceTo over a Model: skip every node to t,
-// bounded by pending wakes, applying control events inside the gap (or a
-// driver idling past a recovery would never thaw the node).
-func advanceTo(m Model, t float64) {
-	nodes := allNodes(m.NumNodes())
-	for {
-		bound := t
-		for _, n := range nodes {
-			if e := m.NextWake(n); e < bound {
-				bound = e
-			}
-		}
-		evN, evT := nextEvent(m, nodes)
-		evDue := evN >= 0 && evT <= bound
-		if evDue && evT < bound {
-			bound = evT
-		}
-		for _, n := range nodes {
-			m.SkipTo(n, bound)
-		}
-		if !evDue {
-			break
-		}
-		m.ApplyEvent(evN)
-	}
-	m.NoteFrontier()
 }

@@ -32,13 +32,17 @@ const DefaultEpochSec = 1e-3
 // results are byte-identical to the Sequential engine.
 type Parallel struct {
 	m     Model
-	nodes []int
+	f     *Feed
 	epoch float64
 
 	// The worker pool, started lazily at the first multi-group window.
 	pool     *pool
-	active   [][]int // per-window scratch
-	poolSize int     // 0 until the first fan-out sizes the pool
+	poolSize int // 0 until the first fan-out sizes the pool
+
+	// Per-window scratch: the groups with work before the window's end, and
+	// one index per such group, reused from window to window.
+	active [][]int
+	groups []*index
 }
 
 // pool is the engine's handle on its workers. They capture only the
@@ -52,10 +56,9 @@ type pool struct {
 	wg   *sync.WaitGroup
 }
 
-// groupTask is one group's share of a window, with the model to run it on.
+// groupTask is one group's share of a window.
 type groupTask struct {
-	m   Model
-	g   []int
+	ix  *index
 	end float64
 }
 
@@ -68,22 +71,18 @@ func NewParallel(m Model, opt Options) *Parallel {
 	if opt.LookaheadSec > ep {
 		ep = opt.LookaheadSec
 	}
-	return &Parallel{m: m, nodes: allNodes(m.NumNodes()), epoch: ep}
+	return &Parallel{m: m, f: newFeed(m), epoch: ep}
 }
 
-// runGroup replays one group's schedule up to limit on the caller's
-// goroutine. The group's control events are applied by its own worker, so
-// a crash inside the epoch only ever touches group-local state.
-func runGroup(m Model, nodes []int, limit float64) {
-	for stepOnce(m, nodes, limit) != stepNone {
-	}
-}
+// Feed returns the engine's change feed; see Feed.
+func (e *Parallel) Feed() *Feed { return e.f }
 
 // Step runs one epoch: partition nodes into sharing groups, run each group
 // concurrently up to the epoch end (clamped to the model's horizon), then
 // barrier. Returns false when the whole model is drained.
 func (e *Parallel) Step() bool {
-	t0 := nextActionTime(e.m, e.nodes)
+	e.f.enter()
+	t0 := e.f.all.nextActionTime()
 	if t0 >= Inf {
 		return false
 	}
@@ -92,22 +91,23 @@ func (e *Parallel) Step() bool {
 }
 
 // window runs one epoch starting at t0 bounded by end and performs the
-// barrier work.
+// barrier work. The fleet index is fresh on entry (the caller just asked it
+// for t0).
 func (e *Parallel) window(t0, end float64) {
-	m := e.m
+	m, all := e.m, &e.f.all
 	if hz := m.Horizon(t0); hz <= t0 {
 		if hz <= NegInf {
 			// Structural collapse: some layer needs the global order for the
-			// whole window, so run it inline — exactly the sequential loop
+			// whole window, so run it inline — exactly the sequential rule
 			// restricted to nothing.
-			runGroup(m, e.nodes, end)
+			all.run(end)
 		} else {
 			// A point hazard (membership round, timer firing, crash event)
 			// is due right now. Consume actions in the exact sequential
 			// order until the horizon clears or the window drains; the next
 			// window re-partitions and fans back out.
-			for stepOnce(m, e.nodes, end) != stepNone {
-				t1 := nextActionTime(m, e.nodes)
+			for all.step(end) != stepNone {
+				t1 := all.nextActionTime()
 				if t1 >= end || m.Horizon(t1) > t1 {
 					break
 				}
@@ -117,65 +117,70 @@ func (e *Parallel) window(t0, end float64) {
 		if hz < end {
 			// Clamp the window to the hazard: no membership round, timer
 			// firing or crash event ever executes inside a grouped window
-			// (stepOnce applies actions strictly before the limit).
+			// (step applies actions strictly before the limit).
 			end = hz
 		}
-		groups := m.Groups()
 		// Only groups with an action before the epoch end need a worker.
 		// (Never filter in place: the slice belongs to the model.)
 		e.active = e.active[:0]
-		for _, g := range groups {
-			if nextActionTime(m, g) < end {
+		for _, g := range m.Groups() {
+			if e.f.nextAction(g) < end {
 				e.active = append(e.active, g)
 			}
 		}
-		if len(e.active) == 1 {
-			// Run inline: callbacks that re-enter the engine (checkpoint
-			// managers driving Step from an observer) stay on one goroutine.
-			runGroup(m, e.active[0], end)
-		} else if len(e.active) > 1 {
-			e.fanOut(end)
+		if len(e.active) > 0 {
+			e.runGroups(end)
 		}
 	}
 	// Barrier: drag drained nodes up to the fastest clock, exactly the final
-	// value the sequential loop's per-step idle drag converges to, then
+	// value the sequential rule's per-step idle drag converges to, then
 	// publish the frontier once for the whole epoch.
-	maxNow := 0.0
-	for _, n := range e.nodes {
-		if t := m.Now(n); t > maxNow {
-			maxNow = t
-		}
-	}
-	for _, n := range e.nodes {
-		if m.ReadyTime(n) >= Inf && m.Now(n) < maxNow {
-			m.SkipTo(n, maxNow)
-		}
-	}
+	all.refresh()
+	all.drag(e.f.maxNow())
 	m.NoteFrontier()
 }
 
-// fanOut runs the active groups concurrently: the first inline on the
-// scheduling goroutine, the rest on the persistent pool. With one
-// effective core there is no pool at all — the groups run back-to-back on
-// the scheduling goroutine, which is result-identical (group schedules are
-// interleaving-invariant between barriers) and avoids handing work to
-// goroutines that would only time-slice against this one.
-func (e *Parallel) fanOut(end float64) {
-	if e.poolSize == 0 {
+// runGroups gives every active group an index over its nodes — built from
+// the fleet index's cached keys, which are exact at a barrier — runs them,
+// and rebuilds the fleet index from the keys the groups kept exact (an
+// unvouched model is re-read instead). A single group runs inline, so
+// callbacks that re-enter the engine (checkpoint managers driving Step from
+// an observer) stay on one goroutine. With one effective core there is no
+// pool at all — the groups run back-to-back on the scheduling goroutine,
+// which is result-identical (group schedules are interleaving-invariant
+// between barriers) and avoids handing work to goroutines that would only
+// time-slice against this one.
+func (e *Parallel) runGroups(end float64) {
+	for len(e.groups) < len(e.active) {
+		e.groups = append(e.groups, &index{f: e.f})
+	}
+	run := e.groups[:len(e.active)]
+	for i, g := range e.active {
+		run[i].reset(g)
+	}
+	if len(run) > 1 && e.poolSize == 0 {
 		e.startPool()
 	}
-	if e.poolSize == 1 {
-		for _, g := range e.active {
-			runGroup(e.m, g, end)
+	if len(run) == 1 || e.poolSize == 1 {
+		for _, ix := range run {
+			ix.run(end)
 		}
-		return
+	} else {
+		e.pool.wg.Add(len(run) - 1)
+		for _, ix := range run[1:] {
+			e.pool.work <- groupTask{ix, end}
+		}
+		run[0].run(end)
+		e.pool.wg.Wait()
 	}
-	e.pool.wg.Add(len(e.active) - 1)
-	for _, g := range e.active[1:] {
-		e.pool.work <- groupTask{e.m, g, end}
+	for _, ix := range run {
+		ix.release()
 	}
-	runGroup(e.m, e.active[0], end)
-	e.pool.wg.Wait()
+	if e.f.vouched {
+		e.f.all.build()
+	} else {
+		e.f.all.stale = true
+	}
 }
 
 // startPool sizes the pool to the effective parallelism — GOMAXPROCS,
@@ -189,8 +194,8 @@ func (e *Parallel) startPool() {
 	if c := runtime.NumCPU(); n > c {
 		n = c
 	}
-	if n > len(e.nodes) {
-		n = len(e.nodes)
+	if nn := e.m.NumNodes(); n > nn {
+		n = nn
 	}
 	e.poolSize = n
 	if n == 1 {
@@ -207,7 +212,7 @@ func (e *Parallel) startPool() {
 
 func worker(work <-chan groupTask, wg *sync.WaitGroup) {
 	for t := range work {
-		runGroup(t.m, t.g, t.end)
+		t.ix.run(t.end)
 		wg.Done()
 	}
 }
@@ -218,14 +223,15 @@ func worker(work <-chan groupTask, wg *sync.WaitGroup) {
 // the global sequential rule reproduces the reference engine's overrun, so
 // the tail falls back to it.
 func (e *Parallel) Run(until float64) float64 {
-	m := e.m
-	for m.Frontier() < until {
-		t0 := nextActionTime(m, e.nodes)
+	m, all := e.m, &e.f.all
+	e.f.enter()
+	for e.f.behind(until) {
+		t0 := all.nextActionTime()
 		if t0 >= Inf {
 			break
 		}
 		if t0 >= until {
-			switch stepOnce(m, e.nodes, Inf) {
+			switch all.step(Inf) {
 			case stepNone:
 				return m.Frontier()
 			case stepWork:
@@ -244,4 +250,4 @@ func (e *Parallel) Run(until float64) float64 {
 
 // AdvanceTo skips every node's clock to t, applying due control events.
 // It runs on the scheduling goroutine (a barrier by construction).
-func (e *Parallel) AdvanceTo(t float64) { advanceTo(e.m, t) }
+func (e *Parallel) AdvanceTo(t float64) { e.f.advanceTo(t) }

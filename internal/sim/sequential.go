@@ -1,22 +1,30 @@
 package sim
 
-// Sequential is the reference engine: the exact global min-ready-time loop
+// Sequential is the reference engine: the exact global min-ready-time rule
 // the kernel package originally ran, one node quantum (or control event)
 // per Step. It is the determinism oracle the parallel backend is measured
 // against.
 type Sequential struct {
-	m     Model
-	nodes []int
+	m Model
+	f *Feed
 }
 
 // NewSequential builds the reference engine over m.
 func NewSequential(m Model) *Sequential {
-	return &Sequential{m: m, nodes: allNodes(m.NumNodes())}
+	return &Sequential{m: m, f: newFeed(m)}
 }
+
+// Feed returns the engine's change feed; see Feed.
+func (e *Sequential) Feed() *Feed { return e.f }
 
 // Step advances the model by one node quantum or control event.
 func (e *Sequential) Step() bool {
-	switch stepOnce(e.m, e.nodes, Inf) {
+	e.f.enter()
+	return e.advance()
+}
+
+func (e *Sequential) advance() bool {
+	switch e.f.all.step(Inf) {
 	case stepNone:
 		return false
 	case stepWork:
@@ -27,8 +35,9 @@ func (e *Sequential) Step() bool {
 
 // Run steps until the frontier passes `until` or work drains.
 func (e *Sequential) Run(until float64) float64 {
-	for e.m.Frontier() < until {
-		if !e.Step() {
+	e.f.enter()
+	for e.f.behind(until) {
+		if !e.advance() {
 			break
 		}
 	}
@@ -36,4 +45,4 @@ func (e *Sequential) Run(until float64) float64 {
 }
 
 // AdvanceTo skips every node's clock to t, applying due control events.
-func (e *Sequential) AdvanceTo(t float64) { advanceTo(e.m, t) }
+func (e *Sequential) AdvanceTo(t float64) { e.f.advanceTo(t) }
