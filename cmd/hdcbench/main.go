@@ -16,7 +16,7 @@
 //	hdcbench -exp detector    # failure-detector heartbeat-period sweep
 //	hdcbench -exp fuzz        # differential fuzzing sweep (programs/sec)
 //	hdcbench -exp rack        # N-node rack-scale scheduling study
-//	hdcbench -exp member-scaling  # SWIM vs lease traffic/state/latency sweep
+//	hdcbench -exp member-scaling  # SWIM traffic/state/latency sweep over rack sizes
 //	hdcbench -exp partition   # network-partition split-brain study
 //	hdcbench -exp topology    # fat-tree oversubscription study
 //	hdcbench -exp fleet       # open-loop traffic, staged x86→ARM rollout
@@ -25,7 +25,8 @@
 //
 // The rack experiment takes -rack-nodes N (default 4) to size the ensemble
 // and -engine seq|par to select the cluster time engine (par exploits
-// sharing-group parallelism; deterministic, epoch-grained scheduling).
+// sharing-group parallelism; deterministic, epoch-grained scheduling). Any
+// other -engine value is rejected before anything runs.
 //
 // -topo flat|fattree selects the interconnect fabric for the experiments
 // that honour it (rack, member-scaling); -racks and -oversub shape the fat
@@ -41,12 +42,12 @@
 // The fuzz experiment takes -fuzz-seed, -fuzz-budget and -fuzz-max; it
 // fails if any divergence could not be reduced and archived.
 //
-// The member-scaling experiment sweeps rack sizes under both the SWIM
-// detector and the all-pairs lease baseline (-fault-seed varies the streams;
-// -scale quick shrinks the grid) and writes its rows to -json when given —
-// results/membership-scaling.json is recorded this way. The partition
-// experiment runs every seeded bipartition scenario on both engines and
-// enforces the split-brain invariants; it also honours -json.
+// The member-scaling experiment sweeps rack sizes under the SWIM detector
+// (-fault-seed varies the streams; -scale quick shrinks the grid) and writes
+// its rows to -json when given — results/membership-scaling.json is recorded
+// this way. The partition experiment runs every seeded bipartition scenario
+// on both engines and enforces the split-brain invariants; it also honours
+// -json.
 //
 // The fleet experiment offers seeded open-loop traffic (jobs arrive at
 // simulated instants whether or not capacity is free) and rolls the fleet
@@ -252,6 +253,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := exp.UseEngine(nil, *engine); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	cfg := exp.Config{
 		W: os.Stdout, RackNodes: *rackNodes, Engine: *engine,
 		Topo: *topoKind, Racks: *racks, Oversub: *oversub,
@@ -522,7 +527,7 @@ func main() {
 		if err := writeJSON(*jsonPath, rows); err != nil {
 			return err
 		}
-		fmt.Println("shape check: OK (SWIM traffic flat and state sub-quadratic; lease dense; no false deaths)")
+		fmt.Println("shape check: OK (SWIM traffic flat and state sub-quadratic; detection under the lease baseline's 8 ms; no false deaths)")
 		return nil
 	})
 

@@ -58,7 +58,7 @@ type DetectorRow struct {
 	TraceDropped int
 }
 
-// runDetectorOnce executes a benchmark under plan with the lease detector
+// runDetectorOnce executes a benchmark under plan with the SWIM detector
 // installed and checkpoint-based recovery armed. The job is spawned ON the
 // failing node, so the death verdict strands real state (origin authority,
 // threads and pages) without a mid-run bulk migration congesting the fabric
@@ -74,12 +74,12 @@ func runDetectorOnce(cfg Config, b npb.Bench, k npb.Class, plan fault.Plan,
 		return nil, nil, ckpt.Stats{}, nil, nil, err
 	}
 	cl := core.NewTestbed()
-	if cfg.Engine == "par" || cfg.Engine == "parallel" {
-		// The SWIM detector is group-local while quiet, so the parallel
-		// engine keeps sharing groups concurrent between protocol actions
-		// and collapses only around the crash and its suspicion machinery;
-		// results are byte-identical either way.
-		cl.UseParallelEngine(0)
+	// The SWIM detector is group-local while quiet, so the parallel engine
+	// keeps sharing groups concurrent between protocol actions and collapses
+	// only around the crash and its suspicion machinery; results are
+	// byte-identical either way.
+	if err := UseEngine(cl, cfg.Engine); err != nil {
+		return nil, nil, ckpt.Stats{}, nil, nil, err
 	}
 	cl.InjectFaults(plan)
 	log := trace.NewEventLog(4096)

@@ -2,7 +2,7 @@ package exp
 
 import "testing"
 
-// TestDetectorStudy is the acceptance gate for lease-based failure
+// TestDetectorStudy is the acceptance gate for SWIM failure
 // detection end to end: for every swept heartbeat period, a permanently
 // crashed node must be detected (not oracle-reported) and the job restored
 // from checkpoint, a transient outage that outlives the detector's patience

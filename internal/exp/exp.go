@@ -37,8 +37,8 @@ type Config struct {
 	// RackNodes sizes the rack-scale experiment's machine ensemble; <= 0
 	// selects the canonical 4-node rack.
 	RackNodes int
-	// Engine selects the cluster time engine for experiments that honour it
-	// (rack scale): "seq" (default) or "par".
+	// Engine selects the cluster time engine for experiments that honour it:
+	// "seq" (default) or "par"; see UseEngine.
 	Engine string
 
 	// Topo selects the interconnect fabric for experiments that honour it:
@@ -47,6 +47,22 @@ type Config struct {
 	Topo    string
 	Racks   int
 	Oversub float64
+}
+
+// UseEngine attaches the named time engine to cl: "seq" (or "", the
+// default) is the sequential reference, "par" (or "parallel") the parallel
+// backend. Any other name is an error; a nil cl only checks the name.
+func UseEngine(cl *kernel.Cluster, name string) error {
+	switch name {
+	case "", "seq":
+		return nil
+	case "par", "parallel":
+		if cl != nil {
+			cl.UseParallelEngine(0)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown engine %q (valid: seq, par)", name)
 }
 
 // topoSpec resolves the Config's fabric selection to a topo.Spec.

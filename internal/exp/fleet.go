@@ -109,8 +109,8 @@ func fleetWave(cfg Config, jobs []sched.Job, slo traffic.SLO, nodes, armNodes in
 	if err != nil {
 		return nil, err
 	}
-	if engine == "par" {
-		cl.UseParallelEngine(0)
+	if err := UseEngine(cl, engine); err != nil {
+		return nil, err
 	}
 	models := power.DefaultModels(cl, true)
 	r := sched.NewRunner(cl, sched.NewBalanced("fleet dynamic balanced", true), models)

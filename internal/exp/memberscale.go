@@ -21,19 +21,19 @@ type MemberScaleOptions struct {
 	Rounds int
 }
 
-// MemberScaleRow reports one (protocol, rack size) cell: the per-node
-// message rate that must stay flat as the rack grows, the detector state
-// that must stay sub-quadratic, and the detection quality that must not
-// regress against the PR-5 lease baseline.
+// MemberScaleRow reports one rack size: the per-node message rate that must
+// stay flat as the rack grows, the detector state that must stay
+// sub-quadratic, and the detection quality that must not regress against
+// the recorded PR-5 lease baseline (DESIGN.md §12).
 type MemberScaleRow struct {
-	Protocol string `json:"protocol"` // "swim" or "lease"
+	Protocol string `json:"protocol"` // always "swim"; kept so recorded rows stay comparable
 	Nodes    int    `json:"nodes"`
 	Rounds   int    `json:"rounds"`
 	// MsgsPerNodeRound is membership messages sent per node per protocol
-	// round — O(1) for SWIM, O(N) for the all-pairs lease baseline.
+	// round — O(1) for SWIM (the all-pairs lease baseline paid O(N)).
 	MsgsPerNodeRound float64 `json:"msgs_per_node_round"`
 	// StateRecords is the fleet-wide detector state: materialized view
-	// records summed over observers (the lease baseline is dense n*(n-1)).
+	// records summed over observers (a dense detector holds n*(n-1)).
 	StateRecords int `json:"state_records"`
 	// DetectionLatency is crash-to-first-verdict for the one injected
 	// permanent crash; 0 means the crash went undetected.
@@ -43,20 +43,18 @@ type MemberScaleRow struct {
 	FalseDeaths int    `json:"false_deaths"`
 	Suspicions  uint64 `json:"suspicions"`
 	Deaths      uint64 `json:"deaths"`
-	// DeferredVerdicts counts verdicts parked for lack of quorum (SWIM
-	// only; always 0 here — the crash leaves an overwhelming majority).
+	// DeferredVerdicts counts verdicts parked for lack of quorum (always 0
+	// here — the crash leaves an overwhelming majority).
 	DeferredVerdicts uint64 `json:"deferred_verdicts"`
 	GossipUpdates    uint64 `json:"gossip_updates"`
 }
 
-// memberScaleDetector abstracts over the two protocols under comparison.
-type memberScaleDetector interface {
-	Stats() member.Stats
-	Deaths() []member.DeathRecord
-	StateRecords() int
-}
+// memberScaleMaxDetect bounds crash-to-verdict latency at the study's 1 ms
+// period. The lease baseline took 8.0–9.1 ms (its capped-backoff re-checks);
+// SWIM reads 4.4–5.0 ms and must stay below the baseline's best.
+const memberScaleMaxDetect = 8e-3
 
-// MemberScale runs a workload-free fleet of each size under both detectors
+// MemberScale runs a workload-free fleet of each size under the SWIM detector
 // for a fixed number of rounds with 1% message loss and one permanent
 // crash, and reports traffic, state and detection quality. The fleet is
 // driven purely by the membership service (no processes), exactly the
@@ -83,82 +81,70 @@ func MemberScale(cfg Config, opts MemberScaleOptions) ([]MemberScaleRow, error) 
 		if n < 2 {
 			return nil, fmt.Errorf("exp: member-scale: rack size %d too small", n)
 		}
-		for _, proto := range []string{"swim", "lease"} {
-			cl, _, err := kernel.NewClusterTopo(sched.RackArches(n), kernel.DefaultInterconnect(), cfg.topoSpec())
-			if err != nil {
-				return nil, fmt.Errorf("exp: member-scale: %w", err)
-			}
-			if cfg.Engine == "par" || cfg.Engine == "parallel" {
-				cl.UseParallelEngine(0)
-			}
-			cl.InjectFaults(fault.Plan{
-				Seed:     opts.Seed,
-				DropProb: 0.01,
-				Crashes:  []fault.Crash{{Node: 1, At: crashAt, RecoverAt: 0}},
-			})
-			mcfg := member.Config{HeartbeatPeriod: period, Seed: opts.Seed}
-			var det memberScaleDetector
-			if proto == "swim" {
-				det, err = member.Attach(cl, mcfg)
-			} else {
-				det, err = member.AttachLease(cl, mcfg)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("exp: member-scale: attach %s at n=%d: %w", proto, n, err)
-			}
-			cl.Run(horizon)
-
-			st := det.Stats()
-			row := MemberScaleRow{
-				Protocol: proto, Nodes: n, Rounds: rounds,
-				MsgsPerNodeRound: float64(st.HeartbeatsSent) / float64(n) / float64(rounds),
-				StateRecords:     det.StateRecords(),
-				Suspicions:       st.Suspicions,
-				Deaths:           st.Deaths,
-				DeferredVerdicts: st.DeferredVerdicts,
-				GossipUpdates:    st.GossipUpdates,
-			}
-			for _, d := range det.Deaths() {
-				if d.Node == 1 && row.DetectionLatency == 0 {
-					row.DetectionLatency = d.At - crashAt
-				}
-				if d.Node != 1 {
-					row.FalseDeaths++
-				}
-			}
-			rows = append(rows, row)
-			cfg.printf("member-scale %-5s n=%-4d msgs/node/round=%7.2f state=%8d detect=%6.2fms falsedeaths=%d deferred=%d\n",
-				proto, n, row.MsgsPerNodeRound, row.StateRecords,
-				row.DetectionLatency*1e3, row.FalseDeaths, row.DeferredVerdicts)
+		cl, _, err := kernel.NewClusterTopo(sched.RackArches(n), kernel.DefaultInterconnect(), cfg.topoSpec())
+		if err != nil {
+			return nil, fmt.Errorf("exp: member-scale: %w", err)
 		}
+		if err := UseEngine(cl, cfg.Engine); err != nil {
+			return nil, fmt.Errorf("exp: member-scale: %w", err)
+		}
+		cl.InjectFaults(fault.Plan{
+			Seed:     opts.Seed,
+			DropProb: 0.01,
+			Crashes:  []fault.Crash{{Node: 1, At: crashAt, RecoverAt: 0}},
+		})
+		det, err := member.Attach(cl, member.Config{HeartbeatPeriod: period, Seed: opts.Seed})
+		if err != nil {
+			return nil, fmt.Errorf("exp: member-scale: attach at n=%d: %w", n, err)
+		}
+		cl.Run(horizon)
+
+		st := det.Stats()
+		row := MemberScaleRow{
+			Protocol: "swim", Nodes: n, Rounds: rounds,
+			MsgsPerNodeRound: float64(st.HeartbeatsSent) / float64(n) / float64(rounds),
+			StateRecords:     det.StateRecords(),
+			Suspicions:       st.Suspicions,
+			Deaths:           st.Deaths,
+			DeferredVerdicts: st.DeferredVerdicts,
+			GossipUpdates:    st.GossipUpdates,
+		}
+		for _, d := range det.Deaths() {
+			if d.Node == 1 && row.DetectionLatency == 0 {
+				row.DetectionLatency = d.At - crashAt
+			}
+			if d.Node != 1 {
+				row.FalseDeaths++
+			}
+		}
+		rows = append(rows, row)
+		cfg.printf("member-scale %-5s n=%-4d msgs/node/round=%7.2f state=%8d detect=%6.2fms falsedeaths=%d deferred=%d\n",
+			row.Protocol, n, row.MsgsPerNodeRound, row.StateRecords,
+			row.DetectionLatency*1e3, row.FalseDeaths, row.DeferredVerdicts)
 	}
 	return rows, nil
 }
 
 // MemberScaleShapeHolds asserts the scaling claims the study exists for:
 // SWIM's per-node message rate stays flat and its state sub-quadratic as
-// the rack grows, the lease baseline really is O(N) traffic / O(N²) state,
-// the injected crash is always detected, and nothing is ever falsely
-// declared dead.
+// the rack grows, the injected crash is always detected — faster than the
+// lease baseline ever did — and nothing is ever falsely declared dead.
 func MemberScaleShapeHolds(rows []MemberScaleRow) error {
-	byProto := map[string][]MemberScaleRow{}
-	for _, r := range rows {
-		if r.DetectionLatency <= 0 {
-			return fmt.Errorf("member-scale: %s at n=%d never detected the crash", r.Protocol, r.Nodes)
-		}
-		if r.FalseDeaths != 0 {
-			return fmt.Errorf("member-scale: %s at n=%d declared %d healthy nodes dead",
-				r.Protocol, r.Nodes, r.FalseDeaths)
-		}
-		byProto[r.Protocol] = append(byProto[r.Protocol], r)
-	}
-	swim, lease := byProto["swim"], byProto["lease"]
-	if len(swim) < 2 || len(lease) < 2 {
-		return fmt.Errorf("member-scale: need both protocols at >= 2 sizes (got swim=%d lease=%d)",
-			len(swim), len(lease))
+	if len(rows) < 2 {
+		return fmt.Errorf("member-scale: need >= 2 sizes (got %d)", len(rows))
 	}
 	minMsgs, maxMsgs := math.Inf(1), 0.0
-	for _, r := range swim {
+	for _, r := range rows {
+		if r.DetectionLatency <= 0 {
+			return fmt.Errorf("member-scale: n=%d never detected the crash", r.Nodes)
+		}
+		if r.DetectionLatency >= memberScaleMaxDetect {
+			return fmt.Errorf("member-scale: detection %.2fms at n=%d, not below the lease baseline's %.1fms",
+				r.DetectionLatency*1e3, r.Nodes, memberScaleMaxDetect*1e3)
+		}
+		if r.FalseDeaths != 0 {
+			return fmt.Errorf("member-scale: n=%d declared %d healthy nodes dead", r.Nodes, r.FalseDeaths)
+		}
 		if r.MsgsPerNodeRound < minMsgs {
 			minMsgs = r.MsgsPerNodeRound
 		}
@@ -174,23 +160,6 @@ func MemberScaleShapeHolds(rows []MemberScaleRow) error {
 	if maxMsgs > 3*minMsgs {
 		return fmt.Errorf("member-scale: swim per-node traffic not flat across sizes (%.2f..%.2f msgs/node/round)",
 			minMsgs, maxMsgs)
-	}
-	for _, r := range lease {
-		if r.StateRecords != r.Nodes*(r.Nodes-1) {
-			return fmt.Errorf("member-scale: lease state %d at n=%d, want dense %d",
-				r.StateRecords, r.Nodes, r.Nodes*(r.Nodes-1))
-		}
-		// The baseline's traffic grows with the rack: per-node rate ~ n-1.
-		if r.MsgsPerNodeRound < float64(r.Nodes-1)/2 {
-			return fmt.Errorf("member-scale: lease per-node traffic %.2f at n=%d implausibly low",
-				r.MsgsPerNodeRound, r.Nodes)
-		}
-	}
-	// Detection quality at the smallest size: SWIM must not be worse than
-	// the lease baseline (which waits out its capped-backoff re-checks).
-	if swim[0].Nodes == lease[0].Nodes && swim[0].DetectionLatency > lease[0].DetectionLatency {
-		return fmt.Errorf("member-scale: swim detection %.2fms slower than lease %.2fms at n=%d",
-			swim[0].DetectionLatency*1e3, lease[0].DetectionLatency*1e3, swim[0].Nodes)
 	}
 	return nil
 }

@@ -123,8 +123,8 @@ func runPartitionOnce(cfg Config, engine string, sc partitionScenario, seed int6
 	if err != nil {
 		return row, err
 	}
-	if engine == "par" || engine == "parallel" {
-		cl.UseParallelEngine(0)
+	if err := UseEngine(cl, engine); err != nil {
+		return row, err
 	}
 	// The round period leaves generous slack over the interconnect's loaded
 	// latencies: checkpoint and DSM traffic from the jobs must not delay a

@@ -71,8 +71,8 @@ func rackScaleImpl(cfg Config) ([]RackScaleRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rack: %w", err)
 		}
-		if cfg.Engine == "par" || cfg.Engine == "parallel" {
-			cl.UseParallelEngine(0)
+		if err := UseEngine(cl, cfg.Engine); err != nil {
+			return nil, fmt.Errorf("rack: %w", err)
 		}
 		models := power.DefaultModels(cl, true)
 		r := sched.NewRunner(cl, s.policy, models)

@@ -159,8 +159,8 @@ func runStormOnce(cfg Config, engine string, jobs []sched.Job, slo traffic.SLO, 
 	if fab == nil {
 		return nil, fmt.Errorf("storm: fat-tree fabric missing")
 	}
-	if engine == "par" {
-		cl.UseParallelEngine(0)
+	if err := UseEngine(cl, engine); err != nil {
+		return nil, err
 	}
 	cl.InjectFaults(plan)
 	svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: 2e-3, Seed: plan.Seed})

@@ -133,8 +133,8 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 		if err != nil {
 			return row, err
 		}
-		if engine == "par" || engine == "parallel" {
-			cl.UseParallelEngine(0)
+		if err := UseEngine(cl, engine); err != nil {
+			return row, err
 		}
 		cl.InjectFaults(fault.Plan{
 			Seed:    seed,
@@ -202,8 +202,8 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 		if err != nil {
 			return 0, err
 		}
-		if engine == "par" || engine == "parallel" {
-			cl.UseParallelEngine(0)
+		if err := UseEngine(cl, engine); err != nil {
+			return 0, err
 		}
 		p, err := cl.Spawn(img, 0)
 		if err != nil {
@@ -282,9 +282,7 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 // measures what the flat pipe cannot express: gossip failure detection,
 // thread migration and checkpoint fan-in each pay for crossing loaded
 // uplinks, while in-rack traffic is immune. Every scenario runs on both
-// engines and must be byte-identical (a fabric pins the parallel engine to
-// one inline sharing group, so this is the membership guarantee extended
-// to the fabric).
+// engines and must be byte-identical.
 func Topology(cfg Config, opts TopologyOptions) ([]TopologyRow, error) {
 	racks, perRack, oversubs := topologyDims(opts)
 	if racks < 2 {

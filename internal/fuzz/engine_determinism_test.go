@@ -124,7 +124,7 @@ var (
 )
 
 // detDetector runs the corpus program beside the ballast under the
-// lease-based failure detector, a seeded lossy plan, and a transient node-1
+// SWIM failure detector, a seeded lossy plan, and a transient node-1
 // outage (8ms..20ms) that outlives the detector's patience (~5ms of
 // silence at a 0.5ms period), so node 1 is falsely declared dead and later
 // refutes the verdict under a bumped incarnation. After both processes

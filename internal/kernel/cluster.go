@@ -170,7 +170,7 @@ func (cl *Cluster) init() {
 //   - its delivery queue: the interconnect's queue hook (push, PopDue,
 //     Drain, Sweep);
 //   - its crash schedule cursor: ApplyEvent; its membership due time: the
-//     service's DueReporter hook; the timer source (node 0): timerChanged.
+//     service's ReportDue hook; the timer source (node 0): timerChanged.
 //
 // Bulk edits (InjectFaults, SetMembership) rebuild instead.
 // Inside a grouped parallel window the call comes from the worker that owns
@@ -255,29 +255,14 @@ func (cl *Cluster) SetTracer(s msg.EventSink) {
 	cl.IC.SetTracer(s)
 }
 
-// tracef records an event that has no single owning node (experiment-level
-// annotations); it lands in the sink's global stream.
-func (cl *Cluster) tracef(t float64, kind, format string, args ...interface{}) {
-	if cl.Tracer != nil {
-		cl.Tracer.Record(t, kind, fmt.Sprintf(format, args...))
-	}
-}
-
-// tracefNode records an event produced by node's own schedule. When the
-// sink keeps per-node streams (msg.NodeSink) the event lands in node's
-// shard, which is what keeps tracing sound inside grouped parallel
-// windows: each node's stream is engine-invariant, and the sink merges
-// shards canonically on read. A sink without per-node streams instead
-// collapses the engine (see Horizon), so Record here is always serial.
+// tracefNode records an event produced by node's own schedule in node's
+// shard of the sink, which is what keeps tracing sound inside grouped
+// parallel windows: each node's stream is engine-invariant, and the sink
+// merges shards canonically on read.
 func (cl *Cluster) tracefNode(node int, t float64, kind, format string, args ...interface{}) {
-	if cl.Tracer == nil {
-		return
+	if cl.Tracer != nil {
+		cl.Tracer.RecordNode(node, t, kind, fmt.Sprintf(format, args...))
 	}
-	if ns, ok := cl.Tracer.(msg.NodeSink); ok {
-		ns.RecordNode(node, t, kind, fmt.Sprintf(format, args...))
-		return
-	}
-	cl.Tracer.Record(t, kind, fmt.Sprintf(format, args...))
 }
 
 // Quanta returns the total scheduling quanta executed across all kernels.
@@ -463,23 +448,15 @@ func (cl *Cluster) engine() sim.Engine {
 // directly or behind a decorator that forwards every call). Pass nil to
 // fall back to the sequential reference backend. An engine that exposes a
 // change feed is fed from here on, whatever model it was built over: the
-// reports name nodes, and the nodes are this cluster's.
+// reports name nodes, and the nodes are this cluster's. Every layer reports
+// its writes (see changed), so the cluster vouches for the feed.
 func (cl *Cluster) SetEngine(e sim.Engine) {
 	cl.eng = e
 	cl.feed = nil
 	if fed, ok := e.(interface{ Feed() *sim.Feed }); ok {
 		cl.feed = fed.Feed()
 	}
-	cl.vouch()
-}
-
-// vouch tells the attached engine whether every write is reported. The one
-// layer that may not is an installed membership service without the
-// DueReporter hook; the engine then re-reads every node after every action,
-// as the scanning engines did.
-func (cl *Cluster) vouch() {
-	_, reports := cl.member.(DueReporter)
-	cl.feed.Vouch(cl.member == nil || reports)
+	cl.feed.Vouch(true)
 }
 
 // UseParallelEngine attaches the conservative parallel backend. The

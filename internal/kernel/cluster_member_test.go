@@ -1,5 +1,5 @@
-// Lease-based failure detection end to end: the membership service infers a
-// crash from heartbeat silence, the declared death strands and restores the
+// Detector-based failure detection end to end: the SWIM service infers a
+// crash from probe silence, the declared death strands and restores the
 // process, incarnation bumps refute false positives, and the RecoverNode
 // path aborts captures pending across the transition.
 package kernel_test
@@ -13,6 +13,8 @@ import (
 	"heterodc/internal/fault"
 	"heterodc/internal/kernel"
 	"heterodc/internal/member"
+	"heterodc/internal/sim"
+	"heterodc/internal/topo"
 	"heterodc/internal/trace"
 )
 
@@ -267,5 +269,59 @@ func TestRecoverNodeAbortsPendingCaptureBothEngines(t *testing.T) {
 		t.Errorf("engines diverge: seq exit=%d %q %.9fs images=%d skips=%d; par exit=%d %q %.9fs images=%d skips=%d",
 			seqRes.ExitCode, seqRes.Output, seqRes.Seconds, seqImages, seqSkips,
 			parRes.ExitCode, parRes.Output, parRes.Seconds, parImages, parSkips)
+	}
+}
+
+// TestHorizonIsTheMembershipQuietBit: with every layer that once pinned or
+// bounded the parallel engine installed at the same time — a tracer, a
+// fat-tree fabric, a timer source, a process-lost handler and a SWIM
+// service — the cluster's Horizon still says "unconstrained" (control
+// events are the engine's barriers, not the model's hazard). The one
+// collapse left is a membership service that is not quiet: Horizon answers
+// NegInf from the first suspicion until the suspect is readmitted and the
+// suspicion gossip has drained.
+func TestHorizonIsTheMembershipQuietBit(t *testing.T) {
+	cl, fab, err := kernel.NewClusterTopo(mixedArches(6), kernel.DefaultInterconnect(), topo.FatTree(3, 4))
+	if err != nil || fab == nil {
+		t.Fatalf("fat-tree cluster: fabric %v, err %v", fab, err)
+	}
+	cl.UseParallelEngine(0)
+	cl.SetTracer(trace.NewEventLog(4096))
+	cl.OnProcessLost = func(*kernel.Process, int) {}
+	cl.SetTimerSource(&spawner{cl: cl, next: 1, left: 1}) // armed, due far past this test
+	svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: 1e-3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := func() float64 { return cl.Horizon(cl.Time()) }
+
+	cl.Run(5e-3)
+	if !svc.Quiet() || horizon() != sim.Inf {
+		t.Fatalf("healthy fleet: quiet=%v horizon=%g, want quiet and sim.Inf", svc.Quiet(), horizon())
+	}
+
+	cl.CrashNode(2)
+	for until := cl.Time() + 20e-3; svc.Quiet(); {
+		if !cl.Step() || cl.Time() > until {
+			t.Fatal("the crash never made the detector loud")
+		}
+	}
+	if horizon() != sim.NegInf {
+		t.Fatalf("loud detector: horizon=%g, want sim.NegInf", horizon())
+	}
+
+	// Back before anyone reaches a verdict: a death is never forgotten, a
+	// refuted suspicion is.
+	cl.RecoverNode(2)
+	for until := cl.Time() + 100e-3; !svc.Quiet(); {
+		if !cl.Step() || cl.Time() > until {
+			t.Fatalf("the detector never went quiet again: %+v", svc.Stats())
+		}
+	}
+	if st := svc.Stats(); len(svc.Deaths()) != 0 || st.Suspicions == 0 || st.Readmissions == 0 {
+		t.Fatalf("deaths %+v, stats %+v: want a suspicion refuted by readmission and no death", svc.Deaths(), st)
+	}
+	if horizon() != sim.Inf {
+		t.Fatalf("readmitted: horizon=%g, want sim.Inf", horizon())
 	}
 }

@@ -417,41 +417,6 @@ func oracleScenarios(t *testing.T) []oracleScenario {
 			},
 		},
 		{
-			name:    "the lease detector through a declared death and a refuting rejoin",
-			cluster: flat(4),
-			steps:   400000,
-			setup: func(t *testing.T, cl *kernel.Cluster) (func(int), func() error) {
-				cl.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Node: 3, At: 0.5e-3, RecoverAt: 3e-3}}})
-				svc, err := member.AttachLease(cl, member.Config{HeartbeatPeriod: 100e-6})
-				if err != nil {
-					t.Fatal(err)
-				}
-				p, err := cl.Spawn(oracleImage(t, "grind"), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stop := func(step int) {
-					if done, _ := p.Exited(); done && cl.Time() > 5e-3 {
-						cl.SetMembership(nil)
-					}
-				}
-				return stop, func() error {
-					if d := svc.Deaths(); len(d) == 0 || d[0].Node != 3 {
-						return fmt.Errorf("deaths %+v, want node 3 declared", d)
-					}
-					for o := 0; o < 3; o++ {
-						if svc.View(o, 3) != member.Alive {
-							return fmt.Errorf("observer %d still holds node 3 %v", o, svc.View(o, 3))
-						}
-					}
-					if svc.Stats().Readmissions == 0 {
-						return fmt.Errorf("node 3 was never readmitted: %+v", svc.Stats())
-					}
-					return exitedOK(p)
-				}
-			},
-		},
-		{
 			name:    "a partition with queue surgery",
 			cluster: flat(4),
 			steps:   400000,

@@ -1,10 +1,10 @@
 package kernel
 
-// This file is the cluster's side of the lease-based membership service
-// (internal/member): the Membership hook it drives, the per-node incarnation
-// registry, the incarnation fence applied at message delivery, and the
-// declared-death teardown that replaces the omniscient NodeDown oracle for
-// detector-equipped clusters.
+// This file is the cluster's side of the membership service
+// (internal/member's SWIM detector): the Membership hook it drives, the
+// per-node incarnation registry, the incarnation fence applied at message
+// delivery, and the declared-death teardown that replaces the omniscient
+// NodeDown oracle for detector-equipped clusters.
 
 import (
 	"fmt"
@@ -14,24 +14,38 @@ import (
 )
 
 // Membership is the failure-detector hook a cluster drives. A service
-// (internal/member's SWIM or lease detector) assesses each node's liveness
-// via probes or heartbeats charged through the interconnect and maintains
-// per-observer suspicion state. Protocol actions (RunDue, Deliver on a
-// non-quiet service, crash/recovery observations) always execute in the
-// global sequential order — the cluster's Horizon clamps parallel windows
-// to the next due action — so implementations need no locking for those.
-// Only services that additionally implement GroupLocal ever see Deliver
-// called from concurrent sharing-group workers, and then only while Quiet.
+// (internal/member's SWIM detector) assesses each node's liveness via probes
+// charged through the interconnect and maintains per-observer suspicion
+// state, all of it indexed by the acting node (single writer inside a
+// window). Protocol actions (RunDue, crash/recovery observations) are
+// control events, and every control event is a window barrier, so they
+// always execute in the global sequential order and need no locking.
+// Deliver is called from concurrent sharing-group workers, but only while
+// the service is Quiet.
 type Membership interface {
 	// NextDue returns the simulated time of node's next membership action
-	// (heartbeat emission or suspicion-deadline check), or >= sim.Inf.
+	// (probe round or suspicion-deadline check), or >= sim.Inf.
 	NextDue(node int) float64
+	// ReportDue installs the hook the service calls whenever NextDue(node)
+	// would return a new value (from a sharing group's worker only for nodes
+	// of that group — Deliver's own), which lets the engine skip nodes whose
+	// membership schedule did not move.
+	ReportDue(changed func(node int))
 	// RunDue performs node's membership actions due at now.
 	RunDue(node int, now float64)
 	// Deliver hands node an arrived THeartbeat message.
 	Deliver(to int, m *msg.Message)
+	// Quiet reports whether the protocol currently holds no global-order
+	// machinery — no outstanding verdict polls, every view and every gossip
+	// entry Alive, no deferred verdicts. While quiet, the only cross-node
+	// activity is payload traffic whose endpoints Groups() folds together
+	// (via the in-flight scan and msg.GroupPeers), and protocol actions are
+	// window barriers, so grouped windows provably preserve quietness. A
+	// service that is not quiet collapses the engine to one inline group
+	// (Cluster.Horizon).
+	Quiet() bool
 	// Suspected reports observer's current view of target: true when the
-	// lease has expired (Suspect) or death was declared (Dead).
+	// target is suspected (Suspect) or death was declared (Dead).
 	Suspected(observer, target int) bool
 	// SuspectedAny reports whether any live observer currently suspects
 	// target.
@@ -43,33 +57,6 @@ type Membership interface {
 	// bumped) incarnation inc; node resumes emitting immediately and its
 	// own stale views are reset.
 	NodeRecovered(node int, inc uint64, now float64)
-}
-
-// GroupLocal is the optional Membership extension that lets the parallel
-// engine keep running sharing groups concurrently with the service
-// installed. A group-local service keeps all per-node state indexed by the
-// acting node (single writer inside a window) and answers Quiet: whether
-// the protocol currently holds no global-order machinery — no outstanding
-// probes, every view and every gossip entry Alive, no deferred verdicts.
-// While quiet, the only cross-node activity is payload traffic whose
-// endpoints Groups() folds together (via the in-flight scan and
-// msg.GroupPeers), and the service's next protocol action bounds the
-// cluster's Horizon, so grouped windows provably preserve quietness. A
-// service that is not quiet — or does not implement GroupLocal at all,
-// like the legacy lease detector — collapses the engine to one inline
-// group, exactly the pre-refactor behaviour.
-type GroupLocal interface {
-	Quiet() bool
-}
-
-// DueReporter is the optional Membership extension that lets the engine
-// skip nodes whose membership schedule did not move: the service calls
-// changed(node) whenever NextDue(node) would return a new value (from a
-// sharing group's worker only for nodes of that group — Deliver's own).
-// SetMembership installs the hook; a service without it makes the engine
-// re-read every node after every action.
-type DueReporter interface {
-	ReportDue(changed func(node int))
 }
 
 // initMembership sizes the incarnation registry; every node starts life as
@@ -87,17 +74,15 @@ func (cl *Cluster) initMembership() {
 }
 
 // SetMembership installs a membership service. Pass nil to detach and fall
-// back to the NodeDown oracle.
+// back to the NodeDown oracle. Every node's NextEvent may move, so the
+// engine's index is rebuilt.
 func (cl *Cluster) SetMembership(m Membership) {
 	cl.member = m
-	if r, ok := m.(DueReporter); ok {
-		r.ReportDue(cl.changed)
+	if m != nil {
+		m.ReportDue(cl.changed)
 	}
-	cl.vouch()
+	cl.feed.Rebuild()
 }
-
-// Membership returns the installed membership service, or nil.
-func (cl *Cluster) Membership() Membership { return cl.member }
 
 // Incarnation returns node's current incarnation number. Incarnations start
 // at 1 and increase only when a node rejoins after being declared dead, so

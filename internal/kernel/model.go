@@ -122,79 +122,34 @@ func (cl *Cluster) NoteFrontier() {
 	}
 }
 
-// Horizon reports when group-parallel execution stops being sound for a
-// window starting at start (sim.Model). Earlier revisions answered a
-// cruder question — ParallelOK, a global bool that any of five observers
-// (tracer, process-lost handler, membership service, contended fabric,
-// timer source) pinned false, degrading the parallel engine to one inline
-// group whenever any of them was installed. Each observer is now handled
-// at its own layer, and what remains global is a *time*, not a verdict:
+// Horizon reports whether group-parallel execution is sound for a window
+// starting at start (sim.Model): sim.Inf when it is, sim.NegInf when a layer
+// needs the global sequential order for the whole window. The one layer
+// that can is a membership service that is not quiet — suspicion machinery,
+// verdict polls and non-Alive gossip read and write views across sharing
+// groups. Everything else is handled at its own layer:
 //
-//   - Tracer: sound inside grouped windows when the sink keeps per-node
-//     streams (msg.NodeSink — each node's stream is engine-invariant and
-//     the sink merges canonically on read). A plain EventSink still
-//     collapses: its single transcript is a total order.
-//   - Membership: sound between protocol actions when the service is
-//     group-local (GroupLocal) and quiet — every view Alive, no pending
-//     suspicion machinery — because then grouped windows only move
-//     heartbeats whose endpoints Groups() already folded together, and
-//     quietness is preserved until the next protocol action. The actions
-//     themselves (probe rounds, deadline checks) read global order, so the
-//     next due instant bounds the horizon. A non-quiet or non-group-local
-//     service collapses.
-//   - Timer: firings read and steer global state (an arrival placement
-//     weighs every node's load), so each firing bounds the horizon; between
-//     firings NextDue is pure and the timer holds no other state.
-//   - Crash/recovery events: group-local on their own (PR 4/5 semantics),
-//     but with a membership service or process-lost handler installed the
-//     transition feeds global observers, so each scheduled event bounds
-//     the horizon.
-//   - A contended fabric constrains Groups() (rack-sharing partitions fold)
-//     rather than the horizon — unless it cannot name its sharing domains
-//     (msg.SharingDomains), in which case it collapses.
+//   - Control events (crash/recovery transitions, membership actions, timer
+//     firings) read and steer global state, but the engine ends every
+//     grouped window at the next one and applies it in the exact sequential
+//     order (sim.Parallel), so none ever runs inside a window.
+//   - The tracer keeps per-node streams; each node's stream is
+//     engine-invariant and the sink merges canonically on read.
+//   - A quiet membership service only moves heartbeats whose endpoints
+//     Groups() already folded together, and quietness is preserved until
+//     the next protocol action — a control event.
+//   - A fabric constrains Groups() (rack-sharing partitions fold) rather
+//     than the horizon.
 //
 // OnAdvance needs nothing: the engine samples the frontier only at
 // barriers, and the power meter integrates energy from counter deltas.
 func (cl *Cluster) Horizon(start float64) float64 {
 	// Until Groups() runs for the next window, migration sees one group.
 	cl.parGroups = false
-	if cl.Tracer != nil {
-		if _, ok := cl.Tracer.(msg.NodeSink); !ok {
-			return sim.NegInf
-		}
+	if cl.member != nil && !cl.member.Quiet() {
+		return sim.NegInf
 	}
-	if cl.member != nil {
-		gl, ok := cl.member.(GroupLocal)
-		if !ok || !gl.Quiet() {
-			return sim.NegInf
-		}
-	}
-	if cl.IC.Contended() {
-		if _, ok := cl.IC.Path().(msg.SharingDomains); !ok {
-			return sim.NegInf
-		}
-	}
-	hz := inf
-	if cl.member != nil {
-		for n := range cl.Kernels {
-			if d := cl.member.NextDue(n); d < hz {
-				hz = d
-			}
-		}
-	}
-	if cl.timer != nil {
-		if d := cl.timer.NextDue(); d < hz {
-			hz = d
-		}
-	}
-	if cl.member != nil || cl.OnProcessLost != nil {
-		for n := range cl.Kernels {
-			if d := cl.crashEventTime(n); d < hz {
-				hz = d
-			}
-		}
-	}
-	return hz
+	return inf
 }
 
 // markFootprint marks every node in p's sharing set: nodes the kernel could
@@ -284,7 +239,7 @@ func (cl *Cluster) footprint(p *Process) ([]int, *fpScratch) {
 //     relay to both the origin and the target). This folds membership
 //     traffic: within a window a node only ever sends to peers it already
 //     shares a pending message with, by induction from the barrier state;
-//  3. when the fabric is contended, its sharing domains (racks): two
+//  3. an installed fabric's sharing domains (racks): two
 //     multi-rack groups that touch the same rack share that rack's ToR
 //     uplinks, so they fold into one. Single-rack groups ride only their
 //     own access links and never fold — which is exactly why a rack-local
@@ -406,10 +361,8 @@ func (cl *Cluster) groups(onMerge func(layer string, a, b int)) [][]int {
 
 	// 3. Fabric sharing domains: fold multi-rack groups that share a rack.
 	cl.ufLayer = "fabric"
-	if cl.IC.Contended() {
-		if dom, ok := cl.IC.Path().(msg.SharingDomains); ok {
-			cl.foldDomains(dom)
-		}
+	if dom := cl.IC.Path(); dom != nil {
+		cl.foldDomains(dom)
 	}
 	cl.ufOnMerge = nil
 
@@ -490,7 +443,7 @@ func ufFind(parent []int, x int) int {
 // links; a group spanning racks also uses the ToR uplinks of every rack it
 // touches. So two groups must fold exactly when both span multiple racks
 // and touch a common rack — transitively, via one anchor root per domain.
-func (cl *Cluster) foldDomains(dom msg.SharingDomains) {
+func (cl *Cluster) foldDomains(dom msg.PathModel) {
 	n := len(cl.Kernels)
 	parent := cl.ufParent
 	firstDom := cl.ufFirstDom

@@ -28,10 +28,10 @@ type TimerSource interface {
 
 // SetTimerSource installs (or with nil removes) the cluster's timer source.
 // The timer is anchored to node 0's event stream but its actions read
-// global state (an arrival placement weighs every node's load), so each
-// firing bounds the cluster's Horizon: the parallel engine clamps grouped
-// windows to the next due instant and consumes the firing in the exact
-// sequential order, then fans back out. Between firings NextDue is pure
+// global state (an arrival placement weighs every node's load). Like every
+// control event a firing is a window barrier: the parallel engine ends the
+// grouped window at the next due instant and consumes the firing in the
+// exact sequential order, then fans back out. Between firings NextDue is pure
 // and the timer holds no other engine-visible state, so groups still run
 // concurrently and results stay byte-identical to the sequential
 // reference.

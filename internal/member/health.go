@@ -18,7 +18,7 @@ import "heterodc/internal/kernel"
 // Scores feed hysteresis thresholds; the scheduler reads Degraded to
 // steer placement away and proactively evacuate. Tick must only be
 // called between engine steps (in practice: from the open-loop driver's
-// timer action, which the Horizon seam already serialises), so every
+// timer action, a control event the engines apply in one order), so every
 // input it reads is engine-exact and the whole layer adds no hazard.
 
 // observeRTT folds one direct-probe round-trip sample into the

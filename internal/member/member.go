@@ -1,43 +1,38 @@
 // Package member implements the cluster's membership and failure-detection
-// services. Two protocols share one configuration, state vocabulary and
-// introspection surface:
+// service: Service (Attach), a SWIM-style gossip detector. Each round a node
+// directly probes one pseudo-randomly rotated peer, escalates a missed ack
+// to k indirect probes relayed through witnesses (ping-req), and only then
+// suspects; alive/suspect/dead assertions — fenced by incarnation and
+// refutation-epoch ordering — piggyback on the probe/ack traffic itself, so
+// per-node bandwidth is O(1) per round and detector state is sparse (records
+// exist only for nodes with an incident history). (The all-pairs lease
+// detector this package originally shipped — O(N) messages per node per
+// round, O(N^2) state — is gone; DESIGN.md §12 keeps its recorded numbers.)
 //
-//   - Service (Attach) is the SWIM-style gossip detector: each round a node
-//     directly probes one pseudo-randomly rotated peer, escalates a missed
-//     ack to k indirect probes relayed through witnesses (ping-req), and
-//     only then suspects; alive/suspect/dead assertions — fenced by
-//     incarnation and refutation-epoch ordering — piggyback on the
-//     probe/ack traffic itself, so per-node bandwidth is O(1) per round and
-//     detector state is sparse (records exist only for nodes with an
-//     incident history).
-//   - Lease (AttachLease) is the all-pairs lease detector this package
-//     originally shipped: every node multicasts heartbeats to every peer
-//     and tracks every peer's lease, O(N) messages per node per round and
-//     O(N^2) total state. It is retained as the scaling baseline.
-//
-// Both run over the modelled interconnect (msg.THeartbeat traffic, charged
-// like any other message and subject to fault injection — loss is the
-// signal), and both hand death verdicts to the kernel
+// The detector runs over the modelled interconnect (msg.THeartbeat traffic,
+// charged like any other message and subject to fault injection — loss is
+// the signal) and hands death verdicts to the kernel
 // (Cluster.DeclareNodeDead), which fences the declared incarnation, sweeps
 // the DSM directory, and kills stranded processes so a checkpoint service
 // can restore them.
 //
-// The SWIM detector additionally understands partitions: a death verdict is
-// executed only while the observer's own view holds a quorum of the rack
-// (majority, with a documented two-node exception); a minority observer
-// parks the verdict instead, so the checkpoint manager never restores a
-// process on both sides of a split. A node that outlives its own death
-// verdict — the partitioned-but-alive false positive — learns of it from
-// gossip when the partition heals and rejoins under a bumped incarnation,
-// after which incarnation ordering reconciles every divergent view.
+// It understands partitions: a death verdict is executed only while the
+// observer's own view holds a quorum of the rack (majority, with a
+// documented two-node exception); a minority observer parks the verdict
+// instead, so the checkpoint manager never restores a process on both sides
+// of a split. A node that outlives its own death verdict — the
+// partitioned-but-alive false positive — learns of it from gossip when the
+// partition heals and rejoins under a bumped incarnation, after which
+// incarnation ordering reconciles every divergent view.
 //
 // Determinism: all membership actions run as per-node control events
 // through sim.Model's NextEvent/ApplyEvent path, at simulated times that
-// are pure functions of the configuration, seed and message history.
-// Installing either service pins the parallel engine to a single inline
-// sharing group (gossip makes the conservative "might interact" relation
-// the complete graph), so both engines execute the identical global
-// schedule and stay byte-identical — counters included.
+// are pure functions of the configuration, seed and message history. Every
+// control event is a window barrier for the parallel engine, and between
+// them a quiet service (Service.Quiet) only receives frames whose endpoints
+// share a sharing group, so sharing groups keep running concurrently; a
+// service that is not quiet collapses the engine to the global sequential
+// schedule. Either way both engines stay byte-identical — counters included.
 package member
 
 import "fmt"
@@ -45,18 +40,14 @@ import "fmt"
 // inf mirrors sim.Inf so due times round-trip through the engine unchanged.
 const inf = 1e30
 
-// Config tunes a detector. HeartbeatPeriod, SuspectTimeout and the
-// miss/backoff knobs are shared by both protocols; the probe/gossip knobs
-// drive the SWIM detector.
+// Config tunes the detector.
 type Config struct {
-	// HeartbeatPeriod is the protocol round in simulated seconds: the SWIM
-	// detector sends one direct probe per node per period, the lease
-	// detector one heartbeat multicast. Must be > 0.
+	// HeartbeatPeriod is the protocol round in simulated seconds: the
+	// detector sends one direct probe per node per period. Must be > 0.
 	HeartbeatPeriod float64
 	// SuspectTimeout is how long a suspicion must survive unrefuted before
-	// the observer reaches a death verdict (SWIM), or how much lease
-	// silence moves a target from alive to suspect (lease). 0 selects 3x
-	// the period; it must be >= the period.
+	// the observer reaches a death verdict. 0 selects 3x the period; it
+	// must be >= the period.
 	SuspectTimeout float64
 
 	// ProbeTimeout is how long a SWIM prober waits for the direct ack
@@ -82,9 +73,8 @@ type Config struct {
 	Seed int64
 
 	// DeathMisses is how many backoff re-checks a suspect survives before
-	// the observer concludes: the lease detector re-checks an expired
-	// lease, the SWIM detector re-polls a verdict whose poll lapsed
-	// unanswered. 0 selects 3.
+	// the observer concludes: a verdict whose poll lapsed unanswered is
+	// re-polled. 0 selects 3.
 	DeathMisses int
 	// BackoffCap caps the doubling re-check backoff. 0 selects 8x the
 	// period.
@@ -122,7 +112,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("member: heartbeat period must be positive (got %g)", c.HeartbeatPeriod)
 	}
 	if c.SuspectTimeout != 0 && c.SuspectTimeout < c.HeartbeatPeriod {
-		return fmt.Errorf("member: suspicion timeout %g is below the heartbeat period %g; every lease would expire before it could renew",
+		return fmt.Errorf("member: suspicion timeout %g is below the heartbeat period %g; every suspicion would expire before a probe round could refute it",
 			c.SuspectTimeout, c.HeartbeatPeriod)
 	}
 	if c.ProbeTimeout < 0 || c.ProbeTimeout > c.HeartbeatPeriod {
@@ -152,8 +142,8 @@ type State int
 const (
 	// Alive: the target answers (or nothing has implicated it).
 	Alive State = iota
-	// Suspect: the target failed a probe round (or a lease expired); the
-	// suspicion clock is running and the target may still refute it.
+	// Suspect: the target failed a probe round; the suspicion clock is
+	// running and the target may still refute it.
 	Suspect
 	// Dead: the observer holds the target's incarnation dead. Final for
 	// that incarnation — only evidence from a higher incarnation (the node
@@ -185,7 +175,6 @@ type Stats struct {
 	FalseSuspicions     uint64 // readmissions that refuted a declared death
 	Deaths              uint64 // death declarations (first observer per incarnation)
 
-	// SWIM-only counters (zero under the lease baseline).
 	Probes           uint64 // direct probes sent
 	ProbeTimeouts    uint64 // direct probes that escalated to witnesses
 	IndirectProbes   uint64 // ping-req messages sent to witnesses

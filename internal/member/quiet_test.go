@@ -59,11 +59,7 @@ type audited struct {
 	t *testing.T
 }
 
-var (
-	_ kernel.Membership  = (*audited)(nil)
-	_ kernel.GroupLocal  = (*audited)(nil)
-	_ kernel.DueReporter = (*audited)(nil)
-)
+var _ kernel.Membership = (*audited)(nil)
 
 // audit wraps s and installs the wrapper as cl's membership service.
 func audit(t *testing.T, cl *kernel.Cluster, s *Service) *audited {

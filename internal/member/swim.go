@@ -145,11 +145,11 @@ type pollState struct {
 // Service is the SWIM membership service attached to one cluster. It keeps
 // plain unlocked state, indexed by the acting node: protocol actions
 // (RunDue, suspicion machinery, verdicts) always run in the global
-// sequential order — the cluster's Horizon clamps parallel windows to the
-// next due action — while Deliver may run from concurrent sharing-group
-// workers when the service is Quiet, touching only the receiving node's
-// shard (its views, gossip queue, probe record and stats). That is the
-// kernel.GroupLocal contract; see Quiet.
+// sequential order — they are control events, and the parallel engine ends
+// every window at the next one — while Deliver may run from concurrent
+// sharing-group workers when the service is Quiet, touching only the
+// receiving node's shard (its views, gossip queue, probe record and stats).
+// That is the kernel.Membership contract; see Quiet.
 type Service struct {
 	cl  *kernel.Cluster
 	cfg Config
@@ -169,7 +169,7 @@ type Service struct {
 	gossip    [][]gossipEntry
 
 	nextDue []float64 // cached earliest due time per node
-	// dueChanged hears of every change to nextDue (kernel.DueReporter).
+	// dueChanged hears of every change to nextDue (ReportDue).
 	dueChanged func(node int)
 
 	// stats is sharded by acting node (the prober, sender or receiver), so
@@ -261,9 +261,8 @@ func Attach(cl *kernel.Cluster, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// ReportDue installs the cluster's hook for nextDue changes
-// (kernel.DueReporter), which lets the time engine re-read only the nodes
-// whose membership schedule moved.
+// ReportDue installs the cluster's hook for nextDue changes, which lets the
+// time engine re-read only the nodes whose membership schedule moved.
 func (s *Service) ReportDue(changed func(node int)) { s.dueChanged = changed }
 
 // setDue is the one writer of nextDue after construction.
@@ -306,18 +305,18 @@ func (s *Service) Stats() Stats {
 }
 
 // Quiet reports whether the detector holds no global-order machinery
-// (kernel.GroupLocal): no verdict polls, every materialized view Alive
+// (kernel.Membership): no verdict polls, every materialized view Alive
 // with no death history or parked verdict, nothing but Alive assertions
 // queued for gossip, and no non-Alive assertion still in the air
 // (airborne). While quiet, a grouped parallel window provably preserves
-// quietness — suspicion can only arise from a protocol action (which the
-// Horizon clamps out of windows) or from non-Alive gossip (queued gossip
+// quietness — suspicion can only arise from a protocol action (a control
+// event, which ends the window) or from non-Alive gossip (queued gossip
 // would already have broken quietness; in-flight gossip is the airborne
 // count) — so Deliver inside the window stays confined to the receiving
 // node's shard and the engine may keep sharing groups concurrent with the
 // detector attached. An in-flight probe does not break quietness: its ack
-// is shard-local and its expiry deadlines are protocol actions bounding
-// the Horizon.
+// is shard-local and its expiry deadlines are protocol actions, which end
+// the window.
 func (s *Service) Quiet() bool { return s.suspects == 0 && s.airborne == 0 && s.loud == 0 }
 
 // dropPoll closes observer's verdict poll on target, if one is open.
@@ -434,8 +433,7 @@ func (s *Service) View(observer, target int) State {
 
 // StateRecords returns the number of materialized detector records across
 // all observers (views, queued gossip, in-flight probes) — the sparse-state
-// metric the scaling experiment reports against the lease baseline's dense
-// n*(n-1).
+// metric the scaling experiment reports against a dense detector's n*(n-1).
 func (s *Service) StateRecords() int {
 	c := 0
 	for o := 0; o < s.n; o++ {
@@ -587,8 +585,8 @@ func (s *Service) verdict(observer, target int, now float64) {
 		// The poll closed without enough acks. One lapse is not proof: a
 		// congested fabric (a bulk migration transfer occupying the link)
 		// delays acks exactly like a cut severs them, so the suspect gets
-		// the lease detector's grace — DeathMisses re-polls on a doubling
-		// backoff before the observer concludes anything.
+		// grace — DeathMisses re-polls on a doubling backoff — before the
+		// observer concludes anything.
 		s.dropPoll(observer, target)
 		v.missed++
 		if v.missed < s.cfg.DeathMisses {

@@ -20,13 +20,12 @@
 // The flat pipe is one of two cost models: SetPathModel plugs a
 // hierarchical fabric (internal/topo's rack/spine fat tree) under the same
 // message layer, replacing the delivery-time computation with multi-hop
-// routing and shared-uplink contention. A fabric that shares links between
-// node pairs reports Contended; when it also exposes SharingDomains (the
-// fat tree does — one domain per rack), the cluster folds same-domain
-// link-sharing into the union-find sharing partition instead of pinning
-// the parallel engine, so racks that exchange no cross-rack traffic still
-// run concurrently. Without a path model nothing changes — the flat pipe
-// is the default and the regression baseline.
+// routing and shared-uplink contention. A fabric shares links between node
+// pairs and names its sharing domains (the fat tree has one per rack); the
+// cluster folds same-domain link-sharing into the union-find sharing
+// partition, so racks that exchange no cross-rack traffic still run
+// concurrently. Without a path model nothing changes — the flat pipe is the
+// default and the regression baseline.
 package msg
 
 import (
@@ -166,19 +165,13 @@ type Partitioner interface {
 }
 
 // EventSink receives fault/retry diagnostics; trace.EventLog implements
-// it.
+// it. A sink keeps a private shard per node and merges the shards into one
+// canonical order on read, which is what lets tracing run inside grouped
+// parallel windows: each node's stream is engine-invariant.
 type EventSink interface {
+	// Record records an event that has no single owning node. Serial only
+	// (between engine steps, or from the scheduling goroutine).
 	Record(t float64, kind, detail string)
-}
-
-// NodeSink is an EventSink that can attribute a record to the node whose
-// schedule produced it and keep a private per-node shard for it, merging
-// the shards into one canonical order on read. A sink that implements it
-// (trace.EventLog does) can run inside grouped parallel windows; a plain
-// EventSink needs the global sequential order and collapses the parallel
-// engine (see kernel.Cluster.Horizon).
-type NodeSink interface {
-	EventSink
 	// RecordNode records an event produced by node's schedule. Each node's
 	// records arrive in nondecreasing time order from a single goroutine
 	// at a time (its sharing-group worker).
@@ -199,7 +192,9 @@ type GroupPeers interface {
 // it replaces the flat latency/bandwidth pipe's delivery-time computation
 // with hierarchical routing (topo.Fabric implements it — racks behind ToR
 // switches joined by a spine). Implementations must be deterministic; all
-// occupancy and statistics live inside the model.
+// occupancy and statistics live inside the model. A path model shares links
+// between node pairs, which breaks the interconnect's disjoint-shard
+// invariant; its sharing domains are how the cluster restores it.
 type PathModel interface {
 	// Nodes is the number of nodes the model routes between; the
 	// interconnect refuses to grow past it.
@@ -214,24 +209,13 @@ type PathModel interface {
 	// MinLatency is the minimum zero-byte one-way latency over all
 	// routeable pairs — the conservative lookahead floor.
 	MinLatency() float64
-	// Contended reports whether distinct node pairs can share links. A
-	// contended model breaks the interconnect's disjoint-shard invariant;
-	// unless it also implements SharingDomains, the cluster collapses the
-	// parallel engine to one inline sharing group.
-	Contended() bool
-}
-
-// SharingDomains is an optional PathModel extension that exposes the
-// model's link-sharing structure: two cross-domain routes can contend only
-// when they touch a common domain (a rack's ToR uplink), while traffic
-// within one domain touches only per-node private links. Cluster.Groups
-// uses it to merge any two sharing groups that both span multiple domains
-// and have a domain in common, instead of collapsing the whole partition.
-// topo.Fabric implements it with one domain per rack.
-type SharingDomains interface {
-	// Domain returns the sharing domain of node.
+	// Domain returns the sharing domain of node, and NumDomains the domain
+	// count: two cross-domain routes can contend only when they touch a
+	// common domain (a rack's ToR uplink), while traffic within one domain
+	// touches only per-node private links. Cluster.Groups merges any two
+	// sharing groups that both span multiple domains and have a domain in
+	// common. topo.Fabric has one domain per rack.
 	Domain(node int) int
-	// NumDomains returns the domain count.
 	NumDomains() int
 }
 
@@ -345,8 +329,7 @@ func (ic *Interconnect) MinLatency() float64 {
 // SetPathModel installs (or, with nil, removes) a hierarchical fabric
 // under the interconnect. Install before concurrent use and before the
 // cluster chooses its engine: the parallel backend reads MinLatency at
-// configuration time, and a contended model additionally pins it to one
-// inline sharing group (see Contended).
+// configuration time.
 func (ic *Interconnect) SetPathModel(pm PathModel) error {
 	if pm != nil && pm.Nodes() < ic.n {
 		return fmt.Errorf("msg: path model covers %d nodes, interconnect already has %d", pm.Nodes(), ic.n)
@@ -357,11 +340,6 @@ func (ic *Interconnect) SetPathModel(pm PathModel) error {
 
 // Path returns the installed path model, or nil for the flat pipe.
 func (ic *Interconnect) Path() PathModel { return ic.path }
-
-// Contended reports whether an installed path model shares links between
-// node pairs, which invalidates the per-link state sharding the parallel
-// engine's disjoint groups rely on.
-func (ic *Interconnect) Contended() bool { return ic.path != nil && ic.path.Contended() }
 
 // redeliverDelay is the extra delay charged to a duplicate copy.
 func (ic *Interconnect) redeliverDelay() float64 {
@@ -391,18 +369,12 @@ func (ic *Interconnect) cut(at float64, from, to int) bool {
 func (ic *Interconnect) SetTracer(s EventSink) { ic.tracer = s }
 
 // tracef records a diagnostic produced by node's schedule (the sender of
-// the message in question): a NodeSink shards it per node so sends inside
-// grouped parallel windows stay race-free; a plain sink takes the global
-// record (such sinks collapse the engine, so the global order is serial).
+// the message in question) in node's shard of the sink, so sends inside
+// grouped parallel windows stay race-free.
 func (ic *Interconnect) tracef(node int, t float64, kind, format string, args ...interface{}) {
-	if ic.tracer == nil {
-		return
+	if ic.tracer != nil {
+		ic.tracer.RecordNode(node, t, kind, fmt.Sprintf(format, args...))
 	}
-	if ns, ok := ic.tracer.(NodeSink); ok {
-		ns.RecordNode(node, t, kind, fmt.Sprintf(format, args...))
-		return
-	}
-	ic.tracer.Record(t, kind, fmt.Sprintf(format, args...))
 }
 
 func (ic *Interconnect) retxTimeout() float64 {

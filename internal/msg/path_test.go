@@ -23,7 +23,8 @@ type stubPath struct {
 
 func (p *stubPath) Nodes() int          { return p.n }
 func (p *stubPath) MinLatency() float64 { return p.lat }
-func (p *stubPath) Contended() bool     { return true }
+func (p *stubPath) Domain(int) int      { return 0 }
+func (p *stubPath) NumDomains() int     { return 1 }
 func (p *stubPath) Transmit(now float64, from, to int, wire int64) float64 {
 	p.transmits++
 	start := now
@@ -49,8 +50,8 @@ func TestPathModelDrivesDelivery(t *testing.T) {
 	if err := ic.SetPathModel(pm); err != nil {
 		t.Fatalf("SetPathModel: %v", err)
 	}
-	if !ic.Contended() {
-		t.Fatalf("contended fabric not reported")
+	if ic.Path() != pm {
+		t.Fatalf("installed path model not reported")
 	}
 	if got := ic.MinLatency(); got != 5e-6 {
 		t.Fatalf("MinLatency = %g, want the model's 5e-6", got)
@@ -114,8 +115,8 @@ func TestFlatPathUnchangedWithoutModel(t *testing.T) {
 			t.Fatalf("send %d: flat %g vs nil-model %g", i, da, db)
 		}
 	}
-	if a.MinLatency() != b.MinLatency() || a.Contended() || b.Contended() {
-		t.Fatalf("nil model perturbed MinLatency/Contended")
+	if a.MinLatency() != b.MinLatency() || a.Path() != nil || b.Path() != nil {
+		t.Fatalf("nil model perturbed MinLatency/Path")
 	}
 	ra := a.RoundTripTime(1e-3, 1, 0, 4096)
 	rb := b.RoundTripTime(1e-3, 1, 0, 4096)

@@ -7,7 +7,7 @@ package sched
 // evacuation of running jobs with per-job retry/timeout/capped-backoff
 // on the migration itself. Everything here executes inside the driver's
 // timer firings, so both time engines reproduce the same decisions
-// byte-for-byte (the Horizon seam already bounds timer actions).
+// byte-for-byte (a timer firing is a control event, a window barrier).
 
 // HealthSource is the scheduler's view of a node-health layer (see
 // member.Monitor). Tick is called from engine context at the control

@@ -71,16 +71,16 @@ type Model interface {
 	// the list itself are sorted ascending. Called only at barriers.
 	Groups() [][]int
 	// Horizon returns the earliest instant at which group-parallel
-	// execution stops being sound, given that the next window starts at
-	// start. A finite horizon names the next global-order hazard (a
-	// membership protocol round, a timer firing, a scheduled crash or
-	// recovery feeding global observers): the engine clamps the window to
-	// it, so the hazard itself is always consumed in the exact sequential
-	// order. A horizon <= start means a hazard is due right now; NegInf
-	// means a layer needs the global order for the foreseeable future (a
-	// non-shardable tracer, non-quiet membership protocol state, a
-	// contended fabric without sharing domains). Horizon >= Inf leaves the
-	// window unconstrained. Called only at barriers.
+	// execution stops being sound for a reason other than a control event,
+	// given that the next window starts at start. The engine itself ends
+	// every grouped window at the next control event (the minimum NextEvent
+	// over all nodes) and applies it in the exact sequential order, so a
+	// model reports here only what NextEvent does not carry. A finite
+	// horizon names such a hazard and the engine clamps the window to the
+	// earlier of the two; a horizon <= start means the hazard is due right
+	// now; NegInf means a layer needs the global order for the foreseeable
+	// future (the kernel's one case: a membership service that is not
+	// quiet). Horizon >= Inf adds no constraint. Called only at barriers.
 	Horizon(start float64) float64
 }
 

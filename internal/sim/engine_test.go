@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -252,6 +253,70 @@ func TestParallelAppliesEvents(t *testing.T) {
 	}
 	if marks != 2 {
 		t.Fatalf("node 1 applied %d events, want 2", marks)
+	}
+}
+
+// barrierWatch is a toy model that notes every quantum a node started at or
+// past evT before the control event due at evT had been applied.
+type barrierWatch struct {
+	*toyModel
+	evT float64
+
+	mu      sync.Mutex // StepNode runs on the pool's workers
+	applied bool
+	early   []int
+}
+
+func (w *barrierWatch) StepNode(i int) {
+	w.mu.Lock()
+	if !w.applied && w.nodes[i].now >= w.evT {
+		w.early = append(w.early, i)
+	}
+	w.mu.Unlock()
+	w.toyModel.StepNode(i)
+}
+
+func (w *barrierWatch) ApplyEvent(i int) {
+	w.mu.Lock()
+	w.applied = true
+	w.mu.Unlock()
+	w.toyModel.ApplyEvent(i)
+}
+
+// TestControlEventEndsTheGroupedWindow: the model's Horizon says nothing
+// (Inf), yet a control event due inside the epoch is a barrier for every
+// group, not only the one that owns it — no node anywhere starts a quantum
+// at or past the event's instant before the event has been applied.
+func TestControlEventEndsTheGroupedWindow(t *testing.T) {
+	const evT = 30e-6
+	// Group {0,1} has a little work now and more from evT on, so it would
+	// reach the instant long before group {2,3}, which owns the event, has
+	// ground its way there.
+	scripts := [][]toyBatch{
+		{{at: 0, quanta: 5}, {at: evT, quanta: 20}},
+		{{at: 1e-6, quanta: 3}, {at: evT + 2e-6, quanta: 20}},
+		{{at: 0, quanta: 60}},
+		{{at: 0, quanta: 45}},
+	}
+	events := [][]float64{nil, nil, nil, {evT}}
+	multicore := runtime.NumCPU() >= 2
+	if multicore && runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	for round := 0; round < 20; round++ {
+		w := &barrierWatch{toyModel: newToy(scripts), evT: evT}
+		w.events = events
+		w.groups = [][]int{{0, 1}, {2, 3}}
+		e := NewParallel(w, Options{EpochSec: 100e-6})
+		for e.Step() {
+		}
+		if multicore && e.pool == nil {
+			t.Fatal("the scenario never fanned out onto the pool")
+		}
+		if !w.applied || len(w.early) != 0 {
+			t.Fatalf("applied=%v; nodes %v started a quantum at or past the event before it was applied", w.applied, w.early)
+		}
+		sameState(t, "event-barrier", runSeq(scripts, events), w.toyModel)
 	}
 }
 

@@ -404,9 +404,11 @@ func (ix *index) step(limit float64) stepResult {
 	return stepWork
 }
 
-// run replays the set's schedule up to limit on the caller's goroutine. A
-// group's control events are applied by its own worker, so a crash inside
-// the epoch only ever touches group-local state.
+// run replays the set's schedule up to limit on the caller's goroutine. The
+// parallel engine ends a grouped window at the earliest control event known
+// at the barrier, so a group's worker applies an event only when the group's
+// own work scheduled it inside the window, and it then touches group-local
+// state only.
 func (ix *index) run(limit float64) {
 	for ix.step(limit) != stepNone {
 	}

@@ -27,9 +27,10 @@ const DefaultEpochSec = 1e-3
 // worker goroutines (sized to GOMAXPROCS at first fan-out) replays each
 // sharing group's restriction of the sequential schedule between epoch
 // barriers. Group membership is the model's conservative "might interact
-// before the next barrier" relation and every window is clamped to the
-// model's soundness horizon, so workers never contend on shared state and
-// results are byte-identical to the Sequential engine.
+// before the next barrier" relation and every window ends at the next
+// control event or the model's soundness horizon, whichever is first, so
+// workers never contend on shared state and results are byte-identical to
+// the Sequential engine.
 type Parallel struct {
 	m     Model
 	f     *Feed
@@ -78,8 +79,8 @@ func NewParallel(m Model, opt Options) *Parallel {
 func (e *Parallel) Feed() *Feed { return e.f }
 
 // Step runs one epoch: partition nodes into sharing groups, run each group
-// concurrently up to the epoch end (clamped to the model's horizon), then
-// barrier. Returns false when the whole model is drained.
+// concurrently up to the epoch end (clamped to the horizon), then barrier.
+// Returns false when the whole model is drained.
 func (e *Parallel) Step() bool {
 	e.f.enter()
 	t0 := e.f.all.nextActionTime()
@@ -90,34 +91,47 @@ func (e *Parallel) Step() bool {
 	return true
 }
 
+// horizon returns when a grouped window starting at t0 must end: at the
+// next control event anywhere in the fleet — handlers read and steer global
+// state (a membership round, an arrival placement, a crash feeding
+// observers), so each is applied in the exact sequential order — or at the
+// model's own hazard, whichever is first. The fleet index must be fresh.
+func (e *Parallel) horizon(t0 float64) float64 {
+	hz := e.m.Horizon(t0)
+	if _, ev := e.f.all.minEvent(); ev < hz {
+		hz = ev
+	}
+	return hz
+}
+
 // window runs one epoch starting at t0 bounded by end and performs the
 // barrier work. The fleet index is fresh on entry (the caller just asked it
 // for t0).
 func (e *Parallel) window(t0, end float64) {
 	m, all := e.m, &e.f.all
-	if hz := m.Horizon(t0); hz <= t0 {
+	if hz := e.horizon(t0); hz <= t0 {
 		if hz <= NegInf {
 			// Structural collapse: some layer needs the global order for the
 			// whole window, so run it inline — exactly the sequential rule
 			// restricted to nothing.
 			all.run(end)
 		} else {
-			// A point hazard (membership round, timer firing, crash event)
-			// is due right now. Consume actions in the exact sequential
-			// order until the horizon clears or the window drains; the next
-			// window re-partitions and fans back out.
+			// A control event (or a model's point hazard) is due right now.
+			// Consume actions in the exact sequential order until the
+			// horizon clears or the window drains; the next window
+			// re-partitions and fans back out.
 			for all.step(end) != stepNone {
 				t1 := all.nextActionTime()
-				if t1 >= end || m.Horizon(t1) > t1 {
+				if t1 >= end || e.horizon(t1) > t1 {
 					break
 				}
 			}
 		}
 	} else {
 		if hz < end {
-			// Clamp the window to the hazard: no membership round, timer
-			// firing or crash event ever executes inside a grouped window
-			// (step applies actions strictly before the limit).
+			// Clamp the window to the hazard: no control event ever executes
+			// inside a grouped window (step applies actions strictly before
+			// the limit).
 			end = hz
 		}
 		// Only groups with an action before the epoch end need a worker.

@@ -16,15 +16,14 @@
 // Everything is deterministic: routing is static shortest-path (fixed by
 // the spec), link state is mutated only by Transmit, and there is no
 // randomness anywhere in the package. A fabric shares links between node
-// pairs (Contended reports true), which breaks the interconnect's
-// disjoint-shard invariant — but the sharing is structured: in-rack routes
-// touch only the two endpoints' private access links, and cross-rack
-// routes touch only the two racks' ToR uplinks. The fabric exposes that
-// structure as one sharing domain per rack (msg.SharingDomains), and the
-// cluster folds it into the union-find sharing partition: two groups must
-// merge only when both span multiple racks and have a rack in common, so
-// rack-local traffic keeps the parallel engine fully parallel and both
-// engines stay byte-identical.
+// pairs, which breaks the interconnect's disjoint-shard invariant — but the
+// sharing is structured: in-rack routes touch only the two endpoints'
+// private access links, and cross-rack routes touch only the two racks' ToR
+// uplinks. The fabric exposes that structure as one sharing domain per rack
+// (Domain, NumDomains), and the cluster folds it into the union-find sharing
+// partition: two groups must merge only when both span multiple racks and
+// have a rack in common, so rack-local traffic keeps the parallel engine
+// fully parallel and both engines stay byte-identical.
 package topo
 
 import (
@@ -385,17 +384,12 @@ func (f *Fabric) MinLatency() float64 {
 	return min
 }
 
-// Contended reports that the fabric shares links between node pairs:
-// disjoint node groups could race on a common ToR uplink. The fabric also
-// implements msg.SharingDomains, so the cluster resolves the contention
-// structurally (merging multi-rack groups that share a rack) instead of
-// collapsing the partition.
-func (f *Fabric) Contended() bool { return true }
-
 // Domain returns node's sharing domain: its rack. All link sharing in the
 // fat tree is either node-private (access links) or rack-scoped (the ToR
 // uplink pair used by every cross-rack route in or out of the rack), so
-// racks are exactly the granularity at which groups can contend.
+// racks are exactly the granularity at which groups can contend: disjoint
+// node groups could race on a common ToR uplink, and the cluster resolves
+// that by merging multi-rack groups that share a rack.
 func (f *Fabric) Domain(node int) int { return f.Rack(node) }
 
 // NumDomains returns the rack count.

@@ -15,7 +15,7 @@ type Event struct {
 	Detail string
 }
 
-// EventLog is a bounded recorder satisfying msg.EventSink and msg.NodeSink.
+// EventLog is a bounded recorder satisfying msg.EventSink.
 // The kernel and interconnect feed it fault, retry and recovery events;
 // chaos experiments read it back to explain a run. Each ring is bounded:
 // beyond the capacity the oldest events are overwritten (and counted as
@@ -83,7 +83,7 @@ func (l *EventLog) Record(t float64, kind, detail string) {
 	l.global.record(l.max, Event{Time: t, Kind: kind, Detail: detail})
 }
 
-// RecordNode appends one event to node's ring (the msg.NodeSink fast
+// RecordNode appends one event to node's ring (the per-node fast
 // path). A negative node routes to the global ring.
 func (l *EventLog) RecordNode(node int, t float64, kind, detail string) {
 	if node < 0 {
