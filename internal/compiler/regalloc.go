@@ -157,10 +157,6 @@ func buildFrame(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) *frame {
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
-		ci, cj := f.IsCold(ir.VReg(order[i])), f.IsCold(ir.VReg(order[j]))
-		if ci != cj {
-			return !ci // cold vregs allocate last
-		}
 		wi, wj := lv.weight[order[i]], lv.weight[order[j]]
 		if wi != wj {
 			return wi > wj

@@ -65,6 +65,19 @@ func UseEngine(cl *kernel.Cluster, name string) error {
 	return fmt.Errorf("unknown engine %q (valid: seq, par)", name)
 }
 
+// onBothEngines runs one scenario under the sequential and then the parallel
+// engine and reports whether the two fingerprints (run's second result) are
+// identical. run wraps its own errors; the first one ends the pair.
+func onBothEngines[T any](run func(engine string) (T, string, error)) (runs [2]T, agree bool, err error) {
+	var prints [2]string
+	for i, engine := range []string{"seq", "par"} {
+		if runs[i], prints[i], err = run(engine); err != nil {
+			return runs, false, err
+		}
+	}
+	return runs, prints[0] == prints[1], nil
+}
+
 // topoSpec resolves the Config's fabric selection to a topo.Spec.
 func (c Config) topoSpec() topo.Spec {
 	switch c.Topo {

@@ -157,14 +157,17 @@ func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
 				break // the gate tripped: no wave advances while violating
 			}
 			armNodes := int(frac*float64(nodes) + 0.5)
-			seq, err := fleetWave(cfg, jobs, slo, nodes, armNodes, "seq")
+			runs, agree, err := onBothEngines(func(engine string) (*sched.OpenLoopResult, string, error) {
+				res, err := fleetWave(cfg, jobs, slo, nodes, armNodes, engine)
+				if err != nil {
+					return nil, "", fmt.Errorf("fleet %s wave %.0f%% (%s): %w", kind, frac*100, engine, err)
+				}
+				return res, res.Fingerprint(), nil
+			})
 			if err != nil {
-				return nil, fmt.Errorf("fleet %s wave %.0f%% (seq): %w", kind, frac*100, err)
+				return nil, err
 			}
-			par, err := fleetWave(cfg, jobs, slo, nodes, armNodes, "par")
-			if err != nil {
-				return nil, fmt.Errorf("fleet %s wave %.0f%% (par): %w", kind, frac*100, err)
-			}
+			seq := runs[0]
 
 			w := FleetWave{
 				ArmFrac: frac, ArmNodes: armNodes, Nodes: nodes,
@@ -178,7 +181,7 @@ func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
 				EnergyJ:              seq.EnergyTotal,
 				MakespanSec:          seq.Makespan,
 				Migrations:           seq.Migrations,
-				EnginesAgree:         seq.Fingerprint() == par.Fingerprint(),
+				EnginesAgree:         agree,
 			}
 			series.Waves = append(series.Waves, w)
 			healthy = w.Healthy

@@ -264,23 +264,25 @@ func runPartitionOnce(cfg Config, engine string, sc partitionScenario, seed int6
 func Partition(cfg Config, opts PartitionOptions) ([]PartitionRow, error) {
 	var rows []PartitionRow
 	for _, sc := range partitionScenarios(cfg) {
-		var prints []string
-		for _, engine := range []string{"seq", "par"} {
+		per, agree, err := onBothEngines(func(engine string) (PartitionRow, string, error) {
 			row, err := runPartitionOnce(cfg, engine, sc, opts.Seed)
 			if err != nil {
-				return nil, fmt.Errorf("exp: partition %s/%s: %w", sc.name, engine, err)
+				return row, "", fmt.Errorf("exp: partition %s/%s: %w", sc.name, engine, err)
 			}
-			rows = append(rows, row)
-			prints = append(prints, row.fingerprint)
 			cfg.printf("partition %-17s %-3s n=%d restores=%d (minority %d) deaths=%d deferred=%d rejoins=%d converged=%v exit=%v match=%v\n",
 				sc.name, engine, sc.nodes, row.Restores, row.MinorityRestores,
 				row.Deaths, row.DeferredVerdicts, row.Rejoins,
 				row.ViewsConverged, row.ExitOK, row.OutputMatch)
+			return row, row.fingerprint, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if prints[0] != prints[1] {
+		if !agree {
 			return nil, fmt.Errorf("exp: partition %s: engines diverge:\nseq %s\npar %s",
-				sc.name, prints[0], prints[1])
+				sc.name, per[0].fingerprint, per[1].fingerprint)
 		}
+		rows = append(rows, per[0], per[1])
 	}
 	return rows, nil
 }

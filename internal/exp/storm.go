@@ -306,14 +306,17 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 	cfg.printf("  chaos: %d crash events, %d uplink cuts, %d gray-cpu, %d gray-nic windows\n",
 		len(plan.Crashes), len(plan.Partitions), len(plan.Slowdowns), len(plan.Windows)/2)
 
-	seq, err := runStormOnce(cfg, "seq", jobs, slo, plan, racks, perRack)
+	runs, agree, err := onBothEngines(func(engine string) (*stormRun, string, error) {
+		run, err := runStormOnce(cfg, engine, jobs, slo, plan, racks, perRack)
+		if err != nil {
+			return nil, "", fmt.Errorf("storm (%s): %w", engine, err)
+		}
+		return run, run.fingerprint, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("storm (seq): %w", err)
+		return nil, err
 	}
-	par, err := runStormOnce(cfg, "par", jobs, slo, plan, racks, perRack)
-	if err != nil {
-		return nil, fmt.Errorf("storm (par): %w", err)
-	}
+	seq := runs[0]
 
 	res := &StormResult{
 		Nodes: nodes, Racks: racks, Jobs: jobsN,
@@ -339,7 +342,7 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 		FalseSuspicions:  seq.st.FalseSuspicions,
 		MakespanSec:      seq.res.Makespan,
 		Phases:           stormPhases(seq.res, slo, spec.Start, spec.End),
-		EnginesAgree:     seq.fingerprint == par.fingerprint,
+		EnginesAgree:     agree,
 	}
 	for _, p := range res.Phases {
 		cfg.printf("  %-9s offered=%3d done=%3d shed=%2d lost=%2d p50=%.4fs p99=%.4fs viol=%d (%.1f%%)\n",

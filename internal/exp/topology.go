@@ -293,19 +293,21 @@ func Topology(cfg Config, opts TopologyOptions) ([]TopologyRow, error) {
 	}
 	var rows []TopologyRow
 	for _, o := range oversubs {
-		var per [2]TopologyRow
-		for i, engine := range []string{"seq", "par"} {
+		per, agree, err := onBothEngines(func(engine string) (TopologyRow, string, error) {
 			row, err := runTopologyOnce(cfg, engine, racks, perRack, o, opts.Seed)
 			if err != nil {
-				return nil, err
+				return row, "", err
 			}
-			per[i] = row
 			cfg.printf("topology %-3s oversub=%3g rtt %6.2f/%6.2fus detect=%7.3fms mig %7.3f/%7.3fms fanin %7.3f/%7.3fms util=%.3f\n",
 				engine, o, row.InRackRTTSec*1e6, row.CrossRackRTTSec*1e6,
 				row.GossipDetectSec*1e3, row.MigrateInRackSec*1e3, row.MigrateCrossRackSec*1e3,
 				row.FaninInRackSec*1e3, row.FaninCrossRackSec*1e3, row.MaxUplinkUtil)
+			return row, row.fingerprint, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if per[0].fingerprint != per[1].fingerprint {
+		if !agree {
 			return nil, fmt.Errorf("exp: topology: engines diverged at oversub %g:\nseq: %s\npar: %s",
 				o, per[0].fingerprint, per[1].fingerprint)
 		}

@@ -25,10 +25,11 @@ import (
 // oracle's modes, every driver here acts only at engine-defined points —
 // spawn time, migration callbacks, control events and Run() boundaries —
 // because those are the points the parallel engine reproduces exactly.
-// (Drivers that poll between individual Step calls, like the closed-loop
-// sched.Runner, see epoch-grained state under "par" and are exercised
-// elsewhere; the open-loop runner acts via timer control events and gets its
-// own engine-identity scenario in engine_fleet_test.go.)
+// (A driver that looks at the cluster between individual Step calls, as
+// sched's closed-loop admission rule does to notice a freed slot, sees
+// epoch-grained state under "par" and is exercised elsewhere; under the
+// open-loop rule the same driver acts only in timer control events and gets
+// its own engine-identity scenario in engine_fleet_test.go.)
 
 // detRun is one execution's observables plus the interconnect counters.
 type detRun struct {

@@ -11,9 +11,9 @@ import (
 
 // TestEngineDeterminismFleet replays one open-loop fleet workload per
 // arrival process on both time engines and demands bit-identical
-// observables. Unlike the closed-loop sched.Runner (which polls between
-// Step calls and is epoch-grained under "par"), the open-loop mode injects
-// admissions and rebalances through the cluster's timer-event stream, so
+// observables. Unlike the closed-loop admission rule (which notices a freed
+// slot between Step calls and is epoch-grained under "par"), the open-loop
+// rule admits and rebalances only in the cluster's timer-event stream, so
 // every placement, migration, exit instant and the SLO quantile report must
 // match across engines at full float precision.
 func TestEngineDeterminismFleet(t *testing.T) {

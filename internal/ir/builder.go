@@ -95,13 +95,6 @@ func (b *Builder) PtrAdd(p, off VReg) VReg {
 	return d
 }
 
-// PtrAddImm adds a constant byte offset to a pointer.
-func (b *Builder) PtrAddImm(p VReg, off int64) VReg {
-	d := b.F.NewVReg(Ptr)
-	b.emit(Instr{Kind: KBinImm, Bin: Add, Dst: d, A: p, Imm: off, B: NoV, C: NoV})
-	return d
-}
-
 // FBin emits a float binary op.
 func (b *Builder) FBin(op FBinOp, x, y VReg) VReg {
 	d := b.F.NewVReg(F64)

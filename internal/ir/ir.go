@@ -236,23 +236,7 @@ type Func struct {
 	// IsEntry marks thread entry shims (__start, __thread_start); the stack
 	// unwinder stops at them (their return address is the 0 sentinel).
 	IsEntry bool
-
-	// coldVRegs get the lowest register-allocation priority (frame slots):
-	// bookkeeping values such as poll counters must never displace hot
-	// application values from registers.
-	coldVRegs map[VReg]bool
 }
-
-// MarkCold gives v the lowest allocation priority.
-func (f *Func) MarkCold(v VReg) {
-	if f.coldVRegs == nil {
-		f.coldVRegs = make(map[VReg]bool)
-	}
-	f.coldVRegs[v] = true
-}
-
-// IsCold reports whether v was marked cold.
-func (f *Func) IsCold(v VReg) bool { return f.coldVRegs[v] }
 
 // NumVRegs returns the number of virtual registers.
 func (f *Func) NumVRegs() int { return len(f.vregTypes) }
@@ -297,15 +281,6 @@ func (f *Func) Finish() {
 		}
 	}
 	f.NumCallSites = id - 1
-}
-
-// SigOf returns the function's signature.
-func (f *Func) SigOf() Sig {
-	ps := make([]Type, len(f.Params))
-	for i, p := range f.Params {
-		ps[i] = p.Type
-	}
-	return Sig{Params: ps, Ret: f.Ret}
 }
 
 // Global is a module-level datum placed at an identical virtual address on

@@ -314,13 +314,3 @@ func (d *Desc) IsCalleeSaved(r Reg) bool {
 	}
 	return false
 }
-
-// IsCalleeSavedFloat reports whether float register r is callee-saved.
-func (d *Desc) IsCalleeSavedFloat(r Reg) bool {
-	for _, cs := range d.CalleeSavedFloat {
-		if cs == r {
-			return true
-		}
-	}
-	return false
-}

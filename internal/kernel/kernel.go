@@ -352,27 +352,50 @@ func stackGuardPage(addr uint64) bool {
 	return offInHalf < mem.PageSize
 }
 
-// handleFault resolves a DSM fault. Returns a wake time (>0) if the thread
-// must sleep for a page transfer, or 0 for an in-place (cold/upgrade)
-// resolution.
+// handleFault resolves a DSM fault taken by a running thread. Returns a
+// wake time (>0) if the thread must sleep for a page transfer or an
+// invalidation, or 0 for an in-place (cold) resolution.
 func (k *Kernel) handleFault(t *Thread, addr uint64, write bool, now float64) (float64, error) {
 	if stackGuardPage(addr) {
 		return 0, fmt.Errorf("kernel: stack overflow: tid %d touched guard page at %#x", t.Tid, addr)
 	}
-	p := t.Proc
+	act, rtt, err := k.resolveFault(t.Proc, addr, write, now)
+	if act.TransferFrom >= 0 {
+		// hDSM service CPU work at both endpoints, spent whether or not
+		// the reply then arrives.
+		k.ServiceSeconds += dsmServiceCPUSeconds
+		k.cluster.Kernels[act.TransferFrom].ServiceSeconds += dsmServiceCPUSeconds
+	}
+	if err != nil || act.Cold {
+		return 0, err
+	}
+	return now + rtt, nil
+}
+
+// resolveFault runs the hDSM protocol for one fault by this node on p's
+// page at addr, at simulated instant now. A first touch zero-fills in place;
+// otherwise the other copies are dropped or protected as the directory
+// directs and either the owner's content is installed (a request/reply
+// round trip carrying the page) or a Shared copy is upgraded in place (an
+// invalidation round trip with the nearest copy holder or the origin's
+// directory, no data). It returns the directory's action and the latency
+// of the resolution; how that latency and the service CPU time are charged
+// is the caller's business (a thread sleeps, kmem accumulates).
+func (k *Kernel) resolveFault(p *Process, addr uint64, write bool, now float64) (dsm.Action, float64, error) {
 	page := mem.PageIndex(addr)
 	act, err := p.Space.Fault(k.Node, page, write)
 	if err != nil {
-		return 0, fmt.Errorf("kernel: node %d tid %d addr %#x: %w", k.Node, t.Tid, addr, err)
+		return act, 0, fmt.Errorf("kernel: node %d addr %#x: %w", k.Node, addr, err)
 	}
 	base := page << mem.PageShift
+	local := p.Mems[k.Node]
 
 	if act.Cold {
-		p.Mems[k.Node].EnsurePage(base)
+		local.EnsurePage(base)
 		if DebugDSM {
 			fmt.Printf("dsm: node%d COLD %#x write=%v\n", k.Node, base, write)
 		}
-		return 0, nil
+		return act, coldFaultSeconds, nil
 	}
 
 	// Copy the page content BEFORE applying Drop directives — the owner's
@@ -387,40 +410,30 @@ func (k *Kernel) handleFault(t *Thread, addr uint64, write bool, now float64) (f
 	// Apply protection changes at the other copies now (content freezes).
 	k.applyDSM(p, act, base)
 
-	if act.TransferFrom >= 0 {
+	peer, size := act.TransferFrom, int64(mem.PageSize)
+	if peer >= 0 {
 		if DebugDSM {
-			fmt.Printf("dsm: node%d XFER %#x from node%d write=%v grant=%d\n", k.Node, base, act.TransferFrom, write, act.Grant)
+			fmt.Printf("dsm: node%d XFER %#x from node%d write=%v grant=%d\n", k.Node, base, peer, write, act.Grant)
 		}
-		// Install the copied content and charge a request/reply round trip.
-		dst := p.Mems[k.Node].EnsurePage(base)
+		dst := local.EnsurePage(base)
 		if snapshot != nil {
 			*dst = *snapshot
 		}
-		if act.Grant == dsm.Shared {
-			p.Mems[k.Node].Protect(base)
-		} else {
-			p.Mems[k.Node].Unprotect(base)
-		}
 		k.PagesIn++
-		k.cluster.Kernels[act.TransferFrom].PagesOut++
-		// hDSM service CPU work at both endpoints.
-		k.ServiceSeconds += dsmServiceCPUSeconds
-		k.cluster.Kernels[act.TransferFrom].ServiceSeconds += dsmServiceCPUSeconds
-		rtt, ok := k.cluster.IC.ReliableRTT(now, k.Node, act.TransferFrom, mem.PageSize)
-		if !ok {
-			return 0, fmt.Errorf("kernel: node %d: page %#x unreachable: owner node %d unresponsive", k.Node, base, act.TransferFrom)
-		}
-		return now + rtt, nil
+		k.cluster.Kernels[peer].PagesOut++
+	} else {
+		peer, size = dsmPeer(act, p, k.Node), 0
 	}
-
-	// Upgrade in place (Shared -> Exclusive): invalidation round trip with
-	// the nearest copy holder (or the origin's directory), no data transfer.
-	p.Mems[k.Node].Unprotect(base)
-	rtt, ok := k.cluster.IC.ReliableRTT(now, k.Node, dsmPeer(act, p, k.Node), 0)
+	if act.Grant == dsm.Shared {
+		local.Protect(base)
+	} else {
+		local.Unprotect(base)
+	}
+	rtt, ok := k.cluster.IC.ReliableRTT(now, k.Node, peer, size)
 	if !ok {
-		return 0, fmt.Errorf("kernel: node %d: invalidation for page %#x lost: peer unresponsive", k.Node, base)
+		return act, 0, fmt.Errorf("kernel: node %d: page %#x: node %d unresponsive", k.Node, base, peer)
 	}
-	return now + rtt, nil
+	return act, rtt, nil
 }
 
 // dsmPeer picks the remote endpoint an invalidation round trip talks to:
@@ -493,51 +506,9 @@ type kmem struct {
 }
 
 func (m *kmem) resolve(addr uint64, write bool) error {
-	page := mem.PageIndex(addr)
-	act, err := m.p.Space.Fault(m.k.Node, page, write)
-	if err != nil {
-		return err
-	}
-	base := page << mem.PageShift
-	if act.Cold {
-		m.p.Mems[m.k.Node].EnsurePage(base)
-		m.Lat += coldFaultSeconds
-		return nil
-	}
-	var snapshot *mem.Page
-	if act.TransferFrom >= 0 {
-		if src := m.p.Mems[act.TransferFrom].Page(base); src != nil {
-			cp := *src
-			snapshot = &cp
-		}
-	}
-	m.k.applyDSM(m.p, act, base)
-	now := m.k.now + m.Lat
-	if act.TransferFrom >= 0 {
-		dst := m.p.Mems[m.k.Node].EnsurePage(base)
-		if snapshot != nil {
-			*dst = *snapshot
-		}
-		m.k.PagesIn++
-		m.k.cluster.Kernels[act.TransferFrom].PagesOut++
-		rtt, ok := m.k.cluster.IC.ReliableRTT(now, m.k.Node, act.TransferFrom, mem.PageSize)
-		if !ok {
-			return fmt.Errorf("kernel: page %#x unreachable: owner node %d unresponsive", base, act.TransferFrom)
-		}
-		m.Lat += rtt
-	} else {
-		rtt, ok := m.k.cluster.IC.ReliableRTT(now, m.k.Node, dsmPeer(act, m.p, m.k.Node), 0)
-		if !ok {
-			return fmt.Errorf("kernel: invalidation for page %#x lost: peer unresponsive", base)
-		}
-		m.Lat += rtt
-	}
-	if act.Grant == dsm.Shared {
-		m.p.Mems[m.k.Node].Protect(base)
-	} else {
-		m.p.Mems[m.k.Node].Unprotect(base)
-	}
-	return nil
+	_, lat, err := m.k.resolveFault(m.p, addr, write, m.k.now+m.Lat)
+	m.Lat += lat
+	return err
 }
 
 // ReadU64 implements xform.MemIO.
@@ -647,13 +618,5 @@ func (k *Kernel) CacheStats() (iAcc, iMiss, dAcc, dMiss uint64) {
 func (k *Kernel) InstrumentPointAttr(fn func(string)) {
 	for _, cs := range k.cores {
 		cs.core.OnMigratePointAt = fn
-	}
-}
-
-// InstrumentProfile attaches a per-function instruction profile map to all
-// cores (diagnostics).
-func (k *Kernel) InstrumentProfile(m map[string]uint64) {
-	for _, cs := range k.cores {
-		cs.core.InstrProfile = m
 	}
 }

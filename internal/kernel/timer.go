@@ -1,14 +1,15 @@
 package kernel
 
-// The open-loop traffic hookup: a TimerSource turns driver actions (job
-// arrivals, rebalance ticks) into cluster control events, fired at their
+// The job-driver hookup: a TimerSource turns driver actions (job
+// admissions, rebalance ticks) into cluster control events, fired at their
 // exact simulated instants from engine context — the same mechanism that
-// delivers crash schedules and membership rounds. Drivers that instead poll
-// between Step calls see quantum-grained state under the sequential engine
-// and epoch-grained state under the parallel one, which is why the legacy
-// sched.Runner loop produces slightly different placements per engine; a
-// timer-driven driver acts only at engine-defined points and is therefore
-// byte-identical on both.
+// delivers crash schedules and membership rounds. A driver that acts only
+// in firings acts only at engine-defined points and is byte-identical on
+// both engines. What a driver learns by looking at the cluster between Step
+// calls is quantum-grained under the sequential engine and epoch-grained
+// under the parallel one: sched's closed-loop admission rule notices a
+// freed slot that way, which is why sustained workloads place slightly
+// differently per engine while open-loop ones do not.
 
 // TimerSource schedules simulated-instant callbacks on the cluster.
 type TimerSource interface {

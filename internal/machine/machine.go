@@ -96,10 +96,6 @@ type Core struct {
 	// translated/interpreted execution.
 	CostFn func(op isa.Op) int64
 
-	// InstrProfile, when non-nil, accumulates retired instructions per
-	// function (diagnostics; expensive).
-	InstrProfile map[string]uint64
-
 	// tlb caches Mem's page translations for guest loads and stores. It is
 	// allocated at the first instruction: most cores of a fleet never run.
 	tlb *mem.TLB
@@ -210,8 +206,7 @@ func (c *Core) Run(budget int64) Event {
 func (c *Core) run(budget int64) Event {
 	d := c.Desc
 	costs := isa.Costs(d.Arch)
-	// CostFn and InstrProfile are consulted per instruction, behind one flag.
-	slow := c.CostFn != nil || c.InstrProfile != nil
+	slow := c.CostFn != nil // consulted per instruction, behind one flag
 	if c.tlb == nil {
 		c.tlb = new(mem.TLB)
 	}
@@ -231,12 +226,7 @@ loop:
 		// Instruction fetch: base op cost plus I-cache cost.
 		cost := costs[in.Op]
 		if slow {
-			if c.InstrProfile != nil {
-				c.InstrProfile[fn.Name]++
-			}
-			if c.CostFn != nil {
-				cost = c.CostFn(in.Op)
-			}
+			cost = c.CostFn(in.Op)
 		}
 		if !ic.Repeat(pc, in.Size) {
 			cost += ic.AccessRange(pc, in.Size)

@@ -154,9 +154,6 @@ func (m *Memory) InstallPage(addr uint64, data *Page) {
 	*p = *data
 }
 
-// PageCount returns the number of present pages.
-func (m *Memory) PageCount() int { return len(m.pages) }
-
 // PageIndices returns the indices of all present pages (unordered).
 func (m *Memory) PageIndices() []uint64 {
 	out := make([]uint64, 0, len(m.pages))

@@ -391,6 +391,33 @@ func (ic *Interconnect) maxRetries() int {
 	return DefaultMaxRetries
 }
 
+// retx is the retransmission state of one reliable exchange: the time
+// burnt on timeouts and stalls so far, the current timeout and the retries
+// consumed.
+type retx struct {
+	elapsed, rto float64
+	retries      int
+}
+
+// retry books the retransmission after a lost attempt (the caller counts
+// the loss itself and traces both outcomes). Past the retry budget the
+// exchange is given up: Exhausted is counted and retry returns false.
+// Otherwise the sender waits out the timeout, which doubles up to
+// retxBackoffCap times its initial value.
+func (ic *Interconnect) retry(st *Stats, rx *retx) bool {
+	st.Retries++
+	rx.retries++
+	if rx.retries > ic.maxRetries() {
+		st.Exhausted++
+		return false
+	}
+	rx.elapsed += rx.rto
+	if rx.rto < ic.retxTimeout()*retxBackoffCap {
+		rx.rto *= 2
+	}
+	return true
+}
+
 // transmit charges the from->to link for one message and builds it with
 // its fault-free delivery time; the caller decides whether it is enqueued.
 // With a path model installed the delivery time comes from the fabric
@@ -497,11 +524,9 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 	ic.ensure(from)
 	ic.ensure(to)
 	st := &ic.stats[from]
-	elapsed := 0.0
-	rto := ic.retxTimeout()
-	retries := 0
+	rx := retx{rto: ic.retxTimeout()}
 	for {
-		at := now + elapsed
+		at := now + rx.elapsed
 		if ic.inj.NodeDown(to, at) {
 			rec, ok := ic.inj.NodeRecoverAt(to, at)
 			if !ok {
@@ -510,7 +535,7 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 				return at, false
 			}
 			st.CrashStalls++
-			elapsed = rec - now + rto
+			rx.elapsed = rec - now + rx.rto
 			continue
 		}
 		if ic.cut(at, from, to) {
@@ -520,21 +545,15 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 			if heal, ok := ic.part.LinkClearAt(at, from, to); ok {
 				st.PartitionStalls++
 				ic.tracef(from, at, "cut-stall", "type %d %d->%d: partitioned until %.6g", t, from, to, heal)
-				elapsed = heal - now + rto
+				rx.elapsed = heal - now + rx.rto
 				continue
 			}
 			st.PartitionDrops++
-			st.Retries++
-			retries++
-			ic.tracef(from, at, "retx", "type %d %d->%d cut, retry %d", t, from, to, retries)
-			if retries > ic.maxRetries() {
-				st.Exhausted++
+			again := ic.retry(st, &rx)
+			ic.tracef(from, at, "retx", "type %d %d->%d cut, retry %d", t, from, to, rx.retries)
+			if !again {
 				ic.tracef(from, at, "send-fail", "type %d %d->%d: partitioned permanently", t, from, to)
 				return at, false
-			}
-			elapsed += rto
-			if rto < ic.retxTimeout()*retxBackoffCap {
-				rto *= 2
 			}
 			continue
 		}
@@ -542,17 +561,11 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 		drop, dup, jit := ic.inj.Fate(at, from, to, m.Seq)
 		if drop {
 			st.Dropped++
-			st.Retries++
-			retries++
-			ic.tracef(from, at, "retx", "type %d %d->%d seq %d retry %d", t, from, to, m.Seq, retries)
-			if retries > ic.maxRetries() {
-				st.Exhausted++
+			again := ic.retry(st, &rx)
+			ic.tracef(from, at, "retx", "type %d %d->%d seq %d retry %d", t, from, to, m.Seq, rx.retries)
+			if !again {
 				ic.tracef(from, at, "send-fail", "type %d %d->%d: retries exhausted", t, from, to)
 				return at, false
-			}
-			elapsed += rto
-			if rto < ic.retxTimeout()*retxBackoffCap {
-				rto *= 2
 			}
 			continue
 		}
@@ -562,17 +575,11 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 			// sender retransmits after the timeout.
 			st.Dropped++
 			st.PartitionDrops++
-			st.Retries++
-			retries++
-			ic.tracef(from, at, "retx", "type %d %d->%d seq %d cut in flight, retry %d", t, from, to, m.Seq, retries)
-			if retries > ic.maxRetries() {
-				st.Exhausted++
+			again := ic.retry(st, &rx)
+			ic.tracef(from, at, "retx", "type %d %d->%d seq %d cut in flight, retry %d", t, from, to, m.Seq, rx.retries)
+			if !again {
 				ic.tracef(from, at, "send-fail", "type %d %d->%d: partitioned permanently", t, from, to)
 				return at, false
-			}
-			elapsed += rto
-			if rto < ic.retxTimeout()*retxBackoffCap {
-				rto *= 2
 			}
 			continue
 		}
@@ -592,7 +599,7 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 			lk := ic.link(from, to)
 			lk.seq++
 			cp.Seq = lk.seq
-			cp.Deliver = m.Deliver + rto
+			cp.Deliver = m.Deliver + rx.rto
 			if ic.cut(cp.Deliver, from, to) {
 				st.PartitionDrops++
 			} else {
@@ -641,20 +648,18 @@ func (ic *Interconnect) ReliableRTT(now float64, from, to int, replySize int64) 
 	ic.ensure(from)
 	ic.ensure(to)
 	st := &ic.stats[from]
-	elapsed := 0.0
-	rto := ic.retxTimeout()
-	retries := 0
+	rx := retx{rto: ic.retxTimeout()}
 	for {
-		at := now + elapsed
+		at := now + rx.elapsed
 		if ic.inj.NodeDown(to, at) {
 			rec, ok := ic.inj.NodeRecoverAt(to, at)
 			if !ok {
 				st.Exhausted++
 				ic.tracef(from, at, "rtt-fail", "%d->%d: node %d down permanently", from, to, to)
-				return elapsed, false
+				return rx.elapsed, false
 			}
 			st.CrashStalls++
-			elapsed = rec - now + rto
+			rx.elapsed = rec - now + rx.rto
 			continue
 		}
 		if ic.cut(at, from, to) || ic.cut(at, to, from) {
@@ -678,21 +683,15 @@ func (ic *Interconnect) ReliableRTT(now float64, from, to int, replySize int64) 
 			if ok {
 				st.PartitionStalls++
 				ic.tracef(from, at, "cut-stall", "rtt %d->%d: partitioned until %.6g", from, to, heal)
-				elapsed = heal - now + rto
+				rx.elapsed = heal - now + rx.rto
 				continue
 			}
 			st.PartitionDrops++
-			st.Retries++
-			retries++
-			ic.tracef(from, at, "retx", "rtt %d->%d cut, retry %d", from, to, retries)
-			if retries > ic.maxRetries() {
-				st.Exhausted++
+			again := ic.retry(st, &rx)
+			ic.tracef(from, at, "retx", "rtt %d->%d cut, retry %d", from, to, rx.retries)
+			if !again {
 				ic.tracef(from, at, "rtt-fail", "%d->%d: partitioned permanently", from, to)
-				return elapsed, false
-			}
-			elapsed += rto
-			if rto < ic.retxTimeout()*retxBackoffCap {
-				rto *= 2
+				return rx.elapsed, false
 			}
 			continue
 		}
@@ -703,20 +702,14 @@ func (ic *Interconnect) ReliableRTT(now float64, from, to int, replySize int64) 
 		rep.seq++
 		repDrop, _, repJit := ic.inj.Fate(at, to, from, rep.seq)
 		if !reqDrop && !repDrop {
-			return elapsed + ic.RoundTripTime(at, from, to, replySize) + reqJit + repJit, true
+			return rx.elapsed + ic.RoundTripTime(at, from, to, replySize) + reqJit + repJit, true
 		}
 		st.Dropped++
-		st.Retries++
-		retries++
-		ic.tracef(from, at, "retx", "rtt %d->%d retry %d", from, to, retries)
-		if retries > ic.maxRetries() {
-			st.Exhausted++
+		again := ic.retry(st, &rx)
+		ic.tracef(from, at, "retx", "rtt %d->%d retry %d", from, to, rx.retries)
+		if !again {
 			ic.tracef(from, at, "rtt-fail", "%d->%d: retries exhausted", from, to)
-			return elapsed, false
-		}
-		elapsed += rto
-		if rto < ic.retxTimeout()*retxBackoffCap {
-			rto *= 2
+			return rx.elapsed, false
 		}
 	}
 }

@@ -81,7 +81,7 @@ func (g Degrade) withDefaults(r *Runner) Degrade {
 // controlTick runs one degradation control round: refresh health scores,
 // adjust the admission cutoff from the SLO error budget, and drive
 // evacuations off degraded nodes.
-func (d *openLoopDriver) controlTick(now float64) {
+func (d *jobDriver) controlTick(now float64) {
 	if h := d.deg.Health; h != nil {
 		h.Tick(now)
 	}
@@ -102,10 +102,10 @@ func (d *openLoopDriver) controlTick(now float64) {
 // migrations off them. A request is only an intent — the thread must
 // reach a migration point, the transfer can abort and roll back — so the
 // episode is acknowledged by the cluster's migration event (see
-// RunOpenLoop's OnMigration hook clearing evacFrom) and re-requested
+// drive's OnMigration hook clearing evacFrom) and re-requested
 // with doubled, capped backoff until it lands or EvacRetries attempts
 // time the episode out.
-func (d *openLoopDriver) evacuate(now float64) {
+func (d *jobDriver) evacuate(now float64) {
 	h := d.deg.Health
 	for _, jr := range d.st.Active {
 		if jr.evacFrom < 0 {
@@ -146,7 +146,7 @@ func (d *openLoopDriver) evacuate(now float64) {
 
 // evacTarget picks the least-loaded healthy destination for an
 // evacuating job, or -1 when none exists.
-func (d *openLoopDriver) evacTarget(jr *JobRun) int {
+func (d *jobDriver) evacTarget(jr *JobRun) int {
 	h := d.deg.Health
 	w := d.r.Policy.Weights(d.st)
 	best, bestScore := -1, 1e30

@@ -60,7 +60,7 @@ type JobLatency struct {
 	Outcome string `json:"outcome"`
 }
 
-// OpenLoopResult extends the closed-loop Result with SLO accounting.
+// OpenLoopResult extends Result with SLO accounting.
 type OpenLoopResult struct {
 	Result
 	Offered   int
@@ -100,14 +100,18 @@ type OpenLoopResult struct {
 // totals agree only up to float association).
 func (r *OpenLoopResult) Fingerprint() string { return r.fingerprint }
 
-// openLoopDriver is the kernel.TimerSource that injects jobs at their
-// arrival instants and runs rebalance ticks, all in engine context so both
-// time engines reproduce the same schedule byte-for-byte.
-type openLoopDriver struct {
+// jobDriver is the one job driver: a kernel.TimerSource that admits jobs,
+// sweeps completions and runs rebalance ticks, all in engine context so both
+// time engines reproduce the same schedule byte-for-byte. Who admits the
+// next job is one predicate (admitAt): open loop, the head of the queue
+// starts at its arrival instant; closed loop (conc > 0), it starts whenever
+// fewer than conc jobs are in flight and arrival stamps are ignored.
+type jobDriver struct {
 	r       *Runner
 	st      *State
 	mgr     *ckpt.Manager
 	pending []Job
+	conc    int
 	acct    *traffic.Accountant
 	byProc  map[*kernel.Process]*JobLatency
 	jobs    []JobLatency
@@ -129,14 +133,26 @@ type openLoopDriver struct {
 // olInf mirrors the engine's "never" time.
 const olInf = 1e30
 
-func (d *openLoopDriver) NextDue() float64 {
+// admitAt is the admission rule: the instant the head of the queue may
+// start, or olInf. Under the closed-loop rule a free slot is due at once
+// (the engine fires a past-due timer at node 0's clock).
+func (d *jobDriver) admitAt() float64 {
+	switch {
+	case len(d.pending) == 0:
+		return olInf
+	case d.conc == 0:
+		return d.pending[0].Arrival
+	case len(d.st.Active) < d.conc:
+		return 0
+	}
+	return olInf
+}
+
+func (d *jobDriver) NextDue() float64 {
 	if d.err != nil {
 		return olInf
 	}
-	t := olInf
-	if len(d.pending) > 0 {
-		t = d.pending[0].Arrival
-	}
+	t := d.admitAt()
 	if d.r.Policy.Dynamic() && len(d.st.Active) > 0 && d.nextReb < t {
 		t = d.nextReb
 	}
@@ -146,7 +162,7 @@ func (d *openLoopDriver) NextDue() float64 {
 	return t
 }
 
-func (d *openLoopDriver) Fire(now float64) {
+func (d *jobDriver) Fire(now float64) {
 	if d.err != nil {
 		return
 	}
@@ -155,7 +171,7 @@ func (d *openLoopDriver) Fire(now float64) {
 		d.controlTick(now)
 		d.nextCtl = now + d.ctlEvery
 	}
-	for len(d.pending) > 0 && d.pending[0].Arrival <= now {
+	for d.admitAt() <= now {
 		j := d.pending[0]
 		d.pending = d.pending[1:]
 		if d.deg != nil && j.Priority < d.cutoff {
@@ -178,8 +194,8 @@ func (d *openLoopDriver) Fire(now float64) {
 	}
 }
 
-// admit builds, places and spawns one job at its arrival instant.
-func (d *openLoopDriver) admit(j Job, now float64) error {
+// admit builds, places and spawns one job.
+func (d *jobDriver) admit(j Job, now float64) error {
 	img, err := npb.Build(j.Bench, j.Class, j.Threads)
 	if err != nil {
 		return err
@@ -193,7 +209,7 @@ func (d *openLoopDriver) admit(j Job, now float64) error {
 		d.mgr.Track(p, img, d.r.Checkpoint)
 	}
 	d.st.Active = append(d.st.Active, &JobRun{
-		Job: j, Proc: p, Node: node, Started: now, lastMove: now, evacFrom: -1,
+		Job: j, Proc: p, Node: node, lastMove: now, evacFrom: -1,
 	})
 	d.jobs[j.ID] = JobLatency{ID: j.ID, Node: node, Priority: j.Priority, ArrivalSec: j.Arrival}
 	d.byProc[p] = &d.jobs[j.ID]
@@ -202,9 +218,9 @@ func (d *openLoopDriver) admit(j Job, now float64) error {
 
 // retire sweeps completed jobs out of the active set and accounts their
 // latencies. Timestamps come from the kernel's exit instants, so it is
-// harmless that the sweep itself runs at event (or drain) granularity.
-func (d *openLoopDriver) retire() {
-	var live []*JobRun
+// harmless that the sweep itself runs at event (or step) granularity.
+func (d *jobDriver) retire() {
+	live := d.st.Active[:0]
 	for _, jr := range d.st.Active {
 		exited, _ := jr.Proc.Exited()
 		if !exited {
@@ -220,14 +236,13 @@ func (d *openLoopDriver) retire() {
 				delete(d.byProc, jr.Proc)
 				jl.ExitSec = jr.Proc.ExitTime()
 				jl.Outcome = OutcomeLost
-				jr.Finished = jl.ExitSec
 				d.lost++
 				if d.mgr != nil && d.mgr.LatestImage(jr.Proc) != nil {
 					d.ckptLost++
 				}
 				continue
 			}
-			d.err = fmt.Errorf("sched: open-loop job %d (%s.%s) failed: %w",
+			d.err = fmt.Errorf("sched: job %d (%s.%s) failed: %w",
 				jr.Job.ID, jr.Job.Bench, jr.Job.Class, err)
 			live = append(live, jr)
 			continue
@@ -237,21 +252,26 @@ func (d *openLoopDriver) retire() {
 		jl.ExitSec = jr.Proc.ExitTime()
 		jl.SojournSec = jl.ExitSec - jl.ArrivalSec
 		jl.Outcome = OutcomeCompleted
-		jr.Finished = jl.ExitSec
 		d.acct.Observe(jl.SojournSec)
 		d.done++
 	}
+	clear(d.st.Active[len(live):]) // exited jobs must not pin their processes
 	d.st.Active = live
 }
 
 // RunOpenLoop executes an open-loop workload to completion. Admission and
 // rebalancing are driven through the cluster's timer-event hookup, so the
 // whole run — placements, migrations, exits and the SLO report — is
-// byte-identical under the sequential and parallel engines (a timer source
-// pins the parallel engine to one inline group; see kernel/timer.go).
+// byte-identical under the sequential and parallel engines (every firing is
+// a control event, a window barrier; see kernel/timer.go).
 func (r *Runner) RunOpenLoop(w OpenLoop) (*OpenLoopResult, error) {
+	return r.drive(w, 0)
+}
+
+// drive runs w under the admission rule conc selects (see jobDriver).
+func (r *Runner) drive(w OpenLoop, conc int) (*OpenLoopResult, error) {
 	if len(w.Jobs) == 0 {
-		return nil, fmt.Errorf("sched: open-loop workload has no jobs")
+		return nil, fmt.Errorf("sched: workload has no jobs")
 	}
 	acct, err := traffic.NewAccountant(w.SLO)
 	if err != nil {
@@ -262,18 +282,20 @@ func (r *Runner) RunOpenLoop(w OpenLoop) (*OpenLoopResult, error) {
 	st := &State{Cluster: cl}
 
 	pending := append([]Job(nil), w.Jobs...)
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
+	if conc == 0 {
+		sort.SliceStable(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
+	}
 	for i, j := range pending {
 		if j.ID < 0 || j.ID >= len(pending) {
-			return nil, fmt.Errorf("sched: open-loop job %d has ID %d outside [0, %d)", i, j.ID, len(pending))
+			return nil, fmt.Errorf("sched: job %d has ID %d outside [0, %d)", i, j.ID, len(pending))
 		}
-		if j.Arrival < 0 {
-			return nil, fmt.Errorf("sched: open-loop job %d arrives at negative time %g", j.ID, j.Arrival)
+		if conc == 0 && j.Arrival < 0 {
+			return nil, fmt.Errorf("sched: job %d arrives at negative time %g", j.ID, j.Arrival)
 		}
 	}
 
-	d := &openLoopDriver{
-		r: r, st: st, pending: pending, acct: acct,
+	d := &jobDriver{
+		r: r, st: st, pending: pending, conc: conc, acct: acct,
 		byProc:  make(map[*kernel.Process]*JobLatency),
 		jobs:    make([]JobLatency, len(pending)),
 		nextReb: r.RebalanceEvery,
@@ -292,6 +314,8 @@ func (r *Runner) RunOpenLoop(w OpenLoop) (*OpenLoopResult, error) {
 	if r.Checkpoint.EveryPoints > 0 || r.Checkpoint.EverySeconds > 0 {
 		d.mgr = ckpt.NewManager(cl)
 		d.mgr.OnRestore = func(old, cur *kernel.Process, node int) {
+			// Re-home the bookkeeping onto the restored incarnation so the
+			// completion sweep follows it.
 			for _, jr := range st.Active {
 				if jr.Proc == old {
 					jr.Proc = cur
@@ -327,17 +351,22 @@ func (r *Runner) RunOpenLoop(w OpenLoop) (*OpenLoopResult, error) {
 
 	cl.SetTimerSource(d)
 	defer cl.SetTimerSource(nil)
-	for d.err == nil && d.done+d.shed+d.lost < len(pending) {
-		if !cl.Step() {
-			break
+	for d.err == nil && d.done+d.shed+d.lost < len(pending) && cl.Step() {
+		// Between Steps the driver holds control, so NextDue may move (the
+		// TimerSource contract). Closed loop: sweep now, so a freed slot is
+		// due at once and the run ends at the step that saw the last exit.
+		// Open loop: completions wait for the next firing, and are swept
+		// here only when no firing is left to notice them — other control
+		// events (SWIM probes) would otherwise keep Step true forever.
+		if conc > 0 || d.NextDue() >= olInf {
+			d.retire()
 		}
 	}
-	d.retire()
 	if d.err != nil {
 		return nil, d.err
 	}
 	if d.done+d.shed+d.lost != len(pending) {
-		return nil, fmt.Errorf("sched: open-loop run drained with %d/%d jobs unaccounted",
+		return nil, fmt.Errorf("sched: run drained with %d/%d jobs unaccounted",
 			len(pending)-d.done-d.shed-d.lost, len(pending))
 	}
 
@@ -371,9 +400,6 @@ func (r *Runner) RunOpenLoop(w OpenLoop) (*OpenLoopResult, error) {
 		res.EnergyTotal += e
 	}
 	res.EDP = res.EnergyTotal * res.Makespan
-	for i := range d.jobs {
-		res.JobSeconds += d.jobs[i].SojournSec
-	}
 	if res.Makespan > 0 {
 		res.ThroughputJobsPerSec = float64(res.Completed) / res.Makespan
 	}

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"heterodc/internal/member"
 	"heterodc/internal/npb"
 	"heterodc/internal/topo"
 	"heterodc/internal/traffic"
@@ -163,5 +165,53 @@ func TestArrivalSpacingSeam(t *testing.T) {
 			mixed[i].Threads != plain[i].Threads {
 			t.Fatalf("job %d mix changed by arrival hook: %+v vs %+v", i, mixed[i], plain[i])
 		}
+	}
+}
+
+// TestOpenLoopReturnsUnderMembership: with a static policy and no Degrade,
+// no firing is left after the last arrival, and a SWIM service keeps Step
+// true forever — the run must still notice the last exit and return.
+func TestOpenLoopReturnsUnderMembership(t *testing.T) {
+	p := StaticHetBalanced()
+	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
+	if err != nil {
+		t.Fatalf("testbed: %v", err)
+	}
+	if _, err := member.Attach(cl, member.Config{HeartbeatPeriod: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(cl, p, models)
+	type outcome struct {
+		res *OpenLoopResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	jobs := openLoopJobs(t, 4, 400)
+	go func() {
+		res, err := r.RunOpenLoop(OpenLoop{
+			Jobs: jobs,
+			SLO:  traffic.SLO{LatencyTargetSec: 0.5, BudgetFrac: 0.5},
+		})
+		done <- outcome{res, err}
+	}()
+	var res *OpenLoopResult
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("open-loop run: %v", o.err)
+		}
+		res = o.res
+	case <-time.After(20 * time.Second):
+		t.Fatal("RunOpenLoop still running after 20 s of host time: nothing noticed the last exit")
+	}
+	if res.Completed != res.Offered {
+		t.Fatalf("completed %d/%d jobs", res.Completed, res.Offered)
+	}
+	lastExit := 0.0
+	for _, j := range res.Jobs {
+		lastExit = math.Max(lastExit, j.ExitSec)
+	}
+	if res.Makespan != lastExit {
+		t.Errorf("makespan %g, want the last exit instant %g", res.Makespan, lastExit)
 	}
 }

@@ -7,15 +7,16 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
-	"heterodc/internal/ckpt"
 	"heterodc/internal/isa"
 	"heterodc/internal/kernel"
 	"heterodc/internal/npb"
 	"heterodc/internal/power"
 	"heterodc/internal/topo"
+	"heterodc/internal/traffic"
 )
 
 // Job is one schedulable unit: a benchmark instance.
@@ -33,14 +34,12 @@ type Job struct {
 
 // JobRun tracks a job through execution.
 type JobRun struct {
-	Job      Job
-	Proc     *kernel.Process
-	Node     int
-	Started  float64
-	Finished float64
+	Job  Job
+	Proc *kernel.Process
+	Node int
 	// lastMove rate-limits migrations.
 	lastMove float64
-	// Proactive-evacuation bookkeeping (see openLoopDriver.evacuate):
+	// Proactive-evacuation bookkeeping (see jobDriver.evacuate):
 	// evacFrom is the degraded node being fled (-1 when no evacuation is
 	// in flight), the rest implement per-job retry with capped backoff.
 	evacFrom     int
@@ -246,18 +245,21 @@ func rebalance(s *State, p Policy, cooldown float64) {
 	}
 }
 
-// Workload is a set of jobs plus an admission mode.
+// Workload is a set of jobs plus an admission rule. Job IDs must be
+// distinct values in [0, len(Jobs)), as GenerateJobs assigns them.
 type Workload struct {
 	Jobs []Job
-	// Concurrency, when > 0, runs the sustained mode: at most this many
-	// jobs in flight, the next one starting as soon as one finishes
-	// (arrival times are ignored).
+	// Concurrency, when > 0, selects the closed-loop (sustained) rule: at
+	// most this many jobs in flight, the next one starting as soon as one
+	// finishes (arrival times are ignored). Zero admits each job at its
+	// arrival instant (the periodic mode).
 	Concurrency int
 }
 
 // Result summarises one workload execution.
 type Result struct {
-	Policy   string
+	Policy string
+	// Makespan is the last job's exit instant (seconds).
 	Makespan float64
 	// EnergyCPU per node and total (joules, package power).
 	EnergyCPU   []float64
@@ -266,15 +268,15 @@ type Result struct {
 	EDP float64
 	// Migrations counts job container moves.
 	Migrations int
-	// JobSeconds is the per-job turnaround sum.
-	JobSeconds float64
 	// Checkpoints and Restores count checkpoint images written and crash
 	// recoveries performed when the runner's Checkpoint policy is enabled.
 	Checkpoints int
 	Restores    int
 }
 
-// Runner executes a workload under a policy on a cluster.
+// Runner executes a workload under a policy on a cluster: Run for the
+// paper's sustained and periodic studies, RunOpenLoop for arrival-driven
+// traffic with SLO accounting. Both are the same driver (jobDriver).
 type Runner struct {
 	Cluster *kernel.Cluster
 	Policy  Policy
@@ -298,156 +300,17 @@ func NewRunner(cl *kernel.Cluster, p Policy, models []power.Model) *Runner {
 }
 
 // Run executes the workload to completion and reports energy and makespan.
+// It is the one job driver (see jobDriver) under the admission rule the
+// workload names; the SLO it accounts against is one no job can violate.
 func (r *Runner) Run(w Workload) (*Result, error) {
-	cl := r.Cluster
-	meter := power.NewMeter(cl, r.Models)
-	st := &State{Cluster: cl}
-	migrations := 0
-	cl.OnMigration = func(ev kernel.MigrationEvent) { migrations++ }
-
-	var mgr *ckpt.Manager
-	if r.Checkpoint.EveryPoints > 0 || r.Checkpoint.EverySeconds > 0 {
-		mgr = ckpt.NewManager(cl)
-		mgr.OnRestore = func(old, cur *kernel.Process, node int) {
-			// Re-home the scheduler's bookkeeping onto the restored
-			// incarnation so the completion loop follows it.
-			for _, jr := range st.Active {
-				if jr.Proc == old {
-					jr.Proc = cur
-					jr.Node = node
-					jr.lastMove = cl.Time()
-				}
-			}
-		}
+	res, err := r.drive(OpenLoop{
+		Jobs: w.Jobs,
+		SLO:  traffic.SLO{LatencyTargetSec: math.MaxFloat64},
+	}, w.Concurrency)
+	if err != nil {
+		return nil, err
 	}
-
-	pending := append([]Job(nil), w.Jobs...)
-	if w.Concurrency == 0 {
-		sort.SliceStable(pending, func(i, j int) bool {
-			return pending[i].Arrival < pending[j].Arrival
-		})
-	}
-	var done []*JobRun
-	nextRebalance := r.RebalanceEvery
-
-	start := func(j Job) error {
-		img, err := npb.Build(j.Bench, j.Class, j.Threads)
-		if err != nil {
-			return err
-		}
-		node := place(st, r.Policy, j.Threads)
-		p, err := cl.Spawn(img, node)
-		if err != nil {
-			return err
-		}
-		if mgr != nil {
-			mgr.Track(p, img, r.Checkpoint)
-		}
-		st.Active = append(st.Active, &JobRun{
-			Job: j, Proc: p, Node: node, Started: cl.Time(), lastMove: cl.Time(),
-		})
-		return nil
-	}
-
-	// Seed initial jobs.
-	if w.Concurrency > 0 {
-		for len(st.Active) < w.Concurrency && len(pending) > 0 {
-			if err := start(pending[0]); err != nil {
-				return nil, err
-			}
-			pending = pending[1:]
-		}
-	}
-
-	for len(pending) > 0 || len(st.Active) > 0 {
-		now := cl.Time()
-		st.Now = now
-
-		// Admissions.
-		if w.Concurrency == 0 {
-			for len(pending) > 0 && pending[0].Arrival <= now {
-				if err := start(pending[0]); err != nil {
-					return nil, err
-				}
-				pending = pending[1:]
-			}
-		}
-
-		// Completions: retire finished jobs, then start replacements (in
-		// sustained mode) so placement sees the post-retirement load.
-		var live []*JobRun
-		finished := 0
-		for _, jr := range st.Active {
-			if exited, _ := jr.Proc.Exited(); exited {
-				if err := jr.Proc.Err(); err != nil {
-					return nil, fmt.Errorf("sched: job %d (%s.%s) failed: %w",
-						jr.Job.ID, jr.Job.Bench, jr.Job.Class, err)
-				}
-				jr.Finished = now
-				done = append(done, jr)
-				finished++
-				continue
-			}
-			live = append(live, jr)
-		}
-		st.Active = live
-		if w.Concurrency > 0 {
-			for i := 0; i < finished && len(pending) > 0; i++ {
-				if err := start(pending[0]); err != nil {
-					return nil, err
-				}
-				pending = pending[1:]
-			}
-		}
-
-		// Rebalancing.
-		if r.Policy.Dynamic() && now >= nextRebalance {
-			rebalance(st, r.Policy, r.Cooldown)
-			nextRebalance = now + r.RebalanceEvery
-		}
-
-		if len(st.Active) == 0 && len(pending) == 0 {
-			break
-		}
-		if len(st.Active) == 0 && w.Concurrency == 0 && len(pending) > 0 && pending[0].Arrival > now {
-			// Idle gap until the next arrival: advance the clock so idle
-			// power integrates over the gap. AdvanceTo only skips clocks and
-			// applies control events — with a membership service attached,
-			// those events enqueue probe traffic whose deliveries pin the
-			// skip below the arrival, so step the cluster through them and
-			// keep advancing rather than spinning.
-			cl.AdvanceTo(pending[0].Arrival)
-			if cl.Time() < pending[0].Arrival {
-				if !cl.Step() {
-					return nil, fmt.Errorf("sched: cluster drained during idle gap before job %d", pending[0].ID)
-				}
-			}
-			continue
-		}
-		if !cl.Step() {
-			return nil, fmt.Errorf("sched: cluster drained with %d active jobs", len(st.Active))
-		}
-	}
-
-	res := &Result{
-		Policy:     r.Policy.Name(),
-		Makespan:   cl.Time(),
-		EnergyCPU:  meter.EnergyCPU(),
-		Migrations: migrations,
-	}
-	for _, e := range res.EnergyCPU {
-		res.EnergyTotal += e
-	}
-	res.EDP = res.EnergyTotal * res.Makespan
-	for _, jr := range done {
-		res.JobSeconds += jr.Finished - jr.Started
-	}
-	if mgr != nil {
-		ms := mgr.Stats()
-		res.Checkpoints = ms.ImagesWritten
-		res.Restores = ms.Restores
-	}
-	return res, nil
+	return &res.Result, nil
 }
 
 // GenerateJobs draws n jobs uniformly from the paper's mix (NPB kernels in

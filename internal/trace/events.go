@@ -72,9 +72,6 @@ func (r *ring) events() []Event {
 // (<= 0: unbounded).
 func NewEventLog(max int) *EventLog { return &EventLog{max: max} }
 
-// Cap returns the configured per-ring capacity (<= 0: unbounded).
-func (l *EventLog) Cap() int { return l.max }
-
 // Record appends one event to the global ring, overwriting the oldest past
 // the capacity.
 func (l *EventLog) Record(t float64, kind, detail string) {
