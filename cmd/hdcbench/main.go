@@ -22,6 +22,18 @@
 //	hdcbench -exp fleet       # open-loop traffic, staged x86→ARM rollout
 //	hdcbench -exp storm       # chaos under open-loop traffic, graceful degradation
 //	hdcbench -exp all
+//	hdcbench -check           # is any committed artefact under results/ stale?
+//
+// Every experiment is one row of exp.Studies: it prints its rows and a
+// "shape check: OK (…)" line. A failed check (or run) is reported on
+// standard error, the remaining experiments still run, and the exit status
+// is 1. -json records the rows of whichever experiment ran.
+//
+// -check regenerates every committed artefact under results/ in memory, at
+// the scale and seed exp.Manifest records for it, byte-compares it with the
+// file, prints the first differing line of any that drifted and exits 1;
+// -exp <name> narrows it to that experiment's artefacts. Run it from the
+// repository root; the whole check takes about six minutes.
 //
 // The rack experiment takes -rack-nodes N (default 4) to size the ensemble
 // and -engine seq|par to select the cluster time engine (par exploits
@@ -30,8 +42,7 @@
 //
 // -topo flat|fattree selects the interconnect fabric for the experiments
 // that honour it (rack, member-scaling); -racks and -oversub shape the fat
-// tree. The topology experiment sweeps oversubscription itself and writes
-// its rows to -json when given — results/topology.json is recorded this way.
+// tree. The topology experiment sweeps oversubscription itself.
 //
 // The chaos experiment takes -fault-seed, -drop-prob and -crash-at to vary
 // the injected fault plans (all plans are deterministic in the seed).
@@ -43,11 +54,9 @@
 // fails if any divergence could not be reduced and archived.
 //
 // The member-scaling experiment sweeps rack sizes under the SWIM detector
-// (-fault-seed varies the streams; -scale quick shrinks the grid) and writes
-// its rows to -json when given — results/membership-scaling.json is recorded
-// this way. The partition experiment runs every seeded bipartition scenario
-// on both engines and enforces the split-brain invariants; it also honours
-// -json.
+// (-fault-seed varies the streams; -scale quick shrinks the grid). The
+// partition experiment runs every seeded bipartition scenario on both
+// engines and enforces the split-brain invariants.
 //
 // The fleet experiment offers seeded open-loop traffic (jobs arrive at
 // simulated instants whether or not capacity is free) and rolls the fleet
@@ -55,14 +64,13 @@
 // arrival processes (poisson, diurnal, bursty; empty runs all three), -rate
 // the offered load in jobs/sec and -slo the per-job latency target in
 // seconds (0 keeps the scale defaults). Every wave runs under both time
-// engines and must produce bit-identical SLO reports; it honours -json —
-// results/fleet-rollout.json is recorded this way.
+// engines and must produce bit-identical SLO reports.
 //
 // The storm experiment runs the open-loop stream under a seeded continuous
 // chaos process (correlated rack failures, gray-fail nodes, node churn) with
 // the health-driven graceful-degradation control loop engaged. It reuses
-// -rate and -slo for the offered load, -fault-seed for the chaos streams and
-// honours -json — results/storm.json is recorded this way. -storm-mttf and
+// -rate and -slo for the offered load and -fault-seed for the chaos streams
+// (results/storm.json is seed 13). -storm-mttf and
 // -storm-mttr override the node-churn means in seconds; they must be given
 // together (a failure rate without a repair rate is not a process).
 //
@@ -75,34 +83,34 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"heterodc/internal/exp"
 	"heterodc/internal/hostprof"
-	"heterodc/internal/trace"
 	"heterodc/internal/traffic"
 )
 
-// writeJSON records experiment rows as an indented JSON array; empty path
+// writeJSON records a study's rows as an indented JSON array; empty path
 // means "print only".
-func writeJSON(path string, rows any) error {
+func writeJSON(w io.Writer, path string, rows any) error {
 	if path == "" {
 		return nil
 	}
-	data, err := json.MarshalIndent(rows, "", "  ")
+	data, err := exp.EncodeRows(rows)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(w, "wrote %s\n", path)
 	return nil
 }
 
@@ -197,8 +205,34 @@ func stormOptions(seed int64, rateSet bool, rate float64, sloSet bool, slo float
 	return opts, nil
 }
 
+// runStudies runs every study of the table that only selects ("all": each
+// one) the way cfg.W shows it, records its rows at jsonPath when that is
+// set, and returns how many failed. A failed study — an error from its run,
+// its shape check or the write — is reported on errw and the rest still run.
+func runStudies(studies []exp.Study, only string, cfg exp.Config, opts exp.Options, jsonPath string, errw io.Writer) (failed int) {
+	for _, s := range studies {
+		if only != "all" && only != s.Name {
+			continue
+		}
+		rows, err := s.Report(cfg, opts)
+		if err == nil {
+			err = writeJSON(cfg.W, jsonPath, rows)
+		}
+		if err != nil {
+			fmt.Fprintf(errw, "%s: %v\n", s.Name, err)
+			failed++
+		}
+	}
+	return failed
+}
+
 func main() {
-	expName := flag.String("exp", "all", "experiment: fig1|fig345|fig6789|tab1|fig10|fig11|fig12|fig13|ablation|rack|chaos|ckpt|detector|fuzz|member-scaling|partition|topology|fleet|storm|all")
+	var names []string
+	for _, s := range exp.Studies {
+		names = append(names, s.Name)
+	}
+	expName := flag.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
+	check := flag.Bool("check", false, "regenerate the committed artefacts under results/ (all, or the ones -exp produced) and fail on any byte of drift")
 	scale := flag.String("scale", "default", "quick|default|full")
 	faultSeed := flag.Int64("fault-seed", 7, "chaos: fault-plan seed")
 	dropProb := flag.Float64("drop-prob", 0.02, "chaos: baseline message-loss probability")
@@ -209,7 +243,7 @@ func main() {
 	rackNodes := flag.Int("rack-nodes", 4, "rack: machine count (half x86, half ARM in the mixed setups)")
 	engine := flag.String("engine", "seq", "cluster time engine: seq|par (experiments that honour it)")
 	hbFracs := flag.String("hb-fracs", "", "detector: comma list of heartbeat periods as runtime fractions (empty: default sweep)")
-	jsonPath := flag.String("json", "", "member-scaling/partition/topology: also write the result rows as JSON to this file")
+	jsonPath := flag.String("json", "", "also write the study's result rows as JSON to this file")
 	topoKind := flag.String("topo", "flat", "interconnect fabric: flat|fattree (experiments that honour it)")
 	racks := flag.Int("racks", 0, "fattree: rack count (0: default)")
 	oversub := flag.Float64("oversub", 0, "fattree: ToR uplink oversubscription ratio (0: default)")
@@ -236,19 +270,20 @@ func main() {
 		}
 	})
 
-	fracs, err := parseFracs(*hbFracs)
-	if err != nil {
+	opts := exp.SeededOptions(*faultSeed)
+	opts.Chaos.DropProb, opts.Chaos.CrashFrac = *dropProb, *crashAt
+	opts.Fuzz = exp.FuzzOptions{Seed: *fuzzSeed, Budget: *fuzzBudget, MaxPrograms: *fuzzMax}
+	var err error
+	if opts.Detector.PeriodFracs, err = parseFracs(*hbFracs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fleetOpts, err := fleetOptions(*arrivals, rateSet, *rate, sloSet, *slo)
-	if err != nil {
+	if opts.Fleet, err = fleetOptions(*arrivals, rateSet, *rate, sloSet, *slo); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	stormOpts, err := stormOptions(*faultSeed, rateSet, *rate, sloSet, *slo,
-		mttfSet, *stormMTTF, mttrSet, *stormMTTR)
-	if err != nil {
+	if opts.Storm, err = stormOptions(*faultSeed, rateSet, *rate, sloSet, *slo,
+		mttfSet, *stormMTTF, mttrSet, *stormMTTR); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -286,340 +321,24 @@ func main() {
 				code = 1
 			}
 		}
-		if code != 0 {
-			os.Exit(code)
-		}
+		os.Exit(code)
 	}
 
-	// Every experiment registers its name here so an unrecognised -exp can
-	// list what exists instead of silently running nothing and exiting 0.
-	var expNames []string
-	matched := false
-	run := func(name string, f func() error) {
-		expNames = append(expNames, name)
-		if *expName != "all" && *expName != name {
-			return
-		}
-		matched = true
-		fmt.Printf("\n===== %s =====\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	// An unrecognised -exp lists what exists instead of silently running
+	// nothing and exiting 0.
+	if *expName != "all" && !slices.Contains(names, *expName) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s, or all)\n", *expName, strings.Join(names, ", "))
+		exit(2)
+	}
+	if *check {
+		if err := exp.CheckArtefacts(os.Stdout, "results", *expName); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			exit(1)
 		}
-	}
-	defer func() {
-		if *expName != "all" && !matched {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s, or all)\n",
-				*expName, strings.Join(expNames, ", "))
-			exit(2)
-		}
 		exit(0)
-	}()
-
-	run("fig1", func() error {
-		r, err := exp.Fig1(cfg)
-		if err != nil {
-			return err
-		}
-		r.Print(cfg)
-		if err := r.ShapeHolds(); err != nil {
-			fmt.Printf("SHAPE WARNING: %v\n", err)
-		} else {
-			fmt.Println("shape check: OK (emulation 1-4 orders of magnitude; x86-on-ARM far worse)")
-		}
-		return nil
-	})
-
-	run("fig345", func() error {
-		rs, err := exp.Fig345(cfg)
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			r.Print(cfg)
-		}
-		return nil
-	})
-
-	run("fig6789", func() error {
-		rows, err := exp.Fig6789(cfg)
-		if err != nil {
-			return err
-		}
-		if err := exp.Fig6789ShapeHolds(rows); err != nil {
-			fmt.Printf("SHAPE WARNING: %v\n", err)
-		} else {
-			fmt.Println("shape check: OK (migration-point overhead small, mostly <5%)")
-		}
-		return nil
-	})
-
-	run("tab1", func() error {
-		rows, err := exp.Table1(cfg)
-		if err != nil {
-			return err
-		}
-		if err := exp.Table1ShapeHolds(rows); err != nil {
-			fmt.Printf("SHAPE WARNING: %v\n", err)
-		} else {
-			fmt.Println("shape check: OK (alignment costs ~1% or less)")
-		}
-		return nil
-	})
-
-	run("fig10", func() error {
-		rs, err := exp.Fig10(cfg)
-		if err != nil {
-			return err
-		}
-		if err := exp.Fig10ShapeHolds(rs); err != nil {
-			fmt.Printf("SHAPE WARNING: %v\n", err)
-		} else {
-			fmt.Println("shape check: OK (x86 < ~400µs, ARM ~2x)")
-		}
-		return nil
-	})
-
-	run("fig11", func() error {
-		r, err := exp.Fig11(cfg)
-		if err != nil {
-			return err
-		}
-		r.PrintTraces(cfg, 40)
-		if err := r.ShapeHolds(); err != nil {
-			fmt.Printf("SHAPE WARNING: %v\n", err)
-		} else {
-			fmt.Println("shape check: OK (managed ~2x native end-to-end; native resumes immediately)")
-		}
-		return nil
-	})
-
-	run("fig12", func() error {
-		sets, err := exp.Fig12(cfg)
-		if err != nil {
-			return err
-		}
-		s := exp.SummarizeFig12(sets)
-		fmt.Println("\nFigure 12 summary (vs static x86 pair):")
-		for pol, save := range s.AvgEnergySavingPct {
-			fmt.Printf("  %-22s avg energy saving %5.1f%% (max %5.1f%%), makespan ratio %.2fx\n",
-				pol, save, s.MaxEnergySavingPct[pol], s.AvgMakespanRatio[pol])
-		}
-		if err := exp.Fig12ShapeHolds(sets); err != nil {
-			fmt.Printf("SHAPE WARNING: %v\n", err)
-		} else {
-			fmt.Println("shape check: OK (dynamic policies trade makespan for energy)")
-		}
-		return nil
-	})
-
-	run("ablation", func() error {
-		if _, err := exp.AblationPointPlacement(cfg); err != nil {
-			return err
-		}
-		_, err := exp.AblationDSMMode(cfg)
-		return err
-	})
-
-	run("rack", func() error {
-		_, err := exp.RackScale(cfg)
-		return err
-	})
-
-	run("chaos", func() error {
-		rows, err := exp.Chaos(cfg, exp.ChaosOptions{
-			Seed: *faultSeed, DropProb: *dropProb, CrashFrac: *crashAt,
-		})
-		if err != nil {
-			return err
-		}
-		bad := 0
-		for _, r := range rows {
-			if !r.ExitOK || !r.OutputMatch {
-				bad++
-			}
-		}
-		if bad > 0 {
-			return fmt.Errorf("%d/%d runs lost correctness under faults", bad, len(rows))
-		}
-		fmt.Println("shape check: OK (every run exits cleanly with baseline-identical output)")
-		return nil
-	})
-
-	run("ckpt", func() error {
-		res, err := exp.Ckpt(cfg, exp.CkptOptions{Seed: *faultSeed})
-		if err != nil {
-			return err
-		}
-		bad := 0
-		for _, r := range res.Overhead {
-			if !r.OutputMatch {
-				bad++
-			}
-		}
-		for _, r := range res.Recovery {
-			if !r.OutputMatch || r.Restores != 1 {
-				bad++
-			}
-		}
-		if bad > 0 {
-			return fmt.Errorf("%d checkpoint runs lost correctness or never restored", bad)
-		}
-		fmt.Println("shape check: OK (capture invisible to output; every crash recovered from checkpoint)")
-		return nil
-	})
-
-	run("detector", func() error {
-		rows, err := exp.Detector(cfg, exp.DetectorOptions{Seed: *faultSeed, PeriodFracs: fracs})
-		if err != nil {
-			return err
-		}
-		bad, refuted := 0, 0
-		var dropped int
-		for _, r := range rows {
-			if !r.ExitOK || !r.OutputMatch || r.Stranded != 0 || r.StaleUnfenced != 0 {
-				bad++
-			}
-			if r.FalseSuspicions > 0 {
-				refuted++
-			}
-			dropped += r.TraceDropped
-		}
-		if dropped > 0 {
-			fmt.Printf("trace: %d events dropped across runs (bounded rings overflowed; logs above are incomplete)\n", dropped)
-		}
-		if bad > 0 {
-			return fmt.Errorf("%d/%d detector runs stranded a job, leaked a stale message or lost correctness", bad, len(rows))
-		}
-		if refuted == 0 {
-			return fmt.Errorf("no transient outage was ever refuted: the false-positive path went unexercised")
-		}
-		fmt.Println("shape check: OK (every crash detected by silence; false positives refuted by rejoin; no stranded jobs)")
-		return nil
-	})
-
-	run("fuzz", func() error {
-		res, err := exp.Fuzz(cfg, exp.FuzzOptions{
-			Seed: *fuzzSeed, Budget: *fuzzBudget, MaxPrograms: *fuzzMax,
-		})
-		if err != nil {
-			return err
-		}
-		if res.Unreduced > 0 {
-			return fmt.Errorf("%d divergences could not be reduced and archived", res.Unreduced)
-		}
-		if res.Divergences > 0 {
-			return fmt.Errorf("%d divergences found (reduced repros: %v)", res.Divergences, res.Repros)
-		}
-		fmt.Printf("shape check: OK (%d programs, %.1f/s, all five modes byte-identical)\n",
-			res.Programs, res.ProgramsPerSec)
-		return nil
-	})
-
-	run("member-scaling", func() error {
-		rows, err := exp.MemberScale(cfg, exp.MemberScaleOptions{Seed: *faultSeed})
-		if err != nil {
-			return err
-		}
-		if err := exp.MemberScaleShapeHolds(rows); err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonPath, rows); err != nil {
-			return err
-		}
-		fmt.Println("shape check: OK (SWIM traffic flat and state sub-quadratic; detection under the lease baseline's 8 ms; no false deaths)")
-		return nil
-	})
-
-	run("partition", func() error {
-		rows, err := exp.Partition(cfg, exp.PartitionOptions{Seed: *faultSeed})
-		if err != nil {
-			return err
-		}
-		if err := exp.PartitionInvariantsHold(rows); err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonPath, rows); err != nil {
-			return err
-		}
-		fmt.Println("shape check: OK (no split-brain restore or quorumless verdict; views reconverge on both engines)")
-		return nil
-	})
-
-	run("topology", func() error {
-		rows, err := exp.Topology(cfg, exp.TopologyOptions{Seed: *faultSeed})
-		if err != nil {
-			return err
-		}
-		if err := exp.TopologyShapeHolds(rows); err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonPath, rows); err != nil {
-			return err
-		}
-		fmt.Println("shape check: OK (cross-rack costs grow with oversubscription, in-rack costs flat; engines byte-identical)")
-		return nil
-	})
-
-	run("fleet", func() error {
-		series, err := exp.Fleet(cfg, fleetOpts)
-		if err != nil {
-			return err
-		}
-		if err := exp.FleetInvariantsHold(series); err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonPath, series); err != nil {
-			return err
-		}
-		gated := 0
-		for _, s := range series {
-			if !s.RolledOut {
-				gated++
-				fmt.Printf("rollout gated: %s halted at wave %d (violation rate %.1f%% over budget %.1f%%)\n",
-					s.Arrivals, len(s.Waves), s.Waves[len(s.Waves)-1].ViolationRate*100, s.BudgetFrac*100)
-			}
-		}
-		if gated == 0 {
-			fmt.Println("shape check: OK (every rollout reached 100% ARM within budget; engines byte-identical per wave)")
-		} else {
-			fmt.Println("shape check: OK (gating engaged; no wave advanced while violating; engines byte-identical per wave)")
-		}
-		return nil
-	})
-
-	run("storm", func() error {
-		res, err := exp.Storm(cfg, stormOpts)
-		if err != nil {
-			return err
-		}
-		if err := exp.StormInvariantsHold(res); err != nil {
-			return err
-		}
-		if err := writeJSON(*jsonPath, res); err != nil {
-			return err
-		}
-		fmt.Println("shape check: OK (SLO degraded gracefully under chaos and recovered post-heal; no checkpointed job lost; engines byte-identical)")
-		return nil
-	})
-
-	run("fig13", func() error {
-		sets, err := exp.Fig13(cfg)
-		if err != nil {
-			return err
-		}
-		var savings, edp []float64
-		for _, fs := range sets {
-			savings = append(savings, (1-fs.Dynamic.EnergyTotal/fs.Static.EnergyTotal)*100)
-			edp = append(edp, (1-fs.Dynamic.EDP/fs.Static.EDP)*100)
-		}
-		fmt.Printf("\nFigure 13 summary: avg energy saving %.1f%%, avg EDP reduction %.1f%%\n",
-			trace.Mean(savings), trace.Mean(edp))
-		if err := exp.Fig13ShapeHolds(sets); err != nil {
-			fmt.Printf("SHAPE WARNING: %v\n", err)
-		} else {
-			fmt.Println("shape check: OK (migration reduces energy for bursty arrivals)")
-		}
-		return nil
-	})
+	}
+	if runStudies(exp.Studies, *expName, cfg, opts, *jsonPath, os.Stderr) > 0 {
+		exit(1)
+	}
+	exit(0)
 }

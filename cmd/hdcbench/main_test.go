@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"heterodc/internal/cmdtest"
+	"heterodc/internal/exp"
 )
 
 func TestFleetOptions(t *testing.T) {
@@ -202,7 +206,86 @@ func TestProfileSurvivesAnUnknownExperiment(t *testing.T) {
 	if code != 2 || !strings.Contains(errOut, "unknown experiment") {
 		t.Fatalf("exit %d, stderr %q", code, errOut)
 	}
+	for _, s := range exp.Studies {
+		if !strings.Contains(errOut, s.Name) {
+			t.Errorf("stderr %q does not list %s", errOut, s.Name)
+		}
+	}
 	if !cmdtest.IsPprof(t, cpu) {
 		t.Errorf("%s was left unfinished", cpu)
+	}
+}
+
+// A failed check is reported, the later studies still run, and the count
+// main turns into exit status 1 says so.
+func TestAFailedStudyDoesNotStopTheRest(t *testing.T) {
+	ranLater := false
+	table := []exp.Study{
+		{Name: "doomed",
+			Run:   func(exp.Config, exp.Options) (any, error) { return nil, nil },
+			Check: func(any) (string, error) { return "", errors.New("shape lost") }},
+		{Name: "later",
+			Run: func(exp.Config, exp.Options) (any, error) { ranLater = true; return nil, nil }},
+	}
+	var out, errOut bytes.Buffer
+	failed := runStudies(table, "all", exp.Config{W: &out}, exp.Options{}, "", &errOut)
+	if failed != 1 || !ranLater {
+		t.Errorf("failed = %d, later study ran = %v", failed, ranLater)
+	}
+	if !strings.Contains(errOut.String(), "doomed: shape lost") {
+		t.Errorf("stderr %q does not report the failed check", errOut.String())
+	}
+	if strings.Contains(out.String(), "shape check: OK") || !strings.Contains(out.String(), "===== later =====") {
+		t.Errorf("stdout %q", out.String())
+	}
+}
+
+// inDir runs the rest of the test from dir: -check reads results/ there.
+func inDir(t *testing.T, dir string) {
+	t.Helper()
+	old, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chdir(old) }) // restoring the directory the test began in cannot fail
+}
+
+func TestCheckPassesOnTheTree(t *testing.T) {
+	inDir(t, "../..")
+	out, errOut, code := cmdtest.Run(t, "-check", "-exp", "member-scaling")
+	if code != 0 || !strings.Contains(out, "ok     results/membership-scaling.json") {
+		t.Errorf("exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	if _, errOut, code := cmdtest.Run(t, "-check", "-exp", "fuzz"); code != 1 || !strings.Contains(errOut, "no committed artefact") {
+		t.Errorf("a study nothing records: exit %d, stderr %q", code, errOut)
+	}
+}
+
+func TestCheckNamesTheDriftedFileAndLine(t *testing.T) {
+	const file = "membership-scaling.json"
+	data, err := os.ReadFile(filepath.Join("../../results", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip one byte on the third line.
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines[2][len(lines[2])/2] ^= 1
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "results"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "results", file), bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inDir(t, dir)
+	out, errOut, code := cmdtest.Run(t, "-check", "-exp", "member-scaling")
+	if code != 1 || !strings.Contains(out, "DRIFT  results/"+file+" [member-scaling] line 3\n") {
+		t.Errorf("exit %d, stdout %q: want exit 1 naming the file and line 3", code, out)
+	}
+	if !strings.Contains(errOut, "1 of 1 recorded artefacts drifted") {
+		t.Errorf("stderr %q", errOut)
 	}
 }

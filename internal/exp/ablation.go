@@ -104,7 +104,7 @@ type DSMModeRow struct {
 	// TotalSeconds is end-to-end runtime with one mid-run container move.
 	TotalSeconds float64
 	// ResumeLagSeconds is the time between the migration request being
-	// honoured and the thread running on the destination.
+	// honoured and the thread being queued to run on the destination.
 	ResumeLagSeconds float64
 	// PagesMoved counts pages that crossed the interconnect.
 	PagesMoved uint64
@@ -142,10 +142,9 @@ func AblationDSMMode(cfg Config) ([]DSMModeRow, error) {
 		cl.OnMigration = func(ev kernel.MigrationEvent) {
 			if moveTime == 0 {
 				moveTime = ev.Time
-				// Lag: transformation/copy latency plus transfer of the
-				// shipped payload.
-				resumeLag = ev.XformSeconds +
-					cl.IC.RoundTripTime(ev.Time, ev.From, ev.To, ev.StateBytes+1024)
+				// Lag: transformation, eager copy and the transfer of the
+				// shipped payload, as the kernel itself timed them.
+				resumeLag = ev.ArriveTime - ev.Time
 			}
 		}
 		requested := false
@@ -176,17 +175,16 @@ func AblationDSMMode(cfg Config) ([]DSMModeRow, error) {
 	return rows, nil
 }
 
-// RackScaleRow is one policy's result on the four-machine rack.
-type RackScaleRow struct {
-	Policy      string
-	EnergyJ     float64
-	MakespanSec float64
-	Migrations  int
+// AblationRows is what the ablation study returns: both sweeps.
+type AblationRows struct {
+	PointPlacement []PointPlacementRow
+	DSMMode        []DSMModeRow
 }
 
-// RackScale is the extension the paper's conclusion predicts: the same
-// mechanisms at rack scale. A four-machine rack (two x86, two projected
-// ARM) runs the sustained mix under the static and dynamic policies.
-func RackScale(cfg Config) ([]RackScaleRow, error) {
-	return rackScaleImpl(cfg)
+// Ablation runs both ablation sweeps.
+func Ablation(cfg Config) (rows AblationRows, err error) {
+	if rows.PointPlacement, err = AblationPointPlacement(cfg); err == nil {
+		rows.DSMMode, err = AblationDSMMode(cfg)
+	}
+	return rows, err
 }

@@ -283,3 +283,14 @@ func Chaos(cfg Config, opts ChaosOptions) ([]ChaosRow, error) {
 	}
 	return rows, nil
 }
+
+// ChaosShapeHolds checks the study's one claim: faults cost time, never
+// correctness — every run exits cleanly with baseline-identical output.
+func ChaosShapeHolds(rows []ChaosRow) error {
+	for _, r := range rows {
+		if !r.ExitOK || !r.OutputMatch {
+			return fmt.Errorf("chaos: %s under %s lost correctness (exit=%v match=%v)", r.Bench, r.Plan, r.ExitOK, r.OutputMatch)
+		}
+	}
+	return nil
+}

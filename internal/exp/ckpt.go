@@ -156,3 +156,20 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 	}
 	return res, nil
 }
+
+// CkptShapeHolds checks that capture is invisible to the output and that
+// every crash was recovered from a checkpoint, exactly once.
+func CkptShapeHolds(res *CkptResult) error {
+	for _, r := range res.Overhead {
+		if !r.OutputMatch {
+			return fmt.Errorf("ckpt: %s at interval %g: capture changed the output", r.Bench, r.IntervalFrac)
+		}
+	}
+	for _, r := range res.Recovery {
+		if !r.OutputMatch || r.Restores != 1 {
+			return fmt.Errorf("ckpt: %s at interval %g: restores=%d match=%v, want one restore and the baseline output",
+				r.Bench, r.IntervalFrac, r.Restores, r.OutputMatch)
+		}
+	}
+	return nil
+}

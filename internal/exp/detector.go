@@ -219,5 +219,30 @@ func Detector(cfg Config, opts DetectorOptions) ([]DetectorRow, error) {
 			}
 		}
 	}
+	dropped := 0
+	for _, r := range rows {
+		dropped += r.TraceDropped
+	}
+	if dropped > 0 {
+		cfg.printf("trace: %d events dropped across runs (bounded rings overflowed; logs above are incomplete)\n", dropped)
+	}
 	return rows, nil
+}
+
+// DetectorShapeHolds checks that every crash was detected by silence with
+// no job stranded and no stale message unfenced, and that at least one
+// transient outage exercised the false-positive (refutation) path.
+func DetectorShapeHolds(rows []DetectorRow) error {
+	refuted := false
+	for _, r := range rows {
+		if !r.ExitOK || !r.OutputMatch || r.Stranded != 0 || r.StaleUnfenced != 0 {
+			return fmt.Errorf("detector: %s %s hb=%g stranded a job, leaked a stale message or lost correctness (exit=%v match=%v stranded=%d unfenced=%d)",
+				r.Bench, r.Scenario, r.HeartbeatPeriod, r.ExitOK, r.OutputMatch, r.Stranded, r.StaleUnfenced)
+		}
+		refuted = refuted || r.FalseSuspicions > 0
+	}
+	if !refuted {
+		return fmt.Errorf("detector: no transient outage was ever refuted: the false-positive path went unexercised")
+	}
+	return nil
 }

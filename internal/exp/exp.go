@@ -1,7 +1,7 @@
 // Package exp implements the experiment harness: one entry point per table
 // and figure of the paper's evaluation, each regenerating the corresponding
-// rows/series on the simulated testbed. cmd/hdcbench and the repository's
-// benchmark suite drive these.
+// rows/series on the simulated testbed. cmd/hdcbench drives them through
+// the study table (Studies) and re-verifies the recorded runs (Manifest).
 package exp
 
 import (

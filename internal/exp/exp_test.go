@@ -92,14 +92,19 @@ func TestFig12Quick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fig12: %v", err)
 	}
-	s := SummarizeFig12(sets)
-	t.Logf("savings: %v, makespan ratios: %v", s.AvgEnergySavingPct, s.AvgMakespanRatio)
+	if err := Fig12ShapeHolds(sets); err != nil {
+		t.Errorf("fig12 shape: %v", err)
+	}
+	t.Logf("%+v", SummarizeFig12(sets))
 }
 
 func TestFig13Quick(t *testing.T) {
 	sets, err := Fig13(quick())
 	if err != nil {
 		t.Fatalf("fig13: %v", err)
+	}
+	if err := Fig13ShapeHolds(sets); err != nil {
+		t.Errorf("fig13 shape: %v", err)
 	}
 	for _, fs := range sets {
 		t.Logf("set %d: static E=%.2fJ EDP=%.4f; dynamic E=%.2fJ EDP=%.4f",

@@ -65,11 +65,12 @@ func Fig1(cfg Config) (*Fig1Result, error) {
 			}
 		}
 	}
+	res.print(cfg)
 	return res, nil
 }
 
-// Print renders the two panels of Figure 1.
-func (r *Fig1Result) Print(cfg Config) {
+// print renders the two panels of Figure 1.
+func (r *Fig1Result) print(cfg Config) {
 	for _, guest := range []isa.Arch{isa.ARM64, isa.X86} {
 		host := guest.Other()
 		cfg.printf("\nFigure 1 (%s): slowdown emulating %s binaries on %s vs native %s\n",

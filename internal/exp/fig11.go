@@ -135,12 +135,13 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		res.NativeSeconds, res.NativeMoveAt, res.NativePages)
 	cfg.printf("fig11: managed total=%.4fs (migration at %.4fs, %d bytes serialized over %.4fs)\n",
 		res.ManagedSeconds, res.ManagedMoveAt, res.ManagedBytes, res.SerializeSeconds)
+	res.printTraces(cfg, 40)
 	return res, nil
 }
 
-// PrintTraces renders the two panels as time series (t, per-node CPU power,
+// printTraces renders the two panels as time series (t, per-node CPU power,
 // per-node load), downsampled to at most n rows each.
-func (r *Fig11Result) PrintTraces(cfg Config, n int) {
+func (r *Fig11Result) printTraces(cfg Config, n int) {
 	panel := func(name string, tr []power.Sample) {
 		cfg.printf("\nFigure 11 (%s): t(s)\tx86 W\tarm W\tx86 load%%\tarm load%%\n", name)
 		step := 1

@@ -76,69 +76,58 @@ func Fig12(cfg Config) ([]*Fig12Set, error) {
 		}
 		out = append(out, fs)
 	}
+	cfg.printf("\nFigure 12 summary (vs static x86 pair):\n")
+	for _, r := range SummarizeFig12(out) {
+		cfg.printf("  %-22s avg energy saving %5.1f%% (max %5.1f%%), makespan ratio %.2fx\n",
+			r.Policy, r.AvgEnergySavingPct, r.MaxEnergySavingPct, r.AvgMakespanRatio)
+	}
 	return out, nil
 }
 
-// Fig12Summary aggregates energy savings and makespan ratios of the dynamic
-// policies relative to the static baseline.
-type Fig12Summary struct {
-	// AvgEnergySavingPct[policy] relative to static x86(2).
-	AvgEnergySavingPct map[string]float64
-	MaxEnergySavingPct map[string]float64
-	AvgMakespanRatio   map[string]float64
+// Fig12Row aggregates one dynamic policy's energy saving and makespan ratio
+// relative to the static x86(2) baseline over every set.
+type Fig12Row struct {
+	Policy                                                   string
+	AvgEnergySavingPct, MaxEnergySavingPct, AvgMakespanRatio float64
 }
 
-// SummarizeFig12 computes the aggregate rows the paper reports.
-func SummarizeFig12(sets []*Fig12Set) *Fig12Summary {
-	s := &Fig12Summary{
-		AvgEnergySavingPct: map[string]float64{},
-		MaxEnergySavingPct: map[string]float64{},
-		AvgMakespanRatio:   map[string]float64{},
-	}
-	counts := map[string]int{}
+// SummarizeFig12 computes the aggregate rows the paper reports, in the order
+// Fig12 ran the policies (each set's first result is the static baseline).
+func SummarizeFig12(sets []*Fig12Set) []Fig12Row {
+	var rows []Fig12Row
 	for _, fs := range sets {
-		var static *sched.Result
-		for _, r := range fs.Results {
-			if r.Policy == "static x86(2)" {
-				static = r
-			}
-		}
-		if static == nil {
-			continue
-		}
-		for _, r := range fs.Results {
-			if r == static {
-				continue
+		static := fs.Results[0]
+		for i, r := range fs.Results[1:] {
+			if i == len(rows) {
+				rows = append(rows, Fig12Row{Policy: r.Policy})
 			}
 			saving := (1 - r.EnergyTotal/static.EnergyTotal) * 100
-			s.AvgEnergySavingPct[r.Policy] += saving
-			if saving > s.MaxEnergySavingPct[r.Policy] {
-				s.MaxEnergySavingPct[r.Policy] = saving
-			}
-			s.AvgMakespanRatio[r.Policy] += r.Makespan / static.Makespan
-			counts[r.Policy]++
+			rows[i].AvgEnergySavingPct += saving
+			rows[i].MaxEnergySavingPct = max(rows[i].MaxEnergySavingPct, saving)
+			rows[i].AvgMakespanRatio += r.Makespan / static.Makespan
 		}
 	}
-	for k, n := range counts {
-		s.AvgEnergySavingPct[k] /= float64(n)
-		s.AvgMakespanRatio[k] /= float64(n)
+	for i := range rows {
+		rows[i].AvgEnergySavingPct /= float64(len(sets))
+		rows[i].AvgMakespanRatio /= float64(len(sets))
 	}
-	return s
+	return rows
 }
 
 // Fig12ShapeHolds checks the paper's claims: the dynamic heterogeneous
 // policies save energy on average versus two static x86 machines, at the
 // cost of a longer makespan.
 func Fig12ShapeHolds(sets []*Fig12Set) error {
-	s := SummarizeFig12(sets)
-	for _, pol := range []string{"dynamic balanced", "dynamic unbalanced"} {
-		if s.AvgEnergySavingPct[pol] <= 0 {
-			return fmt.Errorf("fig12: %s shows no average energy saving (%.1f%%)",
-				pol, s.AvgEnergySavingPct[pol])
+	rows := SummarizeFig12(sets)
+	if len(rows) == 0 {
+		return fmt.Errorf("fig12: no dynamic policy ran")
+	}
+	for _, r := range rows {
+		if r.AvgEnergySavingPct <= 0 {
+			return fmt.Errorf("fig12: %s shows no average energy saving (%.1f%%)", r.Policy, r.AvgEnergySavingPct)
 		}
-		if s.AvgMakespanRatio[pol] < 1.0 {
-			return fmt.Errorf("fig12: %s is faster than the static pair (%.2fx) — unexpected",
-				pol, s.AvgMakespanRatio[pol])
+		if r.AvgMakespanRatio < 1.0 {
+			return fmt.Errorf("fig12: %s is faster than the static pair (%.2fx) — unexpected", r.Policy, r.AvgMakespanRatio)
 		}
 	}
 	return nil
@@ -170,7 +159,6 @@ func Fig13(cfg Config) ([]*Fig13Set, error) {
 	sets, waves, perWave, classes := cfg.fig13Params()
 	var out []*Fig13Set
 	for set := 0; set < sets; set++ {
-		rng := rand.New(rand.NewSource(int64(2000 + set)))
 		spacing := func(r *rand.Rand, i int) float64 {
 			if i%perWave == 0 && i > 0 {
 				return (60 + 180*r.Float64()) * TimeScale
@@ -178,7 +166,6 @@ func Fig13(cfg Config) ([]*Fig13Set, error) {
 			return 0
 		}
 		js := sched.GenerateJobs(int64(3000+set), waves*perWave, classes, spacing)
-		_ = rng
 
 		fs := &Fig13Set{Set: set}
 		for _, pol := range []sched.Policy{sched.StaticX86Pair(), sched.DynamicBalanced()} {
@@ -201,21 +188,31 @@ func Fig13(cfg Config) ([]*Fig13Set, error) {
 		}
 		out = append(out, fs)
 	}
+	saving, edp := SummarizeFig13(out)
+	cfg.printf("\nFigure 13 summary: avg energy saving %.1f%%, avg EDP reduction %.1f%%\n", saving, edp)
 	return out, nil
+}
+
+// SummarizeFig13 returns the dynamic policy's average energy saving and
+// average EDP reduction over the static pair, in percent.
+func SummarizeFig13(sets []*Fig13Set) (energySavingPct, edpReductionPct float64) {
+	var savings, edps []float64
+	for _, fs := range sets {
+		savings = append(savings, (1-fs.Dynamic.EnergyTotal/fs.Static.EnergyTotal)*100)
+		edps = append(edps, (1-fs.Dynamic.EDP/fs.Static.EDP)*100)
+	}
+	return trace.Mean(savings), trace.Mean(edps)
 }
 
 // Fig13ShapeHolds checks the paper's claims: migration reduces energy for
 // (almost) every set, substantially on average.
 func Fig13ShapeHolds(sets []*Fig13Set) error {
-	var savings, edps []float64
 	for _, fs := range sets {
 		if fs.Static == nil || fs.Dynamic == nil {
 			return fmt.Errorf("fig13: incomplete set %d", fs.Set)
 		}
-		savings = append(savings, (1-fs.Dynamic.EnergyTotal/fs.Static.EnergyTotal)*100)
-		edps = append(edps, (1-fs.Dynamic.EDP/fs.Static.EDP)*100)
 	}
-	if avg := trace.Mean(savings); avg <= 0 {
+	if avg, _ := SummarizeFig13(sets); avg <= 0 {
 		return fmt.Errorf("fig13: no average energy saving (%.1f%%)", avg)
 	}
 	return nil

@@ -190,6 +190,10 @@ func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
 				w.Violations, w.ViolationRate*100, w.EnergyJ, w.Migrations, w.EnginesAgree, w.Healthy)
 		}
 		series.RolledOut = healthy && len(series.Waves) == len(fleetWaveFracs)
+		if !series.RolledOut {
+			cfg.printf("rollout gated: %s halted at wave %d (violation rate %.1f%% over budget %.1f%%)\n",
+				series.Arrivals, len(series.Waves), series.Waves[len(series.Waves)-1].ViolationRate*100, series.BudgetFrac*100)
+		}
 		out = append(out, series)
 	}
 	return out, nil

@@ -124,6 +124,18 @@ func Fuzz(cfg Config, opts FuzzOptions) (*FuzzResult, error) {
 	return res, nil
 }
 
+// FuzzShapeHolds fails on any divergence: one the reducer could not shrink
+// and archive, or one it could (the repro paths are in the error).
+func FuzzShapeHolds(res *FuzzResult) error {
+	if res.Unreduced > 0 {
+		return fmt.Errorf("%d divergences could not be reduced and archived", res.Unreduced)
+	}
+	if res.Divergences > 0 {
+		return fmt.Errorf("%d divergences found (reduced repros: %v)", res.Divergences, res.Repros)
+	}
+	return nil
+}
+
 // buildProbe distinguishes "program does not build" (generator bug, fatal)
 // from "oracle could not grade it" (timeout, skippable).
 func buildProbe(p *fuzz.Prog) (bool, error) {

@@ -52,6 +52,9 @@ func Fig345(cfg Config) ([]*Fig345Result, error) {
 		cfg.printf("fig3-5 %-4s pre: max gap %d instrs; post: max gap %d instrs\n",
 			b, r.PreMax, r.PostMax)
 	}
+	for _, r := range out {
+		r.print(cfg)
+	}
 	return out, nil
 }
 
@@ -74,9 +77,9 @@ func measurePoints(img *link.Image, h *trace.DecadeHistogram, max *uint64) error
 	return err
 }
 
-// Print renders the histograms (one row per decade, as in the figures'
+// print renders the histograms (one row per decade, as in the figures'
 // log-scale x axis).
-func (r *Fig345Result) Print(cfg Config) {
+func (r *Fig345Result) print(cfg Config) {
 	cfg.printf("\nFigure 3-5 (%s class %s): instructions between migration points\n", r.Bench, r.Class)
 	cfg.printf("Pre (function boundaries only), max gap %d:\n%s", r.PreMax, r.Pre.String())
 	cfg.printf("Post (with loop back-edge points), max gap %d:\n%s", r.PostMax, r.Post.String())

@@ -10,7 +10,16 @@ import (
 	"heterodc/internal/sched"
 )
 
-// rackScaleImpl runs the rack-scale extension on an N-machine ensemble
+// RackScaleRow is one policy's result on the four-machine rack.
+type RackScaleRow struct {
+	Policy      string
+	EnergyJ     float64
+	MakespanSec float64
+	Migrations  int
+}
+
+// RackScale runs the rack-scale extension the paper's conclusion predicts
+// (the same mechanisms at rack scale) on an N-machine ensemble
 // (cfg.RackNodes, default 4). The baseline is N static x86 machines; the
 // heterogeneous rack swaps the back half for (power-projected) ARM machines
 // and migrates jobs dynamically — the setting in which the paper predicts
@@ -19,7 +28,7 @@ import (
 // job runner observes the cluster between engine steps, which are epochs
 // under "par", so its placement decisions (and thus exact joules) differ
 // slightly from "seq" while every trend is preserved.
-func rackScaleImpl(cfg Config) ([]RackScaleRow, error) {
+func RackScale(cfg Config) ([]RackScaleRow, error) {
 	nodes := cfg.RackNodes
 	if nodes <= 0 {
 		nodes = 4

@@ -222,8 +222,12 @@ func (k *Kernel) dispatch() {
 		if cs.thr != nil || len(k.runq) == 0 {
 			continue
 		}
+		// Shift down in place: reslicing from the front would shrink the
+		// backing array and make every later enqueue reallocate.
 		t := k.runq[0]
-		k.runq = k.runq[1:]
+		n := copy(k.runq, k.runq[1:])
+		k.runq[n] = nil
+		k.runq = k.runq[:n]
 		k.attach(cs, t)
 	}
 }

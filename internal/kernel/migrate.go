@@ -12,12 +12,14 @@ import (
 // MigrationEvent reports one completed stack transformation + thread
 // migration, for the Figure 10/11 experiments.
 type MigrationEvent struct {
-	Time     float64
-	Pid      int
-	Tid      int64
-	From, To int
-	FromArch isa.Arch
-	Stats    xform.Stats
+	// Time is when the migration point honoured the request, ArriveTime when
+	// the thread's state reached the destination and it was queued there.
+	Time, ArriveTime float64
+	Pid              int
+	Tid              int64
+	From, To         int
+	FromArch         isa.Arch
+	Stats            xform.Stats
 	// XformSeconds is the modelled user-space transformation latency.
 	XformSeconds float64
 	// FuncName is the function containing the migration point.
@@ -256,7 +258,8 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		}
 		payloadSize = stateBytes + migratePayloadBytes
 	}
-	sentAt, ok := cl.IC.SendReliable(k.now+xlat, k.Node, target, msg.TThreadMigrate, payloadSize,
+	// at is the delivery time, or when the sender gave up.
+	at, ok := cl.IC.SendReliable(k.now+xlat, k.Node, target, msg.TThreadMigrate, payloadSize,
 		&migratePayload{t: t, deserializeSeconds: deserializeLat, undo: undo, inc: cl.incarnation[target]})
 	if !ok {
 		// Transfer retries exhausted or the destination died for good
@@ -265,8 +268,8 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		// before resuming at the migration point.
 		cl.abortMigration(t, undo)
 		cl.tracefNode(k.Node, k.now, "migrate-abort", "tid %d of pid %d: transfer to node %d failed", t.Tid, p.Pid, target)
-		if sentAt > k.now {
-			k.sleep(t, sentAt)
+		if at > k.now {
+			k.sleep(t, at)
 		} else {
 			k.enqueue(t)
 		}
@@ -279,7 +282,7 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		// Serialised across sharing groups: observers see one event at a time.
 		cl.cbMu.Lock()
 		cl.OnMigration(MigrationEvent{
-			Time: k.now, Pid: p.Pid, Tid: t.Tid,
+			Time: k.now, ArriveTime: at, Pid: p.Pid, Tid: t.Tid,
 			From: k.Node, To: target, FromArch: k.Arch,
 			Stats: out.Stats, XformSeconds: xlat, FuncName: funcName,
 			Serialized: p.serializedMigration, StateBytes: stateBytes,

@@ -203,7 +203,7 @@ func at(log []string, i int) string {
 	return "<end>"
 }
 
-// ballast is the flagship benchmark's job (bench_engine_test.go): integer
+// ballast is the flagship benchmark's job (bench/flagship.go): integer
 // arithmetic in a call-heavy double loop.
 const ballast = `
 long chunk(long base) {

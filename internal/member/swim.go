@@ -3,7 +3,7 @@ package member
 // This file is the SWIM-style gossip detector: randomized round-robin
 // direct probes, indirect probes through witnesses before suspicion, and
 // membership dissemination piggybacked on the probe/ack traffic. See the
-// package comment for the protocol overview and DESIGN.md §13 for the
+// package comment for the protocol overview and DESIGN.md §12 for the
 // quorum and partition-healing semantics.
 
 import (

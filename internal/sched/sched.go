@@ -6,7 +6,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -71,77 +70,67 @@ func (s *State) ThreadsOn(node int) int {
 	return n
 }
 
-// Policy decides placement and (for dynamic policies) migration.
-type Policy interface {
-	Name() string
-	// Weights returns per-node load weights: placement minimises
-	// threads/weight. A weight of 0 disables a node.
-	Weights(s *State) []float64
-	// Dynamic reports whether the policy migrates running jobs.
-	Dynamic() bool
+// Policy decides placement and (for dynamic policies) migration: every x86
+// node carries x86Weight, every other node weight 1, and placement
+// minimises threads/weight. Weight 1 is a balanced policy; on the testbed
+// node 0 is the x86 machine, so a heavier weight is the energy-saving
+// arrangement the paper builds on DeVuyst et al.'s unbalanced-scheduling
+// observation.
+type Policy struct {
+	name      string
+	dynamic   bool
+	x86Weight float64
+	// x86Machines > 0 marks a homogeneous baseline: TestbedFor builds that
+	// many identical x86 machines instead of the x86+ARM testbed.
+	x86Machines int
 }
 
-// balancedPolicy spreads threads evenly (equal weights).
-type balancedPolicy struct {
-	name    string
-	dynamic bool
-}
+func (p Policy) Name() string { return p.name }
 
-func (p *balancedPolicy) Name() string { return p.name }
-func (p *balancedPolicy) Weights(s *State) []float64 {
+// Weights returns per-node load weights. A weight of 0 disables a node.
+func (p Policy) Weights(s *State) []float64 {
 	w := make([]float64, len(s.Cluster.Kernels))
-	for i := range w {
-		w[i] = 1
+	for i, k := range s.Cluster.Kernels {
+		if k.Arch == isa.X86 {
+			w[i] = p.x86Weight
+		} else {
+			w[i] = 1
+		}
 	}
 	return w
 }
-func (p *balancedPolicy) Dynamic() bool { return p.dynamic }
 
-// unbalancedPolicy keeps the x86 machine (node 0) loaded heavier, the
-// energy-saving arrangement the paper builds on DeVuyst et al.'s
-// unbalanced-scheduling observation.
-type unbalancedPolicy struct {
-	name    string
-	dynamic bool
-	// ratio is node-0 threads per node-1 thread.
-	ratio float64
-}
-
-func (p *unbalancedPolicy) Name() string { return p.name }
-func (p *unbalancedPolicy) Weights(s *State) []float64 {
-	w := make([]float64, len(s.Cluster.Kernels))
-	for i := range w {
-		w[i] = 1
-	}
-	if len(w) > 0 {
-		w[0] = p.ratio
-	}
-	return w
-}
-func (p *unbalancedPolicy) Dynamic() bool { return p.dynamic }
+// Dynamic reports whether the policy migrates running jobs.
+func (p Policy) Dynamic() bool { return p.dynamic }
 
 // The paper's five policies.
 
 // StaticX86Pair: balance across two identical x86 machines, no migration
 // (the baseline the energy savings are measured against).
-func StaticX86Pair() Policy { return &balancedPolicy{name: "static x86(2)"} }
+func StaticX86Pair() Policy { return Policy{name: "static x86(2)", x86Weight: 1, x86Machines: 2} }
 
 // StaticHetBalanced: balance across x86+ARM, no migration.
-func StaticHetBalanced() Policy { return &balancedPolicy{name: "static het balanced"} }
+func StaticHetBalanced() Policy { return NewBalanced("static het balanced", false) }
 
 // StaticHetUnbalanced: weight x86 heavier, no migration.
-func StaticHetUnbalanced() Policy {
-	return &unbalancedPolicy{name: "static het unbalanced", ratio: 2.2}
-}
+func StaticHetUnbalanced() Policy { return NewArchWeighted("static het unbalanced", false, 2.2) }
 
 // DynamicBalanced: balance thread counts and migrate to repair imbalance.
-func DynamicBalanced() Policy {
-	return &balancedPolicy{name: "dynamic balanced", dynamic: true}
-}
+func DynamicBalanced() Policy { return NewBalanced("dynamic balanced", true) }
 
 // DynamicUnbalanced: keep x86 heavier and migrate to maintain the skew.
-func DynamicUnbalanced() Policy {
-	return &unbalancedPolicy{name: "dynamic unbalanced", dynamic: true, ratio: 2.2}
+func DynamicUnbalanced() Policy { return NewArchWeighted("dynamic unbalanced", true, 2.2) }
+
+// NewBalanced builds a named balanced policy for arbitrary cluster shapes
+// (the rack-scale extension uses it on four machines).
+func NewBalanced(name string, dynamic bool) Policy {
+	return NewArchWeighted(name, dynamic, 1)
+}
+
+// NewArchWeighted builds a policy that keeps x86 machines loaded
+// x86Weight-times heavier than the others, on any cluster shape.
+func NewArchWeighted(name string, dynamic bool, x86Weight float64) Policy {
+	return Policy{name: name, dynamic: dynamic, x86Weight: x86Weight}
 }
 
 // place picks the node minimising threads/weight (ties to lower index).
@@ -363,30 +352,19 @@ func StampPriorities(jobs []Job, seed int64, levels int) {
 	}
 }
 
-// TestbedFor builds the right cluster for a policy: N identical x86
-// machines for a "static x86(N)" homogeneous baseline, otherwise the
-// heterogeneous x86+ARM testbed. projected applies the paper's McPAT FinFET
-// projection to the ARM machine's power model. spec selects the
-// interconnect fabric the machines are joined by — topo.FlatSpec() is the
-// legacy single pipe, a fat-tree spec routes all traffic through a
-// rack/spine topology.
+// TestbedFor builds the right cluster for a policy: identical x86 machines
+// for a homogeneous baseline (StaticX86Pair), otherwise the heterogeneous
+// x86+ARM testbed. projected applies the paper's McPAT FinFET projection to
+// the ARM machine's power model. spec selects the interconnect fabric the
+// machines are joined by — topo.FlatSpec() is the legacy single pipe, a
+// fat-tree spec routes all traffic through a rack/spine topology.
 func TestbedFor(p Policy, projected bool, spec topo.Spec) (*kernel.Cluster, []power.Model, error) {
-	var n int
-	if _, err := fmt.Sscanf(p.Name(), "static x86(%d)", &n); err == nil && n > 0 {
-		arches := make([]isa.Arch, n)
-		models := make([]power.Model, n)
-		for i := range arches {
-			arches[i] = isa.X86
-			models[i] = power.XeonE5()
-		}
-		cl, _, err := kernel.NewClusterTopo(arches, kernel.DefaultInterconnect(), spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cl, models, nil
+	arches := []isa.Arch{isa.X86, isa.ARM64}
+	if p.x86Machines > 0 {
+		arches = make([]isa.Arch, p.x86Machines) // all isa.X86, the zero Arch
 	}
-	cl := kernel.NewTestbed()
-	if _, err := kernel.ApplyTopology(cl, spec); err != nil {
+	cl, _, err := kernel.NewClusterTopo(arches, kernel.DefaultInterconnect(), spec)
+	if err != nil {
 		return nil, nil, err
 	}
 	return cl, power.DefaultModels(cl, projected), nil
@@ -405,38 +383,4 @@ func RackArches(n int) []isa.Arch {
 		}
 	}
 	return arches
-}
-
-// NewBalanced builds a named balanced policy for arbitrary cluster shapes
-// (the rack-scale extension uses it on four machines).
-func NewBalanced(name string, dynamic bool) Policy {
-	return &balancedPolicy{name: name, dynamic: dynamic}
-}
-
-// archWeightPolicy weights nodes by architecture: every x86 node gets
-// X86Weight, every other node weight 1.
-type archWeightPolicy struct {
-	name      string
-	dynamic   bool
-	x86Weight float64
-}
-
-func (p *archWeightPolicy) Name() string { return p.name }
-func (p *archWeightPolicy) Weights(s *State) []float64 {
-	w := make([]float64, len(s.Cluster.Kernels))
-	for i, k := range s.Cluster.Kernels {
-		if k.Arch == isa.X86 {
-			w[i] = p.x86Weight
-		} else {
-			w[i] = 1
-		}
-	}
-	return w
-}
-func (p *archWeightPolicy) Dynamic() bool { return p.dynamic }
-
-// NewArchWeighted builds a policy that keeps x86 machines loaded
-// x86Weight-times heavier than the others, on any cluster shape.
-func NewArchWeighted(name string, dynamic bool, x86Weight float64) Policy {
-	return &archWeightPolicy{name: name, dynamic: dynamic, x86Weight: x86Weight}
 }

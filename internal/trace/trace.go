@@ -93,21 +93,6 @@ func (h *DecadeHistogram) Row(n int) string {
 	return strings.Join(parts, "\t")
 }
 
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Mean returns the arithmetic mean.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -72,15 +72,6 @@ func TestDecadeHistogramClampsHuge(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Errorf("geomean %v", g)
-	}
-	if GeoMean(nil) != 0 || GeoMean([]float64{1, 0}) != 0 {
-		t.Error("degenerate geomean")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean([]float64{2, 4, 6}) != 4 || Mean(nil) != 0 {
 		t.Error("mean")
