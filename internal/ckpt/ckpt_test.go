@@ -137,29 +137,7 @@ func TestCheckpointRestoreTortureEveryPoint(t *testing.T) {
 // TestImageRoundTripAndCorruption: Encode/Decode is lossless and every
 // section is checksummed — any corrupted byte is detected.
 func TestImageRoundTripAndCorruption(t *testing.T) {
-	img, err := core.Build("ckpt-rt", core.Src("torture.c", tortureSrc))
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	cl := core.NewTestbed()
-	p, err := cl.Spawn(img, core.NodeX86)
-	if err != nil {
-		t.Fatalf("spawn: %v", err)
-	}
-	var snap *kernel.Snapshot
-	cl.OnCheckpoint = func(ev kernel.CheckpointEvent) {
-		if snap == nil {
-			snap = ev.Snap
-		}
-	}
-	if err := cl.RequestCheckpoint(p); err != nil {
-		t.Fatalf("request: %v", err)
-	}
-	for snap == nil {
-		if !cl.Step() {
-			t.Fatal("cluster drained before the forced checkpoint fired")
-		}
-	}
+	snap := tortureSnapshot(t)
 
 	data := ckpt.Encode(snap)
 	back, err := ckpt.Decode(data)
@@ -183,16 +161,54 @@ func TestImageRoundTripAndCorruption(t *testing.T) {
 		}
 	}
 
+	for i, bad := range damagedImages(data) {
+		if _, err := ckpt.Decode(bad); err == nil {
+			t.Errorf("damaged image %d (of %d bytes) went undetected", i, len(bad))
+		}
+	}
+}
+
+// tortureSnapshot forces a checkpoint of the torture program at its first
+// migration point and returns the snapshot.
+func tortureSnapshot(tb testing.TB) *kernel.Snapshot {
+	tb.Helper()
+	img, err := core.Build("ckpt-rt", core.Src("torture.c", tortureSrc))
+	if err != nil {
+		tb.Fatalf("build: %v", err)
+	}
+	cl := core.NewTestbed()
+	p, err := cl.Spawn(img, core.NodeX86)
+	if err != nil {
+		tb.Fatalf("spawn: %v", err)
+	}
+	var snap *kernel.Snapshot
+	cl.OnCheckpoint = func(ev kernel.CheckpointEvent) {
+		if snap == nil {
+			snap = ev.Snap
+		}
+	}
+	if err := cl.RequestCheckpoint(p); err != nil {
+		tb.Fatalf("request: %v", err)
+	}
+	for snap == nil {
+		if !cl.Step() {
+			tb.Fatal("cluster drained before the forced checkpoint fired")
+		}
+	}
+	return snap
+}
+
+// damagedImages returns data with one bit flipped at each of five offsets
+// (magic, version, first section header, mid-payload, last byte) and with
+// its last three bytes cut off.
+func damagedImages(data []byte) [][]byte {
+	var out [][]byte
 	for _, off := range []int{0, 5, 16, len(data) / 2, len(data) - 1} {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x40
-		if _, err := ckpt.Decode(bad); err == nil {
-			t.Errorf("corruption at offset %d went undetected", off)
-		}
+		out = append(out, bad)
 	}
-	if _, err := ckpt.Decode(data[:len(data)-3]); err == nil {
-		t.Error("truncated image went undetected")
-	}
+	return append(out, data[:len(data)-3])
 }
 
 // pompSrc: multithreaded worker pool with barriers and joins, so snapshots

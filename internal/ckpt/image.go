@@ -261,8 +261,14 @@ func ReadHeader(data []byte) (*Header, error) {
 	return h, nil
 }
 
+// sectionOrder is the one layout Encode writes and Decode accepts.
+var sectionOrder = [...]string{TagMeta, TagThreads, TagPages, TagFiles, TagOutput}
+
 // Decode parses an image back into a snapshot, verifying every section's
-// checksum.
+// checksum. It accepts exactly what Encode writes — the five sections once
+// each in order, every payload consumed to its last byte, pages trimmed,
+// no unknown flag — so a decoded snapshot re-encodes to the same bytes, and
+// anything else, however framed, is an error (FuzzDecode holds it to that).
 func Decode(data []byte) (*kernel.Snapshot, error) {
 	r := &reader{b: data}
 	if m := r.u32(); r.err == nil && m != Magic {
@@ -271,15 +277,20 @@ func Decode(data []byte) (*kernel.Snapshot, error) {
 	if v := r.u16(); r.err == nil && v != Version {
 		return nil, fmt.Errorf("ckpt: unsupported image version %d (want %d)", v, Version)
 	}
-	n := int(r.u16())
+	if n := int(r.u16()); r.err == nil && n != len(sectionOrder) {
+		return nil, fmt.Errorf("ckpt: image has %d sections (want %d)", n, len(sectionOrder))
+	}
 	s := &kernel.Snapshot{}
-	for i := 0; i < n; i++ {
+	for _, want := range sectionOrder {
 		tag := string(r.take(4))
 		size := int(r.u32())
 		crc := r.u32()
 		payload := r.take(size)
 		if r.err != nil {
 			return nil, r.err
+		}
+		if tag != want {
+			return nil, fmt.Errorf("ckpt: section %q where %s belongs", tag, want)
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
 			return nil, fmt.Errorf("ckpt: section %s checksum mismatch (image corrupted)", tag)
@@ -295,6 +306,9 @@ func Decode(data []byte) (*kernel.Snapshot, error) {
 			s.NextTid = sr.i64()
 			s.NextFd = sr.i64()
 			flags := sr.u8()
+			if flags&^(flagSerialized|flagEagerPages) != 0 {
+				return nil, fmt.Errorf("ckpt: unknown process flags %#x", flags)
+			}
 			s.SerializedMigration = flags&flagSerialized != 0
 			s.EagerPageMigration = flags&flagEagerPages != 0
 		case TagThreads:
@@ -325,6 +339,9 @@ func Decode(data []byte) (*kernel.Snapshot, error) {
 				if len(trimmed) > mem.PageSize {
 					return nil, fmt.Errorf("ckpt: page %#x payload exceeds page size", idx)
 				}
+				if n := len(trimmed); n > 0 && trimmed[n-1] == 0 {
+					return nil, fmt.Errorf("ckpt: page %#x payload keeps its zero tail", idx)
+				}
 				full := make([]byte, mem.PageSize)
 				copy(full, trimmed)
 				s.Pages = append(s.Pages, kernel.PageRecord{Index: idx, Data: full})
@@ -345,18 +362,17 @@ func Decode(data []byte) (*kernel.Snapshot, error) {
 			}
 		case TagOutput:
 			s.Output = append([]byte(nil), payload...)
-		default:
-			return nil, fmt.Errorf("ckpt: unknown section %q", tag)
+			sr.off = len(payload)
 		}
 		if sr.err != nil {
 			return nil, fmt.Errorf("ckpt: section %s: %w", tag, sr.err)
 		}
+		if sr.off != len(payload) {
+			return nil, fmt.Errorf("ckpt: section %s: %d bytes after its last field", tag, len(payload)-sr.off)
+		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if s.ImgName == "" && len(s.Threads) == 0 {
-		return nil, fmt.Errorf("ckpt: image has no META section")
+	if r.off != len(data) {
+		return nil, fmt.Errorf("ckpt: %d trailing bytes after last section", len(data)-r.off)
 	}
 	return s, nil
 }

@@ -16,8 +16,9 @@ import (
 	"sort"
 )
 
-// State is a node's coherence state for one page.
-type State int
+// State is a node's coherence state for one page (one byte: a directory
+// entry holds one per node of the cluster).
+type State uint8
 
 const (
 	// Invalid: node has no copy.
@@ -38,7 +39,9 @@ type NodeStats struct {
 	Upgrades    uint64 // shared->exclusive without data transfer
 }
 
-// Action tells the kernel what a fault requires.
+// Action tells the kernel what a fault requires. Drop and Protect alias
+// scratch the Space owns: they are valid until its next Fault, which is all
+// the kernel needs (it applies them before it returns to the guest).
 type Action struct {
 	// TransferFrom is the node to copy the page from, or -1 (zero-fill /
 	// upgrade in place).
@@ -63,7 +66,23 @@ type Space struct {
 	// resident[node] counts pages with a non-Invalid state at node,
 	// maintained on every transition so sharing-set queries are O(1).
 	resident []int
+	// owned counts pages with an owner, maintained by setOwner.
+	owned int
+
+	// dropBuf and protectBuf back the Drop and Protect lists of the Action
+	// the last Fault returned.
+	dropBuf    []int
+	protectBuf [1]int
+
+	// infoSlab and stateSlab are the unused tails of the arrays new pages'
+	// pageInfo and state vectors are carved from, slabPages at a time.
+	infoSlab  []pageInfo
+	stateSlab []State
 }
+
+// slabPages is how many directory entries one slab refill provides: two
+// allocations per 16 pages instead of two per page.
+const slabPages = 16
 
 type pageInfo struct {
 	// state[node] is each node's coherence state.
@@ -109,7 +128,7 @@ func (s *Space) Owner(page uint64) int {
 func (s *Space) Seed(node int, page uint64) {
 	pi := s.ensure(page)
 	s.setState(pi, node, Exclusive)
-	pi.owner = node
+	s.setOwner(pi, node)
 }
 
 // setState transitions one node's state for a page, maintaining the
@@ -126,6 +145,19 @@ func (s *Space) setState(pi *pageInfo, node int, st State) {
 	pi.state[node] = st
 }
 
+// setOwner reassigns a page's owner (-1: none), maintaining the owned-page
+// count.
+func (s *Space) setOwner(pi *pageInfo, owner int) {
+	if (pi.owner < 0) != (owner < 0) {
+		if owner < 0 {
+			s.owned--
+		} else {
+			s.owned++
+		}
+	}
+	pi.owner = owner
+}
+
 // HasResident reports whether node holds any page of this space (O(1)).
 // The sharing-set computation uses it: a node with resident pages can be a
 // DSM transfer or invalidation endpoint for the owning process.
@@ -134,7 +166,14 @@ func (s *Space) HasResident(node int) bool { return s.resident[node] > 0 }
 func (s *Space) ensure(page uint64) *pageInfo {
 	pi := s.pages[page]
 	if pi == nil {
-		pi = &pageInfo{state: make([]State, s.NumNodes), owner: -1}
+		if len(s.infoSlab) == 0 {
+			s.infoSlab = make([]pageInfo, slabPages)
+			s.stateSlab = make([]State, slabPages*s.NumNodes)
+		}
+		n := s.NumNodes
+		pi, s.infoSlab = &s.infoSlab[0], s.infoSlab[1:]
+		pi.state, s.stateSlab = s.stateSlab[:n:n], s.stateSlab[n:]
+		pi.owner = -1
 		s.pages[page] = pi
 	}
 	return pi
@@ -161,7 +200,7 @@ func (s *Space) Fault(node int, page uint64, write bool) (Action, error) {
 		act.Grant = Exclusive
 		s.stats[node].ColdFaults++
 		s.setState(pi, node, Exclusive)
-		pi.owner = node
+		s.setOwner(pi, node)
 
 	case !write:
 		if st != Invalid {
@@ -169,44 +208,40 @@ func (s *Space) Fault(node int, page uint64, write bool) (Action, error) {
 		}
 		// Copy from the owner; both end Shared.
 		act.TransferFrom = pi.owner
-		act.Protect = append(act.Protect, pi.owner)
+		s.protectBuf[0] = pi.owner
+		act.Protect = s.protectBuf[:]
 		act.Grant = Shared
 		s.setState(pi, pi.owner, Shared)
 		s.setState(pi, node, Shared)
 		s.stats[node].PageIn++
 
 	default: // write
-		switch st {
-		case Shared:
-			// Upgrade in place; drop every other copy.
-			for n := 0; n < s.NumNodes; n++ {
-				if n != node && pi.state[n] != Invalid {
-					act.Drop = append(act.Drop, n)
-					s.setState(pi, n, Invalid)
-					s.stats[n].Invalidates++
-				}
-			}
-			act.Grant = Exclusive
-			s.stats[node].Upgrades++
-			s.setState(pi, node, Exclusive)
-			pi.owner = node
-		case Invalid:
-			// Transfer from the owner; drop all other copies.
-			act.TransferFrom = pi.owner
-			for n := 0; n < s.NumNodes; n++ {
-				if n != node && pi.state[n] != Invalid {
-					act.Drop = append(act.Drop, n)
-					s.setState(pi, n, Invalid)
-					s.stats[n].Invalidates++
-				}
-			}
-			act.Grant = Exclusive
-			s.setState(pi, node, Exclusive)
-			pi.owner = node
-			s.stats[node].PageIn++
-		default:
+		if st == Exclusive {
 			return act, fmt.Errorf("dsm: write fault on exclusive page %#x", page)
 		}
+		// Drop every other copy; from Invalid the content comes from the
+		// owner, from Shared the local copy is upgraded in place.
+		drop := s.dropBuf[:0]
+		for n := 0; n < s.NumNodes; n++ {
+			if n != node && pi.state[n] != Invalid {
+				drop = append(drop, n)
+				s.setState(pi, n, Invalid)
+				s.stats[n].Invalidates++
+			}
+		}
+		s.dropBuf = drop
+		if len(drop) > 0 {
+			act.Drop = drop
+		}
+		if st == Invalid {
+			act.TransferFrom = pi.owner
+			s.stats[node].PageIn++
+		} else {
+			s.stats[node].Upgrades++
+		}
+		act.Grant = Exclusive
+		s.setState(pi, node, Exclusive)
+		s.setOwner(pi, node)
 	}
 	return act, nil
 }
@@ -224,10 +259,13 @@ func (s *Space) ResidentPages(node int) (shared, exclusive int) {
 	return shared, exclusive
 }
 
+// OwnedCount returns len(OwnedPages()) without building the list.
+func (s *Space) OwnedCount() int { return s.owned }
+
 // OwnedPages returns the page indices any node currently holds (owner set),
 // in unspecified order.
 func (s *Space) OwnedPages() []uint64 {
-	out := make([]uint64, 0, len(s.pages))
+	out := make([]uint64, 0, s.owned)
 	for pg, pi := range s.pages {
 		if pi.owner >= 0 {
 			out = append(out, pg)
@@ -270,7 +308,7 @@ func (s *Space) SweepNode(node int) (dropped, lost []uint64) {
 				break
 			}
 		}
-		pi.owner = next
+		s.setOwner(pi, next)
 		if next < 0 {
 			// The dead node held the only copy; the next touch anywhere is a
 			// cold zero-fill fault.
@@ -294,6 +332,6 @@ func (s *Space) ForceOwn(node int, page uint64) (prevOwner int, moved bool) {
 		s.setState(pi, n, Invalid)
 	}
 	s.setState(pi, node, Exclusive)
-	pi.owner = node
+	s.setOwner(pi, node)
 	return prev, prev != node
 }

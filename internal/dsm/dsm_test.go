@@ -274,3 +274,82 @@ func TestSweepNodeIdempotentAndEmpty(t *testing.T) {
 		t.Fatalf("second sweep not a no-op: %v %v", d, l)
 	}
 }
+
+// OwnedCount is kept on every transition that gives a page an owner or
+// takes its last one away, so it always equals len(OwnedPages()).
+func TestOwnedCountTracksOwnedPages(t *testing.T) {
+	s := NewSpace(3)
+	check := func(when string) {
+		t.Helper()
+		if got, want := s.OwnedCount(), len(s.OwnedPages()); got != want {
+			t.Fatalf("%s: OwnedCount %d, OwnedPages has %d", when, got, want)
+		}
+	}
+	s.Seed(0, 1)
+	check("seed")
+	mustFault(t, s, 1, 2, true)
+	mustFault(t, s, 2, 2, false)
+	mustFault(t, s, 0, 2, true)
+	check("faults")
+	s.ForceOwn(2, 1)
+	check("force own")
+	s.SweepNode(2) // page 1 lived only there: lost, no owner
+	check("sweep")
+	if s.OwnedCount() != 1 {
+		t.Fatalf("owned after sweep: %d, want 1", s.OwnedCount())
+	}
+	mustFault(t, s, 1, 1, false) // cold again
+	check("refault")
+}
+
+// An Action's lists are the Space's scratch: the next Fault may overwrite
+// them, and a Fault that drops nobody reports a nil list.
+func TestActionListsAliasScratch(t *testing.T) {
+	s := NewSpace(3)
+	mustFault(t, s, 0, 1, true)
+	mustFault(t, s, 1, 1, false)
+	first := mustFault(t, s, 2, 1, true) // drops 0 and 1
+	if len(first.Drop) != 2 || first.Drop[0] != 0 || first.Drop[1] != 1 {
+		t.Fatalf("drop list %v, want [0 1]", first.Drop)
+	}
+	second := mustFault(t, s, 0, 1, true) // drops 2
+	if len(second.Drop) != 1 || second.Drop[0] != 2 || first.Drop[0] != 2 {
+		t.Fatalf("second drop list %v (first now %v): want [2], sharing the scratch", second.Drop, first.Drop)
+	}
+	if act := mustFault(t, s, 0, 7, true); act.Drop != nil || act.Protect != nil {
+		t.Fatalf("cold fault lists %v %v, want nil", act.Drop, act.Protect)
+	}
+}
+
+// pingPongFaults alternates write faults on 64 pages between two nodes —
+// the bench's dsm.fault_ns probe — after one warm-up round.
+func pingPongFaults(tb testing.TB) func() {
+	s := NewSpace(2)
+	node := 0
+	round := func() {
+		for p := uint64(0); p < 64; p++ {
+			if _, err := s.Fault(node, p, true); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		node = 1 - node
+	}
+	round()
+	round()
+	return round
+}
+
+func TestFaultDoesNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(50, pingPongFaults(t)); n != 0 {
+		t.Fatalf("%v allocs per 64 faults on known pages, want 0", n)
+	}
+}
+
+func BenchmarkFault(b *testing.B) {
+	round := pingPongFaults(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 64 {
+		round()
+	}
+}

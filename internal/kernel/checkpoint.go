@@ -495,6 +495,11 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 	if img.Name != s.ImgName {
 		return nil, fmt.Errorf("kernel: image %q does not match snapshot of %q", img.Name, s.ImgName)
 	}
+	for _, pr := range s.Pages {
+		if len(pr.Data) != mem.PageSize {
+			return nil, fmt.Errorf("kernel: snapshot page %#x carries %d bytes, want %d", pr.Index, len(pr.Data), mem.PageSize)
+		}
+	}
 
 	cl.nextPid++
 	p := &Process{
@@ -534,8 +539,7 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 	// loader seeding a fresh image; other nodes pull on demand.
 	for _, pr := range s.Pages {
 		base := pr.Index << mem.PageShift
-		dst := p.Mems[node].EnsurePage(base)
-		copy(dst[:], pr.Data)
+		p.Mems[node].InstallPage(base, (*mem.Page)(pr.Data))
 		p.Space.Seed(node, pr.Index)
 	}
 
@@ -570,11 +574,9 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 		}
 		srcLo := lo + uint64(rec.CurHalf)*mem.StackHalf
 		dstLo := lo + uint64(1-rec.CurHalf)*mem.StackHalf
-		km := &kmem{k: kd, p: p}
-		out, err := xform.Transform(&xform.Input{
+		out, faultLat, err := kd.transform(p, xform.Input{
 			SrcProg:    img.Prog(rec.Arch),
 			DstProg:    img.Prog(kd.Arch),
-			Mem:        km,
 			Regs:       rec.Regs,
 			PC:         rec.PC,
 			SrcStackLo: srcLo,
@@ -588,7 +590,7 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 		t.Regs = out.Regs
 		t.PC = out.PC
 		t.CurHalf = 1 - rec.CurHalf
-		xlat += XformLatency(kd.Arch, out.Stats) + km.Lat
+		xlat += XformLatency(kd.Arch, out.Stats) + faultLat
 	}
 
 	// Pass 2: re-link joins and schedule. A join whose target already

@@ -86,6 +86,11 @@ type Kernel struct {
 	// engine hazard — and scales the effective clock: cycles retire slow
 	// times slower, and accounting charges the inflated wall time.
 	slow float64
+
+	// xf is the stack-transformation state, built at the first migration or
+	// cross-ISA restore this kernel performs (most kernels of a fleet never
+	// perform one).
+	xf *xformState
 }
 
 // Down reports whether the node is currently crashed.
@@ -402,32 +407,22 @@ func (k *Kernel) resolveFault(p *Process, addr uint64, write bool, now float64) 
 		return act, coldFaultSeconds, nil
 	}
 
-	// Copy the page content BEFORE applying Drop directives — the owner's
-	// copy is the content source and Drop destroys it.
-	var snapshot *mem.Page
-	if act.TransferFrom >= 0 {
-		if src := p.Mems[act.TransferFrom].Page(base); src != nil {
-			cp := *src
-			snapshot = &cp
-		}
-	}
-	// Apply protection changes at the other copies now (content freezes).
-	k.applyDSM(p, act, base)
-
 	peer, size := act.TransferFrom, int64(mem.PageSize)
 	if peer >= 0 {
 		if DebugDSM {
 			fmt.Printf("dsm: node%d XFER %#x from node%d write=%v grant=%d\n", k.Node, base, peer, write, act.Grant)
 		}
-		dst := local.EnsurePage(base)
-		if snapshot != nil {
-			*dst = *snapshot
-		}
+		// Bring the content in BEFORE applying Drop directives — the owner's
+		// copy is the content source and Drop destroys it. An Exclusive
+		// grant leaves no other copy, the source's included: take its frame.
+		p.pullPage(base, peer, k.Node, act.Grant == dsm.Exclusive)
 		k.PagesIn++
 		k.cluster.Kernels[peer].PagesOut++
 	} else {
 		peer, size = dsmPeer(act, p, k.Node), 0
 	}
+	// Apply protection changes at the other copies now (content freezes).
+	k.applyDSM(p, act, base)
 	if act.Grant == dsm.Shared {
 		local.Protect(base)
 	} else {
@@ -438,6 +433,25 @@ func (k *Kernel) resolveFault(p *Process, addr uint64, write bool, now float64) 
 		return act, 0, fmt.Errorf("kernel: node %d: page %#x: node %d unresponsive", k.Node, base, peer)
 	}
 	return act, rtt, nil
+}
+
+// pullPage brings the content of p's page at base from node from's memory
+// into node to's: the one place a page crosses kernels (demand faults, the
+// eager migration baselines). When the source copy is about to be dropped
+// anyway (take), the frame itself changes hands — hDSM's identity mapping
+// means the bytes need no rewriting, so they need no copying either;
+// otherwise the content is copied from the source, which keeps its copy.
+// A source with no frame (the directory and the memory disagree) leaves the
+// destination's page as it is, zero-filled if new.
+func (p *Process) pullPage(base uint64, from, to int, take bool) {
+	src, dst := p.Mems[from], p.Mems[to]
+	if !take {
+		dst.InstallPage(base, src.Page(base))
+	} else if frame := src.TakePage(base); frame != nil {
+		dst.AdoptPage(base, frame)
+	} else {
+		dst.EnsurePage(base)
+	}
 }
 
 // dsmPeer picks the remote endpoint an invalidation round trip talks to:
@@ -509,7 +523,13 @@ type kmem struct {
 	Lat float64
 }
 
-func (m *kmem) resolve(addr uint64, write bool) error {
+// mem is the local memory the view reads and writes.
+func (m *kmem) mem() *mem.Memory { return m.p.Mems[m.k.Node] }
+
+// resolve runs the DSM protocol for the fault an access of size bytes at
+// addr just took, so the access can be retried.
+func (m *kmem) resolve(addr, size uint64, write bool) error {
+	addr = m.mem().FaultAddr(addr, size, write)
 	_, lat, err := m.k.resolveFault(m.p, addr, write, m.k.now+m.Lat)
 	m.Lat += lat
 	return err
@@ -518,50 +538,37 @@ func (m *kmem) resolve(addr uint64, write bool) error {
 // ReadU64 implements xform.MemIO.
 func (m *kmem) ReadU64(addr uint64) (uint64, error) {
 	for {
-		v, err := m.p.Mems[m.k.Node].ReadU64(addr)
-		if err == nil {
+		if v, ok := m.mem().LoadU64(addr); ok {
 			return v, nil
 		}
-		fe, ok := err.(*mem.FaultError)
-		if !ok {
+		if err := m.resolve(addr, 8, false); err != nil {
 			return 0, err
-		}
-		if rerr := m.resolve(fe.Addr, fe.Write); rerr != nil {
-			return 0, rerr
 		}
 	}
 }
 
 // WriteU64 implements xform.MemIO.
 func (m *kmem) WriteU64(addr uint64, v uint64) error {
-	for {
-		err := m.p.Mems[m.k.Node].WriteU64(addr, v)
-		if err == nil {
-			return nil
-		}
-		fe, ok := err.(*mem.FaultError)
-		if !ok {
+	for !m.mem().StoreU64(addr, v) {
+		if err := m.resolve(addr, 8, true); err != nil {
 			return err
 		}
-		if rerr := m.resolve(fe.Addr, fe.Write); rerr != nil {
-			return rerr
-		}
 	}
+	return nil
 }
 
 // ReadBytes reads n bytes, resolving faults.
 func (m *kmem) ReadBytes(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
+	for i := range out {
 		for {
-			b, err := m.p.Mems[m.k.Node].ReadU8(addr + uint64(i))
-			if err == nil {
+			b, ok := m.mem().LoadU8(addr + uint64(i))
+			if ok {
 				out[i] = b
 				break
 			}
-			fe := err.(*mem.FaultError)
-			if rerr := m.resolve(fe.Addr, fe.Write); rerr != nil {
-				return nil, rerr
+			if err := m.resolve(addr+uint64(i), 1, false); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -570,15 +577,10 @@ func (m *kmem) ReadBytes(addr uint64, n int) ([]byte, error) {
 
 // WriteBytes writes data, resolving faults.
 func (m *kmem) WriteBytes(addr uint64, data []byte) error {
-	for i := range data {
-		for {
-			err := m.p.Mems[m.k.Node].WriteU8(addr+uint64(i), data[i])
-			if err == nil {
-				break
-			}
-			fe := err.(*mem.FaultError)
-			if rerr := m.resolve(fe.Addr, fe.Write); rerr != nil {
-				return rerr
+	for i, b := range data {
+		for !m.mem().StoreU8(addr+uint64(i), b) {
+			if err := m.resolve(addr+uint64(i), 1, true); err != nil {
+				return err
 			}
 		}
 	}

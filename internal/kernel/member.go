@@ -203,12 +203,7 @@ func (cl *Cluster) DeclareNodeDead(node int, at float64) {
 		if p.exited {
 			continue
 		}
-		dropped, lostPages := p.Space.SweepNode(node)
-		for _, pg := range dropped {
-			// The directory says Invalid now; drop the local frame too, or a
-			// resurrected node would read the stale copy without faulting.
-			p.Mems[node].DropPage(pg << mem.PageShift)
-		}
+		dropped, lostPages := p.sweepNode(node)
 		if len(dropped) > 0 || len(lostPages) > 0 {
 			cl.tracefNode(node, at, "dsm-sweep", "pid %d: node %d swept (%d copies dropped, %d exclusive pages lost)",
 				p.Pid, node, len(dropped), len(lostPages))
@@ -224,6 +219,18 @@ func (cl *Cluster) DeclareNodeDead(node int, at float64) {
 			cl.OnProcessLost(p, node)
 		}
 	}
+}
+
+// sweepNode reclaims every reference p's directory holds to node (see
+// dsm.Space.SweepNode) and the frames behind them.
+func (p *Process) sweepNode(node int) (dropped, lost []uint64) {
+	dropped, lost = p.Space.SweepNode(node)
+	for _, pg := range dropped {
+		// The directory says Invalid now; drop the local frame too, or a
+		// resurrected node would read the stale copy without faulting.
+		p.Mems[node].DropPage(pg << mem.PageShift)
+	}
+	return dropped, lost
 }
 
 // hasThreadOn reports whether p has a non-exited thread hosted on (or in

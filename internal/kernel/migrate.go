@@ -111,6 +111,56 @@ func XformLatency(arch isa.Arch, st xform.Stats) float64 {
 	return lat
 }
 
+// xformState is what a kernel keeps between stack transformations so that
+// one costs no allocation: the transformer with its working storage, the
+// input record handed to it and the fault-resolving memory view it works
+// through.
+type xformState struct {
+	tr xform.Transformer
+	in xform.Input
+	km kmem
+}
+
+// transform rewrites the stack of one of p's threads, suspended as in
+// describes (in.Mem is supplied here), on this kernel. It returns the resume
+// state — valid until the kernel's next transformation — and the DSM latency
+// the transformer's memory accesses accumulated.
+func (k *Kernel) transform(p *Process, in xform.Input) (*xform.Output, float64, error) {
+	if k.xf == nil {
+		k.xf = new(xformState)
+	}
+	xf := k.xf
+	xf.km = kmem{k: k, p: p}
+	xf.in = in
+	xf.in.Mem = &xf.km
+	out, err := xf.tr.Transform(&xf.in)
+	lat := xf.km.Lat
+	// Keep no reference to the process or its image past the call.
+	xf.km, xf.in = kmem{}, xform.Input{}
+	return out, lat, err
+}
+
+// pullAllPages is the eager baselines' bulk transfer: every page anyone
+// owns ends Exclusive on target and dropped everywhere else — also where
+// target already owned it and the others held read-only copies — as
+// ForceOwn leaves the directory. It returns how many had to cross kernels.
+func (p *Process) pullAllPages(target int) (moved uint64) {
+	for _, pg := range p.Space.OwnedPages() {
+		base := pg << mem.PageShift
+		if prev, ok := p.Space.ForceOwn(target, pg); ok {
+			p.pullPage(base, prev, target, true)
+			moved++
+		}
+		for n := range p.Mems {
+			if n != target {
+				p.Mems[n].DropPage(base)
+			}
+		}
+		p.Mems[target].Unprotect(base)
+	}
+	return moved
+}
+
 // migrateThread implements the thread-migration service: it runs the
 // user-space stack transformation, then ships the thread's transformed
 // register state to the target kernel. Memory stays behind and follows on
@@ -172,28 +222,25 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 	// up front; the thread resumes only after deserialization completes.
 	var serializeLat, deserializeLat float64
 	var stateBytes int64
+	eager := p.serializedMigration || p.eagerPageMigration
+	if eager {
+		stateBytes = int64(p.Space.OwnedCount()) * mem.PageSize
+	}
 	if p.serializedMigration {
-		pages := p.Space.OwnedPages()
-		stateBytes = int64(len(pages)) * 4096
 		serializeLat = serializeBaseSeconds + float64(stateBytes)/serializeBytesPerSec
 		deserializeLat = float64(stateBytes) / deserializeBytesPerSec
-	} else if p.eagerPageMigration {
-		stateBytes = int64(len(p.Space.OwnedPages())) * 4096
 	}
 
 	srcLo, srcHi := t.StackHalfBounds()
 	dstLo, dstHi := t.OtherHalfBounds()
-	km := &kmem{k: k, p: p}
-	in := &xform.Input{
+	out, faultLat, err := k.transform(p, xform.Input{
 		SrcProg:    p.Img.Prog(k.Arch),
 		DstProg:    p.Img.Prog(dstK.Arch),
-		Mem:        km,
 		Regs:       xform.RegState{I: c.RegsI, F: c.RegsF},
 		PC:         c.PC,
 		SrcStackLo: srcLo, SrcStackHi: srcHi,
 		DstStackLo: dstLo, DstStackHi: dstHi,
-	}
-	out, err := xform.Transform(in)
+	})
 	if err != nil {
 		k.detach(cs)
 		k.killProcess(p, fmt.Errorf("kernel: stack transformation failed: %w", err))
@@ -207,7 +254,7 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		funcName = fi.Name
 	}
 
-	xlat := XformLatency(k.Arch, out.Stats) + km.Lat
+	xlat := XformLatency(k.Arch, out.Stats) + faultLat
 	if p.serializedMigration {
 		// The state walk dominates; the (free) bytecode-level remapping
 		// replaces the stack transformation.
@@ -229,33 +276,11 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 	t.PC = out.PC
 
 	payloadSize := int64(migratePayloadBytes)
-	if p.serializedMigration || p.eagerPageMigration {
+	if eager {
 		// Move every page eagerly with the serialized state.
-		for _, pg := range p.Space.OwnedPages() {
-			prev, moved := p.Space.ForceOwn(target, pg)
-			if !moved {
-				p.Mems[target].Unprotect(pg << mem.PageShift)
-				continue
-			}
-			base := pg << mem.PageShift
-			var snap *mem.Page
-			if src := p.Mems[prev].Page(base); src != nil {
-				cp := *src
-				snap = &cp
-			}
-			for n := range p.Mems {
-				if n != target {
-					p.Mems[n].DropPage(base)
-				}
-			}
-			dst := p.Mems[target].EnsurePage(base)
-			if snap != nil {
-				*dst = *snap
-			}
-			p.Mems[target].Unprotect(base)
-			k.PagesOut++
-			cl.Kernels[target].PagesIn++
-		}
+		moved := p.pullAllPages(target)
+		k.PagesOut += moved
+		cl.Kernels[target].PagesIn += moved
 		payloadSize = stateBytes + migratePayloadBytes
 	}
 	// at is the delivery time, or when the sender gave up.

@@ -79,8 +79,7 @@ func (t *TLB) fill(addr uint64, write bool) *Page {
 func (t *TLB) ReadU64(addr uint64) (v uint64, ok bool) {
 	off := addr & (PageSize - 1)
 	if off > PageSize-8 { // straddles two pages: Memory's byte-wise path
-		v, err := t.m.ReadU64(addr)
-		return v, err == nil
+		return t.m.LoadU64(addr)
 	}
 	p := t.rhit(addr)
 	if p == nil {
@@ -95,7 +94,7 @@ func (t *TLB) ReadU64(addr uint64) (v uint64, ok bool) {
 func (t *TLB) WriteU64(addr uint64, v uint64) bool {
 	off := addr & (PageSize - 1)
 	if off > PageSize-8 { // straddles two pages: Memory's byte-wise path
-		return t.m.WriteU64(addr, v) == nil
+		return t.m.StoreU64(addr, v)
 	}
 	p := t.whit(addr)
 	if p == nil {

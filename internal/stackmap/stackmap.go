@@ -10,7 +10,9 @@
 package stackmap
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"heterodc/internal/ir"
@@ -64,7 +66,9 @@ type CallSite struct {
 	// RetPC is the address of the instruction that executes when the callee
 	// returns (the resume point after migration).
 	RetPC uint64
-	// Live lists the values live across this call, sorted by VReg.
+	// Live lists the values live across this call, sorted by VReg: the
+	// compiler emits them so and Map.Seal enforces it, which lets the
+	// transformer pair two ISAs' lists with one merge pass.
 	Live []LiveValue
 }
 
@@ -150,13 +154,17 @@ func NewMap(arch isa.Arch) *Map {
 // Add registers fi.
 func (m *Map) Add(fi *FuncInfo) { m.Funcs[fi.Name] = fi }
 
-// Seal builds the PC lookup structures; call after all Add calls.
+// Seal builds the PC lookup structures and puts every call site's live set
+// in VReg order (a no-op on compiler output); call after all Add calls.
 func (m *Map) Seal() {
 	m.entryToFunc = make(map[uint64]*FuncInfo, len(m.Funcs))
 	m.sortedEntries = m.sortedEntries[:0]
 	for _, fi := range m.Funcs {
 		m.entryToFunc[fi.Entry] = fi
 		m.sortedEntries = append(m.sortedEntries, fi.Entry)
+		for _, cs := range fi.CallSites {
+			slices.SortStableFunc(cs.Live, func(a, b LiveValue) int { return cmp.Compare(a.VReg, b.VReg) })
+		}
 	}
 	sort.Slice(m.sortedEntries, func(i, j int) bool {
 		return m.sortedEntries[i] < m.sortedEntries[j]

@@ -73,9 +73,18 @@ type srcFrame struct {
 	fn   *stackmap.FuncInfo // source-ISA metadata
 	site *stackmap.CallSite // source call site the frame is suspended at
 	fp   uint64             // source frame pointer
-	// regs is the register snapshot as this frame observes it (all deeper
-	// frames' callee-saved saves applied).
-	regs RegState
+	// savesEnd bounds the frame's slice of Transformer.saves: applying
+	// saves[:savesEnd] to the live register file gives the registers as this
+	// frame observes them (all deeper frames' callee-saved saves applied).
+	savesEnd int
+}
+
+// savedReg is one callee-saved register value the unwinder read back from a
+// save slot.
+type savedReg struct {
+	reg     isa.Reg
+	isFloat bool
+	bits    uint64
 }
 
 // dstFrame is one frame placed in the destination half.
@@ -92,19 +101,45 @@ type region struct {
 	dstLo        uint64
 }
 
+// Transformer runs stack transformations and keeps its working storage —
+// the frame lists, the alloca region table, the saved-register log and the
+// Output — between calls, so a kernel that migrates threads all day
+// allocates nothing per migration once the slices have grown to its deepest
+// stack. It is not safe for concurrent use; the zero value is ready.
+type Transformer struct {
+	in      *Input
+	frames  []srcFrame
+	dsts    []dstFrame
+	regions []region
+	// saves logs, innermost frame first, every register the unwinder
+	// recovered; a frame's view of the register file is in.Regs with a prefix
+	// of the log applied, which costs 16 bytes per save where a snapshot per
+	// frame cost a 512-byte register file.
+	saves []savedReg
+	out   Output
+}
+
+// Transform rewrites the stack and maps the register state with a
+// throwaway Transformer.
+func Transform(in *Input) (*Output, error) { return new(Transformer).Transform(in) }
+
 // Transform rewrites the stack and maps the register state. It returns the
-// destination resume state or an error if metadata is missing or
-// inconsistent (a fatal toolchain defect).
-func Transform(in *Input) (*Output, error) {
+// destination resume state, which the Transformer owns and overwrites on its
+// next call, or an error if metadata is missing or inconsistent (a fatal
+// toolchain defect).
+func (t *Transformer) Transform(in *Input) (*Output, error) {
+	t.in = in
+	defer func() { t.in = nil }()
 	srcDesc := isa.Describe(in.SrcProg.Arch)
 	dstDesc := isa.Describe(in.DstProg.Arch)
-	out := &Output{}
+	t.out = Output{}
+	out := &t.out
 
 	// ---- Pass 1: unwind the source stack. ----
-	frames, err := unwind(in, srcDesc)
-	if err != nil {
+	if err := t.unwind(srcDesc); err != nil {
 		return nil, err
 	}
+	frames := t.frames
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("xform: no application frames to transform")
 	}
@@ -116,7 +151,11 @@ func Transform(in *Input) (*Output, error) {
 	}
 
 	// ---- Pass 2: lay out destination frames (outermost first). ----
-	dsts := make([]dstFrame, len(frames))
+	if cap(t.dsts) < len(frames) {
+		t.dsts = make([]dstFrame, len(frames), cap(t.frames))
+	}
+	dsts := t.dsts[:len(frames)]
+	t.dsts = dsts
 	sp := (in.DstStackHi - 64) &^ 15
 	for k := len(frames) - 1; k >= 0; k-- {
 		name := frames[k].fn.Name
@@ -134,31 +173,17 @@ func Transform(in *Input) (*Output, error) {
 
 	// Alloca region table for pointer fixup (addresses of address-taken
 	// locals move between ABIs; pointers into them must be rebased).
-	var regions []region
+	t.regions = t.regions[:0]
 	for k, f := range frames {
 		for i := range f.fn.AllocaOffsets {
 			srcLo := f.fp + uint64(f.fn.AllocaOffsets[i])
 			dstLo := dsts[k].fp + uint64(dsts[k].fn.AllocaOffsets[i])
-			regions = append(regions, region{
+			t.regions = append(t.regions, region{
 				srcLo: srcLo,
 				srcHi: srcLo + uint64(f.fn.AllocaSizes[i]),
 				dstLo: dstLo,
 			})
 		}
-	}
-	fixup := func(v uint64) (uint64, bool) {
-		if v < in.SrcStackLo || v >= in.SrcStackHi {
-			return v, false
-		}
-		for _, r := range regions {
-			if v >= r.srcLo && v < r.srcHi {
-				return r.dstLo + (v - r.srcLo), true
-			}
-		}
-		// Value looks like a stack address but maps to no live alloca: treat
-		// it as an integer that happens to collide (the paper's runtime has
-		// the same ambiguity); leave unchanged.
-		return v, false
 	}
 
 	// ---- Pass 3: write frame records and copy state. ----
@@ -208,7 +233,7 @@ func Transform(in *Input) (*Output, error) {
 					return nil, err
 				}
 				if mayHoldPtr {
-					if nw, fixed := fixup(w); fixed {
+					if nw, fixed := t.fixup(w); fixed {
 						w = nw
 						out.Stats.PtrFixups++
 					}
@@ -221,47 +246,35 @@ func Transform(in *Input) (*Output, error) {
 	}
 
 	// Live values: read from source locations, write to destination
-	// locations. Register-resident destinations go either directly into the
-	// destination register file (innermost frame, or registers untouched by
-	// inner frames) or into the save slot of the nearest inner frame that
-	// saves the register — the paper's walk down the call chain.
-	dstRegs := &out.Regs
-	placeReg := func(k int, reg isa.Reg, isFloat bool, vi int64, vf float64) error {
-		for j := k - 1; j >= 0; j-- {
-			if off, ok := dsts[j].fn.SaveOffset(reg, isFloat); ok {
-				out.Stats.RegWalks++
-				bits := uint64(vi)
-				if isFloat {
-					bits = f64bits(vf)
-				}
-				return in.Mem.WriteU64(dsts[j].fp+uint64(off), bits)
+	// locations. regs replays the unwinder's log as the loop moves outward,
+	// so at frame k it is the register file as that frame observes it.
+	regs, applied := in.Regs, 0
+	for k, f := range frames {
+		for ; applied < f.savesEnd; applied++ {
+			if s := t.saves[applied]; s.isFloat {
+				regs.F[s.reg] = f64frombits(s.bits)
+			} else {
+				regs.I[s.reg] = int64(s.bits)
 			}
 		}
-		if isFloat {
-			dstRegs.F[reg] = vf
-		} else {
-			dstRegs.I[reg] = vi
-		}
-		return nil
-	}
-
-	for k, f := range frames {
 		dsite, ok := dsts[k].fn.CallSites[f.site.ID]
 		if !ok {
 			return nil, fmt.Errorf("xform: %s: destination missing call site %d", f.fn.Name, f.site.ID)
 		}
-		dstLoc := make(map[int]stackmap.Loc, len(dsite.Live))
-		for _, lv := range dsite.Live {
-			dstLoc[lv.VReg] = lv.Loc
-		}
+		// Both live sets are sorted by VReg (Map.Seal sees to it), so one
+		// cursor over the destination's finds each source value's home.
+		dlive := dsite.Live
 		for _, lv := range f.site.Live {
-			dl, ok := dstLoc[lv.VReg]
-			if !ok {
+			for len(dlive) > 0 && dlive[0].VReg < lv.VReg {
+				dlive = dlive[1:]
+			}
+			if len(dlive) == 0 || dlive[0].VReg != lv.VReg {
 				// Live on source but not destination: the IR-level live set
 				// is shared, so this is a metadata defect.
 				return nil, fmt.Errorf("xform: %s site %d: v%d live on %s but not %s",
 					f.fn.Name, f.site.ID, lv.VReg, in.SrcProg.Arch, in.DstProg.Arch)
 			}
+			dl := dlive[0].Loc
 			out.Stats.LiveValues++
 
 			// Fetch the source value.
@@ -269,9 +282,9 @@ func Transform(in *Input) (*Output, error) {
 			var vf float64
 			if lv.Loc.Kind == stackmap.InReg {
 				if lv.Loc.IsFloat {
-					vf = f.regs.F[lv.Loc.Reg]
+					vf = regs.F[lv.Loc.Reg]
 				} else {
-					vi = f.regs.I[lv.Loc.Reg]
+					vi = regs.I[lv.Loc.Reg]
 				}
 			} else {
 				w, err := in.Mem.ReadU64(f.fp + uint64(lv.Loc.Off))
@@ -286,14 +299,14 @@ func Transform(in *Input) (*Output, error) {
 			}
 			// Pointer fixup for stack-internal pointers.
 			if lv.Type == ir.Ptr && !lv.Loc.IsFloat {
-				if nv, fixed := fixup(uint64(vi)); fixed {
+				if nv, fixed := t.fixup(uint64(vi)); fixed {
 					vi = int64(nv)
 					out.Stats.PtrFixups++
 				}
 			}
 			// Place at the destination.
 			if dl.Kind == stackmap.InReg {
-				if err := placeReg(k, dl.Reg, dl.IsFloat, vi, vf); err != nil {
+				if err := t.placeReg(k, dl.Reg, dl.IsFloat, vi, vf); err != nil {
 					return nil, err
 				}
 			} else {
@@ -316,64 +329,99 @@ func Transform(in *Input) (*Output, error) {
 	if Debug {
 		fmt.Printf("xform: resume pc=%#x sp=%#x fp=%#x\n", site0.RetPC, dsts[0].sp, dsts[0].fp)
 	}
-	dstRegs.I[dstDesc.SP] = int64(dsts[0].sp)
-	dstRegs.I[dstDesc.FP] = int64(dsts[0].fp)
+	out.Regs.I[dstDesc.SP] = int64(dsts[0].sp)
+	out.Regs.I[dstDesc.FP] = int64(dsts[0].fp)
 	if dstDesc.LR != isa.NoReg {
-		dstRegs.I[dstDesc.LR] = int64(site0.RetPC)
+		out.Regs.I[dstDesc.LR] = int64(site0.RetPC)
 	}
 	out.PC = site0.RetPC
-	_ = srcDesc
 	return out, nil
 }
 
-// unwind walks the source stack from inside __migrate_check outward,
-// recovering per-frame register snapshots via the callee-save metadata.
-func unwind(in *Input, srcDesc *isa.Desc) ([]srcFrame, error) {
+// fixup rebases v if it points into a live source alloca slot.
+func (t *Transformer) fixup(v uint64) (uint64, bool) {
+	if v < t.in.SrcStackLo || v >= t.in.SrcStackHi {
+		return v, false
+	}
+	for _, r := range t.regions {
+		if v >= r.srcLo && v < r.srcHi {
+			return r.dstLo + (v - r.srcLo), true
+		}
+	}
+	// Value looks like a stack address but maps to no live alloca: treat
+	// it as an integer that happens to collide (the paper's runtime has
+	// the same ambiguity); leave unchanged.
+	return v, false
+}
+
+// placeReg puts frame k's register-resident destination value either
+// directly into the destination register file (innermost frame, or
+// registers untouched by inner frames) or into the save slot of the nearest
+// inner frame that saves the register — the paper's walk down the call
+// chain.
+func (t *Transformer) placeReg(k int, reg isa.Reg, isFloat bool, vi int64, vf float64) error {
+	for j := k - 1; j >= 0; j-- {
+		if off, ok := t.dsts[j].fn.SaveOffset(reg, isFloat); ok {
+			t.out.Stats.RegWalks++
+			bits := uint64(vi)
+			if isFloat {
+				bits = f64bits(vf)
+			}
+			return t.in.Mem.WriteU64(t.dsts[j].fp+uint64(off), bits)
+		}
+	}
+	if isFloat {
+		t.out.Regs.F[reg] = vf
+	} else {
+		t.out.Regs.I[reg] = vi
+	}
+	return nil
+}
+
+// unwind walks the source stack from inside __migrate_check outward into
+// t.frames, logging the callee-saved registers each frame restores.
+func (t *Transformer) unwind(srcDesc *isa.Desc) error {
+	in := t.in
+	t.frames, t.saves = t.frames[:0], t.saves[:0]
 	cur := in.PC
 	curFn := in.SrcProg.SMap.FuncAt(cur)
 	if curFn == nil {
-		return nil, fmt.Errorf("xform: pc %#x not in any function", cur)
+		return fmt.Errorf("xform: pc %#x not in any function", cur)
 	}
 	curFP := uint64(in.Regs.I[srcDesc.FP])
-	regs := in.Regs
 
-	var frames []srcFrame
 	for depth := 0; ; depth++ {
 		if depth > 1024 {
-			return nil, fmt.Errorf("xform: unwind depth exceeded (corrupt frame chain?)")
+			return fmt.Errorf("xform: unwind depth exceeded (corrupt frame chain?)")
 		}
 		// Recover the caller's view of callee-saved registers.
 		for _, s := range curFn.Saves {
 			w, err := in.Mem.ReadU64(curFP + uint64(s.Off))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if s.IsFloat {
-				regs.F[s.Reg] = f64frombits(w)
-			} else {
-				regs.I[s.Reg] = int64(w)
-			}
+			t.saves = append(t.saves, savedReg{reg: s.Reg, isFloat: s.IsFloat, bits: w})
 		}
 		retAddr, err := in.Mem.ReadU64(curFP + 8)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		callerFP, err := in.Mem.ReadU64(curFP)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if retAddr == 0 {
 			// curFn is the entry shim; it was appended on the previous
 			// iteration (or the chain is broken).
-			return frames, nil
+			return nil
 		}
 		callerFn, site, err := in.SrcProg.SMap.SiteFor(retAddr)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Entry shims are included as frames; their own caller record is the
 		// zero sentinel, so the next iteration exits via retAddr == 0.
-		frames = append(frames, srcFrame{fn: callerFn, site: site, fp: callerFP, regs: regs})
+		t.frames = append(t.frames, srcFrame{fn: callerFn, site: site, fp: callerFP, savesEnd: len(t.saves)})
 		curFn, curFP = callerFn, callerFP
 	}
 }
