@@ -4,6 +4,7 @@ package heterodc_bench
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 )
@@ -19,7 +20,9 @@ import (
 // StepNode dominates and the groups must scale), both engines on the idle
 // fleet (where finding the next action is the whole cost) — or, on a host
 // with at least two cores, if the parallel engine fails to reach 1.5 times
-// the sequential engine's flagship throughput in the same run. Opt-in via
+// the sequential engine's flagship throughput in the same run, or falls
+// behind it on the idle fleet by more than the recorded rows say (their
+// par/seq ratio rounded down to a tenth). Opt-in via
 // BENCH_GATE=1 so ordinary `go test ./...` runs — and laptops under load —
 // are never gated; CI sets the variable explicitly.
 func TestEngineBenchGate(t *testing.T) {
@@ -76,10 +79,10 @@ func TestEngineBenchGate(t *testing.T) {
 		t.Fatalf("%s has no %s %s_quanta_per_s: run `%s`", results, scenario, engine, base.Command)
 		return 0
 	}
-	// hold gates one engine on one scenario against the recorded row for the
-	// nearest GOMAXPROCS at or below the run's — a 2-core runner is held to
-	// the 2-core baseline, not the 8-core one — and returns what was measured.
-	hold := func(scenario, engine string) float64 {
+	// recorded returns the baseline row of one engine on one scenario for
+	// the nearest GOMAXPROCS at or below the run's — a 2-core runner is held
+	// to the 2-core baseline, not the 8-core one.
+	recorded := func(scenario, engine string) (float64, int) {
 		want, wantProcs := 0.0, 0
 		for _, r := range base.Rows {
 			if r.Scenario == scenario && r.Engine == engine && r.Gomaxprocs <= procs && r.Gomaxprocs > wantProcs {
@@ -89,6 +92,12 @@ func TestEngineBenchGate(t *testing.T) {
 		if wantProcs == 0 {
 			t.Fatalf("baseline has no %s %s row at or below GOMAXPROCS=%d", scenario, engine, procs)
 		}
+		return want, wantProcs
+	}
+	// hold gates one engine on one scenario against its recorded row and
+	// returns what was measured.
+	hold := func(scenario, engine string) float64 {
+		want, wantProcs := recorded(scenario, engine)
 		got := measured(scenario, engine)
 		floor := want * (1 - tol)
 		t.Logf("%s %s throughput: %.0f quanta/s (baseline %.0f @ GOMAXPROCS=%d, floor %.0f)",
@@ -114,8 +123,19 @@ func TestEngineBenchGate(t *testing.T) {
 		}
 	}
 
-	hold("idle_fleet", "seq")
-	hold("idle_fleet", "par")
+	idleSeq := hold("idle_fleet", "seq")
+	idlePar := hold("idle_fleet", "par")
+
+	// An idle fleet gives the parallel engine nothing to overlap: it runs
+	// its thin windows inline and must keep up with the sequential one.
+	recSeq, _ := recorded("idle_fleet", "seq")
+	recPar, _ := recorded("idle_fleet", "par")
+	minIdle := math.Floor(recPar/recSeq*10) / 10
+	t.Logf("idle_fleet par/seq %.2fx (recorded %.2fx, floor %.1fx on two or more cores)", idlePar/idleSeq, recPar/recSeq, minIdle)
+	if procs >= 2 && run.Host.NumCPU >= 2 && idlePar < minIdle*idleSeq {
+		t.Errorf("parallel engine falls behind on the idle fleet: %.2fx the sequential engine's throughput, want at least %.1fx",
+			idlePar/idleSeq, minIdle)
+	}
 }
 
 func readJSON(t *testing.T, path string, v any) {

@@ -239,7 +239,7 @@ func (k *Kernel) pointTick(cs *coreSlot) {
 		return
 	}
 	due := (st.pol.EveryPoints > 0 && st.points-st.lastPoints >= st.pol.EveryPoints) ||
-		(st.pol.EverySeconds > 0 && k.now-st.lastAt >= st.pol.EverySeconds)
+		(st.pol.EverySeconds > 0 && k.now()-st.lastAt >= st.pol.EverySeconds)
 	if !due {
 		return
 	}
@@ -315,25 +315,25 @@ func (k *Kernel) ckptMaybeCapture(p *Process) {
 	}
 	st.pending = false
 	st.lastPoints = st.points
-	st.lastAt = k.now
-	snap, err := k.cluster.snapshotProcess(p, k.now)
+	st.lastAt = k.now()
+	snap, err := k.cluster.snapshotProcess(p, k.now())
 	if err != nil {
-		k.cluster.tracefNode(k.Node, k.now, "ckpt-skip", "pid %d: %v", p.Pid, err)
+		k.cluster.tracefNode(k.Node, k.now(), "ckpt-skip", "pid %d: %v", p.Pid, err)
 		k.releaseParked(p, 0)
 		return
 	}
 	lat := CheckpointLatency(snap)
 	// The interval clock restarts at the END of the stop-the-world window:
 	// a capture latency above the interval must not re-trigger immediately.
-	st.lastAt = k.now + lat
+	st.lastAt = k.now() + lat
 	k.ServiceSeconds += lat
-	k.cluster.tracefNode(k.Node, k.now, "ckpt", "pid %d: %d pages, %d threads, ~%d bytes, %.0fµs stop-the-world",
+	k.cluster.tracefNode(k.Node, k.now(), "ckpt", "pid %d: %d pages, %d threads, ~%d bytes, %.0fµs stop-the-world",
 		p.Pid, len(snap.Pages), len(snap.Threads), snap.ApproxBytes(), lat*1e6)
 	k.releaseParked(p, lat)
 	if k.cluster.OnCheckpoint != nil {
 		// Serialised across sharing groups: observers see one event at a time.
 		k.cluster.cbMu.Lock()
-		k.cluster.OnCheckpoint(CheckpointEvent{Time: k.now, Proc: p, Snap: snap, Seconds: lat})
+		k.cluster.OnCheckpoint(CheckpointEvent{Time: k.now(), Proc: p, Snap: snap, Seconds: lat})
 		k.cluster.cbMu.Unlock()
 	}
 }
@@ -357,7 +357,7 @@ func (k *Kernel) releaseParked(p *Process, lat float64) {
 	for _, t := range parkedThreads(p) {
 		kh := k.cluster.Kernels[t.Node]
 		if lat > 0 {
-			kh.sleep(t, kh.now+lat)
+			kh.sleep(t, kh.now()+lat)
 		} else {
 			kh.enqueue(t)
 		}
@@ -596,7 +596,7 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 	// Pass 2: re-link joins and schedule. A join whose target already
 	// exited at capture time (its wake was in flight) completes now.
 	lat := RestoreLatency(s) + xlat
-	wakeAt := kd.now + lat
+	wakeAt := kd.now() + lat
 	restored := 0
 	for i := range s.Threads {
 		rec := &s.Threads[i]
@@ -623,7 +623,7 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 	}
 	kd.ServiceSeconds += lat
 	cl.procs = append(cl.procs, p)
-	cl.tracefNode(kd.Node, kd.now, "restore", "pid %d from pid %d image (t=%.6fs): %d pages, %d/%d threads live on node %d (%s), %.0fµs",
+	cl.tracefNode(kd.Node, kd.now(), "restore", "pid %d from pid %d image (t=%.6fs): %d pages, %d/%d threads live on node %d (%s), %.0fµs",
 		p.Pid, s.Pid, s.When, len(s.Pages), restored, len(s.Threads), node, kd.Arch, lat*1e6)
 	return p, nil
 }

@@ -192,8 +192,8 @@ func NewTestbed() *Cluster {
 func (cl *Cluster) Time() float64 {
 	t := inf
 	for _, k := range cl.Kernels {
-		if k.now < t {
-			t = k.now
+		if now := k.now(); now < t {
+			t = now
 		}
 	}
 	if t >= inf {
@@ -304,9 +304,9 @@ func (cl *Cluster) CrashNode(node int) {
 	}
 	k.down = true
 	k.changed()
-	cl.tracefNode(node, k.now, "crash", "node %d down", node)
+	cl.tracefNode(node, k.now(), "crash", "node %d down", node)
 	if cl.member != nil {
-		cl.member.NodeCrashed(node, k.now)
+		cl.member.NodeCrashed(node, k.now())
 	}
 	for _, cs := range k.cores {
 		if cs.thr != nil {
@@ -318,7 +318,7 @@ func (cl *Cluster) CrashNode(node int) {
 	var recoverAt float64
 	hasRecover := false
 	if cl.faults != nil {
-		recoverAt, hasRecover = cl.faults.NodeRecoverAt(node, k.now)
+		recoverAt, hasRecover = cl.faults.NodeRecoverAt(node, k.now())
 	}
 	for _, m := range cl.IC.Drain(node) {
 		if m.Type == msg.THeartbeat {
@@ -333,20 +333,20 @@ func (cl *Cluster) CrashNode(node int) {
 			continue
 		}
 		if mp, ok := m.Payload.(*migratePayload); ok {
-			cl.rehome(mp, k.now)
+			cl.rehome(mp, k.now())
 			continue
 		}
 		if hasRecover {
 			cl.IC.Requeue(m, recoverAt+Quantum)
 			continue
 		}
-		cl.tracefNode(node, k.now, "msg-lost", "type %d for dead node %d", m.Type, node)
+		cl.tracefNode(node, k.now(), "msg-lost", "type %d for dead node %d", m.Type, node)
 	}
 	// A capture in progress cannot complete across the disruption (parked
 	// threads would wait on threads frozen here); release it and retry a
 	// full interval later. Only processes touching this node are affected —
 	// a capture confined to an unrelated sharing group proceeds untouched.
-	cl.abortCheckpoints(k.now, node)
+	cl.abortCheckpoints(k.now(), node)
 	// A permanent crash strands every process depending on this node. With
 	// a checkpoint service installed, kill them now so it can requeue each
 	// from its latest image; otherwise preserve the freeze semantics. With a
@@ -361,7 +361,7 @@ func (cl *Cluster) CrashNode(node int) {
 			}
 		}
 		for _, p := range lost {
-			cl.tracefNode(node, k.now, "proc-lost", "pid %d stranded by permanent crash of node %d", p.Pid, node)
+			cl.tracefNode(node, k.now(), "proc-lost", "pid %d stranded by permanent crash of node %d", p.Pid, node)
 			k.killProcess(p, fmt.Errorf("pid %d: %w (node %d)", p.Pid, ErrNodeLost, node))
 			cl.OnProcessLost(p, node)
 		}
@@ -404,16 +404,16 @@ func (cl *Cluster) RecoverNode(node int) {
 	}
 	k.down = false
 	k.changed()
-	cl.abortCheckpoints(k.now, node)
+	cl.abortCheckpoints(k.now(), node)
 	if cl.deadInc != nil && cl.deadInc[node] >= cl.incarnation[node] {
 		cl.incarnation[node]++
-		cl.tracefNode(node, k.now, "rejoin", "node %d rejoins as incarnation %d (declared dead as %d)",
+		cl.tracefNode(node, k.now(), "rejoin", "node %d rejoins as incarnation %d (declared dead as %d)",
 			node, cl.incarnation[node], cl.deadInc[node])
 	}
 	if cl.member != nil {
-		cl.member.NodeRecovered(node, cl.incarnation[node], k.now)
+		cl.member.NodeRecovered(node, cl.incarnation[node], k.now())
 	}
-	cl.tracefNode(node, k.now, "recover", "node %d up (%d threads thawed)", node, len(k.runq))
+	cl.tracefNode(node, k.now(), "recover", "node %d up (%d threads thawed)", node, len(k.runq))
 }
 
 // applyNodeEvent executes one scheduled crash/recovery transition.
@@ -451,6 +451,8 @@ func (cl *Cluster) engine() sim.Engine {
 // reports name nodes, and the nodes are this cluster's. Every layer reports
 // its writes (see changed), so the cluster vouches for the feed.
 func (cl *Cluster) SetEngine(e sim.Engine) {
+	// The old engine's pending drags become the kernels' own clocks.
+	cl.feed.Vouch(false)
 	cl.eng = e
 	cl.feed = nil
 	if fed, ok := e.(interface{ Feed() *sim.Feed }); ok {
@@ -477,18 +479,19 @@ func (k *Kernel) readyTime() float64 {
 		// co-simulation drags its clock forward in the meantime.
 		return inf
 	}
+	now := k.now()
 	for _, cs := range k.cores {
 		if cs.thr != nil {
-			return k.now
+			return now
 		}
 	}
 	if len(k.runq) > 0 {
-		return k.now
+		return now
 	}
 	e := k.nextEventTime()
 	if e < inf {
-		if e < k.now {
-			return k.now
+		if e < now {
+			return now
 		}
 		return e
 	}

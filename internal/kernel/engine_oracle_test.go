@@ -1,11 +1,13 @@
 // The engine oracle: every scenario below runs twice in lockstep — once on
 // an engine the cluster feeds with change reports (what production runs),
 // once on the same engine left unfed, which re-reads every node after every
-// action exactly as the scanning engines did. After every Step both
-// clusters must agree on which nodes acted, on every clock and on every
-// ReadyTime and NextEvent, and the fed engine's cached keys must equal what
-// the model would answer (sim.Feed.Audit). A write site that forgets to
-// report fails the audit at the very step the key goes stale.
+// action and drags every drained clock eagerly, exactly as the scanning
+// engines did. After every Step both clusters must agree on which nodes
+// acted, on every clock and on every ReadyTime and NextEvent, their
+// OnAdvance observers must have seen the same frontiers, and the fed
+// engine's cached keys must equal what the model would answer
+// (sim.Feed.Audit). A write site that forgets to report fails the audit at
+// the very step the key goes stale.
 package kernel_test
 
 import (
@@ -22,6 +24,7 @@ import (
 	"heterodc/internal/member"
 	"heterodc/internal/msg"
 	"heterodc/internal/sim"
+	"heterodc/internal/topo"
 )
 
 const oracleChunk = `
@@ -188,6 +191,15 @@ func runOracle(t *testing.T, sc oracleScenario, par bool, sabotage func(cl *kern
 	a, b := sc.cluster(), sc.cluster()
 	feed := attachEngine(a, par, true)
 	attachEngine(b, par, false)
+	// The frontiers each cluster published: how many, and the latest.
+	var seen [2]struct {
+		n    int
+		last float64
+	}
+	for i, cl := range []*kernel.Cluster{a, b} {
+		s := &seen[i]
+		cl.OnAdvance = func(f float64) { s.n, s.last = s.n+1, f }
+	}
 	betweenA, checkA := sc.setup(t, a)
 	betweenB, _ := sc.setup(t, b)
 	if sabotage != nil {
@@ -203,6 +215,9 @@ func runOracle(t *testing.T, sc oracleScenario, par bool, sabotage func(cl *kern
 		}
 		if d := disagreement(a, b); d != "" {
 			return step, d
+		}
+		if seen[0] != seen[1] {
+			return step, fmt.Sprintf("%d frontiers published, the latest %.9g; reference %d, %.9g", seen[0].n, seen[0].last, seen[1].n, seen[1].last)
 		}
 		if !okA {
 			if sabotage == nil {
@@ -273,6 +288,36 @@ func (s *spawner) Fire(now float64) {
 	s.nodes[node] = true
 }
 
+// restorer is a timer source that, at its one firing, restores a
+// checkpoint image onto a node with nothing to do — whose clock, on a fed
+// engine, has been dragged without being written into its kernel.
+type restorer struct {
+	cl     *kernel.Cluster
+	img    *link.Image
+	image  []byte
+	at     float64
+	node   int
+	p      *kernel.Process
+	lifted bool // the node was drained and its clock a pending drag
+	err    error
+}
+
+func (r *restorer) NextDue() float64 {
+	if r.p != nil || r.err != nil {
+		return 1e30
+	}
+	return r.at
+}
+
+func (r *restorer) Fire(float64) {
+	r.lifted = r.cl.ReadyTime(r.node) >= 1e30 && r.cl.Now(r.node) > r.cl.OwnClock(r.node)
+	snap, err := ckpt.Decode(r.image)
+	if err == nil {
+		r.p, err = r.cl.RestoreProcess(r.img, snap, r.node)
+	}
+	r.err = err
+}
+
 func slowLink() msg.Config {
 	cfg := kernel.DefaultInterconnect()
 	cfg.LatencySec = 40e-6 // a migration stays in flight for twenty quanta
@@ -290,6 +335,34 @@ func oracleScenarios(t *testing.T) []oracleScenario {
 		t.Fatal(err)
 	}
 	grind := res.Seconds // how long the grind runs undisturbed
+
+	// A checkpoint of the grind, taken part way through on a pair.
+	grindImage := func() []byte {
+		cl := flat(2)()
+		img := oracleImage(t, "grind")
+		mgr := ckpt.NewManager(cl)
+		p, err := cl.Spawn(img, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.Track(p, img, kernel.CkptPolicy{EverySeconds: grind / 4})
+		for mgr.Stats().ImagesWritten < 2 && cl.Step() {
+		}
+		if mgr.Stats().ImagesWritten < 2 {
+			t.Fatal("the grind finished before its second checkpoint")
+		}
+		return mgr.LatestImage(p)
+	}()
+	fatTree := func(n int) func() *kernel.Cluster {
+		return func() *kernel.Cluster {
+			cl, _, err := kernel.NewClusterTopo(mixedArches(n), kernel.DefaultInterconnect(),
+				topo.Spec{Kind: topo.KindFatTree, Racks: 4, Oversub: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cl
+		}
+	}
 
 	exitedOK := func(p *kernel.Process) error {
 		if done, code := p.Exited(); !done || code != 0 || p.Err() != nil {
@@ -511,6 +584,43 @@ func oracleScenarios(t *testing.T) []oracleScenario {
 						return fmt.Errorf("worker running on node 1 when main exited: %v; node 1 frozen and thawed: %v", busyAtExit, thawed)
 					}
 					return nil
+				}
+			},
+		},
+		{
+			// The benchmark suite's idle fleet in miniature: no guest work,
+			// SWIM at 1 ms on a fat tree, one node crashing for good, so
+			// almost every clock is a drained one the fed engine drags
+			// lazily. A timer handler restores a checkpoint onto one of
+			// them, reading its clock while the drag is still pending.
+			name:    "an idle fleet with a crash and a restore onto a drained node",
+			cluster: fatTree(32),
+			steps:   400000,
+			setup: func(t *testing.T, cl *kernel.Cluster) (func(int), func() error) {
+				cl.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Node: 9, At: 6e-3}}})
+				svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: 1e-3, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := &restorer{cl: cl, img: oracleImage(t, "grind"), image: grindImage, at: 4e-3, node: 20}
+				cl.SetTimerSource(r)
+				stop := func(step int) {
+					// Membership never drains a cluster; the run ends once the
+					// crash has been declared and the restored job is done.
+					if r.p != nil && len(svc.Deaths()) > 0 && cl.Time() > 16e-3 {
+						if done, _ := r.p.Exited(); done {
+							cl.SetMembership(nil)
+						}
+					}
+				}
+				return stop, func() error {
+					if r.err != nil || r.p == nil || !r.lifted {
+						return fmt.Errorf("restore: err %v, process %v, onto a lazily dragged clock: %v", r.err, r.p != nil, r.lifted)
+					}
+					if d := svc.Deaths(); len(d) != 1 || d[0].Node != 9 {
+						return fmt.Errorf("deaths %+v, want node 9 declared once", d)
+					}
+					return exitedOK(r.p)
 				}
 			},
 		},

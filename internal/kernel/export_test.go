@@ -6,6 +6,7 @@ import "heterodc/internal/sim"
 // feeds: the cluster reports nothing to it, so e re-reads every node after
 // every action. The engine oracle drives its reference cluster this way.
 func (cl *Cluster) AttachUnfed(e sim.Engine) {
+	cl.feed.Vouch(false)
 	cl.eng = e
 	cl.feed = nil
 }
@@ -13,3 +14,7 @@ func (cl *Cluster) AttachUnfed(e sim.Engine) {
 // ReportChange is Cluster.changed for tests that re-install a layer's hook
 // with a report deliberately left out.
 func (cl *Cluster) ReportChange(node int) { cl.changed(node) }
+
+// OwnClock is the clock node's kernel keeps, without a drag the engine has
+// not written into it yet (Kernel.now adds that).
+func (cl *Cluster) OwnClock(node int) float64 { return cl.Kernels[node].own }

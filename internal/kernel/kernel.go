@@ -50,7 +50,9 @@ type Kernel struct {
 	cores []*coreSlot
 	runq  []*Thread
 
-	now      float64
+	// own is the clock as this kernel last set it; read the clock through
+	// now, which adds a drag the engine has not written yet.
+	own      float64
 	sleepers sleepHeap
 
 	// Quanta counts executed scheduling quanta on this kernel. Each kernel
@@ -127,7 +129,18 @@ func newKernelSpec(cl *Cluster, node int, spec MachineSpec) *Kernel {
 }
 
 // Now returns the kernel's local simulated time.
-func (k *Kernel) Now() float64 { return k.now }
+func (k *Kernel) Now() float64 { return k.now() }
+
+// now returns the kernel's clock: its own, or — while the node is drained —
+// the instant the engine has dragged it to without writing it here
+// (sim.Feed.Floor), whichever is later. Every read of the clock goes
+// through here.
+func (k *Kernel) now() float64 {
+	if t := k.cluster.feed.Floor(k.Node); t > k.own {
+		return t
+	}
+	return k.own
+}
 
 // Cores returns the number of cores.
 func (k *Kernel) Cores() int { return len(k.cores) }
@@ -180,8 +193,8 @@ const inf = 1e30
 // sleepers, dispatch, and run every busy core for the quantum.
 func (k *Kernel) step() {
 	k.Quanta++
-	end := k.now + Quantum
-	k.slow = k.cluster.slowAt(k.Node, k.now)
+	end := k.now() + Quantum
+	k.slow = k.cluster.slowAt(k.Node, k.now())
 
 	// Deliver due messages.
 	for {
@@ -208,7 +221,7 @@ func (k *Kernel) step() {
 		}
 		k.runCore(cs, end)
 	}
-	k.now = end
+	k.own = end
 	// One report covers everything the quantum did to this node (messages
 	// and sleepers popped, threads dispatched, the clock).
 	k.changed()
@@ -216,8 +229,8 @@ func (k *Kernel) step() {
 
 // skipTo advances an idle kernel's clock without work.
 func (k *Kernel) skipTo(t float64) {
-	if t > k.now {
-		k.now = t
+	if t > k.now() {
+		k.own = t
 		k.changed()
 	}
 }
@@ -242,7 +255,7 @@ func (k *Kernel) attach(cs *coreSlot, t *Thread) {
 	cs.thr = t
 	k.changed()
 	t.State = Running
-	t.sliceStart = k.now
+	t.sliceStart = k.now()
 	c := cs.core
 	c.Prog = t.Proc.Img.Prog(k.Arch)
 	c.Mem = t.Proc.Mems[k.Node]
@@ -283,7 +296,7 @@ func (k *Kernel) runCore(cs *coreSlot, end float64) {
 	// an IEEE identity, so the healthy path is bit-identical to the
 	// pre-slowdown model.
 	clock := k.Desc.ClockHz / k.slow
-	start := k.now
+	start := k.now()
 	budget := int64((end - start) * clock) // cycles available this quantum
 	c.Cycles = 0
 
@@ -491,7 +504,7 @@ func (k *Kernel) killProcess(p *Process, err error) {
 	}
 	p.exited = true
 	p.exitCode = -1
-	p.exitTime = k.now
+	p.exitTime = k.now()
 	p.failErr = err
 	k.cluster.reapProcess(p)
 }
@@ -530,7 +543,7 @@ func (m *kmem) mem() *mem.Memory { return m.p.Mems[m.k.Node] }
 // addr just took, so the access can be retried.
 func (m *kmem) resolve(addr, size uint64, write bool) error {
 	addr = m.mem().FaultAddr(addr, size, write)
-	_, lat, err := m.k.resolveFault(m.p, addr, write, m.k.now+m.Lat)
+	_, lat, err := m.k.resolveFault(m.p, addr, write, m.k.now()+m.Lat)
 	m.Lat += lat
 	return err
 }

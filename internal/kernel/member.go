@@ -159,7 +159,7 @@ func (cl *Cluster) FenceStats() (fenced, staleUnfenced uint64) {
 func (cl *Cluster) admitIncarnation(k *Kernel, mt msg.Type, inc uint64) bool {
 	if inc <= cl.deadInc[k.Node] {
 		cl.messagesFenced[k.Node]++
-		cl.tracefNode(k.Node, k.now, "fenced", "type %d message for dead incarnation %d of node %d (now %d)",
+		cl.tracefNode(k.Node, k.now(), "fenced", "type %d message for dead incarnation %d of node %d (now %d)",
 			mt, inc, k.Node, cl.incarnation[k.Node])
 		return false
 	}

@@ -199,7 +199,7 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 			k.vdsoSetFlag(p, t.Tid, 0)
 			c.SetSyscallResult(0)
 			k.MigrationsAborted++
-			cl.tracefNode(k.Node, k.now, "migrate-abort", "tid %d of pid %d: node %d lease expired", t.Tid, p.Pid, target)
+			cl.tracefNode(k.Node, k.now(), "migrate-abort", "tid %d of pid %d: node %d lease expired", t.Tid, p.Pid, target)
 			return false
 		}
 	} else if cl.NodeDown(target) {
@@ -208,7 +208,7 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		k.vdsoSetFlag(p, t.Tid, 0)
 		c.SetSyscallResult(0)
 		k.MigrationsAborted++
-		cl.tracefNode(k.Node, k.now, "migrate-abort", "tid %d of pid %d: node %d is down", t.Tid, p.Pid, target)
+		cl.tracefNode(k.Node, k.now(), "migrate-abort", "tid %d of pid %d: node %d is down", t.Tid, p.Pid, target)
 		return false
 	}
 	if !p.Img.Aligned {
@@ -284,7 +284,7 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		payloadSize = stateBytes + migratePayloadBytes
 	}
 	// at is the delivery time, or when the sender gave up.
-	at, ok := cl.IC.SendReliable(k.now+xlat, k.Node, target, msg.TThreadMigrate, payloadSize,
+	at, ok := cl.IC.SendReliable(k.now()+xlat, k.Node, target, msg.TThreadMigrate, payloadSize,
 		&migratePayload{t: t, deserializeSeconds: deserializeLat, undo: undo, inc: cl.incarnation[target]})
 	if !ok {
 		// Transfer retries exhausted or the destination died for good
@@ -292,8 +292,8 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		// reliable channel burned trying is real — the thread sleeps it off
 		// before resuming at the migration point.
 		cl.abortMigration(t, undo)
-		cl.tracefNode(k.Node, k.now, "migrate-abort", "tid %d of pid %d: transfer to node %d failed", t.Tid, p.Pid, target)
-		if at > k.now {
+		cl.tracefNode(k.Node, k.now(), "migrate-abort", "tid %d of pid %d: transfer to node %d failed", t.Tid, p.Pid, target)
+		if at > k.now() {
 			k.sleep(t, at)
 		} else {
 			k.enqueue(t)
@@ -307,7 +307,7 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		// Serialised across sharing groups: observers see one event at a time.
 		cl.cbMu.Lock()
 		cl.OnMigration(MigrationEvent{
-			Time: k.now, ArriveTime: at, Pid: p.Pid, Tid: t.Tid,
+			Time: k.now(), ArriveTime: at, Pid: p.Pid, Tid: t.Tid,
 			From: k.Node, To: target, FromArch: k.Arch,
 			Stats: out.Stats, XformSeconds: xlat, FuncName: funcName,
 			Serialized: p.serializedMigration, StateBytes: stateBytes,

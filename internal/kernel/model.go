@@ -22,15 +22,17 @@ func (cl *Cluster) ReadyTime(node int) float64 { return cl.Kernels[node].readyTi
 func (cl *Cluster) StepNode(node int) { cl.Kernels[node].step() }
 
 // SkipTo drags node's clock forward to t without executing work. It is the
-// engine's own write, so unlike Kernel.skipTo it reports nothing (sim.Feed).
+// engine's own write, so unlike Kernel.skipTo it reports nothing, and it
+// compares against the kernel's own clock, not one raised by a pending drag
+// (sim.Feed).
 func (cl *Cluster) SkipTo(node int, t float64) {
-	if k := cl.Kernels[node]; t > k.now {
-		k.now = t
+	if k := cl.Kernels[node]; t > k.own {
+		k.own = t
 	}
 }
 
 // Now returns node's local clock.
-func (cl *Cluster) Now(node int) float64 { return cl.Kernels[node].now }
+func (cl *Cluster) Now(node int) float64 { return cl.Kernels[node].now() }
 
 // NextWake returns node's earliest pending wake or message delivery.
 func (cl *Cluster) NextWake(node int) float64 { return cl.Kernels[node].nextEventTime() }
@@ -90,14 +92,10 @@ func (cl *Cluster) ApplyEvent(node int) {
 	}
 	if memT <= timT {
 		k := cl.Kernels[node]
+		// If the node's clock already passed the due time (an idle gap was
+		// skipped), the membership action runs at the clock, not in the past.
 		k.skipTo(memT)
-		now := memT
-		if k.now > now {
-			// The node's clock already passed the due time (an idle gap was
-			// skipped); run the membership action at the clock, not in the past.
-			now = k.now
-		}
-		cl.member.RunDue(node, now)
+		cl.member.RunDue(node, k.now())
 		return
 	}
 	cl.fireTimer(timT)
@@ -108,13 +106,19 @@ func (cl *Cluster) Frontier() float64 { return cl.Time() }
 
 // NoteFrontier publishes the frontier to the OnAdvance observer. The engine
 // calls it only sequentially or at an epoch barrier, so observers (the power
-// meter) see a monotone frontier without locking. A barrier also ends any
-// grouped window, so the grouped-execution flag drops here: inline work the
-// engine runs after the barrier (the parallel Run overrun tail) follows the
-// global sequential rule and must not see a stale window partition.
+// meter) see a monotone frontier without locking; it usually knows the
+// frontier already (sim.Feed.Frontier), which spares a walk over every
+// kernel per quantum. A barrier also ends any grouped window, so the
+// grouped-execution flag drops here: inline work the engine runs after the
+// barrier (the parallel Run overrun tail) follows the global sequential
+// rule and must not see a stale window partition.
 func (cl *Cluster) NoteFrontier() {
 	cl.parGroups = false
-	if f := cl.Time(); f > cl.lastFrontier {
+	f, ok := cl.feed.Frontier()
+	if !ok {
+		f = cl.Time()
+	}
+	if f > cl.lastFrontier {
 		cl.lastFrontier = f
 		if cl.OnAdvance != nil {
 			cl.OnAdvance(f)

@@ -26,7 +26,7 @@ func (k *Kernel) syscall(cs *coreSlot, num int64, args [5]int64) bool {
 	// per-process authority lives there (distributed-service consistency).
 	remoteCharge := func(bytes int64) {
 		if k.Node != p.Origin {
-			charge(k.cluster.IC.RoundTripTime(k.now, k.Node, p.Origin, bytes))
+			charge(k.cluster.IC.RoundTripTime(k.now(), k.Node, p.Origin, bytes))
 		}
 	}
 
@@ -35,7 +35,7 @@ func (k *Kernel) syscall(cs *coreSlot, num int64, args [5]int64) bool {
 		k.detach(cs)
 		p.exited = true
 		p.exitCode = args[0]
-		p.exitTime = k.now
+		p.exitTime = k.now()
 		k.cluster.reapProcess(p)
 		return true
 
@@ -107,7 +107,7 @@ func (k *Kernel) syscall(cs *coreSlot, num int64, args [5]int64) bool {
 		return false
 
 	case sys.SysGettime:
-		c.SetSyscallResult(int64(k.now * 1e9))
+		c.SetSyscallResult(int64(k.now() * 1e9))
 		return false
 
 	case sys.SysSpawn:
@@ -225,11 +225,11 @@ func (k *Kernel) wakeJoiner(j *Thread, result int64) {
 		k.enqueue(j)
 		return
 	}
-	if _, ok := k.cluster.IC.SendReliable(k.now, k.Node, j.Node, msg.TRemoteWake, 64,
+	if _, ok := k.cluster.IC.SendReliable(k.now(), k.Node, j.Node, msg.TRemoteWake, 64,
 		&wakePayload{t: j, result: result, inc: k.cluster.incarnation[j.Node]}); !ok {
 		// The joiner's node never comes back; the joiner stays blocked and
 		// the cluster drains, surfacing the deadlock to the caller.
-		k.cluster.tracefNode(k.Node, k.now, "wake-lost", "join wake for tid %d to node %d undeliverable", j.Tid, j.Node)
+		k.cluster.tracefNode(k.Node, k.now(), "wake-lost", "join wake for tid %d to node %d undeliverable", j.Tid, j.Node)
 	}
 }
 
@@ -273,7 +273,7 @@ func (k *Kernel) handleMessage(m *msg.Message) {
 			// Deserialization burns destination CPU before the thread runs.
 			k.BusySeconds += mp.deserializeSeconds
 			k.CyclesRetired += int64(mp.deserializeSeconds * k.Desc.ClockHz)
-			k.sleep(t, k.now+mp.deserializeSeconds)
+			k.sleep(t, k.now()+mp.deserializeSeconds)
 			return
 		}
 		k.enqueue(t)

@@ -62,10 +62,6 @@ func (cl *Cluster) timerDueTime(node int) float64 {
 func (cl *Cluster) fireTimer(due float64) {
 	k := cl.Kernels[0]
 	k.skipTo(due)
-	now := due
-	if k.now > now {
-		now = k.now
-	}
-	cl.timer.Fire(now)
+	cl.timer.Fire(k.now())
 	cl.timerChanged()
 }

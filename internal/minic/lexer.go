@@ -252,6 +252,9 @@ func (lx *lexer) escape() (byte, error) {
 	if c != '\\' {
 		return c, nil
 	}
+	if lx.pos >= len(lx.src) {
+		return 0, lx.errf("unterminated escape")
+	}
 	e := lx.advance()
 	switch e {
 	case 'n':

@@ -350,6 +350,13 @@ func TestErrorLexer(t *testing.T) {
 	expectErr(t, `long main(void){ char *s = "abc; return 0; }`, "unterminated string")
 }
 
+// TestErrorEscapeAtEndOfInput: a backslash that is the last byte of the
+// source is an error, not an out-of-range read.
+func TestErrorEscapeAtEndOfInput(t *testing.T) {
+	expectErr(t, `long main(void){ char *s = "\`, "unterminated escape")
+	expectErr(t, `long main(void){ return '\`, "unterminated escape")
+}
+
 func TestErrorNonConstGlobalInit(t *testing.T) {
 	expectErr(t, `
 long f(void) { return 1; }

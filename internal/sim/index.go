@@ -12,10 +12,11 @@ import "math/bits"
 //   - two winner trees over the set, keyed (ReadyTime, node) and
 //     (NextEvent, node), whose roots are the scans' results (lowest node
 //     wins ties, as the ascending scans did);
-//   - a bitset of drained nodes (ReadyTime >= Inf), walked in ascending
-//     order for the idle drag;
-//   - each node's clock, so the drag and the frontier test need no model
-//     call for a node that is already there.
+//   - a bitset of drained nodes (ReadyTime >= Inf) and, for a model that
+//     vouches, the stack of drags those nodes have not been told about yet
+//     (see drag), so an idle node costs nothing per action;
+//   - each node's clock, so the drag, the frontier and the barrier need no
+//     model call for a node that is already there.
 //
 // Who says what changed is the Feed. DESIGN.md §11 has the exactness
 // argument.
@@ -24,24 +25,34 @@ import "math/bits"
 // scheduling inputs it wrote. An engine that is never vouched for — every
 // Model stub, a decorator that only forwards calls — treats every node as
 // changed after every action and at every driver entry, which is the
-// full-scan rule's cost and its schedule. A model that vouches promises to
-// report, before the engine next looks, every node whose ReadyTime,
-// NextEvent or Now could return a different value than at the last report:
-// Changed for a single node, Rebuild after a bulk edit.
+// full-scan rule's cost and its schedule. A model that vouches promises two
+// things:
+//
+//   - it reports, before the engine next looks, every node whose ReadyTime,
+//     NextEvent or Now could return a different value than at the last
+//     report: Changed for a single node, Rebuild after a bulk edit;
+//   - it reads every node clock as the later of the clock it keeps and
+//     Floor, and its SkipTo compares against the clock it keeps. The engine
+//     drags a vouching model's drained nodes lazily: it records the drag and
+//     writes it into the model (with SkipTo) only when it next needs the
+//     node's own clock to be right.
 //
 // The engine's own SkipTo calls are not reported: it knows what they do (a
 // drained node's clock moves, nothing else), and the node it steps or whose
 // event it applies it re-reads by itself.
 //
-// Changed may be called from a sharing group's worker for the nodes of that
-// group, which is the only state a worker may write anyway; everything else
-// belongs to the scheduling goroutine.
+// Changed and Floor may be called from a sharing group's worker for the
+// nodes of that group, which is the only state a worker may touch anyway;
+// everything else belongs to the scheduling goroutine.
 type Feed struct {
 	m Model
 
 	// Cached keys, by node. A sharing group's worker reads and writes only
 	// its own nodes' slots.
 	ready, event, now []float64
+	// since[n] is the generation of n's owner index when n last entered its
+	// drained set: the drags it has missed are those pushed after it.
+	since []uint64
 
 	mark  []bool   // node sits on its owner's dirty list
 	owner []*index // the index scheduling node right now
@@ -50,6 +61,11 @@ type Feed struct {
 	all     index // the whole fleet
 	vouched bool
 	lag     int // a node whose clock was behind at the last frontier test
+
+	// front is the frontier while the engine publishes it (note); known
+	// says a publication is under way.
+	front float64
+	known bool
 }
 
 // index schedules one node set: the whole fleet, or one sharing group for
@@ -62,8 +78,25 @@ type index struct {
 	// is the winner; slot 0 is unused.
 	tree    []int32
 	drained []uint64 // bit p: nodes[p] can never progress on its own
+	idle    int      // drained nodes
 	dirty   []int32  // reported nodes, each once (Feed.mark)
 	stale   bool     // re-read every node before the next look
+
+	// The drags the drained nodes have not been told about (vouched models
+	// only): generations ascending, targets descending. gen numbers the
+	// drags.
+	pending []pull
+	gen     uint64
+	last    float64 // the target of the latest drag
+	top     float64 // the fastest clock any node of the set has held
+	acts    int     // actions taken since reset
+}
+
+// pull is one pending drag: every node drained when it was pushed is at t
+// or later.
+type pull struct {
+	gen uint64
+	t   float64
 }
 
 func newFeed(m Model) *Feed {
@@ -72,6 +105,7 @@ func newFeed(m Model) *Feed {
 	f := &Feed{
 		m:     m,
 		ready: keys[:n:n], event: keys[n : 2*n : 2*n], now: keys[2*n:],
+		since: make([]uint64, n),
 		mark:  make([]bool, n),
 		owner: make([]*index, n),
 		pos:   make([]int32, n),
@@ -101,25 +135,73 @@ func (f *Feed) Rebuild() {
 }
 
 // Vouch starts (or, with false, ends) the model's promise to report every
-// write; see Feed.
+// write and to read clocks through Floor; see Feed. Ending it writes every
+// pending drag into the model first, so a model whose engine is replaced
+// keeps its clocks. Between engine calls only.
 func (f *Feed) Vouch(ok bool) {
 	if f != nil {
+		if !ok {
+			f.all.settle()
+		}
 		f.vouched = ok
 		f.all.stale = true
 	}
 }
 
+// Floor returns the instant the engine has dragged node to without writing
+// it into the model, or NegInf: a vouching model's clock for node is the
+// later of its own and this. Only a drained node ever has one, so for any
+// other — the node the engine steps, among them — the answer is one load
+// and a compare.
+func (f *Feed) Floor(node int) float64 {
+	if f == nil || f.ready[node] < Inf {
+		return NegInf
+	}
+	return f.owner[node].floor(node)
+}
+
+// Frontier returns the global frontier (the minimum clock) while the engine
+// publishes it — that is, during the Model.NoteFrontier call it makes right
+// after a drag, when the index knows the frontier without a walk over the
+// fleet (index.frontier). At any other time ok is false and the model
+// computes the frontier itself.
+func (f *Feed) Frontier() (t float64, ok bool) {
+	if f == nil || !f.known {
+		return 0, false
+	}
+	return f.front, true
+}
+
+// note publishes the frontier: Model.NoteFrontier, with the fleet index's
+// frontier on offer through Frontier for the length of the call. Only right
+// after the fleet index dragged.
+func (f *Feed) note() {
+	f.front, f.known = f.all.frontier(), true
+	f.m.NoteFrontier()
+	f.known = false
+}
+
+// clock returns node's clock as the index knows it: the cached value,
+// raised by any drag still pending.
+func (f *Feed) clock(nd int) float64 {
+	if fl := f.Floor(nd); fl > f.now[nd] {
+		return fl
+	}
+	return f.now[nd]
+}
+
 // Audit re-reads every node and returns the first whose cached keys differ
 // from the model's although no report is pending for it — a write the model
-// failed to report — or -1. Between engine calls only; it costs the full
-// scan the feed exists to avoid, and is what the kernel's engine oracle
-// runs after every step.
+// failed to report — or -1. Clocks are compared as the model reads them,
+// pending drags included. Between engine calls only; it costs the full scan
+// the feed exists to avoid, and is what the kernel's engine oracle runs
+// after every step.
 func (f *Feed) Audit() int {
 	if !f.vouched || f.all.stale {
 		return -1
 	}
 	for nd := range f.mark {
-		if !f.mark[nd] && (f.ready[nd] != f.m.ReadyTime(nd) || f.event[nd] != f.m.NextEvent(nd) || f.now[nd] != f.m.Now(nd)) {
+		if !f.mark[nd] && (f.ready[nd] != f.m.ReadyTime(nd) || f.event[nd] != f.m.NextEvent(nd) || f.clock(nd) != f.m.Now(nd)) {
 			return nd
 		}
 	}
@@ -142,11 +224,11 @@ func (f *Feed) behind(until float64) bool {
 		return f.m.Frontier() < until
 	}
 	f.all.refresh()
-	if f.lag < len(f.now) && f.now[f.lag] < until {
+	if f.lag < len(f.now) && f.clock(f.lag) < until {
 		return true
 	}
-	for n, t := range f.now {
-		if t < until {
+	for n := range f.now {
+		if f.clock(n) < until {
 			f.lag = n
 			return true
 		}
@@ -168,23 +250,18 @@ func (f *Feed) nextAction(nodes []int) float64 {
 	return t
 }
 
-// maxNow returns the fastest cached clock (0 for an empty fleet).
-func (f *Feed) maxNow() float64 {
-	max := 0.0
-	for _, t := range f.now {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
-
 // reset points the index at nodes (ascending), takes them over from
-// whichever index scheduled them, and builds the trees from the cached
-// keys — no model call.
+// whichever index scheduled them — which first writes out the drags it
+// still owes them — and builds the trees from the cached keys, with no
+// other model call.
 func (ix *index) reset(nodes []int) {
 	f := ix.f
 	n := len(nodes)
+	for _, nd := range nodes {
+		if o := f.owner[nd]; o != nil {
+			o.settle()
+		}
+	}
 	ix.nodes = nodes
 	if cap(ix.tree) < 4*n {
 		ix.tree = make([]int32, 4*n)
@@ -195,6 +272,7 @@ func (ix *index) reset(nodes []int) {
 	ix.drained = ix.drained[:(n+63)/64]
 	ix.dirty = ix.dirty[:0]
 	ix.stale = false
+	ix.top, ix.acts = 0, 0
 	for p, nd := range nodes {
 		f.owner[nd] = ix
 		f.pos[nd] = int32(p)
@@ -203,10 +281,12 @@ func (ix *index) reset(nodes []int) {
 }
 
 // release hands a group's nodes back to the whole-fleet index, whose trees
-// the caller then rebuilds: the group kept the nodes' cached keys exact, but
-// the fleet's trees and drained set have not seen them.
+// the caller then rebuilds: the group kept the nodes' cached keys exact and
+// writes out its pending drags here, but the fleet's trees and drained set
+// have not seen them.
 func (ix *index) release() {
 	f := ix.f
+	ix.settle()
 	for _, nd := range ix.nodes {
 		f.owner[nd] = &f.all
 		f.pos[nd] = int32(nd)
@@ -215,6 +295,10 @@ func (ix *index) release() {
 	// pending; if a report did arrive after it, the fleet index inherits it.
 	f.all.dirty = append(f.all.dirty, ix.dirty...)
 	ix.dirty = ix.dirty[:0]
+	if ix.top > f.all.top {
+		f.all.top = ix.top
+	}
+	f.all.acts += ix.acts
 	ix.nodes = nil
 }
 
@@ -226,7 +310,8 @@ func wins(key []float64, a, b int32) int32 {
 	return b
 }
 
-// build derives both trees and the drained set from the cached keys.
+// build derives both trees and the drained set from the cached keys. No
+// drag may be pending: it would be lost with the old drained set.
 func (ix *index) build() {
 	f := ix.f
 	n := len(ix.nodes)
@@ -234,10 +319,13 @@ func (ix *index) build() {
 	for i := range ix.drained {
 		ix.drained[i] = 0
 	}
+	ix.idle = 0
 	for p, nd := range ix.nodes {
 		rt[n+p], et[n+p] = int32(nd), int32(nd)
 		if f.ready[nd] >= Inf {
 			ix.drained[p>>6] |= 1 << (p & 63)
+			f.since[nd] = ix.gen
+			ix.idle++
 		}
 	}
 	for i := n - 1; i >= 1; i-- {
@@ -253,19 +341,31 @@ func replay(t []int32, key []float64, n, p int) {
 	}
 }
 
-// reread fetches nd's keys from the model and repairs what they index.
+// reread fetches nd's keys from the model and repairs what they index. A
+// node leaving the drained set gets the drags it missed written into the
+// model first, while its cached ready time still makes them apply.
 func (ix *index) reread(nd int) {
 	f := ix.f
 	r, e := f.m.ReadyTime(nd), f.m.NextEvent(nd)
-	f.now[nd] = f.m.Now(nd)
+	now := f.m.Now(nd)
+	f.now[nd] = now
+	if now > ix.top {
+		ix.top = now
+	}
 	n, p := len(ix.nodes), int(f.pos[nd])
 	if r != f.ready[nd] {
-		f.ready[nd] = r
-		if r >= Inf {
+		if was, is := f.ready[nd] >= Inf, r >= Inf; is && !was {
 			ix.drained[p>>6] |= 1 << (p & 63)
-		} else {
+			f.since[nd] = ix.gen
+			ix.idle++
+		} else if was && !is {
+			if fl := f.Floor(nd); fl > NegInf {
+				f.m.SkipTo(nd, fl)
+			}
 			ix.drained[p>>6] &^= 1 << (p & 63)
+			ix.idle--
 		}
+		f.ready[nd] = r
 		replay(ix.tree[:2*n], f.ready, n, p)
 	}
 	if e != f.event[nd] {
@@ -275,13 +375,18 @@ func (ix *index) reread(nd int) {
 }
 
 // refresh brings the index up to date with the model: every node when
-// stale, the reported ones otherwise.
+// stale — after writing out the pending drags, which the rebuild would
+// lose — the reported ones otherwise.
 func (ix *index) refresh() {
 	f := ix.f
 	if ix.stale {
+		ix.settle()
 		for _, nd := range ix.nodes {
 			f.mark[nd] = false
 			f.ready[nd], f.event[nd], f.now[nd] = f.m.ReadyTime(nd), f.m.NextEvent(nd), f.m.Now(nd)
+			if f.now[nd] > ix.top {
+				ix.top = f.now[nd]
+			}
 		}
 		ix.dirty = ix.dirty[:0]
 		ix.stale = false
@@ -299,6 +404,7 @@ func (ix *index) refresh() {
 // whether or not the model says so, and an unvouched model may have moved
 // anything.
 func (ix *index) acted(nd int) {
+	ix.acts++
 	if ix.f.vouched {
 		ix.f.Changed(nd)
 	} else {
@@ -344,10 +450,38 @@ func (ix *index) nextActionTime() float64 {
 	return t
 }
 
-// drag pulls the set's drained nodes up to t, in ascending node order. The
-// index must be fresh.
+// drag pulls the set's drained nodes up to t. The index must be fresh.
+//
+// For a vouched model it touches no node: it pushes (generation, t) onto
+// the pending stack, and a drained node's clock is the later of its own
+// and the first target pushed after it drained (floor) until the index
+// writes that into the model — when the node leaves the drained set
+// (reread) or its index hands it over or rebuilds (settle). The stack keeps
+// targets descending and drops what t covers: a node that missed an
+// earlier, lower target misses t too. One floor for all would not do,
+// because targets are not monotone — an event drag to evT can follow a
+// work drag to a later clock, and a node that drained in between has been
+// dragged to evT only.
+//
+// An unvouched model is dragged eagerly, node by node in ascending order.
 func (ix *index) drag(t float64) {
+	ix.last = t
+	if ix.idle == 0 {
+		return
+	}
+	if t > ix.top {
+		ix.top = t
+	}
 	f := ix.f
+	if f.vouched {
+		s := ix.pending
+		for len(s) > 0 && s[len(s)-1].t <= t {
+			s = s[:len(s)-1]
+		}
+		ix.gen++
+		ix.pending = append(s, pull{ix.gen, t})
+		return
+	}
 	for w, word := range ix.drained {
 		for word != 0 {
 			nd := ix.nodes[w<<6+bits.TrailingZeros64(word)]
@@ -358,6 +492,81 @@ func (ix *index) drag(t float64) {
 			}
 		}
 	}
+}
+
+// floor returns the pending drag target drained node nd has missed, or
+// NegInf: the first one pushed after nd drained, which the stack's order
+// makes the highest.
+func (ix *index) floor(nd int) float64 {
+	if len(ix.pending) == 0 {
+		return NegInf
+	}
+	return ix.missed(ix.f.since[nd])
+}
+
+// missed returns the first pending target pushed after generation since, or
+// NegInf.
+func (ix *index) missed(since uint64) float64 {
+	s := ix.pending
+	lo, hi := 0, len(s)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); s[mid].gen > since {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == len(s) {
+		return NegInf
+	}
+	return s[lo].t
+}
+
+// settle writes every pending drag into the model and empties the stack:
+// the set is about to be rebuilt or to hand its nodes over. The model's
+// SkipTo is called for every node with a floor — the cached clock may
+// already include the floor while the model's own clock does not.
+func (ix *index) settle() {
+	if len(ix.pending) == 0 {
+		return
+	}
+	f := ix.f
+	for w, word := range ix.drained {
+		for word != 0 {
+			nd := ix.nodes[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			if t := ix.missed(f.since[nd]); t > NegInf {
+				f.m.SkipTo(nd, t)
+				if t > f.now[nd] {
+					f.now[nd] = t
+				}
+			}
+		}
+	}
+	ix.pending = ix.pending[:0]
+}
+
+// frontier returns the set's minimum clock right after a drag. Every
+// drained node then sits at or above the drag's target, and some node sits
+// exactly there or below — the node that just acted, or at a barrier (a
+// drag to the fastest clock) every drained node — so only the busy nodes'
+// cached clocks can be lower. The index must be fresh.
+func (ix *index) frontier() float64 {
+	f := ix.f
+	t := ix.last
+	for w, word := range ix.drained {
+		busy := ^word
+		if rest := len(ix.nodes) - w<<6; rest < 64 {
+			busy &= 1<<rest - 1
+		}
+		for busy != 0 {
+			if c := f.now[ix.nodes[w<<6+bits.TrailingZeros64(busy)]]; c < t {
+				t = c
+			}
+			busy &= busy - 1
+		}
+	}
+	return t
 }
 
 // step makes the single scheduling decision of the reference loop over the
@@ -437,7 +646,8 @@ func (f *Feed) advanceTo(t float64) {
 			m.SkipTo(n, bound)
 		}
 		// Every clock moved, busy nodes' included: one rebuild, not a report
-		// per node.
+		// per node. (A drained node's pending drag still applies on top of
+		// the clock SkipTo compared against, until the rebuild writes it out.)
 		ix.stale = true
 		if !evDue {
 			break

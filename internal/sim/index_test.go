@@ -16,9 +16,10 @@ import (
 // node has acted — the same under any interleaving of disjoint groups.
 //
 // With a feed attached it reports what it wrote, plus random bystanders; a
-// report may be dropped on purpose (omit) to prove the tests notice.
+// report may be dropped on purpose (omit) to prove the tests notice. Like
+// every model that vouches, it then reads clocks through the feed (clock).
 type chaosModel struct {
-	now    []float64
+	now    []float64 // the clocks as the model last set them
 	wake   []float64 // ready = max(wake, now); Inf: drained
 	event  []float64
 	rng    []*rand.Rand
@@ -77,6 +78,15 @@ func newChaos(seed int64, n int) *chaosModel {
 	return m
 }
 
+// clock is node i's clock: its own, raised by a drag the engine has not
+// written yet.
+func (m *chaosModel) clock(i int) float64 {
+	if t := m.feed.Floor(i); t > m.now[i] {
+		return t
+	}
+	return m.now[i]
+}
+
 func (m *chaosModel) report(node int) {
 	if m.feed != nil && (m.omit == nil || !m.omit(node)) {
 		m.feed.Changed(node)
@@ -124,10 +134,10 @@ func (m *chaosModel) ReadyTime(i int) float64 {
 	if m.wake[i] >= Inf {
 		return Inf
 	}
-	if m.wake[i] > m.now[i] {
-		return m.wake[i]
+	if now := m.clock(i); m.wake[i] <= now {
+		return now
 	}
-	return m.now[i]
+	return m.wake[i]
 }
 
 func (m *chaosModel) StepNode(i int) {
@@ -141,7 +151,7 @@ func (m *chaosModel) StepNode(i int) {
 		}
 	}
 	m.report(i)
-	m.scribble(i, m.now[i])
+	m.scribble(i, m.clock(i))
 }
 
 func (m *chaosModel) SkipTo(i int, t float64) {
@@ -150,7 +160,7 @@ func (m *chaosModel) SkipTo(i int, t float64) {
 	}
 }
 
-func (m *chaosModel) Now(i int) float64       { return m.now[i] }
+func (m *chaosModel) Now(i int) float64       { return m.clock(i) }
 func (m *chaosModel) NextWake(i int) float64  { return m.wake[i] }
 func (m *chaosModel) NextEvent(i int) float64 { return m.event[i] }
 
@@ -166,13 +176,13 @@ func (m *chaosModel) ApplyEvent(i int) {
 		m.event[i] = t + float64(1+m.rng[i].Intn(12))*chaosQuantum/2
 	}
 	m.report(i)
-	m.scribble(i, m.now[i])
+	m.scribble(i, m.clock(i))
 }
 
 func (m *chaosModel) Frontier() float64 {
 	f := Inf
-	for _, t := range m.now {
-		if t < f {
+	for i := range m.now {
+		if t := m.clock(i); t < f {
 			f = t
 		}
 	}
@@ -217,8 +227,8 @@ func (m *chaosModel) Horizon(float64) float64 { return m.horizon }
 func sameChaos(a, b *chaosModel) error {
 	for i := range a.now {
 		switch {
-		case a.now[i] != b.now[i]:
-			return fmt.Errorf("node %d clock %.9g vs %.9g", i, a.now[i], b.now[i])
+		case a.Now(i) != b.Now(i):
+			return fmt.Errorf("node %d clock %.9g vs %.9g", i, a.Now(i), b.Now(i))
 		case a.acts[i] != b.acts[i] || a.lastKind[i] != b.lastKind[i]:
 			return fmt.Errorf("node %d acted %d times (last kind %d) vs %d (%d)", i, a.acts[i], a.lastKind[i], b.acts[i], b.lastKind[i])
 		case a.ReadyTime(i) != b.ReadyTime(i) || a.event[i] != b.event[i]:
@@ -295,9 +305,17 @@ func lockstep(t *testing.T, seed int64, n int, vouch bool, omit func(int) bool) 
 				}
 			}
 		}
-		// The barrier drag.
+		// The barrier drag, to the fastest clock the index has seen.
 		f.all.refresh()
-		max := f.maxNow()
+		max := 0.0
+		for i := 0; i < n; i++ {
+			if b.now[i] > max {
+				max = b.now[i]
+			}
+		}
+		if f.all.top != max {
+			return fmt.Errorf("window %d: the index's fastest clock is %.9g, the scan's %.9g", window, f.all.top, max)
+		}
 		f.all.drag(max)
 		for i := 0; i < n; i++ {
 			if b.ReadyTime(i) >= Inf && b.now[i] < max {
@@ -348,15 +366,189 @@ func TestIndexLockstepNoticesAnOmittedReport(t *testing.T) {
 	}
 }
 
-// chaosFinal runs a fresh chaos model to a fixed horizon on one engine, and
+// lazyCoverage counts the situations the lazy drag must get right, over
+// every scenario of TestLazyDragMatchesEagerDrag.
+type lazyCoverage struct {
+	below    int // a drag kept beneath a higher, older one
+	undrain  int // a node left the drained set with a drag pending
+	handover int // a group took nodes over with drags pending
+	rebuild  int // a stale rebuild with drags pending
+	advance  int // advanceTo with drags pending
+}
+
+// lazyLockstep drives two copies of the chaos model through the same index
+// operations: a vouches and is dragged lazily, b is unvouched and dragged
+// eagerly, node by node. After every step and barrier every clock (as each
+// model reads it), every key and the frontier must agree, and a's cached
+// keys must match its model.
+func lazyLockstep(seed int64, n int, cov *lazyCoverage) error {
+	a, b := newChaos(seed, n), newChaos(seed, n)
+	fa, fb := newFeed(a), newFeed(b)
+	a.feed = fa
+	fa.Vouch(true)
+	same := func() error {
+		if err := sameChaos(a, b); err != nil {
+			return err
+		}
+		if nd := fa.Audit(); nd >= 0 {
+			return fmt.Errorf("node %d: the lazy index's keys are stale", nd)
+		}
+		return nil
+	}
+	// frontier compares the lazy index's frontier, right after a drag, with
+	// the eager model's minimum clock.
+	frontier := func() error {
+		if got, want := fa.all.frontier(), b.Frontier(); got != want {
+			return fmt.Errorf("frontier %.9g, eager %.9g", got, want)
+		}
+		return nil
+	}
+	pending := func() bool { return len(fa.all.pending) > 0 }
+	// steps runs up to 25 actions on a pair of indices over the same nodes.
+	steps := func(ia, ib *index, limit float64, fleet bool) error {
+		lifted := make([]bool, n)
+		for k := 0; k < 25; k++ {
+			for i := range lifted {
+				lifted[i] = a.clock(i) > a.now[i]
+			}
+			ra, rb := ia.step(limit), ib.step(limit)
+			if ra != rb {
+				return fmt.Errorf("step %d: lazy did %d, eager %d", k, ra, rb)
+			}
+			if err := same(); err != nil {
+				return fmt.Errorf("step %d (kind %d): %v", k, ra, err)
+			}
+			if len(ia.pending) > 1 {
+				cov.below++
+			}
+			for i, l := range lifted {
+				if l && a.ReadyTime(i) < Inf {
+					cov.undrain++
+				}
+			}
+			if ra == stepNone {
+				return nil
+			}
+			if fleet && ra == stepWork {
+				if err := frontier(); err != nil {
+					return fmt.Errorf("step %d: %v", k, err)
+				}
+			}
+		}
+		return nil
+	}
+	drv := rand.New(rand.NewSource(seed + 7))
+	for window := 0; window < 60; window++ {
+		switch drv.Intn(6) {
+		case 0: // a driver-side edit, reported
+			nd := drv.Intn(n)
+			w := b.Frontier() + float64(drv.Intn(5))*chaosQuantum
+			a.wake[nd], b.wake[nd] = w, w
+			a.report(nd)
+		case 1: // a bulk edit
+			if pending() {
+				cov.rebuild++
+			}
+			fa.Rebuild()
+			fb.Rebuild()
+		case 2: // an idle gap
+			if pending() {
+				cov.advance++
+			}
+			t := b.Frontier() + float64(drv.Intn(6))*chaosQuantum
+			fa.advanceTo(t)
+			fb.advanceTo(t)
+			if err := same(); err != nil {
+				return fmt.Errorf("window %d advanceTo: %v", window, err)
+			}
+		}
+		fa.enter()
+		fb.enter()
+		limit := Inf
+		if drv.Intn(2) == 0 {
+			limit = b.Frontier() + float64(1+drv.Intn(40))*chaosQuantum
+		}
+		if drv.Intn(3) > 0 {
+			if err := steps(&fa.all, &fb.all, limit, true); err != nil {
+				return fmt.Errorf("window %d inline: %v", window, err)
+			}
+		} else {
+			// A fanned-out window, run group after group as one core would.
+			fa.all.refresh()
+			fb.all.refresh()
+			if pending() {
+				cov.handover++
+			}
+			a.repartition()
+			b.repartition()
+			var ias, ibs []*index
+			for _, g := range a.groups {
+				ia, ib := &index{f: fa}, &index{f: fb}
+				ia.reset(g)
+				ib.reset(g)
+				ias, ibs = append(ias, ia), append(ibs, ib)
+			}
+			for i, g := range a.groups {
+				if err := steps(ias[i], ibs[i], limit, false); err != nil {
+					return fmt.Errorf("window %d group %v: %v", window, g, err)
+				}
+			}
+			for i := range ias {
+				ias[i].release()
+				ibs[i].release()
+			}
+			fa.all.build()
+			fb.all.stale = true
+		}
+		// The barrier.
+		fa.all.refresh()
+		fb.all.refresh()
+		if fa.all.top != fb.all.top {
+			return fmt.Errorf("window %d: fastest clock %.9g, eager %.9g", window, fa.all.top, fb.all.top)
+		}
+		fa.all.drag(fa.all.top)
+		fb.all.drag(fb.all.top)
+		if err := same(); err != nil {
+			return fmt.Errorf("window %d barrier: %v", window, err)
+		}
+		if err := frontier(); err != nil {
+			return fmt.Errorf("window %d barrier: %v", window, err)
+		}
+	}
+	return nil
+}
+
+// TestLazyDragMatchesEagerDrag: a drained node's clock is written into the
+// model only when the node is next needed, yet every clock, key and
+// frontier equals what the eager, node-by-node drag gives — across event
+// drags below earlier work drags, nodes that drain and undrain between
+// drags, groups taking nodes over and handing them back, stale rebuilds
+// and idle gaps, each with drags pending.
+func TestLazyDragMatchesEagerDrag(t *testing.T) {
+	var cov lazyCoverage
+	for seed := int64(1); seed <= 40; seed++ {
+		n := 2 + int(seed*3%14)
+		if err := lazyLockstep(seed, n, &cov); err != nil {
+			t.Fatalf("seed %d, %d nodes: %v", seed, n, err)
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.below < 20 || cov.undrain < 20 || cov.handover < 20 || cov.rebuild < 10 || cov.advance < 10 {
+		t.Fatalf("the scenarios stayed away from what they test: %+v", cov)
+	}
+}
+
+// chaosFinal runs a fresh chaos model to a fixed horizon on one engine —
+// the parallel one if fanout >= 0, with that thin-window constant — and
 // says whether a window ever fanned out to the worker pool.
-func chaosFinal(seed int64, n int, par, vouch bool, hz float64) (*chaosModel, bool) {
+func chaosFinal(seed int64, n int, fanout float64, vouch bool, hz float64) (*chaosModel, bool) {
 	m := newChaos(seed, n)
 	m.horizon = hz
 	var e Engine
 	var f *Feed
-	if par {
+	if fanout >= 0 {
 		p := NewParallel(m, Options{EpochSec: 9e-6})
+		p.fanout = fanout
 		e, f = p, p.Feed()
 	} else {
 		s := NewSequential(m)
@@ -373,12 +565,15 @@ func chaosFinal(seed int64, n int, par, vouch bool, hz float64) (*chaosModel, bo
 
 // TestFedEnginesMatchUnfed runs the random model end to end on each engine
 // twice: vouched for, with reports arriving from the group workers of a
-// real pool, and unvouched, where every node is re-read after every action
-// (which the lockstep test ties to the full-scan rule). The final states
-// must be identical. Under -race this is also the test that change reports
-// from group workers touch per-node state only. (Sequential against
-// parallel is not compared here: the model's ready times depend on how far
-// other cells dragged an idle clock, which is not engine-invariant.)
+// real pool and drags applied lazily, and unvouched, where every node is
+// re-read after every action and dragged eagerly (which the lockstep test
+// ties to the full-scan rule). The final states must be identical. The
+// parallel engine runs with its thin-window rule and with every window
+// fanned out. Under -race this is also the test that change reports and
+// clock reads from group workers touch per-node state only. (Sequential
+// against parallel is not compared here: the model's ready times depend on
+// how far other cells dragged an idle clock, which is not
+// engine-invariant.)
 func TestFedEnginesMatchUnfed(t *testing.T) {
 	if old := runtime.GOMAXPROCS(0); old < 4 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -387,11 +582,11 @@ func TestFedEnginesMatchUnfed(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		n := 2 + int(seed*5%11)
 		for _, hz := range []float64{Inf, NegInf, 40e-6} {
-			for _, par := range []bool{false, true} {
-				want, _ := chaosFinal(seed, n, par, false, hz)
-				got, fanned := chaosFinal(seed, n, par, true, hz)
+			for _, fanout := range []float64{-1, thinWindow, 0} {
+				want, _ := chaosFinal(seed, n, fanout, false, hz)
+				got, fanned := chaosFinal(seed, n, fanout, true, hz)
 				if err := sameChaos(got, want); err != nil {
-					t.Fatalf("seed %d, %d nodes, horizon %g, par=%v: fed vs unfed: %v", seed, n, hz, par, err)
+					t.Fatalf("seed %d, %d nodes, horizon %g, fanout %g: fed vs unfed: %v", seed, n, hz, fanout, err)
 				}
 				if fanned {
 					pooled++
@@ -406,7 +601,7 @@ func TestFedEnginesMatchUnfed(t *testing.T) {
 
 // quietFleet is a fleet in which nothing ever allocates: n nodes, each its
 // own sharing group, each with an endless stream of quanta, half of them
-// idle so the drag has work.
+// idle so the drag has work. Fed, it reads clocks through the feed.
 type quietFleet struct {
 	now    []float64
 	groups [][]int
@@ -434,7 +629,12 @@ func (m *quietFleet) SkipTo(i int, t float64) {
 		m.now[i] = t
 	}
 }
-func (m *quietFleet) Now(i int) float64       { return m.now[i] }
+func (m *quietFleet) Now(i int) float64 {
+	if t := m.feed.Floor(i); t > m.now[i] {
+		return t
+	}
+	return m.now[i]
+}
 func (m *quietFleet) NextWake(int) float64    { return Inf }
 func (m *quietFleet) NextEvent(int) float64   { return Inf }
 func (m *quietFleet) ApplyEvent(int)          {}
@@ -443,8 +643,8 @@ func (m *quietFleet) Groups() [][]int         { return m.groups }
 func (m *quietFleet) Horizon(float64) float64 { return Inf }
 func (m *quietFleet) Frontier() float64 {
 	f := Inf
-	for _, t := range m.now {
-		if t < f {
+	for i := range m.now {
+		if t := m.Now(i); t < f {
 			f = t
 		}
 	}
@@ -452,17 +652,24 @@ func (m *quietFleet) Frontier() float64 {
 }
 
 // TestStepDoesNotAllocate: the index is sized once per engine; a Step —
-// a quantum on the sequential engine, a fanned-out window with its group
-// indices on the parallel one — costs no allocation, fed or not.
+// a quantum on the sequential engine, a window fanned out with its group
+// indices or run inline on the parallel one — costs no allocation, fed or
+// not.
 func TestStepDoesNotAllocate(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		par, vouch bool
-	}{{"seq", false, false}, {"seq-fed", false, true}, {"par", true, false}, {"par-fed", true, true}} {
+		fanout     float64
+	}{
+		{"seq", false, false, 0}, {"seq-fed", false, true, 0},
+		{"par", true, false, 0}, {"par-fed", true, true, 0},
+		{"par-thin", true, false, 1e9}, {"par-thin-fed", true, true, 1e9},
+	} {
 		m := newQuietFleet(64)
 		var e Engine
 		if c.par {
 			p := NewParallel(m, Options{EpochSec: 20e-6})
+			p.fanout = c.fanout
 			e = p
 			if c.vouch {
 				m.feed = p.Feed()

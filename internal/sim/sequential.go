@@ -28,7 +28,7 @@ func (e *Sequential) advance() bool {
 	case stepNone:
 		return false
 	case stepWork:
-		e.m.NoteFrontier()
+		e.f.note()
 	}
 	return true
 }
