@@ -133,6 +133,24 @@ func detectorConfig(detector bool, hbPeriod, suspectTimeout float64, quorum int,
 	return cfg, nil
 }
 
+// checkRanges rejects numeric flags outside the ranges they are documented
+// for, which the run would otherwise clamp or ignore without a word.
+func checkRanges(threads int, migrateAt, dropProb, dupProb, jitter float64) error {
+	switch {
+	case threads < 1 || threads > npb.MaxThreads:
+		return fmt.Errorf("-threads %d is outside 1..%d", threads, npb.MaxThreads)
+	case !(migrateAt < 1):
+		return fmt.Errorf("-migrate-at %g is not a fraction of the reference runtime below 1 (negative: no migration)", migrateAt)
+	case !(dropProb >= 0 && dropProb <= 1):
+		return fmt.Errorf("-drop-prob %g is not a probability in [0, 1]", dropProb)
+	case !(dupProb >= 0 && dupProb <= 1):
+		return fmt.Errorf("-dup-prob %g is not a probability in [0, 1]", dupProb)
+	case !(jitter >= 0) || math.IsInf(jitter, 1):
+		return fmt.Errorf("-jitter %g is not a non-negative finite latency in seconds", jitter)
+	}
+	return nil
+}
+
 // trafficConfig validates the open-loop traffic flag set and resolves it to
 // an arrival spec, an SLO and a stream length. The set booleans report
 // whether the user passed each flag at all: explicit nonsense is rejected
@@ -227,16 +245,16 @@ func runOpenLoop(spec traffic.Spec, slo traffic.SLO, jobsN int, class npb.Class,
 func main() {
 	bench := flag.String("bench", "", "benchmark name (ep|is|cg|ft|bt|sp|mg|bzip2smp|verus)")
 	class := flag.String("class", "A", "problem class (S|A|B|C)")
-	threads := flag.Int("threads", 1, "worker threads")
+	threads := flag.Int("threads", 1, "worker threads (1..16)")
 	srcPath := flag.String("src", "", "mini-C source file to compile and run instead of -bench")
 	nodeStr := flag.String("node", "x86", "start node (x86|arm)")
-	migrateAt := flag.Float64("migrate-at", -1, "fraction of the reference runtime at which to migrate the container (0..1)")
+	migrateAt := flag.Float64("migrate-at", -1, "fraction of the reference runtime at which to migrate the container (0 <= f < 1; negative: no migration)")
 	migrateTo := flag.String("migrate-to", "arm", "migration target (x86|arm)")
 	showOut := flag.Bool("output", true, "print program output")
 	faultSeed := flag.Int64("fault-seed", 0, "fault-plan seed (plans are deterministic in it)")
-	dropProb := flag.Float64("drop-prob", 0, "per-message-leg loss probability")
-	dupProb := flag.Float64("dup-prob", 0, "message duplication probability")
-	jitter := flag.Float64("jitter", 0, "max extra one-way latency in seconds")
+	dropProb := flag.Float64("drop-prob", 0, "per-message-leg loss probability (0..1)")
+	dupProb := flag.Float64("dup-prob", 0, "message duplication probability (0..1)")
+	jitter := flag.Float64("jitter", 0, "max extra one-way latency in seconds (>= 0)")
 	crashNode := flag.String("crash-node", "", "node to crash mid-run (x86|arm), empty for none")
 	crashAt := flag.Float64("crash-at", 0, "crash time in simulated seconds")
 	recoverAt := flag.Float64("recover-at", 0, "recovery time in simulated seconds (<= crash-at means never)")
@@ -265,6 +283,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the simulator to this file")
 	memProfile := flag.String("memprofile", "", "write a host allocation profile of the simulator to this file at exit")
 	flag.Parse()
+	if err := checkRanges(*threads, *migrateAt, *dropProb, *dupProb, *jitter); err != nil {
+		fmt.Fprintln(os.Stderr, "hdcrun:", err)
+		os.Exit(2)
+	}
 
 	stop, err := hostprof.Start(*cpuProfile, *memProfile)
 	fatal(err)

@@ -135,6 +135,44 @@ func TestDetectorConfigValidation(t *testing.T) {
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 
+// Numbers outside a flag's range fail before the run starts, with exit
+// status 2 and a message naming the flag; the edges of each range pass.
+func TestOutOfRangeFlagsFailLoudly(t *testing.T) {
+	bad := []struct{ flag, value string }{
+		{"-threads", "0"},
+		{"-threads", "-3"},
+		{"-threads", "100000"},
+		{"-migrate-at", "1"},
+		{"-migrate-at", "2"},
+		{"-migrate-at", "NaN"},
+		{"-drop-prob", "1.5"},
+		{"-drop-prob", "-0.1"},
+		{"-dup-prob", "2"},
+		{"-jitter", "-1"},
+		{"-jitter", "+Inf"},
+	}
+	for _, c := range bad {
+		out, errOut, code := cmdtest.Run(t, "-bench", "is", "-class", "S", "-output=false", c.flag, c.value)
+		if code != 2 || !strings.Contains(errOut, c.flag+" ") || out != "" {
+			t.Errorf("%s %s: exit %d, stderr %q, stdout %q; want exit 2 naming the flag before the run", c.flag, c.value, code, errOut, out)
+		}
+	}
+	good := []struct {
+		threads                              int
+		migrateAt, dropProb, dupProb, jitter float64
+	}{
+		{1, -1, 0, 0, 0},
+		{16, 0, 1, 1, 2e-6},
+		{4, 0.999, 0.2, 0.02, 0},
+		{1, -0.5, 0, 0, 0},
+	}
+	for _, c := range good {
+		if err := checkRanges(c.threads, c.migrateAt, c.dropProb, c.dupProb, c.jitter); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+}
+
 func TestProfilesAreWritten(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")

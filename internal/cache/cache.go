@@ -24,18 +24,17 @@ type Cache struct {
 	cfg      Config
 	lineBits uint
 	setMask  uint64
-	// tags[set*ways+way]; valid bit folded into tag via tag+1 (0 = invalid).
-	// tags and lru are allocated at the first lookup: a fleet builds two
-	// caches for every core of every node, and most cores never run.
+	// tags[set*ways+way] holds each set's lines most recent first, so the
+	// last way is the LRU victim; the valid bit is folded into the tag as
+	// line+1 (0 = invalid, and invalid ways sort last). tags is allocated at
+	// the first lookup: a fleet builds two caches for every core of every
+	// node, and most cores never run.
 	tags []uint64
-	// lru[set*ways+way] = recency counter; higher = more recent.
-	lru     []uint64
-	counter uint64
 	// last is the line of the most recent access (noLine = none): the memo
-	// that lets a repeat access to that line skip the way scan. It is exact,
-	// not approximate — the line already holds the highest recency stamp in
-	// the whole cache, so leaving the stamp alone changes no LRU order and no
-	// future victim.
+	// that lets a repeat access to that line skip the set. It is exact, not
+	// approximate — the line is at the front of its set, where a hit leaves
+	// it, so skipping the lookup changes no recency order and no future
+	// victim.
 	last uint64
 
 	Accesses uint64
@@ -61,80 +60,75 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Memo returns the memo: the line of the most recent access, or a value no
+// address maps to. An access wholly inside it (InLine) is a hit that the
+// caller may count in Accesses itself instead of calling Access — the
+// interpreter keeps the memo in a local and re-reads it after any call that
+// may have moved it.
+func (c *Cache) Memo() uint64 { return c.last }
+
+// LineShift is the shift that maps an address to its line.
+func (c *Cache) LineShift() uint { return c.lineBits }
+
+// InLine reports whether [addr, addr+size) lies wholly in line, for lines
+// of 1<<shift bytes: the memo's hit test, small enough to inline. (shift is
+// below 64; masking it says so to the compiler.)
+func InLine(addr uint64, size int64, line uint64, shift uint) bool {
+	return addr>>(shift&63) == line && (addr+uint64(size)-1)>>(shift&63) == line
+}
+
 // Access simulates a cache access to addr and returns the added cycle
 // penalty (0 on hit, MissCycles on miss).
 func (c *Cache) Access(addr uint64) int64 {
-	if line := addr >> c.lineBits; line != c.last {
-		return c.accessLine(line)
+	if addr>>c.lineBits != c.last {
+		return c.AccessRange(addr, 1)
 	}
 	c.Accesses++
 	return 0
 }
 
-// accessLine is the full lookup for a line other than the memoised one.
-func (c *Cache) accessLine(line uint64) int64 {
-	c.Accesses++
-	if c.tags == nil {
-		n := int(c.setMask+1) * c.cfg.Ways
-		c.tags, c.lru = make([]uint64, n), make([]uint64, n)
-	}
-	c.last = line
-	tag := line + 1 // +1 so tag 0 never collides with the invalid marker
-	base := int(line&c.setMask) * c.cfg.Ways
-	tags := c.tags[base : base+c.cfg.Ways]
-	lru := c.lru[base : base+c.cfg.Ways]
-
-	c.counter++
-	// Hit?
-	for w, t := range tags {
-		if t == tag {
-			lru[w] = c.counter
-			return 0
-		}
-	}
-	// Miss: evict LRU way.
-	c.Misses++
-	victim := 0
-	for w := 1; w < len(lru); w++ {
-		if lru[w] < lru[victim] {
-			victim = w
-		}
-	}
-	tags[victim] = tag
-	lru[victim] = c.counter
-	return c.cfg.MissCycles
-}
-
-// Repeat is the memo's hit test, small enough to inline into the
-// interpreter's fetch and data paths: when [addr, addr+size) lies wholly in
-// the line of the previous access it counts the access (a hit) and reports
-// true; otherwise it does nothing and the caller goes through AccessRange.
-func (c *Cache) Repeat(addr uint64, size int64) bool {
-	if addr>>c.lineBits != c.last || (addr+uint64(size)-1)>>c.lineBits != c.last {
-		return false
-	}
-	c.Accesses++
-	return true
-}
-
 // AccessRange simulates an access spanning [addr, addr+size) — e.g. a
 // variable-length instruction fetch that may straddle a line boundary —
-// returning the total penalty.
+// as one access per line touched, returning the total penalty. A size of
+// zero or less counts as one byte.
+//
+// Per line: the memo is a hit with no lookup; a hit on the set's most
+// recent line is one compare; a hit further back moves that line to the
+// front; a miss shifts the set back one way, which drops the LRU line, and
+// fills the front.
 func (c *Cache) AccessRange(addr uint64, size int64) int64 {
 	if size <= 0 {
 		size = 1
 	}
-	if c.Repeat(addr, size) {
-		return 0
-	}
-	first := addr >> c.lineBits
-	last := (addr + uint64(size) - 1) >> c.lineBits
-	if first == last {
-		return c.accessLine(first)
+	if c.tags == nil {
+		c.tags = make([]uint64, int(c.setMask+1)*c.cfg.Ways)
 	}
 	var penalty int64
-	for l := first; l <= last; l++ {
-		penalty += c.Access(l << c.lineBits)
+	for line, last := addr>>c.lineBits, (addr+uint64(size)-1)>>c.lineBits; line <= last; line++ {
+		c.Accesses++
+		if line == c.last {
+			continue
+		}
+		c.last = line
+		tag := line + 1 // +1 so tag 0 never collides with the invalid marker
+		base := int(line&c.setMask) * c.cfg.Ways
+		set := c.tags[base : base+c.cfg.Ways]
+		if set[0] == tag {
+			continue
+		}
+		w := 1
+		for w < len(set) && set[w] != tag {
+			w++
+		}
+		if w == len(set) {
+			c.Misses++
+			penalty += c.cfg.MissCycles
+			w--
+		}
+		for ; w > 0; w-- {
+			set[w] = set[w-1]
+		}
+		set[0] = tag
 	}
 	return penalty
 }
@@ -149,11 +143,7 @@ func (c *Cache) MissRatio() float64 {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.lru[i] = 0
-	}
-	c.counter = 0
+	clear(c.tags)
 	c.last = noLine
 	c.Accesses = 0
 	c.Misses = 0
@@ -162,9 +152,6 @@ func (c *Cache) Reset() {
 // Flush invalidates contents but keeps statistics (e.g. after migration the
 // destination core starts cold).
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.lru[i] = 0
-	}
+	clear(c.tags)
 	c.last = noLine
 }

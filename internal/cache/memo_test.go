@@ -7,8 +7,8 @@ import (
 )
 
 // refLRU is the reference the memoised cache is checked against: the same
-// set-associative geometry as a recency list per set, no stamps and no
-// memo. Safety code — keep it free of the production cache's shortcuts.
+// set-associative geometry as a growable recency list per set, no memo.
+// Safety code — keep it free of the production cache's shortcuts.
 type refLRU struct {
 	cfg              Config
 	sets             [][]uint64 // lines of each set, most recent first
@@ -88,8 +88,9 @@ func TestMemoMatchesReferenceLRU(t *testing.T) {
 					got, want = c.Access(addr), ref.access(addr)
 				default:
 					size := int64(r.Intn(2*cfg.LineBytes)) - 1 // -1 and 0 count as one byte
-					if c.Repeat(addr, max(size, 1)) {
-						got = 0 // the interpreter's inlined path
+					if InLine(addr, max(size, 1), c.Memo(), c.LineShift()) {
+						c.Accesses++ // the interpreter's inlined path counts the hit itself
+						got = 0
 					} else {
 						got = c.AccessRange(addr, size)
 					}

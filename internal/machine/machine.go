@@ -6,6 +6,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -162,10 +163,7 @@ func (c *Core) load(addr uint64) (v uint64, penalty int64, ok bool) {
 		c.fault(addr, false)
 		return 0, 0, false
 	}
-	if !c.DCache.Repeat(addr, 8) {
-		penalty = c.DCache.AccessRange(addr, 8)
-	}
-	return v, penalty, true
+	return v, c.DCache.AccessRange(addr, 8), true
 }
 
 // store performs an 8-byte data write and returns the D-cache penalty; ok
@@ -175,10 +173,7 @@ func (c *Core) store(addr uint64, v uint64) (penalty int64, ok bool) {
 		c.fault(addr, true)
 		return 0, false
 	}
-	if !c.DCache.Repeat(addr, 8) {
-		penalty = c.DCache.AccessRange(addr, 8)
-	}
-	return penalty, true
+	return c.DCache.AccessRange(addr, 8), true
 }
 
 // Step executes one instruction. On EvNone/EvSyscall the PC has advanced;
@@ -201,8 +196,20 @@ func (c *Core) Run(budget int64) Event {
 	return c.run(budget)
 }
 
+// vdsoPage is the page index of the vDSO, whose magic addresses a load must
+// not read from memory.
+const vdsoPage = mem.VDSOBase >> mem.PageShift
+
 // run is the interpreter: it executes at least one instruction, then more
 // while Cycles stays below budget.
+//
+// Everything the loop touches per instruction stays in locals: besides the
+// core's fields, the memo line of each cache (cache.Cache.Memo) and the hits
+// on it, which are added to the caches' Accesses on every return and before
+// any hook fires. The memos are re-read after every call that may move them:
+// into the cache, into load/store, into a hook. A load or store of a word
+// inside one page that the TLB holds (for loads: not the vDSO page) is done
+// here; anything else goes through load and store.
 func (c *Core) run(budget int64) Event {
 	d := c.Desc
 	costs := isa.Costs(d.Arch)
@@ -210,11 +217,15 @@ func (c *Core) run(budget int64) Event {
 	if c.tlb == nil {
 		c.tlb = new(mem.TLB)
 	}
-	c.tlb.Attach(c.Mem)
-	ic := c.ICache
+	tlb := c.tlb
+	tlb.Attach(c.Mem)
+	ic, dc := c.ICache, c.DCache
+	ish, dsh := ic.LineShift(), dc.LineShift()
+	iline, dline := ic.Memo(), dc.Memo()
+	var ihits, dhits uint64
 	ri := &c.RegsI
 	rf := &c.RegsF
-	fn, idx, pc := c.Fn, c.Idx, c.PC
+	fn, idx := c.Fn, c.Idx
 	code, addrs := fn.Code, fn.Addr
 	cycles, instrs := c.Cycles, c.Instrs
 	ev := EvNone
@@ -222,14 +233,18 @@ func (c *Core) run(budget int64) Event {
 loop:
 	for {
 		in := &code[idx]
+		pc := addrs[idx]
 
 		// Instruction fetch: base op cost plus I-cache cost.
 		cost := costs[in.Op]
 		if slow {
 			cost = c.CostFn(in.Op)
 		}
-		if !ic.Repeat(pc, in.Size) {
+		if cache.InLine(pc, in.Size, iline, ish) {
+			ihits++
+		} else {
 			cost += ic.AccessRange(pc, in.Size)
+			iline = ic.Memo()
 		}
 
 		next := idx + 1
@@ -338,51 +353,104 @@ loop:
 		case isa.OpF2I:
 			ri[in.Rd] = f2i(rf[in.Rs1])
 		case isa.OpLd:
-			v, penalty, ok := c.load(uint64(ri[in.Rs1] + in.Imm))
+			// The four word loads and stores each spell out the fast path:
+			// sharing one case between the integer and float forms costs a
+			// branch per access, about 5 % of interp's wall time.
+			addr := uint64(ri[in.Rs1] + in.Imm)
+			if p, off := tlb.ReadHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 && addr>>mem.PageShift != vdsoPage {
+				ri[in.Rd] = int64(binary.LittleEndian.Uint64(p[off : off+8 : off+8]))
+				if cache.InLine(addr, 8, dline, dsh) {
+					dhits++
+				} else {
+					cycles += dc.AccessRange(addr, 8)
+					dline = dc.Memo()
+				}
+				break
+			}
+			v, penalty, ok := c.load(addr)
 			if !ok {
 				ev = EvFault
 				break loop
 			}
 			cycles += penalty
+			dline = dc.Memo()
 			ri[in.Rd] = int64(v)
 		case isa.OpSt:
-			penalty, ok := c.store(uint64(ri[in.Rs1]+in.Imm), uint64(ri[in.Rs2]))
+			addr := uint64(ri[in.Rs1] + in.Imm)
+			if p, off := tlb.WriteHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 {
+				binary.LittleEndian.PutUint64(p[off:off+8:off+8], uint64(ri[in.Rs2]))
+				if cache.InLine(addr, 8, dline, dsh) {
+					dhits++
+				} else {
+					cycles += dc.AccessRange(addr, 8)
+					dline = dc.Memo()
+				}
+				break
+			}
+			penalty, ok := c.store(addr, uint64(ri[in.Rs2]))
 			if !ok {
 				ev = EvFault
 				break loop
 			}
 			cycles += penalty
+			dline = dc.Memo()
 		case isa.OpLdB:
 			addr := uint64(ri[in.Rs1] + in.Imm)
-			v, ok := c.tlb.ReadU8(addr)
+			v, ok := tlb.ReadU8(addr)
 			if !ok {
 				ev = c.fault(addr, false)
 				break loop
 			}
-			cycles += c.DCache.Access(addr)
+			cycles += dc.Access(addr)
+			dline = dc.Memo()
 			ri[in.Rd] = int64(v)
 		case isa.OpStB:
 			addr := uint64(ri[in.Rs1] + in.Imm)
-			if !c.tlb.WriteU8(addr, byte(ri[in.Rs2])) {
+			if !tlb.WriteU8(addr, byte(ri[in.Rs2])) {
 				ev = c.fault(addr, true)
 				break loop
 			}
-			cycles += c.DCache.Access(addr)
+			cycles += dc.Access(addr)
+			dline = dc.Memo()
 		case isa.OpFLd:
-			v, penalty, ok := c.load(uint64(ri[in.Rs1] + in.Imm))
+			addr := uint64(ri[in.Rs1] + in.Imm)
+			if p, off := tlb.ReadHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 && addr>>mem.PageShift != vdsoPage {
+				rf[in.Rd] = math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8 : off+8]))
+				if cache.InLine(addr, 8, dline, dsh) {
+					dhits++
+				} else {
+					cycles += dc.AccessRange(addr, 8)
+					dline = dc.Memo()
+				}
+				break
+			}
+			v, penalty, ok := c.load(addr)
 			if !ok {
 				ev = EvFault
 				break loop
 			}
 			cycles += penalty
+			dline = dc.Memo()
 			rf[in.Rd] = math.Float64frombits(v)
 		case isa.OpFSt:
-			penalty, ok := c.store(uint64(ri[in.Rs1]+in.Imm), math.Float64bits(rf[in.Rs2]))
+			addr := uint64(ri[in.Rs1] + in.Imm)
+			if p, off := tlb.WriteHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 {
+				binary.LittleEndian.PutUint64(p[off:off+8:off+8], math.Float64bits(rf[in.Rs2]))
+				if cache.InLine(addr, 8, dline, dsh) {
+					dhits++
+				} else {
+					cycles += dc.AccessRange(addr, 8)
+					dline = dc.Memo()
+				}
+				break
+			}
+			penalty, ok := c.store(addr, math.Float64bits(rf[in.Rs2]))
 			if !ok {
 				ev = EvFault
 				break loop
 			}
 			cycles += penalty
+			dline = dc.Memo()
 		case isa.OpLea:
 			ri[in.Rd] = in.Imm // linker resolved Sym+off into Imm
 		case isa.OpAtomicAdd:
@@ -398,6 +466,7 @@ loop:
 				break loop
 			}
 			cycles += penalty
+			dline = dc.Memo()
 			ri[in.Rd] = int64(old)
 		case isa.OpAtomicCAS:
 			addr := uint64(ri[in.Rs1] + in.Imm)
@@ -420,6 +489,7 @@ loop:
 				}
 				cycles += penalty
 			}
+			dline = dc.Memo()
 			ri[in.Rd] = int64(old)
 		case isa.OpPush:
 			sp := uint64(ri[d.SP]) - 8
@@ -429,6 +499,7 @@ loop:
 				break loop
 			}
 			cycles += penalty
+			dline = dc.Memo()
 			ri[d.SP] = int64(sp)
 		case isa.OpPop:
 			sp := uint64(ri[d.SP])
@@ -438,6 +509,7 @@ loop:
 				break loop
 			}
 			cycles += penalty
+			dline = dc.Memo()
 			ri[in.Rd] = int64(v)
 			ri[d.SP] = int64(sp + 8)
 		case isa.OpBr:
@@ -471,13 +543,18 @@ loop:
 					break loop
 				}
 				cycles += penalty
+				dline = dc.Memo()
 				ri[d.SP] = int64(sp)
 			} else {
 				ri[d.LR] = int64(retAddr)
 			}
 			if c.OnAnyCall != nil || (c.MigrateCheckEntry != 0 && callee.Base == c.MigrateCheckEntry) {
+				ic.Accesses += ihits
+				dc.Accesses += dhits
+				ihits, dhits = 0, 0
 				c.Fn, c.Idx, c.PC, c.Cycles, c.Instrs = fn, idx, pc, cycles, instrs
 				c.callHooks(callee)
+				iline, dline = ic.Memo(), dc.Memo()
 			}
 			fn, code, addrs, next = callee, callee.Code, callee.Addr, 0
 		case isa.OpRet:
@@ -490,6 +567,7 @@ loop:
 					break loop
 				}
 				cycles += penalty
+				dline = dc.Memo()
 				ri[d.SP] = int64(sp + 8)
 				ret = v
 			} else {
@@ -508,7 +586,12 @@ loop:
 			}
 			fn, code, addrs, next = to, to.Code, to.Addr, at
 		case isa.OpSyscall:
-			ev = EvSyscall // retires like any other instruction, then traps
+			// Retires like any other instruction, then traps.
+			cycles += cost
+			instrs++
+			idx = next
+			ev = EvSyscall
+			break loop
 		default:
 			ev = c.errorf("machine: unimplemented op %s", in.Op)
 			break loop
@@ -518,19 +601,21 @@ loop:
 		cycles += cost
 		instrs++
 		idx = next
-		if idx < len(code) {
-			pc = addrs[idx]
-		} else {
-			// Fell off the end of a function: functions always end in RET or
-			// a branch, so this is unreachable for verified code.
-			pc = fn.Base + fn.Size
-		}
-		if cycles >= budget || ev != EvNone {
+		if cycles >= budget {
 			break
 		}
 	}
 
-	c.Fn, c.Idx, c.PC, c.Cycles, c.Instrs = fn, idx, pc, cycles, instrs
+	ic.Accesses += ihits
+	dc.Accesses += dhits
+	c.Fn, c.Idx, c.Cycles, c.Instrs = fn, idx, cycles, instrs
+	if idx < len(code) {
+		c.PC = addrs[idx]
+	} else {
+		// Fell off the end of a function: functions always end in RET or a
+		// branch, so this is unreachable for verified code.
+		c.PC = fn.Base + fn.Size
+	}
 	return ev
 }
 

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"heterodc/internal/core"
+	"heterodc/internal/dbt"
 	"heterodc/internal/fuzz"
 	"heterodc/internal/isa"
 	"heterodc/internal/kernel"
@@ -129,18 +131,42 @@ func (h *host) state() string {
 		c.ICache.Misses, c.ICache.Accesses, c.DCache.Misses, c.DCache.Accesses, sum.Sum64())
 }
 
-// TestRunMatchesStepLoop: for every program of the fuzz corpus and NPB
-// class S on both ISAs, Run with budgets of one cycle, seven cycles, one
-// kernel quantum and everything ends with the registers, PC, cycle and
-// instruction counts, cache counters, memory and event sequence of a pure
-// Step loop.
-func TestRunMatchesStepLoop(t *testing.T) {
-	type program struct {
-		name  string
-		img   *link.Image
-		limit int64
+// hook installs the instrumented configuration on h's core: the DBT
+// emulation cost function (guest arch on the other ISA, fig1's path) and
+// the call and migration-point hooks, which log the core's counters as the
+// hooks see them. Under it the interpreter must bring every batched counter
+// up to date before a hook fires.
+func (h *host) hook(tb testing.TB, arch isa.Arch) {
+	c := h.c
+	emu := isa.X86
+	if arch == isa.X86 {
+		emu = isa.ARM64
 	}
-	var programs []program
+	p, err := dbt.ProfileFor(arch, emu)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.CostFn = dbt.CostFn(emu, p)
+	counters := func() string {
+		return fmt.Sprintf("cycles=%d instrs=%d icache=%d/%d dcache=%d/%d", c.Cycles, c.Instrs,
+			c.ICache.Misses, c.ICache.Accesses, c.DCache.Misses, c.DCache.Accesses)
+	}
+	c.OnAnyCall = func(since uint64) { h.log = append(h.log, fmt.Sprintf("call +%d %s", since, counters())) }
+	c.OnMigratePointAt = func(fn string) { h.log = append(h.log, fmt.Sprintf("point in %s %s", fn, counters())) }
+}
+
+// program is a guest the exactness tests run to a cycle limit.
+type program struct {
+	name  string
+	img   *link.Image
+	limit int64
+}
+
+// programs builds the fuzz corpus and NPB class S (EP, IS and CG only under
+// -short).
+func programs(t *testing.T) []program {
+	t.Helper()
+	var ps []program
 	files, err := fuzz.ListCorpus(filepath.Join("..", "fuzz", "testdata"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("fuzz corpus: %d files, %v", len(files), err)
@@ -154,7 +180,7 @@ func TestRunMatchesStepLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		programs = append(programs, program{filepath.Base(f), img, 1_000_000})
+		ps = append(ps, program{filepath.Base(f), img, 1_000_000})
 	}
 	benches := []npb.Bench{npb.EP, npb.IS, npb.CG}
 	if !testing.Short() {
@@ -165,31 +191,142 @@ func TestRunMatchesStepLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		programs = append(programs, program{img.Name, img, 3_000_000})
+		ps = append(ps, program{img.Name, img, 3_000_000})
 	}
+	return ps
+}
 
-	for _, p := range programs {
+// TestRunMatchesStepLoop: for every program of the fuzz corpus and NPB
+// class S on both ISAs, Run with budgets of one cycle, seven cycles, one
+// kernel quantum and everything ends with the registers, PC, cycle and
+// instruction counts, cache counters, memory and event sequence of a pure
+// Step loop — plainly, and hooked (see hook), where the event sequence
+// includes the counters every hook observed.
+func TestRunMatchesStepLoop(t *testing.T) {
+	for _, p := range programs(t) {
 		for _, arch := range isa.Arches {
-			ref := load(t, p.img, arch)
-			ref.drive(p.limit, 0)
-			want := ref.state()
-			if ref.c.Instrs < 1000 {
-				t.Errorf("%s on %s: only %d instructions before %q", p.name, arch, ref.c.Instrs, ref.log[len(ref.log)-1])
-			}
-			quantum := int64(kernel.Quantum * isa.Describe(arch).ClockHz)
-			for _, slice := range []int64{1, 7, quantum, math.MaxInt64} {
-				h := load(t, p.img, arch)
-				h.drive(p.limit, slice)
-				if got := h.state(); got != want {
-					t.Errorf("%s on %s, Run in slices of %d:\n%s\nStep loop:\n%s", p.name, arch, slice, got, want)
-				}
-				if !slices.Equal(h.log, ref.log) {
-					i := 0
-					for i < len(h.log) && i < len(ref.log) && h.log[i] == ref.log[i] {
-						i++
+			for _, hooked := range []bool{false, true} {
+				start := func() *host {
+					h := load(t, p.img, arch)
+					if hooked {
+						h.hook(t, arch)
 					}
-					t.Errorf("%s on %s, Run in slices of %d: %d events against %d, first difference at %d: %q vs %q",
-						p.name, arch, slice, len(h.log), len(ref.log), i, at(h.log, i), at(ref.log, i))
+					return h
+				}
+				ref := start()
+				ref.drive(p.limit, 0)
+				want := ref.state()
+				if ref.c.Instrs < 1000 {
+					t.Errorf("%s on %s (hooked %v): only %d instructions before %q", p.name, arch, hooked, ref.c.Instrs, ref.log[len(ref.log)-1])
+				}
+				quantum := int64(kernel.Quantum * isa.Describe(arch).ClockHz)
+				for _, slice := range []int64{1, 7, quantum, math.MaxInt64} {
+					h := start()
+					h.drive(p.limit, slice)
+					if got := h.state(); got != want {
+						t.Errorf("%s on %s (hooked %v), Run in slices of %d:\n%s\nStep loop:\n%s", p.name, arch, hooked, slice, got, want)
+					}
+					if !slices.Equal(h.log, ref.log) {
+						i := 0
+						for i < len(h.log) && i < len(ref.log) && h.log[i] == ref.log[i] {
+							i++
+						}
+						t.Errorf("%s on %s (hooked %v), Run in slices of %d: %d events against %d, first difference at %d: %q vs %q",
+							p.name, arch, hooked, slice, len(h.log), len(ref.log), i, at(h.log, i), at(ref.log, i))
+					}
+				}
+			}
+		}
+	}
+}
+
+// goldenPath records, per program, ISA and configuration (plain or
+// hooked), where a Step loop of the interpreter as it was before its hot
+// path was rewritten left the core (host.state) and a digest of its event
+// log. Step is run limited to one instruction, so TestRunMatchesStepLoop
+// compares the instruction body with itself; only a record made by an
+// earlier interpreter catches a drift in that shared body. An entry changes
+// only with a deliberate change of guest semantics or of the cost model:
+// then replace it with the one the failure prints.
+const goldenPath = "testdata/run_golden.txt"
+
+// record is h's golden entry body: its state and its event-log digest.
+func (h *host) record() string {
+	sum := fnv.New64a()
+	for _, e := range h.log {
+		sum.Write([]byte(e))
+		sum.Write([]byte{'\n'})
+	}
+	return fmt.Sprintf("%s\nevents=%d log=%016x", h.state(), len(h.log), sum.Sum64())
+}
+
+// goldenKey names a run in goldenPath: "name arch", plus " hooked".
+func goldenKey(name string, arch isa.Arch, hooked bool) string {
+	if hooked {
+		return name + " " + arch.String() + " hooked"
+	}
+	return name + " " + arch.String()
+}
+
+// goldenEntry is one entry of goldenPath as written: a "== key" header
+// line, then the record.
+func goldenEntry(key, record string) string {
+	return "== " + key + "\n" + record + "\n"
+}
+
+// readGolden parses goldenPath into records by key; lines starting with #
+// are comments.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	var key string
+	var body []string
+	flush := func() {
+		if key != "" {
+			out[key] = strings.Join(body, "\n")
+		}
+	}
+	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "#"):
+		case strings.HasPrefix(line, "== "):
+			flush()
+			key, body = strings.TrimPrefix(line, "== "), nil
+		default:
+			body = append(body, line)
+		}
+	}
+	flush()
+	return out
+}
+
+// TestRunMatchesGolden: a Step loop and an unbounded Run end every program
+// of TestRunMatchesStepLoop, plain and hooked, where the recorded
+// interpreter did.
+func TestRunMatchesGolden(t *testing.T) {
+	golden := readGolden(t)
+	for _, p := range programs(t) {
+		for _, arch := range isa.Arches {
+			for _, hooked := range []bool{false, true} {
+				key := goldenKey(p.name, arch, hooked)
+				want, ok := golden[key]
+				if !ok {
+					t.Errorf("%s: no entry in %s", key, goldenPath)
+					continue
+				}
+				for _, slice := range []int64{0, math.MaxInt64} {
+					h := load(t, p.img, arch)
+					if hooked {
+						h.hook(t, arch)
+					}
+					h.drive(p.limit, slice)
+					if got := h.record(); got != want {
+						t.Errorf("%s, slices of %d: got\n%srecorded\n%s", key, slice, goldenEntry(key, got), goldenEntry(key, want))
+					}
 				}
 			}
 		}

@@ -38,18 +38,20 @@ func (t *TLB) Attach(m *Memory) {
 	}
 }
 
-// rhit returns the cached page containing addr, or nil on a miss. It and
-// whit are small enough to inline into the accessors.
-func (t *TLB) rhit(addr uint64) *Page {
+// ReadHit returns the cached page containing addr, or nil on a miss. It and
+// WriteHit are small enough to inline into the accessors and into the
+// interpreter, whose loads and stores of a word inside one page probe them
+// directly and take the accessors only on a miss.
+func (t *TLB) ReadHit(addr uint64) *Page {
 	if e := &t.ent[PageIndex(addr)%tlbEntries]; e.key>>1 == PageIndex(addr)+1 {
 		return e.page
 	}
 	return nil
 }
 
-// whit returns the cached page containing addr if it is cached as
+// WriteHit returns the cached page containing addr if it is cached as
 // writable, or nil on a miss.
-func (t *TLB) whit(addr uint64) *Page {
+func (t *TLB) WriteHit(addr uint64) *Page {
 	if e := &t.ent[PageIndex(addr)%tlbEntries]; e.key == (PageIndex(addr)+1)<<1|1 {
 		return e.page
 	}
@@ -81,7 +83,7 @@ func (t *TLB) ReadU64(addr uint64) (v uint64, ok bool) {
 	if off > PageSize-8 { // straddles two pages: Memory's byte-wise path
 		return t.m.LoadU64(addr)
 	}
-	p := t.rhit(addr)
+	p := t.ReadHit(addr)
 	if p == nil {
 		if p = t.fill(addr, false); p == nil {
 			return 0, false
@@ -96,7 +98,7 @@ func (t *TLB) WriteU64(addr uint64, v uint64) bool {
 	if off > PageSize-8 { // straddles two pages: Memory's byte-wise path
 		return t.m.StoreU64(addr, v)
 	}
-	p := t.whit(addr)
+	p := t.WriteHit(addr)
 	if p == nil {
 		if p = t.fill(addr, true); p == nil {
 			return false
@@ -108,7 +110,7 @@ func (t *TLB) WriteU64(addr uint64, v uint64) bool {
 
 // ReadU8 is Memory.ReadU8 through the cache; ok is false on a fault.
 func (t *TLB) ReadU8(addr uint64) (v byte, ok bool) {
-	p := t.rhit(addr)
+	p := t.ReadHit(addr)
 	if p == nil {
 		if p = t.fill(addr, false); p == nil {
 			return 0, false
@@ -119,7 +121,7 @@ func (t *TLB) ReadU8(addr uint64) (v byte, ok bool) {
 
 // WriteU8 is Memory.WriteU8 through the cache; false on a fault.
 func (t *TLB) WriteU8(addr uint64, v byte) bool {
-	p := t.whit(addr)
+	p := t.WriteHit(addr)
 	if p == nil {
 		if p = t.fill(addr, true); p == nil {
 			return false

@@ -72,19 +72,17 @@ func classIndex(c Class) (int, error) {
 	return 0, fmt.Errorf("npb: unknown class %q", string(rune(c)))
 }
 
+// MaxThreads is the most worker threads a benchmark is generated for.
+const MaxThreads = 16
+
 // Source generates the mini-C program for bench at class with the given
-// thread count baked in.
+// thread count baked in, clamped to 1..MaxThreads.
 func Source(b Bench, c Class, threads int) (minic.Source, error) {
 	ci, err := classIndex(c)
 	if err != nil {
 		return minic.Source{}, err
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > 16 {
-		threads = 16
-	}
+	threads = min(max(threads, 1), MaxThreads)
 	var body string
 	switch b {
 	case EP:
