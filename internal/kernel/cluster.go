@@ -322,8 +322,13 @@ func (cl *Cluster) CrashNode(node int) {
 	}
 	for _, m := range cl.IC.Drain(node) {
 		if m.Type == msg.THeartbeat {
-			// A lease in flight to a crashed observer is void; heartbeats are
-			// never requeued past an outage (the next round re-leases).
+			// A probe in flight to a crashed observer is void; heartbeats are
+			// never requeued past an outage (the next round re-probes). The
+			// service still hears of the frame: delivered to a down node it
+			// only ends the frame's flight.
+			if cl.member != nil {
+				cl.member.Deliver(node, m)
+			}
 			continue
 		}
 		// A delivery already scheduled past a known recovery was sent by a

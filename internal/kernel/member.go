@@ -33,7 +33,9 @@ type Membership interface {
 	ReportDue(changed func(node int))
 	// RunDue performs node's membership actions due at now.
 	RunDue(node int, now float64)
-	// Deliver hands node an arrived THeartbeat message.
+	// Deliver hands node an arrived THeartbeat message, and a crashing
+	// node (already down) every one its queue held. m is valid only for
+	// the call.
 	Deliver(to int, m *msg.Message)
 	// Quiet reports whether the protocol currently holds no global-order
 	// machinery — no outstanding verdict polls, every view and every gossip

@@ -68,9 +68,12 @@ func deliverAll(cl *kernel.Cluster, s *audited, node int) int {
 }
 
 // discardAll drains node's inbound queue without delivering (a partition
-// swallowing the traffic).
-func discardAll(cl *kernel.Cluster, node int) {
-	for cl.IC.PopDue(node, inf) != nil {
+// swallowing the traffic): each SWIM frame's flight ends as a loss.
+func discardAll(cl *kernel.Cluster, s *audited, node int) {
+	for m := cl.IC.PopDue(node, inf); m != nil; m = cl.IC.PopDue(node, inf) {
+		if pl, ok := m.Payload.(*swimPayload); ok {
+			s.recycle(node, pl)
+		}
 	}
 }
 
@@ -562,7 +565,7 @@ func TestZombieLearnsOfItsDeathAndRejoins(t *testing.T) {
 	if s.View(0, 1) != Dead || cl.DeadIncarnation(1) != 1 {
 		t.Fatal("setup: node 1 not declared dead")
 	}
-	discardAll(cl, 1) // the partition swallowed node 0's probes
+	discardAll(cl, s, 1) // the partition swallowed node 0's probes
 
 	// The partition heals: node 1 probes node 0. Its ping is fenced (stale
 	// incarnation), and the reply carries the death verdict, so the zombie
@@ -696,11 +699,11 @@ func TestPiggybackBudgetRetiresUpdates(t *testing.T) {
 	s.enqueueUpdate(0, update{state: Suspect, node: 2, inc: 1})
 	budget := s.gossipBudget()
 	for i := 0; i < budget; i++ {
-		if got := s.takePiggyback(0); len(got) != 1 {
+		if got := s.takePiggyback(0, nil); len(got) != 1 {
 			t.Fatalf("draw %d: %d updates, want 1", i, len(got))
 		}
 	}
-	if got := s.takePiggyback(0); len(got) != 0 {
+	if got := s.takePiggyback(0, nil); len(got) != 0 {
 		t.Fatalf("update outlived its budget: %d updates after %d draws", len(got), budget)
 	}
 	// A superseding update refreshes the entry; a superseded one is ignored.

@@ -51,9 +51,22 @@ func loudWalk(s *Service) int {
 	return c
 }
 
+// airborneWalk counts the tainted payloads queued in the interconnect:
+// what Service.airborne tracks.
+func airborneWalk(s *Service) int {
+	c := 0
+	s.cl.IC.ForEachPending(func(m *msg.Message) {
+		if pl, ok := m.Payload.(*swimPayload); ok && pl.tainted {
+			c++
+		}
+	})
+	return c
+}
+
 // audited is the service every test in this package drives, directly or
 // through its cluster: the four protocol entry points run the real service
-// and then compare the quiet counter with the walks.
+// and then compare the quiet and airborne counters with the walks. It
+// reads every node's state, so it runs on the sequential engine only.
 type audited struct {
 	*Service
 	t *testing.T
@@ -65,13 +78,18 @@ var _ kernel.Membership = (*audited)(nil)
 func audit(t *testing.T, cl *kernel.Cluster, s *Service) *audited {
 	a := &audited{Service: s, t: t}
 	cl.SetMembership(a)
-	a.check("Attach")
+	a.check("Attach", true)
 	return a
 }
 
-func (a *audited) check(after string) {
+// check compares the counters with the walks; inFlight says the airborne
+// count is comparable with the queues.
+func (a *audited) check(after string, inFlight bool) {
 	a.t.Helper()
 	s := a.Service
+	if got, want := s.airborne, airborneWalk(s); inFlight && got != want {
+		a.t.Fatalf("after %s: airborne counter %d, %d tainted frames queued", after, got, want)
+	}
 	if got, want := s.loud, loudWalk(s); got != want {
 		a.t.Fatalf("after %s: loud counter %d, recount %d", after, got, want)
 	}
@@ -83,22 +101,24 @@ func (a *audited) check(after string) {
 
 func (a *audited) RunDue(node int, now float64) {
 	a.Service.RunDue(node, now)
-	a.check("RunDue")
+	a.check("RunDue", true)
 }
 
 func (a *audited) Deliver(to int, m *msg.Message) {
 	a.Service.Deliver(to, m)
-	a.check("Deliver")
+	// A crashing node is handed its drained frames one at a time: until
+	// the last one, the rest are out of the queue but still counted.
+	a.check("Deliver", !a.cl.NodeDown(to))
 }
 
 func (a *audited) NodeCrashed(node int, now float64) {
 	a.Service.NodeCrashed(node, now)
-	a.check("NodeCrashed")
+	a.check("NodeCrashed", true)
 }
 
 func (a *audited) NodeRecovered(node int, inc uint64, now float64) {
 	a.Service.NodeRecovered(node, inc, now)
-	a.check("NodeRecovered")
+	a.check("NodeRecovered", true)
 }
 
 // TestQuietCounterThroughCrashPartitionAndRejoin drives a cluster through
@@ -134,7 +154,7 @@ func TestQuietCounterThroughCrashPartitionAndRejoin(t *testing.T) {
 	// vanishes for a while, then flows again.
 	for until := cl.Time() + 8e-3; cl.Time() < until; {
 		cl.Run(cl.Time() + 0.2e-3)
-		discardAll(cl, 4)
+		discardAll(cl, s, 4)
 	}
 	if s.Stats().Suspicions < 2 {
 		t.Fatalf("the cut produced no new suspicion: %+v", s.Stats())

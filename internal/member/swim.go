@@ -94,9 +94,24 @@ type swimPayload struct {
 
 	updates []update
 	// tainted marks a frame counted in Service.airborne (it carries a
-	// non-Alive update); cleared at first delivery so a duplicated frame
-	// never decrements twice.
+	// non-Alive update); cleared when the frame lands or is lost.
 	tainted bool
+}
+
+// freeCap bounds each node's payload free list. A node's steady traffic
+// takes back one payload per frame it receives and draws one per frame it
+// sends; a verdict poll's fan-in is the one burst, and keeping it would
+// hold a fleet's worth of payloads per poller.
+const freeCap = 4
+
+// Duplicate gives a duplicate leg its own copy (msg.Duplicator), since the
+// original goes back on its receiver's free list once delivered. The copy
+// is untainted: airborne counted the frame once, for the original.
+func (p *swimPayload) Duplicate() interface{} {
+	cp := *p
+	cp.updates = append([]update(nil), p.updates...)
+	cp.tainted = false
+	return &cp
 }
 
 // GroupPeers names the nodes a frame in flight can still touch beyond its
@@ -114,15 +129,14 @@ func (p *swimPayload) GroupPeers(add func(node int)) {
 // incarnation or epoch); everything else is implicitly alive at incarnation
 // 1 — that sparsity is what keeps detector state sub-quadratic.
 type view struct {
-	state     State
-	inc       uint64  // highest incarnation evidenced for the target
-	epoch     uint64  // highest refutation epoch within inc
-	deadInc   uint64  // highest incarnation this observer holds dead
-	deadline  float64 // suspicion expiry while Suspect (inf otherwise)
-	deferred  bool    // verdict reached without quorum, parked
-	missed    int     // verdict polls that lapsed unanswered for this suspicion
-	backoff   float64 // current re-check backoff after a lapsed poll
-	lastHeard float64
+	state    State
+	inc      uint64  // highest incarnation evidenced for the target
+	epoch    uint64  // highest refutation epoch within inc
+	deadInc  uint64  // highest incarnation this observer holds dead
+	deadline float64 // suspicion expiry while Suspect (inf otherwise)
+	deferred bool    // verdict reached without quorum, parked
+	missed   int     // verdict polls that lapsed unanswered for this suspicion
+	backoff  float64 // current re-check backoff after a lapsed poll
 }
 
 // probeState is one node's in-flight direct probe.
@@ -167,6 +181,12 @@ type Service struct {
 	selfInc   []uint64        // incarnation selfEpoch belongs to
 	selfEpoch []uint64
 	gossip    [][]gossipEntry
+	// free[node] holds SWIM payloads node has received and may send again
+	// (at most freeCap). Like every per-node field it has a single writer
+	// inside a grouped window: only node's own actions touch it, drawing
+	// for the frames node sends and returning the frames it receives (or
+	// sent and had refused).
+	free [][]*swimPayload
 
 	nextDue []float64 // cached earliest due time per node
 	// dueChanged hears of every change to nextDue (ReportDue).
@@ -203,9 +223,11 @@ type Service struct {
 	// only happen when the sender's gossip buffer already held a non-Alive
 	// entry (non-quiet, collapsed engine), and tainted deliveries only
 	// happen while airborne > 0 (also collapsed), so the counter has a
-	// single writer. A tainted frame the interconnect drops leaks the count
-	// and parks the engine in collapsed mode for the rest of the run —
-	// conservative, never wrong.
+	// single writer. The count is exact: it equals the tainted payloads
+	// queued in the interconnect. A frame leaves it when it lands (Deliver,
+	// including the crash sweep's hand-back to a down node) or when the
+	// interconnect refuses it (sendSwim); a duplicate leg carries an
+	// untainted copy.
 	airborne int
 
 	// loud counts the remaining entries that break quietness: open verdict
@@ -240,6 +262,7 @@ func Attach(cl *kernel.Cluster, cfg Config) (*Service, error) {
 		selfInc:   make([]uint64, n),
 		selfEpoch: make([]uint64, n),
 		gossip:    make([][]gossipEntry, n),
+		free:      make([][]*swimPayload, n),
 		nextDue:   make([]float64, n),
 		stats:     make([]Stats, n),
 		rtt:       make([]map[int]float64, n),
@@ -535,6 +558,16 @@ func (s *Service) expireProbe(node int, now float64) {
 
 // expireSuspects reaches verdicts on observer's expired suspicions.
 func (s *Service) expireSuspects(observer int, now float64) {
+	due := false
+	for _, v := range s.views[observer] {
+		if v.state == Suspect && !v.deferred && v.deadline <= now {
+			due = true
+			break
+		}
+	}
+	if !due {
+		return
+	}
 	for _, t := range s.viewKeys(observer) {
 		v := s.views[observer][t]
 		if v.state != Suspect || v.deferred || v.deadline > now {
@@ -842,31 +875,33 @@ func (s *Service) enqueueUpdate(node int, upd update) {
 	s.gossip[node] = append(g, gossipEntry{upd: upd, budget: s.gossipBudget()})
 }
 
-// takePiggyback selects up to maxPiggyback queued updates for one outgoing
-// message — highest remaining budget first, subject order on ties — and
-// charges their budgets.
-func (s *Service) takePiggyback(node int) []update {
+// takePiggyback appends up to maxPiggyback queued updates for one outgoing
+// message to out — highest remaining budget first, subject order on ties —
+// and charges their budgets.
+func (s *Service) takePiggyback(node int, out []update) []update {
 	g := s.gossip[node]
 	if len(g) == 0 {
-		return nil
+		return out
 	}
-	idx := make([]int, len(g))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ga, gb := g[idx[a]], g[idx[b]]
-		if ga.budget != gb.budget {
-			return ga.budget > gb.budget
+	// Insertion-sort the queue's best entries into a fixed buffer. Subjects
+	// are unique in a queue, so the order is total.
+	var top [maxPiggyback]int
+	k := 0
+	for i := range g {
+		j := k
+		if k < maxPiggyback {
+			k++
+		} else if ahead(g[i], g[top[k-1]]) {
+			j = k - 1
+		} else {
+			continue
 		}
-		return ga.upd.node < gb.upd.node
-	})
-	take := len(idx)
-	if take > maxPiggyback {
-		take = maxPiggyback
+		for ; j > 0 && ahead(g[i], g[top[j-1]]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
 	}
-	out := make([]update, 0, take)
-	for _, i := range idx[:take] {
+	for _, i := range top[:k] {
 		out = append(out, g[i].upd)
 		g[i].budget--
 	}
@@ -882,16 +917,28 @@ func (s *Service) takePiggyback(node int) []update {
 	return out
 }
 
-// sendSwim stamps the sender's identity, attaches piggybacked gossip (plus
-// any forced extra updates) and hands the frame to the interconnect as
-// ordinary unreliable traffic — loss is the signal.
+// ahead orders gossip entries for the piggyback: higher remaining budget
+// first, lower subject on ties.
+func ahead(a, b gossipEntry) bool {
+	if a.budget != b.budget {
+		return a.budget > b.budget
+	}
+	return a.upd.node < b.upd.node
+}
+
+// sendSwim stamps the sender's identity, attaches any forced extra updates
+// and piggybacked gossip, and hands the frame to the interconnect as
+// ordinary unreliable traffic — loss is the signal. The payload comes from
+// the sender's free list and goes back to a free list when the frame lands
+// or is lost.
 func (s *Service) sendSwim(now float64, from, to int, pl swimPayload, extra ...update) {
-	pl.from = from
-	pl.inc = s.cl.Incarnation(from)
-	pl.epch = s.selfEpochOf(from)
-	pl.updates = append(extra, s.takePiggyback(from)...)
-	size := int64(swimBaseBytes + updateBytes*len(pl.updates))
-	p := pl
+	p := s.payload(from)
+	updates := append(p.updates[:0], extra...)
+	*p = pl
+	p.from = from
+	p.inc = s.cl.Incarnation(from)
+	p.epch = s.selfEpochOf(from)
+	p.updates = s.takePiggyback(from, updates)
 	for _, u := range p.updates {
 		if u.state != Alive {
 			p.tainted = true
@@ -899,28 +946,55 @@ func (s *Service) sendSwim(now float64, from, to int, pl swimPayload, extra ...u
 			break
 		}
 	}
-	s.cl.IC.Send(now, from, to, msg.THeartbeat, size, &p)
 	s.stats[from].HeartbeatsSent++
 	s.stats[from].GossipUpdates += uint64(len(p.updates))
+	size := int64(swimBaseBytes + updateBytes*len(p.updates))
+	if _, queued := s.cl.IC.SendQueued(now, from, to, msg.THeartbeat, size, p); !queued {
+		s.recycle(from, p)
+	}
 }
 
-// Deliver processes one SWIM frame arriving at node `to`.
+// payload draws a payload from node's free list, or a new one.
+func (s *Service) payload(node int) *swimPayload {
+	if f := s.free[node]; len(f) > 0 {
+		p := f[len(f)-1]
+		s.free[node] = f[:len(f)-1]
+		return p
+	}
+	return new(swimPayload)
+}
+
+// recycle ends the flight of a frame that landed or was lost — taking it
+// out of the airborne count — and returns its payload to node's free list,
+// if there is room.
+func (s *Service) recycle(node int, p *swimPayload) {
+	if p.tainted {
+		p.tainted = false
+		s.airborne--
+	}
+	if len(s.free[node]) < freeCap {
+		s.free[node] = append(s.free[node], p)
+	}
+}
+
+// Deliver processes one SWIM frame arriving at node `to`, then ends its
+// flight: airborne non-Alive gossip lands here (whatever it caused happened
+// in collapsed context — airborne > 0 kept the engine collapsed up to and
+// through this delivery). On a down node, which the crash sweep hands the
+// frames it drains, only the flight ends.
 func (s *Service) Deliver(to int, m *msg.Message) {
 	pl, ok := m.Payload.(*swimPayload)
 	if !ok {
 		return
 	}
-	if pl.tainted {
-		// The airborne non-Alive gossip has landed (whatever happens to it
-		// next happens in collapsed context — airborne > 0 kept the engine
-		// collapsed up to this very delivery).
-		pl.tainted = false
-		s.airborne--
+	if !s.cl.NodeDown(to) {
+		s.deliver(to, pl, m.Deliver)
 	}
-	if s.cl.NodeDown(to) {
-		return
-	}
-	now := m.Deliver
+	s.recycle(to, pl)
+}
+
+// deliver acts on a SWIM frame at a live node.
+func (s *Service) deliver(to int, pl *swimPayload, now float64) {
 	if !s.applyAlive(to, pl.from, pl.inc, pl.epch, now, true) {
 		// The sender's incarnation is fenced here: this observer holds it (or
 		// a successor) dead.
@@ -1004,6 +1078,11 @@ func (s *Service) applyAlive(observer, target int, inc, epoch uint64, now float6
 	if observer == target {
 		return true
 	}
+	if inc == 1 && epoch == 0 && s.views[observer][target] == nil {
+		// The implicit default record already says exactly this: nothing to
+		// materialize (and prune again).
+		return true
+	}
 	v0 := s.viewOf(observer, target)
 	if inc < v0.inc || inc <= v0.deadInc {
 		return false
@@ -1013,7 +1092,6 @@ func (s *Service) applyAlive(observer, target int, inc, epoch uint64, now float6
 		// Gossiped aliveness at an epoch the suspicion already covers does
 		// not refute it; only the target's own bumped epoch (or direct
 		// contact) does.
-		v.lastHeard = now
 		return true
 	}
 	was := v.state
@@ -1026,7 +1104,6 @@ func (s *Service) applyAlive(observer, target int, inc, epoch uint64, now float6
 	v.state = Alive
 	v.deadline = inf
 	v.deferred = false
-	v.lastHeard = now
 	switch was {
 	case Suspect:
 		s.stats[observer].Readmissions++

@@ -28,10 +28,7 @@
 // default and the regression baseline.
 package msg
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Type tags inter-kernel messages.
 type Type int
@@ -188,6 +185,16 @@ type GroupPeers interface {
 	GroupPeers(add func(node int))
 }
 
+// Duplicator is an optional message-payload interface for payloads whose
+// receiver reuses them once delivered (a SWIM frame returns to its
+// receiver's free list). A duplicate leg — a duplication fault, or the copy
+// a lost acknowledgement makes the reliable sender retransmit — then
+// carries Duplicate's private copy instead of sharing the original's
+// payload. Payloads without it are shared by both legs.
+type Duplicator interface {
+	Duplicate() interface{}
+}
+
 // PathModel is a pluggable fabric under the interconnect: when installed,
 // it replaces the flat latency/bandwidth pipe's delivery-time computation
 // with hierarchical routing (topo.Fabric implements it — racks behind ToR
@@ -229,9 +236,14 @@ type linkState struct {
 
 // nodeState is one destination node's private state.
 type nodeState struct {
-	q msgHeap
+	// q is the delivery queue, a binary min-heap of values ordered by
+	// (Deliver, arrival).
+	q []Message
 	// arrivals orders same-instant deliveries into this node's queue.
 	arrivals uint64
+	// popped is PopDue's slot: the message it returns lives here until the
+	// next PopDue on this node.
+	popped Message
 }
 
 // Interconnect is the shared fabric between kernels. It is a deterministic
@@ -424,7 +436,7 @@ func (ic *Interconnect) retry(st *Stats, rx *retx) bool {
 // (which holds all occupancy); the per-link sequence numbers keying fault
 // fates are unchanged either way, so an identical fault plan draws the
 // identical fate stream on both models.
-func (ic *Interconnect) transmit(now float64, from, to int, t Type, size int64, payload interface{}) *Message {
+func (ic *Interconnect) transmit(now float64, from, to int, t Type, size int64, payload interface{}) Message {
 	wire := size + ic.cfg.HeaderBytes
 	lk := ic.link(from, to)
 	var deliver float64
@@ -443,7 +455,7 @@ func (ic *Interconnect) transmit(now float64, from, to int, t Type, size int64, 
 	lk.seq++
 	ic.stats[from].Messages++
 	ic.stats[from].Bytes += uint64(wire)
-	return &Message{
+	return Message{
 		Seq: lk.seq, From: from, To: to, Type: t,
 		Size: size, Deliver: deliver, Payload: payload,
 	}
@@ -461,11 +473,11 @@ func (ic *Interconnect) noteQueue(node int) {
 	}
 }
 
-func (ic *Interconnect) push(m *Message) {
+func (ic *Interconnect) push(m Message) {
 	ns := ic.node(m.To)
 	ns.arrivals++
 	m.arrival = ns.arrivals
-	heap.Push(&ns.q, m)
+	ns.push(m)
 	ic.noteQueue(m.To)
 }
 
@@ -475,6 +487,15 @@ func (ic *Interconnect) push(m *Message) {
 // would have arrived — so callers needing delivery guarantees use
 // SendReliable.
 func (ic *Interconnect) Send(now float64, from, to int, t Type, size int64, payload interface{}) float64 {
+	deliver, _ := ic.SendQueued(now, from, to, t, size, payload)
+	return deliver
+}
+
+// SendQueued is Send that also reports whether the message was queued:
+// false when the injector dropped it, a partition cut it or its
+// destination was down. A sender that reuses its payloads takes a dropped
+// one back.
+func (ic *Interconnect) SendQueued(now float64, from, to int, t Type, size int64, payload interface{}) (float64, bool) {
 	m := ic.transmit(now, from, to, t, size, payload)
 	if ic.inj != nil {
 		drop, dup, jit := ic.inj.Fate(now, from, to, m.Seq)
@@ -483,29 +504,38 @@ func (ic *Interconnect) Send(now float64, from, to int, t Type, size int64, payl
 			ic.stats[from].Dropped++
 			ic.stats[from].PartitionDrops++
 			ic.tracef(from, now, "cut", "type %d %d->%d seq %d", t, from, to, m.Seq)
-			return m.Deliver
+			return m.Deliver, false
 		}
 		if drop || ic.inj.NodeDown(to, m.Deliver) {
 			ic.stats[from].Dropped++
 			ic.tracef(from, now, "drop", "type %d %d->%d seq %d", t, from, to, m.Seq)
-			return m.Deliver
+			return m.Deliver, false
 		}
 		if dup {
-			cp := *m
-			lk := ic.link(from, to)
-			lk.seq++
-			cp.Seq = lk.seq
-			cp.Deliver = m.Deliver + ic.redeliverDelay()
-			if ic.cut(cp.Deliver, from, to) {
-				ic.stats[from].PartitionDrops++
-			} else {
-				ic.stats[from].Duplicated++
-				ic.push(&cp)
-			}
+			ic.pushDuplicate(&ic.stats[from], m, m.Deliver+ic.redeliverDelay())
 		}
 	}
 	ic.push(m)
-	return m.Deliver
+	return m.Deliver, true
+}
+
+// pushDuplicate enqueues a second copy of m delivered at deliver, on its
+// own sequence number and with its own payload (see Duplicator), unless a
+// partition cuts the copy's leg.
+func (ic *Interconnect) pushDuplicate(st *Stats, m Message, deliver float64) {
+	lk := ic.link(m.From, m.To)
+	lk.seq++
+	m.Seq = lk.seq
+	m.Deliver = deliver
+	if ic.cut(deliver, m.From, m.To) {
+		st.PartitionDrops++
+		return
+	}
+	st.Duplicated++
+	if d, ok := m.Payload.(Duplicator); ok {
+		m.Payload = d.Duplicate()
+	}
+	ic.push(m)
 }
 
 // SendReliable models an acknowledged send: every lost attempt costs the
@@ -595,17 +625,7 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 			ackDrop = true
 		}
 		if dup || ackDrop {
-			cp := *m
-			lk := ic.link(from, to)
-			lk.seq++
-			cp.Seq = lk.seq
-			cp.Deliver = m.Deliver + rx.rto
-			if ic.cut(cp.Deliver, from, to) {
-				st.PartitionDrops++
-			} else {
-				st.Duplicated++
-				ic.push(&cp)
-			}
+			ic.pushDuplicate(st, m, m.Deliver+rx.rto)
 		}
 		return m.Deliver, true
 	}
@@ -715,21 +735,23 @@ func (ic *Interconnect) ReliableRTT(now float64, from, to int, replySize int64) 
 }
 
 // PopDue removes and returns the next message for node due at or before
-// now, or nil.
+// now, or nil. The message lives in a slot of node's own and stays valid
+// until the next PopDue on node: a caller handles it and lets it go.
 func (ic *Interconnect) PopDue(node int, now float64) *Message {
 	ns := ic.node(node)
-	if ns.q.Len() == 0 || ns.q[0].Deliver > now {
+	if len(ns.q) == 0 || ns.q[0].Deliver > now {
 		return nil
 	}
 	ic.noteQueue(node)
-	return heap.Pop(&ns.q).(*Message)
+	ns.popped = ns.pop()
+	return &ns.popped
 }
 
 // NextDeliver returns the earliest pending delivery time for node, or
 // (0, false) if nothing is queued.
 func (ic *Interconnect) NextDeliver(node int) (float64, bool) {
 	ns := ic.node(node)
-	if ns.q.Len() == 0 {
+	if len(ns.q) == 0 {
 		return 0, false
 	}
 	return ns.q[0].Deliver, true
@@ -737,37 +759,44 @@ func (ic *Interconnect) NextDeliver(node int) (float64, bool) {
 
 // Pending returns the number of queued messages for node.
 func (ic *Interconnect) Pending(node int) int {
-	return ic.node(node).q.Len()
+	return len(ic.node(node).q)
 }
 
 // Drain removes and returns every queued message for node in delivery
-// order (a crashed node's queue sweep).
+// order (a crashed node's queue sweep). The messages are copies the caller
+// owns.
 func (ic *Interconnect) Drain(node int) []*Message {
 	ns := ic.node(node)
 	var out []*Message
-	for ns.q.Len() > 0 {
-		out = append(out, heap.Pop(&ns.q).(*Message))
+	if len(ns.q) > 0 {
+		ms := make([]Message, len(ns.q))
+		out = make([]*Message, len(ms))
+		for i := range ms {
+			ms[i] = ns.pop()
+			out[i] = &ms[i]
+		}
 	}
 	ic.noteQueue(node)
 	return out
 }
 
-// Requeue re-enqueues a drained message with a new delivery time
+// Requeue re-enqueues a copy of a drained message with a new delivery time
 // (redelivery after the destination recovers).
 func (ic *Interconnect) Requeue(m *Message, deliver float64) {
 	m.Deliver = deliver
-	ic.push(m)
+	ic.push(*m)
 }
 
 // ForEachPending calls fn for every queued message across all nodes, in
-// node order then heap (not delivery) order. Barrier-only: it reads every
-// node's queue, so it must never run concurrently with group workers.
-// Cluster.Groups uses it to fold in-flight exchanges into the sharing
-// partition.
+// node order then heap (not delivery) order. fn must not keep the pointer.
+// Barrier-only: it reads every node's queue, so it must never run
+// concurrently with group workers. Cluster.Groups uses it to fold
+// in-flight exchanges into the sharing partition.
 func (ic *Interconnect) ForEachPending(fn func(*Message)) {
 	for i := range ic.nodes {
-		for _, m := range ic.nodes[i].q {
-			fn(m)
+		q := ic.nodes[i].q
+		for j := range q {
+			fn(&q[j])
 		}
 	}
 }
@@ -789,39 +818,103 @@ func (ic *Interconnect) Sweep(nodes []int, drop func(*Message) bool) int {
 		if nd < 0 || nd >= ic.n {
 			continue
 		}
-		q := &ic.nodes[nd].q
-		kept := (*q)[:0]
-		for _, m := range *q {
-			if drop(m) {
+		ns := &ic.nodes[nd]
+		kept := 0
+		for i := range ns.q {
+			if drop(&ns.q[i]) {
 				n++
 				continue
 			}
-			kept = append(kept, m)
+			ns.q[kept] = ns.q[i]
+			kept++
 		}
-		*q = kept
-		heap.Init(q)
+		ns.truncate(kept)
+		ns.init()
 		ic.noteQueue(nd)
 	}
 	return n
 }
 
-// msgHeap orders messages by delivery time, then enqueue order at the
-// destination for determinism.
-type msgHeap []*Message
+// queueKeepCap is the largest backing array an emptied delivery queue
+// keeps. A verdict poll's fan-in grows the poller's queue to the fleet
+// size for one round; holding that per poller for the rest of the run
+// would cost more than regrowing it at the next poll.
+const queueKeepCap = 32
 
-func (h msgHeap) Len() int { return len(h) }
-func (h msgHeap) Less(i, j int) bool {
-	if h[i].Deliver != h[j].Deliver {
-		return h[i].Deliver < h[j].Deliver
+// The heap operations below make exactly the moves the standard library's
+// heap package makes in Push, Pop and Init with Less on (Deliver, arrival),
+// so the queue's layout — which ForEachPending exposes — is what it always
+// was (TestQueueMatchesContainerHeap). arrival is unique per destination,
+// so the pop order is total, ties in Deliver included.
+
+// before orders two queued messages: delivery time, then arrival.
+func before(a, b *Message) bool {
+	if a.Deliver != b.Deliver {
+		return a.Deliver < b.Deliver
 	}
-	return h[i].arrival < h[j].arrival
+	return a.arrival < b.arrival
 }
-func (h msgHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *msgHeap) Push(x interface{}) { *h = append(*h, x.(*Message)) }
-func (h *msgHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	m := old[n-1]
-	*h = old[:n-1]
+
+// push adds m to the heap (heap.Push).
+func (ns *nodeState) push(m Message) {
+	ns.q = append(ns.q, m)
+	ns.up(len(ns.q) - 1)
+}
+
+// pop removes and returns the heap's minimum (heap.Pop).
+func (ns *nodeState) pop() Message {
+	n := len(ns.q) - 1
+	ns.q[0], ns.q[n] = ns.q[n], ns.q[0]
+	ns.down(0, n)
+	m := ns.q[n]
+	ns.truncate(n)
 	return m
+}
+
+// init restores the heap property over the whole queue (heap.Init).
+func (ns *nodeState) init() {
+	n := len(ns.q)
+	for i := n/2 - 1; i >= 0; i-- {
+		ns.down(i, n)
+	}
+}
+
+// truncate shortens the queue to n messages, clearing the vacated cells so
+// they pin no payload, and lets an emptied queue drop an oversized array.
+func (ns *nodeState) truncate(n int) {
+	clear(ns.q[n:])
+	ns.q = ns.q[:n]
+	if n == 0 && cap(ns.q) > queueKeepCap {
+		ns.q = nil
+	}
+}
+
+func (ns *nodeState) up(j int) {
+	q := ns.q
+	for j > 0 {
+		i := (j - 1) / 2
+		if !before(&q[j], &q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (ns *nodeState) down(i, n int) {
+	q := ns.q
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && before(&q[j2], &q[j]) {
+			j = j2
+		}
+		if !before(&q[j], &q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
 }
