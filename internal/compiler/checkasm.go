@@ -50,7 +50,6 @@ func lowerMigrateCheck(f *ir.Func, d *isa.Desc) *AsmFunc {
 	}
 	e(isa.Instr{Op: isa.OpLdi, Rd: d.IntArgRegs[0], Imm: sys.SysMigrate})
 	e(isa.Instr{Op: isa.OpAddI, Rd: d.IntArgRegs[1], Rs1: s1, Imm: -1})
-	syscallIdx := len(code)
 	e(isa.Instr{Op: isa.OpSyscall, CallSiteID: 1})
 	if d.Arch == isa.X86 {
 		e(isa.Instr{Op: isa.OpMov, Rd: d.SP, Rs1: d.FP})
@@ -63,26 +62,16 @@ func lowerMigrateCheck(f *ir.Func, d *isa.Desc) *AsmFunc {
 		e(isa.Instr{Op: isa.OpRet})
 	}
 
-	af := &AsmFunc{
-		Name:          f.Name,
-		Arch:          d.Arch,
-		Code:          code,
-		Offsets:       make([]int64, len(code)),
-		CallSiteInstr: map[int]int{1: syscallIdx},
-	}
-	var off int64
+	af := &AsmFunc{Name: f.Name, Arch: d.Arch, Code: code}
 	for i := range af.Code {
 		af.Code[i].Size = isa.EncodedSize(d.Arch, &af.Code[i])
-		af.Offsets[i] = off
-		off += af.Code[i].Size
+		af.Size += af.Code[i].Size
 	}
-	af.Size = off
 	af.Info = &stackmap.FuncInfo{
-		Name:        f.Name,
-		FrameSize:   0,
-		CallSites:   map[int]*stackmap.CallSite{1: {ID: 1}},
-		StackParams: map[int]int64{},
-		NoMigrate:   true,
+		Name:      f.Name,
+		FrameSize: 0,
+		CallSites: map[int]*stackmap.CallSite{1: {ID: 1}},
+		NoMigrate: true,
 	}
 	return af
 }

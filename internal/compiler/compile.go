@@ -36,6 +36,19 @@ type Artifact struct {
 	Module *ir.Module
 	// Funcs[arch] lists lowered functions in module order.
 	Funcs [isa.NumArch][]*AsmFunc
+
+	claimed bool
+}
+
+// Claim marks a as taken by the linker and reports whether it was still
+// free. The linker resolves symbols in a's code in place and fills
+// addresses into its metadata, so one artifact makes exactly one image.
+func (a *Artifact) Claim() bool {
+	if a.claimed {
+		return false
+	}
+	a.claimed = true
+	return true
 }
 
 // FuncFor returns the lowered form of fn on arch, or nil.
@@ -72,10 +85,14 @@ func Compile(m *ir.Module, opts Options) (*Artifact, error) {
 		return nil, fmt.Errorf("compiler: verify: %w", err)
 	}
 	art := &Artifact{Module: m}
+	for _, arch := range isa.Arches {
+		art.Funcs[arch] = make([]*AsmFunc, 0, len(m.Funcs))
+	}
+	lo := newLowerer(m)
 	for _, f := range m.Funcs {
-		lv := computeLiveness(f)
+		lo.lv.compute(f)
 		for _, arch := range isa.Arches {
-			af, err := lowerFunc(m, f, lv, isa.Describe(arch))
+			af, err := lo.lowerFunc(f, isa.Describe(arch))
 			if err != nil {
 				return nil, fmt.Errorf("compiler: %s for %s: %w", f.Name, arch, err)
 			}

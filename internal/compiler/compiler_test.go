@@ -255,7 +255,8 @@ long main(void) {
 		f.Finish()
 	}
 	f := m.Func("main")
-	lv := computeLiveness(f)
+	var lv liveness
+	lv.compute(f)
 	// The inner accumulator must outweigh straight-line temporaries: the
 	// maximum weight must exceed the minimum used weight by the loop factor.
 	var max, min int64 = 0, 1 << 62

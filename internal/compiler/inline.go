@@ -53,52 +53,96 @@ func inlinable(f *ir.Func, maxInstrs int) bool {
 }
 
 func inlineRound(m *ir.Module, maxInstrs int) int {
-	candidates := map[string]*ir.Func{}
+	il := inliner{candidates: map[string]*ir.Func{}}
 	for _, f := range m.Funcs {
 		if inlinable(f, maxInstrs) {
-			candidates[f.Name] = f
+			il.candidates[f.Name] = f
 		}
 	}
-	if len(candidates) == 0 {
+	if len(il.candidates) == 0 {
 		return 0
 	}
 	count := 0
 	for _, f := range m.Funcs {
 		for _, blk := range f.Blocks {
-			var out []ir.Instr
-			changed := false
-			for ii := range blk.Instrs {
-				in := blk.Instrs[ii]
-				callee := (*ir.Func)(nil)
-				if in.Kind == ir.KCall {
-					if g, ok := candidates[in.Sym]; ok && g.Name != f.Name {
-						callee = g
-					}
-				}
-				if callee == nil {
-					out = append(out, in)
-					continue
-				}
-				out = append(out, splice(f, callee, &in)...)
-				changed = true
-				count++
-			}
-			if changed {
-				blk.Instrs = out
-			}
+			count += il.block(f, blk)
 		}
 	}
 	return count
 }
 
-// splice produces the inlined body of callee for the call instruction in,
-// allocating fresh vregs in caller and binding parameters to arguments.
-func splice(caller, callee *ir.Func, call *ir.Instr) []ir.Instr {
-	vmap := make([]ir.VReg, callee.NumVRegs())
-	for v := 0; v < callee.NumVRegs(); v++ {
-		vmap[v] = caller.NewVReg(callee.TypeOf(ir.VReg(v)))
+// inliner splices one round's candidates into their callers.
+type inliner struct {
+	candidates map[string]*ir.Func
+	vmap       []ir.VReg // scratch: callee vreg -> caller vreg
+}
+
+// target returns the candidate that the instruction in of caller f calls,
+// or nil.
+func (il *inliner) target(f *ir.Func, in *ir.Instr) *ir.Func {
+	if in.Kind != ir.KCall {
+		return nil
 	}
-	var out []ir.Instr
+	if g, ok := il.candidates[in.Sym]; ok && g.Name != f.Name {
+		return g
+	}
+	return nil
+}
+
+// block splices every candidate call in blk and returns how many it
+// spliced. A block without one is left as it is; a block with one is
+// rebuilt once, into an array of exactly its new length.
+func (il *inliner) block(f *ir.Func, blk *ir.Block) int {
+	size, calls := 0, 0
+	for ii := range blk.Instrs {
+		if g := il.target(f, &blk.Instrs[ii]); g != nil {
+			size += splicedLen(g, &blk.Instrs[ii])
+			calls++
+		} else {
+			size++
+		}
+	}
+	if calls == 0 {
+		return 0
+	}
+	out := make([]ir.Instr, 0, size)
+	for ii := range blk.Instrs {
+		in := &blk.Instrs[ii]
+		if g := il.target(f, in); g != nil {
+			out = il.splice(out, f, g, in)
+		} else {
+			out = append(out, *in)
+		}
+	}
+	blk.Instrs = out
+	return calls
+}
+
+// splicedLen is the number of instructions splice emits for call.
+func splicedLen(callee *ir.Func, call *ir.Instr) int {
+	n := len(callee.Params)
+	body := callee.Blocks[0].Instrs
+	for i := range body {
+		if body[i].Kind == ir.KRet {
+			if call.Dst != ir.NoV && body[i].A != ir.NoV {
+				n++
+			}
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// splice appends to out the inlined body of callee for the call instruction
+// call, allocating fresh vregs in caller and binding parameters to
+// arguments.
+func (il *inliner) splice(out []ir.Instr, caller, callee *ir.Func, call *ir.Instr) []ir.Instr {
+	vmap := il.vmap[:0]
+	for v := 0; v < callee.NumVRegs(); v++ {
+		vmap = append(vmap, caller.NewVReg(callee.TypeOf(ir.VReg(v))))
+	}
+	il.vmap = vmap
 	// Bind parameters.
 	for i := range callee.Params {
 		out = append(out, ir.Instr{
@@ -113,7 +157,7 @@ func splice(caller, callee *ir.Func, call *ir.Instr) []ir.Instr {
 	}
 	body := callee.Blocks[0].Instrs
 	for i := range body {
-		src := body[i]
+		src := &body[i]
 		if src.Kind == ir.KRet {
 			if call.Dst != ir.NoV && src.A != ir.NoV {
 				out = append(out, ir.Instr{
@@ -122,7 +166,7 @@ func splice(caller, callee *ir.Func, call *ir.Instr) []ir.Instr {
 			}
 			break // single return terminates the body
 		}
-		dup := src
+		dup := *src
 		dup.Dst = remap(src.Dst)
 		dup.A = remap(src.A)
 		dup.B = remap(src.B)

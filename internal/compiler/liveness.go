@@ -4,35 +4,39 @@ import (
 	"heterodc/internal/ir"
 )
 
-// liveness computes, for every instruction of f, the set of virtual
-// registers live *after* it. It runs once on the IR, so the live set at
-// each call site — the set the stackmaps describe — is identical for every
-// ISA backend, which is the property that lets the runtime correlate live
-// values across architectures.
+// liveness computes, for every call-like instruction of f, the set of
+// virtual registers live across it. It runs once on the IR, so the live set
+// at each call site — the set the stackmaps describe — is identical for
+// every ISA backend, which is the property that lets the runtime correlate
+// live values across architectures.
+//
+// A liveness is reused from function to function: compute overwrites every
+// set, and its arrays grow to the largest function seen, so a compilation
+// allocates them once.
 type liveness struct {
 	f *ir.Func
-	// liveOut[block][instr] is a bitset over vregs.
-	liveOut [][]bitset
-	// blockIn[b] is the live-in set of block b.
-	blockIn []bitset
+	// words is the number of uint64 words in one vreg set.
+	words int
+	// ncalls is the number of call-like instructions.
+	ncalls int
+	// calls holds one set per call-like instruction, in (block, instruction)
+	// order: the vregs live after the call, less the call's own result.
+	calls []uint64
+	// blocks holds four sets per block (use, def, live-in, live-out) and
+	// one scratch set.
+	blocks []uint64
 	// weight[v] is the allocation priority of vreg v (loop-weighted use count).
 	weight []int64
+	depth  []int
+	ubuf   []ir.VReg
 }
 
 // bitset is a simple word-packed vreg set.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (b bitset) set(i ir.VReg)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) clear(i ir.VReg)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b bitset) has(i ir.VReg) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
 
 // orInto ors src into b and reports whether b changed.
 func (b bitset) orInto(src bitset) bool {
@@ -46,57 +50,37 @@ func (b bitset) orInto(src bitset) bool {
 	return changed
 }
 
-func (b bitset) members(n int) []ir.VReg {
-	var out []ir.VReg
-	for v := 0; v < n; v++ {
-		if b.has(ir.VReg(v)) {
-			out = append(out, ir.VReg(v))
-		}
-	}
-	return out
-}
-
 // uses returns the vregs read by in (into buf, returned).
 func uses(in *ir.Instr, buf []ir.VReg) []ir.VReg {
 	buf = buf[:0]
-	add := func(v ir.VReg) {
-		if v != ir.NoV {
-			buf = append(buf, v)
-		}
-	}
 	switch in.Kind {
-	case ir.KConst, ir.KFConst, ir.KAllocaAddr, ir.KGlobalAddr:
+	case ir.KConst, ir.KFConst, ir.KAllocaAddr, ir.KGlobalAddr, ir.KBr:
 	case ir.KMov, ir.KFNeg, ir.KFSqrt, ir.KI2F, ir.KF2I, ir.KBinImm,
-		ir.KLoad, ir.KLoadB:
-		add(in.A)
-	case ir.KBin, ir.KFBin, ir.KCmp, ir.KFCmp, ir.KStore, ir.KStoreB:
-		add(in.A)
-		add(in.B)
-	case ir.KAtomicAdd:
-		add(in.A)
-		add(in.B)
+		ir.KLoad, ir.KLoadB, ir.KRet, ir.KCondBr:
+		buf = addUse(buf, in.A)
+	case ir.KBin, ir.KFBin, ir.KCmp, ir.KFCmp, ir.KStore, ir.KStoreB, ir.KAtomicAdd:
+		buf = addUse(buf, in.A)
+		buf = addUse(buf, in.B)
 	case ir.KAtomicCAS:
-		add(in.A)
-		add(in.B)
-		add(in.C)
-	case ir.KCall:
+		buf = addUse(buf, in.A)
+		buf = addUse(buf, in.B)
+		buf = addUse(buf, in.C)
+	case ir.KCall, ir.KSyscall:
 		for _, a := range in.Args {
-			add(a)
+			buf = addUse(buf, a)
 		}
 	case ir.KCallInd:
-		add(in.A)
+		buf = addUse(buf, in.A)
 		for _, a := range in.Args {
-			add(a)
+			buf = addUse(buf, a)
 		}
-	case ir.KSyscall:
-		for _, a := range in.Args {
-			add(a)
-		}
-	case ir.KRet:
-		add(in.A)
-	case ir.KBr:
-	case ir.KCondBr:
-		add(in.A)
+	}
+	return buf
+}
+
+func addUse(buf []ir.VReg, v ir.VReg) []ir.VReg {
+	if v != ir.NoV {
+		buf = append(buf, v)
 	}
 	return buf
 }
@@ -110,113 +94,132 @@ func def(in *ir.Instr) ir.VReg {
 	return in.Dst
 }
 
-// successors returns the block successors of the terminator in.
-func successors(in *ir.Instr) []int {
+// successors returns the block successors of the terminator in (into buf,
+// returned).
+func successors(in *ir.Instr, buf *[2]int) []int {
 	switch in.Kind {
 	case ir.KBr:
-		return []int{in.TargetA}
+		buf[0] = in.TargetA
+		return buf[:1]
 	case ir.KCondBr:
-		return []int{in.TargetA, in.TargetB}
+		buf[0], buf[1] = in.TargetA, in.TargetB
+		return buf[:2]
 	}
 	return nil
 }
 
-// computeLiveness runs the standard backward dataflow to a fixed point.
-func computeLiveness(f *ir.Func) *liveness {
+// grow returns s resized to n elements, all zero, reusing its array when it
+// is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// compute runs the standard backward dataflow to a fixed point over f.
+func (lv *liveness) compute(f *ir.Func) {
 	nv := f.NumVRegs()
 	nb := len(f.Blocks)
-	lv := &liveness{
-		f:       f,
-		liveOut: make([][]bitset, nb),
-		blockIn: make([]bitset, nb),
-		weight:  make([]int64, nv),
+	w := (nv + 63) / 64
+	lv.f, lv.words = f, w
+	calls := 0
+	for _, blk := range f.Blocks {
+		for ii := range blk.Instrs {
+			if blk.Instrs[ii].IsCallLike() {
+				calls++
+			}
+		}
 	}
-	for b := range f.Blocks {
-		lv.blockIn[b] = newBitset(nv)
-		lv.liveOut[b] = make([]bitset, len(f.Blocks[b].Instrs))
-	}
+	lv.ncalls = calls
+	lv.calls = grow(lv.calls, calls*w)
+	lv.blocks = grow(lv.blocks, (4*nb+1)*w)
+	set := func(b, k int) bitset { return bitset(lv.blocks[(4*b+k)*w : (4*b+k+1)*w]) }
+	const use, dfn, in, out = 0, 1, 2, 3
 
 	// Block-level use/def.
-	blockUse := make([]bitset, nb)
-	blockDef := make([]bitset, nb)
-	var ubuf []ir.VReg
+	ubuf := lv.ubuf
 	for bi, blk := range f.Blocks {
-		u := newBitset(nv)
-		d := newBitset(nv)
+		u, d := set(bi, use), set(bi, dfn)
 		for ii := range blk.Instrs {
-			in := &blk.Instrs[ii]
-			ubuf = uses(in, ubuf)
+			ins := &blk.Instrs[ii]
+			ubuf = uses(ins, ubuf)
 			for _, v := range ubuf {
 				if !d.has(v) {
 					u.set(v)
 				}
 			}
-			if dv := def(in); dv != ir.NoV {
+			if dv := def(ins); dv != ir.NoV {
 				d.set(dv)
 			}
 		}
-		blockUse[bi] = u
-		blockDef[bi] = d
 	}
 
 	// Fixed point on block live-in: in[b] = use[b] ∪ (out[b] − def[b]),
 	// out[b] = ∪ in[succ].
-	blockOut := make([]bitset, nb)
-	for b := range blockOut {
-		blockOut[b] = newBitset(nv)
-	}
+	tmp := bitset(lv.blocks[4*nb*w : (4*nb+1)*w])
+	var sbuf [2]int
 	for changed := true; changed; {
 		changed = false
 		for bi := nb - 1; bi >= 0; bi-- {
 			blk := f.Blocks[bi]
-			term := &blk.Instrs[len(blk.Instrs)-1]
-			out := blockOut[bi]
-			for _, s := range successors(term) {
-				if out.orInto(lv.blockIn[s]) {
+			o := set(bi, out)
+			for _, s := range successors(&blk.Instrs[len(blk.Instrs)-1], &sbuf) {
+				if o.orInto(set(s, in)) {
 					changed = true
 				}
 			}
-			in := out.clone()
-			for i := range in {
-				in[i] &^= blockDef[bi][i]
-				in[i] |= blockUse[bi][i]
+			u, d := set(bi, use), set(bi, dfn)
+			for i := range tmp {
+				tmp[i] = o[i]&^d[i] | u[i]
 			}
-			if lv.blockIn[bi].orInto(in) {
+			if set(bi, in).orInto(tmp) {
 				changed = true
 			}
 		}
 	}
 
-	// Per-instruction live-out within each block (backward sweep).
-	for bi, blk := range f.Blocks {
-		live := blockOut[bi].clone()
+	// Live sets across calls, from a backward sweep within each block.
+	k := calls
+	for bi := nb - 1; bi >= 0; bi-- {
+		blk := f.Blocks[bi]
+		live := tmp
+		copy(live, set(bi, out))
 		for ii := len(blk.Instrs) - 1; ii >= 0; ii-- {
-			lv.liveOut[bi][ii] = live.clone()
-			in := &blk.Instrs[ii]
-			if dv := def(in); dv != ir.NoV {
+			ins := &blk.Instrs[ii]
+			dv := def(ins)
+			if dv != ir.NoV {
 				live.clear(dv)
 			}
-			ubuf = uses(in, ubuf)
+			if ins.IsCallLike() {
+				// live is now the live-out set less the call's own result.
+				k--
+				copy(lv.calls[k*w:(k+1)*w], live)
+			}
+			ubuf = uses(ins, ubuf)
 			for _, v := range ubuf {
 				live.set(v)
 			}
 		}
 	}
+	lv.ubuf = ubuf
 
 	lv.computeWeights()
-	return lv
 }
 
 // computeWeights assigns each vreg a loop-depth-weighted use count, the
 // priority key for callee-saved register assignment.
 func (lv *liveness) computeWeights() {
 	f := lv.f
-	nb := len(f.Blocks)
-	depth := make([]int, nb)
+	lv.weight = grow(lv.weight, f.NumVRegs())
+	lv.depth = grow(lv.depth, len(f.Blocks))
+	depth := lv.depth
 	// A back edge j->k (k <= j) makes blocks k..j one loop level deeper.
+	var sbuf [2]int
 	for bi, blk := range f.Blocks {
-		term := &blk.Instrs[len(blk.Instrs)-1]
-		for _, s := range successors(term) {
+		for _, s := range successors(&blk.Instrs[len(blk.Instrs)-1], &sbuf) {
 			if s <= bi {
 				for b := s; b <= bi; b++ {
 					depth[b]++
@@ -224,7 +227,7 @@ func (lv *liveness) computeWeights() {
 			}
 		}
 	}
-	var ubuf []ir.VReg
+	ubuf := lv.ubuf
 	for bi, blk := range f.Blocks {
 		w := int64(1)
 		for d := 0; d < depth[bi] && d < 6; d++ {
@@ -241,15 +244,13 @@ func (lv *liveness) computeWeights() {
 			}
 		}
 	}
+	lv.ubuf = ubuf
 }
 
-// liveAcrossCall returns the vregs live after the call instruction at
-// (block, idx), excluding the call's own destination — the stackmap set.
-func (lv *liveness) liveAcrossCall(block, idx int) []ir.VReg {
-	in := &lv.f.Blocks[block].Instrs[idx]
-	out := lv.liveOut[block][idx].clone()
-	if dv := def(in); dv != ir.NoV {
-		out.clear(dv)
-	}
-	return out.members(lv.f.NumVRegs())
+// liveAcrossCall returns the vregs live after the k-th call-like
+// instruction of the function, in (block, instruction) order, excluding the
+// call's own destination — the stackmap set. The set is valid until the
+// next compute.
+func (lv *liveness) liveAcrossCall(k int) bitset {
+	return bitset(lv.calls[k*lv.words : (k+1)*lv.words])
 }

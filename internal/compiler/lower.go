@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"math/bits"
 
 	"heterodc/internal/ir"
 	"heterodc/internal/isa"
@@ -13,23 +14,25 @@ import (
 type AsmFunc struct {
 	Name string
 	Arch isa.Arch
+	// Code[i].Size is the encoded size of each instruction, so its offset
+	// from the function entry is the sum of the sizes before it.
 	Code []isa.Instr
-	// Offsets[i] is the byte offset of Code[i] from the function entry.
-	Offsets []int64
 	// Size is the total encoded size in bytes.
 	Size int64
-	// Info is the stackmap/unwind metadata (Entry filled at link time).
+	// Info is the stackmap/unwind metadata (Entry, Size and each call
+	// site's RetPC are filled at link time). Every call-like instruction
+	// of Code carries the CallSiteID of its record in Info.CallSites.
 	Info *stackmap.FuncInfo
-	// callSiteInstr maps call-site ID -> index of the call instruction.
-	CallSiteInstr map[int]int
 }
 
-// lowerer holds the state of lowering one function for one ISA.
+// lowerer holds the state of lowering one function for one ISA. A
+// compilation keeps one and reuses its arrays from function to function:
+// only what the AsmFunc keeps is allocated per function.
 type lowerer struct {
 	m    *ir.Module
 	f    *ir.Func
-	lv   *liveness
-	fr   *frame
+	lv   liveness // of f
+	fr   frame
 	desc *isa.Desc
 
 	out        []isa.Instr
@@ -38,12 +41,24 @@ type lowerer struct {
 	// currently holds an IR block index to be patched to an instruction index.
 	branchFixups []int
 
+	// calls counts the call-like instructions lowered so far, which makes
+	// it the index of the next one's set in lv.
+	calls int
 	sites map[int]*stackmap.CallSite
-	csIdx map[int]int
+	// siteSlab and liveSlab hold every call site of the function and every
+	// live value of those sites.
+	siteSlab []stackmap.CallSite
+	liveSlab []stackmap.LiveValue
+
+	// types, argRegs and argStack are scratch for argLocs.
+	types    []ir.Type
+	argRegs  []isa.Reg
+	argStack []int
 }
 
-// lowerFunc compiles f for desc's architecture.
-func lowerFunc(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) (*AsmFunc, error) {
+// lowerFunc compiles f for desc's architecture; lo.lv must hold f's
+// liveness.
+func (lo *lowerer) lowerFunc(f *ir.Func, desc *isa.Desc) (*AsmFunc, error) {
 	if f.Name == MigrateCheckFunc {
 		// The migration-point body is hand-scheduled per ISA (as the real
 		// runtime's check is): the hot no-request path runs frameless in
@@ -51,14 +66,12 @@ func lowerFunc(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) (*AsmFunc
 		// cold migrate path builds an unwindable frame.
 		return lowerMigrateCheck(f, desc), nil
 	}
-	lo := &lowerer{
-		m: m, f: f, lv: lv,
-		fr:         buildFrame(m, f, lv, desc),
-		desc:       desc,
-		blockStart: make([]int, len(f.Blocks)),
-		sites:      make(map[int]*stackmap.CallSite),
-		csIdx:      make(map[int]int),
-	}
+	lo.f, lo.desc = f, desc
+	lo.fr.build(lo.m, f, &lo.lv, desc)
+	lo.out = lo.out[:0]
+	lo.blockStart = grow(lo.blockStart, len(f.Blocks))
+	lo.branchFixups = lo.branchFixups[:0]
+	lo.startSites()
 	lo.prologue()
 	lo.moveParamsIn()
 	for bi, blk := range f.Blocks {
@@ -67,7 +80,7 @@ func lowerFunc(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) (*AsmFunc
 		// points at the first post-prologue instruction, which is correct
 		// because nothing branches to the entry block's prologue.
 		for ii := range blk.Instrs {
-			if err := lo.instr(bi, ii, &blk.Instrs[ii]); err != nil {
+			if err := lo.instr(&blk.Instrs[ii]); err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", f.Name, blk.Name, err)
 			}
 		}
@@ -77,53 +90,94 @@ func lowerFunc(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) (*AsmFunc
 	for _, idx := range lo.branchFixups {
 		lo.out[idx].Target = lo.blockStart[lo.out[idx].Target]
 	}
-	return lo.finish()
+	return lo.finish(), nil
 }
 
-func (lo *lowerer) finish() (*AsmFunc, error) {
-	af := &AsmFunc{
-		Name:          lo.f.Name,
-		Arch:          lo.desc.Arch,
-		Code:          lo.out,
-		Offsets:       make([]int64, len(lo.out)),
-		CallSiteInstr: lo.csIdx,
+// newLowerer returns a lowerer for m's functions. Its code buffer holds
+// three machine instructions per IR instruction of m's largest function:
+// the NPB programs' largest functions lower to 2.7 to 2.9 per IR
+// instruction on the longer ISA, so the buffer is allocated once.
+func newLowerer(m *ir.Module) *lowerer {
+	largest := 0
+	for _, f := range m.Funcs {
+		n := 0
+		for _, blk := range f.Blocks {
+			n += len(blk.Instrs)
+		}
+		largest = max(largest, n)
 	}
-	var off int64
+	return &lowerer{m: m, out: make([]isa.Instr, 0, 3*largest+16)}
+}
+
+// startSites sizes the function's call-site and live-value slabs exactly:
+// one record per call-like instruction, one value per used vreg live
+// across each.
+func (lo *lowerer) startSites() {
+	n := lo.lv.ncalls
+	values := 0
+	for k := 0; k < n; k++ {
+		for i, w := range lo.lv.liveAcrossCall(k) {
+			values += bits.OnesCount64(w & lo.fr.used[i])
+		}
+	}
+	lo.calls = 0
+	lo.sites = make(map[int]*stackmap.CallSite, n)
+	lo.siteSlab = make([]stackmap.CallSite, n)
+	lo.liveSlab = make([]stackmap.LiveValue, 0, values)
+}
+
+// finish copies the lowered code into an array of its own and builds the
+// function's metadata.
+func (lo *lowerer) finish() *AsmFunc {
+	af := &AsmFunc{
+		Name: lo.f.Name,
+		Arch: lo.desc.Arch,
+		Code: make([]isa.Instr, len(lo.out)),
+	}
+	copy(af.Code, lo.out)
 	for i := range af.Code {
 		af.Code[i].Size = isa.EncodedSize(lo.desc.Arch, &af.Code[i])
-		af.Offsets[i] = off
-		off += af.Code[i].Size
+		af.Size += af.Code[i].Size
 	}
-	af.Size = off
 
 	info := &stackmap.FuncInfo{
-		Name:        lo.f.Name,
-		FrameSize:   lo.fr.frameSize,
-		AllocaSizes: append([]int64(nil), lo.f.AllocaSizes...),
-		AllocaPtr:   append([]bool(nil), lo.f.AllocaPtr...),
-		CallSites:   lo.sites,
-		StackParams: map[int]int64{},
-		IsEntry:     lo.f.IsEntry,
-		NoMigrate:   lo.f.NoMigrate,
+		Name:          lo.f.Name,
+		FrameSize:     lo.fr.frameSize,
+		AllocaSizes:   append([]int64(nil), lo.f.AllocaSizes...),
+		AllocaPtr:     append([]bool(nil), lo.f.AllocaPtr...),
+		AllocaOffsets: append([]int64(nil), lo.fr.allocaOff...),
+		CallSites:     lo.sites,
+		IsEntry:       lo.f.IsEntry,
+		NoMigrate:     lo.f.NoMigrate,
 	}
-	info.AllocaOffsets = append([]int64(nil), lo.fr.allocaOff...)
-	for _, s := range lo.fr.saveRegs {
-		info.Saves = append(info.Saves, stackmap.SavedReg{Reg: s.reg, IsFloat: s.isFloat, Off: s.off})
+	if len(lo.fr.saveRegs) > 0 {
+		info.Saves = make([]stackmap.SavedReg, len(lo.fr.saveRegs))
+		for i, s := range lo.fr.saveRegs {
+			info.Saves[i] = stackmap.SavedReg{Reg: s.reg, IsFloat: s.isFloat, Off: s.off}
+		}
 	}
 	info.NumStackArgBytes = lo.fr.outArgBytes
 	// Record stack-passed parameter offsets.
-	ptypes := make([]ir.Type, len(lo.f.Params))
-	for i, p := range lo.f.Params {
-		ptypes[i] = p.Type
-	}
-	_, stackIdx := argLocs(ptypes, lo.desc)
+	_, stackIdx := lo.paramLocs()
 	for i, si := range stackIdx {
 		if si >= 0 {
+			if info.StackParams == nil {
+				info.StackParams = map[int]int64{}
+			}
 			info.StackParams[i] = 16 + int64(si)*8
 		}
 	}
 	af.Info = info
-	return af, nil
+	return af
+}
+
+// paramLocs returns argLocs for the function's own parameters.
+func (lo *lowerer) paramLocs() ([]isa.Reg, []int) {
+	lo.types = lo.types[:0]
+	for _, p := range lo.f.Params {
+		lo.types = append(lo.types, p.Type)
+	}
+	return lo.argLocs(lo.types)
 }
 
 // e appends an instruction and returns its index.
@@ -184,17 +238,13 @@ func (lo *lowerer) epilogue() {
 // moveParamsIn copies incoming arguments (registers or stack) to their homes.
 func (lo *lowerer) moveParamsIn() {
 	d := lo.desc
-	ptypes := make([]ir.Type, len(lo.f.Params))
+	regs, stackIdx := lo.paramLocs()
 	for i, p := range lo.f.Params {
-		ptypes[i] = p.Type
-	}
-	regs, stackIdx := argLocs(ptypes, d)
-	for i := range lo.f.Params {
 		h := lo.fr.homes[i]
 		if !h.used {
 			continue
 		}
-		isF := ptypes[i].IsFloat()
+		isF := p.Type.IsFloat()
 		switch {
 		case regs[i] != isa.NoReg && h.inReg:
 			if isF {
@@ -257,28 +307,34 @@ func (lo *lowerer) useF(v ir.VReg, which int) isa.Reg {
 	return s
 }
 
-// defI returns the register an integer result should be computed into; call
-// the returned commit after emitting the computation to store spilled homes.
-func (lo *lowerer) defI(v ir.VReg) (isa.Reg, func()) {
-	h := lo.fr.homes[v]
-	if h.inReg {
-		return h.reg, func() {}
+// defI returns the register an integer result of v should be computed into;
+// call commitI after emitting the computation to store a spilled home.
+func (lo *lowerer) defI(v ir.VReg) isa.Reg {
+	if h := lo.fr.homes[v]; h.inReg {
+		return h.reg
 	}
-	s := lo.desc.ScratchInt[0]
-	return s, func() {
-		lo.e(isa.Instr{Op: isa.OpSt, Rs1: lo.desc.FP, Imm: h.off, Rs2: s})
+	return lo.desc.ScratchInt[0]
+}
+
+// commitI stores v from the scratch register defI chose, if v is spilled.
+func (lo *lowerer) commitI(v ir.VReg) {
+	if h := lo.fr.homes[v]; !h.inReg {
+		lo.e(isa.Instr{Op: isa.OpSt, Rs1: lo.desc.FP, Imm: h.off, Rs2: lo.desc.ScratchInt[0]})
 	}
 }
 
 // defF is the float counterpart of defI.
-func (lo *lowerer) defF(v ir.VReg) (isa.Reg, func()) {
-	h := lo.fr.homes[v]
-	if h.inReg {
-		return h.reg, func() {}
+func (lo *lowerer) defF(v ir.VReg) isa.Reg {
+	if h := lo.fr.homes[v]; h.inReg {
+		return h.reg
 	}
-	s := lo.desc.ScratchFloat[0]
-	return s, func() {
-		lo.e(isa.Instr{Op: isa.OpFSt, Rs1: lo.desc.FP, Imm: h.off, Rs2: s})
+	return lo.desc.ScratchFloat[0]
+}
+
+// commitF is the float counterpart of commitI.
+func (lo *lowerer) commitF(v ir.VReg) {
+	if h := lo.fr.homes[v]; !h.inReg {
+		lo.e(isa.Instr{Op: isa.OpFSt, Rs1: lo.desc.FP, Imm: h.off, Rs2: lo.desc.ScratchFloat[0]})
 	}
 }
 
@@ -309,42 +365,42 @@ var fcmpToOp = map[ir.CmpOp]isa.Op{
 	ir.Le: isa.OpFCmpLe, ir.Gt: isa.OpFCmpGt, ir.Ge: isa.OpFCmpGe,
 }
 
-func (lo *lowerer) instr(bi, ii int, in *ir.Instr) error {
+func (lo *lowerer) instr(in *ir.Instr) error {
 	d := lo.desc
 	switch in.Kind {
 	case ir.KConst:
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpLdi, Rd: rd, Imm: in.Imm})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KFConst:
-		rd, commit := lo.defF(in.Dst)
+		rd := lo.defF(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpFLdi, Rd: rd, FImm: in.FImm})
-		commit()
+		lo.commitF(in.Dst)
 	case ir.KMov:
 		if lo.f.TypeOf(in.Dst).IsFloat() {
 			a := lo.useF(in.A, 1)
-			rd, commit := lo.defF(in.Dst)
+			rd := lo.defF(in.Dst)
 			if rd != a {
 				lo.e(isa.Instr{Op: isa.OpFMov, Rd: rd, Rs1: a})
 			}
-			commit()
+			lo.commitF(in.Dst)
 		} else {
 			a := lo.useI(in.A, 1)
-			rd, commit := lo.defI(in.Dst)
+			rd := lo.defI(in.Dst)
 			if rd != a {
 				lo.e(isa.Instr{Op: isa.OpMov, Rd: rd, Rs1: a})
 			}
-			commit()
+			lo.commitI(in.Dst)
 		}
 	case ir.KBin:
 		a := lo.useI(in.A, 0)
 		b := lo.useI(in.B, 1)
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: binToOp[in.Bin], Rd: rd, Rs1: a, Rs2: b})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KBinImm:
 		a := lo.useI(in.A, 0)
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		if op, ok := binToImmOp[in.Bin]; ok {
 			lo.e(isa.Instr{Op: op, Rd: rd, Rs1: a, Imm: in.Imm})
 		} else if in.Bin == ir.Sub {
@@ -355,55 +411,55 @@ func (lo *lowerer) instr(bi, ii int, in *ir.Instr) error {
 			lo.e(isa.Instr{Op: isa.OpLdi, Rd: s, Imm: in.Imm})
 			lo.e(isa.Instr{Op: binToOp[in.Bin], Rd: rd, Rs1: a, Rs2: s})
 		}
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KFBin:
 		a := lo.useF(in.A, 0)
 		b := lo.useF(in.B, 1)
-		rd, commit := lo.defF(in.Dst)
+		rd := lo.defF(in.Dst)
 		lo.e(isa.Instr{Op: fbinToOp[in.FBin], Rd: rd, Rs1: a, Rs2: b})
-		commit()
+		lo.commitF(in.Dst)
 	case ir.KFNeg:
 		a := lo.useF(in.A, 0)
-		rd, commit := lo.defF(in.Dst)
+		rd := lo.defF(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpFNeg, Rd: rd, Rs1: a})
-		commit()
+		lo.commitF(in.Dst)
 	case ir.KFSqrt:
 		a := lo.useF(in.A, 0)
-		rd, commit := lo.defF(in.Dst)
+		rd := lo.defF(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpFSqrt, Rd: rd, Rs1: a})
-		commit()
+		lo.commitF(in.Dst)
 	case ir.KCmp:
 		a := lo.useI(in.A, 0)
 		b := lo.useI(in.B, 1)
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: cmpToOp[in.Cmp], Rd: rd, Rs1: a, Rs2: b})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KFCmp:
 		a := lo.useF(in.A, 0)
 		b := lo.useF(in.B, 1)
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: fcmpToOp[in.Cmp], Rd: rd, Rs1: a, Rs2: b})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KI2F:
 		a := lo.useI(in.A, 0)
-		rd, commit := lo.defF(in.Dst)
+		rd := lo.defF(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpI2F, Rd: rd, Rs1: a})
-		commit()
+		lo.commitF(in.Dst)
 	case ir.KF2I:
 		a := lo.useF(in.A, 0)
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpF2I, Rd: rd, Rs1: a})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KLoad:
 		a := lo.useI(in.A, 0)
 		if lo.f.TypeOf(in.Dst).IsFloat() {
-			rd, commit := lo.defF(in.Dst)
+			rd := lo.defF(in.Dst)
 			lo.e(isa.Instr{Op: isa.OpFLd, Rd: rd, Rs1: a, Imm: in.Imm})
-			commit()
+			lo.commitF(in.Dst)
 		} else {
-			rd, commit := lo.defI(in.Dst)
+			rd := lo.defI(in.Dst)
 			lo.e(isa.Instr{Op: isa.OpLd, Rd: rd, Rs1: a, Imm: in.Imm})
-			commit()
+			lo.commitI(in.Dst)
 		}
 	case ir.KStore:
 		a := lo.useI(in.A, 0)
@@ -416,40 +472,31 @@ func (lo *lowerer) instr(bi, ii int, in *ir.Instr) error {
 		}
 	case ir.KLoadB:
 		a := lo.useI(in.A, 0)
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpLdB, Rd: rd, Rs1: a, Imm: in.Imm})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KStoreB:
 		a := lo.useI(in.A, 0)
 		v := lo.useI(in.B, 1)
 		lo.e(isa.Instr{Op: isa.OpStB, Rs1: a, Imm: in.Imm, Rs2: v})
 	case ir.KAllocaAddr:
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpAddI, Rd: rd, Rs1: d.FP, Imm: lo.fr.allocaOff[in.Alloca]})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KGlobalAddr:
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpLea, Rd: rd, Sym: in.Sym, Imm: in.Imm})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KCall:
-		callee := lo.m.Func(in.Sym)
-		types := make([]ir.Type, len(in.Args))
-		for i, a := range in.Args {
-			types[i] = lo.f.TypeOf(a)
-		}
-		lo.marshalArgs(in.Args, types, isa.NoReg)
-		ci := lo.e(isa.Instr{Op: isa.OpCall, Sym: in.Sym, CallSiteID: in.CallSiteID})
-		lo.recordSite(bi, ii, in, ci)
-		lo.moveResult(in.Dst, callee.Ret)
+		lo.marshalArgs(in.Args)
+		lo.e(isa.Instr{Op: isa.OpCall, Sym: in.Sym, CallSiteID: in.CallSiteID})
+		lo.recordSite(in)
+		lo.moveResult(in.Dst, lo.m.Func(in.Sym).Ret)
 	case ir.KCallInd:
-		types := make([]ir.Type, len(in.Args))
-		for i, a := range in.Args {
-			types[i] = lo.f.TypeOf(a)
-		}
 		fp := lo.useI(in.A, 1) // scratch 1: scratch 0 stages stack args
-		lo.marshalArgs(in.Args, types, fp)
-		ci := lo.e(isa.Instr{Op: isa.OpCallR, Rs1: fp, CallSiteID: in.CallSiteID})
-		lo.recordSite(bi, ii, in, ci)
+		lo.marshalArgs(in.Args)
+		lo.e(isa.Instr{Op: isa.OpCallR, Rs1: fp, CallSiteID: in.CallSiteID})
+		lo.recordSite(in)
 		retType := ir.I64
 		if in.Dst == ir.NoV {
 			retType = ir.Void
@@ -468,15 +515,15 @@ func (lo *lowerer) instr(bi, ii int, in *ir.Instr) error {
 				lo.e(isa.Instr{Op: isa.OpLd, Rd: target, Rs1: d.FP, Imm: h.off})
 			}
 		}
-		ci := lo.e(isa.Instr{Op: isa.OpSyscall, CallSiteID: in.CallSiteID})
-		lo.recordSite(bi, ii, in, ci)
+		lo.e(isa.Instr{Op: isa.OpSyscall, CallSiteID: in.CallSiteID})
+		lo.recordSite(in)
 		lo.moveResult(in.Dst, ir.I64)
 	case ir.KAtomicAdd:
 		a := lo.useI(in.A, 0)
 		b := lo.useI(in.B, 1)
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpAtomicAdd, Rd: rd, Rs1: a, Rs2: b, Imm: in.Imm})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KAtomicCAS:
 		a := lo.useI(in.A, 0)
 		b := lo.useI(in.B, 1)
@@ -489,9 +536,9 @@ func (lo *lowerer) instr(bi, ii int, in *ir.Instr) error {
 			c = d.ScratchInt[2]
 			lo.e(isa.Instr{Op: isa.OpLd, Rd: c, Rs1: d.FP, Imm: hc.off})
 		}
-		rd, commit := lo.defI(in.Dst)
+		rd := lo.defI(in.Dst)
 		lo.e(isa.Instr{Op: isa.OpAtomicCAS, Rd: rd, Rs1: a, Rs2: b, Rs3: c, Imm: in.Imm})
-		commit()
+		lo.commitI(in.Dst)
 	case ir.KRet:
 		if in.A != ir.NoV {
 			if lo.f.TypeOf(in.A).IsFloat() {
@@ -524,12 +571,16 @@ func (lo *lowerer) instr(bi, ii int, in *ir.Instr) error {
 
 // marshalArgs stages call arguments: stack args first (through scratch 0),
 // then register args. Argument registers are never vreg homes or scratch 0,
-// so no parallel-move conflicts arise. reservedFP guards the indirect-call
-// target register from being clobbered (it is scratch 1, which stack-arg
-// staging does not use).
-func (lo *lowerer) marshalArgs(args []ir.VReg, types []ir.Type, reservedFP isa.Reg) {
+// so no parallel-move conflicts arise, and an indirect call's target register
+// is scratch 1, which stack-arg staging does not use.
+func (lo *lowerer) marshalArgs(args []ir.VReg) {
 	d := lo.desc
-	regs, stackIdx := argLocs(types, d)
+	lo.types = lo.types[:0]
+	for _, a := range args {
+		lo.types = append(lo.types, lo.f.TypeOf(a))
+	}
+	types := lo.types
+	regs, stackIdx := lo.argLocs(types)
 	// Stack args.
 	for i, a := range args {
 		if stackIdx[i] < 0 {
@@ -564,7 +615,6 @@ func (lo *lowerer) marshalArgs(args []ir.VReg, types []ir.Type, reservedFP isa.R
 			}
 		}
 	}
-	_ = reservedFP
 }
 
 // moveResult stores the ABI return register into dst's home.
@@ -594,22 +644,27 @@ func (lo *lowerer) moveResult(dst ir.VReg, ret ir.Type) {
 
 // recordSite emits the stackmap record for a call-like site: the IR-level
 // live set mapped to this ISA's value locations.
-func (lo *lowerer) recordSite(bi, ii int, in *ir.Instr, callInstrIdx int) {
-	live := lo.lv.liveAcrossCall(bi, ii)
-	cs := &stackmap.CallSite{ID: in.CallSiteID}
-	for _, v := range live {
-		h := lo.fr.homes[v]
-		if !h.used {
-			continue
+func (lo *lowerer) recordSite(in *ir.Instr) {
+	live := lo.lv.liveAcrossCall(lo.calls)
+	cs := &lo.siteSlab[lo.calls]
+	lo.calls++
+	cs.ID = in.CallSiteID
+	first := len(lo.liveSlab)
+	for i, w := range live {
+		for w &= lo.fr.used[i]; w != 0; w &= w - 1 {
+			v := ir.VReg(i<<6 | bits.TrailingZeros64(w))
+			h := lo.fr.homes[v]
+			lv := stackmap.LiveValue{VReg: int(v), Type: lo.f.TypeOf(v)}
+			if h.inReg {
+				lv.Loc = stackmap.Loc{Kind: stackmap.InReg, Reg: h.reg, IsFloat: h.isFloat}
+			} else {
+				lv.Loc = stackmap.Loc{Kind: stackmap.InFrame, Off: h.off, IsFloat: h.isFloat}
+			}
+			lo.liveSlab = append(lo.liveSlab, lv)
 		}
-		lv := stackmap.LiveValue{VReg: int(v), Type: lo.f.TypeOf(v)}
-		if h.inReg {
-			lv.Loc = stackmap.Loc{Kind: stackmap.InReg, Reg: h.reg, IsFloat: h.isFloat}
-		} else {
-			lv.Loc = stackmap.Loc{Kind: stackmap.InFrame, Off: h.off, IsFloat: h.isFloat}
-		}
-		cs.Live = append(cs.Live, lv)
+	}
+	if last := len(lo.liveSlab); last > first {
+		cs.Live = lo.liveSlab[first:last:last]
 	}
 	lo.sites[in.CallSiteID] = cs
-	lo.csIdx[in.CallSiteID] = callInstrIdx
 }

@@ -157,9 +157,6 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 	if minBody <= 0 {
 		minBody = 24
 	}
-	call := func() ir.Instr {
-		return ir.Instr{Kind: ir.KCall, Dst: ir.NoV, A: ir.NoV, B: ir.NoV, C: ir.NoV, Sym: MigrateCheckFunc}
-	}
 	interval := opt.CounterInterval
 	if interval <= 0 {
 		interval = 32
@@ -168,6 +165,7 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 	if counterMinBody <= 0 {
 		counterMinBody = 20
 	}
+	var points []int
 	for _, f := range m.Funcs {
 		if f.NoMigrate {
 			continue
@@ -182,17 +180,16 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 		nBlocks := len(f.Blocks) // counted-loop expansion appends blocks
 		for bi := 0; bi < nBlocks; bi++ {
 			blk := f.Blocks[bi]
-			var out []ir.Instr
-			if opt.FunctionEntry && bi == 0 {
-				out = append(out, call())
-			}
+			// points lists the instructions that get a point call in front.
+			points = points[:0]
+			spare := 0
 			for ii := range blk.Instrs {
-				in := blk.Instrs[ii]
+				in := &blk.Instrs[ii]
 				if in.Kind == ir.KRet && opt.FunctionExit {
-					out = append(out, call())
+					points = append(points, ii)
 				}
-				if opt.LoopBackEdges && isBackEdge(&in, bi) {
-					body := loopBodySize(f, &in, bi)
+				if opt.LoopBackEdges && isBackEdge(in, bi) {
+					body := loopBodySize(f, in, bi)
 					direct := depth[bi] <= maxDepth && body >= minBody
 					// Counter polling covers the loops direct points skip:
 					// nested phase loops, call-containing loops (their
@@ -200,21 +197,25 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 					// innermost loops whose trip counts would otherwise
 					// leave multi-quantum response gaps.
 					counted := !direct && opt.CounterLoops &&
-						((body >= minBody/2 && (loopContainsLoop(&in, bi, depth) || loopContainsCall(f, &in, bi))) ||
+						((body >= minBody/2 && (loopContainsLoop(in, bi, depth) || loopContainsCall(f, in, bi))) ||
 							body >= counterMinBody)
 					if direct {
-						out = append(out, call())
+						points = append(points, ii)
 					} else if counted {
-						// Defer: the terminator moves into an expansion.
+						// Defer: the terminator moves into an expansion,
+						// which grows the block by one.
 						if counter == ir.NoV {
 							counter = f.NewVReg(ir.I64)
 						}
 						countedEdges = append(countedEdges, countedEdge{block: bi})
+						spare = 1
 					}
 				}
-				out = append(out, in)
 			}
-			blk.Instrs = out
+			entry := opt.FunctionEntry && bi == 0
+			if entry || len(points) > 0 || spare > 0 {
+				blk.Instrs = withPoints(blk.Instrs, entry, points, spare)
+			}
 		}
 		if counter != ir.NoV {
 			// Initialise the down-counter at function entry (after the entry
@@ -235,6 +236,32 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 		f.Finish()
 	}
 	return nil
+}
+
+// pointCall is a migration point: a call of the runtime's check.
+func pointCall() ir.Instr {
+	return ir.Instr{Kind: ir.KCall, Dst: ir.NoV, A: ir.NoV, B: ir.NoV, C: ir.NoV, Sym: MigrateCheckFunc}
+}
+
+// withPoints returns instrs with a point call in front of each index in
+// points (ascending), and one at the top when entry is set, in a new array
+// of exactly that length plus spare.
+func withPoints(instrs []ir.Instr, entry bool, points []int, spare int) []ir.Instr {
+	n := len(instrs) + len(points) + spare
+	if entry {
+		n++
+	}
+	out := make([]ir.Instr, 0, n)
+	if entry {
+		out = append(out, pointCall())
+	}
+	prev := 0
+	for _, ii := range points {
+		out = append(out, instrs[prev:ii]...)
+		out = append(out, pointCall())
+		prev = ii
+	}
+	return append(out, instrs[prev:]...)
 }
 
 // countedEdge marks a block whose back-edge terminator gets counter-based
@@ -299,10 +326,10 @@ func expandCountedEdge(f *ir.Func, bi int, counter ir.VReg, interval int64) {
 
 	dec := ir.Instr{Kind: ir.KBinImm, Bin: ir.Sub, Dst: counter, A: counter, Imm: 1, B: ir.NoV, C: ir.NoV}
 	br := ir.Instr{Kind: ir.KCondBr, A: counter, TargetA: contIdx, TargetB: checkIdx, Dst: ir.NoV, B: ir.NoV, C: ir.NoV}
-	blk.Instrs = append(blk.Instrs[:n-1], dec, br)
+	blk.Instrs = append(blk.Instrs[:n-1], dec, br) // in the room withPoints left
 
 	reset := ir.Instr{Kind: ir.KConst, Dst: counter, Imm: interval, A: ir.NoV, B: ir.NoV, C: ir.NoV}
-	chk := ir.Instr{Kind: ir.KCall, Dst: ir.NoV, A: ir.NoV, B: ir.NoV, C: ir.NoV, Sym: MigrateCheckFunc}
+	chk := pointCall()
 	toCont := ir.Instr{Kind: ir.KBr, TargetA: contIdx, Dst: ir.NoV, A: ir.NoV, B: ir.NoV, C: ir.NoV}
 	checkBlk := &ir.Block{Name: "poll.check", Instrs: []ir.Instr{reset, chk, toCont}}
 	contBlk := &ir.Block{Name: "poll.cont", Instrs: []ir.Instr{term}}

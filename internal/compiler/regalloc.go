@@ -1,7 +1,8 @@
 package compiler
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"heterodc/internal/ir"
 	"heterodc/internal/isa"
@@ -21,11 +22,15 @@ type home struct {
 	used    bool // vreg appears in the function at all
 }
 
-// frame is the per-ISA frame layout of one function.
+// frame is the per-ISA frame layout of one function. A lowerer keeps one
+// and rebuilds it for every function, reusing its arrays.
 type frame struct {
 	homes []home
-	// usedCSInt / usedCSFloat: callee-saved registers the prologue must save,
-	// in save order, with their FP-relative save-slot offsets.
+	// used is the set of vregs that appear in the function (parameters
+	// always do: they must be homed).
+	used bitset
+	// saveRegs: callee-saved registers the prologue must save, in save
+	// order, with their FP-relative save-slot offsets.
 	saveRegs []savedReg
 	// allocaOff[i] is the FP-relative offset of alloca slot i.
 	allocaOff []int64
@@ -35,6 +40,10 @@ type frame struct {
 	outArgBytes int64
 	// frameSize = FP - SP in steady state.
 	frameSize int64
+
+	// order and types are scratch.
+	order []ir.VReg
+	types []ir.Type
 }
 
 type savedReg struct {
@@ -45,16 +54,15 @@ type savedReg struct {
 
 // maxStackArgBytes scans the function's call sites and returns the size of
 // the largest outgoing stack-argument area required under desc's ABI.
-func maxStackArgBytes(m *ir.Module, f *ir.Func, desc *isa.Desc) int64 {
+func (fr *frame) maxStackArgBytes(m *ir.Module, f *ir.Func, desc *isa.Desc) int64 {
 	var max int64
 	for _, blk := range f.Blocks {
 		for ii := range blk.Instrs {
 			in := &blk.Instrs[ii]
-			var types []ir.Type
+			types := fr.types[:0]
 			switch in.Kind {
 			case ir.KCall:
-				callee := m.Func(in.Sym)
-				for _, p := range callee.Params {
+				for _, p := range m.Func(in.Sym).Params {
 					types = append(types, p.Type)
 				}
 			case ir.KCallInd:
@@ -64,6 +72,7 @@ func maxStackArgBytes(m *ir.Module, f *ir.Func, desc *isa.Desc) int64 {
 			default:
 				continue
 			}
+			fr.types = types
 			n := stackArgCount(types, desc)
 			if b := int64(n) * 8; b > max {
 				max = b
@@ -95,11 +104,14 @@ func stackArgCount(types []ir.Type, desc *isa.Desc) int {
 }
 
 // argLocs assigns each parameter either a register or a stack index under
-// desc's ABI. Returned slices are parallel to types: reg[i] is the arg
-// register (or isa.NoReg) and stackIdx[i] the 0-based stack slot (or -1).
-func argLocs(types []ir.Type, desc *isa.Desc) (reg []isa.Reg, stackIdx []int) {
-	reg = make([]isa.Reg, len(types))
-	stackIdx = make([]int, len(types))
+// the lowerer's ABI. Returned slices are parallel to types: reg[i] is the
+// arg register (or isa.NoReg) and stackIdx[i] the 0-based stack slot (or
+// -1). They are the lowerer's scratch, valid until its next argLocs.
+func (lo *lowerer) argLocs(types []ir.Type) (reg []isa.Reg, stackIdx []int) {
+	desc := lo.desc
+	lo.argRegs = grow(lo.argRegs, len(types))
+	lo.argStack = grow(lo.argStack, len(types))
+	reg, stackIdx = lo.argRegs, lo.argStack
 	ints, floats, stack := 0, 0, 0
 	for i, t := range types {
 		reg[i] = isa.NoReg
@@ -125,53 +137,51 @@ func argLocs(types []ir.Type, desc *isa.Desc) (reg []isa.Reg, stackIdx []int) {
 	return reg, stackIdx
 }
 
-// buildFrame assigns vreg homes and computes the frame layout for f on desc.
-func buildFrame(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) *frame {
+// build assigns vreg homes and computes the frame layout for f on desc.
+func (fr *frame) build(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) {
 	nv := f.NumVRegs()
-	fr := &frame{homes: make([]home, nv)}
-
-	// Mark used vregs (params are always "used": they must be homed).
-	used := make([]bool, nv)
+	fr.homes = grow(fr.homes, nv)
+	fr.used = grow(fr.used, lv.words)
 	for i := range f.Params {
-		used[i] = true
+		fr.used.set(ir.VReg(i))
 	}
-	var ubuf []ir.VReg
+	ubuf := lv.ubuf
 	for _, blk := range f.Blocks {
 		for ii := range blk.Instrs {
 			in := &blk.Instrs[ii]
 			ubuf = uses(in, ubuf)
 			for _, v := range ubuf {
-				used[v] = true
+				fr.used.set(v)
 			}
 			if dv := def(in); dv != ir.NoV {
-				used[dv] = true
+				fr.used.set(dv)
 			}
 		}
 	}
+	lv.ubuf = ubuf
 
 	// Priority order: weight descending, vreg ascending for determinism.
-	order := make([]int, 0, nv)
+	order := fr.order[:0]
 	for v := 0; v < nv; v++ {
-		if used[v] {
-			order = append(order, v)
+		if fr.used.has(ir.VReg(v)) {
+			order = append(order, ir.VReg(v))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := lv.weight[order[i]], lv.weight[order[j]]
-		if wi != wj {
-			return wi > wj
+	slices.SortFunc(order, func(a, b ir.VReg) int {
+		if c := cmp.Compare(lv.weight[b], lv.weight[a]); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
+	fr.order = order
 
 	intPool := desc.CalleeSavedInt
 	floatPool := desc.CalleeSavedFloat
 	nextInt, nextFloat := 0, 0
-	usedInt := map[isa.Reg]bool{}
-	usedFloat := map[isa.Reg]bool{}
+	var usedInt, usedFloat [256]bool // by isa.Reg
 
 	for _, v := range order {
-		isF := f.TypeOf(ir.VReg(v)).IsFloat()
+		isF := f.TypeOf(v).IsFloat()
 		h := home{isFloat: isF, used: true}
 		if isF {
 			if nextFloat < len(floatPool) {
@@ -193,6 +203,7 @@ func buildFrame(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) *frame {
 	// spill slots. Offsets are negative.
 	off := int64(0)
 	// Save slots, in the ISA's canonical callee-saved order (deterministic).
+	fr.saveRegs = fr.saveRegs[:0]
 	for _, r := range intPool {
 		if usedInt[r] {
 			off -= 8
@@ -206,7 +217,7 @@ func buildFrame(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) *frame {
 		}
 	}
 	// Alloca slots.
-	fr.allocaOff = make([]int64, len(f.AllocaSizes))
+	fr.allocaOff = grow(fr.allocaOff, len(f.AllocaSizes))
 	for i, sz := range f.AllocaSizes {
 		off -= sz
 		fr.allocaOff[i] = off
@@ -220,11 +231,10 @@ func buildFrame(m *ir.Module, f *ir.Func, lv *liveness, desc *isa.Desc) *frame {
 		}
 	}
 	fr.localSize = -off
-	fr.outArgBytes = maxStackArgBytes(m, f, desc)
+	fr.outArgBytes = fr.maxStackArgBytes(m, f, desc)
 	total := fr.localSize + fr.outArgBytes
 	// Round the frame so SP stays ISA-aligned (both ISAs use 16 here; the
 	// arm64 prologue additionally accounts for its 16-byte FP/LR pair).
 	total = (total + 15) &^ 15
 	fr.frameSize = total
-	return fr
 }

@@ -5,25 +5,69 @@ import "fmt"
 // Builder incrementally constructs a Func. It is used by the mini-C code
 // generator, by hand-written runtime-library functions, and by the
 // property-test program generator.
+//
+// The builder keeps what it emits in emission order and lays it out at
+// Done, after whatever each block already holds, in one array for the
+// whole function: a function's instructions cost one allocation however its
+// blocks interleave. Until Done, a block's Instrs do not show what was
+// emitted into it; Terminated answers for the current block.
 type Builder struct {
 	F   *Func
 	cur int // current block index
+	s   *Scratch
+	// blocks is the chunk new blocks are carved from, each chunk twice the
+	// size of the last.
+	blocks []Block
+}
+
+// Scratch holds a builder's instructions in emission order until Done lays
+// them out. A generator that builds function after function through one
+// Scratch (Scratch.NewFunc) grows its arrays once; a Scratch serves one
+// builder at a time. The zero value is ready to use.
+type Scratch struct {
+	instrs []Instr
+	block  []int32 // block[k] is the block instrs[k] goes to
+	count  []int32 // count[b] is the number of instructions emitted into block b
+	term   []bool  // term[b]: block b's last emitted instruction is a terminator
 }
 
 // NewFunc starts a new function: parameters become vregs 0..n-1.
 func NewFunc(name string, ret Type, params ...Param) *Builder {
+	return new(Scratch).NewFunc(name, ret, params...)
+}
+
+// NewFunc is NewFunc for a builder that emits through s; s must not serve
+// another builder until this one is Done.
+func (s *Scratch) NewFunc(name string, ret Type, params ...Param) *Builder {
 	f := &Func{Name: name, Params: params, Ret: ret}
 	for _, p := range params {
 		f.NewVReg(p.Type)
 	}
-	b := &Builder{F: f}
+	s.instrs, s.block, s.count, s.term = s.instrs[:0], s.block[:0], s.count[:0], s.term[:0]
+	b := &Builder{F: f, s: s}
 	b.NewBlock("entry")
 	return b
 }
 
+// scratch returns the builder's Scratch, taking a fresh one, sized for the
+// current blocks, if Done has returned the last.
+func (b *Builder) scratch() *Scratch {
+	if b.s == nil {
+		b.s = &Scratch{count: make([]int32, len(b.F.Blocks)), term: make([]bool, len(b.F.Blocks))}
+	}
+	return b.s
+}
+
 // NewBlock appends a block and makes it current; returns its index.
 func (b *Builder) NewBlock(name string) int {
-	b.F.Blocks = append(b.F.Blocks, &Block{Name: name})
+	s := b.scratch()
+	if len(b.blocks) == cap(b.blocks) {
+		b.blocks = make([]Block, 0, max(4, 2*cap(b.blocks)))
+	}
+	b.blocks = append(b.blocks, Block{Name: name})
+	b.F.Blocks = append(b.F.Blocks, &b.blocks[len(b.blocks)-1])
+	s.count = append(s.count, 0)
+	s.term = append(s.term, false)
 	b.cur = len(b.F.Blocks) - 1
 	return b.cur
 }
@@ -36,8 +80,20 @@ func (b *Builder) SetBlock(idx int) { b.cur = idx }
 
 // emit appends an instruction to the current block.
 func (b *Builder) emit(in Instr) {
-	blk := b.F.Blocks[b.cur]
-	blk.Instrs = append(blk.Instrs, in)
+	s := b.scratch()
+	s.instrs = append(s.instrs, in)
+	s.block = append(s.block, int32(b.cur))
+	s.count[b.cur]++
+	s.term[b.cur] = in.IsTerminator()
+}
+
+// Terminated reports whether the current block ends in a terminator.
+func (b *Builder) Terminated() bool {
+	if s := b.s; s != nil && s.count[b.cur] > 0 {
+		return s.term[b.cur]
+	}
+	ins := b.F.Blocks[b.cur].Instrs
+	return len(ins) > 0 && ins[len(ins)-1].IsTerminator()
 }
 
 // Param returns the vreg holding parameter i.
@@ -247,10 +303,47 @@ func (b *Builder) CondBr(cond VReg, ifTrue, ifFalse int) {
 	b.emit(Instr{Kind: KCondBr, A: cond, TargetA: ifTrue, TargetB: ifFalse, Dst: NoV, B: NoV, C: NoV})
 }
 
-// Done finalises the function (assigns call-site IDs) and returns it.
+// Done lays out the emitted instructions, finalises the function (assigns
+// call-site IDs) and returns it.
 func (b *Builder) Done() *Func {
+	if b.s != nil {
+		b.layout(b.s)
+		b.s = nil
+	}
 	b.F.Finish()
 	return b.F
+}
+
+// layout appends each block's emitted instructions to it. Every block that
+// gains instructions moves, with what it held, into one shared array of
+// exactly their total length.
+func (b *Builder) layout(s *Scratch) {
+	total := len(s.instrs)
+	for bi, n := range s.count {
+		if n > 0 {
+			total += len(b.F.Blocks[bi].Instrs)
+		}
+	}
+	all := make([]Instr, total)
+	// From here on count[bi] is the index in all of block bi's next
+	// emitted instruction.
+	off := 0
+	for bi, n := range s.count {
+		if n == 0 {
+			continue
+		}
+		blk := b.F.Blocks[bi]
+		held := copy(all[off:], blk.Instrs)
+		end := off + held + int(n)
+		blk.Instrs = all[off:end:end]
+		s.count[bi] = int32(off + held)
+		off = end
+	}
+	for k := range s.instrs {
+		bi := s.block[k]
+		all[s.count[bi]] = s.instrs[k]
+		s.count[bi]++
+	}
 }
 
 // Verify checks module well-formedness: every block ends in a terminator,

@@ -49,8 +49,7 @@ func TestVerifyRejectsMissingTerminator(t *testing.T) {
 func TestVerifyRejectsUnknownCallee(t *testing.T) {
 	m := NewModule("t")
 	b := NewFunc("main", I64)
-	b.F.Blocks[0].Instrs = append(b.F.Blocks[0].Instrs,
-		Instr{Kind: KCall, Dst: b.F.NewVReg(I64), Sym: "nonexistent", A: NoV, B: NoV, C: NoV})
+	b.Call(I64, "nonexistent")
 	b.Ret(b.Const(0))
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
@@ -63,8 +62,7 @@ func TestVerifyRejectsUnknownCallee(t *testing.T) {
 func TestVerifyRejectsArgCountMismatch(t *testing.T) {
 	m := buildAdder(t)
 	b := NewFunc("main2", I64)
-	b.F.Blocks[0].Instrs = append(b.F.Blocks[0].Instrs,
-		Instr{Kind: KCall, Dst: b.F.NewVReg(I64), Sym: "add", Args: []VReg{}, A: NoV, B: NoV, C: NoV})
+	b.Call(I64, "add")
 	b.Ret(b.Const(0))
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
@@ -78,8 +76,7 @@ func TestVerifyRejectsFloatIntMix(t *testing.T) {
 	m := NewModule("t")
 	b := NewFunc("main", I64)
 	f := b.FConst(1.5)
-	b.F.Blocks[0].Instrs = append(b.F.Blocks[0].Instrs,
-		Instr{Kind: KBin, Bin: Add, Dst: b.F.NewVReg(I64), A: f, B: f, C: NoV})
+	b.Bin(Add, f, f)
 	b.Ret(b.Const(0))
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
@@ -106,8 +103,14 @@ func TestVerifyRejectsUnassignedCallSites(t *testing.T) {
 	b := NewFunc("main3", I64)
 	r := b.Call(I64, "add", b.Const(1), b.Const(2))
 	b.Ret(r)
-	// Deliberately skip Finish.
-	if err := m.AddFunc(b.F); err != nil {
+	f := b.Done()
+	// Undo Finish's numbering, as if it had been skipped.
+	for _, blk := range f.Blocks {
+		for i := range blk.Instrs {
+			blk.Instrs[i].CallSiteID = 0
+		}
+	}
+	if err := m.AddFunc(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "call site id") {
@@ -326,5 +329,49 @@ func TestPropertyF2ISaturates(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuilderLaysOutInterleavedBlocks: emission may switch between blocks
+// in any order; Done gives each block its instructions in emission order,
+// after any it already held, and Terminated follows the current block.
+func TestBuilderLaysOutInterleavedBlocks(t *testing.T) {
+	b := NewFunc("f", Void)
+	b.Const(0)
+	next := b.NewBlock("next")
+	b.Const(10)
+	b.SetBlock(0)
+	if b.Terminated() {
+		t.Error("entry terminated before its branch")
+	}
+	b.Const(1)
+	b.Br(next)
+	if !b.Terminated() {
+		t.Error("entry not terminated after its branch")
+	}
+	b.SetBlock(next)
+	b.Const(11)
+	b.Ret(NoV)
+	f := b.Done()
+	want := [][]Kind{{KConst, KConst, KBr}, {KConst, KConst, KRet}}
+	imms := [][]int64{{0, 1, 0}, {10, 11, 0}}
+	for bi, blk := range f.Blocks {
+		if len(blk.Instrs) != len(want[bi]) || cap(blk.Instrs) != len(blk.Instrs) {
+			t.Fatalf("block %d: len %d cap %d, want len %d, cap = len", bi, len(blk.Instrs), cap(blk.Instrs), len(want[bi]))
+		}
+		for i, in := range blk.Instrs {
+			if in.Kind != want[bi][i] || in.Imm != imms[bi][i] {
+				t.Errorf("block %d instr %d: %s", bi, i, formatInstr(&in))
+			}
+		}
+	}
+
+	// A block held instructions before it was built into keeps them first.
+	b = NewFunc("g", Void)
+	b.F.Blocks[0].Instrs = []Instr{{Kind: KConst, Dst: b.F.NewVReg(I64), Imm: 7, A: NoV, B: NoV, C: NoV}}
+	b.Ret(NoV)
+	g := b.Done()
+	if ins := g.Blocks[0].Instrs; len(ins) != 2 || ins[0].Imm != 7 || ins[1].Kind != KRet {
+		t.Errorf("held instructions not kept in front: %v", g.String())
 	}
 }

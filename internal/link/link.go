@@ -179,8 +179,15 @@ type LinkError struct{ msg string }
 
 func (e *LinkError) Error() string { return "link: " + e.msg }
 
-// Link lays out art into an Image.
+// Link lays out art into an Image. The image takes ownership of art: the
+// image's code is art's code with symbols resolved in place, and its
+// stackmaps are art's metadata with addresses filled in. So an artifact
+// links once; linking it again is a LinkError, which leaves the first image
+// as it was.
 func Link(name string, art *compiler.Artifact, opts Options) (*Image, error) {
+	if !art.Claim() {
+		return nil, &LinkError{msg: fmt.Sprintf("%s: artifact already linked (compile the module again for a second image)", name)}
+	}
 	img := &Image{Name: name, Module: art.Module, Aligned: opts.Aligned,
 		DirectMigrate: scanDirectMigrate(art.Module)}
 
@@ -233,6 +240,7 @@ func Link(name string, art *compiler.Artifact, opts Options) (*Image, error) {
 	for _, arch := range isa.Arches {
 		cur := mem.DataBase
 		img.GlobalAddr[arch] = make(map[string]uint64, len(art.Module.Globals))
+		img.Data[arch] = make([]Segment, 0, len(art.Module.Globals))
 		for _, g := range art.Module.Globals {
 			align := uint64(g.Align)
 			if align == 0 {
@@ -271,57 +279,89 @@ func Link(name string, art *compiler.Artifact, opts Options) (*Image, error) {
 
 	// --- Resolve and build programs ---
 	for _, arch := range isa.Arches {
-		prog := &Program{
-			Arch:   arch,
-			ByName: make(map[string]*Func, nFuncs),
-			SMap:   stackmap.NewMap(arch),
-		}
-		for i := 0; i < nFuncs; i++ {
-			af := art.Funcs[arch][i]
-			base := img.FuncAddr[arch][af.Name]
-			lf := &Func{
-				Name: af.Name,
-				Arch: arch,
-				Base: base,
-				Size: uint64(af.Size),
-				Code: make([]isa.Instr, len(af.Code)),
-				Addr: make([]uint64, len(af.Code)),
-				Info: af.Info,
-			}
-			copy(lf.Code, af.Code)
-			for j := range lf.Code {
-				lf.Addr[j] = base + uint64(af.Offsets[j])
-				in := &lf.Code[j]
-				if in.Op == isa.OpLea {
-					addr, err := img.resolve(arch, in.Sym)
-					if err != nil {
-						return nil, err
-					}
-					in.Imm += int64(addr)
-				}
-			}
-			// Fill metadata addresses.
-			af.Info.Entry = base
-			af.Info.Size = uint64(af.Size)
-			for id, cs := range af.Info.CallSites {
-				ci, ok := af.CallSiteInstr[id]
-				if !ok {
-					return nil, &LinkError{msg: fmt.Sprintf("%s: call site %d has no instruction", af.Name, id)}
-				}
-				cs.RetPC = lf.Addr[ci] + uint64(lf.Code[ci].Size)
-			}
-			prog.Funcs = append(prog.Funcs, lf)
-			prog.ByName[lf.Name] = lf
-			prog.SMap.Add(af.Info)
+		prog, err := img.program(arch, art.Funcs[arch])
+		if err != nil {
+			return nil, err
 		}
 		prog.seal()
 		img.Progs[arch] = prog
 	}
-
-	// In aligned mode the metadata Entry/Size/CallSites were written twice
-	// (once per arch) into the same FuncInfo... they must not be shared.
-	// compiler.lowerFunc builds a fresh FuncInfo per arch, so this is safe.
 	return img, nil
+}
+
+// program places arch's lowered functions at their addresses. One array
+// each holds every function's record and every instruction's address; each
+// function keeps its lowered code, resolved in place.
+func (img *Image) program(arch isa.Arch, afs []*compiler.AsmFunc) (*Program, error) {
+	prog := &Program{
+		Arch:   arch,
+		Funcs:  make([]*Func, len(afs)),
+		ByName: make(map[string]*Func, len(afs)),
+		SMap:   stackmap.NewMap(arch),
+	}
+	total := 0
+	for _, af := range afs {
+		total += len(af.Code)
+	}
+	funcs := make([]Func, len(afs))
+	addrs := make([]uint64, total)
+	for i, af := range afs {
+		base := img.FuncAddr[arch][af.Name]
+		n := len(af.Code)
+		lf := &funcs[i]
+		*lf = Func{
+			Name: af.Name,
+			Arch: arch,
+			Base: base,
+			Size: uint64(af.Size),
+			Code: af.Code,
+			Addr: addrs[:n:n],
+			Info: af.Info,
+		}
+		addrs = addrs[n:]
+		// Fill metadata addresses: every call-like instruction carries its
+		// site's ID, and the site resumes at the next instruction.
+		af.Info.Entry = base
+		af.Info.Size = uint64(af.Size)
+		pc, sites := base, 0
+		for j := range lf.Code {
+			in := &lf.Code[j]
+			lf.Addr[j] = pc
+			pc += uint64(in.Size)
+			if in.Op == isa.OpLea {
+				addr, err := img.resolve(arch, in.Sym)
+				if err != nil {
+					return nil, err
+				}
+				in.Imm += int64(addr)
+			}
+			if in.CallSiteID != 0 {
+				if cs := af.Info.CallSites[in.CallSiteID]; cs != nil {
+					cs.RetPC = pc
+					sites++
+				}
+			}
+		}
+		if sites != len(af.Info.CallSites) {
+			return nil, &LinkError{msg: fmt.Sprintf("%s: call site %d has no instruction", af.Name, missingSite(af.Info))}
+		}
+		prog.Funcs[i] = lf
+		prog.ByName[lf.Name] = lf
+		prog.SMap.Add(af.Info)
+	}
+	return prog, nil
+}
+
+// missingSite returns the lowest ID among fi's call sites that no
+// instruction resumes at.
+func missingSite(fi *stackmap.FuncInfo) int {
+	id := -1
+	for _, cs := range fi.CallSites {
+		if cs.RetPC == 0 && (id < 0 || cs.ID < id) {
+			id = cs.ID
+		}
+	}
+	return id
 }
 
 // scanDirectMigrate detects whether m can issue a migrate syscall outside

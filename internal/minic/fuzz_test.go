@@ -11,8 +11,9 @@ import (
 
 // FuzzCompile feeds the front end hostile sources, as hdcrun does with a
 // user's .c file: whatever the bytes, CompileToIR returns a module or an
-// error, and never panics. Seeds: the differential fuzzer's program corpus
-// and every NPB workload. Run with:
+// error, and never panics. Seeds: the differential fuzzer's program corpus,
+// every NPB workload and the numeric literals of TestNumberLiterals. Run
+// with:
 //
 //	go test -run '^$' -fuzz FuzzCompile ./internal/minic
 func FuzzCompile(f *testing.F) {
@@ -33,6 +34,9 @@ func FuzzCompile(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(src.Code)
+	}
+	for _, src := range minic.LiteralSeeds() {
+		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, code string) {
 		m, err := minic.CompileToIR("fuzz", minic.Source{Name: "fuzz.c", Code: code})

@@ -43,6 +43,7 @@ type genCtx struct {
 	funcs   map[string]*FuncDecl
 	globals map[string]*Decl
 	strN    int
+	scratch ir.Scratch // serves every function's builder in turn
 }
 
 func errAt(line, col int, format string, args ...interface{}) error {
@@ -310,7 +311,7 @@ func (g *genCtx) genFunc(fd *FuncDecl) (*ir.Func, error) {
 	}
 	fg := &funcGen{
 		g:         g,
-		b:         ir.NewFunc(fd.Name, irType(fd.Ret), params...),
+		b:         g.scratch.NewFunc(fd.Name, irType(fd.Ret), params...),
 		fd:        fd,
 		addrTaken: map[string]bool{},
 	}
@@ -404,8 +405,17 @@ func (fg *funcGen) scanAddrTaken(s *Stmt) {
 	walkS(s)
 }
 
-func (fg *funcGen) push() { fg.scopes = append(fg.scopes, map[string]*varInfo{}) }
-func (fg *funcGen) pop()  { fg.scopes = fg.scopes[:len(fg.scopes)-1] }
+// push opens a scope, reusing the map of one popped earlier.
+func (fg *funcGen) push() {
+	if n := len(fg.scopes); n < cap(fg.scopes) && fg.scopes[:n+1][n] != nil {
+		fg.scopes = fg.scopes[:n+1]
+		clear(fg.scopes[n])
+		return
+	}
+	fg.scopes = append(fg.scopes, map[string]*varInfo{})
+}
+
+func (fg *funcGen) pop() { fg.scopes = fg.scopes[:len(fg.scopes)-1] }
 
 func (fg *funcGen) lookup(name string) *varInfo {
 	for i := len(fg.scopes) - 1; i >= 0; i-- {
@@ -621,11 +631,9 @@ func (fg *funcGen) stmt(s *Stmt) error {
 // linkTo emits a fall-through branch from the current block to target if the
 // current block lacks a terminator.
 func (fg *funcGen) linkTo(target int) {
-	blk := fg.b.F.Blocks[fg.b.Block()]
-	if n := len(blk.Instrs); n > 0 && blk.Instrs[n-1].IsTerminator() {
-		return
+	if !fg.b.Terminated() {
+		fg.b.Br(target)
 	}
-	fg.b.Br(target)
 }
 
 func (fg *funcGen) localDecl(d *Decl) error {

@@ -158,7 +158,7 @@ func (m *Map) Add(fi *FuncInfo) { m.Funcs[fi.Name] = fi }
 // in VReg order (a no-op on compiler output); call after all Add calls.
 func (m *Map) Seal() {
 	m.entryToFunc = make(map[uint64]*FuncInfo, len(m.Funcs))
-	m.sortedEntries = m.sortedEntries[:0]
+	m.sortedEntries = make([]uint64, 0, len(m.Funcs))
 	for _, fi := range m.Funcs {
 		m.entryToFunc[fi.Entry] = fi
 		m.sortedEntries = append(m.sortedEntries, fi.Entry)
@@ -166,9 +166,7 @@ func (m *Map) Seal() {
 			slices.SortStableFunc(cs.Live, func(a, b LiveValue) int { return cmp.Compare(a.VReg, b.VReg) })
 		}
 	}
-	sort.Slice(m.sortedEntries, func(i, j int) bool {
-		return m.sortedEntries[i] < m.sortedEntries[j]
-	})
+	slices.Sort(m.sortedEntries)
 }
 
 // FuncAt returns the function containing pc, or nil.
