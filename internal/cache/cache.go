@@ -3,6 +3,8 @@
 // and for the machine cycle model.
 package cache
 
+import "fmt"
+
 // Config describes a cache geometry.
 type Config struct {
 	SizeBytes  int   // total capacity
@@ -24,78 +26,65 @@ type Cache struct {
 	cfg      Config
 	lineBits uint
 	setMask  uint64
-	// tags[set*ways+way] holds each set's lines most recent first, so the
-	// last way is the LRU victim; the valid bit is folded into the tag as
-	// line+1 (0 = invalid, and invalid ways sort last). tags is allocated at
-	// the first lookup: a fleet builds two caches for every core of every
-	// node, and most cores never run.
+	// tags[way*sets+set] holds each set's lines most recent first, so the
+	// last way is the LRU victim and tags[set] is the front; the valid bit
+	// is folded into the tag as line+1 (0 = invalid, and invalid ways sort
+	// last). tags is allocated at the first lookup: a fleet builds two
+	// caches for every core of every node, and most cores never run.
 	tags []uint64
-	// last is the line of the most recent access (noLine = none): the memo
-	// that lets a repeat access to that line skip the set. It is exact, not
-	// approximate — the line is at the front of its set, where a hit leaves
-	// it, so skipping the lookup changes no recency order and no future
-	// victim.
-	last uint64
 
 	Accesses uint64
 	Misses   uint64
 }
 
-// noLine is the memo's empty value: no address shifts down to it.
-const noLine = ^uint64(0)
-
-// New builds a cache from cfg.
+// New builds a cache from cfg. It panics, naming the field, on a geometry
+// the set index cannot represent: a line size or a set count that is not a
+// power of two.
 func New(cfg Config) *Cache {
-	lines := cfg.SizeBytes / cfg.LineBytes
-	sets := lines / cfg.Ways
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	sets := 0
+	if cfg.LineBytes > 0 && cfg.Ways > 0 {
+		sets = cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	}
+	switch {
+	case !pow2(cfg.LineBytes):
+		panic(fmt.Sprintf("cache: LineBytes %d is not a power of two", cfg.LineBytes))
+	case cfg.Ways <= 0:
+		panic(fmt.Sprintf("cache: Ways %d is not positive", cfg.Ways))
+	case !pow2(sets) || sets*cfg.LineBytes*cfg.Ways != cfg.SizeBytes:
+		panic(fmt.Sprintf("cache: SizeBytes %d is not a power-of-two number of sets of %d ways of %d bytes", cfg.SizeBytes, cfg.Ways, cfg.LineBytes))
+	}
 	lb := uint(0)
 	for 1<<lb < cfg.LineBytes {
 		lb++
 	}
-	return &Cache{
-		cfg:      cfg,
-		lineBits: lb,
-		setMask:  uint64(sets - 1),
-		last:     noLine,
-	}
+	return &Cache{cfg: cfg, lineBits: lb, setMask: uint64(sets - 1)}
 }
-
-// Memo returns the memo: the line of the most recent access, or a value no
-// address maps to. An access wholly inside it (InLine) is a hit that the
-// caller may count in Accesses itself instead of calling Access — the
-// interpreter keeps the memo in a local and re-reads it after any call that
-// may have moved it.
-func (c *Cache) Memo() uint64 { return c.last }
 
 // LineShift is the shift that maps an address to its line.
 func (c *Cache) LineShift() uint { return c.lineBits }
 
-// InLine reports whether [addr, addr+size) lies wholly in line, for lines
-// of 1<<shift bytes: the memo's hit test, small enough to inline. (shift is
-// below 64; masking it says so to the compiler.)
-func InLine(addr uint64, size int64, line uint64, shift uint) bool {
-	return addr>>(shift&63) == line && (addr+uint64(size)-1)>>(shift&63) == line
+// Front reports whether line is the most recent line of its set. An access
+// wholly inside such a line is a hit that moves nothing, so the caller may
+// count it in Accesses itself instead of calling AccessRange — the
+// interpreter's inlined hit path.
+func (c *Cache) Front(line uint64) bool {
+	i := line & c.setMask
+	return i < uint64(len(c.tags)) && c.tags[i] == line+1
 }
 
 // Access simulates a cache access to addr and returns the added cycle
 // penalty (0 on hit, MissCycles on miss).
-func (c *Cache) Access(addr uint64) int64 {
-	if addr>>c.lineBits != c.last {
-		return c.AccessRange(addr, 1)
-	}
-	c.Accesses++
-	return 0
-}
+func (c *Cache) Access(addr uint64) int64 { return c.AccessRange(addr, 1) }
 
 // AccessRange simulates an access spanning [addr, addr+size) — e.g. a
 // variable-length instruction fetch that may straddle a line boundary —
 // as one access per line touched, returning the total penalty. A size of
 // zero or less counts as one byte.
 //
-// Per line: the memo is a hit with no lookup; a hit on the set's most
-// recent line is one compare; a hit further back moves that line to the
-// front; a miss shifts the set back one way, which drops the LRU line, and
-// fills the front.
+// Per line: a hit on the set's most recent line is one compare; a hit
+// further back moves that line to the front; a miss shifts the set back one
+// way, which drops the LRU line, and fills the front.
 func (c *Cache) AccessRange(addr uint64, size int64) int64 {
 	if size <= 0 {
 		size = 1
@@ -104,31 +93,27 @@ func (c *Cache) AccessRange(addr uint64, size int64) int64 {
 		c.tags = make([]uint64, int(c.setMask+1)*c.cfg.Ways)
 	}
 	var penalty int64
+	stride, end := int(c.setMask+1), len(c.tags)
 	for line, last := addr>>c.lineBits, (addr+uint64(size)-1)>>c.lineBits; line <= last; line++ {
 		c.Accesses++
-		if line == c.last {
-			continue
-		}
-		c.last = line
 		tag := line + 1 // +1 so tag 0 never collides with the invalid marker
-		base := int(line&c.setMask) * c.cfg.Ways
-		set := c.tags[base : base+c.cfg.Ways]
-		if set[0] == tag {
+		front := int(line & c.setMask)
+		if c.tags[front] == tag {
 			continue
 		}
-		w := 1
-		for w < len(set) && set[w] != tag {
-			w++
+		w := front + stride
+		for w < end && c.tags[w] != tag {
+			w += stride
 		}
-		if w == len(set) {
+		if w >= end {
 			c.Misses++
 			penalty += c.cfg.MissCycles
-			w--
+			w -= stride
 		}
-		for ; w > 0; w-- {
-			set[w] = set[w-1]
+		for ; w > front; w -= stride {
+			c.tags[w] = c.tags[w-stride]
 		}
-		set[0] = tag
+		c.tags[front] = tag
 	}
 	return penalty
 }
@@ -144,7 +129,6 @@ func (c *Cache) MissRatio() float64 {
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
 	clear(c.tags)
-	c.last = noLine
 	c.Accesses = 0
 	c.Misses = 0
 }
@@ -153,5 +137,4 @@ func (c *Cache) Reset() {
 // destination core starts cold).
 func (c *Cache) Flush() {
 	clear(c.tags)
-	c.last = noLine
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -151,5 +153,47 @@ func TestPropertyPenaltyQuantised(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewRejectsUnrepresentableGeometry: New refuses, naming the field, a
+// geometry whose set index would alias or whose capacity is not a whole
+// number of sets, and builds every representable one (a way count need not
+// be a power of two). 24 KiB of 8-way 64-byte lines is 48 sets: a mask of
+// 47 would leave sets 16-31 unused.
+func TestNewRejectsUnrepresentableGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   Config
+		field string // "" = valid
+	}{
+		{DefaultL1(12), ""},
+		{small(), ""},
+		{Config{SizeBytes: 48 * 1024, LineBytes: 64, Ways: 12}, ""},
+		{Config{SizeBytes: 512, LineBytes: 32, Ways: 1}, ""},
+		{Config{SizeBytes: 24 * 1024, LineBytes: 64, Ways: 8}, "SizeBytes"},
+		{Config{SizeBytes: 32*1024 + 64, LineBytes: 64, Ways: 8}, "SizeBytes"},
+		{Config{SizeBytes: 256, LineBytes: 64, Ways: 8}, "SizeBytes"},
+		{Config{SizeBytes: 0, LineBytes: 64, Ways: 8}, "SizeBytes"},
+		{Config{SizeBytes: 24 * 1024, LineBytes: 48, Ways: 8}, "LineBytes"},
+		{Config{SizeBytes: 32 * 1024, LineBytes: 0, Ways: 8}, "LineBytes"},
+		{Config{SizeBytes: 32 * 1024, LineBytes: 64, Ways: 0}, "Ways"},
+		{Config{SizeBytes: 32 * 1024, LineBytes: 64, Ways: -8}, "Ways"},
+	} {
+		var msg string
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			c := New(tc.cfg)
+			c.Access(0) // the tag array is sized at the first lookup
+		}()
+		switch {
+		case tc.field == "" && msg != "":
+			t.Errorf("%+v: panicked %q, want a cache", tc.cfg, msg)
+		case tc.field != "" && !strings.HasPrefix(msg, "cache: "+tc.field+" "):
+			t.Errorf("%+v: panic %q, want one naming %s", tc.cfg, msg, tc.field)
+		}
 	}
 }

@@ -6,17 +6,21 @@ import (
 	"testing"
 )
 
-// refLRU is the reference the memoised cache is checked against: the same
-// set-associative geometry as a growable recency list per set, no memo.
-// Safety code — keep it free of the production cache's shortcuts.
+// refLRU is the reference the cache is checked against: the same
+// set-associative geometry as a growable recency list per set, with no
+// shortcut. Safety code — keep it free of the production cache's shortcuts.
 type refLRU struct {
 	cfg              Config
 	sets             [][]uint64 // lines of each set, most recent first
 	accesses, misses uint64
+	// depth[w] counts hits on way w of a set (0 = most recent) and missed
+	// counts misses, both kept across reset: what a trace has exercised.
+	depth  []uint64
+	missed uint64
 }
 
 func newRef(cfg Config) *refLRU {
-	return &refLRU{cfg: cfg, sets: make([][]uint64, cfg.SizeBytes/cfg.LineBytes/cfg.Ways)}
+	return &refLRU{cfg: cfg, sets: make([][]uint64, cfg.SizeBytes/cfg.LineBytes/cfg.Ways), depth: make([]uint64, cfg.Ways)}
 }
 
 func (r *refLRU) access(addr uint64) int64 {
@@ -24,10 +28,12 @@ func (r *refLRU) access(addr uint64) int64 {
 	line := addr / uint64(r.cfg.LineBytes)
 	set := &r.sets[line%uint64(len(r.sets))]
 	if i := slices.Index(*set, line); i >= 0 {
+		r.depth[i]++
 		*set = slices.Insert(slices.Delete(*set, i, i+1), 0, line)
 		return 0
 	}
 	r.misses++
+	r.missed++
 	*set = slices.Insert(*set, 0, line)
 	if len(*set) > r.cfg.Ways {
 		*set = (*set)[:r.cfg.Ways]
@@ -53,12 +59,32 @@ func (r *refLRU) flush() {
 	}
 }
 
-// TestMemoMatchesReferenceLRU drives the cache and the reference with the
-// same seeded traces — strides, random addresses in a window a few times
-// the cache, runs on one line, ranges that straddle lines, flushes in
-// between — and requires every penalty and both counters to agree.
+func (r *refLRU) reset() {
+	r.flush()
+	r.accesses, r.misses = 0, 0
+}
+
+// inline is the interpreter's access sequence: an access wholly inside a
+// line at the front of its set is counted as a hit by the caller, anything
+// else calls AccessRange. front reports which way it went.
+func inline(c *Cache, addr uint64, size int64) (penalty int64, front bool) {
+	sh := c.LineShift()
+	if line := addr >> sh; size > 0 && (addr+uint64(size)-1)>>sh == line && c.Front(line) {
+		c.Accesses++
+		return 0, true
+	}
+	return c.AccessRange(addr, size), false
+}
+
+// TestMemoMatchesReferenceLRU holds the Front contract: driven with the
+// interpreter's sequence (Front, else AccessRange) and, mixed in, Access,
+// the cache agrees with the reference on every penalty and both counters
+// over seeded traces — strides, random addresses in a window a few times
+// the cache, runs on one line, ranges that straddle lines, flushes and
+// resets in between. Each trace must reach every path: front hits taken
+// inline, deeper-way hits, misses and straddles.
 func TestMemoMatchesReferenceLRU(t *testing.T) {
-	for _, cfg := range []Config{small(), DefaultL1(12), {SizeBytes: 512, LineBytes: 32, Ways: 1, MissCycles: 7}} {
+	for _, cfg := range []Config{small(), DefaultL1(12), {SizeBytes: 512, LineBytes: 32, Ways: 1, MissCycles: 7}, {SizeBytes: 3 * 1024, LineBytes: 64, Ways: 3, MissCycles: 5}} {
 		for seed := int64(1); seed <= 8; seed++ {
 			r := rand.New(rand.NewSource(seed))
 			c, ref := New(cfg), newRef(cfg)
@@ -66,6 +92,7 @@ func TestMemoMatchesReferenceLRU(t *testing.T) {
 			base := uint64(r.Intn(1 << 20))
 			stride := uint64(1 + r.Intn(3*cfg.LineBytes))
 			cur := base
+			var fronts, straddles, resets int
 			for i := 0; i < 20000; i++ {
 				var addr uint64
 				switch k := r.Intn(10); {
@@ -79,20 +106,27 @@ func TestMemoMatchesReferenceLRU(t *testing.T) {
 					cur = addr
 				}
 				var got, want int64
-				switch k := r.Intn(20); {
-				case k == 0:
+				switch k := r.Intn(200); {
+				case k < 5:
 					c.Flush()
 					ref.flush()
 					continue
-				case k < 8:
+				case k == 5:
+					c.Reset()
+					ref.reset()
+					resets++
+					continue
+				case k < 60:
 					got, want = c.Access(addr), ref.access(addr)
 				default:
 					size := int64(r.Intn(2*cfg.LineBytes)) - 1 // -1 and 0 count as one byte
-					if InLine(addr, max(size, 1), c.Memo(), c.LineShift()) {
-						c.Accesses++ // the interpreter's inlined path counts the hit itself
-						got = 0
-					} else {
-						got = c.AccessRange(addr, size)
+					var front bool
+					got, front = inline(c, addr, size)
+					if front {
+						fronts++
+					}
+					if (addr+uint64(max(size, 1))-1)/uint64(cfg.LineBytes) != addr/uint64(cfg.LineBytes) {
+						straddles++
 					}
 					want = ref.accessRange(addr, size)
 				}
@@ -101,11 +135,20 @@ func TestMemoMatchesReferenceLRU(t *testing.T) {
 						cfg, seed, i, addr, got, want, c.Accesses, ref.accesses, c.Misses, ref.misses)
 				}
 			}
+			deeper := uint64(0)
+			for _, n := range ref.depth[1:] {
+				deeper += n
+			}
+			if fronts == 0 || straddles == 0 || resets == 0 || ref.missed == 0 || (cfg.Ways > 1 && deeper == 0) {
+				t.Errorf("%+v seed %d: trace missed a path: %d front hits inline, %d straddles, %d resets, %d misses, %d deeper-way hits",
+					cfg, seed, fronts, straddles, resets, ref.missed, deeper)
+			}
 		}
 	}
 }
 
-// TestResetClearsMemo: a line touched before Reset misses after it.
+// TestResetClearsMemo: a line touched before Reset misses after it, though
+// it was at the front of its set.
 func TestResetClearsMemo(t *testing.T) {
 	c := New(small())
 	c.Access(0x100)

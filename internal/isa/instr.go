@@ -140,6 +140,10 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// LineShift is log2 of the L1 line size of both evaluation machines, the
+// granularity of Instr.SameLine.
+const LineShift = 6
+
 // Instr is one machine instruction. Instructions are held decoded (Go
 // structs); the Size field models the encoded length so that code layout and
 // the instruction-cache simulation see realistic per-ISA footprints.
@@ -149,6 +153,9 @@ type Instr struct {
 	Rs1 Reg
 	Rs2 Reg
 	Rs3 Reg // third source: OpAtomicCAS new-value register
+	// SameLine: the linker found the instruction wholly inside the
+	// 1<<LineShift-byte line where its predecessor in the function ends.
+	SameLine bool
 
 	Imm  int64   // immediate / memory displacement
 	FImm float64 // float immediate for OpFLdi

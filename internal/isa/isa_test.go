@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDescribeBothArches(t *testing.T) {
@@ -218,5 +219,16 @@ func TestCostTablesMatchCycleCost(t *testing.T) {
 				t.Errorf("%s %s: table says %d, CycleCost %d", a, Op(op), got, want)
 			}
 		}
+	}
+}
+
+// TestInstrStaysOneCacheLine: the interpreter's per-instruction record is
+// 64 bytes. Flags the linker sets live in its padding; a new field or a
+// per-instruction side table is host memory for every instruction of every
+// loaded image (DESIGN.md §3 records the 32-byte side table that broke the
+// benchmark's live-heap bound).
+func TestInstrStaysOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 64 {
+		t.Fatalf("isa.Instr is %d bytes, want 64", n)
 	}
 }

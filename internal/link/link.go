@@ -291,7 +291,7 @@ func Link(name string, art *compiler.Artifact, opts Options) (*Image, error) {
 
 // program places arch's lowered functions at their addresses. One array
 // each holds every function's record and every instruction's address; each
-// function keeps its lowered code, resolved in place.
+// function keeps its lowered code, resolved and flagged in place.
 func (img *Image) program(arch isa.Arch, afs []*compiler.AsmFunc) (*Program, error) {
 	prog := &Program{
 		Arch:   arch,
@@ -327,6 +327,7 @@ func (img *Image) program(arch isa.Arch, afs []*compiler.AsmFunc) (*Program, err
 		for j := range lf.Code {
 			in := &lf.Code[j]
 			lf.Addr[j] = pc
+			in.SameLine = j > 0 && in.Size > 0 && (pc-1)>>isa.LineShift == (pc+uint64(in.Size)-1)>>isa.LineShift
 			pc += uint64(in.Size)
 			if in.Op == isa.OpLea {
 				addr, err := img.resolve(arch, in.Sym)

@@ -393,3 +393,37 @@ func BenchmarkToolchain(b *testing.B) {
 		}
 	})
 }
+
+// TestSameLineFlags: in every image of the golden set, an instruction is
+// flagged SameLine exactly when it lies wholly inside the 64-byte line (the
+// L1 line of both machines) where the previous instruction of its function
+// ends — never the first of a function. The interpreter counts a flagged
+// fetch reached by fall-through as a hit without looking at the cache.
+func TestSameLineFlags(t *testing.T) {
+	const line = 64
+	for _, gs := range goldenSources(t) {
+		img := build(t, gs.name, gs.src)
+		for _, arch := range isa.Arches {
+			flagged, total := 0, 0
+			for _, f := range img.Prog(arch).Funcs {
+				for i := range f.Code {
+					in := &f.Code[i]
+					first, last := f.Addr[i]/line, (f.Addr[i]+uint64(in.Size)-1)/line
+					want := i > 0 && in.Size > 0 && first == last &&
+						(f.Addr[i-1]+uint64(f.Code[i-1].Size)-1)/line == first
+					if in.SameLine != want {
+						t.Fatalf("%s on %s: %s[%d] (%s at %#x, %d bytes) flagged %v, want %v",
+							gs.name, arch, f.Name, i, in, f.Addr[i], in.Size, in.SameLine, want)
+					}
+					if want {
+						flagged++
+					}
+					total++
+				}
+			}
+			if flagged == 0 || flagged == total {
+				t.Errorf("%s on %s: %d of %d instructions flagged", gs.name, arch, flagged, total)
+			}
+		}
+	}
+}

@@ -203,13 +203,15 @@ const vdsoPage = mem.VDSOBase >> mem.PageShift
 // run is the interpreter: it executes at least one instruction, then more
 // while Cycles stays below budget.
 //
-// Everything the loop touches per instruction stays in locals: besides the
-// core's fields, the memo line of each cache (cache.Cache.Memo) and the hits
-// on it, which are added to the caches' Accesses on every return and before
-// any hook fires. The memos are re-read after every call that may move them:
-// into the cache, into load/store, into a hook. A load or store of a word
-// inside one page that the TLB holds (for loads: not the vDSO page) is done
-// here; anything else goes through load and store.
+// Everything the loop touches per instruction stays in locals, the hits the
+// loop counts itself included: they are added to the caches' Accesses on
+// every return and before any hook fires. An access wholly inside the line
+// at the front of its set (cache.Cache.Front) is such a hit, and so is the
+// fetch of an instruction flagged SameLine reached straight from its
+// predecessor, whose fetch left that line at the front; only the rest calls
+// the cache. A load or store of a word inside one page that the TLB holds
+// (for loads: not the vDSO page) is done here; anything else goes through
+// load and store.
 func (c *Core) run(budget int64) Event {
 	d := c.Desc
 	costs := isa.Costs(d.Arch)
@@ -221,8 +223,10 @@ func (c *Core) run(budget int64) Event {
 	tlb.Attach(c.Mem)
 	ic, dc := c.ICache, c.DCache
 	ish, dsh := ic.LineShift(), dc.LineShift()
-	iline, dline := ic.Memo(), dc.Memo()
 	var ihits, dhits uint64
+	// seq: the previous fetch was code[idx-1], and the flags hold for the
+	// I-cache's lines.
+	wide, seq := ish >= isa.LineShift, false
 	ri := &c.RegsI
 	rf := &c.RegsF
 	fn, idx := c.Fn, c.Idx
@@ -233,21 +237,22 @@ func (c *Core) run(budget int64) Event {
 loop:
 	for {
 		in := &code[idx]
-		pc := addrs[idx]
 
 		// Instruction fetch: base op cost plus I-cache cost.
 		cost := costs[in.Op]
 		if slow {
 			cost = c.CostFn(in.Op)
 		}
-		if cache.InLine(pc, in.Size, iline, ish) {
+		if in.SameLine && seq {
+			ihits++
+		} else if pc := addrs[idx]; (pc+uint64(in.Size)-1)>>ish == pc>>ish && ic.Front(pc>>ish) {
 			ihits++
 		} else {
 			cost += ic.AccessRange(pc, in.Size)
-			iline = ic.Memo()
 		}
 
 		next := idx + 1
+		seq = wide
 		switch in.Op {
 		case isa.OpNop:
 		case isa.OpAdd:
@@ -259,7 +264,7 @@ loop:
 		case isa.OpDiv:
 			b := ri[in.Rs2]
 			if b == 0 {
-				ev = c.errorf("machine: division by zero at %#x (%s)", pc, fn.Name)
+				ev = c.errorf("machine: division by zero at %#x (%s)", addrs[idx], fn.Name)
 				break loop
 			}
 			a := ri[in.Rs1]
@@ -271,7 +276,7 @@ loop:
 		case isa.OpRem:
 			b := ri[in.Rs2]
 			if b == 0 {
-				ev = c.errorf("machine: remainder by zero at %#x (%s)", pc, fn.Name)
+				ev = c.errorf("machine: remainder by zero at %#x (%s)", addrs[idx], fn.Name)
 				break loop
 			}
 			a := ri[in.Rs1]
@@ -359,11 +364,10 @@ loop:
 			addr := uint64(ri[in.Rs1] + in.Imm)
 			if p, off := tlb.ReadHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 && addr>>mem.PageShift != vdsoPage {
 				ri[in.Rd] = int64(binary.LittleEndian.Uint64(p[off : off+8 : off+8]))
-				if cache.InLine(addr, 8, dline, dsh) {
+				if line := addr >> dsh; (addr+7)>>dsh == line && dc.Front(line) {
 					dhits++
 				} else {
 					cycles += dc.AccessRange(addr, 8)
-					dline = dc.Memo()
 				}
 				break
 			}
@@ -373,17 +377,15 @@ loop:
 				break loop
 			}
 			cycles += penalty
-			dline = dc.Memo()
 			ri[in.Rd] = int64(v)
 		case isa.OpSt:
 			addr := uint64(ri[in.Rs1] + in.Imm)
 			if p, off := tlb.WriteHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 {
 				binary.LittleEndian.PutUint64(p[off:off+8:off+8], uint64(ri[in.Rs2]))
-				if cache.InLine(addr, 8, dline, dsh) {
+				if line := addr >> dsh; (addr+7)>>dsh == line && dc.Front(line) {
 					dhits++
 				} else {
 					cycles += dc.AccessRange(addr, 8)
-					dline = dc.Memo()
 				}
 				break
 			}
@@ -393,7 +395,6 @@ loop:
 				break loop
 			}
 			cycles += penalty
-			dline = dc.Memo()
 		case isa.OpLdB:
 			addr := uint64(ri[in.Rs1] + in.Imm)
 			v, ok := tlb.ReadU8(addr)
@@ -401,8 +402,11 @@ loop:
 				ev = c.fault(addr, false)
 				break loop
 			}
-			cycles += dc.Access(addr)
-			dline = dc.Memo()
+			if line := addr >> dsh; dc.Front(line) {
+				dhits++
+			} else {
+				cycles += dc.AccessRange(addr, 1)
+			}
 			ri[in.Rd] = int64(v)
 		case isa.OpStB:
 			addr := uint64(ri[in.Rs1] + in.Imm)
@@ -410,17 +414,19 @@ loop:
 				ev = c.fault(addr, true)
 				break loop
 			}
-			cycles += dc.Access(addr)
-			dline = dc.Memo()
+			if line := addr >> dsh; dc.Front(line) {
+				dhits++
+			} else {
+				cycles += dc.AccessRange(addr, 1)
+			}
 		case isa.OpFLd:
 			addr := uint64(ri[in.Rs1] + in.Imm)
 			if p, off := tlb.ReadHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 && addr>>mem.PageShift != vdsoPage {
 				rf[in.Rd] = math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8 : off+8]))
-				if cache.InLine(addr, 8, dline, dsh) {
+				if line := addr >> dsh; (addr+7)>>dsh == line && dc.Front(line) {
 					dhits++
 				} else {
 					cycles += dc.AccessRange(addr, 8)
-					dline = dc.Memo()
 				}
 				break
 			}
@@ -430,17 +436,15 @@ loop:
 				break loop
 			}
 			cycles += penalty
-			dline = dc.Memo()
 			rf[in.Rd] = math.Float64frombits(v)
 		case isa.OpFSt:
 			addr := uint64(ri[in.Rs1] + in.Imm)
 			if p, off := tlb.WriteHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 {
 				binary.LittleEndian.PutUint64(p[off:off+8:off+8], math.Float64bits(rf[in.Rs2]))
-				if cache.InLine(addr, 8, dline, dsh) {
+				if line := addr >> dsh; (addr+7)>>dsh == line && dc.Front(line) {
 					dhits++
 				} else {
 					cycles += dc.AccessRange(addr, 8)
-					dline = dc.Memo()
 				}
 				break
 			}
@@ -450,7 +454,6 @@ loop:
 				break loop
 			}
 			cycles += penalty
-			dline = dc.Memo()
 		case isa.OpLea:
 			ri[in.Rd] = in.Imm // linker resolved Sym+off into Imm
 		case isa.OpAtomicAdd:
@@ -466,7 +469,6 @@ loop:
 				break loop
 			}
 			cycles += penalty
-			dline = dc.Memo()
 			ri[in.Rd] = int64(old)
 		case isa.OpAtomicCAS:
 			addr := uint64(ri[in.Rs1] + in.Imm)
@@ -489,7 +491,6 @@ loop:
 				}
 				cycles += penalty
 			}
-			dline = dc.Memo()
 			ri[in.Rd] = int64(old)
 		case isa.OpPush:
 			sp := uint64(ri[d.SP]) - 8
@@ -499,7 +500,6 @@ loop:
 				break loop
 			}
 			cycles += penalty
-			dline = dc.Memo()
 			ri[d.SP] = int64(sp)
 		case isa.OpPop:
 			sp := uint64(ri[d.SP])
@@ -509,18 +509,17 @@ loop:
 				break loop
 			}
 			cycles += penalty
-			dline = dc.Memo()
 			ri[in.Rd] = int64(v)
 			ri[d.SP] = int64(sp + 8)
 		case isa.OpBr:
-			next = in.Target
+			next, seq = in.Target, false
 		case isa.OpBeqz:
 			if ri[in.Rs1] == 0 {
-				next = in.Target
+				next, seq = in.Target, false
 			}
 		case isa.OpBnez:
 			if ri[in.Rs1] != 0 {
-				next = in.Target
+				next, seq = in.Target, false
 			}
 		case isa.OpCall, isa.OpCallR:
 			var callee *link.Func
@@ -534,7 +533,7 @@ loop:
 				break loop
 			}
 			// The ISA's return-address discipline.
-			retAddr := pc + uint64(in.Size)
+			retAddr := addrs[idx] + uint64(in.Size)
 			if d.RetAddrOnStack {
 				sp := uint64(ri[d.SP]) - 8
 				penalty, ok := c.store(sp, retAddr)
@@ -543,7 +542,6 @@ loop:
 					break loop
 				}
 				cycles += penalty
-				dline = dc.Memo()
 				ri[d.SP] = int64(sp)
 			} else {
 				ri[d.LR] = int64(retAddr)
@@ -552,11 +550,10 @@ loop:
 				ic.Accesses += ihits
 				dc.Accesses += dhits
 				ihits, dhits = 0, 0
-				c.Fn, c.Idx, c.PC, c.Cycles, c.Instrs = fn, idx, pc, cycles, instrs
+				c.Fn, c.Idx, c.PC, c.Cycles, c.Instrs = fn, idx, addrs[idx], cycles, instrs
 				c.callHooks(callee)
-				iline, dline = ic.Memo(), dc.Memo()
 			}
-			fn, code, addrs, next = callee, callee.Code, callee.Addr, 0
+			fn, code, addrs, next, seq = callee, callee.Code, callee.Addr, 0, false
 		case isa.OpRet:
 			var ret uint64
 			if d.RetAddrOnStack {
@@ -567,7 +564,6 @@ loop:
 					break loop
 				}
 				cycles += penalty
-				dline = dc.Memo()
 				ri[d.SP] = int64(sp + 8)
 				ret = v
 			} else {
@@ -575,7 +571,7 @@ loop:
 			}
 			if ret == 0 {
 				ev = c.errorf("machine: return from entry shim %s (pc=%#x sp=%#x fp=%#x)",
-					fn.Name, pc, uint64(ri[d.SP]), uint64(ri[d.FP]))
+					fn.Name, addrs[idx], uint64(ri[d.SP]), uint64(ri[d.FP]))
 				break loop
 			}
 			to, at, err := c.locate(ret)
@@ -584,7 +580,9 @@ loop:
 				ev = EvError
 				break loop
 			}
-			fn, code, addrs, next = to, to.Code, to.Addr, at
+			// The callee's fetches came between: the landing line may have
+			// left the front of its set.
+			fn, code, addrs, next, seq = to, to.Code, to.Addr, at, false
 		case isa.OpSyscall:
 			// Retires like any other instruction, then traps.
 			cycles += cost

@@ -201,7 +201,9 @@ func programs(t *testing.T) []program {
 // kernel quantum and everything ends with the registers, PC, cycle and
 // instruction counts, cache counters, memory and event sequence of a pure
 // Step loop — plainly, and hooked (see hook), where the event sequence
-// includes the counters every hook observed.
+// includes the counters every hook observed. An unbounded Run on the image
+// with every SameLine flag cleared ends the same way too: the flags are a
+// pure shortcut.
 func TestRunMatchesStepLoop(t *testing.T) {
 	for _, p := range programs(t) {
 		for _, arch := range isa.Arches {
@@ -219,25 +221,58 @@ func TestRunMatchesStepLoop(t *testing.T) {
 				if ref.c.Instrs < 1000 {
 					t.Errorf("%s on %s (hooked %v): only %d instructions before %q", p.name, arch, hooked, ref.c.Instrs, ref.log[len(ref.log)-1])
 				}
-				quantum := int64(kernel.Quantum * isa.Describe(arch).ClockHz)
-				for _, slice := range []int64{1, 7, quantum, math.MaxInt64} {
-					h := start()
-					h.drive(p.limit, slice)
+				check := func(h *host, how string) {
 					if got := h.state(); got != want {
-						t.Errorf("%s on %s (hooked %v), Run in slices of %d:\n%s\nStep loop:\n%s", p.name, arch, hooked, slice, got, want)
+						t.Errorf("%s on %s (hooked %v), %s:\n%s\nStep loop:\n%s", p.name, arch, hooked, how, got, want)
 					}
 					if !slices.Equal(h.log, ref.log) {
 						i := 0
 						for i < len(h.log) && i < len(ref.log) && h.log[i] == ref.log[i] {
 							i++
 						}
-						t.Errorf("%s on %s (hooked %v), Run in slices of %d: %d events against %d, first difference at %d: %q vs %q",
-							p.name, arch, hooked, slice, len(h.log), len(ref.log), i, at(h.log, i), at(ref.log, i))
+						t.Errorf("%s on %s (hooked %v), %s: %d events against %d, first difference at %d: %q vs %q",
+							p.name, arch, hooked, how, len(h.log), len(ref.log), i, at(h.log, i), at(ref.log, i))
 					}
+				}
+				quantum := int64(kernel.Quantum * isa.Describe(arch).ClockHz)
+				for _, slice := range []int64{1, 7, quantum, math.MaxInt64} {
+					h := start()
+					h.drive(p.limit, slice)
+					check(h, fmt.Sprintf("Run in slices of %d", slice))
+				}
+				if n := withoutSameLine(p.img, func() {
+					h := start()
+					h.drive(p.limit, math.MaxInt64)
+					check(h, "Run with no SameLine flags")
+				}); n == 0 {
+					t.Errorf("%s: no instruction flagged SameLine", p.name)
 				}
 			}
 		}
 	}
+}
+
+// withoutSameLine clears every SameLine flag of img while f runs and
+// returns how many there were.
+func withoutSameLine(img *link.Image, f func()) int {
+	var flagged []*isa.Instr
+	for _, prog := range img.Progs {
+		for _, fn := range prog.Funcs {
+			for i := range fn.Code {
+				if in := &fn.Code[i]; in.SameLine {
+					in.SameLine = false
+					flagged = append(flagged, in)
+				}
+			}
+		}
+	}
+	defer func() {
+		for _, in := range flagged {
+			in.SameLine = true
+		}
+	}()
+	f()
+	return len(flagged)
 }
 
 // goldenPath records, per program, ISA and configuration (plain or
