@@ -15,43 +15,16 @@ import (
 // names an unrelated function of the next image, and calls to it would
 // fire the migration-point hooks (the checkpoint policy's tick among them).
 func TestAttachClearsMigrationPointEntry(t *testing.T) {
-	// build compiles the same program with or without the migration
-	// runtime. The compiler installs __migrate_check in every module, so the
-	// image without it is linked from an artifact with the shim taken out —
-	// what a toolchain with no migration runtime would produce.
-	build := func(name string, migratable bool) *link.Image {
-		t.Helper()
-		mod, err := minic.CompileToIR(name, minic.Source{Name: name + ".c", Code: `
+	const src = `
 long f(long x) { return x + 1; }
 long main(void) {
 	long s = 0;
 	for (long i = 0; i < 10; i++) { s += f(i); }
 	print_i64_ln(s);
 	return 0;
-}`})
-		if err != nil {
-			t.Fatal(err)
-		}
-		art, err := compiler.Compile(mod, compiler.Options{Migration: migratable,
-			MigrationOpts: compiler.DefaultMigrationOptions()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !migratable {
-			for a := range art.Funcs {
-				art.Funcs[a] = slices.DeleteFunc(art.Funcs[a], func(f *compiler.AsmFunc) bool {
-					return f.Name == compiler.MigrateCheckFunc
-				})
-			}
-		}
-		img, err := link.Link(name, art, link.Options{Aligned: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return img
-	}
-	instrumented := build("points", true)
-	plain := build("plain", false)
+}`
+	instrumented := buildImage(t, "points", src, true)
+	plain := buildImage(t, "plain", src, false)
 
 	cl := NewCluster([]isa.Arch{isa.X86}, DefaultInterconnect())
 	k := cl.Kernels[0]
@@ -81,4 +54,33 @@ long main(void) {
 	if points != 0 {
 		t.Errorf("%d migration points fired in an image without any", points)
 	}
+}
+
+// buildImage compiles src with or without the migration runtime. The
+// compiler installs __migrate_check in every module, so the image without
+// it is linked from an artifact with the shim taken out — what a toolchain
+// with no migration runtime would produce.
+func buildImage(t *testing.T, name, src string, migratable bool) *link.Image {
+	t.Helper()
+	mod, err := minic.CompileToIR(name, minic.Source{Name: name + ".c", Code: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := compiler.Compile(mod, compiler.Options{Migration: migratable,
+		MigrationOpts: compiler.DefaultMigrationOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !migratable {
+		for a := range art.Funcs {
+			art.Funcs[a] = slices.DeleteFunc(art.Funcs[a], func(f *compiler.AsmFunc) bool {
+				return f.Name == compiler.MigrateCheckFunc
+			})
+		}
+	}
+	img, err := link.Link(name, art, link.Options{Aligned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }

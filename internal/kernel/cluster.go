@@ -308,8 +308,8 @@ func (cl *Cluster) CrashNode(node int) {
 	if cl.member != nil {
 		cl.member.NodeCrashed(node, k.now())
 	}
-	for _, cs := range k.cores {
-		if cs.thr != nil {
+	for i := range k.cores {
+		if cs := &k.cores[i]; cs.thr != nil {
 			t := cs.thr
 			k.detach(cs)
 			k.enqueue(t)
@@ -485,8 +485,8 @@ func (k *Kernel) readyTime() float64 {
 		return inf
 	}
 	now := k.now()
-	for _, cs := range k.cores {
-		if cs.thr != nil {
+	for i := range k.cores {
+		if k.cores[i].thr != nil {
 			return now
 		}
 	}
@@ -551,8 +551,8 @@ func (cl *Cluster) reapProcess(p *Process) {
 		}
 		k.runq = rq
 		// Free cores.
-		for _, cs := range k.cores {
-			if cs.thr != nil && cs.thr.Proc == p {
+		for i := range k.cores {
+			if cs := &k.cores[i]; cs.thr != nil && cs.thr.Proc == p {
 				cs.thr = nil
 			}
 		}

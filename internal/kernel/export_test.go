@@ -18,3 +18,23 @@ func (cl *Cluster) ReportChange(node int) { cl.changed(node) }
 // OwnClock is the clock node's kernel keeps, without a drag the engine has
 // not written into it yet (Kernel.now adds that).
 func (cl *Cluster) OwnClock(node int) float64 { return cl.Kernels[node].own }
+
+// BuiltCores counts the machine.Cores the cluster's kernels have built.
+func (cl *Cluster) BuiltCores() int {
+	n := 0
+	for _, k := range cl.Kernels {
+		n += builtCores(k)
+	}
+	return n
+}
+
+// builtCores counts k's slots that hold a machine.Core.
+func builtCores(k *Kernel) int {
+	n := 0
+	for _, cs := range k.cores {
+		if cs.core != nil {
+			n++
+		}
+	}
+	return n
+}

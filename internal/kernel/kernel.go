@@ -47,7 +47,11 @@ type Kernel struct {
 
 	cluster *Cluster
 
-	cores []*coreSlot
+	// cores holds one slot per hardware core; a slot's machine.Core is
+	// built when a thread is first attached to it (coreOf), so a node that
+	// never runs a guest instruction holds no core state. Never resized:
+	// each core's checkpoint tick holds a pointer to its slot.
+	cores []coreSlot
 	runq  []*Thread
 
 	// own is the clock as this kernel last set it; read the clock through
@@ -93,14 +97,18 @@ type Kernel struct {
 	// cross-ISA restore this kernel performs (most kernels of a fleet never
 	// perform one).
 	xf *xformState
+
+	// The instrumentation hooks InstrumentCalls and InstrumentPointAttr
+	// installed, replayed onto every core built after them.
+	onAnyCall, onMigratePoint func(uint64)
+	onMigratePointAt          func(string)
 }
 
 // Down reports whether the node is currently crashed.
 func (k *Kernel) Down() bool { return k.down }
 
 type coreSlot struct {
-	id   int
-	core *machine.Core
+	core *machine.Core // nil until a thread is first attached
 	thr  *Thread
 }
 
@@ -115,17 +123,27 @@ func newKernelSpec(cl *Cluster, node int, spec MachineSpec) *Kernel {
 	if d == nil {
 		d = isa.Describe(spec.Arch)
 	}
-	k := &Kernel{Node: node, Arch: spec.Arch, Desc: d, costFn: spec.CostFn, cluster: cl, slow: 1}
-	for i := 0; i < d.Cores; i++ {
-		c := machine.NewCore(d)
-		c.CostFn = spec.CostFn
-		slot := &coreSlot{id: i, core: c}
-		// Kernel-owned migration-point hook: drives the checkpoint policy.
-		// Experiments overwrite the instrumentation hooks, never this one.
-		c.OnPointKernel = func() { k.pointTick(slot) }
-		k.cores = append(k.cores, slot)
+	return &Kernel{Node: node, Arch: spec.Arch, Desc: d, costFn: spec.CostFn, cluster: cl,
+		cores: make([]coreSlot, d.Cores), slow: 1}
+}
+
+// coreOf returns cs's core, building it on first use. A core built here is
+// the one NewCore built eagerly before: its caches and TLB allocate at
+// first access either way, and the hooks installed on the kernel so far
+// are replayed onto it.
+func (k *Kernel) coreOf(cs *coreSlot) *machine.Core {
+	if cs.core != nil {
+		return cs.core
 	}
-	return k
+	c := machine.NewCore(k.Desc)
+	c.CostFn = k.costFn
+	// Kernel-owned migration-point hook: drives the checkpoint policy.
+	// Experiments overwrite the instrumentation hooks, never this one.
+	c.OnPointKernel = func() { k.pointTick(cs) }
+	c.OnAnyCall, c.OnMigratePoint = k.onAnyCall, k.onMigratePoint
+	c.OnMigratePointAt = k.onMigratePointAt
+	cs.core = c
+	return c
 }
 
 // Now returns the kernel's local simulated time.
@@ -148,8 +166,8 @@ func (k *Kernel) Cores() int { return len(k.cores) }
 // BusyCores returns how many cores currently run a thread.
 func (k *Kernel) BusyCores() int {
 	n := 0
-	for _, cs := range k.cores {
-		if cs.thr != nil {
+	for i := range k.cores {
+		if k.cores[i].thr != nil {
 			n++
 		}
 	}
@@ -215,11 +233,10 @@ func (k *Kernel) step() {
 	k.dispatch()
 
 	// Run each busy core up to the end of the quantum.
-	for _, cs := range k.cores {
-		if cs.thr == nil {
-			continue
+	for i := range k.cores {
+		if cs := &k.cores[i]; cs.thr != nil {
+			k.runCore(cs, end)
 		}
-		k.runCore(cs, end)
 	}
 	k.own = end
 	// One report covers everything the quantum did to this node (messages
@@ -236,7 +253,8 @@ func (k *Kernel) skipTo(t float64) {
 }
 
 func (k *Kernel) dispatch() {
-	for _, cs := range k.cores {
+	for i := range k.cores {
+		cs := &k.cores[i]
 		if cs.thr != nil || len(k.runq) == 0 {
 			continue
 		}
@@ -256,7 +274,7 @@ func (k *Kernel) attach(cs *coreSlot, t *Thread) {
 	k.changed()
 	t.State = Running
 	t.sliceStart = k.now()
-	c := cs.core
+	c := k.coreOf(cs)
 	c.Prog = t.Proc.Img.Prog(k.Arch)
 	c.Mem = t.Proc.Mems[k.Node]
 	c.RegsI = t.Regs.I
@@ -610,20 +628,27 @@ func (k *Kernel) vdsoSetFlag(p *Process, tid int64, val int64) {
 	}
 }
 
-// InstrumentCalls installs the Valgrind-style analysis hooks on every core:
-// onAnyCall fires at each function call with the instruction count since
-// the previous call; onMigratePoint fires at each executed migration point
-// with the count since the previous point (Figures 3-5).
+// InstrumentCalls installs the Valgrind-style analysis hooks on every core,
+// built or not yet built: onAnyCall fires at each function call with the
+// instruction count since the previous call; onMigratePoint fires at each
+// executed migration point with the count since the previous point
+// (Figures 3-5).
 func (k *Kernel) InstrumentCalls(onAnyCall, onMigratePoint func(uint64)) {
+	k.onAnyCall, k.onMigratePoint = onAnyCall, onMigratePoint
 	for _, cs := range k.cores {
-		cs.core.OnAnyCall = onAnyCall
-		cs.core.OnMigratePoint = onMigratePoint
+		if cs.core != nil {
+			cs.core.OnAnyCall, cs.core.OnMigratePoint = onAnyCall, onMigratePoint
+		}
 	}
 }
 
-// CacheStats sums instruction- and data-cache accesses/misses over cores.
+// CacheStats sums instruction- and data-cache accesses/misses over the
+// cores built so far (a core never built has made no access).
 func (k *Kernel) CacheStats() (iAcc, iMiss, dAcc, dMiss uint64) {
 	for _, cs := range k.cores {
+		if cs.core == nil {
+			continue
+		}
 		iAcc += cs.core.ICache.Accesses
 		iMiss += cs.core.ICache.Misses
 		dAcc += cs.core.DCache.Accesses
@@ -633,9 +658,12 @@ func (k *Kernel) CacheStats() (iAcc, iMiss, dAcc, dMiss uint64) {
 }
 
 // InstrumentPointAttr installs a per-migration-point attribution hook on
-// every core (experiment diagnostics).
+// every core, built or not yet built (experiment diagnostics).
 func (k *Kernel) InstrumentPointAttr(fn func(string)) {
+	k.onMigratePointAt = fn
 	for _, cs := range k.cores {
-		cs.core.OnMigratePointAt = fn
+		if cs.core != nil {
+			cs.core.OnMigratePointAt = fn
+		}
 	}
 }

@@ -28,7 +28,10 @@
 // default and the regression baseline.
 package msg
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Type tags inter-kernel messages.
 type Type int
@@ -226,14 +229,6 @@ type PathModel interface {
 	NumDomains() int
 }
 
-// linkState is one directed link's private state.
-type linkState struct {
-	// seq numbers message legs (and fate draws) on this link.
-	seq uint64
-	// busyUntil models the link's serialisation occupancy.
-	busyUntil float64
-}
-
 // nodeState is one destination node's private state.
 type nodeState struct {
 	// q is the delivery queue, a binary min-heap of values ordered by
@@ -259,8 +254,14 @@ type Interconnect struct {
 	tracer EventSink
 	path   PathModel // nil: the flat pipe (the default and the baseline)
 
+	// The directed links' private state, two n*n tables indexed
+	// from*n+to. seqs numbers each link's message legs (and fate draws).
+	// busy is the flat pipe's serialisation occupancy, the instant each
+	// link is free again; a path model keeps its own, so busy exists only
+	// while the flat pipe may read it (see Grow and SetPathModel).
 	n     int
-	links []linkState // n*n, indexed from*n+to
+	seqs  []uint64
+	busy  []float64
 	nodes []nodeState
 	stats []Stats // per sending node
 
@@ -277,7 +278,8 @@ func New(cfg Config) *Interconnect {
 
 // Grow presizes the interconnect for nodes 0..n-1. Growth re-shards the
 // link state, so it must happen before concurrent use; cluster
-// construction calls it with the final node count.
+// construction calls it with the final node count. The occupancy table
+// grows only if it exists or the flat pipe is in use.
 func (ic *Interconnect) Grow(n int) {
 	if n <= ic.n {
 		return
@@ -285,17 +287,26 @@ func (ic *Interconnect) Grow(n int) {
 	if ic.path != nil && n > ic.path.Nodes() {
 		panic(fmt.Sprintf("msg: growing to %d nodes past the installed path model's %d", n, ic.path.Nodes()))
 	}
-	links := make([]linkState, n*n)
-	for f := 0; f < ic.n; f++ {
-		for t := 0; t < ic.n; t++ {
-			links[f*n+t] = ic.links[f*ic.n+t]
-		}
+	seqs := regrid(ic.seqs, ic.n, n)
+	var busy []float64
+	if ic.path == nil || ic.busy != nil {
+		busy = regrid(ic.busy, ic.n, n)
 	}
 	nodes := make([]nodeState, n)
 	copy(nodes, ic.nodes)
 	stats := make([]Stats, n)
 	copy(stats, ic.stats)
-	ic.n, ic.links, ic.nodes, ic.stats = n, links, nodes, stats
+	ic.n, ic.seqs, ic.busy, ic.nodes, ic.stats = n, seqs, busy, nodes, stats
+}
+
+// regrid returns an n*n copy of the old*old link table t (nil or empty
+// when old is 0), zero outside it.
+func regrid[T any](t []T, old, n int) []T {
+	out := make([]T, n*n)
+	for f := 0; f < old; f++ {
+		copy(out[f*n:f*n+old], t[f*old:(f+1)*old])
+	}
+	return out
 }
 
 // ensure grows the structures to cover node (single-threaded paths only).
@@ -305,12 +316,20 @@ func (ic *Interconnect) ensure(node int) {
 	}
 }
 
-func (ic *Interconnect) link(from, to int) *linkState {
+// link returns the from->to link's index into the link tables.
+func (ic *Interconnect) link(from, to int) int {
 	if from >= ic.n || to >= ic.n {
 		ic.ensure(from)
 		ic.ensure(to)
 	}
-	return &ic.links[from*ic.n+to]
+	return from*ic.n + to
+}
+
+// nextSeq numbers the next leg (or fate draw) on the from->to link.
+func (ic *Interconnect) nextSeq(from, to int) uint64 {
+	i := ic.link(from, to)
+	ic.seqs[i]++
+	return ic.seqs[i]
 }
 
 func (ic *Interconnect) node(n int) *nodeState {
@@ -342,13 +361,29 @@ func (ic *Interconnect) MinLatency() float64 {
 // under the interconnect. Install before concurrent use and before the
 // cluster chooses its engine: the parallel backend reads MinLatency at
 // configuration time.
+//
+// A model holds its own occupancy, so installing one drops the flat pipe's
+// table if no link was ever occupied; removing it allocates a zeroed table
+// if none exists. Both read exactly as a table kept all along: a table
+// never occupied is all zeros, and one that was occupied is kept.
 func (ic *Interconnect) SetPathModel(pm PathModel) error {
 	if pm != nil && pm.Nodes() < ic.n {
 		return fmt.Errorf("msg: path model covers %d nodes, interconnect already has %d", pm.Nodes(), ic.n)
 	}
 	ic.path = pm
+	switch {
+	case pm != nil && !slices.ContainsFunc(ic.busy, func(b float64) bool { return b != 0 }):
+		ic.busy = nil
+	case pm == nil && ic.busy == nil:
+		ic.busy = make([]float64, ic.n*ic.n)
+	}
 	return nil
 }
+
+// LinkBytes returns the bytes the per-link tables hold: eight per directed
+// node pair for the sequence numbers, eight more while the flat pipe's
+// occupancy table exists.
+func (ic *Interconnect) LinkBytes() int { return 8 * (len(ic.seqs) + len(ic.busy)) }
 
 // Path returns the installed path model, or nil for the flat pipe.
 func (ic *Interconnect) Path() PathModel { return ic.path }
@@ -444,19 +479,19 @@ func (ic *Interconnect) transmit(now float64, from, to int, t Type, size int64, 
 		deliver = ic.path.Transmit(now, from, to, wire)
 	} else {
 		start := now
-		if lk.busyUntil > start {
-			start = lk.busyUntil
+		if b := ic.busy[lk]; b > start {
+			start = b
 		}
 		txEnd := start + float64(wire)/ic.cfg.BytesPerSec
-		lk.busyUntil = txEnd
+		ic.busy[lk] = txEnd
 		deliver = txEnd + ic.cfg.LatencySec
 	}
 
-	lk.seq++
+	ic.seqs[lk]++
 	ic.stats[from].Messages++
 	ic.stats[from].Bytes += uint64(wire)
 	return Message{
-		Seq: lk.seq, From: from, To: to, Type: t,
+		Seq: ic.seqs[lk], From: from, To: to, Type: t,
 		Size: size, Deliver: deliver, Payload: payload,
 	}
 }
@@ -523,9 +558,7 @@ func (ic *Interconnect) SendQueued(now float64, from, to int, t Type, size int64
 // own sequence number and with its own payload (see Duplicator), unless a
 // partition cuts the copy's leg.
 func (ic *Interconnect) pushDuplicate(st *Stats, m Message, deliver float64) {
-	lk := ic.link(m.From, m.To)
-	lk.seq++
-	m.Seq = lk.seq
+	m.Seq = ic.nextSeq(m.From, m.To)
 	m.Deliver = deliver
 	if ic.cut(deliver, m.From, m.To) {
 		st.PartitionDrops++
@@ -618,9 +651,7 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 		// makes the sender retransmit a copy the receiver has already seen.
 		// An asymmetric partition that severs only the reverse leg loses the
 		// ack the same way.
-		ack := ic.link(to, from)
-		ack.seq++
-		ackDrop, _, _ := ic.inj.Fate(m.Deliver, to, from, ack.seq)
+		ackDrop, _, _ := ic.inj.Fate(m.Deliver, to, from, ic.nextSeq(to, from))
 		if ic.cut(m.Deliver, to, from) {
 			ackDrop = true
 		}
@@ -641,14 +672,15 @@ func (ic *Interconnect) RoundTripTime(now float64, from, to int, replySize int64
 		done := ic.path.Estimate(arrive, to, from, replySize+ic.cfg.HeaderBytes)
 		return done - now
 	}
+	fwd, back := ic.link(from, to), ic.link(to, from) // before reading busy: link may grow it
 	start := now
-	if lk := ic.link(from, to); lk.busyUntil > start {
-		start = lk.busyUntil
+	if b := ic.busy[fwd]; b > start {
+		start = b
 	}
 	arrive := start + float64(ic.cfg.HeaderBytes)/ic.cfg.BytesPerSec + ic.cfg.LatencySec
 	replyStart := arrive
-	if lk := ic.link(to, from); lk.busyUntil > replyStart {
-		replyStart = lk.busyUntil
+	if b := ic.busy[back]; b > replyStart {
+		replyStart = b
 	}
 	done := replyStart + float64(replySize+ic.cfg.HeaderBytes)/ic.cfg.BytesPerSec + ic.cfg.LatencySec
 	return done - now
@@ -715,12 +747,8 @@ func (ic *Interconnect) ReliableRTT(now float64, from, to int, replySize int64) 
 			}
 			continue
 		}
-		req := ic.link(from, to)
-		req.seq++
-		reqDrop, _, reqJit := ic.inj.Fate(at, from, to, req.seq)
-		rep := ic.link(to, from)
-		rep.seq++
-		repDrop, _, repJit := ic.inj.Fate(at, to, from, rep.seq)
+		reqDrop, _, reqJit := ic.inj.Fate(at, from, to, ic.nextSeq(from, to))
+		repDrop, _, repJit := ic.inj.Fate(at, to, from, ic.nextSeq(to, from))
 		if !reqDrop && !repDrop {
 			return rx.elapsed + ic.RoundTripTime(at, from, to, replySize) + reqJit + repJit, true
 		}
