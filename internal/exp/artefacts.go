@@ -29,6 +29,10 @@ var Manifest = []Artefact{
 	{File: "storm.json", Studies: []string{"storm"}, Scale: Default, Opts: SeededOptions(13)},
 	{File: "topology.json", Studies: []string{"topology"}, Scale: Default, Opts: SeededOptions(7)},
 	{File: "membership-scaling.json", Studies: []string{"member-scaling"}, Scale: Default, Opts: SeededOptions(7)},
+	{File: "chaos.json", Studies: []string{"chaos"}, Scale: Default, Opts: SeededOptions(7)},
+	{File: "ckpt.json", Studies: []string{"ckpt"}, Scale: Default, Opts: SeededOptions(7)},
+	{File: "detector.json", Studies: []string{"detector"}, Scale: Default, Opts: SeededOptions(7)},
+	{File: "partition.json", Studies: []string{"partition"}, Scale: Default, Opts: SeededOptions(7)},
 	{File: "hdcbench-default.txt", Scale: Default, Opts: SeededOptions(7), Studies: []string{
 		"fig1", "fig345", "fig6789", "tab1", "fig10", "fig11", "fig12", "ablation", "rack", "fig13"}},
 }
