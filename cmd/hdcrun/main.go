@@ -427,8 +427,6 @@ func main() {
 		mgr.Track(p, img, pol)
 	}
 
-	cur := p
-	requested := false
 	// The coarsest partition the run produced is the interesting one: it
 	// shows which layers (footprints, in-flight traffic, fabric racks) were
 	// folding nodes together when sharing peaked.
@@ -443,25 +441,10 @@ func main() {
 				Groups: groups, Merges: merges}
 		}
 	}
-	for {
-		if mgr != nil {
-			cur = mgr.Current(p)
-		}
-		if done, _ := cur.Exited(); done {
-			if mgr != nil && mgr.Current(p) != cur {
-				continue // a same-step crash already restored a newer incarnation
-			}
-			break
-		}
-		if *migrateAt >= 0 && !requested && cl.Time() >= refSeconds**migrateAt {
-			cl.RequestProcessMigration(cur, target)
-			requested = true
-		}
-		sampleGroups()
-		if !cl.Step() {
-			fatal(fmt.Errorf("cluster drained before exit"))
-		}
-	}
+	job := core.Job{P: p, Migrate: *migrateAt >= 0, At: refSeconds * *migrateAt, To: target}
+	finals, err := core.Drive(cl, mgr, []core.Job{job}, sampleGroups)
+	fatal(err)
+	cur := finals[0]
 	fatal(cur.Err())
 
 	if *groupsOut != "" {

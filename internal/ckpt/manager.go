@@ -1,8 +1,6 @@
 package ckpt
 
 import (
-	"fmt"
-
 	"heterodc/internal/kernel"
 	"heterodc/internal/link"
 )
@@ -171,25 +169,6 @@ func (m *Manager) onLost(p *kernel.Process, node int) {
 	m.cl.SetCheckpointPolicy(np, j.pol)
 	if m.OnRestore != nil {
 		m.OnRestore(p, np, dst)
-	}
-}
-
-// Wait steps the cluster until the job spawned as p exits, following
-// restored incarnations, and returns the one that finished.
-func (m *Manager) Wait(p *kernel.Process) (*kernel.Process, error) {
-	for {
-		cur := m.Current(p)
-		if exited, _ := cur.Exited(); exited {
-			// A crash during the same step may already have produced a
-			// newer incarnation.
-			if next := m.Current(p); next != cur {
-				continue
-			}
-			return cur, cur.Err()
-		}
-		if !m.cl.Step() {
-			return cur, fmt.Errorf("ckpt: cluster drained before pid %d exited", cur.Pid)
-		}
 	}
 }
 

@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 
+	"heterodc/internal/ckpt"
 	"heterodc/internal/compiler"
 	"heterodc/internal/isa"
 	"heterodc/internal/kernel"
@@ -93,13 +94,10 @@ type Result struct {
 	Migrations int
 }
 
-// Wait runs the cluster until p exits and returns its result.
-func Wait(cl *kernel.Cluster, p *kernel.Process) (*Result, error) {
-	code, err := cl.RunProcess(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ExitCode: code, Output: p.Output(), Seconds: cl.Time()}
+// ResultOf summarises p, which has exited, at simulated time seconds.
+func ResultOf(p *kernel.Process, seconds float64) *Result {
+	_, code := p.Exited()
+	res := &Result{ExitCode: code, Output: p.Output(), Seconds: seconds}
 	for tid := int64(0); ; tid++ {
 		t := p.Thread(tid)
 		if t == nil {
@@ -107,7 +105,60 @@ func Wait(cl *kernel.Cluster, p *kernel.Process) (*Result, error) {
 		}
 		res.Migrations += t.Migrations
 	}
-	return res, nil
+	return res
+}
+
+// Wait runs the cluster until p exits and returns its result.
+func Wait(cl *kernel.Cluster, p *kernel.Process) (*Result, error) {
+	if _, err := cl.RunProcess(p); err != nil {
+		return nil, err
+	}
+	return ResultOf(p, cl.Time()), nil
+}
+
+// Job is one process Drive runs to its exit. Migrate requests the job's
+// migration to node To at the first step boundary at or past simulated
+// time At. That boundary is a quantum under the sequential engine and a
+// window under the parallel one, so such a request is engine-grained.
+type Job struct {
+	P       *kernel.Process
+	Migrate bool
+	At      float64
+	To      int
+}
+
+// Drive steps cl until every job has exited, following the incarnations
+// mgr restores (nil: no checkpoint manager), and calls each (nil: none)
+// before every step. It returns each job's final incarnation, in order;
+// the error is a cluster that drained first.
+func Drive(cl *kernel.Cluster, mgr *ckpt.Manager, jobs []Job, each func()) ([]*kernel.Process, error) {
+	cur := make([]*kernel.Process, len(jobs))
+	requested := make([]bool, len(jobs))
+	for {
+		done := true
+		for i, j := range jobs {
+			if cur[i] = j.P; mgr != nil {
+				cur[i] = mgr.Current(j.P)
+			}
+			if exited, _ := cur[i].Exited(); exited {
+				continue
+			}
+			done = false
+			if j.Migrate && !requested[i] && cl.Time() >= j.At {
+				cl.RequestProcessMigration(cur[i], j.To)
+				requested[i] = true
+			}
+		}
+		if done {
+			return cur, nil
+		}
+		if each != nil {
+			each()
+		}
+		if !cl.Step() {
+			return cur, fmt.Errorf("cluster drained before exit")
+		}
+	}
 }
 
 // Run is the one-shot helper: build a fresh testbed, run img on node, wait.

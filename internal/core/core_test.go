@@ -165,3 +165,51 @@ func TestResultFields(t *testing.T) {
 		t.Errorf("result %+v", res)
 	}
 }
+
+// Drive runs every job to its exit, requests a job's migration between
+// steps once the clock passes its At, calls the hook before each step and,
+// without a checkpoint manager, returns the processes as spawned.
+func TestDriveRunsJobsAndRequestsMigrations(t *testing.T) {
+	img, err := Build("fib", Src("fib.c", fibSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(img, NodeX86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewTestbed()
+	a, err := cl.Spawn(img, NodeX86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cl.Spawn(img, NodeARM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	jobs := []Job{{P: a, Migrate: true, At: ref.Seconds / 2, To: NodeARM}, {P: b}}
+	finals, err := Drive(cl, nil, jobs, func() { steps++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(finals) != 2 || finals[0] != a || finals[1] != b {
+		t.Fatalf("finals %v, want the spawned processes", finals)
+	}
+	for i, p := range finals {
+		if exited, code := p.Exited(); !exited || code != 0 || string(p.Output()) != string(ref.Output) {
+			t.Errorf("job %d: exited=%v code=%d output %q, want %q", i, exited, code, p.Output(), ref.Output)
+		}
+	}
+	if ResultOf(a, 0).Migrations == 0 || ResultOf(b, 0).Migrations != 0 {
+		t.Errorf("migrations %d and %d, want the first job's only",
+			ResultOf(a, 0).Migrations, ResultOf(b, 0).Migrations)
+	}
+	if steps == 0 {
+		t.Error("the hook never ran")
+	}
+	// Nothing left to run: Drive returns at once.
+	if _, err := Drive(cl, nil, jobs, func() { t.Error("stepped a finished run") }); err != nil {
+		t.Fatal(err)
+	}
+}

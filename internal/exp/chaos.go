@@ -2,15 +2,14 @@ package exp
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 
-	"heterodc/internal/ckpt"
 	"heterodc/internal/core"
 	"heterodc/internal/fault"
 	"heterodc/internal/kernel"
-	"heterodc/internal/msg"
+	"heterodc/internal/link"
 	"heterodc/internal/npb"
-	"heterodc/internal/trace"
 )
 
 // ChaosOptions parameterises the chaos harness.
@@ -51,174 +50,94 @@ type ChaosRow struct {
 	WorkReplayed float64
 }
 
-// chaosBenches returns the benchmark set at this scale.
-func (c Config) chaosBenches() []struct {
-	b npb.Bench
-	k npb.Class
-} {
-	k := npb.ClassS
-	if c.Scale != Quick {
-		k = npb.ClassA
-	}
-	return []struct {
-		b npb.Bench
-		k npb.Class
-	}{{npb.EP, k}, {npb.IS, k}}
+// bench is one NPB kernel of the cluster studies: its image and its
+// fault-free run on x86.
+type bench struct {
+	name string
+	img  *link.Image
+	ref  *core.Result
 }
 
-// chaosPlans derives the four stock fault plans from a fault-free runtime:
-// a uniformly lossy fabric, a mid-run degraded-link window, a mid-run
-// node-1 crash with recovery, and a permanent node-1 crash (RecoverAt <= At)
-// that only checkpoint-based recovery can survive.
-func chaosPlans(opts ChaosOptions, ref float64) []struct {
-	name string
-	plan fault.Plan
-} {
-	drop := opts.DropProb
-	if drop == 0 {
-		drop = 0.02
+// newBench builds b.k for one thread and runs it fault-free on x86.
+func newBench(b npb.Bench, k npb.Class) (bench, error) {
+	img, err := npb.Build(b, k, 1)
+	if err != nil {
+		return bench{}, fmt.Errorf("exp: build %s.%s: %w", b, k, err)
 	}
-	crashFrac := opts.CrashFrac
-	if crashFrac == 0 {
-		crashFrac = 0.35
+	ref, err := core.Run(img, core.NodeX86)
+	if err != nil {
+		return bench{}, fmt.Errorf("exp: baseline %s.%s: %w", b, k, err)
 	}
-	return []struct {
-		name string
-		plan fault.Plan
-	}{
-		{"lossy", fault.Plan{
+	return bench{fmt.Sprintf("%s.%s", b, k), img, ref}, nil
+}
+
+// chaosBenches are EP and IS, class S at quick scale and A otherwise.
+func (c Config) chaosBenches() ([]bench, error) {
+	k := npb.ClassA
+	if c.Scale == Quick {
+		k = npb.ClassS
+	}
+	ep, err := newBench(npb.EP, k)
+	if err != nil {
+		return nil, err
+	}
+	is, err := newBench(npb.IS, k)
+	return []bench{ep, is}, err
+}
+
+// chaosScenarios derives the four stock fault plans from a fault-free
+// runtime, each over img started on x86 with a migration to ARM requested
+// at a quarter of the run: a uniformly lossy fabric, a mid-run
+// degraded-link window, a mid-run node-1 crash with recovery, and a
+// permanent node-1 crash (RecoverAt <= At) that only checkpoint-based
+// recovery survives, so it carries a checkpoint policy.
+func chaosScenarios(opts ChaosOptions, img *link.Image, ref float64) []Scenario {
+	drop, crashFrac := cmp.Or(opts.DropProb, 0.02), cmp.Or(opts.CrashFrac, 0.35)
+	scs := []Scenario{
+		{Name: "lossy", Faults: fault.Plan{
 			Seed: opts.Seed, DropProb: drop, DupProb: 0.005, JitterSec: 3e-6,
 		}},
-		{"degraded-link", fault.Plan{
+		{Name: "degraded-link", Faults: fault.Plan{
 			Seed: opts.Seed + 1, DropProb: drop / 2, DupProb: 0.01, JitterSec: 2e-6,
 			Windows: []fault.Window{{
 				From: 0, To: 1, Start: 0.2 * ref, End: 0.5 * ref,
 				DropProb: 0.25, JitterSec: 10e-6,
 			}},
 		}},
-		{"node-crash", fault.Plan{
+		{Name: "node-crash", Faults: fault.Plan{
 			Seed: opts.Seed + 2, DropProb: drop / 2, JitterSec: 2e-6,
 			Crashes: []fault.Crash{{
 				Node: 1, At: crashFrac * ref, RecoverAt: (crashFrac + 0.15) * ref,
 			}},
 		}},
-		{"node-crash-perm", fault.Plan{
+		{Name: "node-crash-perm", Faults: fault.Plan{
 			Seed: opts.Seed + 3,
 			Crashes: []fault.Crash{{
 				Node: 1, At: (crashFrac + 0.2) * ref, RecoverAt: 0,
 			}},
-		}},
+		}, Ckpt: kernel.CkptPolicy{EverySeconds: 0.08 * ref}},
 	}
+	for i := range scs {
+		scs[i].Trace = true
+		scs[i].Img, scs[i].JobNodes = img, []int{core.NodeX86}
+		scs[i].MigrateAt, scs[i].MigrateTo = 0.25*ref, core.NodeARM
+	}
+	return scs
 }
 
-// planPermanent reports whether a plan contains a permanent crash, i.e. a
-// node that never comes back. Such a plan strands any process with state on
-// the node unless checkpoint recovery is running.
-func planPermanent(p fault.Plan) bool {
-	for _, c := range p.Crashes {
-		if c.RecoverAt <= c.At {
-			return true
-		}
-	}
-	return false
-}
-
-// runChaosOnce executes img on the testbed under plan, requesting a
-// container migration to node 1 at migrateAt so the fault machinery is
-// exercised with a thread actually on (or moving to) the faulty side.
-func runChaosOnce(b npb.Bench, k npb.Class, plan fault.Plan, migrateAt float64) (
-	*core.Result, msg.Stats, uint64, *trace.EventLog, error) {
-	img, err := npb.Build(b, k, 1)
+// runJob runs a scenario of one tracked job on the sequential engine and
+// returns the job's result. A chaos job's migration request lands at a
+// step boundary, which is engine-grained, so chaos runs on seq only.
+func runJob(sc Scenario) (*core.Result, *Rig, error) {
+	out, err := sc.Run("seq")
 	if err != nil {
-		return nil, msg.Stats{}, 0, nil, err
+		return nil, nil, err
 	}
-	cl := core.NewTestbed()
-	cl.InjectFaults(plan)
-	log := trace.NewEventLog(4096)
-	cl.SetTracer(log)
-	p, err := cl.Spawn(img, core.NodeX86)
-	if err != nil {
-		return nil, msg.Stats{}, 0, nil, err
-	}
-	requested := false
-	for {
-		if exited, _ := p.Exited(); exited {
-			break
-		}
-		if !requested && cl.Time() >= migrateAt {
-			cl.RequestProcessMigration(p, core.NodeARM)
-			requested = true
-		}
-		if !cl.Step() {
-			return nil, msg.Stats{}, 0, nil,
-				fmt.Errorf("exp: chaos: cluster drained before %s.%s exited", b, k)
-		}
-	}
-	res, err := core.Wait(cl, p)
-	if err != nil {
-		return nil, msg.Stats{}, 0, nil, err
-	}
-	var aborted uint64
-	for _, kn := range cl.Kernels {
-		aborted += kn.MigrationsAborted
-	}
-	return res, cl.IC.Stats(), aborted, log, nil
-}
-
-// runChaosCkptOnce executes a benchmark under a permanent-crash plan with
-// checkpoint-based recovery: the process is checkpointed under pol and,
-// once the crash strands it, restored from its latest image on the
-// surviving node. Returns the finishing incarnation's result.
-func runChaosCkptOnce(b npb.Bench, k npb.Class, plan fault.Plan, migrateAt float64, pol kernel.CkptPolicy) (
-	*core.Result, ckpt.Stats, *trace.EventLog, error) {
-	img, err := npb.Build(b, k, 1)
-	if err != nil {
-		return nil, ckpt.Stats{}, nil, err
-	}
-	cl := core.NewTestbed()
-	cl.InjectFaults(plan)
-	log := trace.NewEventLog(4096)
-	cl.SetTracer(log)
-	mgr := ckpt.NewManager(cl)
-	p, err := cl.Spawn(img, core.NodeX86)
-	if err != nil {
-		return nil, ckpt.Stats{}, nil, err
-	}
-	mgr.Track(p, img, pol)
-	requested := false
-	for {
-		cur := mgr.Current(p)
-		if exited, _ := cur.Exited(); exited {
-			// A crash in the same step may already have restored a newer
-			// incarnation; follow it.
-			if mgr.Current(p) != cur {
-				continue
-			}
-			break
-		}
-		if !requested && cl.Time() >= migrateAt {
-			cl.RequestProcessMigration(cur, core.NodeARM)
-			requested = true
-		}
-		if !cl.Step() {
-			return nil, ckpt.Stats{}, nil,
-				fmt.Errorf("exp: chaos: cluster drained before %s.%s exited", b, k)
-		}
-	}
-	final := mgr.Current(p)
+	final := out.Jobs[0]
 	if err := final.Err(); err != nil {
-		return nil, mgr.Stats(), log, fmt.Errorf("exp: chaos: %s.%s failed despite recovery: %w", b, k, err)
+		return nil, nil, fmt.Errorf("exp: %s failed despite recovery: %w", sc.Name, err)
 	}
-	_, code := final.Exited()
-	res := &core.Result{ExitCode: code, Output: final.Output(), Seconds: cl.Time()}
-	for tid := int64(0); ; tid++ {
-		t := final.Thread(tid)
-		if t == nil {
-			break
-		}
-		res.Migrations += t.Migrations
-	}
-	return res, mgr.Stats(), log, nil
+	return core.ResultOf(final, out.Cl.Time()), out, nil
 }
 
 // Chaos runs the NPB kernels under the stock fault plans and reports
@@ -226,58 +145,44 @@ func runChaosCkptOnce(b npb.Bench, k npb.Class, plan fault.Plan, migrateAt float
 // finish, verify and match the baseline output under every plan — faults
 // degrade performance, never correctness.
 func Chaos(cfg Config, opts ChaosOptions) ([]ChaosRow, error) {
+	benches, err := cfg.chaosBenches()
+	if err != nil {
+		return nil, err
+	}
 	var rows []ChaosRow
-	for _, bk := range cfg.chaosBenches() {
-		img, err := npb.Build(bk.b, bk.k, 1)
-		if err != nil {
-			return nil, fmt.Errorf("exp: chaos build %s.%s: %w", bk.b, bk.k, err)
-		}
-		ref, err := core.Run(img, core.NodeX86)
-		if err != nil {
-			return nil, fmt.Errorf("exp: chaos baseline %s.%s: %w", bk.b, bk.k, err)
-		}
-		cfg.printf("%s.%s baseline: %.4fs\n", bk.b, bk.k, ref.Seconds)
-		migrateAt := 0.25 * ref.Seconds
-		for _, pl := range chaosPlans(opts, ref.Seconds) {
-			if planPermanent(pl.plan) {
-				pol := kernel.CkptPolicy{EverySeconds: 0.08 * ref.Seconds}
-				res, cs, log, err := runChaosCkptOnce(bk.b, bk.k, pl.plan, migrateAt, pol)
-				if err != nil {
-					return nil, fmt.Errorf("exp: chaos %s under %s: %w", bk.b, pl.name, err)
-				}
-				row := ChaosRow{
-					Bench: fmt.Sprintf("%s.%s", bk.b, bk.k), Plan: pl.name,
-					Base: ref.Seconds, Seconds: res.Seconds,
-					ExitOK:      res.ExitCode == 0,
-					OutputMatch: bytes.Equal(res.Output, ref.Output),
-					Migrations:  res.Migrations,
-					CrashEvents: log.Count("crash"), RecoverEvents: log.Count("recover"),
-					Checkpoints: cs.ImagesWritten, Restores: cs.Restores,
-					CkptBytes: cs.BytesWritten, WorkReplayed: cs.WorkReplayedSeconds,
-				}
+	for _, b := range benches {
+		cfg.printf("%s baseline: %.4fs\n", b.name, b.ref.Seconds)
+		for _, sc := range chaosScenarios(opts, b.img, b.ref.Seconds) {
+			res, out, err := runJob(sc)
+			if err != nil {
+				return nil, fmt.Errorf("exp: chaos %s under %s: %w", b.name, sc.Name, err)
+			}
+			row := ChaosRow{
+				Bench: b.name, Plan: sc.Name,
+				Base: b.ref.Seconds, Seconds: res.Seconds,
+				ExitOK:      res.ExitCode == 0,
+				OutputMatch: bytes.Equal(res.Output, b.ref.Output),
+				Migrations:  res.Migrations,
+				CrashEvents: out.Log.Count("crash"), RecoverEvents: out.Log.Count("recover"),
+			}
+			if out.Mgr != nil {
+				cs := out.Mgr.Stats()
+				row.Checkpoints, row.Restores = cs.ImagesWritten, cs.Restores
+				row.CkptBytes, row.WorkReplayed = cs.BytesWritten, cs.WorkReplayedSeconds
 				rows = append(rows, row)
 				cfg.printf("  %-14s %.4fs (%.2fx) exit=%v match=%v ckpt=%d restores=%d replayed=%.4fs\n",
-					pl.name, row.Seconds, row.Seconds/row.Base, row.ExitOK, row.OutputMatch,
+					sc.Name, row.Seconds, row.Seconds/row.Base, row.ExitOK, row.OutputMatch,
 					row.Checkpoints, row.Restores, row.WorkReplayed)
 				continue
 			}
-			res, stats, aborted, log, err := runChaosOnce(bk.b, bk.k, pl.plan, migrateAt)
-			if err != nil {
-				return nil, fmt.Errorf("exp: chaos %s under %s: %w", bk.b, pl.name, err)
-			}
-			row := ChaosRow{
-				Bench: fmt.Sprintf("%s.%s", bk.b, bk.k), Plan: pl.name,
-				Base: ref.Seconds, Seconds: res.Seconds,
-				ExitOK:      res.ExitCode == 0,
-				OutputMatch: bytes.Equal(res.Output, ref.Output),
-				Dropped:     stats.Dropped, Retries: stats.Retries,
-				Duplicated: stats.Duplicated, Exhausted: stats.Exhausted,
-				Aborted: aborted, Migrations: res.Migrations,
-				CrashEvents: log.Count("crash"), RecoverEvents: log.Count("recover"),
+			st := out.Cl.IC.Stats()
+			row.Dropped, row.Retries, row.Duplicated, row.Exhausted = st.Dropped, st.Retries, st.Duplicated, st.Exhausted
+			for _, kn := range out.Cl.Kernels {
+				row.Aborted += kn.MigrationsAborted
 			}
 			rows = append(rows, row)
 			cfg.printf("  %-14s %.4fs (%.2fx) exit=%v match=%v drop=%d retry=%d dup=%d mig=%d abort=%d\n",
-				pl.name, row.Seconds, row.Seconds/row.Base, row.ExitOK, row.OutputMatch,
+				sc.Name, row.Seconds, row.Seconds/row.Base, row.ExitOK, row.OutputMatch,
 				row.Dropped, row.Retries, row.Duplicated, row.Migrations, row.Aborted)
 		}
 	}

@@ -67,23 +67,31 @@ func TestChaosCorrectUnderFaults(t *testing.T) {
 // TestChaosReproducibleFromSeed: the same seed must produce the identical
 // fault history, counter for counter.
 func TestChaosReproducibleFromSeed(t *testing.T) {
+	img, err := npb.Build(npb.IS, npb.ClassS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref, err := coreRunIS(t)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// IS moves real data through the DSM after the migration; a 20% loss
 	// rate guarantees visible fault activity to compare across runs.
-	plans := chaosPlans(ChaosOptions{Seed: 21, DropProb: 0.2}, ref)
-	lossy := plans[0]
-	run := func() ([5]uint64, float64) {
-		res, stats, aborted, _, err := runChaosOnce(npb.IS, npb.ClassS, lossy.plan, 0.25*ref)
+	lossy := chaosScenarios(ChaosOptions{Seed: 21, DropProb: 0.2}, img, ref)[0]
+	run := func(sc Scenario) ([5]uint64, float64) {
+		res, out, err := runJob(sc)
 		if err != nil {
 			t.Fatalf("chaos run: %v", err)
 		}
+		stats := out.Cl.IC.Stats()
+		var aborted uint64
+		for _, kn := range out.Cl.Kernels {
+			aborted += kn.MigrationsAborted
+		}
 		return [5]uint64{stats.Dropped, stats.Retries, stats.Duplicated, stats.Exhausted, aborted}, res.Seconds
 	}
-	c1, s1 := run()
-	c2, s2 := run()
+	c1, s1 := run(lossy)
+	c2, s2 := run(lossy)
 	if c1 != c2 || s1 != s2 {
 		t.Fatalf("two runs of the same plan diverged: %v/%g vs %v/%g", c1, s1, c2, s2)
 	}
@@ -91,12 +99,8 @@ func TestChaosReproducibleFromSeed(t *testing.T) {
 		t.Error("lossy plan dropped nothing; the reproducibility check is vacuous")
 	}
 	// A different seed gives a different history.
-	other := chaosPlans(ChaosOptions{Seed: 22, DropProb: 0.2}, ref)[0]
-	_, stats3, _, _, err := runChaosOnce(npb.IS, npb.ClassS, other.plan, 0.25*ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats3.Dropped == c1[0] && stats3.Retries == c1[1] {
+	c3, _ := run(chaosScenarios(ChaosOptions{Seed: 22, DropProb: 0.2}, img, ref)[0])
+	if c3[0] == c1[0] && c3[1] == c1[1] {
 		t.Log("note: different seeds produced identical counters (possible but unlikely)")
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 
-	"heterodc/internal/ckpt"
 	"heterodc/internal/core"
 	"heterodc/internal/fault"
 	"heterodc/internal/kernel"
-	"heterodc/internal/npb"
 )
 
 // The checkpoint experiment quantifies the cost/benefit trade of the
@@ -64,27 +62,6 @@ type CkptResult struct {
 	Recovery []CkptRecoveryRow
 }
 
-// runCkptOverheadOnce runs a benchmark fault-free with periodic
-// checkpointing and reports runtime, output and capture counters.
-func runCkptOverheadOnce(b npb.Bench, k npb.Class, pol kernel.CkptPolicy) (
-	float64, []byte, ckpt.Stats, error) {
-	img, err := npb.Build(b, k, 1)
-	if err != nil {
-		return 0, nil, ckpt.Stats{}, err
-	}
-	cl := core.NewTestbed()
-	mgr := ckpt.NewManager(cl)
-	p, err := cl.Spawn(img, core.NodeX86)
-	if err != nil {
-		return 0, nil, ckpt.Stats{}, err
-	}
-	mgr.Track(p, img, pol)
-	if _, err := cl.RunProcess(p); err != nil {
-		return 0, nil, ckpt.Stats{}, err
-	}
-	return cl.Time(), p.Output(), mgr.Stats(), nil
-}
-
 // Ckpt sweeps the checkpoint interval over the NPB kernels: the fault-free
 // capture overhead per interval, and the end-to-end recovery cost of a
 // permanent mid-run node-1 crash per interval. Every run must reproduce the
@@ -94,30 +71,27 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0.02, 0.05, 0.1, 0.2}
 	}
+	benches, err := cfg.chaosBenches()
+	if err != nil {
+		return nil, err
+	}
 	res := &CkptResult{}
-	for _, bk := range cfg.chaosBenches() {
-		img, err := npb.Build(bk.b, bk.k, 1)
-		if err != nil {
-			return nil, fmt.Errorf("exp: ckpt build %s.%s: %w", bk.b, bk.k, err)
-		}
-		ref, err := core.Run(img, core.NodeX86)
-		if err != nil {
-			return nil, fmt.Errorf("exp: ckpt baseline %s.%s: %w", bk.b, bk.k, err)
-		}
-		name := fmt.Sprintf("%s.%s", bk.b, bk.k)
+	for _, b := range benches {
+		name, img, ref := b.name, b.img, b.ref
 		cfg.printf("%s baseline: %.4fs\n", name, ref.Seconds)
 
 		for _, frac := range fracs {
 			pol := kernel.CkptPolicy{EverySeconds: frac * ref.Seconds}
-			secs, out, st, err := runCkptOverheadOnce(bk.b, bk.k, pol)
+			run, out, err := runJob(Scenario{Ckpt: pol, Img: img, JobNodes: []int{core.NodeX86}})
 			if err != nil {
 				return nil, fmt.Errorf("exp: ckpt overhead %s frac=%.2f: %w", name, frac, err)
 			}
+			st := out.Mgr.Stats()
 			row := CkptOverheadRow{
 				Bench: name, IntervalFrac: frac,
-				Base: ref.Seconds, Seconds: secs, Overhead: secs / ref.Seconds,
+				Base: ref.Seconds, Seconds: run.Seconds, Overhead: run.Seconds / ref.Seconds,
 				Images:      st.ImagesWritten,
-				OutputMatch: bytes.Equal(out, ref.Output),
+				OutputMatch: bytes.Equal(run.Output, ref.Output),
 			}
 			if st.ImagesWritten > 0 {
 				row.AvgBytes = st.BytesWritten / int64(st.ImagesWritten)
@@ -130,18 +104,22 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 		}
 
 		for _, frac := range fracs {
-			pol := kernel.CkptPolicy{EverySeconds: frac * ref.Seconds}
 			// The crash lands well after the migration request so the
 			// transfer (delayed by intervening captures) completes and the
 			// thread is actually stranded on the dying node.
-			plan := fault.Plan{
-				Seed:    opts.Seed,
-				Crashes: []fault.Crash{{Node: 1, At: 0.7 * ref.Seconds, RecoverAt: 0}},
-			}
-			cres, st, _, err := runChaosCkptOnce(bk.b, bk.k, plan, 0.25*ref.Seconds, pol)
+			cres, out, err := runJob(Scenario{
+				Faults: fault.Plan{
+					Seed:    opts.Seed,
+					Crashes: []fault.Crash{{Node: 1, At: 0.7 * ref.Seconds, RecoverAt: 0}},
+				},
+				Ckpt: kernel.CkptPolicy{EverySeconds: frac * ref.Seconds},
+				Img:  img, JobNodes: []int{core.NodeX86},
+				MigrateAt: 0.25 * ref.Seconds, MigrateTo: core.NodeARM,
+			})
 			if err != nil {
 				return nil, fmt.Errorf("exp: ckpt recovery %s frac=%.2f: %w", name, frac, err)
 			}
+			st := out.Mgr.Stats()
 			row := CkptRecoveryRow{
 				Bench: name, IntervalFrac: frac,
 				Base: ref.Seconds, Seconds: cres.Seconds,

@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"fmt"
 	"testing"
 
 	"heterodc/internal/fault"
-	"heterodc/internal/kernel"
 	"heterodc/internal/member"
 	"heterodc/internal/sched"
 	"heterodc/internal/topo"
@@ -20,35 +18,34 @@ import (
 // suspicion and refutation the digest counts.
 func runComposedFaults(t *testing.T, engine string) (member.Stats, string) {
 	t.Helper()
-	cl, fab, err := kernel.NewClusterTopo(sched.RackArches(4), kernel.DefaultInterconnect(),
-		topo.FatTree(2, 4))
+	spec := topo.FatTree(2, 4)
+	fab, err := topo.Build(spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if engine == "par" {
-		cl.UseParallelEngine(0)
-	}
-	plan := fault.Plan{
-		Seed: 5,
-		// Rack 1 power event: both members die together, power back at 24ms.
-		Crashes: []fault.Crash{
-			{Node: 2, At: 0.010, RecoverAt: 0.024},
-			{Node: 3, At: 0.010, RecoverAt: 0.024},
+	rig, err := Scenario{
+		Arches: sched.RackArches(4), Topo: spec,
+		Faults: fault.Plan{
+			Seed: 5,
+			// Rack 1 power event: both members die together, power back at 24ms.
+			Crashes: []fault.Crash{
+				{Node: 2, At: 0.010, RecoverAt: 0.024},
+				{Node: 3, At: 0.010, RecoverAt: 0.024},
+			},
+			Partitions: []fault.PartitionWindow{
+				// Rack 0's uplink transmit path dies first and heals last...
+				{Legs: fab.Legs(fab.UplinkUp(0)), Start: 0.006, HealAt: 0.034},
+				// ...while node 1's NIC goes half-dead inside that window.
+				{GroupA: []int{1}, OneWay: true, Start: 0.014, HealAt: 0.028},
+			},
 		},
-		Partitions: []fault.PartitionWindow{
-			// Rack 0's uplink transmit path dies first and heals last...
-			{Legs: fab.Legs(fab.UplinkUp(0)), Start: 0.006, HealAt: 0.034},
-			// ...while node 1's NIC goes half-dead inside that window.
-			{GroupA: []int{1}, OneWay: true, Start: 0.014, HealAt: 0.028},
-		},
-	}
-	cl.InjectFaults(plan)
-	svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: 2e-3, Seed: plan.Seed})
+		Member: &member.Config{HeartbeatPeriod: 2e-3, Seed: 5},
+		Settle: 0.060,
+	}.Run(engine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Run(0.060)
-	return svc.Stats(), fmt.Sprintf("%+v|%+v", svc.Stats(), svc.Deaths())
+	return rig.Svc.Stats(), rig.Fingerprint()
 }
 
 // TestComposedFaultsBothEngines: overlapping rack-power, uplink-leg and

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"heterodc/internal/isa"
-	"heterodc/internal/kernel"
 	"heterodc/internal/npb"
-	"heterodc/internal/power"
 	"heterodc/internal/sched"
 	"heterodc/internal/traffic"
 )
@@ -69,13 +67,9 @@ type FleetSeries struct {
 // to ARM — the rollout replaces machines from the back, mirroring the rack
 // study's mixed ensemble.
 func fleetArches(n, armNodes int) []isa.Arch {
-	arches := make([]isa.Arch, n)
-	for i := range arches {
-		if i >= n-armNodes {
-			arches[i] = isa.ARM64
-		} else {
-			arches[i] = isa.X86
-		}
+	arches := make([]isa.Arch, n) // all isa.X86, the zero Arch
+	for i := n - armNodes; i < n; i++ {
+		arches[i] = isa.ARM64
 	}
 	return arches
 }
@@ -102,21 +96,6 @@ func fleetParams(cfg Config, opts FleetOptions) (nodes, jobsN int, classes []npb
 	return nodes, jobsN, classes, rate, slo
 }
 
-// fleetWave runs one wave's offered stream on a fresh armNodes-mixed fleet
-// under the given engine.
-func fleetWave(cfg Config, jobs []sched.Job, slo traffic.SLO, nodes, armNodes int, engine string) (*sched.OpenLoopResult, error) {
-	cl, _, err := kernel.NewClusterTopo(fleetArches(nodes, armNodes), kernel.DefaultInterconnect(), cfg.topoSpec())
-	if err != nil {
-		return nil, err
-	}
-	if err := UseEngine(cl, engine); err != nil {
-		return nil, err
-	}
-	models := power.DefaultModels(cl, true)
-	r := sched.NewRunner(cl, sched.NewBalanced("fleet dynamic balanced", true), models)
-	return r.RunOpenLoop(sched.OpenLoop{Jobs: jobs, SLO: slo})
-}
-
 // Fleet runs the open-loop fleet-traffic study: a staged x86→ARM rollout
 // sweeping the ARM fraction in waves (0% → 25% → 50% → 75% → 100%) under
 // each offered arrival process. Every wave replays the identical offered
@@ -131,9 +110,6 @@ func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
 		kinds = traffic.Kinds()
 	}
 	nodes, jobsN, classes, rate, slo := fleetParams(cfg, opts)
-	if err := slo.Validate(); err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
 
 	var out []FleetSeries
 	for _, kind := range kinds {
@@ -157,17 +133,16 @@ func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
 				break // the gate tripped: no wave advances while violating
 			}
 			armNodes := int(frac*float64(nodes) + 0.5)
-			runs, agree, err := onBothEngines(func(engine string) (*sched.OpenLoopResult, string, error) {
-				res, err := fleetWave(cfg, jobs, slo, nodes, armNodes, engine)
-				if err != nil {
-					return nil, "", fmt.Errorf("fleet %s wave %.0f%% (%s): %w", kind, frac*100, engine, err)
-				}
-				return res, res.Fingerprint(), nil
-			})
+			runs, agree, err := Scenario{
+				Name:   fmt.Sprintf("fleet %s wave %.0f%%", kind, frac*100),
+				Arches: fleetArches(nodes, armNodes), Topo: cfg.topoSpec(),
+				Open:   &sched.OpenLoop{Jobs: jobs, SLO: slo},
+				Policy: sched.NewBalanced("fleet dynamic balanced", true),
+			}.runBoth()
 			if err != nil {
 				return nil, err
 			}
-			seq := runs[0]
+			seq := runs[0].Open
 
 			w := FleetWave{
 				ArmFrac: frac, ArmNodes: armNodes, Nodes: nodes,

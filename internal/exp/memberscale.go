@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"heterodc/internal/fault"
-	"heterodc/internal/kernel"
 	"heterodc/internal/member"
 	"heterodc/internal/sched"
 )
@@ -81,25 +80,20 @@ func MemberScale(cfg Config, opts MemberScaleOptions) ([]MemberScaleRow, error) 
 		if n < 2 {
 			return nil, fmt.Errorf("exp: member-scale: rack size %d too small", n)
 		}
-		cl, _, err := kernel.NewClusterTopo(sched.RackArches(n), kernel.DefaultInterconnect(), cfg.topoSpec())
+		out, err := Scenario{
+			Arches: sched.RackArches(n), Topo: cfg.topoSpec(),
+			Faults: fault.Plan{
+				Seed:     opts.Seed,
+				DropProb: 0.01,
+				Crashes:  []fault.Crash{{Node: 1, At: crashAt, RecoverAt: 0}},
+			},
+			Member: &member.Config{HeartbeatPeriod: period, Seed: opts.Seed},
+			Settle: horizon,
+		}.Run(cfg.Engine)
 		if err != nil {
-			return nil, fmt.Errorf("exp: member-scale: %w", err)
+			return nil, fmt.Errorf("exp: member-scale at n=%d: %w", n, err)
 		}
-		if err := UseEngine(cl, cfg.Engine); err != nil {
-			return nil, fmt.Errorf("exp: member-scale: %w", err)
-		}
-		cl.InjectFaults(fault.Plan{
-			Seed:     opts.Seed,
-			DropProb: 0.01,
-			Crashes:  []fault.Crash{{Node: 1, At: crashAt, RecoverAt: 0}},
-		})
-		det, err := member.Attach(cl, member.Config{HeartbeatPeriod: period, Seed: opts.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("exp: member-scale: attach at n=%d: %w", n, err)
-		}
-		cl.Run(horizon)
-
-		st := det.Stats()
+		det, st := out.Svc, out.Svc.Stats()
 		row := MemberScaleRow{
 			Protocol: "swim", Nodes: n, Rounds: rounds,
 			MsgsPerNodeRound: float64(st.HeartbeatsSent) / float64(n) / float64(rounds),

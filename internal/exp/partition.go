@@ -3,11 +3,11 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
-	"heterodc/internal/ckpt"
-	"heterodc/internal/core"
 	"heterodc/internal/fault"
 	"heterodc/internal/kernel"
+	"heterodc/internal/link"
 	"heterodc/internal/member"
 	"heterodc/internal/npb"
 	"heterodc/internal/sched"
@@ -42,8 +42,8 @@ type partitionScenario struct {
 	expectRestores int
 }
 
-func partitionScenarios(cfg Config) []partitionScenario {
-	s := []partitionScenario{
+func partitionScenarios() []partitionScenario {
+	return []partitionScenario{
 		// A 2-node minority is isolated with a job on it: the majority
 		// declares both dead and restores the job on its side; the minority
 		// suspects everyone but lacks quorum, so it defers — the classic
@@ -69,7 +69,39 @@ func partitionScenarios(cfg Config) []partitionScenario {
 			spec: topo.FatTree(3, 1), cutRack: 2,
 			jobNodes: []int{4, 0}, expectDeaths: true, expectRestores: 1},
 	}
-	return s
+}
+
+// scenario lays the bipartition over a rack running img (fault-free
+// runtime ref) on jobNodes, with SWIM and checkpointing on.
+func (pc partitionScenario) scenario(img *link.Image, ref float64, seed int64) (Scenario, error) {
+	// The round period leaves generous slack over the interconnect's loaded
+	// latencies: checkpoint and DSM traffic from the jobs must not delay a
+	// probe ack past its timeout, or congestion fakes suspicions before the
+	// cut even lands.
+	period := ref / 20
+	start, heal := 0.3*ref, 0.3*ref+20*period
+	win := fault.PartitionWindow{GroupA: pc.groupA, Start: start, HealAt: heal, OneWay: pc.oneWay}
+	if pc.spec.Kind == topo.KindFatTree {
+		// Express the cut as the routes over the dark uplink, not as a
+		// node list: exactly the traffic that physically crosses it dies.
+		fab, err := topo.Build(pc.spec, pc.nodes)
+		if err != nil {
+			return Scenario{}, err
+		}
+		win.Legs = append(fab.Legs(fab.UplinkUp(pc.cutRack)), fab.Legs(fab.UplinkDown(pc.cutRack))...)
+	}
+	return Scenario{
+		Name: pc.name, Arches: sched.RackArches(pc.nodes), Topo: pc.spec,
+		Faults: fault.Plan{Seed: seed, Partitions: []fault.PartitionWindow{win}},
+		Member: &member.Config{HeartbeatPeriod: period, Seed: seed},
+		Ckpt:   kernel.CkptPolicy{EverySeconds: 0.15 * ref},
+		// Settle past the heal so divergent views reconcile (rejoins,
+		// refutals, gossip convergence). The horizon is absolute and must
+		// exceed any completion time, or the final clock is the
+		// engine-grained one at which the job loop noticed the last exit.
+		Settle: max(heal+30*period, 10*ref),
+		Img:    img, JobNodes: pc.jobNodes,
+	}, nil
 }
 
 // PartitionRow reports one scenario on one engine, with every split-brain
@@ -99,161 +131,43 @@ type PartitionRow struct {
 	// clean) incarnation; any stranded original or duplicate copy clears it.
 	OneIncarnationPerJob bool    `json:"one_incarnation_per_job"`
 	Seconds              float64 `json:"seconds"`
-
-	fingerprint string
 }
 
-// runPartitionOnce executes one scenario on one engine and returns the row.
-func runPartitionOnce(cfg Config, engine string, sc partitionScenario, seed int64) (PartitionRow, error) {
-	row := PartitionRow{Scenario: sc.name, Engine: engine, Nodes: sc.nodes}
-	img, err := npb.Build(npb.IS, npb.ClassS, 1)
-	if err != nil {
-		return row, err
-	}
-	ref, err := core.Run(img, core.NodeX86)
-	if err != nil {
-		return row, err
-	}
-
-	spec := sc.spec
-	if spec.Kind == "" {
-		spec = topo.FlatSpec()
-	}
-	cl, fab, err := kernel.NewClusterTopo(sched.RackArches(sc.nodes), kernel.DefaultInterconnect(), spec)
-	if err != nil {
-		return row, err
-	}
-	if err := UseEngine(cl, engine); err != nil {
-		return row, err
-	}
-	// The round period leaves generous slack over the interconnect's loaded
-	// latencies: checkpoint and DSM traffic from the jobs must not delay a
-	// probe ack past its timeout, or congestion fakes suspicions before the
-	// cut even lands.
-	period := ref.Seconds / 20
-	start, heal := 0.3*ref.Seconds, 0.3*ref.Seconds+20*period
-	win := fault.PartitionWindow{GroupA: sc.groupA, Start: start, HealAt: heal, OneWay: sc.oneWay}
-	if fab != nil {
-		// Express the cut as the routes over the dark uplink, not as a
-		// node list: exactly the traffic that physically crosses it dies.
-		win.Legs = append(fab.Legs(fab.UplinkUp(sc.cutRack)),
-			fab.Legs(fab.UplinkDown(sc.cutRack))...)
-	}
-	cl.InjectFaults(fault.Plan{
-		Seed:       seed,
-		Partitions: []fault.PartitionWindow{win},
-	})
-	svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: period, Seed: seed})
-	if err != nil {
-		return row, err
-	}
-	mgr := ckpt.NewManager(cl)
-
-	minority := map[int]bool{}
-	for _, n := range sc.groupA {
-		minority[n] = true
-	}
-
-	var jobs []*kernel.Process
-	for _, node := range sc.jobNodes {
-		p, err := cl.Spawn(img, node)
-		if err != nil {
-			return row, err
-		}
-		mgr.Track(p, img, kernel.CkptPolicy{EverySeconds: 0.15 * ref.Seconds})
-		jobs = append(jobs, p)
-	}
-
-	// Drive every job's current incarnation to completion.
-	for {
-		allDone := true
-		for _, p := range jobs {
-			cur := mgr.Current(p)
-			if exited, _ := cur.Exited(); !exited || mgr.Current(p) != cur {
-				allDone = false
-			}
-		}
-		if allDone {
-			break
-		}
-		if !cl.Step() {
-			return row, fmt.Errorf("cluster drained with jobs outstanding")
-		}
-	}
-	// Settle past the heal so divergent views reconcile (rejoins, refutals,
-	// gossip convergence); the membership service keeps the idle fleet live.
-	// The horizon is ABSOLUTE: both engines exit the job loop at slightly
-	// different clocks (epoch granularity), so a completion-relative settle
-	// would diverge. It must also exceed any possible completion time, or
-	// the final clock is the engine-dependent completion clock.
-	settle := heal + 30*period
-	if h := 10 * ref.Seconds; h > settle {
-		settle = h
-	}
-	if cl.Time() > settle {
-		return row, fmt.Errorf("jobs outlived the settle horizon (%.6f > %.6f); raise it", cl.Time(), settle)
-	}
-	cl.Run(settle)
-
-	st := svc.Stats()
-	row.Seconds = cl.Time()
-	row.Restores = mgr.Stats().Restores
-	row.StaleLossEvents = mgr.Stats().StaleLossEvents
-	row.Deaths = st.Deaths
-	row.DeferredVerdicts = st.DeferredVerdicts
-	row.Rejoins = st.Rejoins
-	for _, rr := range mgr.Restores() {
-		if minority[rr.Node] {
+// partitionRow reads one engine's run of pc into its row.
+func partitionRow(pc partitionScenario, engine string, out *Rig, refOut []byte) PartitionRow {
+	row := PartitionRow{Scenario: pc.name, Engine: engine, Nodes: pc.nodes, Seconds: out.Cl.Time()}
+	st, ms := out.Svc.Stats(), out.Mgr.Stats()
+	row.Restores, row.StaleLossEvents = ms.Restores, ms.StaleLossEvents
+	row.Deaths, row.DeferredVerdicts, row.Rejoins = st.Deaths, st.DeferredVerdicts, st.Rejoins
+	for _, rr := range out.Mgr.Restores() {
+		if slices.Contains(pc.groupA, rr.Node) {
 			row.MinorityRestores++
 		}
 	}
-	for _, d := range svc.Deaths() {
-		if minority[d.Observer] {
+	for _, d := range out.Svc.Deaths() {
+		if slices.Contains(pc.groupA, d.Observer) {
 			row.MinorityVerdicts++
 		}
 	}
-
 	row.ExitOK, row.OutputMatch, row.OneIncarnationPerJob = true, true, true
-	for _, p := range jobs {
-		final := mgr.Current(p)
+	for i, final := range out.Jobs {
 		exited, code := final.Exited()
-		if !exited || code != 0 || final.Err() != nil {
-			row.ExitOK = false
-		}
-		if !bytes.Equal(final.Output(), ref.Output) {
-			row.OutputMatch = false
-		}
+		row.ExitOK = row.ExitOK && exited && code == 0 && final.Err() == nil
+		row.OutputMatch = row.OutputMatch && bytes.Equal(final.Output(), refOut)
 		// Exactly one live incarnation per job: either the job was never
-		// restored (final == original) or the original was killed by the
-		// verdict before its replacement started.
-		if final != p {
-			if origExited, _ := p.Exited(); !origExited || p.Err() == nil {
-				row.OneIncarnationPerJob = false
-			}
-		}
+		// restored or the original was killed by the verdict before its
+		// replacement started.
+		orig := out.Spawned[i]
+		origExited, _ := orig.Exited()
+		row.OneIncarnationPerJob = row.OneIncarnationPerJob && (final == orig || origExited && orig.Err() != nil)
 	}
 	row.ViewsConverged = true
-	for i := 0; i < sc.nodes; i++ {
-		for t := 0; t < sc.nodes; t++ {
-			if svc.View(i, t) != member.Alive {
-				row.ViewsConverged = false
-			}
+	for i := 0; i < pc.nodes; i++ {
+		for t := 0; t < pc.nodes; t++ {
+			row.ViewsConverged = row.ViewsConverged && out.Svc.View(i, t) == member.Alive
 		}
 	}
-
-	// The engine-comparison fingerprint: every observable of the run.
-	var fp bytes.Buffer
-	fmt.Fprintf(&fp, "t=%.12f st=%+v deaths=%v restores=%+v stale=%d", cl.Time(), st,
-		svc.Deaths(), mgr.Restores(), mgr.Stats().StaleLossEvents)
-	for _, p := range jobs {
-		fmt.Fprintf(&fp, " out=%q", mgr.Current(p).Output())
-	}
-	dump := svc.Dump()
-	for i := range dump.Views {
-		fmt.Fprintf(&fp, " v%d=%v inc%d=%d", i, dump.Views[i], i, dump.Incarnations[i])
-	}
-	row.fingerprint = fp.String()
-	return row, nil
+	return row
 }
 
 // Partition runs every seeded bipartition scenario on both engines and
@@ -262,27 +176,32 @@ func runPartitionOnce(cfg Config, engine string, sc partitionScenario, seed int6
 // with exactly one incarnation per job, and both engines produce
 // byte-identical runs.
 func Partition(cfg Config, opts PartitionOptions) ([]PartitionRow, error) {
+	is, err := newBench(npb.IS, npb.ClassS)
+	if err != nil {
+		return nil, err
+	}
 	var rows []PartitionRow
-	for _, sc := range partitionScenarios(cfg) {
-		per, agree, err := onBothEngines(func(engine string) (PartitionRow, string, error) {
-			row, err := runPartitionOnce(cfg, engine, sc, opts.Seed)
-			if err != nil {
-				return row, "", fmt.Errorf("exp: partition %s/%s: %w", sc.name, engine, err)
-			}
-			cfg.printf("partition %-17s %-3s n=%d restores=%d (minority %d) deaths=%d deferred=%d rejoins=%d converged=%v exit=%v match=%v\n",
-				sc.name, engine, sc.nodes, row.Restores, row.MinorityRestores,
-				row.Deaths, row.DeferredVerdicts, row.Rejoins,
-				row.ViewsConverged, row.ExitOK, row.OutputMatch)
-			return row, row.fingerprint, nil
-		})
+	for _, pc := range partitionScenarios() {
+		sc, err := pc.scenario(is.img, is.ref.Seconds, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
+		outs, agree, err := sc.runBoth()
+		if err != nil {
+			return nil, fmt.Errorf("exp: partition %w", err)
+		}
+		for i, engine := range []string{"seq", "par"} {
+			row := partitionRow(pc, engine, outs[i], is.ref.Output)
+			cfg.printf("partition %-17s %-3s n=%d restores=%d (minority %d) deaths=%d deferred=%d rejoins=%d converged=%v exit=%v match=%v\n",
+				pc.name, engine, pc.nodes, row.Restores, row.MinorityRestores,
+				row.Deaths, row.DeferredVerdicts, row.Rejoins,
+				row.ViewsConverged, row.ExitOK, row.OutputMatch)
+			rows = append(rows, row)
+		}
 		if !agree {
 			return nil, fmt.Errorf("exp: partition %s: engines diverge:\nseq %s\npar %s",
-				sc.name, per[0].fingerprint, per[1].fingerprint)
+				pc.name, outs[0].Fingerprint(), outs[1].Fingerprint())
 		}
-		rows = append(rows, per[0], per[1])
 	}
 	return rows, nil
 }
@@ -294,47 +213,36 @@ func PartitionInvariantsHold(rows []PartitionRow) error {
 		return fmt.Errorf("partition: no rows")
 	}
 	expected := map[string]partitionScenario{}
-	for _, sc := range partitionScenarios(Config{}) {
+	for _, sc := range partitionScenarios() {
 		expected[sc.name] = sc
 	}
 	for _, r := range rows {
 		sc := expected[r.Scenario]
-		if !r.ExitOK || !r.OutputMatch {
-			return fmt.Errorf("partition %s/%s: exit=%v match=%v", r.Scenario, r.Engine, r.ExitOK, r.OutputMatch)
+		var why string
+		switch {
+		case !r.ExitOK || !r.OutputMatch:
+			why = fmt.Sprintf("exit=%v match=%v", r.ExitOK, r.OutputMatch)
+		case r.MinorityRestores != 0:
+			why = fmt.Sprintf("%d restores on the quorumless side (split brain)", r.MinorityRestores)
+		case r.MinorityVerdicts != 0:
+			why = fmt.Sprintf("%d verdicts executed without quorum", r.MinorityVerdicts)
+		case !r.OneIncarnationPerJob:
+			why = "a job ended with more than one live incarnation"
+		case !r.ViewsConverged:
+			why = "views never reconverged after the heal"
+		case r.Restores != sc.expectRestores:
+			why = fmt.Sprintf("%d restores, want %d", r.Restores, sc.expectRestores)
+		case sc.expectDeaths && r.Deaths == 0:
+			why = "isolated side never declared dead"
+		case !sc.expectDeaths && r.Deaths != 0:
+			why = fmt.Sprintf("%d deaths despite no side holding quorum", r.Deaths)
+		case r.DeferredVerdicts == 0:
+			why = "the quorumless side never deferred a verdict"
+		case r.StaleLossEvents != 0:
+			why = fmt.Sprintf("%d duplicate loss verdicts reached the manager", r.StaleLossEvents)
 		}
-		if r.MinorityRestores != 0 {
-			return fmt.Errorf("partition %s/%s: %d restores on the quorumless side (split brain)",
-				r.Scenario, r.Engine, r.MinorityRestores)
-		}
-		if r.MinorityVerdicts != 0 {
-			return fmt.Errorf("partition %s/%s: %d verdicts executed without quorum",
-				r.Scenario, r.Engine, r.MinorityVerdicts)
-		}
-		if !r.OneIncarnationPerJob {
-			return fmt.Errorf("partition %s/%s: a job ended with more than one live incarnation",
-				r.Scenario, r.Engine)
-		}
-		if !r.ViewsConverged {
-			return fmt.Errorf("partition %s/%s: views never reconverged after the heal", r.Scenario, r.Engine)
-		}
-		if r.Restores != sc.expectRestores {
-			return fmt.Errorf("partition %s/%s: %d restores, want %d",
-				r.Scenario, r.Engine, r.Restores, sc.expectRestores)
-		}
-		if sc.expectDeaths && r.Deaths == 0 {
-			return fmt.Errorf("partition %s/%s: isolated side never declared dead", r.Scenario, r.Engine)
-		}
-		if !sc.expectDeaths && r.Deaths != 0 {
-			return fmt.Errorf("partition %s/%s: %d deaths despite no side holding quorum",
-				r.Scenario, r.Engine, r.Deaths)
-		}
-		if r.DeferredVerdicts == 0 {
-			return fmt.Errorf("partition %s/%s: the quorumless side never deferred a verdict",
-				r.Scenario, r.Engine)
-		}
-		if r.StaleLossEvents != 0 {
-			return fmt.Errorf("partition %s/%s: %d duplicate loss verdicts reached the manager",
-				r.Scenario, r.Engine, r.StaleLossEvents)
+		if why != "" {
+			return fmt.Errorf("partition %s/%s: %s", r.Scenario, r.Engine, why)
 		}
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"heterodc/internal/isa"
-	"heterodc/internal/kernel"
 	"heterodc/internal/npb"
 	"heterodc/internal/power"
 	"heterodc/internal/sched"
@@ -48,46 +47,26 @@ func RackScale(cfg Config) ([]RackScaleRow, error) {
 	}
 	// The job counts above saturate the canonical 4-node rack; keep the
 	// per-machine pressure comparable as the rack grows.
-	jobsN = jobsN * nodes / 4
-	if jobsN < 4 {
-		jobsN = 4
-	}
-	conc = conc * nodes / 4
-	if conc < 2 {
-		conc = 2
-	}
+	jobsN, conc = max(jobsN*nodes/4, 4), max(conc*nodes/4, 2)
 	jobs := sched.GenerateJobs(4242, jobsN, classes, nil)
 
-	static := make([]isa.Arch, nodes)
-	for i := range static {
-		static[i] = isa.X86
-	}
 	mixed := sched.RackArches(nodes)
-
-	type setup struct {
-		policy sched.Policy
-		arches []isa.Arch
-	}
-	setups := []setup{
-		{sched.NewBalanced(fmt.Sprintf("static x86(%d)", nodes), false), static},
-		{sched.NewBalanced("rack dynamic balanced", true), mixed},
-		{sched.NewArchWeighted("rack dynamic unbalanced", true, 2.2), mixed},
-	}
-
 	var rows []RackScaleRow
-	for _, s := range setups {
-		cl, _, err := kernel.NewClusterTopo(s.arches, kernel.DefaultInterconnect(), cfg.topoSpec())
+	for _, s := range []Scenario{
+		{Arches: make([]isa.Arch, nodes), // all isa.X86, the zero Arch
+			Policy: sched.NewBalanced(fmt.Sprintf("static x86(%d)", nodes), false)},
+		{Arches: mixed, Policy: sched.NewBalanced("rack dynamic balanced", true)},
+		{Arches: mixed, Policy: sched.NewArchWeighted("rack dynamic unbalanced", true, 2.2)},
+	} {
+		s.Topo = cfg.topoSpec()
+		rig, err := s.Build(cfg.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("rack: %w", err)
 		}
-		if err := UseEngine(cl, cfg.Engine); err != nil {
-			return nil, fmt.Errorf("rack: %w", err)
-		}
-		models := power.DefaultModels(cl, true)
-		r := sched.NewRunner(cl, s.policy, models)
+		r := sched.NewRunner(rig.Cl, s.Policy, power.DefaultModels(rig.Cl, true))
 		res, err := r.Run(sched.Workload{Jobs: jobs, Concurrency: conc})
 		if err != nil {
-			return nil, fmt.Errorf("rack %s: %w", s.policy.Name(), err)
+			return nil, fmt.Errorf("rack %s: %w", s.Policy.Name(), err)
 		}
 		rows = append(rows, RackScaleRow{
 			Policy: res.Policy, EnergyJ: res.EnergyTotal,

@@ -7,7 +7,6 @@ import (
 	"heterodc/internal/kernel"
 	"heterodc/internal/member"
 	"heterodc/internal/npb"
-	"heterodc/internal/power"
 	"heterodc/internal/sched"
 	"heterodc/internal/topo"
 	"heterodc/internal/traffic"
@@ -140,94 +139,24 @@ func stormParams(cfg Config, opts StormOptions) (racks, perRack, jobsN int, rate
 	return racks, perRack, jobsN, rate, slo, spec
 }
 
-// stormRun is one engine's complete run: the open-loop result plus the
-// membership observables the fingerprint and invariants fold in.
-type stormRun struct {
-	res         *sched.OpenLoopResult
-	st          member.Stats
-	fingerprint string
-}
-
-// runStormOnce executes the storm scenario on one engine.
-func runStormOnce(cfg Config, engine string, jobs []sched.Job, slo traffic.SLO, plan fault.Plan, racks, perRack int) (*stormRun, error) {
-	nodes := racks * perRack
-	cl, fab, err := kernel.NewClusterTopo(sched.RackArches(nodes), kernel.DefaultInterconnect(),
-		topo.FatTree(racks, 4))
-	if err != nil {
-		return nil, err
-	}
-	if fab == nil {
-		return nil, fmt.Errorf("storm: fat-tree fabric missing")
-	}
-	if err := UseEngine(cl, engine); err != nil {
-		return nil, err
-	}
-	cl.InjectFaults(plan)
-	svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: 2e-3, Seed: plan.Seed})
-	if err != nil {
-		return nil, err
-	}
-	mon := member.NewMonitor(cl, svc, member.HealthConfig{})
-
-	models := power.DefaultModels(cl, true)
-	r := sched.NewRunner(cl, sched.NewBalanced("storm dynamic balanced", true), models)
-	r.Checkpoint = kernel.CkptPolicy{EverySeconds: 10e-3}
-	res, err := r.RunOpenLoop(sched.OpenLoop{
-		Jobs: jobs,
-		SLO:  slo,
-		Degrade: &sched.Degrade{
-			Health:       mon,
-			Levels:       3,
-			TolerateLoss: true,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Membership counters are only comparable at a common absolute
-	// instant: the open loop exits as soon as the last job is accounted,
-	// but the parallel engine's final window may already have run a few
-	// extra heartbeats past that retire. Makespan itself is engine-exact
-	// (it is part of the per-job digest), so settle both runs to the same
-	// absolute horizon before snapshotting, like the partition study does.
-	settle := res.Makespan + 0.05
-	if t := cl.Time(); t > settle {
-		return nil, fmt.Errorf("storm (%s): run overshot the settle horizon (%.6f > %.6f); raise the margin", engine, t, settle)
-	}
-	cl.Run(settle)
-	st := svc.Stats()
-	// The engine-comparison fingerprint: the open-loop digest already
-	// covers every per-job observable and the SLO report; fold in the
-	// membership counters and the restore log so a divergent detection or
-	// recovery path cannot hide behind identical job timings.
-	fp := fmt.Sprintf("%s|st=%+v|restores=%+v|stale=%d",
-		res.Fingerprint(), st, res.RestoreLog, res.Ckpt.StaleLossEvents)
-	return &stormRun{res: res, st: st, fingerprint: fp}, nil
-}
-
 // stormPhases buckets the per-job records by arrival time against the
-// storm window and scores each bucket's completed jobs against the SLO.
+// storm window and scores each bucket's completed jobs against the SLO
+// (which the open loop has validated).
 func stormPhases(res *sched.OpenLoopResult, slo traffic.SLO, start, end float64) []StormPhase {
-	names := []string{"pre-storm", "storm", "post-heal"}
-	phases := make([]StormPhase, len(names))
-	recs := make([]*traffic.Recorder, len(names))
-	for i, n := range names {
-		phases[i].Phase = n
-		recs[i] = &traffic.Recorder{}
-	}
-	bucket := func(arrival float64) int {
-		switch {
-		case arrival < start:
-			return 0
-		case arrival < end:
-			return 1
-		default:
-			return 2
-		}
+	phases := []StormPhase{{Phase: "pre-storm"}, {Phase: "storm"}, {Phase: "post-heal"}}
+	accts := make([]*traffic.Accountant, len(phases))
+	for i := range accts {
+		accts[i], _ = traffic.NewAccountant(slo)
 	}
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
-		b := bucket(j.ArrivalSec)
+		b := 0
+		if j.ArrivalSec >= start {
+			b = 1
+		}
+		if j.ArrivalSec >= end {
+			b = 2
+		}
 		phases[b].Offered++
 		switch j.Outcome {
 		case sched.OutcomeShed:
@@ -236,18 +165,13 @@ func stormPhases(res *sched.OpenLoopResult, slo traffic.SLO, start, end float64)
 			phases[b].Lost++
 		default:
 			phases[b].Completed++
-			recs[b].Observe(j.SojournSec)
-			if j.SojournSec > slo.LatencyTargetSec {
-				phases[b].Violations++
-			}
+			accts[b].Observe(j.SojournSec)
 		}
 	}
-	for i := range phases {
-		s := recs[i].Summary()
-		phases[i].P50Sec, phases[i].P99Sec, phases[i].MaxSec = s.P50Sec, s.P99Sec, s.MaxSec
-		if phases[i].Completed > 0 {
-			phases[i].ViolationRate = float64(phases[i].Violations) / float64(phases[i].Completed)
-		}
+	for i, a := range accts {
+		r, p := a.Report(), &phases[i]
+		p.P50Sec, p.P99Sec, p.MaxSec = r.P50Sec, r.P99Sec, r.MaxSec
+		p.Violations, p.ViolationRate = r.Violations, r.ViolationRate
 	}
 	return phases
 }
@@ -266,32 +190,8 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 		opts.Seed = 77
 	}
 	racks, perRack, jobsN, rate, slo, spec := stormParams(cfg, opts)
-	if err := slo.Validate(); err != nil {
-		return nil, fmt.Errorf("storm: %w", err)
-	}
 	nodes := racks * perRack
-
-	// Draw the storm against the fabric's rack geometry. The fabric used
-	// for leg routing must match the one each run builds; FatTree is
-	// deterministic in (racks, oversub), so building a throwaway copy here
-	// gives identical legs.
-	_, fab, err := kernel.NewClusterTopo(sched.RackArches(nodes), kernel.DefaultInterconnect(),
-		topo.FatTree(racks, 4))
-	if err != nil {
-		return nil, err
-	}
 	spec.Seed = opts.Seed
-	spec.Nodes = nodes
-	spec.Racks = racks
-	spec.RackOf = fab.Rack
-	spec.UplinkLegs = func(rack int) [][2]int {
-		return append(fab.Legs(fab.UplinkUp(rack)), fab.Legs(fab.UplinkDown(rack))...)
-	}
-	plan, err := fault.GenerateStorm(spec)
-	if err != nil {
-		return nil, fmt.Errorf("storm: %w", err)
-	}
-	plan.Seed = opts.Seed
 
 	// One offered stream, replayed identically by both engines.
 	src, err := traffic.NewSource(traffic.Spec{Kind: traffic.KindPoisson, Rate: rate, Seed: 9001}.WithDefaults())
@@ -301,22 +201,30 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 	jobs := sched.GenerateJobs(8484, jobsN, []npb.Class{npb.ClassS}, traffic.Spacing(src))
 	sched.StampPriorities(jobs, opts.Seed, 3)
 
+	// Membership counters are only comparable at a common absolute instant:
+	// the open loop exits as soon as the last job is accounted, but the
+	// parallel engine's final window may already have run a few extra
+	// heartbeats past that retire. Makespan itself is engine-exact, so both
+	// runs settle to the same instant past it before the snapshot.
+	runs, agree, err := Scenario{
+		Name:   "storm",
+		Arches: sched.RackArches(nodes), Topo: topo.FatTree(racks, 4),
+		Storm:  &spec,
+		Member: &member.Config{HeartbeatPeriod: 2e-3, Seed: opts.Seed},
+		Ckpt:   kernel.CkptPolicy{EverySeconds: 10e-3},
+		Open: &sched.OpenLoop{Jobs: jobs, SLO: slo,
+			Degrade: &sched.Degrade{Levels: 3, TolerateLoss: true}},
+		Policy: sched.NewBalanced("storm dynamic balanced", true),
+		Settle: 0.05,
+	}.runBoth()
+	if err != nil {
+		return nil, err
+	}
+	plan, seq, st := runs[0].Plan, runs[0].Open, runs[0].Svc.Stats()
 	cfg.printf("storm nodes=%d racks=%d jobs=%d rate=%g/s slo=%gs window=[%g,%g)s\n",
 		nodes, racks, jobsN, rate, slo.LatencyTargetSec, spec.Start, spec.End)
 	cfg.printf("  chaos: %d crash events, %d uplink cuts, %d gray-cpu, %d gray-nic windows\n",
 		len(plan.Crashes), len(plan.Partitions), len(plan.Slowdowns), len(plan.Windows)/2)
-
-	runs, agree, err := onBothEngines(func(engine string) (*stormRun, string, error) {
-		run, err := runStormOnce(cfg, engine, jobs, slo, plan, racks, perRack)
-		if err != nil {
-			return nil, "", fmt.Errorf("storm (%s): %w", engine, err)
-		}
-		return run, run.fingerprint, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	seq := runs[0]
 
 	res := &StormResult{
 		Nodes: nodes, Racks: racks, Jobs: jobsN,
@@ -328,20 +236,20 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 		GrayCPUWindows: len(plan.Slowdowns),
 		GrayNICWindows: len(plan.Windows) / 2,
 
-		Offered:          seq.res.Offered,
-		Completed:        seq.res.Completed,
-		Shed:             seq.res.Shed,
-		Lost:             seq.res.Lost,
-		CheckpointedLost: seq.res.CheckpointedLost,
-		EvacRequests:     seq.res.EvacRequests,
-		Migrations:       seq.res.Migrations,
-		Checkpoints:      seq.res.Checkpoints,
-		Restores:         seq.res.Restores,
-		StaleLossEvents:  seq.res.Ckpt.StaleLossEvents,
-		Deaths:           seq.st.Deaths,
-		FalseSuspicions:  seq.st.FalseSuspicions,
-		MakespanSec:      seq.res.Makespan,
-		Phases:           stormPhases(seq.res, slo, spec.Start, spec.End),
+		Offered:          seq.Offered,
+		Completed:        seq.Completed,
+		Shed:             seq.Shed,
+		Lost:             seq.Lost,
+		CheckpointedLost: seq.CheckpointedLost,
+		EvacRequests:     seq.EvacRequests,
+		Migrations:       seq.Migrations,
+		Checkpoints:      seq.Checkpoints,
+		Restores:         seq.Restores,
+		StaleLossEvents:  seq.Ckpt.StaleLossEvents,
+		Deaths:           st.Deaths,
+		FalseSuspicions:  st.FalseSuspicions,
+		MakespanSec:      seq.Makespan,
+		Phases:           stormPhases(seq, slo, spec.Start, spec.End),
 		EnginesAgree:     agree,
 	}
 	for _, p := range res.Phases {
@@ -350,25 +258,16 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 	}
 	cfg.printf("  evac=%d mig=%d ckpt=%d restores=%d deaths=%d lost=%d engines=%v\n",
 		res.EvacRequests, res.Migrations, res.Checkpoints, res.Restores, res.Deaths, res.Lost, res.EnginesAgree)
-	if err := stormCheck(res, seq.res); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// stormCheck verifies the run-level invariants that need the raw
-// sequential result (the restore log); StormInvariantsHold covers
-// everything reconstructible from the serialised StormResult.
-func stormCheck(res *StormResult, seq *sched.OpenLoopResult) error {
 	// No split-brain restore: each incarnation is restored at most once.
+	// (The restore log is not in the rows, so StormInvariantsHold cannot.)
 	seen := map[int]bool{}
 	for _, rr := range seq.RestoreLog {
 		if seen[rr.OldPid] {
-			return fmt.Errorf("storm: pid %d restored twice (split-brain)", rr.OldPid)
+			return res, fmt.Errorf("storm: pid %d restored twice (split-brain)", rr.OldPid)
 		}
 		seen[rr.OldPid] = true
 	}
-	return nil
+	return res, nil
 }
 
 // StormInvariantsHold machine-checks the storm study's scorecard: both
@@ -409,7 +308,7 @@ func StormInvariantsHold(res *StormResult) error {
 	if offered != res.Offered || completed != res.Completed || shed != res.Shed || lost != res.Lost {
 		return fmt.Errorf("storm: phase totals disagree with run totals")
 	}
-	pre, storm, post := res.Phases[0], res.Phases[1], res.Phases[2]
+	storm, post := res.Phases[1], res.Phases[2]
 	// Graceful, not collapsed: the fleet keeps completing work through the
 	// storm, and the majority of all offered work completes.
 	if storm.Offered > 0 && storm.Completed == 0 {
@@ -425,6 +324,5 @@ func StormInvariantsHold(res *StormResult) error {
 		return fmt.Errorf("storm: violation rate worsened after the heal (%.3f > %.3f)",
 			post.ViolationRate, storm.ViolationRate)
 	}
-	_ = pre
 	return nil
 }

@@ -1,9 +1,9 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"strings"
 
 	"heterodc/internal/core"
 	"heterodc/internal/fault"
@@ -63,27 +63,6 @@ type TopologyRow struct {
 	fingerprint string
 }
 
-// topologyDims resolves the study's fabric shape.
-func topologyDims(opts TopologyOptions) (racks, perRack int, oversubs []float64) {
-	racks, perRack = opts.Racks, opts.PerRack
-	if racks <= 0 {
-		racks = 4
-	}
-	if perRack <= 0 {
-		perRack = 3
-	}
-	oversubs = opts.Oversubs
-	if len(oversubs) == 0 {
-		oversubs = []float64{1, 4, 8}
-	}
-	return racks, perRack, oversubs
-}
-
-// fp adds one labelled float to a fingerprint at full bit precision.
-func fp(b *strings.Builder, label string, v float64) {
-	fmt.Fprintf(b, "%s=%016x;", label, math.Float64bits(v))
-}
-
 // topoFlowEndpoints returns the background flow's (src, dst) for rack r:
 // the last node of r sending to the last node of the next rack, chosen so
 // the flows load every ToR uplink while leaving the measurement nodes'
@@ -98,7 +77,6 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 	n := racks * perRack
 	spec := topo.Spec{Kind: topo.KindFatTree, Racks: racks, Oversub: oversub}
 	row := TopologyRow{Engine: engine, Racks: racks, PerRack: perRack, Nodes: n, Oversub: oversub}
-	var print strings.Builder
 
 	hdr := kernel.DefaultInterconnect().HeaderBytes
 	pageWire := int64(mem.PageSize) + hdr
@@ -116,45 +94,35 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 		}
 		row.InRackRTTSec = probe(1)
 		row.CrossRackRTTSec = probe(perRack)
-		fp(&print, "rtt-in", row.InRackRTTSec)
-		fp(&print, "rtt-cross", row.CrossRackRTTSec)
 	}
 
 	// --- Gossip detection under loaded uplinks: one permanent crash, SWIM
 	// detection racing periodic cross-rack bursts. Burst size is tuned so
 	// queueing delays stay under the probe timeout (no fake suspicions of
 	// healthy nodes) while every verdict-poll ack still queues.
+	var gossip string
 	{
 		const period = 1e-3
 		crashAt := 20 * period
 		horizon := crashAt + 30*period
 		crash := perRack // first node of rack 1
-		cl, fab, err := kernel.NewClusterTopo(sched.RackArches(n), kernel.DefaultInterconnect(), spec)
+		rig, err := Scenario{
+			Arches: sched.RackArches(n), Topo: spec,
+			Faults: fault.Plan{Seed: seed, Crashes: []fault.Crash{{Node: crash, At: crashAt, RecoverAt: 0}}},
+			Member: &member.Config{HeartbeatPeriod: period, Seed: seed},
+		}.Build(engine)
 		if err != nil {
 			return row, err
 		}
-		if err := UseEngine(cl, engine); err != nil {
-			return row, err
-		}
-		cl.InjectFaults(fault.Plan{
-			Seed:    seed,
-			Crashes: []fault.Crash{{Node: crash, At: crashAt, RecoverAt: 0}},
-		})
-		svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: period, Seed: seed})
-		if err != nil {
-			return row, err
-		}
+		cl, fab, svc := rig.Cl, rig.Fab, rig.Svc
 		// Background load: every burstGap, each rack pushes one burst to
 		// the next rack, from the moment of the crash to the horizon. The
 		// charges interleave with the run — occupancy must be consumed at
 		// the simulated instant the flow exists, never ahead of it.
 		const burstGap = 125e-6
 		const burstBytes = 35_000
-		for k := 0; ; k++ {
+		for k := 0; crashAt+float64(k)*burstGap < horizon; k++ {
 			at := crashAt + float64(k)*burstGap
-			if at >= horizon {
-				break
-			}
 			cl.Run(at)
 			for r := 0; r < racks; r++ {
 				src, dst := topoFlowEndpoints(r, racks, perRack)
@@ -170,18 +138,10 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 				row.FalseDeaths++
 			}
 		}
-		st := svc.Stats()
-		fmt.Fprintf(&print, "gossip-stats=%+v;deaths=%d;", st, len(svc.Deaths()))
-		fp(&print, "gossip-detect", row.GossipDetectSec)
-		maxUtil := 0.0
+		gossip = rig.Fingerprint()
 		for _, ls := range fab.UplinkStats() {
-			fmt.Fprintf(&print, "link(%s)=%d/%d/%016x/%016x;", ls.Name, ls.Msgs, ls.Queued,
-				math.Float64bits(ls.BusySec), math.Float64bits(ls.QueueSec))
-			if u := ls.BusySec / horizon; u > maxUtil {
-				maxUtil = u
-			}
+			row.MaxUplinkUtil = max(row.MaxUplinkUtil, ls.BusySec/horizon)
 		}
-		row.MaxUplinkUtil = maxUtil
 	}
 
 	// --- Migration under load: a running job's thread migrates while a
@@ -189,42 +149,35 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 	// request-to-exit, which absorbs exactly the queueing the migrate
 	// payload suffers on the way over. The in-rack hop avoids every
 	// uplink, so its cost must not move with oversubscription.
-	img, err := npb.Build(npb.IS, npb.ClassS, 1)
-	if err != nil {
-		return row, err
-	}
-	ref, err := core.Run(img, core.NodeX86)
+	is, err := newBench(npb.IS, npb.ClassS)
 	if err != nil {
 		return row, err
 	}
 	migrate := func(target int) (float64, error) {
-		cl, fab, err := kernel.NewClusterTopo(sched.RackArches(n), kernel.DefaultInterconnect(), spec)
+		rig, err := Scenario{Arches: sched.RackArches(n), Topo: spec}.Build(engine)
 		if err != nil {
 			return 0, err
 		}
-		if err := UseEngine(cl, engine); err != nil {
-			return 0, err
-		}
-		p, err := cl.Spawn(img, 0)
+		cl, fab := rig.Cl, rig.Fab
+		p, err := cl.Spawn(is.img, 0)
 		if err != nil {
 			return 0, err
 		}
-		treq := 0.3 * ref.Seconds
+		treq := 0.3 * is.ref.Seconds
 		cl.Run(treq)
 		for r := 0; r < racks; r++ {
 			src, dst := topoFlowEndpoints(r, racks, perRack)
 			fab.Transmit(treq, src, dst, 1<<20)
 		}
-		migrated := false
-		cl.OnMigration = func(ev kernel.MigrationEvent) { migrated = true }
 		cl.RequestProcessMigration(p, target)
-		if _, err := cl.RunProcess(p); err != nil {
+		res, err := core.Wait(cl, p)
+		if err != nil {
 			return 0, err
 		}
-		if !migrated {
+		if res.Migrations == 0 {
 			return 0, fmt.Errorf("exp: topology: migration 0->%d never happened", target)
 		}
-		return cl.Time() - treq, nil
+		return res.Seconds - treq, nil
 	}
 	if row.MigrateInRackSec, err = migrate(1); err != nil {
 		return row, err
@@ -232,49 +185,41 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 	if row.MigrateCrossRackSec, err = migrate(perRack); err != nil {
 		return row, err
 	}
-	fp(&print, "mig-in", row.MigrateInRackSec)
-	fp(&print, "mig-cross", row.MigrateCrossRackSec)
 
-	// --- Checkpoint fan-in: page-sized gathers into node 0, either from
-	// two in-rack peers or from one sender per remote rack (the restore
-	// path pulling image pages across the fabric). Cross-rack fan-in is
-	// bottlenecked by node 0's spine->ToR downlink once oversubscription
-	// pushes it below the access rate.
-	const pagesPerSender = 32
-	{
+	// --- Checkpoint fan-in: 32 page-sized gathers into node 0 from each
+	// sender, either two in-rack peers or one sender per remote rack (the
+	// restore path pulling image pages across the fabric). Cross-rack
+	// fan-in is bottlenecked by node 0's spine->ToR downlink once
+	// oversubscription pushes it below the access rate.
+	fanin := func(senders ...int) (float64, error) {
 		fab, err := topo.Build(spec, n)
 		if err != nil {
-			return row, err
+			return 0, err
 		}
 		end := 0.0
-		for i := 0; i < pagesPerSender; i++ {
-			for _, s := range []int{1, 2} {
-				if d := fab.Transmit(0, s, 0, pageWire); d > end {
-					end = d
-				}
+		for i := 0; i < 32; i++ {
+			for _, s := range senders {
+				end = max(end, fab.Transmit(0, s, 0, pageWire))
 			}
 		}
-		row.FaninInRackSec = end
+		return end, nil
 	}
-	{
-		fab, err := topo.Build(spec, n)
-		if err != nil {
-			return row, err
-		}
-		end := 0.0
-		for i := 0; i < pagesPerSender; i++ {
-			for r := 1; r < racks; r++ {
-				if d := fab.Transmit(0, r*perRack, 0, pageWire); d > end {
-					end = d
-				}
-			}
-		}
-		row.FaninCrossRackSec = end
+	if row.FaninInRackSec, err = fanin(1, 2); err != nil {
+		return row, err
 	}
-	fp(&print, "fanin-in", row.FaninInRackSec)
-	fp(&print, "fanin-cross", row.FaninCrossRackSec)
+	var remote []int
+	for r := 1; r < racks; r++ {
+		remote = append(remote, r*perRack)
+	}
+	if row.FaninCrossRackSec, err = fanin(remote...); err != nil {
+		return row, err
+	}
 
-	row.fingerprint = print.String()
+	// The engine-comparison fingerprint: every measured value (the row
+	// without its engine) and the gossip run's outcome.
+	same := row
+	same.Engine = ""
+	row.fingerprint = fmt.Sprintf("%+v|%s", same, gossip)
 	return row, nil
 }
 
@@ -284,12 +229,12 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 // uplinks, while in-rack traffic is immune. Every scenario runs on both
 // engines and must be byte-identical.
 func Topology(cfg Config, opts TopologyOptions) ([]TopologyRow, error) {
-	racks, perRack, oversubs := topologyDims(opts)
-	if racks < 2 {
-		return nil, fmt.Errorf("exp: topology: need at least 2 racks (got %d)", racks)
+	racks, perRack, oversubs := cmp.Or(opts.Racks, 4), cmp.Or(opts.PerRack, 3), opts.Oversubs
+	if len(oversubs) == 0 {
+		oversubs = []float64{1, 4, 8}
 	}
-	if perRack < 2 {
-		return nil, fmt.Errorf("exp: topology: need at least 2 nodes per rack (got %d)", perRack)
+	if racks < 2 || perRack < 2 {
+		return nil, fmt.Errorf("exp: topology: need at least 2 racks of 2 nodes (got %d of %d)", racks, perRack)
 	}
 	var rows []TopologyRow
 	for _, o := range oversubs {

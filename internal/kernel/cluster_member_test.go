@@ -73,6 +73,15 @@ func startDetectorRun(t *testing.T, plan fault.Plan, ref float64) *detectorRun {
 	return &detectorRun{cl: cl, svc: svc, mgr: mgr, p: p, log: log, cfg: cfg, tRef: ref}
 }
 
+// wait runs the job to its exit and returns its final incarnation.
+func (r *detectorRun) wait() (*kernel.Process, error) {
+	finals, err := core.Drive(r.cl, r.mgr, []core.Job{{P: r.p}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return finals[0], finals[0].Err()
+}
+
 func refSeconds(t *testing.T) float64 {
 	t.Helper()
 	img, err := core.Build("t", core.Src("t.c", workOnNode1Src))
@@ -93,7 +102,7 @@ func TestDetectorDeclaresPermanentCrashAndRestores(t *testing.T) {
 		Crashes: []fault.Crash{{Node: 1, At: crashAt, RecoverAt: 0}},
 	}, ref)
 
-	final, err := r.mgr.Wait(r.p)
+	final, err := r.wait()
 	if err != nil {
 		t.Fatalf("job never finished despite detector + restore: %v", err)
 	}
@@ -136,7 +145,7 @@ func TestFalsePositiveRejoinsUnderBumpedIncarnation(t *testing.T) {
 		Crashes: []fault.Crash{{Node: 1, At: crashAt, RecoverAt: crashAt + 0.35*ref}},
 	}, ref)
 
-	final, err := r.mgr.Wait(r.p)
+	final, err := r.wait()
 	if err != nil {
 		t.Fatalf("job never finished: %v", err)
 	}
