@@ -49,3 +49,31 @@ func TestDetectorStudy(t *testing.T) {
 		t.Errorf("study swept %d distinct heartbeat periods, want >= 3", len(periods))
 	}
 }
+
+// TestDetectorRowsMatchAcrossEngines: one heartbeat period's runs give the
+// same row on both engines. The job's runtime is its exit instant and the
+// counters are read at the settle horizon; the instant the job loop
+// noticed the exit (a quantum under seq, a window under par) is in none.
+func TestDetectorRowsMatchAcrossEngines(t *testing.T) {
+	benches, err := Config{Scale: Quick}.chaosBenches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := benches[1]
+	for _, sc := range detectorScenarios(b, 7, 1.0/40) {
+		var rows [2]DetectorRow
+		for i, engine := range []string{"seq", "par"} {
+			out, err := sc.Run(engine)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", sc.Name, engine, err)
+			}
+			rows[i] = detectorRow(b, sc.Name, out)
+		}
+		if rows[0] != rows[1] {
+			t.Errorf("%s: engines diverge:\nseq %+v\npar %+v", sc.Name, rows[0], rows[1])
+		}
+		if !rows[0].ExitOK || rows[0].Restores == 0 {
+			t.Errorf("%s: exit=%v restores=%d, want a clean exit after a restore", sc.Name, rows[0].ExitOK, rows[0].Restores)
+		}
+	}
+}
