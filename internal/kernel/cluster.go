@@ -123,7 +123,12 @@ type nodeEvent struct {
 // NewCluster builds a cluster with one kernel per listed architecture,
 // joined by the given interconnect configuration.
 func NewCluster(arches []isa.Arch, cfg msg.Config) *Cluster {
-	cl := &Cluster{IC: msg.New(cfg)}
+	return newCluster(msg.New(cfg), arches)
+}
+
+// newCluster builds a cluster of arches over the interconnect ic.
+func newCluster(ic *msg.Interconnect, arches []isa.Arch) *Cluster {
+	cl := &Cluster{IC: ic}
 	for i, a := range arches {
 		cl.Kernels = append(cl.Kernels, newKernel(cl, i, a))
 	}

@@ -38,13 +38,12 @@ type Membership interface {
 	// the call.
 	Deliver(to int, m *msg.Message)
 	// Quiet reports whether the protocol currently holds no global-order
-	// machinery — no outstanding verdict polls, every view and every gossip
-	// entry Alive, no deferred verdicts. While quiet, the only cross-node
-	// activity is payload traffic whose endpoints Groups() folds together
-	// (via the in-flight scan and msg.GroupPeers), and protocol actions are
-	// window barriers, so grouped windows provably preserve quietness. A
-	// service that is not quiet collapses the engine to one inline group
-	// (Cluster.Horizon).
+	// machinery — every view and every gossip entry Alive, no deferred
+	// verdicts. While quiet, the only cross-node activity is payload
+	// traffic whose endpoints Groups() folds together (via the in-flight
+	// scan and msg.GroupPeers), and protocol actions are window barriers,
+	// so grouped windows provably preserve quietness. A service that is not
+	// quiet collapses the engine to one inline group (Cluster.Horizon).
 	Quiet() bool
 	// Suspected reports observer's current view of target: true when the
 	// target is suspected (Suspect) or death was declared (Dead).

@@ -130,7 +130,7 @@ func (cl *Cluster) NoteFrontier() {
 // starting at start (sim.Model): sim.Inf when it is, sim.NegInf when a layer
 // needs the global sequential order for the whole window. The one layer
 // that can is a membership service that is not quiet — suspicion machinery,
-// verdict polls and non-Alive gossip read and write views across sharing
+// confirmation sets and non-Alive gossip read and write views across sharing
 // groups. Everything else is handled at its own layer:
 //
 //   - Control events (crash/recovery transitions, membership actions, timer

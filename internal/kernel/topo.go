@@ -22,16 +22,9 @@ var _ msg.PathModel = (*topo.Fabric)(nil)
 // unrouteable pairs is rejected — time-bounded uplink cuts belong in a
 // fault plan (fault.PartitionWindow.Legs), not the structural topology.
 func ApplyTopology(cl *Cluster, spec topo.Spec) (*topo.Fabric, error) {
-	fab, err := topo.Build(spec, len(cl.Kernels))
-	if err != nil {
+	fab, err := buildFabric(spec, len(cl.Kernels))
+	if err != nil || fab == nil {
 		return nil, err
-	}
-	if fab == nil {
-		return nil, nil
-	}
-	if pairs := fab.UnrouteablePairs(); len(pairs) > 0 {
-		return nil, fmt.Errorf("kernel: fabric leaves %d node pairs unrouteable (first %d->%d); use a fault plan for time-bounded cuts",
-			len(pairs), pairs[0][0], pairs[0][1])
 	}
 	if err := cl.IC.SetPathModel(fab); err != nil {
 		return nil, err
@@ -39,14 +32,35 @@ func ApplyTopology(cl *Cluster, spec topo.Spec) (*topo.Fabric, error) {
 	return fab, nil
 }
 
+// buildFabric builds the fabric spec describes over n nodes (nil for a flat
+// spec) and rejects one that leaves a pair unrouteable.
+func buildFabric(spec topo.Spec, n int) (*topo.Fabric, error) {
+	fab, err := topo.Build(spec, n)
+	if err != nil || fab == nil {
+		return nil, err
+	}
+	if pairs := fab.UnrouteablePairs(); len(pairs) > 0 {
+		return nil, fmt.Errorf("kernel: fabric leaves %d node pairs unrouteable (first %d->%d); use a fault plan for time-bounded cuts",
+			len(pairs), pairs[0][0], pairs[0][1])
+	}
+	return fab, nil
+}
+
 // NewClusterTopo builds a cluster of arches joined by the fabric spec
 // describes; the returned fabric is nil for a flat spec (the classic
-// single-pipe cluster, unchanged).
+// single-pipe cluster, unchanged). The fabric is installed before the
+// interconnect grows to the fleet, so the flat pipe's n*n occupancy table
+// is never allocated.
 func NewClusterTopo(arches []isa.Arch, cfg msg.Config, spec topo.Spec) (*Cluster, *topo.Fabric, error) {
-	cl := NewCluster(arches, cfg)
-	fab, err := ApplyTopology(cl, spec)
+	fab, err := buildFabric(spec, len(arches))
 	if err != nil {
 		return nil, nil, err
 	}
-	return cl, fab, nil
+	ic := msg.New(cfg)
+	if fab != nil {
+		if err := ic.SetPathModel(fab); err != nil {
+			return nil, nil, err
+		}
+	}
+	return newCluster(ic, arches), fab, nil
 }

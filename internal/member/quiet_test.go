@@ -8,16 +8,13 @@ import (
 )
 
 // quietWalk is Quiet as it was before the loud counter: a walk over every
-// observer's polls, views and gossip queue. The audited service below holds
+// observer's views and gossip queue. The audited service below holds
 // the O(1) answer to it after every protocol action.
 func quietWalk(s *Service) bool {
 	if s.suspects != 0 || s.airborne != 0 {
 		return false
 	}
 	for o := 0; o < s.n; o++ {
-		if len(s.polls[o]) != 0 {
-			return false
-		}
 		for _, v := range s.views[o] {
 			if v.state != Alive || v.deadInc != 0 || v.deferred {
 				return false
@@ -36,7 +33,6 @@ func quietWalk(s *Service) bool {
 func loudWalk(s *Service) int {
 	c := 0
 	for o := 0; o < s.n; o++ {
-		c += len(s.polls[o])
 		for _, v := range s.views[o] {
 			if v.deadInc != 0 {
 				c++

@@ -864,9 +864,9 @@ func (ic *Interconnect) Sweep(nodes []int, drop func(*Message) bool) int {
 }
 
 // queueKeepCap is the largest backing array an emptied delivery queue
-// keeps. A verdict poll's fan-in grows the poller's queue to the fleet
-// size for one round; holding that per poller for the rest of the run
-// would cost more than regrowing it at the next poll.
+// keeps. A node whose queue grew in a burst (a crash sweep's requeue, a
+// busy node's DSM traffic) gives the backing array back once it drains,
+// rather than holding its peak for the rest of the run.
 const queueKeepCap = 32
 
 // The heap operations below make exactly the moves the standard library's
