@@ -27,7 +27,7 @@ func TestTopologyShapeHoldsRejects(t *testing.T) {
 				rows = append(rows, TopologyRow{
 					Engine: e, Oversub: o,
 					InRackRTTSec: 1e-6, CrossRackRTTSec: 2e-6 + float64(i)*1e-6,
-					GossipDetectSec:  4e-3 + float64(i)*1e-4,
+					GossipLearnSec:   4e-3 + float64(i)*1e-4,
 					MigrateInRackSec: 1e-4, MigrateCrossRackSec: 2e-4 + float64(i)*1e-4,
 					FaninInRackSec: 1e-4, FaninCrossRackSec: 2e-4 + float64(i)*1e-4,
 				})
@@ -39,9 +39,9 @@ func TestTopologyShapeHoldsRejects(t *testing.T) {
 		t.Fatalf("valid shape rejected: %v", err)
 	}
 	bad := good()
-	bad[1].GossipDetectSec = bad[0].GossipDetectSec // growth violated
+	bad[1].GossipLearnSec = bad[0].GossipLearnSec // growth violated
 	if err := TopologyShapeHolds(bad); err == nil {
-		t.Error("flat gossip detection accepted")
+		t.Error("flat gossip learn time accepted")
 	}
 	bad = good()
 	bad[1].MigrateInRackSec *= 2 // flatness violated
