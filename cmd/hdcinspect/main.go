@@ -134,19 +134,8 @@ func main() {
 	}
 
 	fmt.Printf("\n%-24s %-12s %8s\n", "global", "address", "bytes")
-	var globals []string
-	for g := range img.GlobalAddr[isa.X86] {
-		globals = append(globals, g)
-	}
-	sort.Slice(globals, func(i, j int) bool {
-		return img.GlobalAddr[isa.X86][globals[i]] < img.GlobalAddr[isa.X86][globals[j]]
-	})
-	for _, g := range globals {
-		size := int64(0)
-		if gv := img.Module.Global(g); gv != nil {
-			size = gv.Size
-		}
-		fmt.Printf("%-24s %#-12x %8d\n", g, img.GlobalAddr[isa.X86][g], size)
+	for _, seg := range img.Data[isa.X86] {
+		fmt.Printf("%-24s %#-12x %8d\n", seg.Name, seg.Addr, seg.Size)
 	}
 
 	if *dis {

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"heterodc/internal/ckpt"
 	"heterodc/internal/cmdtest"
 	"heterodc/internal/kernel"
+	"heterodc/internal/minic"
 	"heterodc/internal/npb"
 )
 
@@ -138,4 +140,40 @@ func TestCkptImage(t *testing.T) {
 	}
 	_, errOut, code = cmdtest.Run(t, "-ckpt", filepath.Join(t.TempDir(), "missing.ckpt"))
 	cleanFailure(t, "missing file", errOut, code)
+}
+
+// The image table lists every global of the program at its size in the IR
+// the image was built from.
+func TestImageListing(t *testing.T) {
+	out, errOut, code := cmdtest.Run(t, "-bench", "is")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	_, globals, ok := strings.Cut(out, "\nglobal ")
+	if !ok {
+		t.Fatalf("no global table:\n%s", out)
+	}
+	listed := map[string]string{}
+	for _, line := range strings.Split(globals, "\n")[1:] {
+		if f := strings.Fields(line); len(f) == 3 {
+			listed[f[0]] = f[2]
+		}
+	}
+	src, err := npb.Source(npb.IS, npb.ClassS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := minic.CompileToIR("is", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mod.Global("keys")
+	if g == nil || g.Size == 0 {
+		t.Fatalf("IS has no sized global keys: %+v", g)
+	}
+	for _, g := range mod.Globals {
+		if got, want := listed[g.Name], strconv.FormatInt(g.Size, 10); got != want {
+			t.Errorf("global %s listed at %q bytes, IR says %s", g.Name, got, want)
+		}
+	}
 }

@@ -38,7 +38,7 @@ func lowerMigrateCheck(f *ir.Func, d *isa.Desc) *AsmFunc {
 
 	// Cold path: frame, then the migration syscall.
 	slow := len(code)
-	code[slowIdx].Target = slow
+	code[slowIdx].Target = int32(slow)
 	if d.Arch == isa.X86 {
 		e(isa.Instr{Op: isa.OpPush, Rs1: d.FP})
 		e(isa.Instr{Op: isa.OpMov, Rd: d.FP, Rs1: d.SP})
@@ -65,7 +65,7 @@ func lowerMigrateCheck(f *ir.Func, d *isa.Desc) *AsmFunc {
 	af := &AsmFunc{Name: f.Name, Arch: d.Arch, Code: code}
 	for i := range af.Code {
 		af.Code[i].Size = isa.EncodedSize(d.Arch, &af.Code[i])
-		af.Size += af.Code[i].Size
+		af.Size += int64(af.Code[i].Size)
 	}
 	af.Info = &stackmap.FuncInfo{
 		Name:      f.Name,

@@ -1,6 +1,9 @@
 package compiler
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"heterodc/internal/ir"
@@ -282,5 +285,53 @@ func TestCompileRejectsBrokenIR(t *testing.T) {
 	}
 	if _, err := Compile(m, DefaultOptions()); err == nil {
 		t.Fatal("expected verify error")
+	}
+}
+
+// isa.Instr holds branch targets and call-site IDs as int32: a function
+// longer than that can index is an error, not a wrapped target.
+func TestLowerRejectsFunctionPastBranchRange(t *testing.T) {
+	saved := maxCodeIndex
+	maxCodeIndex = 8
+	t.Cleanup(func() { maxCodeIndex = saved })
+	m, err := minic.CompileToIR("t", minic.Source{Name: "t.c", Code: simpleSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Compile(m, DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), "more than a branch target can index (8)") {
+		t.Fatalf("Compile with an 8-instruction limit: err = %v", err)
+	}
+}
+
+func TestLowerRejectsCallSiteIDPastInt32(t *testing.T) {
+	m, err := minic.CompileToIR("t", minic.Source{Name: "t.c", Code: simpleSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := Compile(m, Options{NoInline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := art.Module.Func("main")
+	var call *ir.Instr
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if b.Instrs[i].Kind == ir.KCall {
+				call = &b.Instrs[i]
+			}
+		}
+	}
+	if call == nil {
+		t.Fatal("main has no call")
+	}
+	for _, id := range []int{math.MaxInt32 + 1, -1} {
+		call.CallSiteID = id
+		lo := newLowerer(art.Module)
+		lo.lv.compute(f)
+		_, err := lo.lowerFunc(f, isa.Describe(isa.X86))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("call site ID %d outside", id)) {
+			t.Errorf("call site ID %d: err = %v", id, err)
+		}
 	}
 }

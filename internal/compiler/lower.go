@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"heterodc/internal/ir"
@@ -37,9 +38,9 @@ type lowerer struct {
 
 	out        []isa.Instr
 	blockStart []int
-	// branchFixups lists indices of emitted branch instructions whose Target
-	// currently holds an IR block index to be patched to an instruction index.
-	branchFixups []int
+	// branchFixups lists the emitted branch instructions whose Target is
+	// still to be set to the first instruction of an IR block.
+	branchFixups []branchFixup
 
 	// calls counts the call-like instructions lowered so far, which makes
 	// it the index of the next one's set in lv.
@@ -55,6 +56,14 @@ type lowerer struct {
 	argRegs  []isa.Reg
 	argStack []int
 }
+
+// branchFixup says that the branch at out[at] targets IR block block.
+type branchFixup struct{ at, block int }
+
+// maxCodeIndex bounds a function's instruction count and its call-site
+// IDs, which isa.Instr holds as int32 (Target and CallSiteID). A variable
+// so that tests can reach it with small functions.
+var maxCodeIndex = math.MaxInt32
 
 // lowerFunc compiles f for desc's architecture; lo.lv must hold f's
 // liveness.
@@ -85,10 +94,13 @@ func (lo *lowerer) lowerFunc(f *ir.Func, desc *isa.Desc) (*AsmFunc, error) {
 			}
 		}
 	}
+	if len(lo.out) > maxCodeIndex {
+		return nil, fmt.Errorf("%s: %d instructions, more than a branch target can index (%d)", f.Name, len(lo.out), maxCodeIndex)
+	}
 	// Patch intra-function branch targets from block indices to instruction
 	// indices.
-	for _, idx := range lo.branchFixups {
-		lo.out[idx].Target = lo.blockStart[lo.out[idx].Target]
+	for _, fx := range lo.branchFixups {
+		lo.out[fx.at].Target = int32(lo.blockStart[fx.block])
 	}
 	return lo.finish(), nil
 }
@@ -137,7 +149,7 @@ func (lo *lowerer) finish() *AsmFunc {
 	copy(af.Code, lo.out)
 	for i := range af.Code {
 		af.Code[i].Size = isa.EncodedSize(lo.desc.Arch, &af.Code[i])
-		af.Size += af.Code[i].Size
+		af.Size += int64(af.Code[i].Size)
 	}
 
 	info := &stackmap.FuncInfo{
@@ -184,6 +196,12 @@ func (lo *lowerer) paramLocs() ([]isa.Reg, []int) {
 func (lo *lowerer) e(in isa.Instr) int {
 	lo.out = append(lo.out, in)
 	return len(lo.out) - 1
+}
+
+// branch appends in, a branch to IR block block, and records it for
+// patching once every block's first instruction is known.
+func (lo *lowerer) branch(in isa.Instr, block int) {
+	lo.branchFixups = append(lo.branchFixups, branchFixup{at: lo.e(in), block: block})
 }
 
 // --- Prologue / epilogue ---------------------------------------------------
@@ -366,6 +384,9 @@ var fcmpToOp = map[ir.CmpOp]isa.Op{
 }
 
 func (lo *lowerer) instr(in *ir.Instr) error {
+	if in.CallSiteID < 0 || in.CallSiteID > maxCodeIndex {
+		return fmt.Errorf("compiler: call site ID %d outside 0..%d", in.CallSiteID, maxCodeIndex)
+	}
 	d := lo.desc
 	switch in.Kind {
 	case ir.KConst:
@@ -489,13 +510,13 @@ func (lo *lowerer) instr(in *ir.Instr) error {
 		lo.commitI(in.Dst)
 	case ir.KCall:
 		lo.marshalArgs(in.Args)
-		lo.e(isa.Instr{Op: isa.OpCall, Sym: in.Sym, CallSiteID: in.CallSiteID})
+		lo.e(isa.Instr{Op: isa.OpCall, Sym: in.Sym, CallSiteID: int32(in.CallSiteID)})
 		lo.recordSite(in)
 		lo.moveResult(in.Dst, lo.m.Func(in.Sym).Ret)
 	case ir.KCallInd:
 		fp := lo.useI(in.A, 1) // scratch 1: scratch 0 stages stack args
 		lo.marshalArgs(in.Args)
-		lo.e(isa.Instr{Op: isa.OpCallR, Rs1: fp, CallSiteID: in.CallSiteID})
+		lo.e(isa.Instr{Op: isa.OpCallR, Rs1: fp, CallSiteID: int32(in.CallSiteID)})
 		lo.recordSite(in)
 		retType := ir.I64
 		if in.Dst == ir.NoV {
@@ -515,7 +536,7 @@ func (lo *lowerer) instr(in *ir.Instr) error {
 				lo.e(isa.Instr{Op: isa.OpLd, Rd: target, Rs1: d.FP, Imm: h.off})
 			}
 		}
-		lo.e(isa.Instr{Op: isa.OpSyscall, CallSiteID: in.CallSiteID})
+		lo.e(isa.Instr{Op: isa.OpSyscall, CallSiteID: int32(in.CallSiteID)})
 		lo.recordSite(in)
 		lo.moveResult(in.Dst, ir.I64)
 	case ir.KAtomicAdd:
@@ -555,14 +576,11 @@ func (lo *lowerer) instr(in *ir.Instr) error {
 		}
 		lo.epilogue()
 	case ir.KBr:
-		idx := lo.e(isa.Instr{Op: isa.OpBr, Target: in.TargetA})
-		lo.branchFixups = append(lo.branchFixups, idx)
+		lo.branch(isa.Instr{Op: isa.OpBr}, in.TargetA)
 	case ir.KCondBr:
 		cond := lo.useI(in.A, 0)
-		idx := lo.e(isa.Instr{Op: isa.OpBnez, Rs1: cond, Target: in.TargetA})
-		lo.branchFixups = append(lo.branchFixups, idx)
-		idx = lo.e(isa.Instr{Op: isa.OpBr, Target: in.TargetB})
-		lo.branchFixups = append(lo.branchFixups, idx)
+		lo.branch(isa.Instr{Op: isa.OpBnez, Rs1: cond}, in.TargetA)
+		lo.branch(isa.Instr{Op: isa.OpBr}, in.TargetB)
 	default:
 		return fmt.Errorf("compiler: unhandled IR kind %d", int(in.Kind))
 	}

@@ -147,6 +147,11 @@ const LineShift = 6
 // Instr is one machine instruction. Instructions are held decoded (Go
 // structs); the Size field models the encoded length so that code layout and
 // the instruction-cache simulation see realistic per-ISA footprints.
+//
+// An Instr is host memory for every instruction of every loaded image, so
+// its fields are ordered to pack into 48 bytes (Go does not reorder them):
+// the registers, flags and size share the first 8 bytes, the two indices
+// the next 8, then the immediates and the symbol.
 type Instr struct {
 	Op  Op
 	Rd  Reg // destination (int or float file depending on Op)
@@ -156,24 +161,23 @@ type Instr struct {
 	// SameLine: the linker found the instruction wholly inside the
 	// 1<<LineShift-byte line where its predecessor in the function ends.
 	SameLine bool
+	// Size is the encoded length in bytes on the owning ISA (EncodedSize).
+	Size uint8
+
+	// Target is the intra-function branch target, an instruction index within
+	// the function body (resolved by the assembler before layout).
+	Target int32
+
+	// CallSiteID identifies the IR call site for OpCall instructions so the
+	// runtime can map return addresses across ISAs. Zero means "not a mapped
+	// call site" (e.g. calls emitted by the prologue machinery).
+	CallSiteID int32
 
 	Imm  int64   // immediate / memory displacement
 	FImm float64 // float immediate for OpFLdi
 
 	// Sym is the symbol operand of OpCall / OpLea.
 	Sym string
-
-	// Target is the intra-function branch target, an instruction index within
-	// the function body (resolved by the assembler before layout).
-	Target int
-
-	// CallSiteID identifies the IR call site for OpCall instructions so the
-	// runtime can map return addresses across ISAs. Zero means "not a mapped
-	// call site" (e.g. calls emitted by the prologue machinery).
-	CallSiteID int
-
-	// Size is the encoded length in bytes on the owning ISA.
-	Size int64
 }
 
 // String renders the instruction for disassembly listings.
@@ -208,8 +212,9 @@ func (in *Instr) String() string {
 // ARM64 uses fixed 4-byte encodings (large constants take a 2-3 instruction
 // movz/movk sequence, modelled as 8 or 12 bytes). x86 uses a variable-length
 // heuristic patterned after real x86-64 encodings: REX prefixes, ModRM,
-// displacement and immediate widths.
-func EncodedSize(a Arch, in *Instr) int64 {
+// displacement and immediate widths. No encoding is longer than 16 bytes,
+// so the result is Instr.Size's type.
+func EncodedSize(a Arch, in *Instr) uint8 {
 	if a == ARM64 {
 		switch in.Op {
 		case OpLdi:
@@ -236,7 +241,7 @@ func EncodedSize(a Arch, in *Instr) int64 {
 		}
 	}
 	// x86 heuristic.
-	immBytes := func(v int64) int64 {
+	immBytes := func(v int64) uint8 {
 		switch {
 		case v == 0:
 			return 1

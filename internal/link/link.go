@@ -127,18 +127,22 @@ func (p *Program) seal() {
 	p.SMap.Seal()
 }
 
-// Segment is an initialised data range the loader must install.
+// Segment is one global's data range, which the loader must install. An
+// image's segments are in ascending address order; a zero-size global
+// may share its address with the next one, so the name says whose it is.
 type Segment struct {
+	Name  string // the global's symbol
 	Addr  uint64
 	Bytes []byte
 	Size  int64 // total size including zero fill (>= len(Bytes))
 }
 
 // Image is the multi-ISA binary: per-ISA programs plus the (per-ISA or
-// common) data layout.
+// common) data layout. It holds only what the loader, the cores and the
+// migration machinery read — code, addresses, stackmaps and data — and not
+// the IR it was compiled from, which Link lets go of when it returns.
 type Image struct {
 	Name    string
-	Module  *ir.Module
 	Aligned bool
 
 	Progs [isa.NumArch]*Program
@@ -188,8 +192,7 @@ func Link(name string, art *compiler.Artifact, opts Options) (*Image, error) {
 	if !art.Claim() {
 		return nil, &LinkError{msg: fmt.Sprintf("%s: artifact already linked (compile the module again for a second image)", name)}
 	}
-	img := &Image{Name: name, Module: art.Module, Aligned: opts.Aligned,
-		DirectMigrate: scanDirectMigrate(art.Module)}
+	img := &Image{Name: name, Aligned: opts.Aligned, DirectMigrate: scanDirectMigrate(art.Module)}
 
 	nFuncs := len(art.Funcs[isa.X86])
 	if nFuncs != len(art.Funcs[isa.ARM64]) {
@@ -255,13 +258,7 @@ func Link(name string, art *compiler.Artifact, opts Options) (*Image, error) {
 			}
 			cur = mem.AlignUp(cur, align)
 			img.GlobalAddr[arch][g.Name] = cur
-			if len(g.Init) > 0 {
-				img.Data[arch] = append(img.Data[arch], Segment{
-					Addr: cur, Bytes: g.Init, Size: g.Size,
-				})
-			} else {
-				img.Data[arch] = append(img.Data[arch], Segment{Addr: cur, Size: g.Size})
-			}
+			img.Data[arch] = append(img.Data[arch], Segment{Name: g.Name, Addr: cur, Bytes: g.Init, Size: g.Size})
 			cur += uint64(g.Size)
 		}
 		if cur > img.DataEnd {
@@ -337,7 +334,7 @@ func (img *Image) program(arch isa.Arch, afs []*compiler.AsmFunc) (*Program, err
 				in.Imm += int64(addr)
 			}
 			if in.CallSiteID != 0 {
-				if cs := af.Info.CallSites[in.CallSiteID]; cs != nil {
+				if cs := af.Info.CallSites[int(in.CallSiteID)]; cs != nil {
 					cs.RetPC = pc
 					sites++
 				}

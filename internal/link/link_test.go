@@ -1,9 +1,12 @@
 package link
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"heterodc/internal/compiler"
+	"heterodc/internal/ir"
 	"heterodc/internal/isa"
 	"heterodc/internal/mem"
 	"heterodc/internal/minic"
@@ -189,4 +192,37 @@ func TestEntryAddr(t *testing.T) {
 			t.Errorf("%s: entry %#x is not a function entry", arch, e)
 		}
 	}
+}
+
+// An image holds what the loader and the cores read, not the IR it was
+// compiled from: with only the image kept, the module is collected.
+func TestImageLetsGoOfTheModule(t *testing.T) {
+	freed := make(chan struct{})
+	img := func() *Image {
+		m, err := minic.CompileToIR("t", minic.Source{Name: "t.c", Code: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(m, func(*ir.Module) { close(freed) })
+		art, err := compiler.Compile(m, compiler.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := Link("t", art, Options{Aligned: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}()
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(img)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(img)
+	t.Fatal("the IR module is still reachable from its linked image")
 }

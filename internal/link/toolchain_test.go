@@ -137,7 +137,7 @@ func imageDigest(img *link.Image) uint64 {
 				d.str(in.Sym)
 				d.i64(int64(in.Target))
 				d.i64(int64(in.CallSiteID))
-				d.i64(in.Size)
+				d.i64(int64(in.Size))
 				d.u64(f.Addr[i])
 			}
 			infoDigest(d, f.Info)

@@ -248,7 +248,7 @@ loop:
 		} else if pc := addrs[idx]; (pc+uint64(in.Size)-1)>>ish == pc>>ish && ic.Front(pc>>ish) {
 			ihits++
 		} else {
-			cost += ic.AccessRange(pc, in.Size)
+			cost += ic.AccessRange(pc, int64(in.Size))
 		}
 
 		next := idx + 1
@@ -512,14 +512,14 @@ loop:
 			ri[in.Rd] = int64(v)
 			ri[d.SP] = int64(sp + 8)
 		case isa.OpBr:
-			next, seq = in.Target, false
+			next, seq = int(in.Target), false
 		case isa.OpBeqz:
 			if ri[in.Rs1] == 0 {
-				next, seq = in.Target, false
+				next, seq = int(in.Target), false
 			}
 		case isa.OpBnez:
 			if ri[in.Rs1] != 0 {
-				next, seq = in.Target, false
+				next, seq = int(in.Target), false
 			}
 		case isa.OpCall, isa.OpCallR:
 			var callee *link.Func
