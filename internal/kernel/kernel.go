@@ -284,7 +284,7 @@ func (k *Kernel) attach(cs *coreSlot, t *Thread) {
 	// Zero when the image has no migration points: every image links its
 	// text at the same base, so a previous thread's entry address would
 	// name some unrelated function of this one.
-	c.MigrateCheckEntry = t.Proc.Img.FuncAddr[k.Arch]["__migrate_check"]
+	c.MigrateCheckEntry = c.Prog.MigrateCheck
 	if err := c.SetPC(t.PC); err != nil {
 		// A thread with a wild PC is killed with its process.
 		k.killProcess(t.Proc, fmt.Errorf("dispatch: %w", err))
@@ -588,20 +588,27 @@ func (m *kmem) WriteU64(addr uint64, v uint64) error {
 	return nil
 }
 
+// ReadU8 reads one byte, resolving faults.
+func (m *kmem) ReadU8(addr uint64) (byte, error) {
+	for {
+		if b, ok := m.mem().LoadU8(addr); ok {
+			return b, nil
+		}
+		if err := m.resolve(addr, 1, false); err != nil {
+			return 0, err
+		}
+	}
+}
+
 // ReadBytes reads n bytes, resolving faults.
 func (m *kmem) ReadBytes(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
 	for i := range out {
-		for {
-			b, ok := m.mem().LoadU8(addr + uint64(i))
-			if ok {
-				out[i] = b
-				break
-			}
-			if err := m.resolve(addr+uint64(i), 1, false); err != nil {
-				return nil, err
-			}
+		b, err := m.ReadU8(addr + uint64(i))
+		if err != nil {
+			return nil, err
 		}
+		out[i] = b
 	}
 	return out, nil
 }

@@ -44,7 +44,12 @@ const (
 	serializeBaseSeconds   = 200e-6
 )
 
-// migratePayload crosses kernels with a migrating thread.
+// migratePayload crosses kernels with a migrating thread. The record the
+// message carries is the thread's own (Thread.hop), so a migration
+// allocates nothing: a thread has at most one migration in flight, and
+// delivery, rehome and reapProcess's Sweep read the record before the
+// thread can migrate again and overwrite it. Only a duplicate leg may
+// outlive that, and Duplicate gives it a copy.
 type migratePayload struct {
 	t *Thread
 	// deserializeSeconds is charged at the destination before the thread
@@ -55,6 +60,14 @@ type migratePayload struct {
 	// inc stamps the destination incarnation the sender addressed; the
 	// delivery fence drops the payload if it has been declared dead since.
 	inc uint64
+}
+
+// Duplicate gives a duplicate leg (a dup fault, or the copy a lost ack makes
+// the sender retransmit) its own record (msg.Duplicator): the thread's may
+// already describe its next hop when the duplicate lands.
+func (mp *migratePayload) Duplicate() interface{} {
+	cp := *mp
+	return &cp
 }
 
 // threadUndo snapshots the source-side state a migration rolls back to when
@@ -267,7 +280,10 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 
 	k.vdsoSetFlag(p, t.Tid, 0)
 	k.detach(cs)
-	undo := threadUndo{regs: t.Regs, pc: t.PC, half: t.CurHalf, node: k.Node}
+	t.hop = migratePayload{
+		t: t, deserializeSeconds: deserializeLat, inc: cl.incarnation[target],
+		undo: threadUndo{regs: t.Regs, pc: t.PC, half: t.CurHalf, node: k.Node},
+	}
 	t.State = InFlight
 	t.Node = target
 	t.inflightFrom = k.Node
@@ -284,14 +300,13 @@ func (k *Kernel) migrateThread(cs *coreSlot, target int) bool {
 		payloadSize = stateBytes + migratePayloadBytes
 	}
 	// at is the delivery time, or when the sender gave up.
-	at, ok := cl.IC.SendReliable(k.now()+xlat, k.Node, target, msg.TThreadMigrate, payloadSize,
-		&migratePayload{t: t, deserializeSeconds: deserializeLat, undo: undo, inc: cl.incarnation[target]})
+	at, ok := cl.IC.SendReliable(k.now()+xlat, k.Node, target, msg.TThreadMigrate, payloadSize, &t.hop)
 	if !ok {
 		// Transfer retries exhausted or the destination died for good
 		// mid-handshake: roll the thread back onto this node. The time the
 		// reliable channel burned trying is real — the thread sleeps it off
 		// before resuming at the migration point.
-		cl.abortMigration(t, undo)
+		cl.abortMigration(t, t.hop.undo)
 		cl.tracefNode(k.Node, k.now(), "migrate-abort", "tid %d of pid %d: transfer to node %d failed", t.Tid, p.Pid, target)
 		if at > k.now() {
 			k.sleep(t, at)

@@ -279,3 +279,73 @@ func BenchmarkPageTransfer(b *testing.B) {
 		bounce()
 	}
 }
+
+// cstringWorld is a pageWorld whose node 0 holds path, NUL-terminated, at
+// addr, across a page boundary; node 1 holds a read-only copy of the first
+// page only.
+func cstringWorld(t *testing.T, addr uint64, path string) *pageWorld {
+	t.Helper()
+	w := newPageWorld()
+	first, second := mem.PageBase(addr), mem.PageBase(addr+uint64(len(path)))
+	for _, base := range []uint64{first, second} {
+		if _, _, err := w.cl.Kernels[0].resolveFault(w.p, base, true, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.p.Mems[0].WriteBytes(addr, append([]byte(path), 0))
+	if _, _, err := w.cl.Kernels[1].resolveFault(w.p, first, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// ReadCString reads a path the way SysOpen does, resolving the fault on the
+// page it runs into: the same string at the same DSM latency as a byte-wise
+// reference through ReadBytes, in at most two allocations — the string and
+// the frame the fault brings in.
+func TestReadCStringAcrossAFault(t *testing.T) {
+	const path = "/data/input-across-a-page-edge.txt"
+	addr := mem.HeapBase + 2*mem.PageSize - 9
+
+	ref := cstringWorld(t, addr, path)
+	refKM := &kmem{k: ref.cl.Kernels[1], p: ref.p}
+	var b []byte
+	for i := uint64(0); ; i++ {
+		c, err := refKM.ReadBytes(addr+i, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c[0] == 0 {
+			break
+		}
+		b = append(b, c[0])
+	}
+
+	w := cstringWorld(t, addr, path)
+	if w.p.Mems[1].Present(addr + 9) {
+		t.Fatal("the second page is already resident on the reading node")
+	}
+	km := &kmem{k: w.cl.Kernels[1], p: w.p}
+	var got string
+	var err error
+	calls := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		// AllocsPerRun warms up with one call first: the fault must be
+		// taken in the call it measures.
+		if calls++; calls == 2 {
+			got, err = km.ReadCString(addr)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != path || got != string(b) {
+		t.Fatalf("read %q, byte-wise reference %q, want %q", got, b, path)
+	}
+	if km.Lat != refKM.Lat || km.Lat == 0 {
+		t.Fatalf("DSM latency %g, byte-wise reference %g (want equal and non-zero)", km.Lat, refKM.Lat)
+	}
+	if allocs > 2 {
+		t.Fatalf("%v allocations, want at most 2", allocs)
+	}
+}

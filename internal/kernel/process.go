@@ -68,6 +68,10 @@ type Thread struct {
 
 	// Migrations counts completed cross-kernel migrations.
 	Migrations int
+
+	// hop is the hand-off record of the thread's latest migration, the
+	// payload its migration message carries (see migratePayload).
+	hop migratePayload
 }
 
 // StackHalfBounds returns [lo, hi) of the currently active stack half.

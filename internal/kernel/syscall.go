@@ -282,19 +282,22 @@ func (k *Kernel) handleMessage(m *msg.Message) {
 	}
 }
 
-// ReadCString reads a NUL-terminated string (max 4096) via the fault-
-// resolving kernel memory view.
+// ReadCString reads a NUL-terminated string (max 4096 bytes) via the
+// fault-resolving kernel memory view. The bytes gather on the stack, so the
+// string is the call's one allocation besides the frames its faults bring
+// in.
 func (m *kmem) ReadCString(addr uint64) (string, error) {
-	var out []byte
-	for i := 0; i < 4096; i++ {
-		b, err := m.ReadBytes(addr+uint64(i), 1)
+	var buf [4096]byte
+	n := 0
+	for ; n < len(buf); n++ {
+		b, err := m.ReadU8(addr + uint64(n))
 		if err != nil {
 			return "", err
 		}
-		if b[0] == 0 {
+		if b == 0 {
 			break
 		}
-		out = append(out, b[0])
+		buf[n] = b
 	}
-	return string(out), nil
+	return string(buf[:n]), nil
 }

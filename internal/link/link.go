@@ -66,6 +66,10 @@ type Program struct {
 	Funcs  []*Func
 	ByName map[string]*Func
 	SMap   *stackmap.Map
+	// MigrateCheck is the entry address of __migrate_check, or zero when
+	// the image has no migration points. A core reads it at every dispatch,
+	// so it is resolved once here rather than by name there.
+	MigrateCheck uint64
 
 	// bases[i] is the entry address of byAddr[i], ascending.
 	bases  []uint64
@@ -103,6 +107,9 @@ func (p *Program) seal() {
 	p.bases = make([]uint64, len(p.byAddr))
 	for i, f := range p.byAddr {
 		p.bases[i] = f.Base
+	}
+	if f := p.ByName[compiler.MigrateCheckFunc]; f != nil {
+		p.MigrateCheck = f.Base
 	}
 	// One backing array each for the whole program's call sites.
 	calls := 0

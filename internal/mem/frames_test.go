@@ -83,7 +83,7 @@ func TestFrameMovesBetweenMemories(t *testing.T) {
 func TestAuditFramesReportsSharedFrame(t *testing.T) {
 	a, b := NewMemory(), NewMemory()
 	p := a.EnsurePage(0x1000)
-	b.pages[PageIndex(0x2000)] = p
+	b.AdoptPage(0x2000, p) // a frame a still maps: the bug the audit exists for
 	if err := AuditFrames([]*Memory{a, b}); err == nil {
 		t.Fatal("a frame mapped by two memories passed the audit")
 	}

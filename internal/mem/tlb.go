@@ -12,9 +12,9 @@ type tlbEntry struct {
 	page *Page
 }
 
-// TLB is a software translation cache in front of one Memory's page and
-// protection maps, for the interpreter's loads and stores: a hit costs an
-// index and a compare where Memory's accessors cost two map lookups. It
+// TLB is a software translation cache in front of one Memory's page table,
+// for the interpreter's loads and stores: a hit costs an index and a
+// compare where Memory's accessors cost a binary search over the leaves. It
 // holds only positive translations, so pages that appear (EnsurePage) need
 // no invalidation; pages that go away or change protection bump the
 // Memory's epoch, and Attach drops every entry when the epoch — or the
@@ -58,18 +58,18 @@ func (t *TLB) WriteHit(addr uint64) *Page {
 	return nil
 }
 
-// fill is the miss path: consult the Memory's maps, cache what they say
-// about a present page, and return it — nil if it is absent or, for a
+// fill is the miss path: consult the Memory's page table, cache what it
+// says about a present page, and return it — nil if it is absent or, for a
 // write, read-only.
 func (t *TLB) fill(addr uint64, write bool) *Page {
 	idx := PageIndex(addr)
-	p, ok := t.m.pages[idx]
-	if !ok {
+	p, ro := t.m.lookup(idx)
+	if p == nil {
 		return nil
 	}
 	e := &t.ent[idx%tlbEntries]
 	e.key, e.page = (idx+1)<<1, p
-	if !t.m.ro[idx] {
+	if !ro {
 		e.key |= 1
 	} else if write {
 		return nil
