@@ -17,37 +17,69 @@ type Source struct {
 // CompileToIR parses and lowers the given sources (plus the runtime
 // prelude) into a fresh IR module. The module is ready for the compiler
 // backend pipeline (migration-point insertion happens there).
+//
+// One arena serves the whole call: the prelude and every source are lexed
+// into one token buffer and parsed into the same slabs, and the generator
+// keeps its scopes and loop jumps on stacks it reuses from function to
+// function. All of it is dropped on return; the module references none of
+// it.
 func CompileToIR(modName string, sources ...Source) (*ir.Module, error) {
-	all := append([]Source{{Name: "<prelude>", Code: Prelude}}, sources...)
-	var prog Program
-	for _, src := range all {
-		p, err := Parse(src.Name, src.Code)
-		if err != nil {
+	a := newArena()
+	n := tokCap(Prelude)
+	for _, src := range sources {
+		n = max(n, tokCap(src.Code))
+	}
+	a.toks = make([]token, 0, n)
+	if err := a.parse("<prelude>", Prelude); err != nil {
+		return nil, err
+	}
+	for _, src := range sources {
+		if err := a.parse(src.Name, src.Code); err != nil {
 			return nil, err
 		}
-		prog.Globals = append(prog.Globals, p.Globals...)
-		prog.Funcs = append(prog.Funcs, p.Funcs...)
 	}
+	a.toks = nil
+	prog := a.program()
 	g := &genCtx{
-		mod:     ir.NewModule(modName),
-		prog:    &prog,
-		funcs:   make(map[string]*FuncDecl),
-		globals: make(map[string]*Decl),
+		arena:    a,
+		mod:      ir.NewModule(modName),
+		prog:     prog,
+		funcs:    make(map[string]*FuncDecl, len(prog.Funcs)),
+		globals:  make(map[string]*varInfo, len(prog.Globals)),
+		vars:     slab[varInfo]{chunk: varChunk},
+		params:   slab[ir.Param]{chunk: irListChunk},
+		argLists: slab[ir.VReg]{chunk: irListChunk},
 	}
 	return g.run()
 }
 
+// Chunk sizes for what the generator carves, from the 36 NPB builds of the
+// toolchain benchmark: variables (129 to 190 locals, parameters and
+// globals per build, 64 bytes each) and the parameter and argument lists
+// the module keeps (60 to 84 parameters, 61 to 184 call arguments), so a
+// build takes three chunks of variables and one or two of each list.
+const (
+	varChunk    = 64
+	irListChunk = 128
+)
+
 type genCtx struct {
+	*arena
 	mod     *ir.Module
 	prog    *Program
 	funcs   map[string]*FuncDecl
-	globals map[string]*Decl
+	globals map[string]*varInfo
 	strN    int
 	scratch ir.Scratch // serves every function's builder in turn
+	fg      funcGen    // the function being generated; its stacks are reused
+
+	vars     slab[varInfo]
+	params   slab[ir.Param] // the functions' parameter lists, which the module keeps
+	argLists slab[ir.VReg]  // the calls' argument lists, which the module keeps
 }
 
-func errAt(line, col int, format string, args ...interface{}) error {
-	return &Error{File: "minic", Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+func errAt(line, col int32, format string, args ...interface{}) error {
+	return &Error{File: "minic", Line: int(line), Col: int(col), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (g *genCtx) run() (*ir.Module, error) {
@@ -63,7 +95,9 @@ func (g *genCtx) run() (*ir.Module, error) {
 		if err := g.emitGlobal(d); err != nil {
 			return nil, err
 		}
-		g.globals[d.Name] = d
+		vi := g.vars.new()
+		*vi = varInfo{ty: d.Ty, isArray: d.ArrayLen >= 0, arrayLen: d.ArrayLen, kind: stGlobal, global: d.Name}
+		g.globals[d.Name] = vi
 	}
 	// Functions.
 	for _, fd := range g.prog.Funcs {
@@ -94,9 +128,9 @@ func (g *genCtx) constEval(e *Expr) (int64, float64, bool /*isFloat*/, error) {
 			return 0, 0, false, err
 		}
 		switch e.Op {
-		case "-":
+		case cSub:
 			return -iv, -fv, isF, nil
-		case "~":
+		case cTilde:
 			return ^iv, 0, false, nil
 		}
 	case eBinary:
@@ -116,34 +150,34 @@ func (g *genCtx) constEval(e *Expr) (int64, float64, bool /*isFloat*/, error) {
 				rf = float64(ri)
 			}
 			switch e.Op {
-			case "+":
+			case cAdd:
 				return 0, lf + rf, true, nil
-			case "-":
+			case cSub:
 				return 0, lf - rf, true, nil
-			case "*":
+			case cMul:
 				return 0, lf * rf, true, nil
-			case "/":
+			case cDiv:
 				return 0, lf / rf, true, nil
 			}
 		} else {
 			switch e.Op {
-			case "+":
+			case cAdd:
 				return li + ri, 0, false, nil
-			case "-":
+			case cSub:
 				return li - ri, 0, false, nil
-			case "*":
+			case cMul:
 				return li * ri, 0, false, nil
-			case "/":
+			case cDiv:
 				if ri != 0 {
 					return li / ri, 0, false, nil
 				}
-			case "%":
+			case cMod:
 				if ri != 0 {
 					return li % ri, 0, false, nil
 				}
-			case "<<":
+			case cShl:
 				return li << uint(ri&63), 0, false, nil
-			case ">>":
+			case cShr:
 				return li >> uint(ri&63), 0, false, nil
 			}
 		}
@@ -180,10 +214,15 @@ func (g *genCtx) emitGlobal(d *Decl) error {
 		}
 	}
 	glob := &ir.Global{Name: d.Name, Size: size, Align: 8}
+	// Each initialiser is written as a word at its offset; Init ends with
+	// the last one's word, cut to the global's size.
+	switch {
+	case d.Init != nil:
+		glob.Init = make([]byte, 8)
+	case len(d.InitList) > 0:
+		glob.Init = make([]byte, int64(len(d.InitList)-1)*elem.size()+8)
+	}
 	put := func(off int64, iv int64, fv float64, isF bool, ty *Ty) {
-		for int64(len(glob.Init)) < off+8 {
-			glob.Init = append(glob.Init, 0)
-		}
 		switch {
 		case ty.isFloat():
 			if !isF {
@@ -254,39 +293,63 @@ type varInfo struct {
 	global   string
 }
 
+// funcGen generates one function. The generator keeps one, so its stacks
+// serve every function in turn.
 type funcGen struct {
 	g  *genCtx
 	b  *ir.Builder
 	fd *FuncDecl
 
-	scopes    []map[string]*varInfo
-	addrTaken map[string]bool
+	// vars is the scope stack, innermost binding last; scopes[i] is the
+	// index in vars where scope i begins.
+	vars   []binding
+	scopes []int
+	// addrTaken lists the names whose address the function takes.
+	addrTaken []string
 
-	// breakJumps / contJumps record blocks that must branch to the loop's
-	// exit / continuation point, one list per nested loop.
-	breakJumps [][]int
-	contJumps  [][]int
+	// jumps records blocks that must branch to a loop's exit (break) or
+	// continuation point (continue); loops[i] is the index in jumps where
+	// loop i's entries begin.
+	jumps []loopJump
+	loops []int
 }
 
-// enterLoop pushes fresh jump lists; exitLoop patches them to their targets.
+// binding is one name in scope.
+type binding struct {
+	name string
+	vi   *varInfo
+}
+
+// loopJump is a block that ends in a break (cont false) or a continue.
+type loopJump struct {
+	blk  int
+	cont bool
+}
+
+// enterLoop opens a loop's jump list; exitLoop patches its jumps to their
+// targets, breaks first, each kind in the order the jumps were made.
 func (fg *funcGen) enterLoop() {
-	fg.breakJumps = append(fg.breakJumps, nil)
-	fg.contJumps = append(fg.contJumps, nil)
+	fg.loops = append(fg.loops, len(fg.jumps))
 }
 
 func (fg *funcGen) exitLoop(breakTarget, contTarget int) {
 	cur := fg.b.Block()
-	n := len(fg.breakJumps) - 1
-	for _, blk := range fg.breakJumps[n] {
-		fg.b.SetBlock(blk)
-		fg.b.Br(breakTarget)
+	n := len(fg.loops) - 1
+	jumps := fg.jumps[fg.loops[n]:]
+	for _, j := range jumps {
+		if !j.cont {
+			fg.b.SetBlock(j.blk)
+			fg.b.Br(breakTarget)
+		}
 	}
-	for _, blk := range fg.contJumps[n] {
-		fg.b.SetBlock(blk)
-		fg.b.Br(contTarget)
+	for _, j := range jumps {
+		if j.cont {
+			fg.b.SetBlock(j.blk)
+			fg.b.Br(contTarget)
+		}
 	}
-	fg.breakJumps = fg.breakJumps[:n]
-	fg.contJumps = fg.contJumps[:n]
+	fg.jumps = fg.jumps[:fg.loops[n]]
+	fg.loops = fg.loops[:n]
 	fg.b.SetBlock(cur)
 }
 
@@ -305,22 +368,22 @@ type lvalue struct {
 }
 
 func (g *genCtx) genFunc(fd *FuncDecl) (*ir.Func, error) {
-	var params []ir.Param
-	for _, p := range fd.Params {
-		params = append(params, ir.Param{Name: p.Name, Type: irType(p.Ty)})
+	params := g.params.take(len(fd.Params))
+	for i, p := range fd.Params {
+		params[i] = ir.Param{Name: p.Name, Type: irType(p.Ty)}
 	}
-	fg := &funcGen{
-		g:         g,
-		b:         g.scratch.NewFunc(fd.Name, irType(fd.Ret), params...),
-		fd:        fd,
-		addrTaken: map[string]bool{},
-	}
-	fg.scanAddrTaken(fd.Body)
+	fg := &g.fg
+	fg.g, fg.fd = g, fd
+	fg.b = g.scratch.NewFunc(fd.Name, irType(fd.Ret), params...)
+	fg.vars, fg.scopes, fg.addrTaken = fg.vars[:0], fg.scopes[:0], fg.addrTaken[:0]
+	fg.jumps, fg.loops = fg.jumps[:0], fg.loops[:0]
+	fg.scanStmt(fd.Body)
 	fg.push()
 	// Bind parameters; address-taken ones are demoted to allocas.
 	for i, p := range fd.Params {
-		vi := &varInfo{ty: p.Ty, arrayLen: -1}
-		if fg.addrTaken[p.Name] {
+		vi := g.vars.new()
+		vi.ty, vi.arrayLen = p.Ty, -1
+		if fg.isAddrTaken(p.Name) {
 			slot := fg.b.F.NewAlloca(8)
 			if p.Ty.Kind == tyPtr {
 				fg.b.F.MarkAllocaPtr(slot)
@@ -333,7 +396,7 @@ func (g *genCtx) genFunc(fd *FuncDecl) (*ir.Func, error) {
 			vi.kind = stVReg
 			vi.vreg = fg.b.Param(i)
 		}
-		fg.scopes[0][p.Name] = vi
+		fg.bind(p.Name, vi)
 	}
 	if err := fg.stmt(fd.Body); err != nil {
 		return nil, err
@@ -362,71 +425,86 @@ func irType(t *Ty) ir.Type {
 	}
 }
 
-// scanAddrTaken marks identifiers whose address is taken anywhere in the
-// function, forcing them into stack slots.
-func (fg *funcGen) scanAddrTaken(s *Stmt) {
-	var walkE func(e *Expr)
-	walkE = func(e *Expr) {
-		if e == nil {
-			return
-		}
-		if e.Kind == eUnary && e.Op == "&" && e.L != nil && e.L.Kind == eIdent {
-			fg.addrTaken[e.L.Name] = true
-		}
-		walkE(e.L)
-		walkE(e.R)
-		walkE(e.C3)
-		for _, a := range e.Args {
-			walkE(a)
-		}
-	}
-	var walkS func(s *Stmt)
-	walkS = func(s *Stmt) {
-		if s == nil {
-			return
-		}
-		walkE(s.Expr)
-		walkE(s.Cond)
-		walkE(s.Post)
-		for _, d := range s.Decl {
-			walkE(d.Init)
-			for _, e := range d.InitList {
-				walkE(e)
-			}
-		}
-		walkS(s.Init)
-		walkS(s.Then)
-		walkS(s.Else)
-		walkS(s.Body)
-		for _, c := range s.List {
-			walkS(c)
-		}
-	}
-	walkS(s)
-}
-
-// push opens a scope, reusing the map of one popped earlier.
-func (fg *funcGen) push() {
-	if n := len(fg.scopes); n < cap(fg.scopes) && fg.scopes[:n+1][n] != nil {
-		fg.scopes = fg.scopes[:n+1]
-		clear(fg.scopes[n])
+// scanStmt and scanExpr list the identifiers whose address is taken
+// anywhere in the function, forcing them into stack slots.
+func (fg *funcGen) scanStmt(s *Stmt) {
+	if s == nil {
 		return
 	}
-	fg.scopes = append(fg.scopes, map[string]*varInfo{})
-}
-
-func (fg *funcGen) pop() { fg.scopes = fg.scopes[:len(fg.scopes)-1] }
-
-func (fg *funcGen) lookup(name string) *varInfo {
-	for i := len(fg.scopes) - 1; i >= 0; i-- {
-		if vi, ok := fg.scopes[i][name]; ok {
-			return vi
+	fg.scanExpr(s.Expr)
+	fg.scanExpr(s.Cond)
+	fg.scanExpr(s.Post)
+	for _, d := range s.Decl {
+		fg.scanExpr(d.Init)
+		for _, e := range d.InitList {
+			fg.scanExpr(e)
 		}
 	}
-	if d, ok := fg.g.globals[name]; ok {
-		return &varInfo{ty: d.Ty, isArray: d.ArrayLen >= 0, arrayLen: d.ArrayLen, kind: stGlobal, global: d.Name}
+	fg.scanStmt(s.Init)
+	fg.scanStmt(s.Then)
+	fg.scanStmt(s.Else)
+	fg.scanStmt(s.Body)
+	for _, c := range s.List {
+		fg.scanStmt(c)
 	}
-	return nil
+}
+
+func (fg *funcGen) scanExpr(e *Expr) {
+	if e == nil {
+		return
+	}
+	if e.Kind == eUnary && e.Op == cAnd && e.L != nil && e.L.Kind == eIdent && !fg.isAddrTaken(e.L.Text) {
+		fg.addrTaken = append(fg.addrTaken, e.L.Text)
+	}
+	fg.scanExpr(e.L)
+	fg.scanExpr(e.R)
+	fg.scanExpr(e.C3)
+	for _, a := range e.Args {
+		fg.scanExpr(a)
+	}
+}
+
+func (fg *funcGen) isAddrTaken(name string) bool {
+	for _, n := range fg.addrTaken {
+		if n == name {
+			return true
+		}
+	}
+	return false
+}
+
+// push opens a scope; pop closes the innermost.
+func (fg *funcGen) push() { fg.scopes = append(fg.scopes, len(fg.vars)) }
+
+func (fg *funcGen) pop() {
+	n := len(fg.scopes) - 1
+	fg.vars = fg.vars[:fg.scopes[n]]
+	fg.scopes = fg.scopes[:n]
+}
+
+// bind adds name to the innermost scope.
+func (fg *funcGen) bind(name string, vi *varInfo) {
+	fg.vars = append(fg.vars, binding{name, vi})
+}
+
+// inScope reports whether the innermost scope binds name.
+func (fg *funcGen) inScope(name string) bool {
+	for _, v := range fg.vars[fg.scopes[len(fg.scopes)-1]:] {
+		if v.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// lookup resolves name: the innermost binding first, then the globals.
+func (fg *funcGen) lookup(name string) *varInfo {
+	for i := len(fg.vars) - 1; i >= 0; i-- {
+		if fg.vars[i].name == name {
+			return fg.vars[i].vi
+		}
+	}
+	return fg.g.globals[name]
 }
 
 // --- Statements ---
@@ -609,19 +687,17 @@ func (fg *funcGen) stmt(s *Stmt) error {
 		b.SetBlock(exit)
 		return nil
 	case sBreak:
-		if len(fg.breakJumps) == 0 {
+		if len(fg.loops) == 0 {
 			return errAt(s.line, s.col, "break outside loop")
 		}
-		n := len(fg.breakJumps) - 1
-		fg.breakJumps[n] = append(fg.breakJumps[n], b.Block())
+		fg.jumps = append(fg.jumps, loopJump{blk: b.Block()})
 		b.NewBlock("postbreak")
 		return nil
 	case sContinue:
-		if len(fg.contJumps) == 0 {
+		if len(fg.loops) == 0 {
 			return errAt(s.line, s.col, "continue outside loop")
 		}
-		n := len(fg.contJumps) - 1
-		fg.contJumps[n] = append(fg.contJumps[n], b.Block())
+		fg.jumps = append(fg.jumps, loopJump{blk: b.Block(), cont: true})
 		b.NewBlock("postcont")
 		return nil
 	}
@@ -638,11 +714,11 @@ func (fg *funcGen) linkTo(target int) {
 
 func (fg *funcGen) localDecl(d *Decl) error {
 	b := fg.b
-	scope := fg.scopes[len(fg.scopes)-1]
-	if _, dup := scope[d.Name]; dup {
+	if fg.inScope(d.Name) {
 		return errAt(d.line, d.col, "redeclaration of %s", d.Name)
 	}
-	vi := &varInfo{ty: d.Ty, arrayLen: d.ArrayLen}
+	vi := fg.g.vars.new()
+	vi.ty, vi.arrayLen = d.Ty, d.ArrayLen
 	if d.ArrayLen >= 0 {
 		vi.isArray = true
 		vi.kind = stAlloca
@@ -650,7 +726,7 @@ func (fg *funcGen) localDecl(d *Decl) error {
 		if d.Ty.Kind == tyPtr {
 			b.F.MarkAllocaPtr(vi.slot)
 		}
-		scope[d.Name] = vi
+		fg.bind(d.Name, vi)
 		if d.Init != nil {
 			return errAt(d.line, d.col, "scalar initialiser on array")
 		}
@@ -673,7 +749,7 @@ func (fg *funcGen) localDecl(d *Decl) error {
 		}
 		return nil
 	}
-	if fg.addrTaken[d.Name] {
+	if fg.isAddrTaken(d.Name) {
 		vi.kind = stAlloca
 		vi.slot = b.F.NewAlloca(8)
 		if d.Ty.Kind == tyPtr {
@@ -683,7 +759,7 @@ func (fg *funcGen) localDecl(d *Decl) error {
 		vi.kind = stVReg
 		vi.vreg = b.F.NewVReg(irType(d.Ty))
 	}
-	scope[d.Name] = vi
+	fg.bind(d.Name, vi)
 	// Initialise (default zero).
 	var init value
 	if d.Init != nil {

@@ -1,7 +1,7 @@
 package minic
 
 import (
-	"fmt"
+	"strconv"
 
 	"heterodc/internal/ir"
 )
@@ -15,27 +15,28 @@ func (fg *funcGen) expr(e *Expr) (value, error) {
 	case eFloat:
 		return value{v: b.FConst(e.Fval), ty: typeDouble}, nil
 	case eStr:
-		name := fmt.Sprintf(".str.%d", fg.g.strN)
+		name := ".str." + strconv.Itoa(fg.g.strN)
 		fg.g.strN++
-		data := append([]byte(e.Sval), 0)
+		data := make([]byte, len(e.Text)+1)
+		copy(data, e.Text)
 		if err := fg.g.mod.AddGlobal(&ir.Global{
 			Name: name, Size: int64(len(data)), Init: data, ReadOnly: true,
 		}); err != nil {
 			return value{}, err
 		}
-		return value{v: b.GlobalAddr(name, 0), ty: ptrTo(typeChar)}, nil
+		return value{v: b.GlobalAddr(name, 0), ty: fg.g.ptrTo(typeChar)}, nil
 	case eIdent:
-		vi := fg.lookup(e.Name)
+		vi := fg.lookup(e.Text)
 		if vi == nil {
 			// A function name used as a value: a function pointer.
-			if _, ok := fg.g.funcs[e.Name]; ok {
-				return value{v: b.GlobalAddr(e.Name, 0), ty: ptrTo(typeVoid)}, nil
+			if _, ok := fg.g.funcs[e.Text]; ok {
+				return value{v: b.GlobalAddr(e.Text, 0), ty: fg.g.ptrTo(typeVoid)}, nil
 			}
-			return value{}, errAt(e.line, e.col, "undefined identifier %q", e.Name)
+			return value{}, errAt(e.line, e.col, "undefined identifier %q", e.Text)
 		}
 		if vi.isArray {
 			// Array decays to a pointer to its first element.
-			return value{v: fg.baseAddr(vi), ty: ptrTo(vi.ty)}, nil
+			return value{v: fg.baseAddr(vi), ty: fg.g.ptrTo(vi.ty)}, nil
 		}
 		lv := fg.varLvalue(vi)
 		return fg.load(lv), nil
@@ -113,16 +114,16 @@ func (fg *funcGen) varLvalue(vi *varInfo) lvalue {
 func (fg *funcGen) lvalueOf(e *Expr) (lvalue, error) {
 	switch e.Kind {
 	case eIdent:
-		vi := fg.lookup(e.Name)
+		vi := fg.lookup(e.Text)
 		if vi == nil {
-			return lvalue{}, errAt(e.line, e.col, "undefined identifier %q", e.Name)
+			return lvalue{}, errAt(e.line, e.col, "undefined identifier %q", e.Text)
 		}
 		if vi.isArray {
-			return lvalue{}, errAt(e.line, e.col, "cannot assign to array %q", e.Name)
+			return lvalue{}, errAt(e.line, e.col, "cannot assign to array %q", e.Text)
 		}
 		return fg.varLvalue(vi), nil
 	case eUnary:
-		if e.Op != "*" {
+		if e.Op != cMul {
 			break
 		}
 		p, err := fg.expr(e.L)
@@ -195,7 +196,7 @@ func (fg *funcGen) store(lv lvalue, v value) {
 }
 
 // convert coerces v to target using C's implicit conversion rules.
-func (fg *funcGen) convert(v value, target *Ty, line, col int) (value, error) {
+func (fg *funcGen) convert(v value, target *Ty, line, col int32) (value, error) {
 	b := fg.b
 	if target.Kind == tyVoid {
 		return v, nil
@@ -222,7 +223,7 @@ func (fg *funcGen) convert(v value, target *Ty, line, col int) (value, error) {
 }
 
 // usualArith applies C's usual arithmetic conversions to a pair.
-func (fg *funcGen) usualArith(l, r value, line, col int) (value, value, *Ty, error) {
+func (fg *funcGen) usualArith(l, r value, line, col int32) (value, value, *Ty, error) {
 	if l.ty.isFloat() || r.ty.isFloat() {
 		lc, err := fg.convert(l, typeDouble, line, col)
 		if err != nil {
@@ -240,7 +241,7 @@ func (fg *funcGen) usualArith(l, r value, line, col int) (value, value, *Ty, err
 func (fg *funcGen) unary(e *Expr) (value, error) {
 	b := fg.b
 	switch e.Op {
-	case "-":
+	case cSub:
 		v, err := fg.expr(e.L)
 		if err != nil {
 			return value{}, err
@@ -249,13 +250,13 @@ func (fg *funcGen) unary(e *Expr) (value, error) {
 			return value{v: b.FNeg(v.v), ty: typeDouble}, nil
 		}
 		return value{v: b.Bin(ir.Sub, b.Const(0), v.v), ty: typeLong}, nil
-	case "!":
+	case cNot:
 		c, err := fg.condValue(e.L)
 		if err != nil {
 			return value{}, err
 		}
 		return value{v: b.Cmp(ir.Eq, c, b.Const(0)), ty: typeLong}, nil
-	case "~":
+	case cTilde:
 		v, err := fg.expr(e.L)
 		if err != nil {
 			return value{}, err
@@ -264,26 +265,26 @@ func (fg *funcGen) unary(e *Expr) (value, error) {
 			return value{}, errAt(e.line, e.col, "~ on double")
 		}
 		return value{v: b.BinImm(ir.Xor, v.v, -1), ty: typeLong}, nil
-	case "*":
+	case cMul:
 		lv, err := fg.lvalueOf(e)
 		if err != nil {
 			return value{}, err
 		}
 		return fg.load(lv), nil
-	case "&":
+	case cAnd:
 		switch e.L.Kind {
 		case eIdent:
-			vi := fg.lookup(e.L.Name)
+			vi := fg.lookup(e.L.Text)
 			if vi == nil {
-				return value{}, errAt(e.line, e.col, "undefined identifier %q", e.L.Name)
+				return value{}, errAt(e.line, e.col, "undefined identifier %q", e.L.Text)
 			}
 			if vi.isArray {
-				return value{v: fg.baseAddr(vi), ty: ptrTo(vi.ty)}, nil
+				return value{v: fg.baseAddr(vi), ty: fg.g.ptrTo(vi.ty)}, nil
 			}
 			if vi.kind == stVReg {
-				return value{}, errAt(e.line, e.col, "internal: address-taken variable %q not demoted", e.L.Name)
+				return value{}, errAt(e.line, e.col, "internal: address-taken variable %q not demoted", e.L.Text)
 			}
-			return value{v: fg.baseAddr(vi), ty: ptrTo(vi.ty)}, nil
+			return value{v: fg.baseAddr(vi), ty: fg.g.ptrTo(vi.ty)}, nil
 		case eIndex, eUnary:
 			lv, err := fg.lvalueOf(e.L)
 			if err != nil {
@@ -292,7 +293,7 @@ func (fg *funcGen) unary(e *Expr) (value, error) {
 			if lv.isVReg {
 				return value{}, errAt(e.line, e.col, "cannot take address of register variable")
 			}
-			return value{v: lv.addr, ty: ptrTo(lv.ty)}, nil
+			return value{v: lv.addr, ty: fg.g.ptrTo(lv.ty)}, nil
 		}
 		return value{}, errAt(e.line, e.col, "cannot take address of this expression")
 	}
@@ -314,13 +315,13 @@ func (fg *funcGen) incrDecr(e *Expr) (value, error) {
 	if lv.ty.isFloat() {
 		one := b.FConst(1)
 		op := ir.FAdd
-		if e.Op == "--" {
+		if e.Op == cDec {
 			op = ir.FSub
 		}
 		nv = value{v: b.FBin(op, old.v, one), ty: lv.ty}
 	} else {
 		d := step
-		if e.Op == "--" {
+		if e.Op == cDec {
 			d = -step
 		}
 		res := b.BinImm(ir.Add, old.v, d)
@@ -337,23 +338,75 @@ func (fg *funcGen) incrDecr(e *Expr) (value, error) {
 	return cv, nil
 }
 
-var irBinOps = map[string]ir.BinOp{
-	"+": ir.Add, "-": ir.Sub, "*": ir.Mul, "/": ir.Div, "%": ir.Rem,
-	"&": ir.And, "|": ir.Or, "^": ir.Xor, "<<": ir.Shl, ">>": ir.Shr,
+// irBinOp, irFBinOp and irCmpOp map an operator to its IR operation.
+func irBinOp(c code) (ir.BinOp, bool) {
+	switch c {
+	case cAdd:
+		return ir.Add, true
+	case cSub:
+		return ir.Sub, true
+	case cMul:
+		return ir.Mul, true
+	case cDiv:
+		return ir.Div, true
+	case cMod:
+		return ir.Rem, true
+	case cAnd:
+		return ir.And, true
+	case cOr:
+		return ir.Or, true
+	case cXor:
+		return ir.Xor, true
+	case cShl:
+		return ir.Shl, true
+	case cShr:
+		return ir.Shr, true
+	}
+	return 0, false
 }
 
-var irFBinOps = map[string]ir.FBinOp{
-	"+": ir.FAdd, "-": ir.FSub, "*": ir.FMul, "/": ir.FDiv,
+func irFBinOp(c code) (ir.FBinOp, bool) {
+	switch c {
+	case cAdd:
+		return ir.FAdd, true
+	case cSub:
+		return ir.FSub, true
+	case cMul:
+		return ir.FMul, true
+	case cDiv:
+		return ir.FDiv, true
+	}
+	return 0, false
 }
 
-var irCmpOps = map[string]ir.CmpOp{
-	"==": ir.Eq, "!=": ir.Ne, "<": ir.Lt, "<=": ir.Le, ">": ir.Gt, ">=": ir.Ge,
+func irCmpOp(c code) (ir.CmpOp, bool) {
+	switch c {
+	case cEq:
+		return ir.Eq, true
+	case cNe:
+		return ir.Ne, true
+	case cLt:
+		return ir.Lt, true
+	case cLe:
+		return ir.Le, true
+	case cGt:
+		return ir.Gt, true
+	case cGe:
+		return ir.Ge, true
+	}
+	return 0, false
+}
+
+// compoundOp[c] is the binary operator compound assignment c applies.
+var compoundOp = [numCodes]code{
+	cAddAssign: cAdd, cSubAssign: cSub, cMulAssign: cMul, cDivAssign: cDiv, cModAssign: cMod,
+	cAndAssign: cAnd, cOrAssign: cOr, cXorAssign: cXor, cShlAssign: cShl, cShrAssign: cShr,
 }
 
 func (fg *funcGen) binary(e *Expr) (value, error) {
 	b := fg.b
 	// Short-circuit logicals.
-	if e.Op == "&&" || e.Op == "||" {
+	if e.Op == cAndAnd || e.Op == cOrOr {
 		res := b.F.NewVReg(ir.I64)
 		lc, err := fg.condValue(e.L)
 		if err != nil {
@@ -369,7 +422,7 @@ func (fg *funcGen) binary(e *Expr) (value, error) {
 		b.MovTo(res, b.Cmp(ir.Ne, rc, b.Const(0)))
 		rhsEnd := b.Block()
 		shortBlk := b.NewBlock("sc.short")
-		if e.Op == "&&" {
+		if e.Op == cAndAnd {
 			b.ConstTo(res, 0)
 		} else {
 			b.ConstTo(res, 1)
@@ -377,7 +430,7 @@ func (fg *funcGen) binary(e *Expr) (value, error) {
 		shortEnd := b.Block()
 		join := b.NewBlock("sc.end")
 		b.SetBlock(lBlk)
-		if e.Op == "&&" {
+		if e.Op == cAndAnd {
 			b.CondBr(lc, rhsBlk, shortBlk)
 		} else {
 			b.CondBr(lc, shortBlk, rhsBlk)
@@ -402,9 +455,9 @@ func (fg *funcGen) binary(e *Expr) (value, error) {
 	// Pointer arithmetic.
 	if l.ty.Kind == tyPtr || r.ty.Kind == tyPtr {
 		switch e.Op {
-		case "+", "-":
+		case cAdd, cSub:
 			if l.ty.Kind == tyPtr && r.ty.Kind == tyPtr {
-				if e.Op != "-" {
+				if e.Op != cSub {
 					return value{}, errAt(e.line, e.col, "pointer + pointer")
 				}
 				diff := b.Bin(ir.Sub, l.v, r.v)
@@ -416,7 +469,7 @@ func (fg *funcGen) binary(e *Expr) (value, error) {
 			}
 			p, i := l, r
 			if r.ty.Kind == tyPtr {
-				if e.Op == "-" {
+				if e.Op == cSub {
 					return value{}, errAt(e.line, e.col, "int - pointer")
 				}
 				p, i = r, l
@@ -429,12 +482,13 @@ func (fg *funcGen) binary(e *Expr) (value, error) {
 			if sz := p.ty.Elem.size(); sz > 1 {
 				off = b.BinImm(ir.Mul, off, sz)
 			}
-			if e.Op == "-" {
+			if e.Op == cSub {
 				off = b.Bin(ir.Sub, b.Const(0), off)
 			}
 			return value{v: b.PtrAdd(p.v, off), ty: p.ty}, nil
-		case "==", "!=", "<", "<=", ">", ">=":
-			return value{v: b.Cmp(irCmpOps[e.Op], l.v, r.v), ty: typeLong}, nil
+		case cEq, cNe, cLt, cLe, cGt, cGe:
+			cmp, _ := irCmpOp(e.Op)
+			return value{v: b.Cmp(cmp, l.v, r.v), ty: typeLong}, nil
 		default:
 			return value{}, errAt(e.line, e.col, "invalid pointer operation %q", e.Op)
 		}
@@ -444,20 +498,20 @@ func (fg *funcGen) binary(e *Expr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	if cmp, ok := irCmpOps[e.Op]; ok {
+	if cmp, ok := irCmpOp(e.Op); ok {
 		if ty.isFloat() {
 			return value{v: b.FCmp(cmp, lc.v, rc.v), ty: typeLong}, nil
 		}
 		return value{v: b.Cmp(cmp, lc.v, rc.v), ty: typeLong}, nil
 	}
 	if ty.isFloat() {
-		op, ok := irFBinOps[e.Op]
+		op, ok := irFBinOp(e.Op)
 		if !ok {
 			return value{}, errAt(e.line, e.col, "operator %q on double", e.Op)
 		}
 		return value{v: b.FBin(op, lc.v, rc.v), ty: typeDouble}, nil
 	}
-	op, ok := irBinOps[e.Op]
+	op, ok := irBinOp(e.Op)
 	if !ok {
 		return value{}, errAt(e.line, e.col, "unhandled operator %q", e.Op)
 	}
@@ -470,14 +524,14 @@ func (fg *funcGen) assign(e *Expr) (value, error) {
 		return value{}, err
 	}
 	var rhs value
-	if e.Op == "=" {
+	if e.Op == cAssign {
 		rhs, err = fg.expr(e.R)
 		if err != nil {
 			return value{}, err
 		}
 	} else {
 		// Compound assignment: synthesise lhs <op> rhs on the loaded value.
-		op := e.Op[:len(e.Op)-1]
+		op := compoundOp[e.Op]
 		cur := fg.load(lv)
 		r, err := fg.expr(e.R)
 		if err != nil {
@@ -498,9 +552,9 @@ func (fg *funcGen) assign(e *Expr) (value, error) {
 
 // applyBin applies a binary operator to two evaluated values (used by
 // compound assignment).
-func (fg *funcGen) applyBin(op string, l, r value, line, col int) (value, error) {
+func (fg *funcGen) applyBin(op code, l, r value, line, col int32) (value, error) {
 	b := fg.b
-	if l.ty.Kind == tyPtr && (op == "+" || op == "-") {
+	if l.ty.Kind == tyPtr && (op == cAdd || op == cSub) {
 		ic, err := fg.convert(r, typeLong, line, col)
 		if err != nil {
 			return value{}, err
@@ -509,7 +563,7 @@ func (fg *funcGen) applyBin(op string, l, r value, line, col int) (value, error)
 		if sz := l.ty.Elem.size(); sz > 1 {
 			off = b.BinImm(ir.Mul, off, sz)
 		}
-		if op == "-" {
+		if op == cSub {
 			off = b.Bin(ir.Sub, b.Const(0), off)
 		}
 		return value{v: b.PtrAdd(l.v, off), ty: l.ty}, nil
@@ -519,13 +573,13 @@ func (fg *funcGen) applyBin(op string, l, r value, line, col int) (value, error)
 		return value{}, err
 	}
 	if ty.isFloat() {
-		fop, ok := irFBinOps[op]
+		fop, ok := irFBinOp(op)
 		if !ok {
 			return value{}, errAt(line, col, "operator %q= on double", op)
 		}
 		return value{v: b.FBin(fop, lc.v, rc.v), ty: typeDouble}, nil
 	}
-	iop, ok := irBinOps[op]
+	iop, ok := irBinOp(op)
 	if !ok {
 		return value{}, errAt(line, col, "unhandled operator %q=", op)
 	}
@@ -600,13 +654,13 @@ func (fg *funcGen) call(e *Expr) (value, error) {
 func (fg *funcGen) callImpl(e *Expr, voidOK bool) (value, error) {
 	b := fg.b
 	// Builtins.
-	switch e.Name {
+	switch e.Text {
 	case "__syscall":
 		if len(e.Args) < 1 || e.Args[0].Kind != eInt {
 			return value{}, errAt(e.line, e.col, "__syscall needs a literal syscall number")
 		}
-		var args []ir.VReg
-		for _, a := range e.Args[1:] {
+		args := fg.g.argLists.take(len(e.Args) - 1)
+		for i, a := range e.Args[1:] {
 			v, err := fg.expr(a)
 			if err != nil {
 				return value{}, err
@@ -614,7 +668,7 @@ func (fg *funcGen) callImpl(e *Expr, voidOK bool) (value, error) {
 			if v.ty.isFloat() {
 				return value{}, errAt(e.line, e.col, "__syscall arguments must be integral")
 			}
-			args = append(args, v.v)
+			args[i] = v.v
 		}
 		return value{v: b.Syscall(e.Args[0].Ival, args...), ty: typeLong}, nil
 	case "__atomic_add", "__atomic_cas":
@@ -623,9 +677,9 @@ func (fg *funcGen) callImpl(e *Expr, voidOK bool) (value, error) {
 			return value{}, err
 		}
 		if p.ty.Kind != tyPtr {
-			return value{}, errAt(e.line, e.col, "%s needs a pointer", e.Name)
+			return value{}, errAt(e.line, e.col, "%s needs a pointer", e.Text)
 		}
-		if e.Name == "__atomic_add" {
+		if e.Text == "__atomic_add" {
 			if len(e.Args) != 2 {
 				return value{}, errAt(e.line, e.col, "__atomic_add(p, delta)")
 			}
@@ -679,14 +733,14 @@ func (fg *funcGen) callImpl(e *Expr, voidOK bool) (value, error) {
 		return value{v: b.FSqrt(xc.v), ty: typeDouble}, nil
 	}
 
-	fd, ok := fg.g.funcs[e.Name]
+	fd, ok := fg.g.funcs[e.Text]
 	if !ok {
-		return value{}, errAt(e.line, e.col, "call to undefined function %q", e.Name)
+		return value{}, errAt(e.line, e.col, "call to undefined function %q", e.Text)
 	}
 	if len(e.Args) != len(fd.Params) {
-		return value{}, errAt(e.line, e.col, "%s takes %d args, got %d", e.Name, len(fd.Params), len(e.Args))
+		return value{}, errAt(e.line, e.col, "%s takes %d args, got %d", e.Text, len(fd.Params), len(e.Args))
 	}
-	var args []ir.VReg
+	args := fg.g.argLists.take(len(e.Args))
 	for i, a := range e.Args {
 		v, err := fg.expr(a)
 		if err != nil {
@@ -696,12 +750,12 @@ func (fg *funcGen) callImpl(e *Expr, voidOK bool) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		args = append(args, cv.v)
+		args[i] = cv.v
 	}
-	ret := b.Call(irType(fd.Ret), e.Name, args...)
+	ret := b.Call(irType(fd.Ret), e.Text, args...)
 	if fd.Ret.Kind == tyVoid {
 		if !voidOK {
-			return value{}, errAt(e.line, e.col, "void value of %s used", e.Name)
+			return value{}, errAt(e.line, e.col, "void value of %s used", e.Text)
 		}
 		return value{v: ir.NoV, ty: typeVoid}, nil
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 // tokKind classifies tokens.
-type tokKind int
+type tokKind uint8
 
 const (
 	tEOF tokKind = iota
@@ -32,22 +32,124 @@ const (
 	tKeyword
 )
 
+// token is one lexeme. A punctuator or keyword carries its code, so the
+// parser compares one byte where it compared strings.
 type token struct {
-	kind tokKind
-	text string
-	ival int64
-	fval float64
-	sval string // decoded string literal
-	line int
-	col  int
+	text      string // spelling; a string literal's decoded bytes
+	ival      int64
+	fval      float64
+	line, col int32
+	kind      tokKind
+	code      code // punctuator or keyword; cNone for every other kind
 }
 
-var keywords = map[string]bool{
-	"long": true, "double": true, "char": true, "void": true,
-	"if": true, "else": true, "while": true, "do": true, "for": true,
-	"return": true, "break": true, "continue": true, "sizeof": true,
-	"static": true, "const": true,
+// spelling is the token as diagnostics quote it: a string or character
+// literal shows as "".
+func (t *token) spelling() string {
+	if t.kind == tString {
+		return ""
+	}
+	return t.text
 }
+
+// code names a punctuator or a keyword.
+type code uint8
+
+const (
+	cNone code = iota
+
+	// Punctuators.
+	cShlAssign // <<=
+	cShrAssign // >>=
+	cEllipsis  // ...
+	cEq        // ==
+	cNe        // !=
+	cLe        // <=
+	cGe        // >=
+	cAndAnd    // &&
+	cOrOr      // ||
+	cShl       // <<
+	cShr       // >>
+	cAddAssign // +=
+	cSubAssign // -=
+	cMulAssign // *=
+	cDivAssign // /=
+	cModAssign // %=
+	cAndAssign // &=
+	cOrAssign  // |=
+	cXorAssign // ^=
+	cInc       // ++
+	cDec       // --
+	cArrow     // ->
+	cAdd       // +
+	cSub       // -
+	cMul       // *
+	cDiv       // /
+	cMod       // %
+	cAnd       // &
+	cOr        // |
+	cXor       // ^
+	cTilde     // ~
+	cNot       // !
+	cLt        // <
+	cGt        // >
+	cAssign    // =
+	cLParen    // (
+	cRParen    // )
+	cLBrace    // {
+	cRBrace    // }
+	cLBrack    // [
+	cRBrack    // ]
+	cComma     // ,
+	cSemi      // ;
+	cQuest     // ?
+	cColon     // :
+
+	// Keywords.
+	kLong
+	kDouble
+	kChar
+	kVoid
+	kIf
+	kElse
+	kWhile
+	kDo
+	kFor
+	kReturn
+	kBreak
+	kContinue
+	kSizeof
+	kStatic
+	kConst
+
+	numCodes
+)
+
+// spellings[c] is code c's source text.
+var spellings = [numCodes]string{
+	cShlAssign: "<<=", cShrAssign: ">>=", cEllipsis: "...",
+	cEq: "==", cNe: "!=", cLe: "<=", cGe: ">=", cAndAnd: "&&", cOrOr: "||", cShl: "<<", cShr: ">>",
+	cAddAssign: "+=", cSubAssign: "-=", cMulAssign: "*=", cDivAssign: "/=", cModAssign: "%=",
+	cAndAssign: "&=", cOrAssign: "|=", cXorAssign: "^=", cInc: "++", cDec: "--", cArrow: "->",
+	cAdd: "+", cSub: "-", cMul: "*", cDiv: "/", cMod: "%", cAnd: "&", cOr: "|", cXor: "^",
+	cTilde: "~", cNot: "!", cLt: "<", cGt: ">", cAssign: "=",
+	cLParen: "(", cRParen: ")", cLBrace: "{", cRBrace: "}", cLBrack: "[", cRBrack: "]",
+	cComma: ",", cSemi: ";", cQuest: "?", cColon: ":",
+	kLong: "long", kDouble: "double", kChar: "char", kVoid: "void",
+	kIf: "if", kElse: "else", kWhile: "while", kDo: "do", kFor: "for",
+	kReturn: "return", kBreak: "break", kContinue: "continue", kSizeof: "sizeof",
+	kStatic: "static", kConst: "const",
+}
+
+func (c code) String() string { return spellings[c] }
+
+var keywords = func() map[string]code {
+	m := make(map[string]code, numCodes-kLong)
+	for c := kLong; c < numCodes; c++ {
+		m[spellings[c]] = c
+	}
+	return m
+}()
 
 // Error is a frontend diagnostic with position information.
 type Error struct {
@@ -70,13 +172,16 @@ type lexer struct {
 	toks []token
 }
 
-func lex(file, src string) ([]token, error) {
-	// The prelude and the NPB programs measure 2.9 to 4.2 source bytes per
-	// token, so this capacity holds nearly every program's tokens without
-	// regrowing the slice.
-	lx := &lexer{file: file, src: src, line: 1, col: 1, toks: make([]token, 0, len(src)/3+1)}
+// tokCap is a capacity that holds src's tokens: the prelude and the NPB
+// programs measure 2.9 to 4.2 source bytes per token, so nearly every
+// program lexes without regrowing its slice.
+func tokCap(src string) int { return len(src)/3 + 1 }
+
+// lex appends src's tokens to toks[:0].
+func lex(file, src string, toks []token) ([]token, error) {
+	lx := lexer{file: file, src: src, line: 1, col: 1, toks: toks[:0]}
 	if err := lx.run(); err != nil {
-		return nil, err
+		return toks, err
 	}
 	return lx.toks, nil
 }
@@ -111,8 +216,14 @@ func (lx *lexer) advance() byte {
 	return c
 }
 
-func (lx *lexer) emit(t token) {
-	lx.toks = append(lx.toks, t)
+// emit appends a token that starts at line:col.
+func (lx *lexer) emit(kind tokKind, c code, text string, line, col int) {
+	lx.toks = append(lx.toks, token{text: text, line: int32(line), col: int32(col), kind: kind, code: c})
+}
+
+// emitNum appends a numeric literal's token.
+func (lx *lexer) emitNum(kind tokKind, text string, ival int64, fval float64, line, col int) {
+	lx.toks = append(lx.toks, token{text: text, ival: ival, fval: fval, line: int32(line), col: int32(col), kind: kind})
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -120,16 +231,12 @@ func isAlpha(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
-// punctsByFirst lists the punctuators by their first byte, longest first.
-var punctsByFirst = func() (by [256][]string) {
-	for _, p := range []string{
-		"<<=", ">>=", "...",
-		"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "->",
-		"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
-		"(", ")", "{", "}", "[", "]", ",", ";", "?", ":",
-	} {
-		by[p[0]] = append(by[p[0]], p)
+// punctsByFirst lists the punctuators by their first byte, longest first
+// (the codes run from the three-byte punctuators down to the one-byte ones).
+var punctsByFirst = func() (by [256][]code) {
+	for c := cShlAssign; c < kLong; c++ {
+		p := spellings[c]
+		by[p[0]] = append(by[p[0]], c)
 	}
 	return by
 }()
@@ -166,11 +273,11 @@ func (lx *lexer) run() error {
 				lx.advance()
 			}
 			word := lx.src[start:lx.pos]
-			k := tIdent
-			if keywords[word] {
-				k = tKeyword
+			if c, ok := keywords[word]; ok {
+				lx.emit(tKeyword, c, word, line, col)
+			} else {
+				lx.emit(tIdent, cNone, word, line, col)
 			}
-			lx.emit(token{kind: k, text: word, line: line, col: col})
 		case c == '"':
 			if err := lx.stringLit(line, col); err != nil {
 				return err
@@ -181,12 +288,12 @@ func (lx *lexer) run() error {
 			}
 		default:
 			matched := false
-			for _, p := range punctsByFirst[c] {
-				if strings.HasPrefix(lx.src[lx.pos:], p) {
+			for _, pc := range punctsByFirst[c] {
+				if p := spellings[pc]; strings.HasPrefix(lx.src[lx.pos:], p) {
 					for range p {
 						lx.advance()
 					}
-					lx.emit(token{kind: tPunct, text: p, line: line, col: col})
+					lx.emit(tPunct, pc, p, line, col)
 					matched = true
 					break
 				}
@@ -196,7 +303,7 @@ func (lx *lexer) run() error {
 			}
 		}
 	}
-	lx.emit(token{kind: tEOF, line: lx.line, col: lx.col})
+	lx.emit(tEOF, cNone, "", lx.line, lx.col)
 	return nil
 }
 
@@ -214,7 +321,7 @@ func (lx *lexer) number(line, col int) error {
 		if err != nil {
 			return lx.errf("bad hex literal %q", text)
 		}
-		lx.emit(token{kind: tInt, text: text, ival: int64(v), line: line, col: col})
+		lx.emitNum(tInt, text, int64(v), 0, line, col)
 		return nil
 	}
 	for isDigit(lx.peek()) {
@@ -245,13 +352,13 @@ func (lx *lexer) number(line, col int) error {
 		if err != nil {
 			return lx.errf("bad float literal %q", text)
 		}
-		lx.emit(token{kind: tFloat, text: text, fval: f, line: line, col: col})
+		lx.emitNum(tFloat, text, 0, f, line, col)
 	} else {
 		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
 			return lx.errf("bad int literal %q", text)
 		}
-		lx.emit(token{kind: tInt, text: text, ival: v, line: line, col: col})
+		lx.emitNum(tInt, text, v, 0, line, col)
 	}
 	return nil
 }
@@ -286,22 +393,33 @@ func (lx *lexer) escape() (byte, error) {
 
 func (lx *lexer) stringLit(line, col int) error {
 	lx.advance() // opening quote
+	// A literal without escapes is its own spelling in the source.
+	start := lx.pos
 	var sb []byte
 	for {
 		if lx.pos >= len(lx.src) {
 			return lx.errf("unterminated string literal")
 		}
 		if lx.peek() == '"' {
-			lx.advance()
 			break
+		}
+		if lx.peek() == '\\' && sb == nil {
+			sb = append(make([]byte, 0, 2*(lx.pos-start)+8), lx.src[start:lx.pos]...)
 		}
 		b, err := lx.escape()
 		if err != nil {
 			return err
 		}
-		sb = append(sb, b)
+		if sb != nil {
+			sb = append(sb, b)
+		}
 	}
-	lx.emit(token{kind: tString, sval: string(sb), line: line, col: col})
+	text := lx.src[start:lx.pos]
+	lx.advance()
+	if sb != nil {
+		text = string(sb)
+	}
+	lx.emit(tString, cNone, text, line, col)
 	return nil
 }
 
@@ -317,6 +435,6 @@ func (lx *lexer) charLit(line, col int) error {
 	if lx.pos >= len(lx.src) || lx.advance() != '\'' {
 		return lx.errf("unterminated char literal")
 	}
-	lx.emit(token{kind: tChar, ival: int64(b), line: line, col: col})
+	lx.emitNum(tChar, "", int64(b), 0, line, col)
 	return nil
 }

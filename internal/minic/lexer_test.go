@@ -60,7 +60,7 @@ var literalCases = []literalCase{
 
 func TestNumberLiterals(t *testing.T) {
 	for _, c := range literalCases {
-		toks, err := lex("lit.c", c.text)
+		toks, err := lex("lit.c", c.text, nil)
 		if c.err != "" {
 			if err == nil || err.Error() != c.err {
 				t.Errorf("%q: error %v, want %s", c.text, err, c.err)

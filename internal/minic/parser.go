@@ -4,7 +4,7 @@ import "fmt"
 
 // --- Types -----------------------------------------------------------------
 
-type tyKind int
+type tyKind uint8
 
 const (
 	tyLong tyKind = iota
@@ -14,10 +14,12 @@ const (
 	tyPtr
 )
 
-// Ty is a mini-C type.
+// Ty is a mini-C type. Within one build, one *Ty stands for each pointer
+// type (arena.ptrTo).
 type Ty struct {
 	Kind tyKind
 	Elem *Ty // pointee for tyPtr
+	ptr  *Ty // the pointer type to this one, once made
 }
 
 var (
@@ -26,8 +28,6 @@ var (
 	typeChar   = &Ty{Kind: tyChar}
 	typeVoid   = &Ty{Kind: tyVoid}
 )
-
-func ptrTo(t *Ty) *Ty { return &Ty{Kind: tyPtr, Elem: t} }
 
 func (t *Ty) String() string {
 	switch t.Kind {
@@ -59,7 +59,7 @@ func (t *Ty) isFloat() bool { return t.Kind == tyDouble }
 
 // --- AST ---------------------------------------------------------------------
 
-type exprKind int
+type exprKind uint8
 
 const (
 	eInt exprKind = iota
@@ -72,7 +72,7 @@ const (
 	eBinary // arithmetic/logical/comparison
 	eAssign // Op in = += -= *= /= %= &= |= ^= <<= >>=
 	eCond   // L ? R : C3
-	eCall   // Name(Args) or builtin
+	eCall   // Text(Args) or builtin
 	eIndex  // L[R]
 	eCast   // (CastTy)L
 	eSizeof
@@ -80,21 +80,20 @@ const (
 
 // Expr is an expression node.
 type Expr struct {
-	Kind   exprKind
-	Op     string
 	L, R   *Expr
 	C3     *Expr
 	Ival   int64
 	Fval   float64
-	Sval   string
-	Name   string
+	Text   string // eIdent, eCall: the name; eStr: the literal's bytes
 	Args   []*Expr
 	CastTy *Ty
 
-	line, col int
+	line, col int32
+	Kind      exprKind
+	Op        code
 }
 
-type stmtKind int
+type stmtKind uint8
 
 const (
 	sExpr stmtKind = iota
@@ -112,8 +111,6 @@ const (
 
 // Stmt is a statement node.
 type Stmt struct {
-	Kind stmtKind
-
 	Expr *Expr   // sExpr, sReturn (may be nil)
 	Decl []*Decl // sDecl
 
@@ -124,7 +121,8 @@ type Stmt struct {
 	Post       *Expr   // sFor
 	List       []*Stmt // sBlock
 
-	line, col int
+	line, col int32
+	Kind      stmtKind
 }
 
 // Decl is one variable declarator.
@@ -135,7 +133,7 @@ type Decl struct {
 	Init     *Expr
 	InitList []*Expr // array initialiser
 
-	line, col int
+	line, col int32
 }
 
 // Param is a function parameter.
@@ -151,7 +149,7 @@ type FuncDecl struct {
 	Params []Param
 	Body   *Stmt
 
-	line, col int
+	line, col int32
 }
 
 // Program is one parsed translation unit.
@@ -162,7 +160,9 @@ type Program struct {
 
 // --- Parser -------------------------------------------------------------------
 
+// parser parses one source's tokens into its arena.
 type parser struct {
+	*arena
 	file string
 	toks []token
 	pos  int
@@ -170,161 +170,194 @@ type parser struct {
 
 // Parse parses mini-C source.
 func Parse(file, src string) (*Program, error) {
-	toks, err := lex(file, src)
-	if err != nil {
+	a := newArena()
+	a.toks = make([]token, 0, tokCap(src))
+	if err := a.parse(file, src); err != nil {
 		return nil, err
 	}
-	p := &parser{file: file, toks: toks}
-	return p.program()
+	return a.program(), nil
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() *token { return &p.toks[p.pos] }
+
+// next consumes the current token and returns it.
+func (p *parser) next() *token { t := &p.toks[p.pos]; p.pos++; return t }
+
+// is reports whether the current token is the punctuator or keyword c.
+func (p *parser) is(c code) bool { return p.toks[p.pos].code == c }
 
 func (p *parser) errf(format string, args ...interface{}) error {
 	t := p.cur()
-	return &Error{File: p.file, Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	return &Error{File: p.file, Line: int(t.line), Col: int(t.col), Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) isPunct(s string) bool {
-	t := p.cur()
-	return t.kind == tPunct && t.text == s
-}
-
-func (p *parser) isKeyword(s string) bool {
-	t := p.cur()
-	return t.kind == tKeyword && t.text == s
-}
-
-func (p *parser) accept(s string) bool {
-	if p.isPunct(s) || p.isKeyword(s) {
+func (p *parser) accept(c code) bool {
+	if p.is(c) {
 		p.pos++
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(s string) error {
-	if p.accept(s) {
+func (p *parser) expect(c code) error {
+	if p.accept(c) {
 		return nil
 	}
-	return p.errf("expected %q, got %q", s, p.cur().text)
+	return p.errf("expected %q, got %q", c, p.cur().spelling())
+}
+
+// newExpr returns an expression node of kind k at t.
+func (p *parser) newExpr(k exprKind, t *token) *Expr {
+	e := p.exprs.new()
+	e.Kind, e.line, e.col = k, t.line, t.col
+	return e
+}
+
+// newStmt returns a statement node of kind k at t.
+func (p *parser) newStmt(k stmtKind, t *token) *Stmt {
+	s := p.stmts.new()
+	s.Kind, s.line, s.col = k, t.line, t.col
+	return s
 }
 
 // typeStart reports whether the current token begins a type.
 func (p *parser) typeStart() bool {
-	return p.isKeyword("long") || p.isKeyword("double") || p.isKeyword("char") ||
-		p.isKeyword("void") || p.isKeyword("static") || p.isKeyword("const")
+	switch p.cur().code {
+	case kLong, kDouble, kChar, kVoid, kStatic, kConst:
+		return true
+	}
+	return false
 }
 
 // parseType parses a base type plus pointer stars.
 func (p *parser) parseType() (*Ty, error) {
-	for p.accept("static") || p.accept("const") {
+	for p.accept(kStatic) || p.accept(kConst) {
 	}
 	var base *Ty
-	switch {
-	case p.accept("long"):
+	switch p.cur().code {
+	case kLong:
 		base = typeLong
-	case p.accept("double"):
+	case kDouble:
 		base = typeDouble
-	case p.accept("char"):
+	case kChar:
 		base = typeChar
-	case p.accept("void"):
+	case kVoid:
 		base = typeVoid
 	default:
-		return nil, p.errf("expected type, got %q", p.cur().text)
+		return nil, p.errf("expected type, got %q", p.cur().spelling())
 	}
-	for p.accept("*") {
-		base = ptrTo(base)
+	p.pos++
+	for p.accept(cMul) {
+		base = p.ptrTo(base)
 	}
 	return base, nil
 }
 
-func (p *parser) program() (*Program, error) {
-	prog := &Program{}
+// program parses the source's globals and functions onto the arena's
+// stacks.
+func (p *parser) program() error {
 	for p.cur().kind != tEOF {
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nameTok := p.cur()
 		if nameTok.kind != tIdent {
-			return nil, p.errf("expected name after type")
+			return p.errf("expected name after type")
 		}
 		p.pos++
-		if p.isPunct("(") {
+		if p.is(cLParen) {
 			fd, err := p.funcRest(ty, nameTok)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			prog.Funcs = append(prog.Funcs, fd)
+			p.funcStack = append(p.funcStack, fd)
 			continue
 		}
-		decls, err := p.declRest(ty, nameTok)
-		if err != nil {
-			return nil, err
+		if err := p.declRest(ty, nameTok); err != nil {
+			return err
 		}
-		prog.Globals = append(prog.Globals, decls...)
 	}
-	return prog, nil
+	return nil
 }
 
-// declRest parses declarators after "type name" up to the semicolon.
-func (p *parser) declRest(ty *Ty, nameTok token) ([]*Decl, error) {
-	var out []*Decl
+// declRest parses declarators after "type name" up to the semicolon,
+// pushing them on declStack.
+func (p *parser) declRest(ty *Ty, nameTok *token) error {
 	d, err := p.declarator(ty, nameTok)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out = append(out, d)
-	for p.accept(",") {
+	p.declStack = append(p.declStack, d)
+	for p.accept(cComma) {
 		t := ty
-		for p.accept("*") {
-			t = ptrTo(t)
+		for p.accept(cMul) {
+			t = p.ptrTo(t)
 		}
 		nt := p.cur()
 		if nt.kind != tIdent {
-			return nil, p.errf("expected name in declaration")
+			return p.errf("expected name in declaration")
 		}
 		p.pos++
 		d, err := p.declarator(t, nt)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, d)
+		p.declStack = append(p.declStack, d)
 	}
-	if err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return p.expect(cSemi)
 }
 
-func (p *parser) declarator(ty *Ty, nameTok token) (*Decl, error) {
-	d := &Decl{Name: nameTok.text, Ty: ty, ArrayLen: -1, line: nameTok.line, col: nameTok.col}
-	if p.accept("[") {
+// declStmt parses a declaration after its type into an sDecl statement at
+// t; what is the diagnostic for a missing name.
+func (p *parser) declStmt(ty *Ty, t *token, what string) (*Stmt, error) {
+	nt := p.cur()
+	if nt.kind != tIdent {
+		return nil, p.errf("%s", what)
+	}
+	p.pos++
+	mark := len(p.declStack)
+	if err := p.declRest(ty, nt); err != nil {
+		p.declStack = p.declStack[:mark]
+		return nil, err
+	}
+	s := p.newStmt(sDecl, t)
+	s.Decl = p.declLists.clone(p.declStack[mark:])
+	p.declStack = p.declStack[:mark]
+	return s, nil
+}
+
+func (p *parser) declarator(ty *Ty, nameTok *token) (*Decl, error) {
+	d := p.decls.new()
+	d.Name, d.Ty, d.ArrayLen, d.line, d.col = nameTok.text, ty, -1, nameTok.line, nameTok.col
+	if p.accept(cLBrack) {
 		t := p.cur()
 		if t.kind != tInt {
 			return nil, p.errf("array length must be an integer literal")
 		}
 		p.pos++
 		d.ArrayLen = t.ival
-		if err := p.expect("]"); err != nil {
+		if err := p.expect(cRBrack); err != nil {
 			return nil, err
 		}
 	}
-	if p.accept("=") {
-		if p.accept("{") {
-			for !p.isPunct("}") {
+	if p.accept(cAssign) {
+		if p.accept(cLBrace) {
+			mark := len(p.exprStack)
+			for !p.is(cRBrace) {
 				e, err := p.assignExpr()
 				if err != nil {
+					p.exprStack = p.exprStack[:mark]
 					return nil, err
 				}
-				d.InitList = append(d.InitList, e)
-				if !p.accept(",") {
+				p.exprStack = append(p.exprStack, e)
+				if !p.accept(cComma) {
 					break
 				}
 			}
-			if err := p.expect("}"); err != nil {
+			d.InitList = p.exprLists.clone(p.exprStack[mark:])
+			p.exprStack = p.exprStack[:mark]
+			if err := p.expect(cRBrace); err != nil {
 				return nil, err
 			}
 		} else {
@@ -338,15 +371,17 @@ func (p *parser) declarator(ty *Ty, nameTok token) (*Decl, error) {
 	return d, nil
 }
 
-func (p *parser) funcRest(ret *Ty, nameTok token) (*FuncDecl, error) {
-	fd := &FuncDecl{Name: nameTok.text, Ret: ret, line: nameTok.line, col: nameTok.col}
-	if err := p.expect("("); err != nil {
+func (p *parser) funcRest(ret *Ty, nameTok *token) (*FuncDecl, error) {
+	fd := p.fdecl.new()
+	fd.Name, fd.Ret, fd.line, fd.col = nameTok.text, ret, nameTok.line, nameTok.col
+	if err := p.expect(cLParen); err != nil {
 		return nil, err
 	}
-	if p.accept("void") && p.isPunct(")") {
+	if p.accept(kVoid) && p.is(cRParen) {
 		// (void) parameter list
 	} else {
-		for !p.isPunct(")") {
+		p.paramStack = p.paramStack[:0]
+		for !p.is(cRParen) {
 			ty, err := p.parseType()
 			if err != nil {
 				return nil, err
@@ -356,13 +391,14 @@ func (p *parser) funcRest(ret *Ty, nameTok token) (*FuncDecl, error) {
 				return nil, p.errf("expected parameter name")
 			}
 			p.pos++
-			fd.Params = append(fd.Params, Param{Name: nt.text, Ty: ty})
-			if !p.accept(",") {
+			p.paramStack = append(p.paramStack, Param{Name: nt.text, Ty: ty})
+			if !p.accept(cComma) {
 				break
 			}
 		}
+		fd.Params = p.paramLists.clone(p.paramStack)
 	}
-	if err := p.expect(")"); err != nil {
+	if err := p.expect(cRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.block()
@@ -375,64 +411,61 @@ func (p *parser) funcRest(ret *Ty, nameTok token) (*FuncDecl, error) {
 
 func (p *parser) block() (*Stmt, error) {
 	t := p.cur()
-	if err := p.expect("{"); err != nil {
+	if err := p.expect(cLBrace); err != nil {
 		return nil, err
 	}
-	blk := &Stmt{Kind: sBlock, line: t.line, col: t.col}
-	for !p.isPunct("}") {
+	mark := len(p.stmtStack)
+	for !p.is(cRBrace) {
 		if p.cur().kind == tEOF {
+			p.stmtStack = p.stmtStack[:mark]
 			return nil, p.errf("unterminated block")
 		}
 		s, err := p.stmt()
 		if err != nil {
+			p.stmtStack = p.stmtStack[:mark]
 			return nil, err
 		}
-		blk.List = append(blk.List, s)
+		p.stmtStack = append(p.stmtStack, s)
 	}
 	p.pos++ // }
+	blk := p.newStmt(sBlock, t)
+	blk.List = p.stmtLists.clone(p.stmtStack[mark:])
+	p.stmtStack = p.stmtStack[:mark]
 	return blk, nil
 }
 
 func (p *parser) stmt() (*Stmt, error) {
 	t := p.cur()
 	switch {
-	case p.isPunct("{"):
+	case p.is(cLBrace):
 		return p.block()
-	case p.isPunct(";"):
+	case p.is(cSemi):
 		p.pos++
-		return &Stmt{Kind: sEmpty, line: t.line, col: t.col}, nil
+		return p.newStmt(sEmpty, t), nil
 	case p.typeStart():
 		ty, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		nt := p.cur()
-		if nt.kind != tIdent {
-			return nil, p.errf("expected name in declaration")
-		}
-		p.pos++
-		decls, err := p.declRest(ty, nt)
-		if err != nil {
-			return nil, err
-		}
-		return &Stmt{Kind: sDecl, Decl: decls, line: t.line, col: t.col}, nil
-	case p.accept("if"):
-		if err := p.expect("("); err != nil {
+		return p.declStmt(ty, t, "expected name in declaration")
+	case p.accept(kIf):
+		if err := p.expect(cLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(cRParen); err != nil {
 			return nil, err
 		}
 		then, err := p.stmt()
 		if err != nil {
 			return nil, err
 		}
-		s := &Stmt{Kind: sIf, Cond: cond, Then: then, line: t.line, col: t.col}
-		if p.accept("else") {
+		s := p.newStmt(sIf, t)
+		s.Cond, s.Then = cond, then
+		if p.accept(kElse) {
 			els, err := p.stmt()
 			if err != nil {
 				return nil, err
@@ -440,96 +473,98 @@ func (p *parser) stmt() (*Stmt, error) {
 			s.Else = els
 		}
 		return s, nil
-	case p.accept("while"):
-		if err := p.expect("("); err != nil {
+	case p.accept(kWhile):
+		if err := p.expect(cLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(cRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.stmt()
 		if err != nil {
 			return nil, err
 		}
-		return &Stmt{Kind: sWhile, Cond: cond, Body: body, line: t.line, col: t.col}, nil
-	case p.accept("do"):
+		s := p.newStmt(sWhile, t)
+		s.Cond, s.Body = cond, body
+		return s, nil
+	case p.accept(kDo):
 		body, err := p.stmt()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("while"); err != nil {
+		if err := p.expect(kWhile); err != nil {
 			return nil, err
 		}
-		if err := p.expect("("); err != nil {
+		if err := p.expect(cLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(cRParen); err != nil {
 			return nil, err
 		}
-		if err := p.expect(";"); err != nil {
+		if err := p.expect(cSemi); err != nil {
 			return nil, err
 		}
-		return &Stmt{Kind: sDoWhile, Cond: cond, Body: body, line: t.line, col: t.col}, nil
-	case p.accept("for"):
-		if err := p.expect("("); err != nil {
+		s := p.newStmt(sDoWhile, t)
+		s.Cond, s.Body = cond, body
+		return s, nil
+	case p.accept(kFor):
+		if err := p.expect(cLParen); err != nil {
 			return nil, err
 		}
-		s := &Stmt{Kind: sFor, line: t.line, col: t.col}
-		if !p.isPunct(";") {
+		s := p.newStmt(sFor, t)
+		if !p.is(cSemi) {
 			if p.typeStart() {
 				ty, err := p.parseType()
 				if err != nil {
 					return nil, err
 				}
-				nt := p.cur()
-				if nt.kind != tIdent {
-					return nil, p.errf("expected name in for-init declaration")
-				}
-				p.pos++
-				decls, err := p.declRest(ty, nt) // consumes ';'
+				init, err := p.declStmt(ty, t, "expected name in for-init declaration") // consumes ';'
 				if err != nil {
 					return nil, err
 				}
-				s.Init = &Stmt{Kind: sDecl, Decl: decls}
+				init.line, init.col = 0, 0
+				s.Init = init
 			} else {
 				e, err := p.expr()
 				if err != nil {
 					return nil, err
 				}
-				s.Init = &Stmt{Kind: sExpr, Expr: e}
-				if err := p.expect(";"); err != nil {
+				init := p.stmts.new()
+				init.Kind, init.Expr = sExpr, e
+				s.Init = init
+				if err := p.expect(cSemi); err != nil {
 					return nil, err
 				}
 			}
 		} else {
 			p.pos++
 		}
-		if !p.isPunct(";") {
+		if !p.is(cSemi) {
 			cond, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			s.Cond = cond
 		}
-		if err := p.expect(";"); err != nil {
+		if err := p.expect(cSemi); err != nil {
 			return nil, err
 		}
-		if !p.isPunct(")") {
+		if !p.is(cRParen) {
 			post, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			s.Post = post
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(cRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.stmt()
@@ -538,38 +573,40 @@ func (p *parser) stmt() (*Stmt, error) {
 		}
 		s.Body = body
 		return s, nil
-	case p.accept("return"):
-		s := &Stmt{Kind: sReturn, line: t.line, col: t.col}
-		if !p.isPunct(";") {
+	case p.accept(kReturn):
+		s := p.newStmt(sReturn, t)
+		if !p.is(cSemi) {
 			e, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			s.Expr = e
 		}
-		if err := p.expect(";"); err != nil {
+		if err := p.expect(cSemi); err != nil {
 			return nil, err
 		}
 		return s, nil
-	case p.accept("break"):
-		if err := p.expect(";"); err != nil {
+	case p.accept(kBreak):
+		if err := p.expect(cSemi); err != nil {
 			return nil, err
 		}
-		return &Stmt{Kind: sBreak, line: t.line, col: t.col}, nil
-	case p.accept("continue"):
-		if err := p.expect(";"); err != nil {
+		return p.newStmt(sBreak, t), nil
+	case p.accept(kContinue):
+		if err := p.expect(cSemi); err != nil {
 			return nil, err
 		}
-		return &Stmt{Kind: sContinue, line: t.line, col: t.col}, nil
+		return p.newStmt(sContinue, t), nil
 	default:
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(";"); err != nil {
+		if err := p.expect(cSemi); err != nil {
 			return nil, err
 		}
-		return &Stmt{Kind: sExpr, Expr: e, line: t.line, col: t.col}, nil
+		s := p.newStmt(sExpr, t)
+		s.Expr = e
+		return s, nil
 	}
 }
 
@@ -577,140 +614,152 @@ func (p *parser) stmt() (*Stmt, error) {
 
 func (p *parser) expr() (*Expr, error) { return p.assignExpr() }
 
+// isAssignOp marks the assignment operators.
+var isAssignOp = [numCodes]bool{
+	cAssign: true, cAddAssign: true, cSubAssign: true, cMulAssign: true, cDivAssign: true,
+	cModAssign: true, cAndAssign: true, cOrAssign: true, cXorAssign: true,
+	cShlAssign: true, cShrAssign: true,
+}
+
 func (p *parser) assignExpr() (*Expr, error) {
 	lhs, err := p.condExpr()
 	if err != nil {
 		return nil, err
 	}
-	for _, op := range []string{"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="} {
-		if p.isPunct(op) {
-			t := p.next()
-			rhs, err := p.assignExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &Expr{Kind: eAssign, Op: op, L: lhs, R: rhs, line: t.line, col: t.col}, nil
+	if isAssignOp[p.cur().code] {
+		t := p.next()
+		rhs, err := p.assignExpr()
+		if err != nil {
+			return nil, err
 		}
+		e := p.newExpr(eAssign, t)
+		e.Op, e.L, e.R = t.code, lhs, rhs
+		return e, nil
 	}
 	return lhs, nil
 }
 
 func (p *parser) condExpr() (*Expr, error) {
-	c, err := p.binExpr(0)
+	c, err := p.binExpr(1)
 	if err != nil {
 		return nil, err
 	}
-	if p.isPunct("?") {
+	if p.is(cQuest) {
 		t := p.next()
 		a, err := p.assignExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(":"); err != nil {
+		if err := p.expect(cColon); err != nil {
 			return nil, err
 		}
 		b, err := p.condExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: eCond, L: c, R: a, C3: b, line: t.line, col: t.col}, nil
+		e := p.newExpr(eCond, t)
+		e.L, e.R, e.C3 = c, a, b
+		return e, nil
 	}
 	return c, nil
 }
 
-// binary precedence levels, lowest first.
-var binLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", "<=", ">", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
+// binPrec[c] is binary operator c's precedence level, lowest 1; 0 for a
+// code that is no binary operator.
+var binPrec = [numCodes]uint8{
+	cOrOr:   1,
+	cAndAnd: 2,
+	cOr:     3,
+	cXor:    4,
+	cAnd:    5,
+	cEq:     6, cNe: 6,
+	cLt: 7, cLe: 7, cGt: 7, cGe: 7,
+	cShl: 8, cShr: 8,
+	cAdd: 9, cSub: 9,
+	cMul: 10, cDiv: 10, cMod: 10,
 }
 
-func (p *parser) binExpr(level int) (*Expr, error) {
-	if level >= len(binLevels) {
-		return p.unaryExpr()
-	}
-	lhs, err := p.binExpr(level + 1)
+// binExpr parses a chain of binary operators of level min and above; each
+// level associates to the left.
+func (p *parser) binExpr(min uint8) (*Expr, error) {
+	lhs, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := false
-		for _, op := range binLevels[level] {
-			if p.isPunct(op) {
-				t := p.next()
-				rhs, err := p.binExpr(level + 1)
-				if err != nil {
-					return nil, err
-				}
-				lhs = &Expr{Kind: eBinary, Op: op, L: lhs, R: rhs, line: t.line, col: t.col}
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		level := binPrec[p.cur().code]
+		if level < min || level == 0 {
 			return lhs, nil
 		}
+		t := p.next()
+		rhs, err := p.binExpr(level + 1)
+		if err != nil {
+			return nil, err
+		}
+		e := p.newExpr(eBinary, t)
+		e.Op, e.L, e.R = t.code, lhs, rhs
+		lhs = e
 	}
 }
 
 func (p *parser) unaryExpr() (*Expr, error) {
 	t := p.cur()
-	for _, op := range []string{"-", "!", "~", "*", "&"} {
-		if p.isPunct(op) {
-			p.pos++
-			e, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &Expr{Kind: eUnary, Op: op, L: e, line: t.line, col: t.col}, nil
-		}
-	}
-	if p.isPunct("++") || p.isPunct("--") {
-		op := p.next().text
-		e, err := p.unaryExpr()
+	switch t.code {
+	case cSub, cNot, cTilde, cMul, cAnd:
+		p.pos++
+		l, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: ePreIncr, Op: op, L: e, line: t.line, col: t.col}, nil
-	}
-	// Cast: "(" type ")" unary
-	if p.isPunct("(") && p.pos+1 < len(p.toks) {
-		nt := p.toks[p.pos+1]
-		if nt.kind == tKeyword && (nt.text == "long" || nt.text == "double" || nt.text == "char" || nt.text == "void") {
-			p.pos++ // (
-			ty, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
-			}
-			e, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &Expr{Kind: eCast, CastTy: ty, L: e, line: t.line, col: t.col}, nil
+		e := p.newExpr(eUnary, t)
+		e.Op, e.L = t.code, l
+		return e, nil
+	case cInc, cDec:
+		p.pos++
+		l, err := p.unaryExpr()
+		if err != nil {
+			return nil, err
 		}
-	}
-	if p.accept("sizeof") {
-		if err := p.expect("("); err != nil {
+		e := p.newExpr(ePreIncr, t)
+		e.Op, e.L = t.code, l
+		return e, nil
+	case cLParen:
+		// Cast: "(" type ")" unary
+		if p.pos+1 < len(p.toks) {
+			switch p.toks[p.pos+1].code {
+			case kLong, kDouble, kChar, kVoid:
+				p.pos++ // (
+				ty, err := p.parseType()
+				if err != nil {
+					return nil, err
+				}
+				if err := p.expect(cRParen); err != nil {
+					return nil, err
+				}
+				l, err := p.unaryExpr()
+				if err != nil {
+					return nil, err
+				}
+				e := p.newExpr(eCast, t)
+				e.CastTy, e.L = ty, l
+				return e, nil
+			}
+		}
+	case kSizeof:
+		p.pos++
+		if err := p.expect(cLParen); err != nil {
 			return nil, err
 		}
 		ty, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(cRParen); err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: eSizeof, CastTy: ty, line: t.line, col: t.col}, nil
+		e := p.newExpr(eSizeof, t)
+		e.CastTy = ty
+		return e, nil
 	}
 	return p.postfixExpr()
 }
@@ -721,20 +770,24 @@ func (p *parser) postfixExpr() (*Expr, error) {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.isPunct("["):
-			t := p.next()
+		switch t := p.cur(); t.code {
+		case cLBrack:
+			p.pos++
 			idx, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect("]"); err != nil {
+			if err := p.expect(cRBrack); err != nil {
 				return nil, err
 			}
-			e = &Expr{Kind: eIndex, L: e, R: idx, line: t.line, col: t.col}
-		case p.isPunct("++"), p.isPunct("--"):
-			t := p.next()
-			e = &Expr{Kind: ePostIncr, Op: t.text, L: e, line: t.line, col: t.col}
+			ix := p.newExpr(eIndex, t)
+			ix.L, ix.R = e, idx
+			e = ix
+		case cInc, cDec:
+			p.pos++
+			post := p.newExpr(ePostIncr, t)
+			post.Op, post.L = t.code, e
+			e = post
 		default:
 			return e, nil
 		}
@@ -746,44 +799,57 @@ func (p *parser) primaryExpr() (*Expr, error) {
 	switch t.kind {
 	case tInt, tChar:
 		p.pos++
-		return &Expr{Kind: eInt, Ival: t.ival, line: t.line, col: t.col}, nil
+		e := p.newExpr(eInt, t)
+		e.Ival = t.ival
+		return e, nil
 	case tFloat:
 		p.pos++
-		return &Expr{Kind: eFloat, Fval: t.fval, line: t.line, col: t.col}, nil
+		e := p.newExpr(eFloat, t)
+		e.Fval = t.fval
+		return e, nil
 	case tString:
 		p.pos++
-		return &Expr{Kind: eStr, Sval: t.sval, line: t.line, col: t.col}, nil
+		e := p.newExpr(eStr, t)
+		e.Text = t.text
+		return e, nil
 	case tIdent:
 		p.pos++
-		if p.isPunct("(") {
-			p.pos++
-			call := &Expr{Kind: eCall, Name: t.text, line: t.line, col: t.col}
-			for !p.isPunct(")") {
-				a, err := p.assignExpr()
-				if err != nil {
-					return nil, err
-				}
-				call.Args = append(call.Args, a)
-				if !p.accept(",") {
-					break
-				}
-			}
-			if err := p.expect(")"); err != nil {
+		if !p.is(cLParen) {
+			e := p.newExpr(eIdent, t)
+			e.Text = t.text
+			return e, nil
+		}
+		p.pos++
+		mark := len(p.exprStack)
+		for !p.is(cRParen) {
+			a, err := p.assignExpr()
+			if err != nil {
+				p.exprStack = p.exprStack[:mark]
 				return nil, err
 			}
-			return call, nil
+			p.exprStack = append(p.exprStack, a)
+			if !p.accept(cComma) {
+				break
+			}
 		}
-		return &Expr{Kind: eIdent, Name: t.text, line: t.line, col: t.col}, nil
+		call := p.newExpr(eCall, t)
+		call.Text = t.text
+		call.Args = p.exprLists.clone(p.exprStack[mark:])
+		p.exprStack = p.exprStack[:mark]
+		if err := p.expect(cRParen); err != nil {
+			return nil, err
+		}
+		return call, nil
 	}
-	if p.accept("(") {
+	if p.accept(cLParen) {
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(cRParen); err != nil {
 			return nil, err
 		}
 		return e, nil
 	}
-	return nil, p.errf("unexpected token %q", t.text)
+	return nil, p.errf("unexpected token %q", t.spelling())
 }
