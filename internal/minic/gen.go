@@ -214,15 +214,10 @@ func (g *genCtx) emitGlobal(d *Decl) error {
 		}
 	}
 	glob := &ir.Global{Name: d.Name, Size: size, Align: 8}
-	// Each initialiser is written as a word at its offset; Init ends with
-	// the last one's word, cut to the global's size.
-	switch {
-	case d.Init != nil:
-		glob.Init = make([]byte, 8)
-	case len(d.InitList) > 0:
-		glob.Init = make([]byte, int64(len(d.InitList)-1)*elem.size()+8)
-	}
 	put := func(off int64, iv int64, fv float64, isF bool, ty *Ty) {
+		for int64(len(glob.Init)) < off+8 {
+			glob.Init = append(glob.Init, 0)
+		}
 		switch {
 		case ty.isFloat():
 			if !isF {
