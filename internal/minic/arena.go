@@ -44,8 +44,8 @@ func (s *slab[T]) clone(xs []T) []T {
 // program) makes; the ranges are over the 36 NPB builds of the toolchain
 // benchmark. Each build takes a few chunks of the big kinds and one or two
 // of the small ones, and a chunk's unused tail, the only waste, averages
-// half a chunk: about 13 KiB of expressions, 8 KiB of statements and under
-// 1 KiB of each other kind.
+// half a chunk: about 13 KiB of expressions, 8 KiB of statements and
+// 1 KiB or less of each other kind.
 const (
 	exprChunk      = 256 // 911 to 1,787 expressions
 	stmtChunk      = 128 // 327 to 484 statements

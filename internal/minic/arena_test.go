@@ -25,10 +25,9 @@ func TestNodesStayPacked(t *testing.T) {
 }
 
 // TestPointerTypesInterned: within one parse, a pointer type is one *Ty
-// however often it is written, at any depth. (A later declarator's stars
-// add to the declaration's type: e is a char***.)
+// however often it is written, at any depth.
 func TestPointerTypesInterned(t *testing.T) {
-	prog, err := Parse("p.c", "long *a; long *b; char **c; char **d, *e; long main(void) { return 0; }")
+	prog, err := Parse("p.c", "long *a; long *b; char **c; char **d; char ***e; long main(void) { return 0; }")
 	if err != nil {
 		t.Fatal(err)
 	}
