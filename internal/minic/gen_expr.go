@@ -338,63 +338,17 @@ func (fg *funcGen) incrDecr(e *Expr) (value, error) {
 	return cv, nil
 }
 
-// irBinOp, irFBinOp and irCmpOp map an operator to its IR operation.
-func irBinOp(c code) (ir.BinOp, bool) {
-	switch c {
-	case cAdd:
-		return ir.Add, true
-	case cSub:
-		return ir.Sub, true
-	case cMul:
-		return ir.Mul, true
-	case cDiv:
-		return ir.Div, true
-	case cMod:
-		return ir.Rem, true
-	case cAnd:
-		return ir.And, true
-	case cOr:
-		return ir.Or, true
-	case cXor:
-		return ir.Xor, true
-	case cShl:
-		return ir.Shl, true
-	case cShr:
-		return ir.Shr, true
-	}
-	return 0, false
+var irBinOps = map[code]ir.BinOp{
+	cAdd: ir.Add, cSub: ir.Sub, cMul: ir.Mul, cDiv: ir.Div, cMod: ir.Rem,
+	cAnd: ir.And, cOr: ir.Or, cXor: ir.Xor, cShl: ir.Shl, cShr: ir.Shr,
 }
 
-func irFBinOp(c code) (ir.FBinOp, bool) {
-	switch c {
-	case cAdd:
-		return ir.FAdd, true
-	case cSub:
-		return ir.FSub, true
-	case cMul:
-		return ir.FMul, true
-	case cDiv:
-		return ir.FDiv, true
-	}
-	return 0, false
+var irFBinOps = map[code]ir.FBinOp{
+	cAdd: ir.FAdd, cSub: ir.FSub, cMul: ir.FMul, cDiv: ir.FDiv,
 }
 
-func irCmpOp(c code) (ir.CmpOp, bool) {
-	switch c {
-	case cEq:
-		return ir.Eq, true
-	case cNe:
-		return ir.Ne, true
-	case cLt:
-		return ir.Lt, true
-	case cLe:
-		return ir.Le, true
-	case cGt:
-		return ir.Gt, true
-	case cGe:
-		return ir.Ge, true
-	}
-	return 0, false
+var irCmpOps = map[code]ir.CmpOp{
+	cEq: ir.Eq, cNe: ir.Ne, cLt: ir.Lt, cLe: ir.Le, cGt: ir.Gt, cGe: ir.Ge,
 }
 
 // compoundOp[c] is the binary operator compound assignment c applies.
@@ -487,8 +441,7 @@ func (fg *funcGen) binary(e *Expr) (value, error) {
 			}
 			return value{v: b.PtrAdd(p.v, off), ty: p.ty}, nil
 		case cEq, cNe, cLt, cLe, cGt, cGe:
-			cmp, _ := irCmpOp(e.Op)
-			return value{v: b.Cmp(cmp, l.v, r.v), ty: typeLong}, nil
+			return value{v: b.Cmp(irCmpOps[e.Op], l.v, r.v), ty: typeLong}, nil
 		default:
 			return value{}, errAt(e.line, e.col, "invalid pointer operation %q", e.Op)
 		}
@@ -498,20 +451,20 @@ func (fg *funcGen) binary(e *Expr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	if cmp, ok := irCmpOp(e.Op); ok {
+	if cmp, ok := irCmpOps[e.Op]; ok {
 		if ty.isFloat() {
 			return value{v: b.FCmp(cmp, lc.v, rc.v), ty: typeLong}, nil
 		}
 		return value{v: b.Cmp(cmp, lc.v, rc.v), ty: typeLong}, nil
 	}
 	if ty.isFloat() {
-		op, ok := irFBinOp(e.Op)
+		op, ok := irFBinOps[e.Op]
 		if !ok {
 			return value{}, errAt(e.line, e.col, "operator %q on double", e.Op)
 		}
 		return value{v: b.FBin(op, lc.v, rc.v), ty: typeDouble}, nil
 	}
-	op, ok := irBinOp(e.Op)
+	op, ok := irBinOps[e.Op]
 	if !ok {
 		return value{}, errAt(e.line, e.col, "unhandled operator %q", e.Op)
 	}
@@ -573,13 +526,13 @@ func (fg *funcGen) applyBin(op code, l, r value, line, col int32) (value, error)
 		return value{}, err
 	}
 	if ty.isFloat() {
-		fop, ok := irFBinOp(op)
+		fop, ok := irFBinOps[op]
 		if !ok {
 			return value{}, errAt(line, col, "operator %q= on double", op)
 		}
 		return value{v: b.FBin(fop, lc.v, rc.v), ty: typeDouble}, nil
 	}
-	iop, ok := irBinOp(op)
+	iop, ok := irBinOps[op]
 	if !ok {
 		return value{}, errAt(line, col, "unhandled operator %q=", op)
 	}

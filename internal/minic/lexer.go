@@ -167,8 +167,8 @@ type lexer struct {
 	file string
 	src  string
 	pos  int
-	line int
-	col  int
+	line int32
+	col  int32
 	toks []token
 }
 
@@ -187,7 +187,7 @@ func lex(file, src string, toks []token) ([]token, error) {
 }
 
 func (lx *lexer) errf(format string, args ...interface{}) error {
-	return &Error{File: lx.file, Line: lx.line, Col: lx.col, Msg: fmt.Sprintf(format, args...)}
+	return &Error{File: lx.file, Line: int(lx.line), Col: int(lx.col), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (lx *lexer) peek() byte {
@@ -216,14 +216,8 @@ func (lx *lexer) advance() byte {
 	return c
 }
 
-// emit appends a token that starts at line:col.
-func (lx *lexer) emit(kind tokKind, c code, text string, line, col int) {
-	lx.toks = append(lx.toks, token{text: text, line: int32(line), col: int32(col), kind: kind, code: c})
-}
-
-// emitNum appends a numeric literal's token.
-func (lx *lexer) emitNum(kind tokKind, text string, ival int64, fval float64, line, col int) {
-	lx.toks = append(lx.toks, token{text: text, ival: ival, fval: fval, line: int32(line), col: int32(col), kind: kind})
+func (lx *lexer) emit(t token) {
+	lx.toks = append(lx.toks, t)
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -273,11 +267,11 @@ func (lx *lexer) run() error {
 				lx.advance()
 			}
 			word := lx.src[start:lx.pos]
-			if c, ok := keywords[word]; ok {
-				lx.emit(tKeyword, c, word, line, col)
-			} else {
-				lx.emit(tIdent, cNone, word, line, col)
+			k, c := tIdent, cNone
+			if kc, ok := keywords[word]; ok {
+				k, c = tKeyword, kc
 			}
+			lx.emit(token{kind: k, code: c, text: word, line: line, col: col})
 		case c == '"':
 			if err := lx.stringLit(line, col); err != nil {
 				return err
@@ -293,7 +287,7 @@ func (lx *lexer) run() error {
 					for range p {
 						lx.advance()
 					}
-					lx.emit(tPunct, pc, p, line, col)
+					lx.emit(token{kind: tPunct, code: pc, text: p, line: line, col: col})
 					matched = true
 					break
 				}
@@ -303,11 +297,11 @@ func (lx *lexer) run() error {
 			}
 		}
 	}
-	lx.emit(tEOF, cNone, "", lx.line, lx.col)
+	lx.emit(token{kind: tEOF, line: lx.line, col: lx.col})
 	return nil
 }
 
-func (lx *lexer) number(line, col int) error {
+func (lx *lexer) number(line, col int32) error {
 	start := lx.pos
 	isFloat := false
 	if lx.peek() == '0' && (lx.peek2() == 'x' || lx.peek2() == 'X') {
@@ -321,7 +315,7 @@ func (lx *lexer) number(line, col int) error {
 		if err != nil {
 			return lx.errf("bad hex literal %q", text)
 		}
-		lx.emitNum(tInt, text, int64(v), 0, line, col)
+		lx.emit(token{kind: tInt, text: text, ival: int64(v), line: line, col: col})
 		return nil
 	}
 	for isDigit(lx.peek()) {
@@ -352,13 +346,13 @@ func (lx *lexer) number(line, col int) error {
 		if err != nil {
 			return lx.errf("bad float literal %q", text)
 		}
-		lx.emitNum(tFloat, text, 0, f, line, col)
+		lx.emit(token{kind: tFloat, text: text, fval: f, line: line, col: col})
 	} else {
 		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
 			return lx.errf("bad int literal %q", text)
 		}
-		lx.emitNum(tInt, text, v, 0, line, col)
+		lx.emit(token{kind: tInt, text: text, ival: v, line: line, col: col})
 	}
 	return nil
 }
@@ -391,7 +385,7 @@ func (lx *lexer) escape() (byte, error) {
 	return 0, lx.errf("unknown escape \\%c", e)
 }
 
-func (lx *lexer) stringLit(line, col int) error {
+func (lx *lexer) stringLit(line, col int32) error {
 	lx.advance() // opening quote
 	// A literal without escapes is its own spelling in the source.
 	start := lx.pos
@@ -419,11 +413,11 @@ func (lx *lexer) stringLit(line, col int) error {
 	if sb != nil {
 		text = string(sb)
 	}
-	lx.emit(tString, cNone, text, line, col)
+	lx.emit(token{kind: tString, text: text, line: line, col: col})
 	return nil
 }
 
-func (lx *lexer) charLit(line, col int) error {
+func (lx *lexer) charLit(line, col int32) error {
 	lx.advance() // opening quote
 	if lx.pos >= len(lx.src) {
 		return lx.errf("unterminated char literal")
@@ -435,6 +429,6 @@ func (lx *lexer) charLit(line, col int) error {
 	if lx.pos >= len(lx.src) || lx.advance() != '\'' {
 		return lx.errf("unterminated char literal")
 	}
-	lx.emitNum(tChar, "", int64(b), 0, line, col)
+	lx.emit(token{kind: tChar, ival: int64(b), line: line, col: col})
 	return nil
 }
