@@ -36,12 +36,9 @@
 // repository root; the whole check takes about six minutes.
 //
 // The rack experiment takes -rack-nodes N (default 4) to size the ensemble.
-// -engine seq|par selects the cluster time engine for the experiments that
-// honour it (rack, member-scaling); par exploits sharing-group parallelism
-// with deterministic, epoch-grained scheduling. Any other -engine value is
-// rejected before anything runs. The detector, partition, topology, fleet
-// and storm experiments run both engines themselves; chaos and ckpt run
-// the sequential one.
+// The cluster experiments (chaos, ckpt, detector, partition, topology,
+// fleet, storm, rack, member-scaling) run both time engines and fail when
+// they disagree; the others run the sequential one.
 //
 // -topo flat|fattree selects the interconnect fabric for the experiments
 // that honour it (rack, member-scaling, fleet); -racks and -oversub shape
@@ -58,16 +55,14 @@
 //
 // The member-scaling experiment sweeps rack sizes under the SWIM detector
 // (-fault-seed varies the streams; -scale quick shrinks the grid). The
-// partition experiment runs every seeded bipartition scenario on both
-// engines and enforces the split-brain invariants.
+// partition experiment enforces the split-brain invariants.
 //
 // The fleet experiment offers seeded open-loop traffic (jobs arrive at
 // simulated instants whether or not capacity is free) and rolls the fleet
 // from all-x86 to all-ARM in SLO-gated waves. -arrivals is a comma list of
 // arrival processes (poisson, diurnal, bursty; empty runs all three), -rate
 // the offered load in jobs/sec and -slo the per-job latency target in
-// seconds (0 keeps the scale defaults). Every wave runs under both time
-// engines and must produce bit-identical SLO reports.
+// seconds (0 keeps the scale defaults).
 //
 // The storm experiment runs the open-loop stream under a seeded continuous
 // chaos process (correlated rack failures, gray-fail nodes, node churn) with
@@ -171,25 +166,18 @@ func fleetOptions(arrivals string, rateSet bool, rate float64, sloSet bool, slo 
 
 // stormOptions validates the storm study's flag set. The set booleans report
 // whether the user passed each flag at all (untouched flags defer to the
-// scale defaults), and the node-churn overrides must come as a pair: a
+// scale defaults); -rate and -slo are checked as fleetOptions checks them,
+// and the node-churn overrides must come as a pair: a
 // failure rate without a repair rate (or vice versa) is not a renewal
 // process, so half a pair is rejected rather than silently mixed with a
 // default from a different scale.
 func stormOptions(seed int64, rateSet bool, rate float64, sloSet bool, slo float64,
 	mttfSet bool, mttf float64, mttrSet bool, mttr float64) (exp.StormOptions, error) {
-	opts := exp.StormOptions{Seed: seed}
-	if rateSet {
-		if !(rate > 0) || math.IsInf(rate, 0) {
-			return exp.StormOptions{}, fmt.Errorf("-rate: offered load %g jobs/sec is not a positive finite rate", rate)
-		}
-		opts.Rate = rate
+	load, err := fleetOptions("", rateSet, rate, sloSet, slo)
+	if err != nil {
+		return exp.StormOptions{}, err
 	}
-	if sloSet {
-		if !(slo > 0) || math.IsInf(slo, 0) {
-			return exp.StormOptions{}, fmt.Errorf("-slo: latency target %g s is not a positive finite duration", slo)
-		}
-		opts.SLO = traffic.SLO{LatencyTargetSec: slo, BudgetFrac: 0.10}
-	}
+	opts := exp.StormOptions{Seed: seed, Rate: load.Rate, SLO: load.SLO}
 	if mttfSet != mttrSet {
 		return exp.StormOptions{}, fmt.Errorf("-storm-mttf and -storm-mttr must be set together (the node-churn process needs both a failure and a repair mean)")
 	}
@@ -244,7 +232,6 @@ func main() {
 	fuzzBudget := flag.Duration("fuzz-budget", 0, "fuzz: wall-clock budget (0: scale default)")
 	fuzzMax := flag.Int("fuzz-max", 0, "fuzz: stop after this many programs (0: budget only)")
 	rackNodes := flag.Int("rack-nodes", 4, "rack: machine count (half x86, half ARM in the mixed setups)")
-	engine := flag.String("engine", "seq", "cluster time engine: seq|par (experiments that honour it)")
 	hbFracs := flag.String("hb-fracs", "", "detector: comma list of heartbeat periods as runtime fractions (empty: default sweep)")
 	jsonPath := flag.String("json", "", "also write the study's result rows as JSON to this file")
 	topoKind := flag.String("topo", "flat", "interconnect fabric: flat|fattree (experiments that honour it)")
@@ -291,12 +278,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := exp.UseEngine(nil, *engine); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	cfg := exp.Config{
-		W: os.Stdout, RackNodes: *rackNodes, Engine: *engine,
+		W: os.Stdout, RackNodes: *rackNodes,
 		Topo: *topoKind, Racks: *racks, Oversub: *oversub,
 	}
 	switch *scale {

@@ -188,17 +188,6 @@ func TestUnwritableProfileFailsBeforeTheRun(t *testing.T) {
 	}
 }
 
-// A mistyped -engine used to run the sequential engine without a word.
-func TestUnknownEngineIsRejected(t *testing.T) {
-	out, errOut, code := cmdtest.Run(t, "-exp", "rack", "-scale", "quick", "-engine", "parr")
-	if code != 2 || !strings.Contains(errOut, `unknown engine "parr"`) || !strings.Contains(errOut, "seq, par") {
-		t.Errorf("exit %d, stderr %q: want exit 2 naming the value and the valid list", code, errOut)
-	}
-	if strings.Contains(out, "=====") {
-		t.Errorf("an experiment started under an unknown engine:\n%s", out)
-	}
-}
-
 // A failed study still leaves a finished profile behind.
 func TestProfileSurvivesAnUnknownExperiment(t *testing.T) {
 	cpu := filepath.Join(t.TempDir(), "cpu.prof")

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"heterodc/internal/ckpt"
 	"heterodc/internal/compiler"
@@ -117,9 +118,8 @@ func Wait(cl *kernel.Cluster, p *kernel.Process) (*Result, error) {
 }
 
 // Job is one process Drive runs to its exit. Migrate requests the job's
-// migration to node To at the first step boundary at or past simulated
-// time At. That boundary is a quantum under the sequential engine and a
-// window under the parallel one, so such a request is engine-grained.
+// migration to node To in a timer firing at simulated time At, which both
+// time engines apply at the same point of the run.
 type Job struct {
 	P       *kernel.Process
 	Migrate bool
@@ -129,34 +129,65 @@ type Job struct {
 
 // Drive steps cl until every job has exited, following the incarnations
 // mgr restores (nil: no checkpoint manager), and calls each (nil: none)
-// before every step. It returns each job's final incarnation, in order;
+// before every step. Migration requests fire from the timer source Drive
+// installs for the run. It returns each job's final incarnation, in order;
 // the error is a cluster that drained first.
 func Drive(cl *kernel.Cluster, mgr *ckpt.Manager, jobs []Job, each func()) ([]*kernel.Process, error) {
-	cur := make([]*kernel.Process, len(jobs))
-	requested := make([]bool, len(jobs))
-	for {
-		done := true
-		for i, j := range jobs {
-			if cur[i] = j.P; mgr != nil {
-				cur[i] = mgr.Current(j.P)
-			}
-			if exited, _ := cur[i].Exited(); exited {
-				continue
-			}
-			done = false
-			if j.Migrate && !requested[i] && cl.Time() >= j.At {
-				cl.RequestProcessMigration(cur[i], j.To)
-				requested[i] = true
-			}
-		}
-		if done {
-			return cur, nil
-		}
+	d := &driver{cl: cl, mgr: mgr, jobs: slices.Clone(jobs), cur: make([]*kernel.Process, len(jobs))}
+	cl.SetTimerSource(d)
+	defer cl.SetTimerSource(nil)
+	for d.running() {
 		if each != nil {
 			each()
 		}
 		if !cl.Step() {
-			return cur, fmt.Errorf("cluster drained before exit")
+			return d.cur, fmt.Errorf("cluster drained before exit")
+		}
+	}
+	return d.cur, nil
+}
+
+// driver is Drive's timer source: it requests each migrating job's move in
+// a firing at the job's At, then clears its Migrate, unless the job has
+// exited by then. cur holds each job's current incarnation.
+type driver struct {
+	cl   *kernel.Cluster
+	mgr  *ckpt.Manager
+	jobs []Job
+	cur  []*kernel.Process
+}
+
+// running refreshes cur and reports whether any job has yet to exit.
+func (d *driver) running() (live bool) {
+	for i, j := range d.jobs {
+		if d.cur[i] = j.P; d.mgr != nil {
+			d.cur[i] = d.mgr.Current(j.P)
+		}
+		if exited, _ := d.cur[i].Exited(); !exited {
+			live = true
+		}
+	}
+	return live
+}
+
+func (d *driver) NextDue() float64 {
+	t := 1e30
+	for _, j := range d.jobs {
+		if j.Migrate {
+			t = min(t, j.At)
+		}
+	}
+	return t
+}
+
+func (d *driver) Fire(now float64) {
+	d.running()
+	for i := range d.jobs {
+		if j := &d.jobs[i]; j.Migrate && j.At <= now {
+			j.Migrate = false
+			if exited, _ := d.cur[i].Exited(); !exited {
+				d.cl.RequestProcessMigration(d.cur[i], j.To)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"heterodc/internal/isa"
+	"heterodc/internal/kernel"
 )
 
 const helloSrc = `
@@ -211,5 +212,50 @@ func TestDriveRunsJobsAndRequestsMigrations(t *testing.T) {
 	// Nothing left to run: Drive returns at once.
 	if _, err := Drive(cl, nil, jobs, func() { t.Error("stepped a finished run") }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDriveMigratesAtTheSameInstantOnBothEngines: Drive requests the move
+// in a timer firing at At, not at the first step boundary past it (a
+// quantum under the sequential engine, a whole window under the parallel
+// one), so the migration point honours it at the same instant on both.
+func TestDriveMigratesAtTheSameInstantOnBothEngines(t *testing.T) {
+	img, err := Build("fib", Src("fib.c", fibSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(img, NodeX86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := ref.Seconds * 0.37
+	var moved [2][]kernel.MigrationEvent
+	for i, par := range []bool{false, true} {
+		cl := NewTestbed()
+		if par {
+			cl.UseParallelEngine(0)
+		}
+		p, err := cl.Spawn(img, NodeX86)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.OnMigration = func(ev kernel.MigrationEvent) { moved[i] = append(moved[i], ev) }
+		if _, err := Drive(cl, nil, []Job{{P: p, Migrate: true, At: at, To: NodeARM}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if exited, code := p.Exited(); !exited || code != 0 || string(p.Output()) != string(ref.Output) {
+			t.Fatalf("par=%v: exited=%v code=%d output %q", par, exited, code, p.Output())
+		}
+	}
+	if len(moved[0]) != 1 || len(moved[1]) != 1 {
+		t.Fatalf("migrations seq %d, par %d: want one each", len(moved[0]), len(moved[1]))
+	}
+	seq, par := moved[0][0], moved[1][0]
+	if seq.Time < at {
+		t.Errorf("migrated at %g, before the request time %g", seq.Time, at)
+	}
+	if seq.Time != par.Time || seq.ArriveTime != par.ArriveTime {
+		t.Errorf("engines disagree: seq moved at %g (arrived %g), par at %g (arrived %g)",
+			seq.Time, seq.ArriveTime, par.Time, par.ArriveTime)
 	}
 }

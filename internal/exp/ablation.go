@@ -147,21 +147,8 @@ func AblationDSMMode(cfg Config) ([]DSMModeRow, error) {
 				resumeLag = ev.ArriveTime - ev.Time
 			}
 		}
-		requested := false
-		for {
-			if done, _ := p.Exited(); done {
-				break
-			}
-			if !requested && cl.Time() >= moveAt {
-				cl.RequestProcessMigration(p, core.NodeARM)
-				requested = true
-			}
-			if !cl.Step() {
-				return nil, fmt.Errorf("ablation dsm: drained")
-			}
-		}
-		if err := p.Err(); err != nil {
-			return nil, err
+		if err := driveMove(cl, p, moveAt); err != nil {
+			return nil, fmt.Errorf("ablation dsm: %w", err)
 		}
 		rows = append(rows, DSMModeRow{
 			Mode:             mode,

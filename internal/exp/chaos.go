@@ -118,32 +118,34 @@ func chaosScenarios(opts ChaosOptions, img *link.Image, ref float64) []Scenario 
 		}, Ckpt: kernel.CkptPolicy{EverySeconds: 0.08 * ref}},
 	}
 	for i := range scs {
-		scs[i].Trace = true
+		scs[i].Trace, scs[i].Settle = true, 10*ref
 		scs[i].Img, scs[i].JobNodes = img, []int{core.NodeX86}
 		scs[i].MigrateAt, scs[i].MigrateTo = 0.25*ref, core.NodeARM
 	}
 	return scs
 }
 
-// runJob runs a scenario of one tracked job on the sequential engine and
-// returns the job's result. A chaos job's migration request lands at a
-// step boundary, which is engine-grained, so chaos runs on seq only.
-func runJob(sc Scenario) (*core.Result, *Rig, error) {
-	out, err := sc.Run("seq")
+// runTracked runs a scenario of one tracked job on both engines, fails when
+// they disagree, and returns the job's result, timed by its exit instant,
+// and the sequential run. The scenario settles past the exit, so the
+// counters are read at the same instant on both.
+func runTracked(sc Scenario) (*core.Result, *Rig, error) {
+	outs, err := sc.runBoth()
 	if err != nil {
 		return nil, nil, err
 	}
-	final := out.Jobs[0]
+	final := outs[0].Jobs[0]
 	if err := final.Err(); err != nil {
 		return nil, nil, fmt.Errorf("exp: %s failed despite recovery: %w", sc.Name, err)
 	}
-	return core.ResultOf(final, out.Cl.Time()), out, nil
+	return core.ResultOf(final, final.ExitTime()), outs[0], nil
 }
 
 // Chaos runs the NPB kernels under the stock fault plans and reports
 // correctness and overhead against the fault-free baseline. Processes must
 // finish, verify and match the baseline output under every plan — faults
-// degrade performance, never correctness.
+// degrade performance, never correctness — and both time engines must give
+// the same run.
 func Chaos(cfg Config, opts ChaosOptions) ([]ChaosRow, error) {
 	benches, err := cfg.chaosBenches()
 	if err != nil {
@@ -153,7 +155,7 @@ func Chaos(cfg Config, opts ChaosOptions) ([]ChaosRow, error) {
 	for _, b := range benches {
 		cfg.printf("%s baseline: %.4fs\n", b.name, b.ref.Seconds)
 		for _, sc := range chaosScenarios(opts, b.img, b.ref.Seconds) {
-			res, out, err := runJob(sc)
+			res, out, err := runTracked(sc)
 			if err != nil {
 				return nil, fmt.Errorf("exp: chaos %s under %s: %w", b.name, sc.Name, err)
 			}

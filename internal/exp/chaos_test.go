@@ -79,7 +79,7 @@ func TestChaosReproducibleFromSeed(t *testing.T) {
 	// rate guarantees visible fault activity to compare across runs.
 	lossy := chaosScenarios(ChaosOptions{Seed: 21, DropProb: 0.2}, img, ref)[0]
 	run := func(sc Scenario) ([5]uint64, float64) {
-		res, out, err := runJob(sc)
+		res, out, err := runTracked(sc)
 		if err != nil {
 			t.Fatalf("chaos run: %v", err)
 		}

@@ -65,7 +65,7 @@ type CkptResult struct {
 // Ckpt sweeps the checkpoint interval over the NPB kernels: the fault-free
 // capture overhead per interval, and the end-to-end recovery cost of a
 // permanent mid-run node-1 crash per interval. Every run must reproduce the
-// baseline output exactly.
+// baseline output exactly, and both time engines the same run.
 func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 	fracs := opts.Fracs
 	if len(fracs) == 0 {
@@ -82,7 +82,7 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 
 		for _, frac := range fracs {
 			pol := kernel.CkptPolicy{EverySeconds: frac * ref.Seconds}
-			run, out, err := runJob(Scenario{Ckpt: pol, Img: img, JobNodes: []int{core.NodeX86}})
+			run, out, err := runTracked(Scenario{Ckpt: pol, Img: img, JobNodes: []int{core.NodeX86}, Settle: 10 * ref.Seconds})
 			if err != nil {
 				return nil, fmt.Errorf("exp: ckpt overhead %s frac=%.2f: %w", name, frac, err)
 			}
@@ -107,7 +107,7 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 			// The crash lands well after the migration request so the
 			// transfer (delayed by intervening captures) completes and the
 			// thread is actually stranded on the dying node.
-			cres, out, err := runJob(Scenario{
+			cres, out, err := runTracked(Scenario{
 				Faults: fault.Plan{
 					Seed:    opts.Seed,
 					Crashes: []fault.Crash{{Node: 1, At: 0.7 * ref.Seconds, RecoverAt: 0}},
@@ -115,6 +115,7 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 				Ckpt: kernel.CkptPolicy{EverySeconds: frac * ref.Seconds},
 				Img:  img, JobNodes: []int{core.NodeX86},
 				MigrateAt: 0.25 * ref.Seconds, MigrateTo: core.NodeARM,
+				Settle: 10 * ref.Seconds,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("exp: ckpt recovery %s frac=%.2f: %w", name, frac, err)

@@ -151,14 +151,14 @@ func Detector(cfg Config, opts DetectorOptions) ([]DetectorRow, error) {
 		cfg.printf("%s baseline: %.4fs\n", b.name, b.ref.Seconds)
 		for i, frac := range fracs {
 			for _, sc := range detectorScenarios(b, opts.Seed+int64(i), frac) {
-				per, agree, err := onBothEngines(func(engine string) (DetectorRow, string, error) {
+				per, err := onBothEngines(func(engine string) (DetectorRow, string, error) {
 					out, err := sc.Run(engine)
 					if err != nil {
 						return DetectorRow{}, "", err
 					}
 					return detectorRow(b, sc.Name, out), out.Fingerprint(), nil
 				})
-				if err == nil && (!agree || per[0] != per[1]) {
+				if err == nil && per[0] != per[1] {
 					err = fmt.Errorf("engines diverge:\nseq %+v\npar %+v", per[0], per[1])
 				}
 				if err != nil {

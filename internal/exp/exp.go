@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -37,10 +38,6 @@ type Config struct {
 	// RackNodes sizes the rack-scale experiment's machine ensemble; <= 0
 	// selects the canonical 4-node rack.
 	RackNodes int
-	// Engine selects the cluster time engine for experiments that honour it:
-	// "seq" (default) or "par"; see UseEngine.
-	Engine string
-
 	// Topo selects the interconnect fabric for experiments that honour it:
 	// "flat" (default, the legacy single pipe) or "fattree". Racks and
 	// Oversub shape the fat tree; 0 selects the topo package defaults.
@@ -49,33 +46,24 @@ type Config struct {
 	Oversub float64
 }
 
-// UseEngine attaches the named time engine to cl: "seq" (or "", the
-// default) is the sequential reference, "par" (or "parallel") the parallel
-// backend. Any other name is an error; a nil cl only checks the name.
-func UseEngine(cl *kernel.Cluster, name string) error {
-	switch name {
-	case "", "seq":
-		return nil
-	case "par", "parallel":
-		if cl != nil {
-			cl.UseParallelEngine(0)
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown engine %q (valid: seq, par)", name)
-}
+// errDiverged is what onBothEngines wraps when the engines disagree.
+var errDiverged = errors.New("engines diverge")
 
 // onBothEngines runs one scenario under the sequential and then the parallel
-// engine and reports whether the two fingerprints (run's second result) are
-// identical. run wraps its own errors; the first one ends the pair.
-func onBothEngines[T any](run func(engine string) (T, string, error)) (runs [2]T, agree bool, err error) {
+// engine. run wraps its own errors; the first one ends the pair. Two
+// fingerprints (run's second result) that differ are an errDiverged naming
+// both, with both runs returned.
+func onBothEngines[T any](run func(engine string) (T, string, error)) (runs [2]T, err error) {
 	var prints [2]string
 	for i, engine := range []string{"seq", "par"} {
 		if runs[i], prints[i], err = run(engine); err != nil {
-			return runs, false, err
+			return runs, err
 		}
 	}
-	return runs, prints[0] == prints[1], nil
+	if prints[0] != prints[1] {
+		err = fmt.Errorf("%w:\nseq %s\npar %s", errDiverged, prints[0], prints[1])
+	}
+	return runs, err
 }
 
 // topoSpec resolves the Config's fabric selection to a topo.Spec.

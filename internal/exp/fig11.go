@@ -64,20 +64,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 				res.NativeMoveAt = ev.Time
 			}
 		}
-		requested := false
-		for {
-			if done, _ := p.Exited(); done {
-				break
-			}
-			if !requested && cl.Time() >= moveAt {
-				cl.RequestProcessMigration(p, core.NodeARM)
-				requested = true
-			}
-			if !cl.Step() {
-				return nil, fmt.Errorf("fig11: native cluster drained")
-			}
-		}
-		if err := p.Err(); err != nil {
+		if err := driveMove(cl, p, moveAt); err != nil {
 			return nil, fmt.Errorf("fig11 native: %w", err)
 		}
 		res.NativeSeconds = cl.Time()
@@ -112,20 +99,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 				res.SerializeSeconds = ev.XformSeconds
 			}
 		}
-		requested := false
-		for {
-			if done, _ := p.Exited(); done {
-				break
-			}
-			if !requested && cl.Time() >= moveAt {
-				cl.RequestProcessMigration(p, core.NodeARM)
-				requested = true
-			}
-			if !cl.Step() {
-				return nil, fmt.Errorf("fig11: managed cluster drained")
-			}
-		}
-		if err := p.Err(); err != nil {
+		if err := driveMove(cl, p, moveAt); err != nil {
 			return nil, fmt.Errorf("fig11 managed: %w", err)
 		}
 		res.ManagedSeconds = cl.Time()
@@ -137,6 +111,15 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		res.ManagedSeconds, res.ManagedMoveAt, res.ManagedBytes, res.SerializeSeconds)
 	res.printTraces(cfg, 40)
 	return res, nil
+}
+
+// driveMove runs p to its exit through core.Drive, moving it to ARM at
+// simulated time at; the error is a drained cluster or a failed process.
+func driveMove(cl *kernel.Cluster, p *kernel.Process, at float64) error {
+	if _, err := core.Drive(cl, nil, []core.Job{{P: p, Migrate: true, At: at, To: core.NodeARM}}, nil); err != nil {
+		return err
+	}
+	return p.Err()
 }
 
 // printTraces renders the two panels as time series (t, per-node CPU power,

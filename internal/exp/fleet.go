@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 
 	"heterodc/internal/isa"
@@ -133,13 +134,13 @@ func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
 				break // the gate tripped: no wave advances while violating
 			}
 			armNodes := int(frac*float64(nodes) + 0.5)
-			runs, agree, err := Scenario{
+			runs, err := Scenario{
 				Name:   fmt.Sprintf("fleet %s wave %.0f%%", kind, frac*100),
 				Arches: fleetArches(nodes, armNodes), Topo: cfg.topoSpec(),
 				Open:   &sched.OpenLoop{Jobs: jobs, SLO: slo},
 				Policy: sched.NewBalanced("fleet dynamic balanced", true),
 			}.runBoth()
-			if err != nil {
+			if err != nil && !errors.Is(err, errDiverged) {
 				return nil, err
 			}
 			seq := runs[0].Open
@@ -156,7 +157,7 @@ func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
 				EnergyJ:              seq.EnergyTotal,
 				MakespanSec:          seq.Makespan,
 				Migrations:           seq.Migrations,
-				EnginesAgree:         agree,
+				EnginesAgree:         err == nil,
 			}
 			series.Waves = append(series.Waves, w)
 			healthy = w.Healthy

@@ -60,7 +60,8 @@ const memberScaleMaxDetect = 8e-3
 // for a fixed number of rounds with 1% message loss and one permanent
 // crash, and reports traffic, state and detection quality. The fleet is
 // driven purely by the membership service (no processes), exactly the
-// between-jobs regime the idle-gap fix keeps alive.
+// between-jobs regime the idle-gap fix keeps alive. Each size runs on both
+// time engines, which must agree.
 func MemberScale(cfg Config, opts MemberScaleOptions) ([]MemberScaleRow, error) {
 	sizes := opts.Sizes
 	if len(sizes) == 0 {
@@ -83,7 +84,7 @@ func MemberScale(cfg Config, opts MemberScaleOptions) ([]MemberScaleRow, error) 
 		if n < 2 {
 			return nil, fmt.Errorf("exp: member-scale: rack size %d too small", n)
 		}
-		out, err := Scenario{
+		outs, err := Scenario{
 			Arches: sched.RackArches(n), Topo: cfg.topoSpec(),
 			Faults: fault.Plan{
 				Seed:     opts.Seed,
@@ -92,11 +93,11 @@ func MemberScale(cfg Config, opts MemberScaleOptions) ([]MemberScaleRow, error) 
 			},
 			Member: &member.Config{HeartbeatPeriod: period, Seed: opts.Seed},
 			Settle: horizon,
-		}.Run(cfg.Engine)
+		}.runBoth()
 		if err != nil {
 			return nil, fmt.Errorf("exp: member-scale at n=%d: %w", n, err)
 		}
-		det, st := out.Svc, out.Svc.Stats()
+		det, st := outs[0].Svc, outs[0].Svc.Stats()
 		row := MemberScaleRow{
 			Protocol: "swim", Nodes: n, Rounds: rounds,
 			MsgsPerNodeRound: float64(st.HeartbeatsSent) / float64(n) / float64(rounds),

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -186,8 +187,8 @@ func Partition(cfg Config, opts PartitionOptions) ([]PartitionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		outs, agree, err := sc.runBoth()
-		if err != nil {
+		outs, err := sc.runBoth()
+		if err != nil && !errors.Is(err, errDiverged) {
 			return nil, fmt.Errorf("exp: partition %w", err)
 		}
 		for i, engine := range []string{"seq", "par"} {
@@ -198,9 +199,8 @@ func Partition(cfg Config, opts PartitionOptions) ([]PartitionRow, error) {
 				row.ViewsConverged, row.ExitOK, row.OutputMatch)
 			rows = append(rows, row)
 		}
-		if !agree {
-			return nil, fmt.Errorf("exp: partition %s: engines diverge:\nseq %s\npar %s",
-				pc.name, outs[0].Fingerprint(), outs[1].Fingerprint())
+		if err != nil {
+			return nil, fmt.Errorf("exp: partition %s: %w", pc.name, err)
 		}
 	}
 	return rows, nil

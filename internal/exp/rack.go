@@ -22,11 +22,8 @@ type RackScaleRow struct {
 // (cfg.RackNodes, default 4). The baseline is N static x86 machines; the
 // heterogeneous rack swaps the back half for (power-projected) ARM machines
 // and migrates jobs dynamically — the setting in which the paper predicts
-// "greater benefits ... at the rack or datacenter scale". cfg.Engine picks
-// the cluster time engine ("seq" or "par"). Both are deterministic; the
-// job runner observes the cluster between engine steps, which are epochs
-// under "par", so its placement decisions (and thus exact joules) differ
-// slightly from "seq" while every trend is preserved.
+// "greater benefits ... at the rack or datacenter scale". Every policy runs
+// on both time engines, which must agree on every placement and exit.
 func RackScale(cfg Config) ([]RackScaleRow, error) {
 	nodes := cfg.RackNodes
 	if nodes <= 0 {
@@ -59,15 +56,22 @@ func RackScale(cfg Config) ([]RackScaleRow, error) {
 		{Arches: mixed, Policy: sched.NewArchWeighted("rack dynamic unbalanced", true, 2.2)},
 	} {
 		s.Topo = cfg.topoSpec()
-		rig, err := s.Build(cfg.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("rack: %w", err)
-		}
-		r := sched.NewRunner(rig.Cl, s.Policy, power.DefaultModels(rig.Cl, true))
-		res, err := r.Run(sched.Workload{Jobs: jobs, Concurrency: conc})
+		runs, err := onBothEngines(func(engine string) (*sched.Result, string, error) {
+			rig, err := s.Build(engine)
+			if err != nil {
+				return nil, "", err
+			}
+			r := sched.NewRunner(rig.Cl, s.Policy, power.DefaultModels(rig.Cl, true))
+			res, err := r.Run(sched.Workload{Jobs: jobs, Concurrency: conc})
+			if err != nil {
+				return nil, "", fmt.Errorf("%s: %w", engine, err)
+			}
+			return res, res.Fingerprint(), nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("rack %s: %w", s.Policy.Name(), err)
 		}
+		res := runs[0]
 		rows = append(rows, RackScaleRow{
 			Policy: res.Policy, EnergyJ: res.EnergyTotal,
 			MakespanSec: res.Makespan, Migrations: res.Migrations,

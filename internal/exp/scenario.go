@@ -39,9 +39,8 @@ type Scenario struct {
 	// Ckpt checkpoints every job, tracked or open-loop; zero: none.
 	Ckpt kernel.CkptPolicy
 	// The workload: Img run as one tracked job per JobNodes entry, each
-	// asked to migrate to MigrateTo at the first step boundary at or past
-	// MigrateAt if that is positive (see core.Job); or an Open loop placed
-	// by Policy.
+	// asked to migrate to MigrateTo at MigrateAt if that is positive (see
+	// core.Job); or an Open loop placed by Policy.
 	Img       *link.Image
 	JobNodes  []int
 	MigrateAt float64
@@ -71,7 +70,8 @@ type Rig struct {
 	Open          *sched.OpenLoopResult
 }
 
-// Build assembles the scenario's cluster on the named engine.
+// Build assembles the scenario's cluster on the named engine: "par" is the
+// parallel backend, anything else the sequential reference.
 func (s Scenario) Build(engine string) (*Rig, error) {
 	arches := s.Arches
 	if arches == nil {
@@ -81,8 +81,8 @@ func (s Scenario) Build(engine string) (*Rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := UseEngine(cl, engine); err != nil {
-		return nil, err
+	if engine == "par" {
+		cl.UseParallelEngine(0)
 	}
 	r := &Rig{Cl: cl, Fab: fab, Plan: s.Faults}
 	if s.Storm != nil {
@@ -192,9 +192,9 @@ func (r *Rig) Fingerprint() string {
 	return b.String()
 }
 
-// runBoth runs s on the sequential and then the parallel engine and
-// reports whether the two fingerprints agree.
-func (s Scenario) runBoth() (outs [2]*Rig, agree bool, err error) {
+// runBoth runs s on the sequential and then the parallel engine; see
+// onBothEngines.
+func (s Scenario) runBoth() (outs [2]*Rig, err error) {
 	return onBothEngines(func(engine string) (*Rig, string, error) {
 		o, err := s.Run(engine)
 		if err != nil {

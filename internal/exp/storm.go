@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 
 	"heterodc/internal/fault"
@@ -206,7 +207,7 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 	// parallel engine's final window may already have run a few extra
 	// heartbeats past that retire. Makespan itself is engine-exact, so both
 	// runs settle to the same instant past it before the snapshot.
-	runs, agree, err := Scenario{
+	runs, err := Scenario{
 		Name:   "storm",
 		Arches: sched.RackArches(nodes), Topo: topo.FatTree(racks, 4),
 		Storm:  &spec,
@@ -217,7 +218,7 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 		Policy: sched.NewBalanced("storm dynamic balanced", true),
 		Settle: 0.05,
 	}.runBoth()
-	if err != nil {
+	if err != nil && !errors.Is(err, errDiverged) {
 		return nil, err
 	}
 	plan, seq, st := runs[0].Plan, runs[0].Open, runs[0].Svc.Stats()
@@ -250,7 +251,7 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 		FalseSuspicions:  st.FalseSuspicions,
 		MakespanSec:      seq.Makespan,
 		Phases:           stormPhases(seq, slo, spec.Start, spec.End),
-		EnginesAgree:     agree,
+		EnginesAgree:     err == nil,
 	}
 	for _, p := range res.Phases {
 		cfg.printf("  %-9s offered=%3d done=%3d shed=%2d lost=%2d p50=%.4fs p99=%.4fs viol=%d (%.1f%%)\n",

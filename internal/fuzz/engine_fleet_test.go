@@ -11,11 +11,10 @@ import (
 
 // TestEngineDeterminismFleet replays one open-loop fleet workload per
 // arrival process on both time engines and demands bit-identical
-// observables. Unlike the closed-loop admission rule (which notices a freed
-// slot between Step calls and is epoch-grained under "par"), the open-loop
-// rule admits and rebalances only in the cluster's timer-event stream, so
-// every placement, migration, exit instant and the SLO quantile report must
-// match across engines at full float precision.
+// observables. The job driver admits, retires and rebalances only in the
+// cluster's timer-event stream, so every placement, migration, exit
+// instant and the SLO quantile report must match across engines at full
+// float precision.
 func TestEngineDeterminismFleet(t *testing.T) {
 	for _, kind := range traffic.Kinds() {
 		kind := kind

@@ -66,8 +66,8 @@ type Cluster struct {
 	messagesFenced []uint64
 	staleUnfenced  []uint64
 
-	// timer is the installed TimerSource (nil: none), the open-loop traffic
-	// driver's hookup into the engine's control-event stream; see timer.go.
+	// timer is the installed TimerSource (nil: none), a driver's hookup
+	// into the engine's control-event stream; see timer.go.
 	timer TimerSource
 
 	lastFrontier float64

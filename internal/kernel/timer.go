@@ -1,15 +1,11 @@
 package kernel
 
-// The job-driver hookup: a TimerSource turns driver actions (job
-// admissions, rebalance ticks) into cluster control events, fired at their
-// exact simulated instants from engine context — the same mechanism that
-// delivers crash schedules and membership rounds. A driver that acts only
-// in firings acts only at engine-defined points and is byte-identical on
-// both engines. What a driver learns by looking at the cluster between Step
-// calls is quantum-grained under the sequential engine and epoch-grained
-// under the parallel one: sched's closed-loop admission rule notices a
-// freed slot that way, which is why sustained workloads place slightly
-// differently per engine while open-loop ones do not.
+// The driver hookup: a TimerSource turns driver actions (job admissions,
+// completion sweeps, rebalance ticks, timed migration requests) into
+// cluster control events, fired at their exact simulated instants from
+// engine context — the same mechanism that delivers crash schedules and
+// membership rounds. A driver that acts only in firings acts only at
+// engine-defined points and is byte-identical on both engines.
 
 // TimerSource schedules simulated-instant callbacks on the cluster.
 type TimerSource interface {

@@ -25,20 +25,26 @@ func TestNodesStayPacked(t *testing.T) {
 }
 
 // TestPointerTypesInterned: within one parse, a pointer type is one *Ty
-// however often it is written, at any depth.
+// however often it is written, at any depth, and each declarator of a list
+// counts its own stars from the base type.
 func TestPointerTypesInterned(t *testing.T) {
-	prog, err := Parse("p.c", "long *a; long *b; char **c; char **d; char ***e; long main(void) { return 0; }")
+	prog, err := Parse("p.c", "long *a; long *b; char **c; char **d; char ***e; char **x, *y, ***z; long main(void) { return 0; }")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := prog.Globals
-	if len(g) != 5 {
-		t.Fatalf("%d globals, want 5", len(g))
+	if len(g) != 8 {
+		t.Fatalf("%d globals, want 8", len(g))
 	}
 	if g[0].Ty != g[1].Ty || g[2].Ty != g[3].Ty || g[4].Ty.Elem != g[3].Ty {
 		t.Errorf("pointer types not shared: %p %p, %p %p, %p %p", g[0].Ty, g[1].Ty, g[2].Ty, g[3].Ty, g[4].Ty.Elem, g[3].Ty)
 	}
-	if s := g[4].Ty.String(); s != "char***" {
-		t.Errorf("e is %s, want char***", s)
+	for i, want := range []string{"long*", "long*", "char**", "char**", "char***", "char**", "char*", "char***"} {
+		if s := g[i].Ty.String(); s != want {
+			t.Errorf("%s is %s, want %s", g[i].Name, s, want)
+		}
+	}
+	if g[5].Ty != g[2].Ty || g[6].Ty != g[2].Ty.Elem || g[7].Ty != g[4].Ty {
+		t.Errorf("a declarator list's types are not the interned ones")
 	}
 }

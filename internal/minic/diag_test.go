@@ -54,6 +54,10 @@ var diagCases = []struct {
 	{"break outside loop", `long main(void){ break; return 0; }`, `minic:1:18: break outside loop`},
 	{"non-constant global", "long f(void){ return 1; }\nlong g = f();\nlong main(void){ return 0; }", `minic:2:10: initialiser is not a constant expression`},
 	{"no main", `long helper(void){ return 1; }`, `minic: no main function`},
+	// Parameter lists that start with void parse; only the missing main is
+	// wrong with these.
+	{"void pointer parameter", `long f(void *p) { return 0; }`, `minic: no main function`},
+	{"void parameter list", `long g(void) { return 0; }`, `minic: no main function`},
 }
 
 // TestDiagnosticsUnchanged pins each malformed source's diagnostic, text

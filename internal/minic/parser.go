@@ -282,15 +282,20 @@ func (p *parser) program() error {
 }
 
 // declRest parses declarators after "type name" up to the semicolon,
-// pushing them on declStack.
+// pushing them on declStack. Each later declarator starts from the base
+// type: in "char **d, *e" e is a char*.
 func (p *parser) declRest(ty *Ty, nameTok *token) error {
 	d, err := p.declarator(ty, nameTok)
 	if err != nil {
 		return err
 	}
 	p.declStack = append(p.declStack, d)
+	base := ty
+	for base.Kind == tyPtr {
+		base = base.Elem
+	}
 	for p.accept(cComma) {
-		t := ty
+		t := base
 		for p.accept(cMul) {
 			t = p.ptrTo(t)
 		}
@@ -377,8 +382,8 @@ func (p *parser) funcRest(ret *Ty, nameTok *token) (*FuncDecl, error) {
 	if err := p.expect(cLParen); err != nil {
 		return nil, err
 	}
-	if p.accept(kVoid) && p.is(cRParen) {
-		// (void) parameter list
+	if p.is(kVoid) && p.toks[p.pos+1].code == cRParen {
+		p.pos++ // (void) parameter list
 	} else {
 		p.paramStack = p.paramStack[:0]
 		for !p.is(cRParen) {

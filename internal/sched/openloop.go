@@ -88,24 +88,18 @@ type OpenLoopResult struct {
 	// storm study's split-brain invariants are checked against them.
 	Ckpt       ckpt.Stats
 	RestoreLog []ckpt.RestoreRecord
-
-	fingerprint string
 }
 
-// Fingerprint is a full-bit-precision digest of every engine-reproducible
-// observable: per-job placement and timing, migration counts and the SLO
-// report. The sequential and parallel engines must produce identical
-// fingerprints for the same workload (energy is excluded: the meter
-// integrates the same power over different interval boundaries, so its
-// totals agree only up to float association).
-func (r *OpenLoopResult) Fingerprint() string { return r.fingerprint }
-
 // jobDriver is the one job driver: a kernel.TimerSource that admits jobs,
-// sweeps completions and runs rebalance ticks, all in engine context so both
+// retires completions and runs rebalance ticks, all in its firings, so both
 // time engines reproduce the same schedule byte-for-byte. Who admits the
 // next job is one predicate (admitAt): open loop, the head of the queue
 // starts at its arrival instant; closed loop (conc > 0), it starts whenever
-// fewer than conc jobs are in flight and arrival stamps are ignored.
+// fewer than conc jobs are in flight and arrival stamps are ignored. A
+// completion is noticed only at a firing, so a job in flight always has one
+// ahead of it: the closed loop fires on the admission grid (admitGrid), and
+// an open loop falls back to that grid when no arrival, rebalance or
+// control tick is left.
 type jobDriver struct {
 	r       *Runner
 	st      *State
@@ -117,7 +111,9 @@ type jobDriver struct {
 	jobs    []JobLatency
 	done    int
 	nextReb float64
-	err     error
+	// nextGrid is the admission grid's next point past the last firing.
+	nextGrid float64
+	err      error
 
 	// Graceful-degradation state (nil deg leaves every path above intact).
 	deg      *Degrade
@@ -132,6 +128,21 @@ type jobDriver struct {
 
 // olInf mirrors the engine's "never" time.
 const olInf = 1e30
+
+// admitGrid is the admission grid's period: a freed slot waits at most
+// this long. hdcbench -exp fig12 -scale default by period (the dynamic
+// policies' average energy saving over the static pair, the balanced one's
+// makespan ratio, wall time on a 2-core Xeon; "step" retired exits between
+// Step calls, which is engine-grained):
+//
+//	period     balanced  unbalanced  makespan  wall
+//	0.1 ms      27.0 %     25.0 %     1.35x    39.4 s
+//	0.25 ms     26.8 %     25.1 %     1.44x    25.5 s
+//	0.5 ms      26.9 %     24.9 %     1.43x    25.0 s
+//	1 ms        26.3 %     24.6 %     1.40x    25.3 s
+//	2 ms        29.7 %     27.4 %     1.21x    38.1 s
+//	step        26.7 %     24.9 %     1.44x    33.5 s
+const admitGrid = 0.5e-3
 
 // admitAt is the admission rule: the instant the head of the queue may
 // start, or olInf. Under the closed-loop rule a free slot is due at once
@@ -158,6 +169,9 @@ func (d *jobDriver) NextDue() float64 {
 	}
 	if d.deg != nil && (len(d.pending) > 0 || len(d.st.Active) > 0) && d.nextCtl < t {
 		t = d.nextCtl
+	}
+	if len(d.st.Active) > 0 && (d.conc > 0 || t >= olInf) && d.nextGrid < t {
+		t = d.nextGrid
 	}
 	return t
 }
@@ -192,6 +206,9 @@ func (d *jobDriver) Fire(now float64) {
 		rebalance(d.st, d.r.Policy, d.r.Cooldown)
 		d.nextReb = now + d.r.RebalanceEvery
 	}
+	if d.nextGrid = admitGrid * math.Ceil(now/admitGrid); d.nextGrid <= now {
+		d.nextGrid += admitGrid
+	}
 }
 
 // admit builds, places and spawns one job.
@@ -218,7 +235,7 @@ func (d *jobDriver) admit(j Job, now float64) error {
 
 // retire sweeps completed jobs out of the active set and accounts their
 // latencies. Timestamps come from the kernel's exit instants, so it is
-// harmless that the sweep itself runs at event (or step) granularity.
+// harmless that the sweep runs only at firings.
 func (d *jobDriver) retire() {
 	live := d.st.Active[:0]
 	for _, jr := range d.st.Active {
@@ -352,15 +369,6 @@ func (r *Runner) drive(w OpenLoop, conc int) (*OpenLoopResult, error) {
 	cl.SetTimerSource(d)
 	defer cl.SetTimerSource(nil)
 	for d.err == nil && d.done+d.shed+d.lost < len(pending) && cl.Step() {
-		// Between Steps the driver holds control, so NextDue may move (the
-		// TimerSource contract). Closed loop: sweep now, so a freed slot is
-		// due at once and the run ends at the step that saw the last exit.
-		// Open loop: completions wait for the next firing, and are swept
-		// here only when no firing is left to notice them — other control
-		// events (SWIM probes) would otherwise keep Step true forever.
-		if conc > 0 || d.NextDue() >= olInf {
-			d.retire()
-		}
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -370,9 +378,9 @@ func (r *Runner) drive(w OpenLoop, conc int) (*OpenLoopResult, error) {
 			len(pending)-d.done-d.shed-d.lost, len(pending))
 	}
 
-	// The horizon is the last exit instant, not cl.Time(): the outer Step
-	// loop notices completion at engine granularity (quantum vs epoch), the
-	// kernel exits at the same instant under both.
+	// The horizon is the last exit instant, not cl.Time(): the Step loop
+	// ends at engine granularity (quantum vs window), the kernel exits at
+	// the same instant under both.
 	horizon := 0.0
 	for i := range d.jobs {
 		if d.jobs[i].ExitSec > horizon {

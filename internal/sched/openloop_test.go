@@ -169,8 +169,9 @@ func TestArrivalSpacingSeam(t *testing.T) {
 }
 
 // TestOpenLoopReturnsUnderMembership: with a static policy and no Degrade,
-// no firing is left after the last arrival, and a SWIM service keeps Step
-// true forever — the run must still notice the last exit and return.
+// no arrival, rebalance or control tick is left after the last arrival,
+// and a SWIM service keeps Step true forever — the admission grid must
+// still notice the last exit and the run return.
 func TestOpenLoopReturnsUnderMembership(t *testing.T) {
 	p := StaticHetBalanced()
 	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
@@ -213,5 +214,38 @@ func TestOpenLoopReturnsUnderMembership(t *testing.T) {
 	}
 	if res.Makespan != lastExit {
 		t.Errorf("makespan %g, want the last exit instant %g", res.Makespan, lastExit)
+	}
+}
+
+// TestClosedLoopEngineIdentical: the closed-loop rule notices a freed slot
+// only in a firing on the admission grid, so a sustained workload places,
+// migrates and exits every job identically on both engines, under a static
+// and a dynamic policy.
+func TestClosedLoopEngineIdentical(t *testing.T) {
+	for _, p := range []Policy{StaticHetBalanced(), DynamicBalanced()} {
+		t.Run(p.Name(), func(t *testing.T) {
+			var runs [2]*Result
+			for i, engine := range []string{"seq", "par"} {
+				cl, models, err := TestbedFor(p, true, topo.FlatSpec())
+				if err != nil {
+					t.Fatalf("testbed: %v", err)
+				}
+				if engine == "par" {
+					cl.UseParallelEngine(0)
+				}
+				r := NewRunner(cl, p, models)
+				r.RebalanceEvery = 1e-3
+				r.Cooldown = 2e-3
+				if runs[i], err = r.Run(Workload{Jobs: smallJobs(12), Concurrency: 6}); err != nil {
+					t.Fatalf("closed-loop run (%s): %v", engine, err)
+				}
+			}
+			if runs[0].Fingerprint() != runs[1].Fingerprint() {
+				t.Fatalf("engine fingerprints diverge:\nseq %s\npar %s", runs[0].Fingerprint(), runs[1].Fingerprint())
+			}
+			if p.Dynamic() && runs[0].Migrations == 0 {
+				t.Error("the dynamic run never migrated; the comparison misses rebalancing")
+			}
+		})
 	}
 }

@@ -261,7 +261,17 @@ type Result struct {
 	// recoveries performed when the runner's Checkpoint policy is enabled.
 	Checkpoints int
 	Restores    int
+
+	fingerprint string
 }
+
+// Fingerprint is a full-bit-precision digest of every engine-reproducible
+// observable: per-job placement and timing, migration counts and the SLO
+// report. The sequential and parallel engines must produce identical
+// fingerprints for the same workload, under either admission rule (energy
+// is excluded: the meter integrates the same power over different interval
+// boundaries, so its totals agree only up to float association).
+func (r *Result) Fingerprint() string { return r.fingerprint }
 
 // Runner executes a workload under a policy on a cluster: Run for the
 // paper's sustained and periodic studies, RunOpenLoop for arrival-driven
