@@ -36,9 +36,8 @@
 // repository root; the whole check takes about six minutes.
 //
 // The rack experiment takes -rack-nodes N (default 4) to size the ensemble.
-// The cluster experiments (chaos, ckpt, detector, partition, topology,
-// fleet, storm, rack, member-scaling) run both time engines and fail when
-// they disagree; the others run the sequential one.
+// Every experiment that drives a cluster, bar the figure reproductions, runs
+// both time engines and fails when they disagree.
 //
 // -topo flat|fattree selects the interconnect fabric for the experiments
 // that honour it (rack, member-scaling, fleet); -racks and -oversub shape
@@ -166,18 +165,25 @@ func fleetOptions(arrivals string, rateSet bool, rate float64, sloSet bool, slo 
 
 // stormOptions validates the storm study's flag set. The set booleans report
 // whether the user passed each flag at all (untouched flags defer to the
-// scale defaults); -rate and -slo are checked as fleetOptions checks them,
-// and the node-churn overrides must come as a pair: a
+// scale defaults), and the node-churn overrides must come as a pair: a
 // failure rate without a repair rate (or vice versa) is not a renewal
 // process, so half a pair is rejected rather than silently mixed with a
 // default from a different scale.
 func stormOptions(seed int64, rateSet bool, rate float64, sloSet bool, slo float64,
 	mttfSet bool, mttf float64, mttrSet bool, mttr float64) (exp.StormOptions, error) {
-	load, err := fleetOptions("", rateSet, rate, sloSet, slo)
-	if err != nil {
-		return exp.StormOptions{}, err
+	opts := exp.StormOptions{Seed: seed}
+	if rateSet {
+		if !(rate > 0) || math.IsInf(rate, 0) {
+			return exp.StormOptions{}, fmt.Errorf("-rate: offered load %g jobs/sec is not a positive finite rate", rate)
+		}
+		opts.Rate = rate
 	}
-	opts := exp.StormOptions{Seed: seed, Rate: load.Rate, SLO: load.SLO}
+	if sloSet {
+		if !(slo > 0) || math.IsInf(slo, 0) {
+			return exp.StormOptions{}, fmt.Errorf("-slo: latency target %g s is not a positive finite duration", slo)
+		}
+		opts.SLO = traffic.SLO{LatencyTargetSec: slo, BudgetFrac: 0.10}
+	}
 	if mttfSet != mttrSet {
 		return exp.StormOptions{}, fmt.Errorf("-storm-mttf and -storm-mttr must be set together (the node-churn process needs both a failure and a repair mean)")
 	}

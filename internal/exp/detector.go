@@ -151,15 +151,13 @@ func Detector(cfg Config, opts DetectorOptions) ([]DetectorRow, error) {
 		cfg.printf("%s baseline: %.4fs\n", b.name, b.ref.Seconds)
 		for i, frac := range fracs {
 			for _, sc := range detectorScenarios(b, opts.Seed+int64(i), frac) {
-				per, err := onBothEngines(func(engine string) (DetectorRow, string, error) {
-					out, err := sc.Run(engine)
-					if err != nil {
-						return DetectorRow{}, "", err
+				outs, err := sc.runBoth()
+				var per [2]DetectorRow
+				if err == nil {
+					per = [2]DetectorRow{detectorRow(b, sc.Name, outs[0]), detectorRow(b, sc.Name, outs[1])}
+					if per[0] != per[1] {
+						err = fmt.Errorf("engines diverge:\nseq %+v\npar %+v", per[0], per[1])
 					}
-					return detectorRow(b, sc.Name, out), out.Fingerprint(), nil
-				})
-				if err == nil && per[0] != per[1] {
-					err = fmt.Errorf("engines diverge:\nseq %+v\npar %+v", per[0], per[1])
 				}
 				if err != nil {
 					return nil, fmt.Errorf("exp: detector %s %s: %w", b.name, sc.Name, err)

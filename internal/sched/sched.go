@@ -265,12 +265,10 @@ type Result struct {
 	fingerprint string
 }
 
-// Fingerprint is a full-bit-precision digest of every engine-reproducible
-// observable: per-job placement and timing, migration counts and the SLO
-// report. The sequential and parallel engines must produce identical
-// fingerprints for the same workload, under either admission rule (energy
-// is excluded: the meter integrates the same power over different interval
-// boundaries, so its totals agree only up to float association).
+// Fingerprint digests every engine-reproducible observable at full bit
+// precision: per-job placement, timing and migrations and the SLO report.
+// Both engines give the same one for the same workload under either rule;
+// energy is left out (the meter integrates over engine-specific intervals).
 func (r *Result) Fingerprint() string { return r.fingerprint }
 
 // Runner executes a workload under a policy on a cluster: Run for the
