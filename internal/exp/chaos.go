@@ -127,8 +127,8 @@ func chaosScenarios(opts ChaosOptions, img *link.Image, ref float64) []Scenario 
 
 // runTracked runs a scenario of one tracked job on both engines, fails when
 // they disagree, and returns the job's result, timed by its exit instant,
-// and the sequential run. The scenario settles past the exit, so the
-// counters are read at the same instant on both.
+// and the sequential run. sc must settle past the exit, so that both
+// engines read the counters at the same instant.
 func runTracked(sc Scenario) (*core.Result, *Rig, error) {
 	outs, err := sc.runBoth()
 	if err != nil {
