@@ -70,69 +70,51 @@ func ProfileFor(guest, host isa.Arch) (Profile, error) {
 	return Profile{}, fmt.Errorf("dbt: no profile for %s guest on %s host", guest, host)
 }
 
-// CostFn builds the per-op cycle cost function: host-native cost of the
-// equivalent operation times the class factor.
-func CostFn(host isa.Arch, p Profile) func(op isa.Op) int64 {
-	return func(op isa.Op) int64 {
-		base := float64(isa.CycleCost(host, op))
-		var f float64
-		switch op {
-		case isa.OpLd, isa.OpSt, isa.OpLdB, isa.OpStB, isa.OpFLd, isa.OpFSt,
-			isa.OpPush, isa.OpPop, isa.OpAtomicAdd, isa.OpAtomicCAS:
-			f = p.MemFactor
-		case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv, isa.OpFNeg,
-			isa.OpFSqrt, isa.OpFMov, isa.OpFLdi, isa.OpI2F, isa.OpF2I,
-			isa.OpFCmpEq, isa.OpFCmpNe, isa.OpFCmpLt, isa.OpFCmpLe,
-			isa.OpFCmpGt, isa.OpFCmpGe:
-			f = p.FPFactor
-		case isa.OpBr, isa.OpBeqz, isa.OpBnez, isa.OpCall, isa.OpCallR, isa.OpRet:
-			f = p.BranchFactor
-		case isa.OpSyscall:
-			f = p.SyscallFactor
-		default:
-			f = p.IntFactor
-		}
-		c := int64(base * f)
-		if c < 1 {
-			c = 1
-		}
-		return c
+// factor is p's cycle multiplier for op's operation class.
+func (p Profile) factor(op isa.Op) float64 {
+	switch op {
+	case isa.OpLd, isa.OpSt, isa.OpLdB, isa.OpStB, isa.OpFLd, isa.OpFSt,
+		isa.OpPush, isa.OpPop, isa.OpAtomicAdd, isa.OpAtomicCAS:
+		return p.MemFactor
+	case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv, isa.OpFNeg,
+		isa.OpFSqrt, isa.OpFMov, isa.OpFLdi, isa.OpI2F, isa.OpF2I,
+		isa.OpFCmpEq, isa.OpFCmpNe, isa.OpFCmpLt, isa.OpFCmpLe,
+		isa.OpFCmpGt, isa.OpFCmpGe:
+		return p.FPFactor
+	case isa.OpBr, isa.OpBeqz, isa.OpBnez, isa.OpCall, isa.OpCallR, isa.OpRet:
+		return p.BranchFactor
+	case isa.OpSyscall:
+		return p.SyscallFactor
 	}
+	return p.IntFactor
 }
 
 // EmulatedDesc builds the hybrid machine description: guest ISA semantics
-// and ABI with the host's clock, core count and memory-system penalties.
-func EmulatedDesc(guest, host isa.Arch) *isa.Desc {
+// and ABI with the host's clock, core count and memory-system penalties,
+// and per-op costs of the host's native cost of the equivalent operation
+// times the profile's class factor. A same-ISA pair has no profile.
+func EmulatedDesc(guest, host isa.Arch) (*isa.Desc, error) {
+	p, err := ProfileFor(guest, host)
+	if err != nil {
+		return nil, err
+	}
 	g := *isa.Describe(guest)
 	h := isa.Describe(host)
 	g.ClockHz = h.ClockHz
 	g.Cores = h.Cores
 	g.L1MissPenalty = h.L1MissPenalty
-	return &g
-}
-
-// NewEmulationCluster builds a single-machine cluster that runs guest-ISA
-// binaries under emulation on a host-ISA machine.
-func NewEmulationCluster(guest, host isa.Arch) (*kernel.Cluster, error) {
-	p, err := ProfileFor(guest, host)
-	if err != nil {
-		return nil, err
-	}
-	spec := kernel.MachineSpec{
-		Arch:   guest,
-		Desc:   EmulatedDesc(guest, host),
-		CostFn: CostFn(host, p),
-	}
-	return kernel.NewClusterSpec([]kernel.MachineSpec{spec}, msg.DolphinPXH810()), nil
+	g.Costs = h.Costs.Scale(p.factor)
+	return &g, nil
 }
 
 // RunEmulated runs img's guest-arch code under emulation on host and
 // returns the simulated wall time.
 func RunEmulated(img *link.Image, guest, host isa.Arch) (seconds float64, out []byte, err error) {
-	cl, err := NewEmulationCluster(guest, host)
+	d, err := EmulatedDesc(guest, host)
 	if err != nil {
 		return 0, nil, err
 	}
+	cl := kernel.NewClusterSpec([]*isa.Desc{d}, msg.DolphinPXH810())
 	p, err := cl.Spawn(img, 0)
 	if err != nil {
 		return 0, nil, err

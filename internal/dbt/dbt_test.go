@@ -29,32 +29,78 @@ func TestAsymmetry(t *testing.T) {
 	}
 }
 
-func TestCostFnClassification(t *testing.T) {
-	p := X86onARM()
-	fn := CostFn(isa.ARM64, p)
+// refCost is the emulated per-op cost as the closure the table replaced
+// computed it, kept as the reference the table must match entry by entry.
+func refCost(host isa.Arch, p Profile, op isa.Op) int64 {
+	base := float64(isa.CycleCost(host, op))
+	var f float64
+	switch op {
+	case isa.OpLd, isa.OpSt, isa.OpLdB, isa.OpStB, isa.OpFLd, isa.OpFSt,
+		isa.OpPush, isa.OpPop, isa.OpAtomicAdd, isa.OpAtomicCAS:
+		f = p.MemFactor
+	case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv, isa.OpFNeg,
+		isa.OpFSqrt, isa.OpFMov, isa.OpFLdi, isa.OpI2F, isa.OpF2I,
+		isa.OpFCmpEq, isa.OpFCmpNe, isa.OpFCmpLt, isa.OpFCmpLe,
+		isa.OpFCmpGt, isa.OpFCmpGe:
+		f = p.FPFactor
+	case isa.OpBr, isa.OpBeqz, isa.OpBnez, isa.OpCall, isa.OpCallR, isa.OpRet:
+		f = p.BranchFactor
+	case isa.OpSyscall:
+		f = p.SyscallFactor
+	default:
+		f = p.IntFactor
+	}
+	return max(1, int64(base*f))
+}
+
+func TestCostTableClassification(t *testing.T) {
+	for _, guest := range isa.Arches {
+		host := isa.X86
+		if guest == isa.X86 {
+			host = isa.ARM64
+		}
+		d, err := EmulatedDesc(guest, host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := ProfileFor(guest, host)
+		for op, got := range d.Costs {
+			if want := refCost(host, p, isa.Op(op)); got != want {
+				t.Errorf("%s on %s, %s: table says %d, reference %d", guest, host, isa.Op(op), got, want)
+			}
+		}
+	}
+	d, err := EmulatedDesc(isa.X86, isa.ARM64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := d.Costs
 	// Every cost positive.
 	for _, op := range []isa.Op{isa.OpAdd, isa.OpLd, isa.OpFMul, isa.OpBr, isa.OpSyscall, isa.OpNop} {
-		if fn(op) < 1 {
+		if cost[op] < 1 {
 			t.Errorf("%s: non-positive emulated cost", op)
 		}
 	}
 	// FP must dominate integer; memory must exceed ALU.
-	if fn(isa.OpFMul) <= fn(isa.OpAdd) {
+	if cost[isa.OpFMul] <= cost[isa.OpAdd] {
 		t.Error("FP emulation not costlier than integer")
 	}
-	if fn(isa.OpLd) <= fn(isa.OpAdd) {
+	if cost[isa.OpLd] <= cost[isa.OpAdd] {
 		t.Error("softmmu memory not costlier than ALU")
 	}
 	// Emulated cost must exceed native host cost everywhere.
 	for _, op := range []isa.Op{isa.OpAdd, isa.OpLd, isa.OpFDiv, isa.OpCall} {
-		if fn(op) <= isa.CycleCost(isa.ARM64, op) {
+		if cost[op] <= isa.CycleCost(isa.ARM64, op) {
 			t.Errorf("%s: emulated cost not above native", op)
 		}
 	}
 }
 
 func TestEmulatedDescHybrid(t *testing.T) {
-	d := EmulatedDesc(isa.X86, isa.ARM64)
+	d, err := EmulatedDesc(isa.X86, isa.ARM64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	host := isa.Describe(isa.ARM64)
 	guest := isa.Describe(isa.X86)
 	if d.ClockHz != host.ClockHz || d.Cores != host.Cores || d.L1MissPenalty != host.L1MissPenalty {
@@ -69,8 +115,11 @@ func TestEmulatedDescHybrid(t *testing.T) {
 	}
 }
 
-func TestNewEmulationClusterRejectsSameISA(t *testing.T) {
-	if _, err := NewEmulationCluster(isa.X86, isa.X86); err == nil {
-		t.Error("same-ISA cluster accepted")
+func TestEmulatedDescRejectsSameISA(t *testing.T) {
+	if _, err := EmulatedDesc(isa.X86, isa.X86); err == nil {
+		t.Error("same-ISA emulated description built")
+	}
+	if _, _, err := RunEmulated(nil, isa.ARM64, isa.ARM64); err == nil {
+		t.Error("same-ISA emulated run accepted")
 	}
 }

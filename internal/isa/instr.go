@@ -393,9 +393,20 @@ func CycleCost(a Arch, op Op) int64 {
 	}
 }
 
-// CostTable holds CycleCost for every value of Op — one entry per uint8, so
-// indexing it by an Op needs no bounds check.
+// CostTable holds a base cycle cost for every value of Op — one entry per
+// uint8, so indexing it by an Op needs no bounds check.
 type CostTable [256]int64
+
+// Scale returns a new table whose entry for op is t's times factor(op),
+// truncated and at least 1: the costs of a machine that translates or
+// interprets the code t's machine runs natively.
+func (t *CostTable) Scale(factor func(Op) float64) *CostTable {
+	s := new(CostTable)
+	for op, c := range t {
+		s[op] = max(1, int64(float64(c)*factor(Op(op))))
+	}
+	return s
+}
 
 var costTables = func() (t [NumArch]CostTable) {
 	for _, a := range Arches {
@@ -405,7 +416,3 @@ var costTables = func() (t [NumArch]CostTable) {
 	}
 	return t
 }()
-
-// Costs returns arch a's CycleCost as a table, for the interpreter's
-// per-instruction lookup. It is built from CycleCost and never written.
-func Costs(a Arch) *CostTable { return &costTables[a] }

@@ -122,6 +122,12 @@ type Desc struct {
 
 	// L1MissPenalty is the additional cycle cost of an L1 miss.
 	L1MissPenalty int64
+
+	// Costs is the base cycle cost of each op, the interpreter's
+	// per-instruction lookup. The shared descriptions point at CycleCost's
+	// tables; a derived description (an emulated or managed machine) points
+	// at a new table of its own, never writing through the copied pointer.
+	Costs *CostTable
 }
 
 var (
@@ -218,6 +224,7 @@ func init() {
 		ClockHz:          3.5e9,
 		Cores:            6,
 		L1MissPenalty:    12,
+		Costs:            &costTables[X86],
 	}
 
 	arm64Desc = &Desc{
@@ -251,6 +258,7 @@ func init() {
 		ClockHz:          2.4e9,
 		Cores:            8,
 		L1MissPenalty:    25,
+		Costs:            &costTables[ARM64],
 	}
 }
 

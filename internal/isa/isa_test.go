@@ -218,8 +218,8 @@ func TestInstrString(t *testing.T) {
 // value an Op can hold.
 func TestCostTablesMatchCycleCost(t *testing.T) {
 	for _, a := range Arches {
-		for op := 0; op < len(Costs(a)); op++ {
-			if got, want := Costs(a)[op], CycleCost(a, Op(op)); got != want {
+		for op, got := range Describe(a).Costs {
+			if want := CycleCost(a, Op(op)); got != want {
 				t.Errorf("%s %s: table says %d, CycleCost %d", a, Op(op), got, want)
 			}
 		}

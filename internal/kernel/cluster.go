@@ -130,27 +130,19 @@ func NewCluster(arches []isa.Arch, cfg msg.Config) *Cluster {
 func newCluster(ic *msg.Interconnect, arches []isa.Arch) *Cluster {
 	cl := &Cluster{IC: ic}
 	for i, a := range arches {
-		cl.Kernels = append(cl.Kernels, newKernel(cl, i, a))
+		cl.Kernels = append(cl.Kernels, newKernel(cl, i, isa.Describe(a)))
 	}
 	cl.init()
 	return cl
 }
 
-// MachineSpec describes one machine of a custom cluster: the ISA it
-// executes, a timing description (which may hybridise guest semantics with
-// host timing, as the DBT-emulation baseline does) and an optional per-op
-// cost override.
-type MachineSpec struct {
-	Arch   isa.Arch
-	Desc   *isa.Desc
-	CostFn func(isa.Op) int64
-}
-
-// NewClusterSpec builds a cluster from explicit machine specifications.
-func NewClusterSpec(specs []MachineSpec, cfg msg.Config) *Cluster {
+// NewClusterSpec builds a cluster with one kernel per machine description.
+// A description may hybridise one ISA's semantics with another's timing
+// and costs, as the DBT-emulation baseline does.
+func NewClusterSpec(descs []*isa.Desc, cfg msg.Config) *Cluster {
 	cl := &Cluster{IC: msg.New(cfg)}
-	for i, s := range specs {
-		cl.Kernels = append(cl.Kernels, newKernelSpec(cl, i, s))
+	for i, d := range descs {
+		cl.Kernels = append(cl.Kernels, newKernel(cl, i, d))
 	}
 	cl.init()
 	return cl

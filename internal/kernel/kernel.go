@@ -41,10 +41,6 @@ type Kernel struct {
 	Arch isa.Arch
 	Desc *isa.Desc
 
-	// costFn, when non-nil, overrides per-op cycle costs on every core
-	// (DBT emulation / managed-runtime baselines).
-	costFn func(isa.Op) int64
-
 	cluster *Cluster
 
 	// cores holds one slot per hardware core; a slot's machine.Core is
@@ -112,18 +108,10 @@ type coreSlot struct {
 	thr  *Thread
 }
 
-// newKernel builds a kernel with the ISA's reference core count.
-func newKernel(cl *Cluster, node int, arch isa.Arch) *Kernel {
-	return newKernelSpec(cl, node, MachineSpec{Arch: arch, Desc: isa.Describe(arch)})
-}
-
-// newKernelSpec builds a kernel from an explicit machine specification.
-func newKernelSpec(cl *Cluster, node int, spec MachineSpec) *Kernel {
-	d := spec.Desc
-	if d == nil {
-		d = isa.Describe(spec.Arch)
-	}
-	return &Kernel{Node: node, Arch: spec.Arch, Desc: d, costFn: spec.CostFn, cluster: cl,
+// newKernel builds a kernel for the machine d describes: its ISA, core
+// count, clock and per-op costs.
+func newKernel(cl *Cluster, node int, d *isa.Desc) *Kernel {
+	return &Kernel{Node: node, Arch: d.Arch, Desc: d, cluster: cl,
 		cores: make([]coreSlot, d.Cores), slow: 1}
 }
 
@@ -136,7 +124,6 @@ func (k *Kernel) coreOf(cs *coreSlot) *machine.Core {
 		return cs.core
 	}
 	c := machine.NewCore(k.Desc)
-	c.CostFn = k.costFn
 	// Kernel-owned migration-point hook: drives the checkpoint policy.
 	// Experiments overwrite the instrumentation hooks, never this one.
 	c.OnPointKernel = func() { k.pointTick(cs) }

@@ -228,15 +228,13 @@ func TestNcoresPerMachine(t *testing.T) {
 	}
 }
 
-func TestMachineSpecClusterRuns(t *testing.T) {
+func TestDescClusterRuns(t *testing.T) {
 	img, err := core.Build("t", core.Src("t.c", `long main(void){ print_i64_ln(getnode()); return 0; }`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := kernel.NewClusterSpec([]kernel.MachineSpec{
-		{Arch: isa.ARM64},
-		{Arch: isa.ARM64},
-	}, kernel.DefaultInterconnect())
+	arm := isa.Describe(isa.ARM64)
+	cl := kernel.NewClusterSpec([]*isa.Desc{arm, arm}, kernel.DefaultInterconnect())
 	p, err := cl.Spawn(img, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -92,11 +92,6 @@ type Core struct {
 	// overwrite freely via InstrumentCalls.
 	OnPointKernel func()
 
-	// CostFn, when set, replaces the native per-op base cycle cost — the
-	// hook the DBT-emulation and managed-runtime baselines use to model
-	// translated/interpreted execution.
-	CostFn func(op isa.Op) int64
-
 	// tlb caches Mem's page translations for guest loads and stores. It is
 	// allocated at the first instruction: most cores of a fleet never run.
 	tlb *mem.TLB
@@ -214,8 +209,7 @@ const vdsoPage = mem.VDSOBase >> mem.PageShift
 // load and store.
 func (c *Core) run(budget int64) Event {
 	d := c.Desc
-	costs := isa.Costs(d.Arch)
-	slow := c.CostFn != nil // consulted per instruction, behind one flag
+	costs := d.Costs
 	if c.tlb == nil {
 		c.tlb = new(mem.TLB)
 	}
@@ -240,9 +234,6 @@ loop:
 
 		// Instruction fetch: base op cost plus I-cache cost.
 		cost := costs[in.Op]
-		if slow {
-			cost = c.CostFn(in.Op)
-		}
 		if in.SameLine && seq {
 			ihits++
 		} else if pc := addrs[idx]; (pc+uint64(in.Size)-1)>>ish == pc>>ish && ic.Front(pc>>ish) {

@@ -269,28 +269,32 @@ long main(void){
 	}
 }
 
-func TestCostFnOverride(t *testing.T) {
+// A description's cost table is what the interpreter charges: a copy of
+// the x86 description with a 50x table runs at least 10x slower, and Run
+// charges through it exactly as Step does.
+func TestCostTableOverride(t *testing.T) {
 	src := `long main(void){
 		long s = 0;
 		for (long i = 0; i < 1000; i++) s += i;
 		__syscall(1, s);
 		return 0; }`
+	d := *isa.Describe(isa.X86)
+	d.Costs = d.Costs.Scale(func(isa.Op) float64 { return 50 })
 	base, _ := buildCore(t, src, isa.X86)
 	runUntilSyscall(t, base)
 	over, _ := buildCore(t, src, isa.X86)
-	over.CostFn = func(op isa.Op) int64 { return 50 * isa.CycleCost(isa.X86, op) }
+	over.Desc = &d
 	runUntilSyscall(t, over)
 	if over.Cycles < 10*base.Cycles {
-		t.Errorf("cost override ineffective: %d vs %d", over.Cycles, base.Cycles)
+		t.Errorf("cost table ineffective: %d vs %d", over.Cycles, base.Cycles)
 	}
-	// Run charges through the same override as Step.
 	ran, _ := buildCore(t, src, isa.X86)
-	ran.CostFn = over.CostFn
+	ran.Desc = &d
 	if ev := ran.Run(math.MaxInt64); ev != EvSyscall {
 		t.Fatalf("Run stopped with event %d: %v", ev, ran.Err)
 	}
 	if ran.Cycles != over.Cycles || ran.Instrs != over.Instrs {
-		t.Errorf("Run under CostFn: %d cycles, %d instrs; Step loop: %d, %d", ran.Cycles, ran.Instrs, over.Cycles, over.Instrs)
+		t.Errorf("Run under the table: %d cycles, %d instrs; Step loop: %d, %d", ran.Cycles, ran.Instrs, over.Cycles, over.Instrs)
 	}
 }
 

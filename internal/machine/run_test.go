@@ -132,7 +132,7 @@ func (h *host) state() string {
 }
 
 // hook installs the instrumented configuration on h's core: the DBT
-// emulation cost function (guest arch on the other ISA, fig1's path) and
+// emulation costs (guest arch on the other ISA, fig1's path) and
 // the call and migration-point hooks, which log the core's counters as the
 // hooks see them. Under it the interpreter must bring every batched counter
 // up to date before a hook fires.
@@ -142,11 +142,13 @@ func (h *host) hook(tb testing.TB, arch isa.Arch) {
 	if arch == isa.X86 {
 		emu = isa.ARM64
 	}
-	p, err := dbt.ProfileFor(arch, emu)
+	e, err := dbt.EmulatedDesc(arch, emu)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c.CostFn = dbt.CostFn(emu, p)
+	d := *c.Desc // the caches keep the penalty NewCore gave them
+	d.Costs = e.Costs
+	c.Desc = &d
 	counters := func() string {
 		return fmt.Sprintf("cycles=%d instrs=%d icache=%d/%d dcache=%d/%d", c.Cycles, c.Instrs,
 			c.ICache.Misses, c.ICache.Accesses, c.DCache.Misses, c.DCache.Accesses)

@@ -21,26 +21,19 @@ import (
 // Calibrated to Figure 11's 23 s (Java) vs 11 s (native) IS class B runs.
 const JavaFactor = 2.1
 
-// ManagedCostFn returns the per-op cost function of the managed runtime on
-// arch: native cost scaled by JavaFactor (GC and JIT warmup folded in).
-func ManagedCostFn(arch isa.Arch) func(op isa.Op) int64 {
-	return func(op isa.Op) int64 {
-		c := int64(float64(isa.CycleCost(arch, op)) * JavaFactor)
-		if c < 1 {
-			c = 1
-		}
-		return c
-	}
+// ManagedDesc describes arch's machine running the managed runtime: its
+// native costs scaled by JavaFactor (GC and JIT warmup folded in).
+func ManagedDesc(arch isa.Arch) *isa.Desc {
+	d := *isa.Describe(arch)
+	d.Costs = d.Costs.Scale(func(isa.Op) float64 { return JavaFactor })
+	return &d
 }
 
 // NewManagedTestbed builds the two-server testbed with both machines
 // running the managed runtime.
 func NewManagedTestbed() *kernel.Cluster {
-	specs := []kernel.MachineSpec{
-		{Arch: isa.X86, Desc: isa.Describe(isa.X86), CostFn: ManagedCostFn(isa.X86)},
-		{Arch: isa.ARM64, Desc: isa.Describe(isa.ARM64), CostFn: ManagedCostFn(isa.ARM64)},
-	}
-	return kernel.NewClusterSpec(specs, msg.DolphinPXH810())
+	descs := []*isa.Desc{ManagedDesc(isa.X86), ManagedDesc(isa.ARM64)}
+	return kernel.NewClusterSpec(descs, msg.DolphinPXH810())
 }
 
 // SpawnManaged loads img as a managed-runtime process with serialization

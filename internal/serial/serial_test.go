@@ -4,18 +4,51 @@ import (
 	"testing"
 
 	"heterodc/internal/core"
+	"heterodc/internal/dbt"
 	"heterodc/internal/isa"
 	"heterodc/internal/kernel"
 	"heterodc/internal/serial"
 )
 
 func TestManagedCostFactor(t *testing.T) {
-	fn := serial.ManagedCostFn(isa.X86)
+	costs := serial.ManagedDesc(isa.X86).Costs
 	for _, op := range []isa.Op{isa.OpAdd, isa.OpFMul, isa.OpLd} {
 		native := isa.CycleCost(isa.X86, op)
-		managed := fn(op)
-		if float64(managed) < float64(native)*1.5 {
+		if managed := costs[op]; float64(managed) < float64(native)*1.5 {
 			t.Errorf("%s: managed cost %d not ~%gx native %d", op, managed, serial.JavaFactor, native)
+		}
+	}
+}
+
+// Building the emulated and managed descriptions leaves the shared native
+// ones alone: each derived description points at a table of its own, and
+// every shared table still holds CycleCost. A builder that scaled the
+// copied table in place would rescale every native run in the process.
+func TestDerivedDescsLeaveSharedAlone(t *testing.T) {
+	var derived []*isa.Desc
+	for _, a := range isa.Arches {
+		derived = append(derived, serial.ManagedDesc(a))
+		for _, host := range isa.Arches {
+			if d, err := dbt.EmulatedDesc(a, host); err == nil {
+				derived = append(derived, d)
+			}
+		}
+	}
+	if len(derived) != 4 {
+		t.Fatalf("built %d derived descriptions, want 4", len(derived))
+	}
+	for _, d := range derived {
+		for _, a := range isa.Arches {
+			if d.Costs == isa.Describe(a).Costs {
+				t.Errorf("a derived %s description shares %s's cost table", d.Name, a)
+			}
+		}
+	}
+	for _, a := range isa.Arches {
+		for op, got := range isa.Describe(a).Costs {
+			if want := isa.CycleCost(a, isa.Op(op)); got != want {
+				t.Errorf("%s %s: shared table says %d after deriving, CycleCost %d", a, isa.Op(op), got, want)
+			}
 		}
 	}
 }
