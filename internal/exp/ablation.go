@@ -152,12 +152,12 @@ func AblationDSMMode(cfg Config) ([]DSMModeRow, error) {
 		}
 		rows = append(rows, DSMModeRow{
 			Mode:             mode,
-			TotalSeconds:     cl.Time(),
+			TotalSeconds:     p.ExitTime(),
 			ResumeLagSeconds: resumeLag,
 			PagesMoved:       cl.Kernels[core.NodeARM].PagesIn,
 		})
 		cfg.printf("ablation dsm %-18s total=%8.4fs resume-lag=%8.1fµs pages=%d\n",
-			mode, cl.Time(), resumeLag*1e6, cl.Kernels[core.NodeARM].PagesIn)
+			mode, p.ExitTime(), resumeLag*1e6, cl.Kernels[core.NodeARM].PagesIn)
 	}
 	return rows, nil
 }

@@ -67,7 +67,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		if err := driveMove(cl, p, moveAt); err != nil {
 			return nil, fmt.Errorf("fig11 native: %w", err)
 		}
-		res.NativeSeconds = cl.Time()
+		res.NativeSeconds = p.ExitTime()
 		res.NativeTrace = meter.Trace
 		res.NativePages = cl.Kernels[core.NodeARM].PagesIn
 	}
@@ -102,7 +102,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		if err := driveMove(cl, p, moveAt); err != nil {
 			return nil, fmt.Errorf("fig11 managed: %w", err)
 		}
-		res.ManagedSeconds = cl.Time()
+		res.ManagedSeconds = p.ExitTime()
 		res.ManagedTrace = meter.Trace
 	}
 	cfg.printf("fig11: native total=%.4fs (migration at %.4fs, %d pages pulled on demand)\n",
