@@ -82,6 +82,7 @@ import (
 	"heterodc/internal/core"
 	"heterodc/internal/fault"
 	"heterodc/internal/hostprof"
+	"heterodc/internal/isa"
 	"heterodc/internal/kernel"
 	"heterodc/internal/link"
 	"heterodc/internal/member"
@@ -198,6 +199,16 @@ func trafficConfig(arrivals string, rateSet bool, rate float64, sloSet bool, slo
 	return spec, traffic.SLO{LatencyTargetSec: slo, BudgetFrac: 0.10}, jobs, nil
 }
 
+// testbed builds the x86 + ARM testbed joined by the -topo fabric; the
+// fabric is nil for the flat pipe.
+func testbed(kind string, racks int, oversub float64) (*kernel.Cluster, *topo.Fabric, error) {
+	if (kind == "" || kind == topo.KindFlat) && (racks != 0 || oversub != 0) {
+		return nil, nil, fmt.Errorf("-racks/-oversub need -topo fattree")
+	}
+	return kernel.NewClusterTopo([]isa.Arch{isa.X86, isa.ARM64}, kernel.DefaultInterconnect(),
+		topo.Spec{Kind: kind, Racks: racks, Oversub: oversub})
+}
+
 // runOpenLoop executes the open-loop stream mode on the two-node testbed
 // under the dynamic balanced policy and prints the SLO scorecard.
 func runOpenLoop(spec traffic.Spec, slo traffic.SLO, jobsN int, class npb.Class,
@@ -208,16 +219,9 @@ func runOpenLoop(spec traffic.Spec, slo traffic.SLO, jobsN int, class npb.Class,
 	}
 	jobs := sched.GenerateJobs(42, jobsN, []npb.Class{class}, traffic.Spacing(src))
 
-	cl := core.NewTestbed()
-	switch topoKind {
-	case "", topo.KindFlat:
-		if topoRacks != 0 || topoOversub != 0 {
-			return fmt.Errorf("-racks/-oversub need -topo fattree")
-		}
-	default:
-		if _, err := kernel.ApplyTopology(cl, topo.Spec{Kind: topoKind, Racks: topoRacks, Oversub: topoOversub}); err != nil {
-			return err
-		}
+	cl, _, err := testbed(topoKind, topoRacks, topoOversub)
+	if err != nil {
+		return err
 	}
 	r := sched.NewRunner(cl, sched.DynamicBalanced(), power.DefaultModels(cl, false))
 	res, err := r.RunOpenLoop(sched.OpenLoop{Jobs: jobs, SLO: slo})
@@ -355,17 +359,8 @@ func main() {
 		refSeconds = ref.Seconds
 	}
 
-	cl := core.NewTestbed()
-	var fab *topo.Fabric
-	switch *topoKind {
-	case "", topo.KindFlat:
-		if *topoRacks != 0 || *topoOversub != 0 {
-			fatal(fmt.Errorf("-racks/-oversub need -topo fattree"))
-		}
-	default:
-		fab, err = kernel.ApplyTopology(cl, topo.Spec{Kind: *topoKind, Racks: *topoRacks, Oversub: *topoOversub})
-		fatal(err)
-	}
+	cl, fab, err := testbed(*topoKind, *topoRacks, *topoOversub)
+	fatal(err)
 	plan := fault.Plan{Seed: *faultSeed, DropProb: *dropProb, DupProb: *dupProb, JitterSec: *jitter}
 	if *crashNode != "" {
 		cn, err := parseNode(*crashNode)

@@ -194,7 +194,8 @@ func NewInjector(plan Plan) *Injector {
 }
 
 // LinkCut reports whether an active partition window severs the directed
-// from->to leg at time at. It satisfies msg.Partitioner.
+// from->to leg at time at (msg.Injector's partition view, with
+// LinkClearAt).
 func (in *Injector) LinkCut(at float64, from, to int) bool {
 	for i := range in.plan.Partitions {
 		if cuts(&in.plan.Partitions[i], in.partA[i], in.partLegs[i], at, from, to) {

@@ -123,36 +123,29 @@ type nodeEvent struct {
 // NewCluster builds a cluster with one kernel per listed architecture,
 // joined by the given interconnect configuration.
 func NewCluster(arches []isa.Arch, cfg msg.Config) *Cluster {
-	return newCluster(msg.New(cfg), arches)
-}
-
-// newCluster builds a cluster of arches over the interconnect ic.
-func newCluster(ic *msg.Interconnect, arches []isa.Arch) *Cluster {
-	cl := &Cluster{IC: ic}
-	for i, a := range arches {
-		cl.Kernels = append(cl.Kernels, newKernel(cl, i, isa.Describe(a)))
-	}
-	cl.init()
-	return cl
+	return newCluster(msg.New(cfg), len(arches), func(i int) *isa.Desc { return isa.Describe(arches[i]) })
 }
 
 // NewClusterSpec builds a cluster with one kernel per machine description.
 // A description may hybridise one ISA's semantics with another's timing
 // and costs, as the DBT-emulation baseline does.
 func NewClusterSpec(descs []*isa.Desc, cfg msg.Config) *Cluster {
-	cl := &Cluster{IC: msg.New(cfg)}
-	for i, d := range descs {
-		cl.Kernels = append(cl.Kernels, newKernel(cl, i, d))
-	}
-	cl.init()
-	return cl
+	return newCluster(msg.New(cfg), len(descs), func(i int) *isa.Desc { return descs[i] })
 }
 
-// init finishes construction once the kernels exist.
-func (cl *Cluster) init() {
-	cl.IC.Grow(len(cl.Kernels))
+// newCluster builds a cluster of n kernels over the interconnect ic, node
+// i's from the description desc(i). desc is a function rather than a slice
+// so that clusters built from architectures allocate no slice of
+// descriptions.
+func newCluster(ic *msg.Interconnect, n int, desc func(i int) *isa.Desc) *Cluster {
+	cl := &Cluster{IC: ic, Kernels: make([]*Kernel, 0, n)}
+	for i := 0; i < n; i++ {
+		cl.Kernels = append(cl.Kernels, newKernel(cl, i, desc(i)))
+	}
+	cl.IC.Grow(n)
 	cl.IC.OnQueueChange(cl.changed)
 	cl.initMembership()
+	return cl
 }
 
 // changed reports that an input of node's ReadyTime, NextEvent or clock was

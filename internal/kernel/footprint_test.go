@@ -54,9 +54,10 @@ func TestIdleFleetFootprint(t *testing.T) {
 }
 
 // Building a 256-node fat-tree fleet allocates what the fleet keeps, not
-// the flat pipe's n*n occupancy table as well: the fabric is installed
-// before the interconnect grows, so the 0.5 MB table is never made (1.31 MB
-// in all when it was made and dropped again, about 0.8 MB without it).
+// the flat pipe's n*n occupancy table as well: NewClusterTopo installs the
+// fabric before the interconnect grows, so the pipe is never grown and its
+// 0.5 MB table never made (1.31 MB in all when it was made and dropped
+// again, about 0.8 MB without it).
 func TestFatTreeBuildSkipsTheFlatTable(t *testing.T) {
 	const nodes, racks = 256, 16
 	const maxMB = 0.85

@@ -365,9 +365,7 @@ func (cl *Cluster) groups(onMerge func(layer string, a, b int)) [][]int {
 
 	// 3. Fabric sharing domains: fold multi-rack groups that share a rack.
 	cl.ufLayer = "fabric"
-	if dom := cl.IC.Path(); dom != nil {
-		cl.foldDomains(dom)
-	}
+	cl.foldDomains(cl.IC.Path())
 	cl.ufOnMerge = nil
 
 	// Ascending scan with min-root union keeps every group sorted and the

@@ -17,21 +17,18 @@
 // driving disjoint node groups never touch the same cell. Aggregation
 // (Stats) and structural growth (Grow) happen only at barriers.
 //
-// The flat pipe is one of two cost models: SetPathModel plugs a
-// hierarchical fabric (internal/topo's rack/spine fat tree) under the same
-// message layer, replacing the delivery-time computation with multi-hop
-// routing and shared-uplink contention. A fabric shares links between node
-// pairs and names its sharing domains (the fat tree has one per rack); the
-// cluster folds same-domain link-sharing into the union-find sharing
-// partition, so racks that exchange no cross-rack traffic still run
-// concurrently. Without a path model nothing changes — the flat pipe is the
-// default and the regression baseline.
+// Every delivery time comes from a PathModel. The default is the flat
+// pipe: one private link per directed node pair, with the latency,
+// bandwidth and occupancy above. SetPathModel swaps in a hierarchical
+// fabric (internal/topo's rack/spine fat tree) with multi-hop routing and
+// shared-uplink contention. A fabric shares links between node pairs and
+// names its sharing domains (the fat tree has one per rack); the cluster
+// folds same-domain link-sharing into the union-find sharing partition, so
+// racks that exchange no cross-rack traffic still run concurrently. The
+// pipe shares nothing and has one domain, so the fold merges nothing.
 package msg
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Type tags inter-kernel messages.
 type Type int
@@ -134,9 +131,9 @@ func (s *Stats) add(o Stats) {
 	s.PartitionStalls += o.PartitionStalls
 }
 
-// Injector decides message fates for fault injection; *fault.Injector
-// implements it. Implementations must be deterministic functions of their
-// arguments.
+// Injector decides message fates and partition windows for fault
+// injection; *fault.Injector implements it. Implementations must be
+// deterministic functions of their arguments.
 type Injector interface {
 	// Fate decides whether the message leg identified by (from, to, seq) is
 	// dropped or duplicated and how much extra latency it suffers. seq is
@@ -149,13 +146,6 @@ type Injector interface {
 	// NodeRecoverAt returns when a down node rejoins (false: up already,
 	// or never).
 	NodeRecoverAt(node int, at float64) (float64, bool)
-}
-
-// Partitioner extends an Injector with network-partition windows: whole
-// link classes severed between two sides of the rack. It is optional — the
-// interconnect type-asserts the installed Injector — so injectors without
-// partition support keep working unchanged. *fault.Injector implements it.
-type Partitioner interface {
 	// LinkCut reports whether the directed from->to leg is severed at time
 	// at.
 	LinkCut(at float64, from, to int) bool
@@ -198,18 +188,19 @@ type Duplicator interface {
 	Duplicate() interface{}
 }
 
-// PathModel is a pluggable fabric under the interconnect: when installed,
-// it replaces the flat latency/bandwidth pipe's delivery-time computation
-// with hierarchical routing (topo.Fabric implements it — racks behind ToR
-// switches joined by a spine). Implementations must be deterministic; all
-// occupancy and statistics live inside the model. A path model shares links
-// between node pairs, which breaks the interconnect's disjoint-shard
-// invariant; its sharing domains are how the cluster restores it.
+// PathModel is the interconnect's cost model: it turns a message into a
+// delivery time. The flat pipe (the default, built by New) gives every
+// directed pair a private link; topo.Fabric routes through racks behind ToR
+// switches joined by a spine. Implementations must be deterministic; all
+// occupancy and statistics live inside the model. A model that shares links
+// between node pairs breaks the interconnect's disjoint-shard invariant;
+// its sharing domains are how the cluster restores it.
 type PathModel interface {
-	// Nodes is the number of nodes the model routes between; the
-	// interconnect refuses to grow past it.
-	Nodes() int
-	// Transmit charges the fabric for a from->to message of wire bytes
+	// Grow readies the model for nodes 0..n-1, or reports why it cannot
+	// (a fabric joins a fixed node count). The interconnect calls it from
+	// single-threaded paths only: SetPathModel and its own Grow.
+	Grow(n int) error
+	// Transmit charges the model for a from->to message of wire bytes
 	// (payload plus header) starting at now and returns its delivery time,
 	// consuming link occupancy along the route.
 	Transmit(now float64, from, to int, wire int64) float64
@@ -229,6 +220,39 @@ type PathModel interface {
 	NumDomains() int
 }
 
+// pipe is the flat cost model: every directed pair (self-sends included)
+// has a private link with the configured latency and bandwidth. freeAt is
+// the link occupancy, the instant each link is free again, an n*n table
+// indexed from*n+to.
+type pipe struct {
+	lat, bw float64
+	n       int
+	freeAt  []float64
+}
+
+func (p *pipe) Grow(n int) error {
+	if n > p.n {
+		p.freeAt = regrid(p.freeAt, p.n, n)
+		p.n = n
+	}
+	return nil
+}
+
+func (p *pipe) Transmit(now float64, from, to int, wire int64) float64 {
+	lk := from*p.n + to
+	txEnd := max(now, p.freeAt[lk]) + float64(wire)/p.bw
+	p.freeAt[lk] = txEnd
+	return txEnd + p.lat
+}
+
+func (p *pipe) Estimate(now float64, from, to int, wire int64) float64 {
+	return max(now, p.freeAt[from*p.n+to]) + float64(wire)/p.bw + p.lat
+}
+
+func (p *pipe) MinLatency() float64 { return p.lat }
+func (p *pipe) Domain(int) int      { return 0 }
+func (p *pipe) NumDomains() int     { return 1 }
+
 // nodeState is one destination node's private state.
 type nodeState struct {
 	// q is the delivery queue, a binary min-heap of values ordered by
@@ -242,26 +266,22 @@ type nodeState struct {
 }
 
 // Interconnect is the shared fabric between kernels. It is a deterministic
-// discrete-event structure: Send computes a delivery time from latency,
-// bandwidth and link occupancy; PopDue yields messages in delivery order.
+// discrete-event structure: Send asks the path model for a delivery time;
+// PopDue yields messages in delivery order.
 // State is sharded by directed link and by node so disjoint node groups can
 // drive it concurrently (see package comment).
 type Interconnect struct {
 	cfg Config
 
 	inj    Injector
-	part   Partitioner // inj's partition view, when it has one
 	tracer EventSink
-	path   PathModel // nil: the flat pipe (the default and the baseline)
+	flat   pipe      // the default cost model
+	path   PathModel // never nil: &flat unless SetPathModel replaced it
 
-	// The directed links' private state, two n*n tables indexed
-	// from*n+to. seqs numbers each link's message legs (and fate draws).
-	// busy is the flat pipe's serialisation occupancy, the instant each
-	// link is free again; a path model keeps its own, so busy exists only
-	// while the flat pipe may read it (see Grow and SetPathModel).
+	// seqs numbers each directed link's message legs (and fate draws), an
+	// n*n table indexed from*n+to.
 	n     int
 	seqs  []uint64
-	busy  []float64
 	nodes []nodeState
 	stats []Stats // per sending node
 
@@ -273,30 +293,28 @@ type Interconnect struct {
 // New builds an interconnect with cfg. Node structures grow on first use
 // (or all at once via Grow).
 func New(cfg Config) *Interconnect {
-	return &Interconnect{cfg: cfg}
+	ic := &Interconnect{cfg: cfg, flat: pipe{lat: cfg.LatencySec, bw: cfg.BytesPerSec}}
+	ic.path = &ic.flat
+	return ic
 }
 
-// Grow presizes the interconnect for nodes 0..n-1. Growth re-shards the
-// link state, so it must happen before concurrent use; cluster
-// construction calls it with the final node count. The occupancy table
-// grows only if it exists or the flat pipe is in use.
+// Grow presizes the interconnect and its path model for nodes 0..n-1; it
+// panics if the model cannot cover them. Growth re-shards the link state,
+// so it must happen before concurrent use; cluster construction calls it
+// with the final node count.
 func (ic *Interconnect) Grow(n int) {
 	if n <= ic.n {
 		return
 	}
-	if ic.path != nil && n > ic.path.Nodes() {
-		panic(fmt.Sprintf("msg: growing to %d nodes past the installed path model's %d", n, ic.path.Nodes()))
+	if err := ic.path.Grow(n); err != nil {
+		panic(err)
 	}
 	seqs := regrid(ic.seqs, ic.n, n)
-	var busy []float64
-	if ic.path == nil || ic.busy != nil {
-		busy = regrid(ic.busy, ic.n, n)
-	}
 	nodes := make([]nodeState, n)
 	copy(nodes, ic.nodes)
 	stats := make([]Stats, n)
 	copy(stats, ic.stats)
-	ic.n, ic.seqs, ic.busy, ic.nodes, ic.stats = n, seqs, busy, nodes, stats
+	ic.n, ic.seqs, ic.nodes, ic.stats = n, seqs, nodes, stats
 }
 
 // regrid returns an n*n copy of the old*old link table t (nil or empty
@@ -316,7 +334,8 @@ func (ic *Interconnect) ensure(node int) {
 	}
 }
 
-// link returns the from->to link's index into the link tables.
+// link returns the from->to link's index into seqs, growing the
+// interconnect to cover both nodes.
 func (ic *Interconnect) link(from, to int) int {
 	if from >= ic.n || to >= ic.n {
 		ic.ensure(from)
@@ -347,70 +366,34 @@ func (ic *Interconnect) Stats() Stats {
 	return s
 }
 
-// MinLatency returns the minimum one-way link latency — the lookahead floor
-// for conservative parallel co-simulation over this interconnect. With a
-// path model installed it is the model's minimum over all routes.
-func (ic *Interconnect) MinLatency() float64 {
-	if ic.path != nil {
-		return ic.path.MinLatency()
-	}
-	return ic.cfg.LatencySec
-}
+// MinLatency returns the path model's minimum one-way latency over all
+// routes — the lookahead floor for conservative parallel co-simulation
+// over this interconnect.
+func (ic *Interconnect) MinLatency() float64 { return ic.path.MinLatency() }
 
-// SetPathModel installs (or, with nil, removes) a hierarchical fabric
-// under the interconnect. Install before concurrent use and before the
-// cluster chooses its engine: the parallel backend reads MinLatency at
-// configuration time.
-//
-// A model holds its own occupancy, so installing one drops the flat pipe's
-// table if no link was ever occupied; removing it allocates a zeroed table
-// if none exists. Both read exactly as a table kept all along: a table
-// never occupied is all zeros, and one that was occupied is kept.
+// SetPathModel installs pm in place of the current cost model, grown to
+// the interconnect's nodes; it returns pm's error if pm cannot cover them.
+// Install before any traffic flows and before the cluster chooses its
+// engine: the parallel backend reads MinLatency at configuration time.
 func (ic *Interconnect) SetPathModel(pm PathModel) error {
-	if pm != nil && pm.Nodes() < ic.n {
-		return fmt.Errorf("msg: path model covers %d nodes, interconnect already has %d", pm.Nodes(), ic.n)
+	if err := pm.Grow(ic.n); err != nil {
+		return err
 	}
 	ic.path = pm
-	switch {
-	case pm != nil && !slices.ContainsFunc(ic.busy, func(b float64) bool { return b != 0 }):
-		ic.busy = nil
-	case pm == nil && ic.busy == nil:
-		ic.busy = make([]float64, ic.n*ic.n)
-	}
 	return nil
 }
 
-// LinkBytes returns the bytes the per-link tables hold: eight per directed
-// node pair for the sequence numbers, eight more while the flat pipe's
-// occupancy table exists.
-func (ic *Interconnect) LinkBytes() int { return 8 * (len(ic.seqs) + len(ic.busy)) }
+// LinkBytes returns the bytes the per-link sequence numbers hold, eight per
+// directed node pair.
+func (ic *Interconnect) LinkBytes() int { return 8 * len(ic.seqs) }
 
-// Path returns the installed path model, or nil for the flat pipe.
+// Path returns the installed path model: the flat pipe unless SetPathModel
+// replaced it.
 func (ic *Interconnect) Path() PathModel { return ic.path }
 
-// redeliverDelay is the extra delay charged to a duplicate copy.
-func (ic *Interconnect) redeliverDelay() float64 {
-	if ic.path != nil {
-		return ic.path.MinLatency()
-	}
-	return ic.cfg.LatencySec
-}
-
-// SetInjector installs (or, with nil, removes) a fault injector. An
-// injector that also implements Partitioner gets its partition windows
-// enforced on every delivery and retransmission.
-func (ic *Interconnect) SetInjector(inj Injector) {
-	ic.inj = inj
-	ic.part = nil
-	if p, ok := inj.(Partitioner); ok {
-		ic.part = p
-	}
-}
-
-// cut reports whether a partition severs the from->to leg at time at.
-func (ic *Interconnect) cut(at float64, from, to int) bool {
-	return ic.part != nil && ic.part.LinkCut(at, from, to)
-}
+// SetInjector installs (or, with nil, removes) a fault injector, whose
+// partition windows are enforced on every delivery and retransmission.
+func (ic *Interconnect) SetInjector(inj Injector) { ic.inj = inj }
 
 // SetTracer installs an event sink for fault/retry diagnostics.
 func (ic *Interconnect) SetTracer(s EventSink) { ic.tracer = s }
@@ -465,28 +448,15 @@ func (ic *Interconnect) retry(st *Stats, rx *retx) bool {
 	return true
 }
 
-// transmit charges the from->to link for one message and builds it with
-// its fault-free delivery time; the caller decides whether it is enqueued.
-// With a path model installed the delivery time comes from the fabric
-// (which holds all occupancy); the per-link sequence numbers keying fault
-// fates are unchanged either way, so an identical fault plan draws the
-// identical fate stream on both models.
+// transmit charges the path model for one from->to message and builds it
+// with its fault-free delivery time; the caller decides whether it is
+// enqueued. The per-link sequence numbers keying fault fates are the
+// interconnect's, so an identical fault plan draws the identical fate
+// stream whatever the model.
 func (ic *Interconnect) transmit(now float64, from, to int, t Type, size int64, payload interface{}) Message {
 	wire := size + ic.cfg.HeaderBytes
-	lk := ic.link(from, to)
-	var deliver float64
-	if ic.path != nil {
-		deliver = ic.path.Transmit(now, from, to, wire)
-	} else {
-		start := now
-		if b := ic.busy[lk]; b > start {
-			start = b
-		}
-		txEnd := start + float64(wire)/ic.cfg.BytesPerSec
-		ic.busy[lk] = txEnd
-		deliver = txEnd + ic.cfg.LatencySec
-	}
-
+	lk := ic.link(from, to) // before the model: link may grow it
+	deliver := ic.path.Transmit(now, from, to, wire)
 	ic.seqs[lk]++
 	ic.stats[from].Messages++
 	ic.stats[from].Bytes += uint64(wire)
@@ -535,7 +505,7 @@ func (ic *Interconnect) SendQueued(now float64, from, to int, t Type, size int64
 	if ic.inj != nil {
 		drop, dup, jit := ic.inj.Fate(now, from, to, m.Seq)
 		m.Deliver += jit
-		if ic.cut(m.Deliver, from, to) {
+		if ic.inj.LinkCut(m.Deliver, from, to) {
 			ic.stats[from].Dropped++
 			ic.stats[from].PartitionDrops++
 			ic.tracef(from, now, "cut", "type %d %d->%d seq %d", t, from, to, m.Seq)
@@ -547,7 +517,7 @@ func (ic *Interconnect) SendQueued(now float64, from, to int, t Type, size int64
 			return m.Deliver, false
 		}
 		if dup {
-			ic.pushDuplicate(&ic.stats[from], m, m.Deliver+ic.redeliverDelay())
+			ic.pushDuplicate(&ic.stats[from], m, m.Deliver+ic.path.MinLatency())
 		}
 	}
 	ic.push(m)
@@ -560,7 +530,7 @@ func (ic *Interconnect) SendQueued(now float64, from, to int, t Type, size int64
 func (ic *Interconnect) pushDuplicate(st *Stats, m Message, deliver float64) {
 	m.Seq = ic.nextSeq(m.From, m.To)
 	m.Deliver = deliver
-	if ic.cut(deliver, m.From, m.To) {
+	if ic.inj.LinkCut(deliver, m.From, m.To) {
 		st.PartitionDrops++
 		return
 	}
@@ -601,11 +571,11 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 			rx.elapsed = rec - now + rx.rto
 			continue
 		}
-		if ic.cut(at, from, to) {
+		if ic.inj.LinkCut(at, from, to) {
 			// A partition with a known heal is waited out like a crash; a
 			// never-healing cut burns the retry budget at the backoff cadence
 			// (the sender cannot distinguish it from loss).
-			if heal, ok := ic.part.LinkClearAt(at, from, to); ok {
+			if heal, ok := ic.inj.LinkClearAt(at, from, to); ok {
 				st.PartitionStalls++
 				ic.tracef(from, at, "cut-stall", "type %d %d->%d: partitioned until %.6g", t, from, to, heal)
 				rx.elapsed = heal - now + rx.rto
@@ -633,7 +603,7 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 			continue
 		}
 		m.Deliver += jit
-		if ic.cut(m.Deliver, from, to) {
+		if ic.inj.LinkCut(m.Deliver, from, to) {
 			// The cut landed while the leg was in flight: it is lost and the
 			// sender retransmits after the timeout.
 			st.Dropped++
@@ -652,7 +622,7 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 		// An asymmetric partition that severs only the reverse leg loses the
 		// ack the same way.
 		ackDrop, _, _ := ic.inj.Fate(m.Deliver, to, from, ic.nextSeq(to, from))
-		if ic.cut(m.Deliver, to, from) {
+		if ic.inj.LinkCut(m.Deliver, to, from) {
 			ackDrop = true
 		}
 		if dup || ackDrop {
@@ -667,22 +637,9 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 // messages. Each leg waits for its directed link's current occupancy, like
 // Send does, but the estimate does not consume occupancy itself.
 func (ic *Interconnect) RoundTripTime(now float64, from, to int, replySize int64) float64 {
-	if ic.path != nil {
-		arrive := ic.path.Estimate(now, from, to, ic.cfg.HeaderBytes)
-		done := ic.path.Estimate(arrive, to, from, replySize+ic.cfg.HeaderBytes)
-		return done - now
-	}
-	fwd, back := ic.link(from, to), ic.link(to, from) // before reading busy: link may grow it
-	start := now
-	if b := ic.busy[fwd]; b > start {
-		start = b
-	}
-	arrive := start + float64(ic.cfg.HeaderBytes)/ic.cfg.BytesPerSec + ic.cfg.LatencySec
-	replyStart := arrive
-	if b := ic.busy[back]; b > replyStart {
-		replyStart = b
-	}
-	done := replyStart + float64(replySize+ic.cfg.HeaderBytes)/ic.cfg.BytesPerSec + ic.cfg.LatencySec
+	ic.link(from, to) // before the model: link may grow it
+	arrive := ic.path.Estimate(now, from, to, ic.cfg.HeaderBytes)
+	done := ic.path.Estimate(arrive, to, from, replySize+ic.cfg.HeaderBytes)
 	return done - now
 }
 
@@ -714,16 +671,16 @@ func (ic *Interconnect) ReliableRTT(now float64, from, to int, replySize int64) 
 			rx.elapsed = rec - now + rx.rto
 			continue
 		}
-		if ic.cut(at, from, to) || ic.cut(at, to, from) {
+		if ic.inj.LinkCut(at, from, to) || ic.inj.LinkCut(at, to, from) {
 			// Either leg severed kills the exchange. Stall to the latest
 			// known heal over both legs, or burn the retry budget when a cut
 			// never heals.
 			heal, ok := at, true
 			for _, leg := range [2][2]int{{from, to}, {to, from}} {
-				if !ic.cut(at, leg[0], leg[1]) {
+				if !ic.inj.LinkCut(at, leg[0], leg[1]) {
 					continue
 				}
-				h, o := ic.part.LinkClearAt(at, leg[0], leg[1])
+				h, o := ic.inj.LinkClearAt(at, leg[0], leg[1])
 				if !o {
 					ok = false
 					break

@@ -1,13 +1,15 @@
 package msg
 
-// PathModel seam: an installed fabric replaces the flat pipe's
-// delivery-time computation (Send, RoundTripTime, MinLatency, duplicate
-// redelivery) while the flat path stays byte-for-byte untouched when no
-// model is installed.
+// PathModel seam: every delivery time (Send, RoundTripTime, MinLatency,
+// duplicate redelivery) comes from the installed model, the flat pipe
+// unless SetPathModel replaced it.
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"heterodc/internal/topo"
 )
 
 // stubPath is a minimal two-node PathModel with a fixed per-message cost
@@ -21,7 +23,12 @@ type stubPath struct {
 	estimates int
 }
 
-func (p *stubPath) Nodes() int          { return p.n }
+func (p *stubPath) Grow(n int) error {
+	if n > p.n {
+		return fmt.Errorf("stub path joins %d nodes, not %d", p.n, n)
+	}
+	return nil
+}
 func (p *stubPath) MinLatency() float64 { return p.lat }
 func (p *stubPath) Domain(int) int      { return 0 }
 func (p *stubPath) NumDomains() int     { return 1 }
@@ -50,7 +57,7 @@ func TestPathModelDrivesDelivery(t *testing.T) {
 	if err := ic.SetPathModel(pm); err != nil {
 		t.Fatalf("SetPathModel: %v", err)
 	}
-	if ic.Path() != pm {
+	if ic.Path() != PathModel(pm) {
 		t.Fatalf("installed path model not reported")
 	}
 	if got := ic.MinLatency(); got != 5e-6 {
@@ -83,40 +90,61 @@ func TestPathModelDrivesDelivery(t *testing.T) {
 func TestPathModelValidation(t *testing.T) {
 	ic := New(testCfg())
 	ic.Grow(4)
-	if err := ic.SetPathModel(&stubPath{n: 2, lat: 1e-6, bw: 1e9}); err == nil {
-		t.Fatalf("model smaller than the interconnect accepted")
+	small := &stubPath{n: 2, lat: 1e-6, bw: 1e9}
+	err := ic.SetPathModel(small)
+	if want := small.Grow(4); err == nil || err.Error() != want.Error() {
+		t.Fatalf("model smaller than the interconnect: SetPathModel returned %v, want the model's %v", err, want)
 	}
-	if err := ic.SetPathModel(&stubPath{n: 8, lat: 1e-6, bw: 1e9}); err != nil {
-		t.Fatalf("covering model rejected: %v", err)
+	if _, ok := ic.Path().(*pipe); !ok {
+		t.Fatalf("a refused model replaced the flat pipe")
 	}
-	ic.Grow(8) // up to the model's size is fine
+	fab, err := topo.Build(topo.FatTree(2, 1), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ic.SetPathModel(fab); err != nil {
+		t.Fatalf("covering fabric rejected: %v", err)
+	}
+	ic.Grow(8) // up to the fabric's size is fine
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("growing past the path model did not panic")
+			t.Fatalf("growing past the fabric did not panic")
 		}
 	}()
 	ic.Grow(9)
 }
 
+// New's path model is the flat pipe: the configured latency is its
+// lookahead floor, every node is in one sharing domain, and a lazily grown
+// interconnect schedules exactly as one sized up front.
 func TestFlatPathUnchangedWithoutModel(t *testing.T) {
-	// The seam is cost-neutral when unused: an interconnect that never saw
-	// SetPathModel computes the exact flat-pipe schedule.
 	cfg := testCfg()
 	a, b := New(cfg), New(cfg)
 	b.Grow(2)
-	if err := b.SetPathModel(nil); err != nil {
-		t.Fatalf("SetPathModel(nil): %v", err)
+	for _, ic := range []*Interconnect{a, b} {
+		p, ok := ic.Path().(*pipe)
+		if !ok || p != &ic.flat {
+			t.Fatalf("New's path model is %T, want the interconnect's own pipe", ic.Path())
+		}
+		if got := ic.MinLatency(); got != cfg.LatencySec {
+			t.Fatalf("MinLatency = %g, want the configured %g", got, cfg.LatencySec)
+		}
+		if got := p.NumDomains(); got != 1 {
+			t.Fatalf("NumDomains = %d, want 1", got)
+		}
+		for node := 0; node < 4; node++ {
+			if d := p.Domain(node); d != 0 {
+				t.Fatalf("Domain(%d) = %d, want 0", node, d)
+			}
+		}
 	}
 	for i := 0; i < 10; i++ {
 		now := float64(i) * 1e-6
 		da := a.Send(now, 0, 1, TPageReply, int64(100*i), nil)
 		db := b.Send(now, 0, 1, TPageReply, int64(100*i), nil)
 		if da != db {
-			t.Fatalf("send %d: flat %g vs nil-model %g", i, da, db)
+			t.Fatalf("send %d: lazily grown %g vs presized %g", i, da, db)
 		}
-	}
-	if a.MinLatency() != b.MinLatency() || a.Path() != nil || b.Path() != nil {
-		t.Fatalf("nil model perturbed MinLatency/Path")
 	}
 	ra := a.RoundTripTime(1e-3, 1, 0, 4096)
 	rb := b.RoundTripTime(1e-3, 1, 0, 4096)

@@ -111,14 +111,16 @@ type copied struct{ n int }
 
 func (c *copied) Duplicate() interface{} { cp := *c; return &cp }
 
-// alwaysDup duplicates every leg and never drops one.
+// alwaysDup duplicates every leg and never drops or cuts one.
 type alwaysDup struct{}
 
 func (alwaysDup) Fate(now float64, from, to int, seq uint64) (bool, bool, float64) {
 	return false, true, 0
 }
-func (alwaysDup) NodeDown(node int, at float64) bool                 { return false }
-func (alwaysDup) NodeRecoverAt(node int, at float64) (float64, bool) { return 0, false }
+func (alwaysDup) NodeDown(node int, at float64) bool                   { return false }
+func (alwaysDup) NodeRecoverAt(node int, at float64) (float64, bool)   { return 0, false }
+func (alwaysDup) LinkCut(at float64, from, to int) bool                { return false }
+func (alwaysDup) LinkClearAt(at float64, from, to int) (float64, bool) { return at, true }
 
 // TestDuplicateLegsCarryPrivateCopies covers both duplicate paths — a
 // duplication fault on Send, and the copy SendReliable retransmits — for a

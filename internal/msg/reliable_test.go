@@ -12,8 +12,10 @@ type alwaysDrop struct{}
 func (alwaysDrop) Fate(now float64, from, to int, seq uint64) (bool, bool, float64) {
 	return true, false, 0
 }
-func (alwaysDrop) NodeDown(node int, at float64) bool                 { return false }
-func (alwaysDrop) NodeRecoverAt(node int, at float64) (float64, bool) { return 0, false }
+func (alwaysDrop) NodeDown(node int, at float64) bool                   { return false }
+func (alwaysDrop) NodeRecoverAt(node int, at float64) (float64, bool)   { return 0, false }
+func (alwaysDrop) LinkCut(at float64, from, to int) bool                { return false }
+func (alwaysDrop) LinkClearAt(at float64, from, to int) (float64, bool) { return at, true }
 
 func TestSendDropsWithInjector(t *testing.T) {
 	ic := New(testCfg())

@@ -9,9 +9,8 @@
 // A *Fabric plugs under msg.Interconnect as its PathModel: the message
 // cost becomes the sum of hop latencies plus serialisation on the path's
 // bottleneck link (cut-through forwarding), with per-link queueing when a
-// link is busy. The flat single-pipe model remains the interconnect's
-// default; a flat Spec builds no fabric at all, so the legacy cost model
-// is untouched byte for byte.
+// link is busy. The interconnect's own flat pipe is the other PathModel; a
+// flat Spec builds no fabric at all and leaves the pipe in place.
 //
 // Everything is deterministic: routing is static shortest-path (fixed by
 // the spec), link state is mutated only by Transmit, and there is no
@@ -34,8 +33,8 @@ import (
 
 // Fabric kinds.
 const (
-	// KindFlat selects the interconnect's built-in single-pipe model; Build
-	// returns no fabric for it.
+	// KindFlat selects the interconnect's own flat pipe; Build returns no
+	// fabric for it.
 	KindFlat = "flat"
 	// KindFatTree selects the rack/spine fabric this package models.
 	KindFatTree = "fattree"
@@ -75,7 +74,7 @@ type Spec struct {
 	CutUplinks []int
 }
 
-// FlatSpec returns the spec selecting the legacy flat pipe.
+// FlatSpec returns the spec selecting the interconnect's flat pipe.
 func FlatSpec() Spec { return Spec{Kind: KindFlat} }
 
 // FatTree returns a fat-tree spec with the given rack count and
@@ -177,8 +176,8 @@ type Fabric struct {
 }
 
 // Build constructs the fabric spec describes over n nodes. A flat spec
-// builds nothing and returns (nil, nil): flat means "no path model", the
-// interconnect's built-in pipe.
+// builds nothing and returns (nil, nil): flat means the interconnect's own
+// pipe.
 func Build(s Spec, n int) (*Fabric, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
@@ -232,6 +231,15 @@ func (f *Fabric) Spec() Spec { return f.spec }
 
 // Nodes returns the number of nodes the fabric joins.
 func (f *Fabric) Nodes() int { return f.n }
+
+// Grow accepts up to the fabric's own node count: a built fabric joins a
+// fixed set of nodes and cannot take more.
+func (f *Fabric) Grow(n int) error {
+	if n > f.n {
+		return fmt.Errorf("topo: fabric joins %d nodes, cannot grow to %d", f.n, n)
+	}
+	return nil
+}
 
 // Racks returns the number of racks.
 func (f *Fabric) Racks() int { return f.racks }
