@@ -8,17 +8,24 @@ import (
 	"testing"
 )
 
-// testFunc matches a top-level test function's name.
-var testFunc = regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+// funcOf matches a top-level function's name: a test, fuzz target or
+// benchmark, by the flag that selects it.
+var funcOf = map[string]*regexp.Regexp{
+	"-run":   regexp.MustCompile(`(?m)^func (Test\w*)\(`),
+	"-fuzz":  regexp.MustCompile(`(?m)^func (Fuzz\w*)\(`),
+	"-bench": regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`),
+}
 
 // goTestValueFlags are the go test flags CI passes with a separate value.
-var goTestValueFlags = map[string]bool{"-run": true, "-fuzz": true, "-fuzztime": true, "-timeout": true, "-bench": true}
+var goTestValueFlags = map[string]bool{"-run": true, "-fuzz": true, "-fuzztime": true, "-timeout": true, "-bench": true, "-benchtime": true}
 
-// TestCIRunPatternsResolve: every -run pattern a CI step hands to go test
-// still selects tests, so that renaming or deleting a test cannot leave a
-// step that passes by running nothing. Each alternative of the pattern
-// (split at "|", "^$" excepted) must be a prefix of a test function's name
-// in the package the step names.
+// TestCIRunPatternsResolve: every -run, -fuzz and -bench pattern a CI step
+// hands to go test still selects a function, so that renaming or deleting
+// a test, fuzz target or benchmark cannot leave a step that passes by
+// running nothing (go test -fuzz with no match prints "no fuzz tests to
+// fuzz" and exits 0). Each alternative of the pattern (split at "|", "^$"
+// excepted) must be a prefix of the name of such a function in the package
+// the step names.
 func TestCIRunPatternsResolve(t *testing.T) {
 	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -31,24 +38,24 @@ func TestCIRunPatternsResolve(t *testing.T) {
 			continue
 		}
 		var pkgs []string
-		run := ""
+		selects := map[string]string{}
 		args := strings.Fields(line[at+len("go test "):])
 		for j := 0; j < len(args); j++ {
 			switch a := args[j]; {
 			case goTestValueFlags[a] && j+1 < len(args):
-				if a == "-run" {
-					run = strings.Trim(args[j+1], `'"`)
+				if funcOf[a] != nil {
+					selects[a] = strings.Trim(args[j+1], `'"`)
 				}
 				j++
 			case a == "." || strings.HasPrefix(a, "./"):
 				pkgs = append(pkgs, a)
 			}
 		}
-		if run == "" {
+		if len(selects) == 0 {
 			continue
 		}
 		if len(pkgs) != 1 || strings.Contains(pkgs[0], "...") {
-			t.Errorf("ci.yml:%d: -run %q names packages %v; want exactly one, without ...", i+1, run, pkgs)
+			t.Errorf("ci.yml:%d: %v names packages %v; want exactly one, without ...", i+1, selects, pkgs)
 			continue
 		}
 		src := ""
@@ -60,30 +67,32 @@ func TestCIRunPatternsResolve(t *testing.T) {
 			}
 			src += string(b)
 		}
-		var names []string
-		for _, m := range testFunc.FindAllStringSubmatch(src, -1) {
-			names = append(names, m[1])
-		}
-		for _, alt := range strings.Split(run, "|") {
-			if alt == "^$" {
-				continue
+		for flag, pattern := range selects {
+			var names []string
+			for _, m := range funcOf[flag].FindAllStringSubmatch(src, -1) {
+				names = append(names, m[1])
 			}
-			patterns++
-			prefix := strings.TrimPrefix(strings.SplitN(alt, "/", 2)[0], "^")
-			found := false
-			for _, n := range names {
-				if strings.HasPrefix(n, prefix) {
-					found = true
-					break
+			for _, alt := range strings.Split(pattern, "|") {
+				if alt == "^$" {
+					continue
 				}
-			}
-			if !found {
-				t.Errorf("ci.yml:%d: -run alternative %q matches no test function in %s", i+1, alt, pkgs[0])
+				patterns++
+				prefix := strings.TrimPrefix(strings.SplitN(alt, "/", 2)[0], "^")
+				found := false
+				for _, n := range names {
+					if strings.HasPrefix(n, prefix) {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("ci.yml:%d: %s alternative %q matches no function in %s", i+1, flag, alt, pkgs[0])
+				}
 			}
 		}
 	}
 	if patterns == 0 {
-		t.Error("found no -run patterns in ci.yml; the parser no longer matches how steps are written")
+		t.Error("found no -run, -fuzz or -bench patterns in ci.yml; the parser no longer matches how steps are written")
 	}
-	t.Logf("%d -run alternatives checked", patterns)
+	t.Logf("%d alternatives checked", patterns)
 }

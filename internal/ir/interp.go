@@ -1,8 +1,11 @@
 package ir
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"heterodc/internal/mem"
 )
@@ -15,6 +18,9 @@ import (
 // The interpreter supports single-threaded programs with the "pure" syscall
 // subset (exit, write, sbrk, gettime); programs that spawn threads must run
 // on the full kernel.
+//
+// An Interp decodes each function at its first call and keeps the decoded
+// form, so a module changed after the first Run needs a new Interp.
 type Interp struct {
 	M *Module
 
@@ -27,9 +33,29 @@ type Interp struct {
 
 	globalAddr map[string]uint64
 	funcAddr   map[string]uint64
-	funcAt     map[uint64]*Func
-	exited     bool
-	exitCode   int64
+	// fns holds M.Funcs in order (entry i is the function at text address
+	// TextBase+64i), then any callee found by name only; code is nil until
+	// the function's first call.
+	fns    []fnSlot
+	nText  int
+	frames []frame
+	tlb    mem.TLB
+
+	exited   bool
+	exitCode int64
+}
+
+// fnSlot pairs a function with its decoded form.
+type fnSlot struct {
+	f *Func
+	c *code
+}
+
+// frame is the register files of the activation at one call depth, reused
+// by every activation at that depth.
+type frame struct {
+	ri []int64
+	rf []float64
 }
 
 // Syscall numbers shared with the kernel (see internal/kernel/syscall.go).
@@ -41,6 +67,9 @@ const (
 	sysGettime = 4
 )
 
+// maxDepth is the deepest call depth the interpreter runs.
+const maxDepth = 512
+
 // NewInterp prepares an interpreter: globals are laid out from mem.DataBase
 // in declaration order (mirroring the linker's policy).
 func NewInterp(m *Module) *Interp {
@@ -50,15 +79,15 @@ func NewInterp(m *Module) *Interp {
 		brk:        mem.HeapBase,
 		MaxSteps:   2_000_000_000,
 		globalAddr: make(map[string]uint64),
+		fns:        make([]fnSlot, len(m.Funcs)),
+		nText:      len(m.Funcs),
 	}
 	// Functions get synthetic entry addresses so function pointers and
 	// indirect calls work (matching the linker's text placement policy).
 	ip.funcAddr = make(map[string]uint64, len(m.Funcs))
-	ip.funcAt = make(map[uint64]*Func, len(m.Funcs))
 	for i, f := range m.Funcs {
-		fa := mem.TextBase + uint64(i)*64
-		ip.funcAddr[f.Name] = fa
-		ip.funcAt[fa] = f
+		ip.funcAddr[f.Name] = mem.TextBase + uint64(i)*64
+		ip.fns[i].f = f
 	}
 	addr := mem.DataBase
 	for _, g := range m.Globals {
@@ -83,14 +112,6 @@ func (ip *Interp) Output() []byte { return ip.out }
 // GlobalAddr returns the interpreter's address for a global.
 func (ip *Interp) GlobalAddr(name string) uint64 { return ip.globalAddr[name] }
 
-// frame is one interpreter activation record.
-type frame struct {
-	f       *Func
-	regsI   []int64
-	regsF   []float64
-	allocas []uint64 // base address of each slot
-}
-
 // Run executes fn(args) and returns its integer result (0 for void).
 // Execution stops early if the program calls exit.
 func (ip *Interp) Run(fnName string, args ...int64) (int64, error) {
@@ -101,303 +122,419 @@ func (ip *Interp) Run(fnName string, args ...int64) (int64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp: %s wants %d args, got %d", fnName, len(f.Params), len(args))
 	}
-	ia := make([]int64, len(args))
-	copy(ia, args)
-	fa := make([]float64, len(args))
-	v, _, err := ip.call(f, ia, fa, 0)
+	c := ip.decoded(ip.slotOf(f))
+	ri, _ := ip.enter(c, 0)
+	for i, p := range f.Params {
+		if !p.Type.IsFloat() { // float parameters start at zero
+			ri[i] = args[i]
+		}
+	}
+	ip.tlb.Attach(ip.Mem)
+	v, _, err := ip.run(c, 0)
 	if ip.exited {
 		return ip.exitCode, err
 	}
 	return v, err
 }
 
-// stackBase computes a fake alloca arena per depth; the interpreter does not
-// model real stacks, but alloca addresses must be unique and stable while
-// the frame is live.
+// slotOf returns f's index in ip.fns, adding it if it is not there.
+func (ip *Interp) slotOf(f *Func) int {
+	for i := range ip.fns {
+		if ip.fns[i].f == f {
+			return i
+		}
+	}
+	ip.fns = append(ip.fns, fnSlot{f: f})
+	return len(ip.fns) - 1
+}
+
+// decoded returns the decoded form of the function in slot i.
+func (ip *Interp) decoded(i int) *code {
+	if ip.fns[i].c == nil {
+		c := ip.decode(ip.fns[i].f) // may add slots to ip.fns
+		ip.fns[i].c = c
+	}
+	return ip.fns[i].c
+}
+
+// interpStackTop is the top of a fake alloca arena per depth; the
+// interpreter does not model real stacks, but alloca addresses must be
+// unique and stable while the frame is live.
 const interpStackTop = mem.StackRegion + 64*mem.StackWindow
 
-func (ip *Interp) call(f *Func, intArgs []int64, fltArgs []float64, depth int) (int64, float64, error) {
-	if depth > 512 {
-		return 0, 0, fmt.Errorf("interp: call depth exceeded in %s", f.Name)
+// zeroPage is the source every activation's allocas are zeroed from.
+var zeroPage mem.Page
+
+// allocaBase is where the allocas of an activation at depth begin.
+func allocaBase(depth int) uint64 { return interpStackTop - uint64(depth+1)*mem.StackHalf }
+
+// enter prepares the frame at depth for an activation of c: both register
+// files cleared and every alloca slot zeroed, so programs see deterministic
+// stack contents.
+func (ip *Interp) enter(c *code, depth int) ([]int64, []float64) {
+	if depth == len(ip.frames) {
+		ip.frames = append(ip.frames, frame{})
 	}
-	fr := &frame{
-		f:     f,
-		regsI: make([]int64, f.NumVRegs()),
-		regsF: make([]float64, f.NumVRegs()),
+	fr := &ip.frames[depth]
+	if cap(fr.ri) < c.nregs {
+		fr.ri, fr.rf = make([]int64, c.nregs), make([]float64, c.nregs)
 	}
-	for i, p := range f.Params {
-		if p.Type.IsFloat() {
-			fr.regsF[i] = fltArgs[i]
-		} else {
-			fr.regsI[i] = intArgs[i]
+	fr.ri, fr.rf = fr.ri[:c.nregs], fr.rf[:c.nregs]
+	clear(fr.ri)
+	clear(fr.rf)
+	base := allocaBase(depth)
+	for off := uint64(0); off < c.allocaBytes; off += mem.PageSize {
+		ip.Mem.WriteBytes(base+off, zeroPage[:min(c.allocaBytes-off, mem.PageSize)])
+	}
+	return fr.ri, fr.rf
+}
+
+// call runs the function in slot s at depth with the arguments args, named
+// in the caller's register files ri and rf, whose types are types. An
+// argument reaches a parameter only through the register file both share;
+// a parameter of the other file starts at zero.
+func (ip *Interp) call(s int, args []VReg, types []Type, ri []int64, rf []float64, depth int) (int64, float64, error) {
+	if depth > maxDepth {
+		return 0, 0, fmt.Errorf("interp: call depth exceeded in %s", ip.fns[s].f.Name)
+	}
+	c := ip.decoded(s)
+	ci, cf := ip.enter(c, depth)
+	for i, p := range c.f.Params {
+		a := args[i]
+		if types[a].IsFloat() {
+			if p.Type.IsFloat() {
+				cf[i] = rf[a]
+			}
+		} else if !p.Type.IsFloat() {
+			ci[i] = ri[a]
 		}
 	}
-	// Allocas: carve a per-depth arena below interpStackTop.
-	var total int64
-	for _, sz := range f.AllocaSizes {
-		total += sz
-	}
-	base := interpStackTop - uint64(depth+1)*mem.StackHalf
-	fr.allocas = make([]uint64, len(f.AllocaSizes))
-	off := uint64(0)
-	for i, sz := range f.AllocaSizes {
-		fr.allocas[i] = base + off
-		// Zero the slot so programs see deterministic stack contents.
-		ip.Mem.WriteBytes(fr.allocas[i], make([]byte, sz))
-		off += uint64(sz)
-	}
-	_ = total
+	return ip.run(c, depth)
+}
 
-	bi := 0
+// run executes the activation of c at depth, whose frame enter prepared.
+// The step counter lives in a local and is written back to ip.steps before
+// every call, syscall, return and error, so gettime, the callee and the
+// step limit see exactly the count so far.
+func (ip *Interp) run(c *code, depth int) (int64, float64, error) {
+	ops := c.ops
+	ri, rf := ip.frames[depth].ri, ip.frames[depth].rf
+	tlb := &ip.tlb
+	base := allocaBase(depth)
+	steps, limit := ip.steps, ip.MaxSteps
+	first := steps + 1
+	if ip.exited && steps < limit {
+		// Run after the program exited: every activation runs one
+		// instruction and returns, as the instruction-at-a-time loop did.
+		limit = first
+	}
+	var err error
+	pc := 0
+loop:
 	for {
-		blk := f.Blocks[bi]
-		for ii := range blk.Instrs {
-			in := &blk.Instrs[ii]
-			ip.steps++
-			if ip.steps > ip.MaxSteps {
-				return 0, 0, fmt.Errorf("interp: step limit exceeded in %s", f.Name)
+		o := &ops[pc]
+		pc++
+		steps++
+		if steps > limit {
+			if ip.exited && steps > first {
+				ip.steps = steps - 1
+				return 0, 0, nil
 			}
-			next, retI, retF, done, err := ip.exec(fr, in, depth)
-			if err != nil {
-				return 0, 0, fmt.Errorf("%s/%s: %w", f.Name, blk.Name, err)
+			ip.steps = steps
+			return 0, 0, fmt.Errorf("interp: step limit exceeded in %s", c.f.Name)
+		}
+		switch o.kind {
+		case opConst:
+			ri[o.dst] = o.imm
+		case opFConst:
+			rf[o.dst] = math.Float64frombits(uint64(o.imm))
+		case opMovI:
+			ri[o.dst] = ri[o.a]
+		case opMovF:
+			rf[o.dst] = rf[o.a]
+
+		case opAdd:
+			ri[o.dst] = ri[o.a] + ri[o.b]
+		case opSub:
+			ri[o.dst] = ri[o.a] - ri[o.b]
+		case opMul:
+			ri[o.dst] = ri[o.a] * ri[o.b]
+		case opDiv:
+			if ri[o.b] == 0 {
+				err = errDivZero
+				break loop
 			}
-			if done || ip.exited {
-				return retI, retF, nil
+			ri[o.dst] = ri[o.a] / ri[o.b] // MinInt64 / -1 wraps, as on hardware
+		case opRem:
+			if ri[o.b] == 0 {
+				err = errRemZero
+				break loop
 			}
-			if next >= 0 {
-				bi = next
+			ri[o.dst] = ri[o.a] % ri[o.b]
+		case opAnd:
+			ri[o.dst] = ri[o.a] & ri[o.b]
+		case opOr:
+			ri[o.dst] = ri[o.a] | ri[o.b]
+		case opXor:
+			ri[o.dst] = ri[o.a] ^ ri[o.b]
+		case opShl:
+			ri[o.dst] = ri[o.a] << (uint64(ri[o.b]) & 63)
+		case opShr:
+			ri[o.dst] = ri[o.a] >> (uint64(ri[o.b]) & 63)
+
+		case opAddImm:
+			ri[o.dst] = ri[o.a] + o.imm
+		case opSubImm:
+			ri[o.dst] = ri[o.a] - o.imm
+		case opMulImm:
+			ri[o.dst] = ri[o.a] * o.imm
+		case opDivImm:
+			if o.imm == 0 {
+				err = errDivZero
+				break loop
+			}
+			ri[o.dst] = ri[o.a] / o.imm
+		case opRemImm:
+			if o.imm == 0 {
+				err = errRemZero
+				break loop
+			}
+			ri[o.dst] = ri[o.a] % o.imm
+		case opAndImm:
+			ri[o.dst] = ri[o.a] & o.imm
+		case opOrImm:
+			ri[o.dst] = ri[o.a] | o.imm
+		case opXorImm:
+			ri[o.dst] = ri[o.a] ^ o.imm
+		case opShlImm:
+			ri[o.dst] = ri[o.a] << (uint64(o.imm) & 63)
+		case opShrImm:
+			ri[o.dst] = ri[o.a] >> (uint64(o.imm) & 63)
+
+		case opFAdd:
+			rf[o.dst] = rf[o.a] + rf[o.b]
+		case opFSub:
+			rf[o.dst] = rf[o.a] - rf[o.b]
+		case opFMul:
+			rf[o.dst] = rf[o.a] * rf[o.b]
+		case opFDiv:
+			rf[o.dst] = rf[o.a] / rf[o.b]
+		case opFNeg:
+			rf[o.dst] = -rf[o.a]
+		case opFSqrt:
+			rf[o.dst] = math.Sqrt(rf[o.a])
+
+		case opEq:
+			ri[o.dst] = b2i(ri[o.a] == ri[o.b])
+		case opNe:
+			ri[o.dst] = b2i(ri[o.a] != ri[o.b])
+		case opLt:
+			ri[o.dst] = b2i(ri[o.a] < ri[o.b])
+		case opLe:
+			ri[o.dst] = b2i(ri[o.a] <= ri[o.b])
+		case opGt:
+			ri[o.dst] = b2i(ri[o.a] > ri[o.b])
+		case opGe:
+			ri[o.dst] = b2i(ri[o.a] >= ri[o.b])
+		case opFEq:
+			ri[o.dst] = b2i(rf[o.a] == rf[o.b])
+		case opFNe:
+			ri[o.dst] = b2i(rf[o.a] != rf[o.b])
+		case opFLt:
+			ri[o.dst] = b2i(rf[o.a] < rf[o.b])
+		case opFLe:
+			ri[o.dst] = b2i(rf[o.a] <= rf[o.b])
+		case opFGt:
+			ri[o.dst] = b2i(rf[o.a] > rf[o.b])
+		case opFGe:
+			ri[o.dst] = b2i(rf[o.a] >= rf[o.b])
+
+		case opI2F:
+			rf[o.dst] = float64(ri[o.a])
+		case opF2I:
+			ri[o.dst] = f2i(rf[o.a])
+
+		// A word inside one page whose translation the TLB holds is read or
+		// written in place; anything else takes the demand-zero path.
+		case opLoadI:
+			addr := uint64(ri[o.a] + o.imm)
+			if p, off := tlb.ReadHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 {
+				ri[o.dst] = int64(binary.LittleEndian.Uint64(p[off : off+8 : off+8]))
 				break
 			}
-		}
-	}
-}
-
-// exec runs one instruction. Returns (nextBlock or -1, retI, retF, done, err).
-func (ip *Interp) exec(fr *frame, in *Instr, depth int) (int, int64, float64, bool, error) {
-	ri := fr.regsI
-	rf := fr.regsF
-	switch in.Kind {
-	case KConst:
-		ri[in.Dst] = in.Imm
-	case KFConst:
-		rf[in.Dst] = in.FImm
-	case KMov:
-		if fr.f.TypeOf(in.Dst).IsFloat() {
-			rf[in.Dst] = rf[in.A]
-		} else {
-			ri[in.Dst] = ri[in.A]
-		}
-	case KBin:
-		v, err := evalBin(in.Bin, ri[in.A], ri[in.B])
-		if err != nil {
-			return 0, 0, 0, false, err
-		}
-		ri[in.Dst] = v
-	case KBinImm:
-		v, err := evalBin(in.Bin, ri[in.A], in.Imm)
-		if err != nil {
-			return 0, 0, 0, false, err
-		}
-		ri[in.Dst] = v
-	case KFBin:
-		rf[in.Dst] = evalFBin(in.FBin, rf[in.A], rf[in.B])
-	case KFNeg:
-		rf[in.Dst] = -rf[in.A]
-	case KFSqrt:
-		rf[in.Dst] = math.Sqrt(rf[in.A])
-	case KCmp:
-		ri[in.Dst] = boolToI(evalCmp(in.Cmp, ri[in.A], ri[in.B]))
-	case KFCmp:
-		ri[in.Dst] = boolToI(evalFCmp(in.Cmp, rf[in.A], rf[in.B]))
-	case KI2F:
-		rf[in.Dst] = float64(ri[in.A])
-	case KF2I:
-		ri[in.Dst] = f2i(rf[in.A])
-	case KLoad:
-		addr := uint64(ri[in.A] + in.Imm)
-		if fr.f.TypeOf(in.Dst).IsFloat() {
-			v, err := ip.readF64(addr)
-			if err != nil {
-				return 0, 0, 0, false, err
-			}
-			rf[in.Dst] = v
-		} else {
-			v, err := ip.readU64(addr)
-			if err != nil {
-				return 0, 0, 0, false, err
-			}
-			ri[in.Dst] = int64(v)
-		}
-	case KStore:
-		addr := uint64(ri[in.A] + in.Imm)
-		if fr.f.TypeOf(in.B).IsFloat() {
-			ip.Mem.EnsurePage(addr)
-			ip.Mem.EnsurePage(addr + 7)
-			if err := ip.Mem.WriteF64(addr, rf[in.B]); err != nil {
-				return 0, 0, 0, false, err
-			}
-		} else {
-			ip.Mem.EnsurePage(addr)
-			ip.Mem.EnsurePage(addr + 7)
-			if err := ip.Mem.WriteU64(addr, uint64(ri[in.B])); err != nil {
-				return 0, 0, 0, false, err
-			}
-		}
-	case KLoadB:
-		addr := uint64(ri[in.A] + in.Imm)
-		ip.Mem.EnsurePage(addr)
-		b, err := ip.Mem.ReadU8(addr)
-		if err != nil {
-			return 0, 0, 0, false, err
-		}
-		ri[in.Dst] = int64(b)
-	case KStoreB:
-		addr := uint64(ri[in.A] + in.Imm)
-		ip.Mem.EnsurePage(addr)
-		if err := ip.Mem.WriteU8(addr, byte(ri[in.B])); err != nil {
-			return 0, 0, 0, false, err
-		}
-	case KAllocaAddr:
-		ri[in.Dst] = int64(fr.allocas[in.Alloca])
-	case KGlobalAddr:
-		a, ok := ip.globalAddr[in.Sym]
-		if !ok {
-			if fa, fok := ip.funcAddr[in.Sym]; fok {
-				ri[in.Dst] = int64(fa) + in.Imm
+			ri[o.dst] = int64(ip.load(addr))
+		case opLoadF:
+			addr := uint64(ri[o.a] + o.imm)
+			if p, off := tlb.ReadHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 {
+				rf[o.dst] = math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8 : off+8]))
 				break
 			}
-			return 0, 0, 0, false, fmt.Errorf("interp: no address for symbol %q", in.Sym)
-		}
-		ri[in.Dst] = int64(a) + in.Imm
-	case KCall:
-		callee := ip.M.Func(in.Sym)
-		ia := make([]int64, len(in.Args))
-		fa := make([]float64, len(in.Args))
-		for i, a := range in.Args {
-			if fr.f.TypeOf(a).IsFloat() {
-				fa[i] = rf[a]
+			rf[o.dst] = math.Float64frombits(ip.load(addr))
+		case opStoreI:
+			addr := uint64(ri[o.a] + o.imm)
+			if p, off := tlb.WriteHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 {
+				binary.LittleEndian.PutUint64(p[off:off+8:off+8], uint64(ri[o.b]))
+			} else if err = ip.store(addr, uint64(ri[o.b])); err != nil {
+				break loop
+			}
+		case opStoreF:
+			addr := uint64(ri[o.a] + o.imm)
+			if p, off := tlb.WriteHit(addr), addr&(mem.PageSize-1); p != nil && off <= mem.PageSize-8 {
+				binary.LittleEndian.PutUint64(p[off:off+8:off+8], math.Float64bits(rf[o.b]))
+			} else if err = ip.store(addr, math.Float64bits(rf[o.b])); err != nil {
+				break loop
+			}
+		case opLoadB:
+			addr := uint64(ri[o.a] + o.imm)
+			if p := tlb.ReadHit(addr); p != nil {
+				ri[o.dst] = int64(p[addr&(mem.PageSize-1)])
+				break
+			}
+			ip.Mem.EnsurePage(addr)
+			b, _ := tlb.ReadU8(addr) // a present page reads
+			ri[o.dst] = int64(b)
+		case opStoreB:
+			addr := uint64(ri[o.a] + o.imm)
+			if p := tlb.WriteHit(addr); p != nil {
+				p[addr&(mem.PageSize-1)] = byte(ri[o.b])
+				break
+			}
+			ip.Mem.EnsurePage(addr)
+			if !tlb.WriteU8(addr, byte(ri[o.b])) {
+				err = ip.Mem.WriteU8(addr, byte(ri[o.b]))
+				break loop
+			}
+		case opAtomicAdd:
+			addr := uint64(ri[o.a] + o.imm)
+			old := ip.load(addr)
+			if err = ip.Mem.WriteU64(addr, uint64(int64(old)+ri[o.b])); err != nil {
+				break loop
+			}
+			ri[o.dst] = int64(old)
+		case opAtomicCAS:
+			addr := uint64(ri[o.a] + o.imm)
+			old := ip.load(addr)
+			if int64(old) == ri[o.b] {
+				if err = ip.Mem.WriteU64(addr, uint64(ri[o.in.C])); err != nil {
+					break loop
+				}
+			}
+			ri[o.dst] = int64(old)
+
+		case opAllocaAddr:
+			ri[o.dst] = int64(base + uint64(o.imm))
+
+		case opCall, opCallInd:
+			s := int(o.a) // opCall: the callee's slot
+			if o.kind == opCallInd {
+				target := uint64(ri[o.a])
+				off := target - mem.TextBase
+				if off%64 != 0 || off/64 >= uint64(ip.nText) {
+					err = fmt.Errorf("interp: indirect call to non-function address %#x", target)
+					break loop
+				}
+				s = int(off / 64)
+				if len(o.in.Args) != len(ip.fns[s].f.Params) {
+					err = fmt.Errorf("interp: indirect call arity mismatch for %s", ip.fns[s].f.Name)
+					break loop
+				}
+			}
+			ip.steps = steps
+			var vi int64
+			var vf float64
+			vi, vf, err = ip.call(s, o.in.Args, c.f.vregTypes, ri, rf, depth+1)
+			steps = ip.steps
+			tlb.Attach(ip.Mem)
+			if err != nil {
+				break loop
+			}
+			if ip.exited {
+				return 0, 0, nil
+			}
+			if o.b == resultF {
+				rf[o.dst] = vf
+			} else if o.b == resultI {
+				ri[o.dst] = vi
+			}
+		case opSyscall:
+			ip.steps = steps
+			var v int64
+			v, err = ip.syscall(o.in, ri)
+			tlb.Attach(ip.Mem)
+			if err != nil {
+				break loop
+			}
+			ri[o.dst] = v
+			if ip.exited {
+				return 0, 0, nil
+			}
+
+		case opRetVoid:
+			ip.steps = steps
+			return 0, 0, nil
+		case opRetI:
+			ip.steps = steps
+			return ri[o.a], 0, nil
+		case opRetF:
+			ip.steps = steps
+			return 0, rf[o.a], nil
+		case opBr:
+			pc = int(o.imm)
+		case opCondBr:
+			if ri[o.a] != 0 {
+				pc = int(o.imm)
 			} else {
-				ia[i] = ri[a]
+				pc = int(o.b)
 			}
+
+		case opBad:
+			err = c.bad[o.imm]
+			break loop
 		}
-		vi, vf, err := ip.call(callee, ia, fa, depth+1)
-		if err != nil {
-			return 0, 0, 0, false, err
-		}
-		if ip.exited {
-			return 0, 0, 0, true, nil
-		}
-		if in.Dst != NoV {
-			if fr.f.TypeOf(in.Dst).IsFloat() {
-				rf[in.Dst] = vf
-			} else {
-				ri[in.Dst] = vi
-			}
-		}
-	case KCallInd:
-		callee, ok := ip.funcAt[uint64(ri[in.A])]
-		if !ok {
-			return 0, 0, 0, false, fmt.Errorf("interp: indirect call to non-function address %#x", uint64(ri[in.A]))
-		}
-		if len(in.Args) != len(callee.Params) {
-			return 0, 0, 0, false, fmt.Errorf("interp: indirect call arity mismatch for %s", callee.Name)
-		}
-		ia := make([]int64, len(in.Args))
-		fa := make([]float64, len(in.Args))
-		for i, a := range in.Args {
-			if fr.f.TypeOf(a).IsFloat() {
-				fa[i] = rf[a]
-			} else {
-				ia[i] = ri[a]
-			}
-		}
-		vi, vf, err := ip.call(callee, ia, fa, depth+1)
-		if err != nil {
-			return 0, 0, 0, false, err
-		}
-		if ip.exited {
-			return 0, 0, 0, true, nil
-		}
-		if in.Dst != NoV {
-			if fr.f.TypeOf(in.Dst).IsFloat() {
-				rf[in.Dst] = vf
-			} else {
-				ri[in.Dst] = vi
-			}
-		}
-	case KSyscall:
-		argv := make([]int64, len(in.Args))
-		for i, a := range in.Args {
-			argv[i] = ri[a]
-		}
-		v, err := ip.syscall(in.Imm, argv)
-		if err != nil {
-			return 0, 0, 0, false, err
-		}
-		ri[in.Dst] = v
-		if ip.exited {
-			return 0, 0, 0, true, nil
-		}
-	case KAtomicAdd:
-		addr := uint64(ri[in.A] + in.Imm)
-		old, err := ip.readU64(addr)
-		if err != nil {
-			return 0, 0, 0, false, err
-		}
-		if err := ip.Mem.WriteU64(addr, uint64(int64(old)+ri[in.B])); err != nil {
-			return 0, 0, 0, false, err
-		}
-		ri[in.Dst] = int64(old)
-	case KAtomicCAS:
-		addr := uint64(ri[in.A] + in.Imm)
-		old, err := ip.readU64(addr)
-		if err != nil {
-			return 0, 0, 0, false, err
-		}
-		if int64(old) == ri[in.B] {
-			if err := ip.Mem.WriteU64(addr, uint64(ri[in.C])); err != nil {
-				return 0, 0, 0, false, err
-			}
-		}
-		ri[in.Dst] = int64(old)
-	case KRet:
-		if in.A == NoV {
-			return -1, 0, 0, true, nil
-		}
-		if fr.f.TypeOf(in.A).IsFloat() {
-			return -1, 0, rf[in.A], true, nil
-		}
-		return -1, ri[in.A], 0, true, nil
-	case KBr:
-		return in.TargetA, 0, 0, false, nil
-	case KCondBr:
-		if ri[in.A] != 0 {
-			return in.TargetA, 0, 0, false, nil
-		}
-		return in.TargetB, 0, 0, false, nil
-	default:
-		return 0, 0, 0, false, fmt.Errorf("interp: unknown kind %d", int(in.Kind))
 	}
-	return -1, 0, 0, false, nil
+	ip.steps = steps
+	return 0, 0, c.wrap(pc-1, err)
 }
 
-func (ip *Interp) readU64(addr uint64) (uint64, error) {
+var (
+	errDivZero = errors.New("division by zero")
+	errRemZero = errors.New("remainder by zero")
+)
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// load reads the word at addr, demand-zeroing both pages it touches; a
+// read of present pages cannot fault.
+func (ip *Interp) load(addr uint64) uint64 {
 	ip.Mem.EnsurePage(addr)
 	ip.Mem.EnsurePage(addr + 7)
-	return ip.Mem.ReadU64(addr)
+	v, _ := ip.tlb.ReadU64(addr)
+	return v
 }
 
-func (ip *Interp) readF64(addr uint64) (float64, error) {
-	v, err := ip.readU64(addr)
-	return math.Float64frombits(v), err
+// store writes the word at addr, demand-zeroing both pages it touches; it
+// faults only on a read-only page.
+func (ip *Interp) store(addr, v uint64) error {
+	ip.Mem.EnsurePage(addr)
+	ip.Mem.EnsurePage(addr + 7)
+	if ip.tlb.WriteU64(addr, v) {
+		return nil
+	}
+	return ip.Mem.WriteU64(addr, v)
 }
 
-func (ip *Interp) syscall(num int64, args []int64) (int64, error) {
-	switch num {
+func (ip *Interp) syscall(in *Instr, ri []int64) (int64, error) {
+	args := in.Args
+	switch in.Imm {
 	case sysExit:
 		ip.exited = true
 		if len(args) > 0 {
-			ip.exitCode = args[0]
+			ip.exitCode = ri[args[0]]
 		}
 		return 0, nil
 	case sysWrite:
@@ -405,123 +542,41 @@ func (ip *Interp) syscall(num int64, args []int64) (int64, error) {
 		if len(args) < 3 {
 			return -1, fmt.Errorf("interp: write needs 3 args")
 		}
-		data, err := ip.Mem.ReadBytes(uint64(args[1]), int(args[2]))
-		if err != nil {
-			return -1, err
-		}
-		ip.out = append(ip.out, data...)
-		return args[2], nil
+		return ip.write(uint64(ri[args[1]]), ri[args[2]])
 	case sysSbrk:
+		// The new region is demand-zero, like every page loads and stores
+		// touch; write zeroes what it reads of it.
 		old := ip.brk
-		if len(args) > 0 && args[0] > 0 {
-			ip.brk += uint64(args[0])
-			// Pre-fault the new region so subsequent access succeeds.
-			for a := old; a < ip.brk; a += mem.PageSize {
-				ip.Mem.EnsurePage(a)
-			}
-			ip.Mem.EnsurePage(ip.brk)
+		if len(args) > 0 && ri[args[0]] > 0 {
+			ip.brk += uint64(ri[args[0]])
 		}
 		return int64(old), nil
 	case sysGettime:
 		// Deterministic pseudo-time: step counter in "nanoseconds".
 		return ip.steps, nil
 	}
-	return -1, fmt.Errorf("interp: unsupported syscall %d", num)
+	return -1, fmt.Errorf("interp: unsupported syscall %d", in.Imm)
 }
 
-func evalBin(op BinOp, a, b int64) (int64, error) {
-	switch op {
-	case Add:
-		return a + b, nil
-	case Sub:
-		return a - b, nil
-	case Mul:
-		return a * b, nil
-	case Div:
-		if b == 0 {
-			return 0, fmt.Errorf("division by zero")
+// write appends n bytes at addr to the output. Pages of the heap — from
+// HeapBase through the page holding the break, once sbrk has moved it —
+// read as zeros until touched; any other absent page faults.
+func (ip *Interp) write(addr uint64, n int64) (int64, error) {
+	if n < 0 {
+		return -1, fmt.Errorf("interp: write of negative length %d", n)
+	}
+	if ip.brk > mem.HeapBase {
+		lo, hi := max(addr, mem.HeapBase), min(addr+uint64(n), mem.PageBase(ip.brk)+mem.PageSize)
+		for a := mem.PageBase(lo); a < hi; a += mem.PageSize {
+			ip.Mem.EnsurePage(a)
 		}
-		if a == math.MinInt64 && b == -1 {
-			return math.MinInt64, nil // wrap, matching hardware
-		}
-		return a / b, nil
-	case Rem:
-		if b == 0 {
-			return 0, fmt.Errorf("remainder by zero")
-		}
-		if a == math.MinInt64 && b == -1 {
-			return 0, nil
-		}
-		return a % b, nil
-	case And:
-		return a & b, nil
-	case Or:
-		return a | b, nil
-	case Xor:
-		return a ^ b, nil
-	case Shl:
-		return a << (uint64(b) & 63), nil
-	case Shr:
-		return a >> (uint64(b) & 63), nil
 	}
-	return 0, fmt.Errorf("unknown binop %d", int(op))
-}
-
-func evalFBin(op FBinOp, a, b float64) float64 {
-	switch op {
-	case FAdd:
-		return a + b
-	case FSub:
-		return a - b
-	case FMul:
-		return a * b
-	case FDiv:
-		return a / b
+	data, err := ip.Mem.ReadBytes(addr, int(n))
+	if err != nil {
+		return -1, err
 	}
-	return 0
-}
-
-func evalCmp(op CmpOp, a, b int64) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
-	}
-	return false
-}
-
-func evalFCmp(op CmpOp, a, b float64) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
-	}
-	return false
-}
-
-func boolToI(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	ip.out = append(ip.out, data...)
+	return n, nil
 }
 
 // f2i truncates like both simulated ISAs do: saturate NaN to 0 and clamp
@@ -538,4 +593,364 @@ func f2i(f float64) int64 {
 		return math.MinInt64
 	}
 	return int64(f)
+}
+
+// opKind is a decoded operation: an IR kind specialised by register file
+// and operator, so the loop never consults a type or an operator field.
+type opKind uint8
+
+const (
+	opConst  opKind = iota // ri[dst] = imm (also a resolved global or function address)
+	opFConst               // rf[dst] = float bits imm
+	opMovI
+	opMovF
+
+	// ri[dst] = ri[a] <op> ri[b], in BinOp order.
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opRem
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+
+	// ri[dst] = ri[a] <op> imm, in BinOp order.
+	opAddImm
+	opSubImm
+	opMulImm
+	opDivImm
+	opRemImm
+	opAndImm
+	opOrImm
+	opXorImm
+	opShlImm
+	opShrImm
+
+	// rf[dst] = rf[a] <op> rf[b], in FBinOp order.
+	opFAdd
+	opFSub
+	opFMul
+	opFDiv
+	opFNeg
+	opFSqrt
+
+	// ri[dst] = ri[a] <cmp> ri[b], then the float forms; both in CmpOp order.
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opFEq
+	opFNe
+	opFLt
+	opFLe
+	opFGt
+	opFGe
+
+	opI2F
+	opF2I
+	opLoadI  // ri[dst] = *(ri[a] + imm)
+	opLoadF  // rf[dst] = *(ri[a] + imm)
+	opStoreI // *(ri[a] + imm) = ri[b]
+	opStoreF // *(ri[a] + imm) = rf[b]
+	opLoadB
+	opStoreB
+	opAtomicAdd
+	opAtomicCAS  // new value in in.C
+	opAllocaAddr // ri[dst] = this activation's alloca base + imm
+
+	opCall    // a: the callee's slot in Interp.fns; b: resultI, resultF or none
+	opCallInd // a: the register holding the callee's address; b as opCall
+	opSyscall // number and arguments in in
+	opRetVoid
+	opRetI
+	opRetF
+	opBr     // pc = imm
+	opCondBr // pc = imm if ri[a] != 0, else b
+	opBad    // malformed IR: fail with code.bad[imm]
+)
+
+// Where a call's result goes (op.b of opCall and opCallInd).
+const (
+	resultNone = iota
+	resultI
+	resultF
+)
+
+// op is one decoded IR instruction. Registers and targets are int32 (a
+// function's registers and ops are counted in int); in keeps the
+// instruction for call arguments, syscalls and the rare operands.
+type op struct {
+	kind      opKind
+	dst, a, b int32
+	imm       int64
+	in        *Instr
+}
+
+// code is one function decoded: its blocks' instructions laid end to end,
+// each branch target an op index.
+type code struct {
+	f   *Func
+	ops []op
+	// starts[i] is the index of block i's first op.
+	starts []int32
+	// nregs sizes the register files; allocaBytes is the frame's alloca
+	// arena, slot after slot.
+	nregs       int
+	allocaBytes uint64
+	// bad holds the errors opBad ops report.
+	bad []error
+}
+
+// wrap names the function and block of the op at pc in err, as every error
+// leaving an activation is named.
+func (c *code) wrap(pc int, err error) error {
+	if len(c.f.Blocks) == 0 {
+		return fmt.Errorf("%s: %w", c.f.Name, err)
+	}
+	b := sort.Search(len(c.starts), func(i int) bool { return int(c.starts[i]) > pc }) - 1
+	return fmt.Errorf("%s/%s: %w", c.f.Name, c.f.Blocks[b].Name, err)
+}
+
+// decode lays out f's blocks as ops. Malformed IR — an undefined callee, a
+// call with too few arguments, a branch target or register out of range, a
+// block without a terminator — decodes to an opBad that fails when reached,
+// so a run that never reaches it is unaffected.
+func (ip *Interp) decode(f *Func) *code {
+	c := &code{f: f, nregs: max(len(f.vregTypes), len(f.Params))}
+	n := 0
+	c.starts = make([]int32, len(f.Blocks))
+	for i, blk := range f.Blocks {
+		c.starts[i] = int32(n)
+		n += len(blk.Instrs)
+		if !terminated(blk) {
+			n++
+		}
+	}
+	if len(f.Blocks) == 0 {
+		n = 1
+	}
+	c.ops = make([]op, 0, n)
+
+	allocaOff := make([]uint64, len(f.AllocaSizes))
+	for i, sz := range f.AllocaSizes {
+		if sz < 0 {
+			c.ops = append(c.ops, c.fail(nil, "interp: alloca slot %d has negative size %d", i, sz))
+			c.allocaBytes = 0
+			return c
+		}
+		allocaOff[i] = c.allocaBytes
+		c.allocaBytes += uint64(sz)
+	}
+
+	if len(f.Blocks) == 0 {
+		c.ops = append(c.ops, c.fail(nil, "interp: function has no blocks"))
+	}
+	for _, blk := range f.Blocks {
+		for i := range blk.Instrs {
+			c.ops = append(c.ops, ip.decodeInstr(c, &blk.Instrs[i], allocaOff))
+		}
+		if !terminated(blk) {
+			c.ops = append(c.ops, c.fail(nil, "interp: block does not end in a terminator"))
+		}
+	}
+	return c
+}
+
+func terminated(b *Block) bool {
+	return len(b.Instrs) > 0 && b.Instrs[len(b.Instrs)-1].IsTerminator()
+}
+
+// fail returns an opBad reporting the formatted error.
+func (c *code) fail(in *Instr, format string, args ...any) op {
+	c.bad = append(c.bad, fmt.Errorf(format, args...))
+	return op{kind: opBad, imm: int64(len(c.bad) - 1), in: in}
+}
+
+// regs reports whether every register names one of the function's.
+func (c *code) regs(vs ...VReg) bool {
+	for _, v := range vs {
+		if v < 0 || int(v) >= len(c.f.vregTypes) {
+			return false
+		}
+	}
+	return true
+}
+
+func (ip *Interp) decodeInstr(c *code, in *Instr, allocaOff []uint64) op {
+	f := c.f
+	o := op{dst: int32(in.Dst), a: int32(in.A), b: int32(in.B), imm: in.Imm, in: in}
+	isF := func(v VReg) bool { return f.vregTypes[v].IsFloat() }
+	badReg := func() op { return c.fail(in, "interp: register out of range in %s", formatInstr(in)) }
+	pick := func(float bool, ifInt, ifFloat opKind) opKind {
+		if float {
+			return ifFloat
+		}
+		return ifInt
+	}
+	target := func(t int) (int32, bool) {
+		if t < 0 || t >= len(f.Blocks) {
+			return 0, false
+		}
+		return c.starts[t], true
+	}
+	// result sets where a call's value goes; ok is false for a bad Dst.
+	result := func() bool {
+		o.b = resultNone
+		if in.Dst == NoV {
+			return true
+		}
+		if !c.regs(in.Dst) {
+			return false
+		}
+		o.b = resultI
+		if isF(in.Dst) {
+			o.b = resultF
+		}
+		return true
+	}
+
+	switch in.Kind {
+	case KConst, KFConst, KGlobalAddr, KAllocaAddr:
+		if !c.regs(in.Dst) {
+			return badReg()
+		}
+		switch in.Kind {
+		case KConst:
+			o.kind = opConst
+		case KFConst:
+			o.kind, o.imm = opFConst, int64(math.Float64bits(in.FImm))
+		case KGlobalAddr:
+			a, ok := ip.globalAddr[in.Sym]
+			if !ok {
+				if a, ok = ip.funcAddr[in.Sym]; !ok {
+					return c.fail(in, "interp: no address for symbol %q", in.Sym)
+				}
+			}
+			o.kind, o.imm = opConst, int64(a)+in.Imm
+		case KAllocaAddr:
+			if in.Alloca < 0 || in.Alloca >= len(allocaOff) {
+				return c.fail(in, "interp: no alloca slot %d", in.Alloca)
+			}
+			o.kind, o.imm = opAllocaAddr, int64(allocaOff[in.Alloca])
+		}
+	case KMov, KFNeg, KFSqrt, KI2F, KF2I, KLoad, KLoadB:
+		if !c.regs(in.Dst, in.A) {
+			return badReg()
+		}
+		switch in.Kind {
+		case KMov:
+			o.kind = pick(isF(in.Dst), opMovI, opMovF)
+		case KFNeg:
+			o.kind = opFNeg
+		case KFSqrt:
+			o.kind = opFSqrt
+		case KI2F:
+			o.kind = opI2F
+		case KF2I:
+			o.kind = opF2I
+		case KLoad:
+			o.kind = pick(isF(in.Dst), opLoadI, opLoadF)
+		case KLoadB:
+			o.kind = opLoadB
+		}
+	case KStore, KStoreB:
+		if !c.regs(in.A, in.B) {
+			return badReg()
+		}
+		o.kind = opStoreB
+		if in.Kind == KStore {
+			o.kind = pick(isF(in.B), opStoreI, opStoreF)
+		}
+	case KBinImm:
+		if !c.regs(in.Dst, in.A) {
+			return badReg()
+		}
+		if in.Bin < Add || in.Bin > Shr {
+			return c.fail(in, "unknown binop %d", int(in.Bin))
+		}
+		o.kind = opAddImm + opKind(in.Bin)
+	case KBin, KFBin, KCmp, KFCmp, KAtomicAdd:
+		if !c.regs(in.Dst, in.A, in.B) {
+			return badReg()
+		}
+		switch in.Kind {
+		case KBin:
+			if in.Bin < Add || in.Bin > Shr {
+				return c.fail(in, "unknown binop %d", int(in.Bin))
+			}
+			o.kind = opAdd + opKind(in.Bin)
+		case KFBin:
+			if in.FBin < FAdd || in.FBin > FDiv {
+				return c.fail(in, "interp: unknown float binop %d", int(in.FBin))
+			}
+			o.kind = opFAdd + opKind(in.FBin)
+		case KCmp, KFCmp:
+			if in.Cmp < Eq || in.Cmp > Ge {
+				return c.fail(in, "interp: unknown comparison %d", int(in.Cmp))
+			}
+			o.kind = pick(in.Kind == KFCmp, opEq, opFEq) + opKind(in.Cmp)
+		case KAtomicAdd:
+			o.kind = opAtomicAdd
+		}
+	case KAtomicCAS:
+		if !c.regs(in.Dst, in.A, in.B, in.C) {
+			return badReg()
+		}
+		o.kind = opAtomicCAS
+	case KCall:
+		callee := ip.M.Func(in.Sym)
+		if callee == nil {
+			return c.fail(in, "interp: call to undefined function %q", in.Sym)
+		}
+		if len(in.Args) < len(callee.Params) {
+			return c.fail(in, "interp: call to %s passes %d args, wants %d", in.Sym, len(in.Args), len(callee.Params))
+		}
+		if !c.regs(in.Args...) || !result() {
+			return badReg()
+		}
+		o.kind, o.a = opCall, int32(ip.slotOf(callee))
+	case KCallInd:
+		if !c.regs(in.A) || !c.regs(in.Args...) || !result() {
+			return badReg()
+		}
+		o.kind = opCallInd
+	case KSyscall:
+		if !c.regs(in.Dst) || !c.regs(in.Args...) {
+			return badReg()
+		}
+		o.kind = opSyscall
+	case KRet:
+		if in.A == NoV {
+			o.kind = opRetVoid
+			break
+		}
+		if !c.regs(in.A) {
+			return badReg()
+		}
+		o.kind = pick(isF(in.A), opRetI, opRetF)
+	case KBr, KCondBr:
+		t, ok := target(in.TargetA)
+		if !ok {
+			return c.fail(in, "interp: branch target %d out of range (%d blocks)", in.TargetA, len(f.Blocks))
+		}
+		o.kind, o.imm = opBr, int64(t)
+		if in.Kind == KCondBr {
+			e, ok := target(in.TargetB)
+			if !ok {
+				return c.fail(in, "interp: branch target %d out of range (%d blocks)", in.TargetB, len(f.Blocks))
+			}
+			if !c.regs(in.A) {
+				return badReg()
+			}
+			o.kind, o.b = opCondBr, e
+		}
+	default:
+		return c.fail(in, "interp: unknown kind %d", int(in.Kind))
+	}
+	return o
 }

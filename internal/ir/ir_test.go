@@ -1,14 +1,20 @@
-package ir
+package ir_test
 
 import (
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	. "heterodc/internal/ir"
 )
 
+// The hand-built modules below are shared with interp_test.go, which runs
+// every well-formed one on both interpreters and the malformed ones on the
+// decoded interpreter alone.
+
 // buildAdder returns a module with add(a,b) = a+b and main = add(2,3).
-func buildAdder(t *testing.T) *Module {
+func buildAdder(t testing.TB) *Module {
 	t.Helper()
 	m := NewModule("t")
 	b := NewFunc("add", I64, Param{Name: "a", Type: I64}, Param{Name: "b", Type: I64})
@@ -31,7 +37,8 @@ func TestVerifyAcceptsValidModule(t *testing.T) {
 	}
 }
 
-func TestVerifyRejectsMissingTerminator(t *testing.T) {
+// buildMissingTerminator: bad's only block ends without a terminator.
+func buildMissingTerminator(t testing.TB) *Module {
 	m := NewModule("t")
 	f := &Func{Name: "bad", Ret: Void}
 	f.Blocks = []*Block{{Name: "entry", Instrs: []Instr{
@@ -41,12 +48,18 @@ func TestVerifyRejectsMissingTerminator(t *testing.T) {
 	if err := m.AddFunc(f); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestVerifyRejectsMissingTerminator(t *testing.T) {
+	m := buildMissingTerminator(t)
 	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "terminator") {
 		t.Fatalf("expected terminator error, got %v", err)
 	}
 }
 
-func TestVerifyRejectsUnknownCallee(t *testing.T) {
+// buildUnknownCallee: main calls a function the module does not define.
+func buildUnknownCallee(t testing.TB) *Module {
 	m := NewModule("t")
 	b := NewFunc("main", I64)
 	b.Call(I64, "nonexistent")
@@ -54,12 +67,18 @@ func TestVerifyRejectsUnknownCallee(t *testing.T) {
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestVerifyRejectsUnknownCallee(t *testing.T) {
+	m := buildUnknownCallee(t)
 	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "unknown callee") {
 		t.Fatalf("expected unknown-callee error, got %v", err)
 	}
 }
 
-func TestVerifyRejectsArgCountMismatch(t *testing.T) {
+// buildArgCountMismatch: main2 calls add(a, b) with no arguments.
+func buildArgCountMismatch(t testing.TB) *Module {
 	m := buildAdder(t)
 	b := NewFunc("main2", I64)
 	b.Call(I64, "add")
@@ -67,12 +86,18 @@ func TestVerifyRejectsArgCountMismatch(t *testing.T) {
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestVerifyRejectsArgCountMismatch(t *testing.T) {
+	m := buildArgCountMismatch(t)
 	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "args") {
 		t.Fatalf("expected arg-count error, got %v", err)
 	}
 }
 
-func TestVerifyRejectsFloatIntMix(t *testing.T) {
+// buildFloatIntMix: main adds two float registers with an integer add.
+func buildFloatIntMix(t testing.TB) *Module {
 	m := NewModule("t")
 	b := NewFunc("main", I64)
 	f := b.FConst(1.5)
@@ -81,24 +106,37 @@ func TestVerifyRejectsFloatIntMix(t *testing.T) {
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestVerifyRejectsFloatIntMix(t *testing.T) {
+	m := buildFloatIntMix(t)
 	if err := m.Verify(); err == nil {
 		t.Fatal("expected type error for int add on floats")
 	}
 }
 
-func TestVerifyRejectsBadBranchTarget(t *testing.T) {
+// buildBadBranchTarget: main branches to a block that does not exist.
+func buildBadBranchTarget(t testing.TB) *Module {
 	m := NewModule("t")
 	b := NewFunc("main", Void)
 	b.Br(99)
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestVerifyRejectsBadBranchTarget(t *testing.T) {
+	m := buildBadBranchTarget(t)
 	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "target") {
 		t.Fatalf("expected branch-target error, got %v", err)
 	}
 }
 
-func TestVerifyRejectsUnassignedCallSites(t *testing.T) {
+// buildUnassignedCallSites: main3's call site has no ID, as if Finish had
+// been skipped.
+func buildUnassignedCallSites(t testing.TB) *Module {
 	m := buildAdder(t)
 	b := NewFunc("main3", I64)
 	r := b.Call(I64, "add", b.Const(1), b.Const(2))
@@ -113,6 +151,11 @@ func TestVerifyRejectsUnassignedCallSites(t *testing.T) {
 	if err := m.AddFunc(f); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestVerifyRejectsUnassignedCallSites(t *testing.T) {
+	m := buildUnassignedCallSites(t)
 	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "call site id") {
 		t.Fatalf("expected call-site-id error, got %v", err)
 	}
@@ -136,17 +179,22 @@ func TestDuplicateSymbolsRejected(t *testing.T) {
 	}
 }
 
-func TestFinishAssignsSequentialCallSiteIDs(t *testing.T) {
+// buildCallSites: caller makes two calls and a gettime syscall.
+func buildCallSites(t testing.TB) *Module {
 	m := buildAdder(t)
 	b := NewFunc("caller", I64)
 	b.Call(I64, "add", b.Const(1), b.Const(2))
 	b.Call(I64, "add", b.Const(3), b.Const(4))
 	b.Syscall(4)
 	b.Ret(b.Const(0))
-	f := b.Done()
-	if err := m.AddFunc(f); err != nil {
+	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestFinishAssignsSequentialCallSiteIDs(t *testing.T) {
+	f := buildCallSites(t).Func("caller")
 	var ids []int
 	for _, blk := range f.Blocks {
 		for i := range blk.Instrs {
@@ -184,7 +232,8 @@ func TestInterpArithAndCalls(t *testing.T) {
 	}
 }
 
-func TestInterpLoop(t *testing.T) {
+// buildLoop: main sums 0..9 in a loop.
+func buildLoop(t testing.TB) *Module {
 	m := NewModule("t")
 	b := NewFunc("main", I64)
 	sum := b.Const(0)
@@ -206,14 +255,20 @@ func TestInterpLoop(t *testing.T) {
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
-	ip := NewInterp(m)
+	return m
+}
+
+func TestInterpLoop(t *testing.T) {
+	ip := NewInterp(buildLoop(t))
 	v, err := ip.Run("main")
 	if err != nil || v != 45 {
 		t.Fatalf("sum = %d, err %v", v, err)
 	}
 }
 
-func TestInterpGlobalsAndMemory(t *testing.T) {
+// buildGlobals: main reads a global's first byte and stores and loads a
+// word beside it.
+func buildGlobals(t testing.TB) *Module {
 	m := NewModule("t")
 	if err := m.AddGlobal(&Global{Name: "g", Size: 16, Init: []byte{42}}); err != nil {
 		t.Fatal(err)
@@ -226,27 +281,37 @@ func TestInterpGlobalsAndMemory(t *testing.T) {
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
-	ip := NewInterp(m)
+	return m
+}
+
+func TestInterpGlobalsAndMemory(t *testing.T) {
+	ip := NewInterp(buildGlobals(t))
 	v, err := ip.Run("main")
 	if err != nil || v != 84 {
 		t.Fatalf("got %d err %v", v, err)
 	}
 }
 
-func TestInterpDivByZeroTraps(t *testing.T) {
+// buildDivByZero: main divides by zero.
+func buildDivByZero(t testing.TB) *Module {
 	m := NewModule("t")
 	b := NewFunc("main", I64)
 	b.Ret(b.Bin(Div, b.Const(1), b.Const(0)))
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
-	ip := NewInterp(m)
+	return m
+}
+
+func TestInterpDivByZeroTraps(t *testing.T) {
+	ip := NewInterp(buildDivByZero(t))
 	if _, err := ip.Run("main"); err == nil {
 		t.Fatal("expected division-by-zero error")
 	}
 }
 
-func TestInterpExitSyscall(t *testing.T) {
+// buildExit: main exits with code 7 before its return.
+func buildExit(t testing.TB) *Module {
 	m := NewModule("t")
 	b := NewFunc("main", I64)
 	b.Syscall(1, b.Const(7))
@@ -254,14 +319,19 @@ func TestInterpExitSyscall(t *testing.T) {
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
-	ip := NewInterp(m)
+	return m
+}
+
+func TestInterpExitSyscall(t *testing.T) {
+	ip := NewInterp(buildExit(t))
 	v, err := ip.Run("main")
 	if err != nil || v != 7 {
 		t.Fatalf("exit code %d err %v", v, err)
 	}
 }
 
-func TestInterpStepLimit(t *testing.T) {
+// buildSpin: main branches to itself forever.
+func buildSpin(t testing.TB) *Module {
 	m := NewModule("t")
 	b := NewFunc("main", I64)
 	loop := b.NewBlock("loop")
@@ -272,15 +342,30 @@ func TestInterpStepLimit(t *testing.T) {
 	if err := m.AddFunc(b.Done()); err != nil {
 		t.Fatal(err)
 	}
-	ip := NewInterp(m)
+	return m
+}
+
+func TestInterpStepLimit(t *testing.T) {
+	ip := NewInterp(buildSpin(t))
 	ip.MaxSteps = 1000
 	if _, err := ip.Run("main"); err == nil {
 		t.Fatal("infinite loop must hit the step limit")
 	}
 }
 
-// Property: evalBin agrees with Go's semantics on safe operands.
+// Property: the interpreter's integer operators agree with Go's semantics
+// on safe operands.
 func TestPropertyEvalBin(t *testing.T) {
+	m := NewModule("t")
+	for _, op := range []BinOp{Add, Xor, Div, Shl} {
+		b := NewFunc(op.String(), I64, Param{Name: "a", Type: I64}, Param{Name: "b", Type: I64})
+		b.Ret(b.Bin(op, b.Param(0), b.Param(1)))
+		if err := m.AddFunc(b.Done()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ip := NewInterp(m)
+	evalBin := func(op BinOp, a, b int64) (int64, error) { return ip.Run(op.String(), a, b) }
 	err := quick.Check(func(a, b int64) bool {
 		if v, err := evalBin(Add, a, b); err != nil || v != a+b {
 			return false
@@ -303,75 +388,5 @@ func TestPropertyEvalBin(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: f2i saturates rather than producing platform-defined values.
-func TestPropertyF2ISaturates(t *testing.T) {
-	if f2i(math.NaN()) != 0 {
-		t.Error("NaN must map to 0")
-	}
-	if f2i(math.Inf(1)) != math.MaxInt64 || f2i(math.Inf(-1)) != math.MinInt64 {
-		t.Error("infinities must saturate")
-	}
-	err := quick.Check(func(f float64) bool {
-		v := f2i(f)
-		if math.IsNaN(f) {
-			return v == 0
-		}
-		if f >= math.MaxInt64 {
-			return v == math.MaxInt64
-		}
-		if f <= math.MinInt64 {
-			return v == math.MinInt64
-		}
-		return v == int64(f)
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-// TestBuilderLaysOutInterleavedBlocks: emission may switch between blocks
-// in any order; Done gives each block its instructions in emission order,
-// after any it already held, and Terminated follows the current block.
-func TestBuilderLaysOutInterleavedBlocks(t *testing.T) {
-	b := NewFunc("f", Void)
-	b.Const(0)
-	next := b.NewBlock("next")
-	b.Const(10)
-	b.SetBlock(0)
-	if b.Terminated() {
-		t.Error("entry terminated before its branch")
-	}
-	b.Const(1)
-	b.Br(next)
-	if !b.Terminated() {
-		t.Error("entry not terminated after its branch")
-	}
-	b.SetBlock(next)
-	b.Const(11)
-	b.Ret(NoV)
-	f := b.Done()
-	want := [][]Kind{{KConst, KConst, KBr}, {KConst, KConst, KRet}}
-	imms := [][]int64{{0, 1, 0}, {10, 11, 0}}
-	for bi, blk := range f.Blocks {
-		if len(blk.Instrs) != len(want[bi]) || cap(blk.Instrs) != len(blk.Instrs) {
-			t.Fatalf("block %d: len %d cap %d, want len %d, cap = len", bi, len(blk.Instrs), cap(blk.Instrs), len(want[bi]))
-		}
-		for i, in := range blk.Instrs {
-			if in.Kind != want[bi][i] || in.Imm != imms[bi][i] {
-				t.Errorf("block %d instr %d: %s", bi, i, formatInstr(&in))
-			}
-		}
-	}
-
-	// A block held instructions before it was built into keeps them first.
-	b = NewFunc("g", Void)
-	b.F.Blocks[0].Instrs = []Instr{{Kind: KConst, Dst: b.F.NewVReg(I64), Imm: 7, A: NoV, B: NoV, C: NoV}}
-	b.Ret(NoV)
-	g := b.Done()
-	if ins := g.Blocks[0].Instrs; len(ins) != 2 || ins[0].Imm != 7 || ins[1].Kind != KRet {
-		t.Errorf("held instructions not kept in front: %v", g.String())
 	}
 }
