@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -176,4 +177,51 @@ func TestImageListing(t *testing.T) {
 			t.Errorf("global %s listed at %q bytes, IR says %s", g.Name, got, want)
 		}
 	}
+}
+
+// The fabric dump and the repro replay print only deterministic figures, so
+// each is pinned whole against output recorded before the fabric's timings
+// and the oracle's options became constants.
+func TestGoldenOutputs(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+		code   int
+	}{
+		{"topo_fattree.golden", []string{"-topo", "fattree", "-nodes", "12", "-racks", "4", "-oversub", "4"}, 0},
+		// Severing rack 1's uplink cuts it off from the other three racks:
+		// the dump still prints, and the audit exits nonzero.
+		{"topo_cut_uplink.golden", []string{"-topo", "fattree", "-nodes", "12", "-racks", "4", "-oversub", "4", "-cut-uplink", "1"}, 1},
+		{"repro_seed001.golden", []string{"-repro", "../../internal/fuzz/testdata/seed-001.c"}, 0},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, errOut, code := cmdtest.Run(t, c.args...)
+		if code != c.code {
+			t.Errorf("%s: exit %d, want %d: %s", c.golden, code, c.code, errOut)
+		}
+		if out != string(want) {
+			t.Errorf("%s: output differs from the recorded text:\n%s", c.golden, firstDiff(out, string(want)))
+		}
+	}
+}
+
+// firstDiff names the first line where got and want part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, gl, wl)
+		}
+	}
+	return "(identical lines)"
 }
