@@ -210,7 +210,7 @@ func inspectTopo(kind string, nodes, racks int, oversub float64, cutList string)
 	spec := fab.Spec()
 	fmt.Printf("fabric %s: %d nodes in %d racks of %d, oversub %g:1, hop %.2fµs, access %.3g B/s\n",
 		kind, fab.Nodes(), fab.Racks(), fab.PerRack(), spec.Oversub,
-		spec.HopLatencySec*1e6, spec.AccessBytesPerSec)
+		topo.DefaultHopLatencySec*1e6, topo.DefaultAccessBytesPerSec)
 	if len(cuts) > 0 {
 		fmt.Printf("cut uplinks: racks %v\n", cuts)
 	}
@@ -300,7 +300,7 @@ func inspectRepro(path string) {
 		fmt.Printf("%4d | %s\n", i+1, line)
 	}
 
-	v, err := fuzz.RunSource(src, fuzz.OracleOptions{})
+	v, err := fuzz.RunSource(src)
 	fatal(err)
 	ref := v.Ref()
 	fmt.Printf("\n%d migration points, %d checkpoint images, reference %.6fs simulated\n\n",

@@ -180,8 +180,7 @@ func TestImageListing(t *testing.T) {
 }
 
 // The fabric dump and the repro replay print only deterministic figures, so
-// each is pinned whole against output recorded before the fabric's timings
-// and the oracle's options became constants.
+// each is pinned whole against its recorded text in testdata/.
 func TestGoldenOutputs(t *testing.T) {
 	for _, c := range []struct {
 		golden string

@@ -17,10 +17,11 @@ import (
 type CkptOptions struct {
 	// Seed selects the crash plan's deterministic stream.
 	Seed int64
-	// Fracs are the checkpoint intervals swept, as fractions of the
-	// fault-free runtime. Nil selects {0.02, 0.05, 0.1, 0.2}.
-	Fracs []float64
 }
+
+// ckptFracs are the checkpoint intervals swept, as fractions of the
+// fault-free runtime.
+var ckptFracs = []float64{0.02, 0.05, 0.1, 0.2}
 
 // CkptOverheadRow reports one benchmark under one checkpoint interval with
 // no faults: the pure cost of periodic capture.
@@ -67,10 +68,6 @@ type CkptResult struct {
 // permanent mid-run node-1 crash per interval. Every run must reproduce the
 // baseline output exactly, and both time engines the same run.
 func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
-	fracs := opts.Fracs
-	if len(fracs) == 0 {
-		fracs = []float64{0.02, 0.05, 0.1, 0.2}
-	}
 	benches, err := cfg.chaosBenches()
 	if err != nil {
 		return nil, err
@@ -80,7 +77,7 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 		name, img, ref := b.name, b.img, b.ref
 		cfg.printf("%s baseline: %.4fs\n", name, ref.Seconds)
 
-		for _, frac := range fracs {
+		for _, frac := range ckptFracs {
 			pol := kernel.CkptPolicy{EverySeconds: frac * ref.Seconds}
 			run, out, err := runTracked(Scenario{Ckpt: pol, Img: img, JobNodes: []int{core.NodeX86}, Settle: 10 * ref.Seconds})
 			if err != nil {
@@ -103,7 +100,7 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 				row.AvgCaptureSec*1e6, row.OutputMatch)
 		}
 
-		for _, frac := range fracs {
+		for _, frac := range ckptFracs {
 			// The crash lands well after the migration request so the
 			// transfer (delayed by intervening captures) completes and the
 			// thread is actually stranded on the dying node.

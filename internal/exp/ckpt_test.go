@@ -31,7 +31,7 @@ func TestCkptExperimentShape(t *testing.T) {
 		byBench[r.Bench] = append(byBench[r.Bench], r)
 	}
 	for bench, rows := range byBench {
-		// Fracs are swept in increasing order: image counts must not grow as
+		// ckptFracs are swept in increasing order: image counts must not grow as
 		// the interval lengthens.
 		for i := 1; i < len(rows); i++ {
 			if rows[i].Images > rows[i-1].Images {

@@ -77,7 +77,7 @@ func Fuzz(cfg Config, opts FuzzOptions) (*FuzzResult, error) {
 		}
 		s := seed + int64(i)
 		p := fuzz.Generate(s)
-		v, err := fuzz.RunProg(p, fuzz.OracleOptions{})
+		v, err := fuzz.RunProg(p)
 		if err != nil {
 			if _, berr := buildProbe(p); berr != nil {
 				return nil, fmt.Errorf("exp: fuzz seed %d: %w", s, err)
@@ -95,7 +95,7 @@ func Fuzz(cfg Config, opts FuzzOptions) (*FuzzResult, error) {
 			res.Divergences++
 			cfg.printf("seed %d DIVERGED: %s\n", s, v.Diffs[0])
 			check := func(c *fuzz.Prog) bool {
-				cv, cerr := fuzz.RunProg(c, fuzz.OracleOptions{})
+				cv, cerr := fuzz.RunProg(c)
 				return cerr == nil && cv.Diverged
 			}
 			red, checks := fuzz.Reduce(p, check, 150)

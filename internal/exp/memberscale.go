@@ -13,11 +13,6 @@ import (
 type MemberScaleOptions struct {
 	// Seed selects the deterministic fault and rotation streams.
 	Seed int64
-	// Sizes are the rack sizes to sweep. Empty selects the scale default
-	// (Quick: {8, 16}; otherwise the acceptance grid {8, 64, 256}).
-	Sizes []int
-	// Rounds is how many protocol rounds the fleet runs. 0 selects 60.
-	Rounds int
 }
 
 // MemberScaleRow reports one rack size: the per-node message rate that must
@@ -61,29 +56,20 @@ const memberScaleMaxDetect = 8e-3
 // crash, and reports traffic, state and detection quality. The fleet is
 // driven purely by the membership service (no processes), exactly the
 // between-jobs regime the idle-gap fix keeps alive. Each size runs on both
-// time engines, which must agree.
+// time engines, which must agree. The rack sizes are {8, 16} at Quick scale
+// and the acceptance grid {8, 64, 256} otherwise; the fleet runs 60 rounds.
 func MemberScale(cfg Config, opts MemberScaleOptions) ([]MemberScaleRow, error) {
-	sizes := opts.Sizes
-	if len(sizes) == 0 {
-		if cfg.Scale == Quick {
-			sizes = []int{8, 16}
-		} else {
-			sizes = []int{8, 64, 256}
-		}
+	sizes := []int{8, 64, 256}
+	if cfg.Scale == Quick {
+		sizes = []int{8, 16}
 	}
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 60
-	}
+	rounds := 60
 	const period = 1e-3
 	crashAt := 20 * period
 	horizon := float64(rounds) * period
 
 	var rows []MemberScaleRow
 	for _, n := range sizes {
-		if n < 2 {
-			return nil, fmt.Errorf("exp: member-scale: rack size %d too small", n)
-		}
 		outs, err := Scenario{
 			Arches: sched.RackArches(n), Topo: cfg.topoSpec(),
 			Faults: fault.Plan{

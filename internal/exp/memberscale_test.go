@@ -30,16 +30,3 @@ func TestMemberScaleStudy(t *testing.T) {
 		}
 	}
 }
-
-// TestMemberScaleDeterministicAcrossEngines: the workload-free fleet study
-// is pure membership traffic, and MemberScale fails unless both cluster
-// engines produce the identical run.
-func TestMemberScaleDeterministicAcrossEngines(t *testing.T) {
-	rows, err := MemberScale(Config{Scale: Quick}, MemberScaleOptions{Seed: 9, Sizes: []int{8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Nodes != 8 {
-		t.Fatalf("rows %+v, want one row at n=8", rows)
-	}
-}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -20,15 +19,14 @@ import (
 type TopologyOptions struct {
 	// Seed selects the deterministic rotation/fault streams.
 	Seed int64
-	// Racks and PerRack shape the fat tree; 0 selects 4 racks of 3 nodes
-	// (a shape where the 1:1/4:1/8:1 sweep has three distinct bottleneck
-	// regimes — at 3 nodes per rack no swept ratio ties the uplink to the
-	// access rate).
-	Racks, PerRack int
-	// Oversubs are the uplink oversubscription ratios to sweep; empty
-	// selects the acceptance grid {1, 4, 8}.
-	Oversubs []float64
 }
+
+// The study's fat tree is 4 racks of 3 nodes, a shape where the 1:1/4:1/8:1
+// sweep of uplink oversubscription has three distinct bottleneck regimes: at
+// 3 nodes per rack no swept ratio ties the uplink to the access rate.
+const topoRacks, topoPerRack = 4, 3
+
+var topoOversubs = []float64{1, 4, 8}
 
 // TopologyRow reports one (oversubscription, engine) cell: the costs that
 // must grow with oversubscription (everything cross-rack) and the costs
@@ -256,17 +254,10 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 // uplinks, while in-rack traffic is immune. Every scenario runs on both
 // engines and must be byte-identical.
 func Topology(cfg Config, opts TopologyOptions) ([]TopologyRow, error) {
-	racks, perRack, oversubs := cmp.Or(opts.Racks, 4), cmp.Or(opts.PerRack, 3), opts.Oversubs
-	if len(oversubs) == 0 {
-		oversubs = []float64{1, 4, 8}
-	}
-	if racks < 2 || perRack < 2 {
-		return nil, fmt.Errorf("exp: topology: need at least 2 racks of 2 nodes (got %d of %d)", racks, perRack)
-	}
 	var rows []TopologyRow
-	for _, o := range oversubs {
+	for _, o := range topoOversubs {
 		per, err := onBothEngines(func(engine string) (TopologyRow, string, error) {
-			row, err := runTopologyOnce(cfg, engine, racks, perRack, o, opts.Seed)
+			row, err := runTopologyOnce(cfg, engine, topoRacks, topoPerRack, o, opts.Seed)
 			if err != nil {
 				return row, "", err
 			}

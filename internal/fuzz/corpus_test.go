@@ -55,7 +55,7 @@ func TestCorpusReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := RunSource(string(data), OracleOptions{})
+			v, err := RunSource(string(data))
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}

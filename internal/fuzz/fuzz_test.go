@@ -45,7 +45,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 // reference node and agree across every mode.
 func TestOracleOnSamples(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		v, err := RunSource(GenerateSource(seed), OracleOptions{})
+		v, err := RunSource(GenerateSource(seed))
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -182,7 +182,7 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(int64(946))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		p := Generate(seed)
-		v, err := RunProg(p, OracleOptions{})
+		v, err := RunProg(p)
 		if err != nil {
 			// Build failures are generator bugs; timeouts on extreme seeds
 			// are uninteresting.
@@ -199,7 +199,7 @@ func FuzzDifferential(f *testing.F) {
 			return
 		}
 		check := func(c *Prog) bool {
-			cv, cerr := RunProg(c, OracleOptions{})
+			cv, cerr := RunProg(c)
 			return cerr == nil && cv.Diverged
 		}
 		red, _ := Reduce(p, check, 150)

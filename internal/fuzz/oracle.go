@@ -27,16 +27,10 @@ import (
 // Console output and exit status must be byte-identical across all of them;
 // any difference is a toolchain/kernel bug by construction of the generator.
 
-// OracleOptions tunes the oracle. The zero value is ready to use.
-type OracleOptions struct {
-	// MaxRefSeconds caps the reference run's simulated time (default 2.0).
-	// Reducer-made candidates may loop longer than their parent; a capped
-	// run is reported as timed out, never hung.
-	MaxRefSeconds float64
-	// ChaosSeed seeds the fault plan; 0 derives it from the source hash so
-	// a corpus entry replays under the identical plan forever.
-	ChaosSeed int64
-}
+// maxRefSeconds caps the reference run's simulated time. Reducer-made
+// candidates may loop longer than their parent; a capped run is reported as
+// timed out, never hung.
+const maxRefSeconds = 2.0
 
 // RunResult is one execution's observable behaviour.
 type RunResult struct {
@@ -79,8 +73,8 @@ type Verdict struct {
 func (v *Verdict) Ref() RunResult { return v.Runs[0] }
 
 // RunProg renders and runs a program AST through the oracle.
-func RunProg(p *Prog, opt OracleOptions) (*Verdict, error) {
-	return RunSource(Render(p), opt)
+func RunProg(p *Prog) (*Verdict, error) {
+	return RunSource(Render(p))
 }
 
 // BuildProg compiles a program AST without running it.
@@ -92,20 +86,15 @@ func BuildProg(p *Prog) (*link.Image, error) {
 // The returned error covers only ungradable programs — build failure or a
 // reference run that exceeds its simulated-time cap; behavioural differences
 // land in Verdict.Diverged instead.
-func RunSource(src string, opt OracleOptions) (*Verdict, error) {
+func RunSource(src string) (*Verdict, error) {
 	img, err := core.Build("fuzzprog", core.Src("fuzz.c", src))
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: build: %w", err)
 	}
-	refCap := opt.MaxRefSeconds
-	if refCap <= 0 {
-		refCap = 2.0
-	}
-
 	v := &Verdict{Source: src}
-	ref, points, refSec := runPlain(img, core.NodeX86, refCap)
+	ref, points, refSec := runPlain(img, core.NodeX86, maxRefSeconds)
 	if ref.TimedOut {
-		return nil, fmt.Errorf("fuzz: reference run exceeded %.1fs simulated", refCap)
+		return nil, fmt.Errorf("fuzz: reference run exceeded %.1fs simulated", maxRefSeconds)
 	}
 	v.Points = points
 	v.RefSeconds = refSec
@@ -123,13 +112,11 @@ func RunSource(src string, opt OracleOptions) (*Verdict, error) {
 	v.Runs = append(v.Runs, runBounce(img, core.NodeX86, bounceCap))
 	v.Runs = append(v.Runs, runBounce(img, core.NodeARM, bounceCap))
 
-	seed := opt.ChaosSeed
-	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(src))
-		seed = int64(h.Sum64() & 0x7fffffffffffffff)
-	}
-	v.Runs = append(v.Runs, runChaos(img, seed, refSec, cap))
+	// The fault plan's seed is the source hash, so a corpus entry replays
+	// under the identical plan forever.
+	h := fnv.New64a()
+	h.Write([]byte(src))
+	v.Runs = append(v.Runs, runChaos(img, int64(h.Sum64()&0x7fffffffffffffff), refSec, cap))
 
 	every := points / 6
 	if every == 0 {

@@ -113,8 +113,12 @@ func (ip *Interp) Output() []byte { return ip.out }
 func (ip *Interp) GlobalAddr(name string) uint64 { return ip.globalAddr[name] }
 
 // Run executes fn(args) and returns its integer result (0 for void).
-// Execution stops early if the program calls exit.
+// Execution stops early if the program calls exit; once it has, Run refuses
+// and runs nothing.
 func (ip *Interp) Run(fnName string, args ...int64) (int64, error) {
+	if ip.exited {
+		return 0, fmt.Errorf("interp: the program already exited with code %d", ip.exitCode)
+	}
 	f := ip.M.Func(fnName)
 	if f == nil {
 		return 0, fmt.Errorf("interp: no function %q", fnName)
@@ -222,12 +226,6 @@ func (ip *Interp) run(c *code, depth int) (int64, float64, error) {
 	tlb := &ip.tlb
 	base := allocaBase(depth)
 	steps, limit := ip.steps, ip.MaxSteps
-	first := steps + 1
-	if ip.exited && steps < limit {
-		// Run after the program exited: every activation runs one
-		// instruction and returns, as the instruction-at-a-time loop did.
-		limit = first
-	}
 	var err error
 	pc := 0
 loop:
@@ -236,10 +234,6 @@ loop:
 		pc++
 		steps++
 		if steps > limit {
-			if ip.exited && steps > first {
-				ip.steps = steps - 1
-				return 0, 0, nil
-			}
 			ip.steps = steps
 			return 0, 0, fmt.Errorf("interp: step limit exceeded in %s", c.f.Name)
 		}
@@ -442,9 +436,10 @@ loop:
 			ip.steps = steps
 			var vi int64
 			var vf float64
+			// The callee shares ip.tlb and re-attaches it after its own
+			// syscalls, so the TLB is still attached to ip.Mem here.
 			vi, vf, err = ip.call(s, o.in.Args, c.f.vregTypes, ri, rf, depth+1)
 			steps = ip.steps
-			tlb.Attach(ip.Mem)
 			if err != nil {
 				break loop
 			}

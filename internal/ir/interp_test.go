@@ -35,32 +35,27 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// interpCase is a module and how to run it: its entry function, a step
-// limit (0 keeps the default) and how many times to call Run on one
-// interpreter.
+// interpCase is a module and how to run it: its entry function and a step
+// limit (0 keeps the default).
 type interpCase struct {
 	name     string
 	build    func(testing.TB) *Module
 	entry    string
 	maxSteps int64
-	runs     int
 }
 
 // runBoth runs c on a fresh reference interpreter and a fresh decoded one,
-// returning the outcome of each Run.
-func runBoth(t testing.TB, c interpCase) (ref, got []outcome) {
+// returning the outcome of each.
+func runBoth(t testing.TB, c interpCase) (ref, got outcome) {
 	m := c.build(t)
 	ri, ip := newRefInterp(m), NewInterp(m)
 	if c.maxSteps > 0 {
 		ri.MaxSteps, ip.MaxSteps = c.maxSteps, c.maxSteps
 	}
-	for i := 0; i < max(c.runs, 1); i++ {
-		rv, rerr := ri.Run(c.entry)
-		ref = append(ref, outcome{rv, string(ri.Output()), ri.steps, errText(rerr)})
-		v, err := ip.Run(c.entry)
-		got = append(got, outcome{v, string(ip.Output()), ip.Steps(), errText(err)})
-	}
-	return ref, got
+	rv, rerr := ri.Run(c.entry)
+	v, err := ip.Run(c.entry)
+	return outcome{rv, string(ri.Output()), ri.steps, errText(rerr)},
+		outcome{v, string(ip.Output()), ip.Steps(), errText(err)}
 }
 
 // npbCases are the nine single-threaded class-S NPB programs, through the
@@ -92,7 +87,6 @@ func TestInterpMatchesReference(t *testing.T) {
 		{name: "globals", build: buildGlobals, entry: "main"},
 		{name: "div-by-zero", build: buildDivByZero, entry: "main"},
 		{name: "exit", build: buildExit, entry: "main"},
-		{name: "exit-then-run-again", build: buildExit, entry: "main", runs: 3},
 		{name: "spin", build: buildSpin, entry: "main", maxSteps: 1000},
 		{name: "float-int-mix", build: buildFloatIntMix, entry: "main"},
 		{name: "unassigned-call-sites", build: buildUnassignedCallSites, entry: "main3"},
@@ -102,13 +96,31 @@ func TestInterpMatchesReference(t *testing.T) {
 	cases = append(cases, npbCases(t)...)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ref, got := runBoth(t, c)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Errorf("run %d:\n got %v\nwant %v", i, got[i], ref[i])
-				}
+			if ref, got := runBoth(t, c); got != ref {
+				t.Errorf("\n got %v\nwant %v", got, ref)
 			}
 		})
+	}
+}
+
+// TestInterpRefusesAfterExit: once the program has called exit, Run returns
+// an error and runs nothing — the step count and output stay as the exit
+// left them. (The reference interpreter instead runs one instruction per
+// activation and returns the old exit code.)
+func TestInterpRefusesAfterExit(t *testing.T) {
+	ip := NewInterp(buildExit(t))
+	if v, err := ip.Run("main"); err != nil || v != 7 {
+		t.Fatalf("first run: exit code %d, err %v", v, err)
+	}
+	steps := ip.Steps()
+	for i := 0; i < 2; i++ {
+		v, err := ip.Run("main")
+		if err == nil || !strings.Contains(err.Error(), "already exited") {
+			t.Fatalf("run %d after exit: ret %d, err %v, want a refusal", i+2, v, err)
+		}
+		if ip.Steps() != steps || len(ip.Output()) != 0 {
+			t.Fatalf("run %d after exit ran something: steps %d (was %d), output %q", i+2, ip.Steps(), steps, ip.Output())
+		}
 	}
 }
 

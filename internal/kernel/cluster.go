@@ -423,7 +423,7 @@ func (cl *Cluster) applyNodeEvent(ev nodeEvent) {
 }
 
 // engine returns the attached time engine, defaulting to the sequential
-// reference backend on first use. Every driver entry (Step, Run, AdvanceTo)
+// reference backend on first use. Every driver entry (Step, Run)
 // funnels through here, which makes it the one place to drop a stale
 // grouped-execution flag: an observer calling Groups() between steps — a
 // test assertion, an inspector dump — must not leave the next sequential
@@ -567,9 +567,3 @@ func (cl *Cluster) reapProcess(p *Process) {
 // DefaultInterconnect exposes the testbed interconnect configuration for
 // single-machine clusters (where it is unused but required).
 func DefaultInterconnect() msg.Config { return msg.DolphinPXH810() }
-
-// AdvanceTo skips every kernel's clock forward to t (bounded by the
-// earliest pending event, which must still be processed by stepping) and
-// fires the frontier hook. Used by workload drivers to model idle gaps
-// between job arrivals; idle power integrates over the skipped span.
-func (cl *Cluster) AdvanceTo(t float64) { cl.engine().AdvanceTo(t) }

@@ -624,36 +624,6 @@ func oracleScenarios(t *testing.T) []oracleScenario {
 				}
 			},
 		},
-		{
-			name:    "AdvanceTo across a recovery",
-			cluster: slowPair,
-			steps:   200000,
-			setup: func(t *testing.T, cl *kernel.Cluster) (func(int), func() error) {
-				p, err := cl.Spawn(oracleImage(t, "tour"), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				jumped := false
-				jump := func(step int) {
-					if step == 2 { // the plan arrives once the run is under way
-						cl.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Node: 1, At: onWire + 150e-6, RecoverAt: 4e-3}}})
-					}
-					// Once the thread is frozen on the dead node the driver
-					// idles past the recovery instead of stepping to it.
-					if !jumped && cl.NodeDown(1) {
-						jumped = true
-						cl.AdvanceTo(4.5e-3)
-					}
-				}
-				return jump, func() error {
-					if !jumped || cl.NodeDown(1) || p.ExitTime() < 4e-3 {
-						return fmt.Errorf("jumped=%v, node 1 down=%v, exit at %g: the thread was not frozen across the gap",
-							jumped, cl.NodeDown(1), p.ExitTime())
-					}
-					return exitedOK(p)
-				}
-			},
-		},
 	}
 }
 

@@ -34,7 +34,8 @@ func (cl *Cluster) SkipTo(node int, t float64) {
 // Now returns node's local clock.
 func (cl *Cluster) Now(node int) float64 { return cl.Kernels[node].now() }
 
-// NextWake returns node's earliest pending wake or message delivery.
+// NextWake returns node's earliest pending wake or message delivery (a
+// subset of what ReadyTime considers).
 func (cl *Cluster) NextWake(node int) float64 { return cl.Kernels[node].nextEventTime() }
 
 // crashEventTime returns the time of node's next scheduled crash/recovery

@@ -11,7 +11,7 @@ package kernel
 type TimerSource interface {
 	// NextDue returns the next due instant, or >= 1e30 when idle. It must
 	// be pure, and its answer may change only inside Fire or while the
-	// driver holds control (between Step/Run/AdvanceTo calls): the engine
+	// driver holds control (between Step/Run calls): the engine
 	// re-reads it after every firing and at every driver entry, not while
 	// choosing each action.
 	NextDue() float64

@@ -50,17 +50,6 @@ type Config struct {
 	// must be >= the period.
 	SuspectTimeout float64
 
-	// ProbeTimeout is how long a SWIM prober waits for the direct ack
-	// before escalating to indirect probes. 0 selects a quarter period; it
-	// must be positive and at most the period.
-	ProbeTimeout float64
-	// IndirectProbes is the number of witnesses a SWIM prober asks to
-	// ping-req the unresponsive target. 0 selects 2; capped at n-2.
-	IndirectProbes int
-	// GossipRetransmit scales each membership update's piggyback budget:
-	// an update rides on GossipRetransmit*ceil(log2(n+1)) outgoing
-	// messages before it is retired. 0 selects 3.
-	GossipRetransmit int
 	// Quorum is the number of alive-viewed nodes (including the observer)
 	// an observer needs to execute a death verdict. 0 selects a majority
 	// of the rack — with a two-node exception: majority of 2 is 2, and a
@@ -71,42 +60,42 @@ type Config struct {
 	// Seed selects the deterministic stream behind probe-target rotation
 	// and witness choice.
 	Seed int64
-
-	// DeathMisses is how many re-checks after a suspicion's deadline, on a
-	// doubling backoff, may find its confirmations short of quorum before
-	// the observer concludes. 0 selects 3.
-	DeathMisses int
-	// BackoffCap caps the doubling re-check backoff. 0 selects 8x the
-	// period.
-	BackoffCap float64
 }
+
+// The SWIM timings that are not configurable: each is a count or a fixed
+// fraction or multiple of the heartbeat period.
+const (
+	// indirectProbes is the number of witnesses a SWIM prober asks to
+	// ping-req the unresponsive target; capped at n-2.
+	indirectProbes = 2
+	// gossipRetransmit scales each membership update's piggyback budget:
+	// an update rides on gossipRetransmit*ceil(log2(n+1)) outgoing
+	// messages before it is retired.
+	gossipRetransmit = 3
+	// deathMisses is how many re-checks after a suspicion's deadline, on a
+	// doubling backoff, may find its confirmations short of quorum before
+	// the observer concludes.
+	deathMisses = 3
+)
+
+// probeTimeout is how long a SWIM prober waits for the direct ack before
+// escalating to indirect probes: a quarter period.
+func (c Config) probeTimeout() float64 { return c.HeartbeatPeriod / 4 }
+
+// backoffCap caps the doubling re-check backoff: 8x the period.
+func (c Config) backoffCap() float64 { return 8 * c.HeartbeatPeriod }
 
 // withDefaults resolves zero fields to their defaults.
 func (c Config) withDefaults() Config {
 	if c.SuspectTimeout == 0 {
 		c.SuspectTimeout = 3 * c.HeartbeatPeriod
 	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = c.HeartbeatPeriod / 4
-	}
-	if c.IndirectProbes == 0 {
-		c.IndirectProbes = 2
-	}
-	if c.GossipRetransmit == 0 {
-		c.GossipRetransmit = 3
-	}
-	if c.DeathMisses == 0 {
-		c.DeathMisses = 3
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 8 * c.HeartbeatPeriod
-	}
 	return c
 }
 
 // Validate rejects configurations that cannot detect anything (or would
 // suspect everything): a non-positive period, a suspicion timeout below the
-// renewal interval, a probe timeout that outlives its round.
+// renewal interval, a negative quorum.
 func (c Config) Validate() error {
 	if c.HeartbeatPeriod <= 0 {
 		return fmt.Errorf("member: heartbeat period must be positive (got %g)", c.HeartbeatPeriod)
@@ -115,23 +104,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("member: suspicion timeout %g is below the heartbeat period %g; every suspicion would expire before a probe round could refute it",
 			c.SuspectTimeout, c.HeartbeatPeriod)
 	}
-	if c.ProbeTimeout < 0 || c.ProbeTimeout > c.HeartbeatPeriod {
-		return fmt.Errorf("member: probe timeout %g must lie within the round period %g", c.ProbeTimeout, c.HeartbeatPeriod)
-	}
-	if c.IndirectProbes < 0 {
-		return fmt.Errorf("member: indirect probe count must be non-negative (got %d)", c.IndirectProbes)
-	}
-	if c.GossipRetransmit < 0 {
-		return fmt.Errorf("member: gossip retransmit factor must be non-negative (got %d)", c.GossipRetransmit)
-	}
 	if c.Quorum < 0 {
 		return fmt.Errorf("member: quorum must be non-negative (got %d)", c.Quorum)
-	}
-	if c.DeathMisses < 0 {
-		return fmt.Errorf("member: death-miss budget must be non-negative (got %d)", c.DeathMisses)
-	}
-	if c.BackoffCap != 0 && c.BackoffCap < c.HeartbeatPeriod {
-		return fmt.Errorf("member: backoff cap %g is below the heartbeat period %g", c.BackoffCap, c.HeartbeatPeriod)
 	}
 	return nil
 }

@@ -80,11 +80,8 @@ func discardAll(cl *kernel.Cluster, s *audited, node int) {
 
 func TestConfigDefaultsAndValidate(t *testing.T) {
 	c := Config{HeartbeatPeriod: 1e-3}.withDefaults()
-	if c.SuspectTimeout != 3e-3 || c.DeathMisses != 3 || c.BackoffCap != 8e-3 {
+	if c.SuspectTimeout != 3e-3 {
 		t.Fatalf("defaults not resolved: %+v", c)
-	}
-	if c.ProbeTimeout != 0.25e-3 || c.IndirectProbes != 2 || c.GossipRetransmit != 3 {
-		t.Fatalf("SWIM defaults not resolved: %+v", c)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("defaulted config invalid: %v", err)
@@ -94,12 +91,6 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 		{HeartbeatPeriod: 0},
 		{HeartbeatPeriod: -1e-3},
 		{HeartbeatPeriod: 1e-3, SuspectTimeout: 0.5e-3},
-		{HeartbeatPeriod: 1e-3, DeathMisses: -1},
-		{HeartbeatPeriod: 1e-3, BackoffCap: 0.1e-3},
-		{HeartbeatPeriod: 1e-3, ProbeTimeout: 2e-3},
-		{HeartbeatPeriod: 1e-3, ProbeTimeout: -1e-3},
-		{HeartbeatPeriod: 1e-3, IndirectProbes: -1},
-		{HeartbeatPeriod: 1e-3, GossipRetransmit: -2},
 		{HeartbeatPeriod: 1e-3, Quorum: -1},
 	}
 	for i, c := range bad {
@@ -244,8 +235,8 @@ func TestProbeRotationCoversAllPeers(t *testing.T) {
 func TestWitnessSelection(t *testing.T) {
 	_, s := swimCluster(t, 6, Config{HeartbeatPeriod: 1e-3, Seed: 3})
 	w := s.witnesses(0, 3, 17)
-	if len(w) != s.cfg.IndirectProbes {
-		t.Fatalf("%d witnesses, want %d", len(w), s.cfg.IndirectProbes)
+	if len(w) != indirectProbes {
+		t.Fatalf("%d witnesses, want %d", len(w), indirectProbes)
 	}
 	for _, c := range w {
 		if c == 0 || c == 3 {
@@ -278,7 +269,7 @@ func TestIndirectProbeRescuesSilentDirectPath(t *testing.T) {
 	if m := cl.IC.PopDue(target, inf); m == nil {
 		t.Fatal("direct ping never queued")
 	} // swallowed
-	s.RunDue(0, s.cfg.ProbeTimeout) // ack deadline: escalate
+	s.RunDue(0, s.cfg.probeTimeout()) // ack deadline: escalate
 	st := s.Stats()
 	if st.ProbeTimeouts != 1 || st.IndirectProbes != 2 {
 		t.Fatalf("escalation stats = %+v, want 1 timeout and 2 ping-reqs", st)
@@ -459,7 +450,7 @@ func TestMinorityDefersVerdictAndQuorumReArms(t *testing.T) {
 		for _, from := range []int{1, 4} {
 			s.Deliver(0, confirmFrame(from, s.views[0][tg], tg, at))
 		}
-		if v := s.views[0][tg]; !v.called || v.deadline != at+s.cfg.ProbeTimeout {
+		if v := s.views[0][tg]; !v.called || v.deadline != at+s.cfg.probeTimeout() {
 			t.Fatalf("the proven verdict on %d made no last call: %+v", tg, v)
 		}
 		discardAll(cl, s, tg)
@@ -467,7 +458,7 @@ func TestMinorityDefersVerdictAndQuorumReArms(t *testing.T) {
 	if got := s.Stats().Deaths; got != 0 {
 		t.Fatalf("deaths before the last call lapsed = %d, want 0", got)
 	}
-	s.expireSuspects(0, at+s.cfg.ProbeTimeout)
+	s.expireSuspects(0, at+s.cfg.probeTimeout())
 	if got := s.Stats().Deaths; got != 2 {
 		t.Fatalf("deaths after the confirmations = %d, want 2", got)
 	}
@@ -502,7 +493,7 @@ func TestUnconfirmedVerdictDefers(t *testing.T) {
 	// The cut swallows every frame. The deadline opens the round with the
 	// observer alone in it; each re-check after it short of quorum is a
 	// miss that re-arms with backoff (a congested fabric slows
-	// confirmations too), and only after DeathMisses misses does the
+	// confirmations too), and only after deathMisses misses does the
 	// verdict park like any minority verdict.
 	at := s.cfg.SuspectTimeout
 	s.expireSuspects(0, at)
@@ -510,14 +501,14 @@ func TestUnconfirmedVerdictDefers(t *testing.T) {
 	if v.missed != 0 || v.deferred || v.conf.count() != 1 || v.deadline <= at {
 		t.Fatalf("the deadline did not open the round: %+v", v)
 	}
-	for miss := 1; miss <= s.cfg.DeathMisses; miss++ {
+	for miss := 1; miss <= deathMisses; miss++ {
 		at = v.deadline
 		s.expireSuspects(0, at)
 		discardAll(cl, s, 2)
 		if s.Stats().Deaths != 0 || cl.DeadIncarnation(1) != 0 {
 			t.Fatalf("miss %d: an unconfirmed verdict executed a death", miss)
 		}
-		if miss < s.cfg.DeathMisses {
+		if miss < deathMisses {
 			if v.deferred || v.missed != miss || v.deadline <= at {
 				t.Fatalf("miss %d: want a re-check, got %+v", miss, v)
 			}
@@ -525,8 +516,8 @@ func TestUnconfirmedVerdictDefers(t *testing.T) {
 			t.Fatalf("exhausted re-checks did not park the verdict: %+v", v)
 		}
 	}
-	if got := s.Stats().VerdictRechecks; got != uint64(s.cfg.DeathMisses) {
-		t.Fatalf("verdict re-checks = %d, want %d", got, s.cfg.DeathMisses)
+	if got := s.Stats().VerdictRechecks; got != uint64(deathMisses) {
+		t.Fatalf("verdict re-checks = %d, want %d", got, deathMisses)
 	}
 	if got := s.Stats().DeferredVerdicts; got != 1 {
 		t.Fatalf("deferred verdicts = %d, want 1", got)
@@ -636,7 +627,7 @@ func TestCutBeforeTheDeadlineLeavesNoQuorum(t *testing.T) {
 	// observer. The deadline at 3 ms opens the round; the near side joins
 	// it and confirms at every re-check.
 	v := s.views[0][1]
-	for at, check := s.cfg.SuspectTimeout, 0; check <= s.cfg.DeathMisses; at, check = v.deadline, check+1 {
+	for at, check := s.cfg.SuspectTimeout, 0; check <= deathMisses; at, check = v.deadline, check+1 {
 		s.expireSuspects(0, at)
 		for _, k := range []int{2, 3} {
 			s.expireSuspects(k, at)
@@ -659,7 +650,7 @@ func TestZombieLearnsOfItsDeathAndRejoins(t *testing.T) {
 	cl, s := testService(t, Config{HeartbeatPeriod: 1e-3})
 	// Node 0 declares node 1 dead after sustained silence (node 1 was
 	// partitioned away, not crashed: it never stopped running). The horizon
-	// covers the suspicion window plus the DeathMisses re-check backoffs.
+	// covers the suspicion window plus the deathMisses re-check backoffs.
 	driveNode(s, 0, 9.5e-3)
 	if s.View(0, 1) != Dead || cl.DeadIncarnation(1) != 1 {
 		t.Fatal("setup: node 1 not declared dead")
@@ -794,7 +785,7 @@ func TestSupersedes(t *testing.T) {
 }
 
 func TestPiggybackBudgetRetiresUpdates(t *testing.T) {
-	_, s := swimCluster(t, 4, Config{HeartbeatPeriod: 1e-3, GossipRetransmit: 1})
+	_, s := swimCluster(t, 4, Config{HeartbeatPeriod: 1e-3})
 	s.enqueueUpdate(0, update{state: Suspect, node: 2, inc: 1})
 	budget := s.gossipBudget()
 	for i := 0; i < budget; i++ {

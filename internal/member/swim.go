@@ -682,12 +682,12 @@ func (s *Service) verdict(observer, target int, now float64) {
 	// Short of quorum is not yet proof of anything: the deadline only opens
 	// the round, and a congested fabric (a bulk migration transfer) slows
 	// gossip and acks just as a cut severs them, so each later re-check
-	// short of quorum is a miss — DeathMisses of them on a doubling backoff
+	// short of quorum is a miss — deathMisses of them on a doubling backoff
 	// — before the observer concludes. A two-node rack gathers nothing.
 	if q <= 1 || v.backoff > 0 {
 		v.missed++
 	}
-	if v.missed >= s.cfg.DeathMisses {
+	if v.missed >= deathMisses {
 		if q <= 1 {
 			// A two-node rack has no peer whose confirmation could prove the
 			// verdict, and a live suspect's ack would have readmitted it:
@@ -703,12 +703,12 @@ func (s *Service) verdict(observer, target int, now float64) {
 	if v.backoff == 0 {
 		v.backoff = s.cfg.HeartbeatPeriod
 	} else {
-		v.backoff = min(2*v.backoff, s.cfg.BackoffCap)
+		v.backoff = min(2*v.backoff, s.cfg.backoffCap())
 	}
 	v.deadline = now + v.backoff
 	s.stats[observer].VerdictRechecks++
 	s.trace(now, "re-check", "node %d re-checks suspect node %d (%d of %d confirm, %d/%d misses)",
-		observer, target, v.conf.count(), q, v.missed, s.cfg.DeathMisses)
+		observer, target, v.conf.count(), q, v.missed, deathMisses)
 	if q <= 1 {
 		s.sendSwim(now, observer, target, swimPayload{kind: swimPing, origin: observer, target: target})
 	}
@@ -716,10 +716,10 @@ func (s *Service) verdict(observer, target int, now float64) {
 
 // lastCall pings the suspect of a proven verdict before it executes: a
 // refutation can lose the race against a gathering set, and an ack within
-// ProbeTimeout readmits the suspect.
+// the probe timeout readmits the suspect.
 func (s *Service) lastCall(observer, target int, v *view, now float64) {
 	v.called = true
-	v.deadline = now + s.cfg.ProbeTimeout
+	v.deadline = now + s.cfg.probeTimeout()
 	s.sendSwim(now, observer, target, swimPayload{kind: swimPing, origin: observer, target: target})
 }
 
@@ -801,7 +801,7 @@ func (s *Service) emitProbe(node int, now float64) {
 		target:  target,
 		seq:     s.probeSeq[node],
 		sentAt:  now,
-		ackBy:   now + s.cfg.ProbeTimeout,
+		ackBy:   now + s.cfg.probeTimeout(),
 		roundBy: now + s.cfg.HeartbeatPeriod,
 	}
 	s.stats[node].Probes++
@@ -864,11 +864,11 @@ func (s *Service) nextTarget(node int) int {
 	return -1
 }
 
-// witnesses picks up to IndirectProbes peers (excluding node and target,
+// witnesses picks up to indirectProbes peers (excluding node and target,
 // skipping peers node holds dead) to relay a ping-req, scanning from a
 // seed-and-sequence derived start so the load spreads deterministically.
 func (s *Service) witnesses(node, target int, seq uint64) []int {
-	k := s.cfg.IndirectProbes
+	k := indirectProbes
 	if k <= 0 {
 		return nil
 	}
@@ -895,14 +895,14 @@ func (s *Service) selfEpochOf(node int) uint64 {
 }
 
 // gossipBudget is the per-update piggyback budget:
-// GossipRetransmit*ceil(log2(n+1)) transmissions reach every node with high
+// gossipRetransmit*ceil(log2(n+1)) transmissions reach every node with high
 // probability in an epidemic dissemination.
 func (s *Service) gossipBudget() int {
 	b := 0
 	for v := s.n; v > 0; v >>= 1 {
 		b++
 	}
-	return s.cfg.GossipRetransmit * b
+	return gossipRetransmit * b
 }
 
 // enqueueUpdate queues an update for dissemination at node, superseding any

@@ -82,14 +82,12 @@ type Config struct {
 	// RetxTimeoutSec is the reliable senders' initial retransmission
 	// timeout; 0 selects DefaultRetxTimeout.
 	RetxTimeoutSec float64
-	// MaxRetries caps loss-induced retransmissions per reliable exchange;
-	// 0 selects DefaultMaxRetries.
-	MaxRetries int
 }
 
-// Reliable-delivery defaults: the initial retransmission timeout is an
-// order of magnitude above the healthy round trip, doubling per retry up
-// to retxBackoffCap times the initial value.
+// Reliable delivery: the initial retransmission timeout (the default of
+// RetxTimeoutSec) is an order of magnitude above the healthy round trip,
+// doubling per retry up to retxBackoffCap times the initial value; an
+// exchange gives up after DefaultMaxRetries loss-induced retransmissions.
 const (
 	DefaultRetxTimeout = 25e-6
 	DefaultMaxRetries  = 8
@@ -414,13 +412,6 @@ func (ic *Interconnect) retxTimeout() float64 {
 	return DefaultRetxTimeout
 }
 
-func (ic *Interconnect) maxRetries() int {
-	if ic.cfg.MaxRetries > 0 {
-		return ic.cfg.MaxRetries
-	}
-	return DefaultMaxRetries
-}
-
 // retx is the retransmission state of one reliable exchange: the time
 // burnt on timeouts and stalls so far, the current timeout and the retries
 // consumed.
@@ -437,7 +428,7 @@ type retx struct {
 func (ic *Interconnect) retry(st *Stats, rx *retx) bool {
 	st.Retries++
 	rx.retries++
-	if rx.retries > ic.maxRetries() {
+	if rx.retries > DefaultMaxRetries {
 		st.Exhausted++
 		return false
 	}

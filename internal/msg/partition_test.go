@@ -100,7 +100,7 @@ func TestSendReliablePermanentCutBurnsBackoff(t *testing.T) {
 	if s.PartitionDrops != s.Retries {
 		t.Fatalf("PartitionDrops = %d, want %d (every retry severed)", s.PartitionDrops, s.Retries)
 	}
-	// Doubling backoff: the give-up point must sit far past maxRetries
+	// Doubling backoff: the give-up point must sit far past DefaultMaxRetries
 	// fixed-timeout spins (8 * 25us = 200us; the capped-doubling schedule
 	// reaches ~3.2ms).
 	if burned := giveUp - start; burned < 10*float64(DefaultMaxRetries)*DefaultRetxTimeout {

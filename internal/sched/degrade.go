@@ -17,66 +17,39 @@ type HealthSource interface {
 	Degraded(node int) bool
 }
 
-// Degrade configures graceful degradation for RunOpenLoop. The zero
-// value of each field resolves to the default noted on it.
+// Degrade configures graceful degradation for RunOpenLoop. The control
+// loop ticks at the runner's RebalanceEvery; its thresholds and evacuation
+// retry policy are the constants below.
 type Degrade struct {
 	// Health scores nodes; nil disables brownout placement and
 	// evacuation (admission control still works from the SLO budget).
 	Health HealthSource
-	// TickEvery is the control-loop period in seconds (default: the
-	// runner's RebalanceEvery).
-	TickEvery float64
 	// Levels is the number of priority levels in the workload; the shed
 	// cutoff saturates at Levels-1 so the top level is never shed
-	// (default 1: nothing sheddable).
+	// (1 or less: nothing sheddable).
 	Levels int
-	// ShedBelow: when the SLO error-budget fraction remaining falls below
-	// this, the cutoff rises one level per tick (default 0.25).
-	ShedBelow float64
-	// RecoverAbove: when the budget fraction is at or above this, the
-	// cutoff ramps back down one level per tick — the recovery ramp
-	// (default 0.5).
-	RecoverAbove float64
-	// EvacRetries bounds migration attempts per evacuation episode; an
-	// episode that exhausts them times out and leaves the job where it is
-	// (its checkpoints remain the fallback). Default 3.
-	EvacRetries int
-	// EvacBackoff is the delay before re-issuing an unacknowledged
-	// evacuation migration; it doubles per retry up to EvacBackoffCap.
-	// Defaults: TickEvery and 8*EvacBackoff.
-	EvacBackoff    float64
-	EvacBackoffCap float64
 	// TolerateLoss accepts unrestorable job kills as OutcomeLost instead
 	// of failing the run (shed+completed+lost == offered stays the
 	// accounting identity).
 	TolerateLoss bool
 }
 
-// withDefaults resolves the zero values against the runner.
-func (g Degrade) withDefaults(r *Runner) Degrade {
-	if g.TickEvery <= 0 {
-		g.TickEvery = r.RebalanceEvery
-	}
-	if g.Levels <= 0 {
-		g.Levels = 1
-	}
-	if g.ShedBelow == 0 {
-		g.ShedBelow = 0.25
-	}
-	if g.RecoverAbove == 0 {
-		g.RecoverAbove = 0.5
-	}
-	if g.EvacRetries <= 0 {
-		g.EvacRetries = 3
-	}
-	if g.EvacBackoff <= 0 {
-		g.EvacBackoff = g.TickEvery
-	}
-	if g.EvacBackoffCap <= 0 {
-		g.EvacBackoffCap = 8 * g.EvacBackoff
-	}
-	return g
-}
+const (
+	// shedBelow: when the SLO error-budget fraction remaining falls below
+	// this, the cutoff rises one level per tick.
+	shedBelow = 0.25
+	// recoverAbove: when the budget fraction is at or above this, the
+	// cutoff ramps back down one level per tick — the recovery ramp.
+	recoverAbove = 0.5
+	// evacRetries bounds migration attempts per evacuation episode; an
+	// episode that exhausts them times out and leaves the job where it is
+	// (its checkpoints remain the fallback).
+	evacRetries = 3
+	// evacBackoffCap is the cap on the delay before re-issuing an
+	// unacknowledged evacuation migration, in control ticks: the delay
+	// starts at one tick and doubles per retry.
+	evacBackoffCap = 8
+)
 
 // controlTick runs one degradation control round: refresh health scores,
 // adjust the admission cutoff from the SLO error budget, and drive
@@ -86,11 +59,11 @@ func (d *jobDriver) controlTick(now float64) {
 		h.Tick(now)
 	}
 	rem := d.acct.BudgetRemaining()
-	if rem < d.deg.ShedBelow {
+	if rem < shedBelow {
 		if d.cutoff < d.deg.Levels-1 {
 			d.cutoff++
 		}
-	} else if rem >= d.deg.RecoverAbove && d.cutoff > 0 {
+	} else if rem >= recoverAbove && d.cutoff > 0 {
 		d.cutoff--
 	}
 	if d.deg.Health != nil {
@@ -103,7 +76,7 @@ func (d *jobDriver) controlTick(now float64) {
 // reach a migration point, the transfer can abort and roll back — so the
 // episode is acknowledged by the cluster's migration event (see
 // drive's OnMigration hook clearing evacFrom) and re-requested
-// with doubled, capped backoff until it lands or EvacRetries attempts
+// with doubled, capped backoff until it lands or evacRetries attempts
 // time the episode out.
 func (d *jobDriver) evacuate(now float64) {
 	h := d.deg.Health
@@ -114,13 +87,13 @@ func (d *jobDriver) evacuate(now float64) {
 			}
 			jr.evacFrom = jr.Node
 			jr.evacAttempts = 0
-			jr.evacBackoff = d.deg.EvacBackoff
+			jr.evacBackoff = d.r.RebalanceEvery
 			jr.evacNext = now
 		}
 		if now < jr.evacNext {
 			continue
 		}
-		if jr.evacAttempts >= d.deg.EvacRetries {
+		if jr.evacAttempts >= evacRetries {
 			// Timeout: abandon the episode; a later tick may open a new one
 			// if the job is still stuck on a degraded node.
 			jr.evacFrom = -1
@@ -131,7 +104,7 @@ func (d *jobDriver) evacuate(now float64) {
 			// Nowhere healthy to go; hold position and retry after backoff.
 			jr.evacAttempts++
 			jr.evacNext = now + jr.evacBackoff
-			jr.evacBackoff = minf(2*jr.evacBackoff, d.deg.EvacBackoffCap)
+			jr.evacBackoff = minf(2*jr.evacBackoff, evacBackoffCap*d.r.RebalanceEvery)
 			continue
 		}
 		d.st.Cluster.RequestProcessMigration(jr.Proc, dst)
@@ -140,7 +113,7 @@ func (d *jobDriver) evacuate(now float64) {
 		jr.lastMove = now
 		jr.evacAttempts++
 		jr.evacNext = now + jr.evacBackoff
-		jr.evacBackoff = minf(2*jr.evacBackoff, d.deg.EvacBackoffCap)
+		jr.evacBackoff = minf(2*jr.evacBackoff, evacBackoffCap*d.r.RebalanceEvery)
 	}
 }
 

@@ -117,7 +117,6 @@ type jobDriver struct {
 
 	// Graceful-degradation state (nil deg leaves every path above intact).
 	deg      *Degrade
-	ctlEvery float64
 	nextCtl  float64
 	cutoff   int // arrivals with Priority < cutoff are shed
 	shed     int
@@ -183,7 +182,7 @@ func (d *jobDriver) Fire(now float64) {
 	d.retire()
 	if d.deg != nil && now >= d.nextCtl {
 		d.controlTick(now)
-		d.nextCtl = now + d.ctlEvery
+		d.nextCtl = now + d.r.RebalanceEvery
 	}
 	for d.admitAt() <= now {
 		j := d.pending[0]
@@ -318,14 +317,12 @@ func (r *Runner) drive(w OpenLoop, conc int) (*OpenLoopResult, error) {
 		nextReb: r.RebalanceEvery,
 	}
 	if w.Degrade != nil {
-		deg := w.Degrade.withDefaults(r)
-		d.deg = &deg
-		d.ctlEvery = deg.TickEvery
-		d.nextCtl = deg.TickEvery
-		if deg.Health != nil {
+		d.deg = w.Degrade
+		d.nextCtl = r.RebalanceEvery
+		if h := w.Degrade.Health; h != nil {
 			// Brownout: placement and rebalancing steer away from nodes the
 			// health layer marks degraded.
-			st.Avoid = deg.Health.Degraded
+			st.Avoid = h.Degraded
 		}
 	}
 	if r.Checkpoint.EveryPoints > 0 || r.Checkpoint.EverySeconds > 0 {

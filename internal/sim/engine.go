@@ -48,9 +48,6 @@ type Model interface {
 	SkipTo(node int, t float64)
 	// Now returns node's local clock.
 	Now(node int) float64
-	// NextWake returns node's earliest pending wake/delivery time, or >= Inf
-	// (used to bound idle skips; a subset of what ReadyTime considers).
-	NextWake(node int) float64
 
 	// NextEvent returns the time of node's next scheduled control event
 	// (crash or recovery), or >= Inf.
@@ -94,10 +91,6 @@ type Engine interface {
 	// returns the frontier. Both backends leave the model in byte-identical
 	// states for the same `until`.
 	Run(until float64) float64
-	// AdvanceTo skips every node's clock to t, bounded by pending wakes and
-	// control events (which it applies). Used by workload drivers to model
-	// idle gaps.
-	AdvanceTo(t float64)
 }
 
 // stepResult classifies one sequential scheduling decision.

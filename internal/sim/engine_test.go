@@ -85,14 +85,6 @@ func (m *toyModel) SkipTo(i int, t float64) {
 
 func (m *toyModel) Now(i int) float64 { return m.nodes[i].now }
 
-func (m *toyModel) NextWake(i int) float64 {
-	nd := m.nodes[i]
-	if nd.batch >= len(nd.batches) {
-		return Inf
-	}
-	return nd.batches[nd.batch].at
-}
-
 func (m *toyModel) NextEvent(i int) float64 {
 	if m.evIdx[i] >= len(m.events[i]) {
 		return Inf
@@ -328,30 +320,6 @@ func TestRunClampsIdentically(t *testing.T) {
 		pm.groups = [][]int{{0, 1}, {2, 3}}
 		NewParallel(pm, Options{EpochSec: 9e-6}).Run(until)
 		sameState(t, "run-until", sm, pm)
-	}
-}
-
-func TestAdvanceToAppliesEventsInGap(t *testing.T) {
-	scripts := [][]toyBatch{{{at: 0, quanta: 1}}, {{at: 0, quanta: 1}}}
-	events := [][]float64{nil, {50e-6}}
-	for _, mk := range []func(m Model) Engine{
-		func(m Model) Engine { return NewSequential(m) },
-		func(m Model) Engine { return NewParallel(m, Options{}) },
-	} {
-		m := newToy(scripts)
-		m.events = events
-		e := mk(m)
-		for e.Step() {
-		}
-		e.AdvanceTo(100e-6)
-		if m.evIdx[1] != 1 {
-			t.Fatal("event inside the idle gap was not applied")
-		}
-		for i, nd := range m.nodes {
-			if nd.now != 100e-6 {
-				t.Fatalf("node %d clock %.9f after AdvanceTo", i, nd.now)
-			}
-		}
 	}
 }
 

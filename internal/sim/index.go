@@ -622,37 +622,3 @@ func (ix *index) run(limit float64) {
 	for ix.step(limit) != stepNone {
 	}
 }
-
-// advanceTo implements Engine.AdvanceTo: skip every node to t, bounded by
-// pending wakes, applying control events inside the gap (or a driver idling
-// past a recovery would never thaw the node).
-func (f *Feed) advanceTo(t float64) {
-	m, ix := f.m, &f.all
-	f.enter()
-	for {
-		bound := t
-		for _, n := range ix.nodes {
-			if e := m.NextWake(n); e < bound {
-				bound = e
-			}
-		}
-		ix.refresh()
-		evN, evT := ix.minEvent()
-		evDue := evN >= 0 && evT <= bound
-		if evDue && evT < bound {
-			bound = evT
-		}
-		for _, n := range ix.nodes {
-			m.SkipTo(n, bound)
-		}
-		// Every clock moved, busy nodes' included: one rebuild, not a report
-		// per node. (A drained node's pending drag still applies on top of
-		// the clock SkipTo compared against, until the rebuild writes it out.)
-		ix.stale = true
-		if !evDue {
-			break
-		}
-		m.ApplyEvent(evN)
-	}
-	m.NoteFrontier()
-}

@@ -161,7 +161,6 @@ func (m *chaosModel) SkipTo(i int, t float64) {
 }
 
 func (m *chaosModel) Now(i int) float64       { return m.clock(i) }
-func (m *chaosModel) NextWake(i int) float64  { return m.wake[i] }
 func (m *chaosModel) NextEvent(i int) float64 { return m.event[i] }
 
 func (m *chaosModel) ApplyEvent(i int) {
@@ -373,7 +372,6 @@ type lazyCoverage struct {
 	undrain  int // a node left the drained set with a drag pending
 	handover int // a group took nodes over with drags pending
 	rebuild  int // a stale rebuild with drags pending
-	advance  int // advanceTo with drags pending
 }
 
 // lazyLockstep drives two copies of the chaos model through the same index
@@ -451,16 +449,6 @@ func lazyLockstep(seed int64, n int, cov *lazyCoverage) error {
 			}
 			fa.Rebuild()
 			fb.Rebuild()
-		case 2: // an idle gap
-			if pending() {
-				cov.advance++
-			}
-			t := b.Frontier() + float64(drv.Intn(6))*chaosQuantum
-			fa.advanceTo(t)
-			fb.advanceTo(t)
-			if err := same(); err != nil {
-				return fmt.Errorf("window %d advanceTo: %v", window, err)
-			}
 		}
 		fa.enter()
 		fb.enter()
@@ -522,8 +510,8 @@ func lazyLockstep(seed int64, n int, cov *lazyCoverage) error {
 // model only when the node is next needed, yet every clock, key and
 // frontier equals what the eager, node-by-node drag gives — across event
 // drags below earlier work drags, nodes that drain and undrain between
-// drags, groups taking nodes over and handing them back, stale rebuilds
-// and idle gaps, each with drags pending.
+// drags, groups taking nodes over and handing them back, and stale
+// rebuilds, each with drags pending.
 func TestLazyDragMatchesEagerDrag(t *testing.T) {
 	var cov lazyCoverage
 	for seed := int64(1); seed <= 40; seed++ {
@@ -533,7 +521,7 @@ func TestLazyDragMatchesEagerDrag(t *testing.T) {
 		}
 	}
 	t.Logf("coverage: %+v", cov)
-	if cov.below < 20 || cov.undrain < 20 || cov.handover < 20 || cov.rebuild < 10 || cov.advance < 10 {
+	if cov.below < 20 || cov.undrain < 20 || cov.handover < 20 || cov.rebuild < 10 {
 		t.Fatalf("the scenarios stayed away from what they test: %+v", cov)
 	}
 }
@@ -635,7 +623,6 @@ func (m *quietFleet) Now(i int) float64 {
 	}
 	return m.now[i]
 }
-func (m *quietFleet) NextWake(int) float64    { return Inf }
 func (m *quietFleet) NextEvent(int) float64   { return Inf }
 func (m *quietFleet) ApplyEvent(int)          {}
 func (m *quietFleet) NoteFrontier()           {}

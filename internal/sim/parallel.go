@@ -306,7 +306,3 @@ func (e *Parallel) Run(until float64) float64 {
 	}
 	return m.Frontier()
 }
-
-// AdvanceTo skips every node's clock to t, applying due control events.
-// It runs on the scheduling goroutine (a barrier by construction).
-func (e *Parallel) AdvanceTo(t float64) { e.f.advanceTo(t) }

@@ -43,6 +43,3 @@ func (e *Sequential) Run(until float64) float64 {
 	}
 	return e.m.Frontier()
 }
-
-// AdvanceTo skips every node's clock to t, applying due control events.
-func (e *Sequential) AdvanceTo(t float64) { e.f.advanceTo(t) }

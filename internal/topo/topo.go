@@ -40,8 +40,8 @@ const (
 	KindFatTree = "fattree"
 )
 
-// Default fabric parameters: 10 GbE access links with sub-microsecond
-// per-hop switch latency.
+// Fabric parameters: 10 GbE access links with sub-microsecond per-hop
+// switch latency on every fabric, and the default rack count.
 const (
 	DefaultHopLatencySec     = 0.5e-6
 	DefaultAccessBytesPerSec = 1.25e9
@@ -61,12 +61,6 @@ type Spec struct {
 	// non-blocking fabric and larger ratios starve cross-rack traffic.
 	// 0 selects 1.
 	Oversub float64
-	// HopLatencySec is the per-hop (per-link) latency; 0 selects
-	// DefaultHopLatencySec.
-	HopLatencySec float64
-	// AccessBytesPerSec is the node<->ToR link bandwidth; 0 selects
-	// DefaultAccessBytesPerSec.
-	AccessBytesPerSec float64
 	// CutUplinks lists racks whose ToR<->spine uplinks are absent in both
 	// directions, leaving their cross-rack pairs unrouteable. This is an
 	// analysis aid (hdcinspect): clusters reject fabrics with unrouteable
@@ -78,7 +72,7 @@ type Spec struct {
 func FlatSpec() Spec { return Spec{Kind: KindFlat} }
 
 // FatTree returns a fat-tree spec with the given rack count and
-// oversubscription ratio and default link parameters.
+// oversubscription ratio.
 func FatTree(racks int, oversub float64) Spec {
 	return Spec{Kind: KindFatTree, Racks: racks, Oversub: oversub}
 }
@@ -93,12 +87,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Oversub == 0 {
 		s.Oversub = 1
-	}
-	if s.HopLatencySec == 0 {
-		s.HopLatencySec = DefaultHopLatencySec
-	}
-	if s.AccessBytesPerSec == 0 {
-		s.AccessBytesPerSec = DefaultAccessBytesPerSec
 	}
 	return s
 }
@@ -116,12 +104,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Oversub <= 0 {
 		return fmt.Errorf("topo: oversubscription ratio must be positive (got %g)", s.Oversub)
-	}
-	if s.HopLatencySec <= 0 {
-		return fmt.Errorf("topo: hop latency must be positive (got %g)", s.HopLatencySec)
-	}
-	if s.AccessBytesPerSec <= 0 {
-		return fmt.Errorf("topo: access bandwidth must be positive (got %g)", s.AccessBytesPerSec)
 	}
 	return nil
 }
@@ -199,13 +181,13 @@ func Build(s Spec, n int) (*Fabric, error) {
 		uplinkDown: make([]int, racks),
 	}
 	addLink := func(name string, bw float64) int {
-		f.links = append(f.links, link{name: name, latencySec: s.HopLatencySec, bytesPerSec: bw})
+		f.links = append(f.links, link{name: name, latencySec: DefaultHopLatencySec, bytesPerSec: bw})
 		return len(f.links) - 1
 	}
 	for nd := 0; nd < n; nd++ {
 		r := nd / perRack
-		f.accessUp[nd] = addLink(fmt.Sprintf("n%d->tor%d", nd, r), s.AccessBytesPerSec)
-		f.accessDown[nd] = addLink(fmt.Sprintf("tor%d->n%d", r, nd), s.AccessBytesPerSec)
+		f.accessUp[nd] = addLink(fmt.Sprintf("n%d->tor%d", nd, r), DefaultAccessBytesPerSec)
+		f.accessDown[nd] = addLink(fmt.Sprintf("tor%d->n%d", r, nd), DefaultAccessBytesPerSec)
 	}
 	cut := map[int]bool{}
 	for _, r := range s.CutUplinks {
@@ -214,7 +196,7 @@ func Build(s Spec, n int) (*Fabric, error) {
 		}
 		cut[r] = true
 	}
-	uplinkBW := float64(perRack) * s.AccessBytesPerSec / s.Oversub
+	uplinkBW := float64(perRack) * DefaultAccessBytesPerSec / s.Oversub
 	for r := 0; r < racks; r++ {
 		if cut[r] {
 			f.uplinkUp[r], f.uplinkDown[r] = -1, -1
@@ -386,7 +368,7 @@ func (f *Fabric) MinLatency() float64 {
 		}
 	}
 	if math.IsInf(min, 1) {
-		min = f.spec.HopLatencySec
+		min = DefaultHopLatencySec
 	}
 	f.minLat, f.minLatValid = min, true
 	return min

@@ -36,8 +36,6 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: "torus"},
 		{Kind: KindFatTree, Racks: -1},
 		{Kind: KindFatTree, Oversub: -2},
-		{Kind: KindFatTree, HopLatencySec: -1e-6},
-		{Kind: KindFatTree, AccessBytesPerSec: -1},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -89,18 +87,18 @@ func TestBottleneckSerialization(t *testing.T) {
 	f := mustBuild(t, s, 6)
 	spec := f.Spec()
 	const wire = int64(1 << 20)
-	uplinkBW := float64(f.PerRack()) * spec.AccessBytesPerSec / spec.Oversub
-	if uplinkBW >= spec.AccessBytesPerSec {
-		t.Fatalf("test premise broken: uplink %g not slower than access %g", uplinkBW, spec.AccessBytesPerSec)
+	uplinkBW := float64(f.PerRack()) * DefaultAccessBytesPerSec / spec.Oversub
+	if uplinkBW >= DefaultAccessBytesPerSec {
+		t.Fatalf("test premise broken: uplink %g not slower than access %g", uplinkBW, DefaultAccessBytesPerSec)
 	}
 	got := f.Transmit(0, 0, 4, wire)
-	want := 4*spec.HopLatencySec + float64(wire)/uplinkBW
+	want := 4*DefaultHopLatencySec + float64(wire)/uplinkBW
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("cross-rack transmit = %.9g, want %.9g (bottleneck at uplink)", got, want)
 	}
 	// In-rack the access link is the bottleneck.
 	got = f.Transmit(100, 0, 1, wire)
-	want = 100 + 2*spec.HopLatencySec + float64(wire)/spec.AccessBytesPerSec
+	want = 100 + 2*DefaultHopLatencySec + float64(wire)/DefaultAccessBytesPerSec
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("in-rack transmit = %.9g, want %.9g", got, want)
 	}
@@ -113,7 +111,7 @@ func TestOversubscribedUplinkSharing(t *testing.T) {
 	f := mustBuild(t, FatTree(2, 4), 6)
 	spec := f.Spec()
 	const wire = int64(1 << 20)
-	uplinkBW := float64(f.PerRack()) * spec.AccessBytesPerSec / spec.Oversub
+	uplinkBW := float64(f.PerRack()) * DefaultAccessBytesPerSec / spec.Oversub
 	first := f.Transmit(0, 0, 3, wire)
 	second := f.Transmit(0, 1, 4, wire)
 	if second <= first {
@@ -129,7 +127,7 @@ func TestOversubscribedUplinkSharing(t *testing.T) {
 	}
 	// An idle-rack in-rack transfer is unaffected by the uplink jam.
 	inRack := f.Transmit(0, 4, 5, wire)
-	want := 2*spec.HopLatencySec + float64(wire)/spec.AccessBytesPerSec
+	want := 2*DefaultHopLatencySec + float64(wire)/DefaultAccessBytesPerSec
 	if math.Abs(inRack-want) > 1e-12 {
 		t.Errorf("in-rack transfer disturbed by uplink contention: %.9g want %.9g", inRack, want)
 	}
@@ -153,8 +151,7 @@ func TestEstimateConsumesNoOccupancy(t *testing.T) {
 
 func TestMinLatencyAsymmetricFabric(t *testing.T) {
 	f := mustBuild(t, FatTree(2, 1), 4)
-	spec := f.Spec()
-	if got, want := f.MinLatency(), 2*spec.HopLatencySec; math.Abs(got-want) > 1e-18 {
+	if got, want := f.MinLatency(), 2*DefaultHopLatencySec; math.Abs(got-want) > 1e-18 {
 		t.Fatalf("uniform min latency = %g, want %g", got, want)
 	}
 	// Slow down every link touching nodes 0 and 1 except the 2<->3 pair,
@@ -178,7 +175,7 @@ func TestMinLatencyAsymmetricFabric(t *testing.T) {
 		t.Errorf("asymmetric min latency = %g, brute force says %g", got, min)
 	}
 	// The surviving fast path is still 2<->3 at two default hops.
-	if got, want := f.MinLatency(), 2*spec.HopLatencySec; math.Abs(got-want) > 1e-18 {
+	if got, want := f.MinLatency(), 2*DefaultHopLatencySec; math.Abs(got-want) > 1e-18 {
 		t.Errorf("asymmetric min latency = %g, want untouched pair at %g", got, want)
 	}
 }
@@ -261,12 +258,7 @@ func TestInRackNeverSlowerThanCrossRack(t *testing.T) {
 		n := racks * perRackWanted
 		h = mix(h)
 		oversub := 1 + float64(h%32)/2 // 1..16.5
-		h = mix(h)
-		hop := 0.1e-6 * (1 + float64(h%50))
-		h = mix(h)
-		access := 1e8 * (1 + float64(h%100))
-		s := Spec{Kind: KindFatTree, Racks: racks, Oversub: oversub,
-			HopLatencySec: hop, AccessBytesPerSec: access}
+		s := Spec{Kind: KindFatTree, Racks: racks, Oversub: oversub}
 		f, err := Build(s, n)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
