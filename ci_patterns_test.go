@@ -4,8 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"heterodc/internal/exp"
 )
 
 // funcOf matches a top-level function's name: a test, fuzz target or
@@ -95,4 +98,38 @@ func TestCIRunPatternsResolve(t *testing.T) {
 		t.Error("found no -run, -fuzz or -bench patterns in ci.yml; the parser no longer matches how steps are written")
 	}
 	t.Logf("%d alternatives checked", patterns)
+}
+
+// artefactLoop matches the study list of ci.yml's step that regenerates the
+// recorded artefacts.
+var artefactLoop = regexp.MustCompile(`(?s)name: Recorded artefacts regenerate byte for byte.*?for study in ([^;\n]*); do`)
+
+// TestCIArtefactLoopCoversTheManifest: the CI step that re-verifies the
+// recorded artefacts checks every study exp.Manifest records, bar fig1 (two
+// minutes alone, left to whoever changes a simulated result), and nothing
+// else, so a study added to the manifest, or dropped from the loop, cannot
+// go unchecked.
+func TestCIArtefactLoopCoversTheManifest(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := artefactLoop.FindSubmatch(ci)
+	if m == nil {
+		t.Fatal("ci.yml has no `for study in ...; do` loop in the step \"Recorded artefacts regenerate byte for byte\"")
+	}
+	loop := strings.Fields(string(m[1]))
+	var want []string
+	for _, a := range exp.Manifest {
+		for _, s := range a.Studies {
+			if s != "fig1" {
+				want = append(want, s)
+			}
+		}
+	}
+	slices.Sort(loop)
+	slices.Sort(want)
+	if !slices.Equal(loop, want) {
+		t.Errorf("ci.yml's artefact loop checks %q;\nthe manifest records %q (fig1 excepted)", loop, want)
+	}
 }

@@ -35,41 +35,50 @@
 // -exp <name> narrows it to that experiment's artefacts. Run it from the
 // repository root; the whole check takes about six minutes.
 //
-// The rack experiment takes -rack-nodes N (default 4) to size the ensemble.
-// Every experiment that drives a cluster, bar the figure reproductions, runs
-// both time engines and fails when they disagree.
+// Every flag lands in the one exp.Config that each experiment reads.
+// -fault-seed seeds every experiment that draws fault, rotation or storm
+// streams (chaos, ckpt, detector, member-scaling, partition, topology,
+// storm). A flag value that an experiment would ignore or silently replace
+// fails before anything runs, with exit status 2 and a message naming the
+// flag.
+//
+// The rack experiment takes -rack-nodes N (default 4; below 2 is rejected)
+// to size the ensemble. Every experiment that drives a cluster, bar the
+// figure reproductions, runs both time engines and fails when they disagree.
 //
 // -topo flat|fattree selects the interconnect fabric for the experiments
-// that honour it (rack, member-scaling, fleet); -racks and -oversub shape
-// the fat tree. The topology experiment sweeps oversubscription itself.
+// that honour it (rack, member-scaling, fleet); an unknown kind is rejected.
+// -racks and -oversub shape the fat tree and are rejected without -topo
+// fattree. The topology experiment sweeps oversubscription itself.
 //
-// The chaos experiment takes -fault-seed, -drop-prob and -crash-at to vary
-// the injected fault plans (all plans are deterministic in the seed).
+// The chaos experiment takes -drop-prob and -crash-at, each in (0, 1), to
+// vary the injected fault plans (all plans are deterministic in the seed).
 //
-// The detector experiment takes -fault-seed and -hb-fracs, a comma list of
-// heartbeat periods as fractions of each benchmark's fault-free runtime.
+// The detector experiment takes -hb-fracs, a comma list of heartbeat
+// periods as fractions of each benchmark's fault-free runtime.
 //
 // The fuzz experiment takes -fuzz-seed, -fuzz-budget and -fuzz-max; it
 // fails if any divergence could not be reduced and archived.
 //
 // The member-scaling experiment sweeps rack sizes under the SWIM detector
-// (-fault-seed varies the streams; -scale quick shrinks the grid). The
-// partition experiment enforces the split-brain invariants.
+// (-scale quick shrinks the grid). The partition experiment enforces the
+// split-brain invariants.
 //
 // The fleet experiment offers seeded open-loop traffic (jobs arrive at
 // simulated instants whether or not capacity is free) and rolls the fleet
 // from all-x86 to all-ARM in SLO-gated waves. -arrivals is a comma list of
 // arrival processes (poisson, diurnal, bursty; empty runs all three), -rate
 // the offered load in jobs/sec and -slo the per-job latency target in
-// seconds (0 keeps the scale defaults).
+// seconds; either, when given, must be positive and finite (left out, the
+// scale's default holds).
 //
 // The storm experiment runs the open-loop stream under a seeded continuous
 // chaos process (correlated rack failures, gray-fail nodes, node churn) with
 // the health-driven graceful-degradation control loop engaged. It reuses
-// -rate and -slo for the offered load and -fault-seed for the chaos streams
-// (results/storm.json is seed 13). -storm-mttf and
-// -storm-mttr override the node-churn means in seconds; they must be given
-// together (a failure rate without a repair rate is not a process).
+// -rate and -slo for the offered load (results/storm.json is -fault-seed
+// 13). -storm-mttf and -storm-mttr override the node-churn means in
+// seconds; they must be given together (a failure rate without a repair
+// rate is not a process).
 //
 // -scale quick|default|full selects the parameter grid (full is the paper's
 // grid and takes tens of minutes).
@@ -91,6 +100,7 @@ import (
 
 	"heterodc/internal/exp"
 	"heterodc/internal/hostprof"
+	"heterodc/internal/topo"
 	"heterodc/internal/traffic"
 )
 
@@ -133,85 +143,128 @@ func parseFracs(s string) ([]float64, error) {
 	return out, nil
 }
 
-// fleetOptions validates the fleet traffic flags. rateSet/sloSet report
-// whether the user passed the flag at all: an explicit nonsensical value is
-// rejected with an actionable error, while an untouched flag defers to the
-// scale's default.
-func fleetOptions(arrivals string, rateSet bool, rate float64, sloSet bool, slo float64) (exp.FleetOptions, error) {
-	var opts exp.FleetOptions
-	if arrivals != "" {
-		for _, part := range strings.Split(arrivals, ",") {
-			k, err := traffic.ParseKind(part)
-			if err != nil {
-				return exp.FleetOptions{}, fmt.Errorf("-arrivals: %v", err)
-			}
-			opts.Arrivals = append(opts.Arrivals, k)
-		}
-	}
-	if rateSet {
-		if !(rate > 0) || math.IsInf(rate, 0) {
-			return exp.FleetOptions{}, fmt.Errorf("-rate: offered load %g jobs/sec is not a positive finite rate", rate)
-		}
-		opts.Rate = rate
-	}
-	if sloSet {
-		if !(slo > 0) || math.IsInf(slo, 0) {
-			return exp.FleetOptions{}, fmt.Errorf("-slo: latency target %g s is not a positive finite duration", slo)
-		}
-		opts.SLO = traffic.SLO{LatencyTargetSec: slo, BudgetFrac: 0.10}
-	}
-	return opts, nil
+// command is one hdcbench command line: what to run, and the config every
+// study reads.
+type command struct {
+	exp, jsonPath, cpuProfile, memProfile string
+	check                                 bool
+	cfg                                   exp.Config
 }
 
-// stormOptions validates the storm study's flag set. The set booleans report
-// whether the user passed each flag at all (untouched flags defer to the
-// scale defaults), and the node-churn overrides must come as a pair: a
-// failure rate without a repair rate (or vice versa) is not a renewal
-// process, so half a pair is rejected rather than silently mixed with a
-// default from a different scale.
-func stormOptions(seed int64, rateSet bool, rate float64, sloSet bool, slo float64,
-	mttfSet bool, mttf float64, mttrSet bool, mttr float64) (exp.StormOptions, error) {
-	opts := exp.StormOptions{Seed: seed}
-	if rateSet {
-		if !(rate > 0) || math.IsInf(rate, 0) {
-			return exp.StormOptions{}, fmt.Errorf("-rate: offered load %g jobs/sec is not a positive finite rate", rate)
-		}
-		opts.Rate = rate
+// studyNames lists the study table in its order.
+func studyNames() []string {
+	var names []string
+	for _, s := range exp.Studies {
+		names = append(names, s.Name)
 	}
-	if sloSet {
-		if !(slo > 0) || math.IsInf(slo, 0) {
-			return exp.StormOptions{}, fmt.Errorf("-slo: latency target %g s is not a positive finite duration", slo)
-		}
-		opts.SLO = traffic.SLO{LatencyTargetSec: slo, BudgetFrac: 0.10}
+	return names
+}
+
+// positiveFinite reports whether x is a usable rate or duration.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 0) }
+
+// parseArgs parses args on fs into a command. The study flags write
+// straight into the config's fields, and a value that a study would reject,
+// ignore or silently replace is an error naming the flag. An untouched -rate
+// or -slo stays zero and defers to the scale's default; the node-churn
+// overrides must come as a pair, since a failure rate without a repair rate
+// (or vice versa) is not a renewal process.
+func parseArgs(fs *flag.FlagSet, args []string) (*command, error) {
+	c := &command{}
+	cfg := &c.cfg
+	fs.StringVar(&c.exp, "exp", "all", "experiment: "+strings.Join(studyNames(), "|")+"|all")
+	fs.BoolVar(&c.check, "check", false, "regenerate the committed artefacts under results/ (all, or the ones -exp produced) and fail on any byte of drift")
+	scale := fs.String("scale", "default", "quick|default|full")
+	fs.Int64Var(&cfg.Seed, "fault-seed", 7, "seed of every study's fault, rotation and storm streams")
+	fs.Float64Var(&cfg.DropProb, "drop-prob", 0.02, "chaos: baseline message-loss probability, in (0, 1)")
+	fs.Float64Var(&cfg.CrashFrac, "crash-at", 0.35, "chaos: node-1 crash time as a fraction of the fault-free runtime, in (0, 1)")
+	fs.Int64Var(&cfg.FuzzSeed, "fuzz-seed", 1, "fuzz: first generator seed")
+	fs.DurationVar(&cfg.FuzzBudget, "fuzz-budget", 0, "fuzz: wall-clock budget (0: scale default)")
+	fs.IntVar(&cfg.FuzzMax, "fuzz-max", 0, "fuzz: stop after this many programs (0: budget only)")
+	fs.IntVar(&cfg.RackNodes, "rack-nodes", 4, "rack: machine count, at least 2 (half x86, half ARM in the mixed setups)")
+	hbFracs := fs.String("hb-fracs", "", "detector: comma list of heartbeat periods as runtime fractions (empty: default sweep)")
+	fs.StringVar(&c.jsonPath, "json", "", "also write the study's result rows as JSON to this file")
+	fs.StringVar(&cfg.Topo.Kind, "topo", "flat", "interconnect fabric: flat|fattree (experiments that honour it)")
+	fs.IntVar(&cfg.Topo.Racks, "racks", 0, "fattree: rack count (0: default)")
+	fs.Float64Var(&cfg.Topo.Oversub, "oversub", 0, "fattree: ToR uplink oversubscription ratio (0: default)")
+	arrivals := fs.String("arrivals", "", "fleet: comma list of arrival processes (poisson|diurnal|bursty; empty: all three)")
+	fs.Float64Var(&cfg.Rate, "rate", 0, "fleet/storm: offered arrival rate in jobs/sec (0: scale default)")
+	fs.Float64Var(&cfg.SLO, "slo", 0, "fleet/storm: per-job latency target in seconds (0: scale default)")
+	fs.Float64Var(&cfg.MTTF, "storm-mttf", 0, "storm: node-churn mean time to failure in seconds (0: scale default; needs -storm-mttr)")
+	fs.Float64Var(&cfg.MTTR, "storm-mttr", 0, "storm: node-churn mean time to repair in seconds (0: scale default; needs -storm-mttf)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a host CPU profile of the simulator to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a host allocation profile of the simulator to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if mttfSet != mttrSet {
-		return exp.StormOptions{}, fmt.Errorf("-storm-mttf and -storm-mttr must be set together (the node-churn process needs both a failure and a repair mean)")
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	var err error
+	if cfg.PeriodFracs, err = parseFracs(*hbFracs); err != nil {
+		return nil, err
 	}
-	if mttfSet {
-		if !(mttf > 0) || math.IsInf(mttf, 0) {
-			return exp.StormOptions{}, fmt.Errorf("-storm-mttf: mean time to failure %g s is not a positive finite duration", mttf)
+	if *arrivals != "" {
+		for _, part := range strings.Split(*arrivals, ",") {
+			k, err := traffic.ParseKind(part)
+			if err != nil {
+				return nil, fmt.Errorf("-arrivals: %v", err)
+			}
+			cfg.Arrivals = append(cfg.Arrivals, k)
 		}
-		if !(mttr > 0) || math.IsInf(mttr, 0) {
-			return exp.StormOptions{}, fmt.Errorf("-storm-mttr: mean time to repair %g s is not a positive finite duration", mttr)
-		}
-		if mttr >= mttf {
-			return exp.StormOptions{}, fmt.Errorf("-storm-mttr %g s is not below -storm-mttf %g s: nodes would spend most of the storm dead (pick MTTR << MTTF)", mttr, mttf)
-		}
-		opts.MTTF, opts.MTTR = mttf, mttr
 	}
-	return opts, nil
+	if set["rate"] && !positiveFinite(cfg.Rate) {
+		return nil, fmt.Errorf("-rate: offered load %g jobs/sec is not a positive finite rate", cfg.Rate)
+	}
+	if set["slo"] && !positiveFinite(cfg.SLO) {
+		return nil, fmt.Errorf("-slo: latency target %g s is not a positive finite duration", cfg.SLO)
+	}
+	if set["storm-mttf"] != set["storm-mttr"] {
+		return nil, fmt.Errorf("-storm-mttf and -storm-mttr must be set together (the node-churn process needs both a failure and a repair mean)")
+	}
+	if set["storm-mttf"] {
+		if !positiveFinite(cfg.MTTF) {
+			return nil, fmt.Errorf("-storm-mttf: mean time to failure %g s is not a positive finite duration", cfg.MTTF)
+		}
+		if !positiveFinite(cfg.MTTR) {
+			return nil, fmt.Errorf("-storm-mttr: mean time to repair %g s is not a positive finite duration", cfg.MTTR)
+		}
+		if cfg.MTTR >= cfg.MTTF {
+			return nil, fmt.Errorf("-storm-mttr %g s is not below -storm-mttf %g s: nodes would spend most of the storm dead (pick MTTR << MTTF)", cfg.MTTR, cfg.MTTF)
+		}
+	}
+	var known bool
+	if cfg.Scale, known = map[string]exp.Scale{"quick": exp.Quick, "default": exp.Default, "full": exp.Full}[*scale]; !known {
+		return nil, fmt.Errorf("unknown scale %q", *scale)
+	}
+	if (cfg.Topo.Kind == "" || cfg.Topo.Kind == topo.KindFlat) && (cfg.Topo.Racks != 0 || cfg.Topo.Oversub != 0) {
+		return nil, fmt.Errorf("-racks/-oversub need -topo fattree")
+	}
+	if err := cfg.Topo.Validate(); err != nil {
+		return nil, err
+	}
+	if !(cfg.DropProb > 0 && cfg.DropProb < 1) {
+		return nil, fmt.Errorf("-drop-prob: baseline loss probability %g is outside (0, 1): the chaos plans need some loss and some delivery", cfg.DropProb)
+	}
+	if !(cfg.CrashFrac > 0 && cfg.CrashFrac < 1) {
+		return nil, fmt.Errorf("-crash-at: %g is outside (0, 1): the crash lands at that fraction of the fault-free runtime", cfg.CrashFrac)
+	}
+	if cfg.RackNodes < 2 {
+		return nil, fmt.Errorf("-rack-nodes: %d is below 2: a rack needs an x86 and an ARM machine", cfg.RackNodes)
+	}
+	return c, nil
 }
 
 // runStudies runs every study of the table that only selects ("all": each
 // one) the way cfg.W shows it, records its rows at jsonPath when that is
 // set, and returns how many failed. A failed study — an error from its run,
 // its shape check or the write — is reported on errw and the rest still run.
-func runStudies(studies []exp.Study, only string, cfg exp.Config, opts exp.Options, jsonPath string, errw io.Writer) (failed int) {
+func runStudies(studies []exp.Study, only string, cfg exp.Config, jsonPath string, errw io.Writer) (failed int) {
 	for _, s := range studies {
 		if only != "all" && only != s.Name {
 			continue
 		}
-		rows, err := s.Report(cfg, opts)
+		rows, err := s.Report(cfg)
 		if err == nil {
 			err = writeJSON(cfg.W, jsonPath, rows)
 		}
@@ -224,83 +277,14 @@ func runStudies(studies []exp.Study, only string, cfg exp.Config, opts exp.Optio
 }
 
 func main() {
-	var names []string
-	for _, s := range exp.Studies {
-		names = append(names, s.Name)
-	}
-	expName := flag.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
-	check := flag.Bool("check", false, "regenerate the committed artefacts under results/ (all, or the ones -exp produced) and fail on any byte of drift")
-	scale := flag.String("scale", "default", "quick|default|full")
-	faultSeed := flag.Int64("fault-seed", 7, "chaos: fault-plan seed")
-	dropProb := flag.Float64("drop-prob", 0.02, "chaos: baseline message-loss probability")
-	crashAt := flag.Float64("crash-at", 0.35, "chaos: node-1 crash time as a fraction of the fault-free runtime")
-	fuzzSeed := flag.Int64("fuzz-seed", 1, "fuzz: first generator seed")
-	fuzzBudget := flag.Duration("fuzz-budget", 0, "fuzz: wall-clock budget (0: scale default)")
-	fuzzMax := flag.Int("fuzz-max", 0, "fuzz: stop after this many programs (0: budget only)")
-	rackNodes := flag.Int("rack-nodes", 4, "rack: machine count (half x86, half ARM in the mixed setups)")
-	hbFracs := flag.String("hb-fracs", "", "detector: comma list of heartbeat periods as runtime fractions (empty: default sweep)")
-	jsonPath := flag.String("json", "", "also write the study's result rows as JSON to this file")
-	topoKind := flag.String("topo", "flat", "interconnect fabric: flat|fattree (experiments that honour it)")
-	racks := flag.Int("racks", 0, "fattree: rack count (0: default)")
-	oversub := flag.Float64("oversub", 0, "fattree: ToR uplink oversubscription ratio (0: default)")
-	arrivals := flag.String("arrivals", "", "fleet: comma list of arrival processes (poisson|diurnal|bursty; empty: all three)")
-	rate := flag.Float64("rate", 0, "fleet/storm: offered arrival rate in jobs/sec (0: scale default)")
-	slo := flag.Float64("slo", 0, "fleet/storm: per-job latency target in seconds (0: scale default)")
-	stormMTTF := flag.Float64("storm-mttf", 0, "storm: node-churn mean time to failure in seconds (0: scale default; needs -storm-mttr)")
-	stormMTTR := flag.Float64("storm-mttr", 0, "storm: node-churn mean time to repair in seconds (0: scale default; needs -storm-mttf)")
-	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the simulator to this file")
-	memProfile := flag.String("memprofile", "", "write a host allocation profile of the simulator to this file at exit")
-	flag.Parse()
-
-	rateSet, sloSet, mttfSet, mttrSet := false, false, false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "rate":
-			rateSet = true
-		case "slo":
-			sloSet = true
-		case "storm-mttf":
-			mttfSet = true
-		case "storm-mttr":
-			mttrSet = true
-		}
-	})
-
-	opts := exp.SeededOptions(*faultSeed)
-	opts.Chaos.DropProb, opts.Chaos.CrashFrac = *dropProb, *crashAt
-	opts.Fuzz = exp.FuzzOptions{Seed: *fuzzSeed, Budget: *fuzzBudget, MaxPrograms: *fuzzMax}
-	var err error
-	if opts.Detector.PeriodFracs, err = parseFracs(*hbFracs); err != nil {
+	c, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if opts.Fleet, err = fleetOptions(*arrivals, rateSet, *rate, sloSet, *slo); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if opts.Storm, err = stormOptions(*faultSeed, rateSet, *rate, sloSet, *slo,
-		mttfSet, *stormMTTF, mttrSet, *stormMTTR); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	c.cfg.W = os.Stdout
 
-	cfg := exp.Config{
-		W: os.Stdout, RackNodes: *rackNodes,
-		Topo: *topoKind, Racks: *racks, Oversub: *oversub,
-	}
-	switch *scale {
-	case "quick":
-		cfg.Scale = exp.Quick
-	case "default":
-		cfg.Scale = exp.Default
-	case "full":
-		cfg.Scale = exp.Full
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-
-	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := hostprof.Start(c.cpuProfile, c.memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -318,18 +302,18 @@ func main() {
 
 	// An unrecognised -exp lists what exists instead of silently running
 	// nothing and exiting 0.
-	if *expName != "all" && !slices.Contains(names, *expName) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s, or all)\n", *expName, strings.Join(names, ", "))
+	if names := studyNames(); c.exp != "all" && !slices.Contains(names, c.exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s, or all)\n", c.exp, strings.Join(names, ", "))
 		exit(2)
 	}
-	if *check {
-		if err := exp.CheckArtefacts(os.Stdout, "results", *expName); err != nil {
+	if c.check {
+		if err := exp.CheckArtefacts(os.Stdout, "results", c.exp); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
 		}
 		exit(0)
 	}
-	if runStudies(exp.Studies, *expName, cfg, opts, *jsonPath, os.Stderr) > 0 {
+	if runStudies(exp.Studies, c.exp, c.cfg, c.jsonPath, os.Stderr) > 0 {
 		exit(1)
 	}
 	exit(0)

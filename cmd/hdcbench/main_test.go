@@ -3,43 +3,43 @@ package main
 import (
 	"bytes"
 	"errors"
-	"math"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"heterodc/internal/cmdtest"
 	"heterodc/internal/exp"
+	"heterodc/internal/topo"
+	"heterodc/internal/traffic"
 )
 
-func TestFleetOptions(t *testing.T) {
-	cases := []struct {
-		name     string
-		arrivals string
-		rateSet  bool
-		rate     float64
-		sloSet   bool
-		slo      float64
-		wantErr  string // substring, "" means valid
-		kinds    int
-	}{
-		{name: "all defaults"},
-		{name: "every process", arrivals: "poisson,diurnal,bursty", kinds: 3},
-		{name: "spaced and cased", arrivals: " Poisson , BURSTY ", kinds: 2},
-		{name: "explicit rate and slo", rateSet: true, rate: 150, sloSet: true, slo: 0.5},
-		{name: "unknown process", arrivals: "pareto", wantErr: "unknown arrival process"},
-		{name: "empty element", arrivals: "poisson,", wantErr: "-arrivals"},
-		{name: "zero rate", rateSet: true, rate: 0, wantErr: "positive finite rate"},
-		{name: "negative rate", rateSet: true, rate: -3, wantErr: "positive finite rate"},
-		{name: "inf rate", rateSet: true, rate: math.Inf(1), wantErr: "positive finite rate"},
-		{name: "nan rate", rateSet: true, rate: math.NaN(), wantErr: "positive finite rate"},
-		{name: "zero slo", sloSet: true, slo: 0, wantErr: "positive finite duration"},
-		{name: "negative slo", sloSet: true, slo: -1, wantErr: "positive finite duration"},
-	}
+// defaults is the config an empty command line builds.
+var defaults = exp.Config{
+	Scale: exp.Default, Seed: 7, Topo: topo.Spec{Kind: topo.KindFlat},
+	RackNodes: 4, DropProb: 0.02, CrashFrac: 0.35, FuzzSeed: 1,
+}
+
+// flagCase is one command line for parseArgs: it fails with wantErr in the
+// message, or builds defaults with edit applied.
+type flagCase struct {
+	name    string
+	args    []string
+	wantErr string // substring, "" means valid
+	edit    func(*exp.Config)
+}
+
+func runFlagCases(t *testing.T, cases []flagCase) {
+	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts, err := fleetOptions(c.arrivals, c.rateSet, c.rate, c.sloSet, c.slo)
+			fs := flag.NewFlagSet("hdcbench", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			cmd, err := parseArgs(fs, c.args)
 			if c.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("err = %v, want substring %q", err, c.wantErr)
@@ -49,73 +49,97 @@ func TestFleetOptions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			if len(opts.Arrivals) != c.kinds {
-				t.Errorf("got %d kinds, want %d", len(opts.Arrivals), c.kinds)
+			want := defaults
+			if c.edit != nil {
+				c.edit(&want)
 			}
-			if c.rateSet && opts.Rate != c.rate {
-				t.Errorf("rate %g, want %g", opts.Rate, c.rate)
-			}
-			if c.sloSet && opts.SLO.LatencyTargetSec != c.slo {
-				t.Errorf("slo target %g, want %g", opts.SLO.LatencyTargetSec, c.slo)
-			}
-			if !c.rateSet && opts.Rate != 0 {
-				t.Errorf("unset rate should defer to the scale default, got %g", opts.Rate)
+			if !reflect.DeepEqual(cmd.cfg, want) {
+				t.Errorf("config\n got %+v\nwant %+v", cmd.cfg, want)
 			}
 		})
 	}
 }
 
-func TestStormOptions(t *testing.T) {
-	cases := []struct {
-		name     string
-		rateSet  bool
-		rate     float64
-		sloSet   bool
-		slo      float64
-		mttfSet  bool
-		mttf     float64
-		mttrSet  bool
-		mttr     float64
-		wantErr  string // substring, "" means valid
-		wantMTTF float64
-	}{
+func TestFleetOptions(t *testing.T) {
+	runFlagCases(t, []flagCase{
 		{name: "all defaults"},
-		{name: "explicit rate and slo", rateSet: true, rate: 120, sloSet: true, slo: 0.5},
-		{name: "churn pair", mttfSet: true, mttf: 0.8, mttrSet: true, mttr: 0.02, wantMTTF: 0.8},
-		{name: "zero rate", rateSet: true, rate: 0, wantErr: "positive finite rate"},
-		{name: "inf rate", rateSet: true, rate: math.Inf(1), wantErr: "positive finite rate"},
-		{name: "nan slo", sloSet: true, slo: math.NaN(), wantErr: "positive finite duration"},
-		{name: "mttf without mttr", mttfSet: true, mttf: 0.8, wantErr: "must be set together"},
-		{name: "mttr without mttf", mttrSet: true, mttr: 0.02, wantErr: "must be set together"},
-		{name: "zero mttf", mttfSet: true, mttf: 0, mttrSet: true, mttr: 0.02, wantErr: "-storm-mttf"},
-		{name: "negative mttr", mttfSet: true, mttf: 0.8, mttrSet: true, mttr: -1, wantErr: "-storm-mttr"},
-		{name: "repair slower than failure", mttfSet: true, mttf: 0.1, mttrSet: true, mttr: 0.5, wantErr: "not below -storm-mttf"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			opts, err := stormOptions(7, c.rateSet, c.rate, c.sloSet, c.slo, c.mttfSet, c.mttf, c.mttrSet, c.mttr)
-			if c.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-					t.Fatalf("err = %v, want substring %q", err, c.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if opts.Seed != 7 {
-				t.Errorf("seed %d, want 7", opts.Seed)
-			}
-			if opts.MTTF != c.wantMTTF {
-				t.Errorf("mttf %g, want %g", opts.MTTF, c.wantMTTF)
-			}
-			if c.rateSet && opts.Rate != c.rate {
-				t.Errorf("rate %g, want %g", opts.Rate, c.rate)
-			}
-			if !c.rateSet && opts.Rate != 0 {
-				t.Errorf("unset rate should defer to the scale default, got %g", opts.Rate)
-			}
-		})
+		{name: "every process", args: []string{"-arrivals", "poisson,diurnal,bursty"},
+			edit: func(c *exp.Config) { c.Arrivals = traffic.Kinds() }},
+		{name: "spaced and cased", args: []string{"-arrivals", " Poisson , BURSTY "},
+			edit: func(c *exp.Config) { c.Arrivals = []traffic.Kind{traffic.KindPoisson, traffic.KindBursty} }},
+		{name: "explicit rate and slo", args: []string{"-rate", "150", "-slo", "0.5"},
+			edit: func(c *exp.Config) { c.Rate, c.SLO = 150, 0.5 }},
+		{name: "unknown process", args: []string{"-arrivals", "pareto"}, wantErr: "unknown arrival process"},
+		{name: "empty element", args: []string{"-arrivals", "poisson,"}, wantErr: "-arrivals"},
+		{name: "zero rate", args: []string{"-rate", "0"}, wantErr: "positive finite rate"},
+		{name: "negative rate", args: []string{"-rate", "-3"}, wantErr: "positive finite rate"},
+		{name: "inf rate", args: []string{"-rate", "+Inf"}, wantErr: "positive finite rate"},
+		{name: "nan rate", args: []string{"-rate", "NaN"}, wantErr: "positive finite rate"},
+		{name: "zero slo", args: []string{"-slo", "0"}, wantErr: "positive finite duration"},
+		{name: "negative slo", args: []string{"-slo", "-1"}, wantErr: "positive finite duration"},
+	})
+}
+
+func TestStormOptions(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "all defaults"},
+		{name: "explicit rate and slo", args: []string{"-rate", "120", "-slo", "0.5"},
+			edit: func(c *exp.Config) { c.Rate, c.SLO = 120, 0.5 }},
+		{name: "churn pair", args: []string{"-storm-mttf", "0.8", "-storm-mttr", "0.02"},
+			edit: func(c *exp.Config) { c.MTTF, c.MTTR = 0.8, 0.02 }},
+		{name: "zero rate", args: []string{"-rate", "0"}, wantErr: "positive finite rate"},
+		{name: "inf rate", args: []string{"-rate", "+Inf"}, wantErr: "positive finite rate"},
+		{name: "nan slo", args: []string{"-slo", "NaN"}, wantErr: "positive finite duration"},
+		{name: "mttf without mttr", args: []string{"-storm-mttf", "0.8"}, wantErr: "must be set together"},
+		{name: "mttr without mttf", args: []string{"-storm-mttr", "0.02"}, wantErr: "must be set together"},
+		{name: "zero mttf", args: []string{"-storm-mttf", "0", "-storm-mttr", "0.02"}, wantErr: "-storm-mttf"},
+		{name: "negative mttr", args: []string{"-storm-mttf", "0.8", "-storm-mttr", "-1"}, wantErr: "-storm-mttr"},
+		{name: "repair slower than failure", args: []string{"-storm-mttf", "0.1", "-storm-mttr", "0.5"}, wantErr: "not below -storm-mttf"},
+	})
+}
+
+// A flag a study would ignore or silently replace fails instead.
+func TestIgnoredFlagsFailLoudly(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "seeds and scale", args: []string{"-fault-seed", "13", "-fuzz-seed", "5", "-scale", "quick"},
+			edit: func(c *exp.Config) { c.Seed, c.FuzzSeed, c.Scale = 13, 5, exp.Quick }},
+		{name: "unknown scale", args: []string{"-scale", "huge"}, wantErr: `unknown scale "huge"`},
+		{name: "fat tree", args: []string{"-topo", "fattree", "-racks", "4", "-oversub", "3"},
+			edit: func(c *exp.Config) { c.Topo = topo.FatTree(4, 3) }},
+		{name: "racks without fattree", args: []string{"-racks", "4"}, wantErr: "-racks/-oversub need -topo fattree"},
+		{name: "oversub on flat", args: []string{"-topo", "flat", "-oversub", "3"}, wantErr: "-racks/-oversub need -topo fattree"},
+		{name: "unknown topo", args: []string{"-topo", "bogus"}, wantErr: `topo: unknown fabric kind "bogus"`},
+		{name: "negative racks", args: []string{"-topo", "fattree", "-racks", "-2"}, wantErr: "rack count must be positive"},
+		{name: "drop prob zero", args: []string{"-drop-prob", "0"}, wantErr: "-drop-prob"},
+		{name: "drop prob negative", args: []string{"-drop-prob", "-1"}, wantErr: "-drop-prob"},
+		{name: "drop prob one", args: []string{"-drop-prob", "1"}, wantErr: "-drop-prob"},
+		{name: "drop prob nan", args: []string{"-drop-prob", "NaN"}, wantErr: "-drop-prob"},
+		{name: "drop prob in range", args: []string{"-drop-prob", "0.2"},
+			edit: func(c *exp.Config) { c.DropProb = 0.2 }},
+		{name: "crash at zero", args: []string{"-crash-at", "0"}, wantErr: "-crash-at"},
+		{name: "crash past the run", args: []string{"-crash-at", "7"}, wantErr: "-crash-at"},
+		{name: "crash at one", args: []string{"-crash-at", "1"}, wantErr: "-crash-at"},
+		{name: "crash in range", args: []string{"-crash-at", "0.5"},
+			edit: func(c *exp.Config) { c.CrashFrac = 0.5 }},
+		{name: "rack nodes negative", args: []string{"-rack-nodes", "-5"}, wantErr: "-rack-nodes"},
+		{name: "rack nodes zero", args: []string{"-rack-nodes", "0"}, wantErr: "-rack-nodes"},
+		{name: "rack nodes one", args: []string{"-rack-nodes", "1"}, wantErr: "-rack-nodes"},
+		{name: "rack nodes two", args: []string{"-rack-nodes", "2"},
+			edit: func(c *exp.Config) { c.RackNodes = 2 }},
+		{name: "heartbeat fractions", args: []string{"-hb-fracs", "0.1,0.2"},
+			edit: func(c *exp.Config) { c.PeriodFracs = []float64{0.1, 0.2} }},
+		{name: "fuzz bounds", args: []string{"-fuzz-budget", "2s", "-fuzz-max", "9"},
+			edit: func(c *exp.Config) { c.FuzzBudget, c.FuzzMax = 2*time.Second, 9 }},
+	})
+}
+
+// The command line that ran fig10 and exited 0 while ignoring or replacing
+// five of its flags now exits 2 before any study starts.
+func TestIgnoredFlagsExitTwo(t *testing.T) {
+	out, errOut, code := cmdtest.Run(t, "-exp", "fig10", "-scale", "quick", "-topo", "bogus", "-racks", "4",
+		"-oversub", "3", "-drop-prob", "-1", "-crash-at", "7", "-rack-nodes", "-5")
+	if code != 2 || out != "" || !strings.Contains(errOut, `unknown fabric kind "bogus"`) {
+		t.Errorf("exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
 }
 
@@ -211,13 +235,13 @@ func TestAFailedStudyDoesNotStopTheRest(t *testing.T) {
 	ranLater := false
 	table := []exp.Study{
 		{Name: "doomed",
-			Run:   func(exp.Config, exp.Options) (any, error) { return nil, nil },
+			Run:   func(exp.Config) (any, error) { return nil, nil },
 			Check: func(any) (string, error) { return "", errors.New("shape lost") }},
 		{Name: "later",
-			Run: func(exp.Config, exp.Options) (any, error) { ranLater = true; return nil, nil }},
+			Run: func(exp.Config) (any, error) { ranLater = true; return nil, nil }},
 	}
 	var out, errOut bytes.Buffer
-	failed := runStudies(table, "all", exp.Config{W: &out}, exp.Options{}, "", &errOut)
+	failed := runStudies(table, "all", exp.Config{W: &out}, "", &errOut)
 	if failed != 1 || !ranLater {
 		t.Errorf("failed = %d, later study ran = %v", failed, ranLater)
 	}

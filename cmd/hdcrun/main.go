@@ -464,7 +464,7 @@ func main() {
 	}
 	_, code := cur.Exited()
 	fmt.Printf("\nexit code      : %d\n", code)
-	fmt.Printf("simulated time : %.6f s\n", cl.Time())
+	fmt.Printf("simulated time : %.6f s\n", cur.ExitTime())
 	fmt.Printf("migrations     : %d\n", migrations)
 	for i, k := range cl.Kernels {
 		e := meter.EnergyCPU()[i]

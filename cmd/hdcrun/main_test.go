@@ -1,12 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"heterodc/internal/cmdtest"
+	"heterodc/internal/npb"
 	"heterodc/internal/traffic"
 )
 
@@ -170,6 +172,31 @@ func TestOutOfRangeFlagsFailLoudly(t *testing.T) {
 		if err := checkRanges(c.threads, c.migrateAt, c.dropProb, c.dupProb, c.jitter); err != nil {
 			t.Errorf("%+v: %v", c, err)
 		}
+	}
+}
+
+// The "simulated time" line is the instant the job exited, not the end of
+// the quantum the cluster was stepping when it did.
+func TestSimulatedTimeIsTheExitInstant(t *testing.T) {
+	img, err := npb.Build(npb.IS, npb.ClassS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, _, err := testbed("flat", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := cl.Spawn(img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunProcess(p); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("simulated time : %.6f s\n", p.ExitTime())
+	out, errOut, code := cmdtest.Run(t, "-bench", "is", "-class", "S", "-output=false")
+	if code != 0 || !strings.Contains(out, want) {
+		t.Errorf("exit %d, stderr %q, stdout %q: want the line %q", code, errOut, out, want)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"heterodc/internal/npb"
 	"heterodc/internal/sched"
-	"heterodc/internal/topo"
 )
 
 func main() {
@@ -30,10 +29,7 @@ func main() {
 
 	var staticEnergy, staticMakespan float64
 	for _, pol := range policies {
-		cl, models, err := sched.TestbedFor(pol, true, topo.FlatSpec()) // ARM power FinFET-projected
-		if err != nil {
-			log.Fatalf("%s: testbed: %v", pol.Name(), err)
-		}
+		cl, models := sched.TestbedFor(pol) // ARM power FinFET-projected
 		runner := sched.NewRunner(cl, pol, models)
 		res, err := runner.Run(sched.Workload{Jobs: jobs, Concurrency: 4})
 		if err != nil {

@@ -18,22 +18,22 @@ type Artefact struct {
 	// Studies is the one study whose -json rows a .json file holds, or the
 	// studies whose printed sections a .txt file holds, in file order.
 	Studies []string
-	Scale   Scale
-	Opts    Options
+	// Config is the scale and seed the file was recorded at.
+	Config Config
 }
 
 // Manifest lists every recorded run under results/ (seed 7 is what
 // hdcbench's -fault-seed defaulted to when they were recorded).
 var Manifest = []Artefact{
-	{File: "fleet-rollout.json", Studies: []string{"fleet"}, Scale: Quick, Opts: SeededOptions(7)},
-	{File: "storm.json", Studies: []string{"storm"}, Scale: Default, Opts: SeededOptions(13)},
-	{File: "topology.json", Studies: []string{"topology"}, Scale: Default, Opts: SeededOptions(7)},
-	{File: "membership-scaling.json", Studies: []string{"member-scaling"}, Scale: Default, Opts: SeededOptions(7)},
-	{File: "chaos.json", Studies: []string{"chaos"}, Scale: Default, Opts: SeededOptions(7)},
-	{File: "ckpt.json", Studies: []string{"ckpt"}, Scale: Default, Opts: SeededOptions(7)},
-	{File: "detector.json", Studies: []string{"detector"}, Scale: Default, Opts: SeededOptions(7)},
-	{File: "partition.json", Studies: []string{"partition"}, Scale: Default, Opts: SeededOptions(7)},
-	{File: "hdcbench-default.txt", Scale: Default, Opts: SeededOptions(7), Studies: []string{
+	{File: "fleet-rollout.json", Studies: []string{"fleet"}, Config: Config{Scale: Quick, Seed: 7}},
+	{File: "storm.json", Studies: []string{"storm"}, Config: Config{Scale: Default, Seed: 13}},
+	{File: "topology.json", Studies: []string{"topology"}, Config: Config{Scale: Default, Seed: 7}},
+	{File: "membership-scaling.json", Studies: []string{"member-scaling"}, Config: Config{Scale: Default, Seed: 7}},
+	{File: "chaos.json", Studies: []string{"chaos"}, Config: Config{Scale: Default, Seed: 7}},
+	{File: "ckpt.json", Studies: []string{"ckpt"}, Config: Config{Scale: Default, Seed: 7}},
+	{File: "detector.json", Studies: []string{"detector"}, Config: Config{Scale: Default, Seed: 7}},
+	{File: "partition.json", Studies: []string{"partition"}, Config: Config{Scale: Default, Seed: 7}},
+	{File: "hdcbench-default.txt", Config: Config{Scale: Default, Seed: 7}, Studies: []string{
 		"fig1", "fig345", "fig6789", "tab1", "fig10", "fig11", "fig12", "ablation", "rack", "fig13"}},
 }
 
@@ -73,7 +73,9 @@ func (a Artefact) regenerate(name string) (string, error) {
 	// The manifest names only studies of the table (a test holds it to that).
 	s := Studies[slices.IndexFunc(Studies, func(s Study) bool { return s.Name == name })]
 	var buf bytes.Buffer
-	rows, err := s.Report(Config{Scale: a.Scale, W: &buf}, a.Opts)
+	cfg := a.Config
+	cfg.W = &buf
+	rows, err := s.Report(cfg)
 	if err != nil || filepath.Ext(a.File) != ".json" {
 		return buf.String(), err
 	}

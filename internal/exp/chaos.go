@@ -12,18 +12,6 @@ import (
 	"heterodc/internal/npb"
 )
 
-// ChaosOptions parameterises the chaos harness.
-type ChaosOptions struct {
-	// Seed selects the deterministic fault streams.
-	Seed int64
-	// DropProb is the baseline loss probability of the lossy plan (the
-	// degraded and crash plans derive theirs from it). Zero means 2%.
-	DropProb float64
-	// CrashFrac places the node-1 outage, as a fraction of the fault-free
-	// runtime. Zero means 0.35 (recovery at CrashFrac + 0.15).
-	CrashFrac float64
-}
-
 // ChaosRow reports one benchmark under one fault plan.
 type ChaosRow struct {
 	Bench string
@@ -91,27 +79,27 @@ func (c Config) chaosBenches() ([]bench, error) {
 // degraded-link window, a mid-run node-1 crash with recovery, and a
 // permanent node-1 crash (RecoverAt <= At) that only checkpoint-based
 // recovery survives, so it carries a checkpoint policy.
-func chaosScenarios(opts ChaosOptions, img *link.Image, ref float64) []Scenario {
-	drop, crashFrac := cmp.Or(opts.DropProb, 0.02), cmp.Or(opts.CrashFrac, 0.35)
+func chaosScenarios(cfg Config, img *link.Image, ref float64) []Scenario {
+	drop, crashFrac := cmp.Or(cfg.DropProb, 0.02), cmp.Or(cfg.CrashFrac, 0.35)
 	scs := []Scenario{
 		{Name: "lossy", Faults: fault.Plan{
-			Seed: opts.Seed, DropProb: drop, DupProb: 0.005, JitterSec: 3e-6,
+			Seed: cfg.Seed, DropProb: drop, DupProb: 0.005, JitterSec: 3e-6,
 		}},
 		{Name: "degraded-link", Faults: fault.Plan{
-			Seed: opts.Seed + 1, DropProb: drop / 2, DupProb: 0.01, JitterSec: 2e-6,
+			Seed: cfg.Seed + 1, DropProb: drop / 2, DupProb: 0.01, JitterSec: 2e-6,
 			Windows: []fault.Window{{
 				From: 0, To: 1, Start: 0.2 * ref, End: 0.5 * ref,
 				DropProb: 0.25, JitterSec: 10e-6,
 			}},
 		}},
 		{Name: "node-crash", Faults: fault.Plan{
-			Seed: opts.Seed + 2, DropProb: drop / 2, JitterSec: 2e-6,
+			Seed: cfg.Seed + 2, DropProb: drop / 2, JitterSec: 2e-6,
 			Crashes: []fault.Crash{{
 				Node: 1, At: crashFrac * ref, RecoverAt: (crashFrac + 0.15) * ref,
 			}},
 		}},
 		{Name: "node-crash-perm", Faults: fault.Plan{
-			Seed: opts.Seed + 3,
+			Seed: cfg.Seed + 3,
 			Crashes: []fault.Crash{{
 				Node: 1, At: (crashFrac + 0.2) * ref, RecoverAt: 0,
 			}},
@@ -146,7 +134,7 @@ func runTracked(sc Scenario) (*core.Result, *Rig, error) {
 // finish, verify and match the baseline output under every plan — faults
 // degrade performance, never correctness — and both time engines must give
 // the same run.
-func Chaos(cfg Config, opts ChaosOptions) ([]ChaosRow, error) {
+func Chaos(cfg Config) ([]ChaosRow, error) {
 	benches, err := cfg.chaosBenches()
 	if err != nil {
 		return nil, err
@@ -154,7 +142,7 @@ func Chaos(cfg Config, opts ChaosOptions) ([]ChaosRow, error) {
 	var rows []ChaosRow
 	for _, b := range benches {
 		cfg.printf("%s baseline: %.4fs\n", b.name, b.ref.Seconds)
-		for _, sc := range chaosScenarios(opts, b.img, b.ref.Seconds) {
+		for _, sc := range chaosScenarios(cfg, b.img, b.ref.Seconds) {
 			res, out, err := runTracked(sc)
 			if err != nil {
 				return nil, fmt.Errorf("exp: chaos %s under %s: %w", b.name, sc.Name, err)

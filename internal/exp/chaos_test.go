@@ -13,7 +13,7 @@ import (
 // must still exit cleanly with byte-identical output — faults cost time,
 // never correctness — and the slowdown stays bounded.
 func TestChaosCorrectUnderFaults(t *testing.T) {
-	rows, err := Chaos(Config{Scale: Quick}, ChaosOptions{Seed: 7})
+	rows, err := Chaos(Config{Scale: Quick, Seed: 7})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestChaosReproducibleFromSeed(t *testing.T) {
 	}
 	// IS moves real data through the DSM after the migration; a 20% loss
 	// rate guarantees visible fault activity to compare across runs.
-	lossy := chaosScenarios(ChaosOptions{Seed: 21, DropProb: 0.2}, img, ref)[0]
+	lossy := chaosScenarios(Config{Seed: 21, DropProb: 0.2}, img, ref)[0]
 	run := func(sc Scenario) ([5]uint64, float64) {
 		res, out, err := runTracked(sc)
 		if err != nil {
@@ -99,7 +99,7 @@ func TestChaosReproducibleFromSeed(t *testing.T) {
 		t.Error("lossy plan dropped nothing; the reproducibility check is vacuous")
 	}
 	// A different seed gives a different history.
-	c3, _ := run(chaosScenarios(ChaosOptions{Seed: 22, DropProb: 0.2}, img, ref)[0])
+	c3, _ := run(chaosScenarios(Config{Seed: 22, DropProb: 0.2}, img, ref)[0])
 	if c3[0] == c1[0] && c3[1] == c1[1] {
 		t.Log("note: different seeds produced identical counters (possible but unlikely)")
 	}

@@ -13,12 +13,6 @@ import (
 // checkpoint interval: short intervals buy a small replay window after a
 // permanent crash at the price of more stop-the-world captures.
 
-// CkptOptions parameterises the checkpoint experiment.
-type CkptOptions struct {
-	// Seed selects the crash plan's deterministic stream.
-	Seed int64
-}
-
 // ckptFracs are the checkpoint intervals swept, as fractions of the
 // fault-free runtime.
 var ckptFracs = []float64{0.02, 0.05, 0.1, 0.2}
@@ -67,7 +61,7 @@ type CkptResult struct {
 // capture overhead per interval, and the end-to-end recovery cost of a
 // permanent mid-run node-1 crash per interval. Every run must reproduce the
 // baseline output exactly, and both time engines the same run.
-func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
+func Ckpt(cfg Config) (*CkptResult, error) {
 	benches, err := cfg.chaosBenches()
 	if err != nil {
 		return nil, err
@@ -106,7 +100,7 @@ func Ckpt(cfg Config, opts CkptOptions) (*CkptResult, error) {
 			// thread is actually stranded on the dying node.
 			cres, out, err := runTracked(Scenario{
 				Faults: fault.Plan{
-					Seed:    opts.Seed,
+					Seed:    cfg.Seed,
 					Crashes: []fault.Crash{{Node: 1, At: 0.7 * ref.Seconds, RecoverAt: 0}},
 				},
 				Ckpt: kernel.CkptPolicy{EverySeconds: frac * ref.Seconds},

@@ -8,7 +8,7 @@ import "testing"
 // permanent-crash recovery run restores exactly once and still reproduces
 // the baseline output.
 func TestCkptExperimentShape(t *testing.T) {
-	res, err := Ckpt(Config{Scale: Quick}, CkptOptions{Seed: 9})
+	res, err := Ckpt(Config{Scale: Quick, Seed: 9})
 	if err != nil {
 		t.Fatalf("ckpt experiment: %v", err)
 	}

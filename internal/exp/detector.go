@@ -10,15 +10,6 @@ import (
 	"heterodc/internal/member"
 )
 
-// DetectorOptions parameterises the failure-detector study.
-type DetectorOptions struct {
-	// Seed selects the deterministic fault streams.
-	Seed int64
-	// PeriodFracs are the heartbeat periods to sweep, as fractions of the
-	// fault-free runtime. Empty means {1/80, 1/40, 1/20}.
-	PeriodFracs []float64
-}
-
 // DetectorRow reports one benchmark under one heartbeat period and one
 // crash scenario, with the detector (not the oracle) driving recovery.
 type DetectorRow struct {
@@ -137,8 +128,8 @@ func detectorRow(b bench, name string, out *Rig) DetectorRow {
 // positive the rejoining node must refute via its bumped incarnation).
 // Every run must end with zero stranded jobs and zero un-fenced
 // stale-incarnation messages, and both engines must give the same rows.
-func Detector(cfg Config, opts DetectorOptions) ([]DetectorRow, error) {
-	fracs := opts.PeriodFracs
+func Detector(cfg Config) ([]DetectorRow, error) {
+	fracs := cfg.PeriodFracs
 	if len(fracs) == 0 {
 		fracs = []float64{1.0 / 80, 1.0 / 40, 1.0 / 20}
 	}
@@ -150,7 +141,7 @@ func Detector(cfg Config, opts DetectorOptions) ([]DetectorRow, error) {
 	for _, b := range benches {
 		cfg.printf("%s baseline: %.4fs\n", b.name, b.ref.Seconds)
 		for i, frac := range fracs {
-			for _, sc := range detectorScenarios(b, opts.Seed+int64(i), frac) {
+			for _, sc := range detectorScenarios(b, cfg.Seed+int64(i), frac) {
 				outs, err := sc.runBoth()
 				var per [2]DetectorRow
 				if err == nil {

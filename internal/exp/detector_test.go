@@ -9,7 +9,7 @@ import "testing"
 // must be refuted by the rejoining node's bumped incarnation, and no run
 // may end with a stranded job or an un-fenced stale-incarnation message.
 func TestDetectorStudy(t *testing.T) {
-	rows, err := Detector(Config{Scale: Quick}, DetectorOptions{Seed: 11})
+	rows, err := Detector(Config{Scale: Quick, Seed: 11})
 	if err != nil {
 		t.Fatalf("detector study: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"heterodc/internal/compiler"
 	"heterodc/internal/core"
@@ -16,6 +17,7 @@ import (
 	"heterodc/internal/link"
 	"heterodc/internal/npb"
 	"heterodc/internal/topo"
+	"heterodc/internal/traffic"
 )
 
 // Scale selects experiment size.
@@ -30,20 +32,55 @@ const (
 	Full
 )
 
-// Config parameterises a harness run.
+// Config is everything a study reads: the scale, where it prints, and the
+// values hdcbench's flags set. A zero field picks the documented default,
+// and a study ignores the fields of the others.
 type Config struct {
 	Scale Scale
 	W     io.Writer
 
-	// RackNodes sizes the rack-scale experiment's machine ensemble; <= 0
-	// selects the canonical 4-node rack.
+	// Seed selects the deterministic fault, rotation and storm streams of
+	// every study that draws them; storm reads <= 0 as 77.
+	Seed int64
+	// Rate is the fleet and storm studies' offered arrival rate in
+	// jobs/sec; <= 0 picks the scale default.
+	Rate float64
+	// SLO is their per-job latency target in seconds, with the scale's 10 %
+	// error budget; <= 0 picks the scale default.
+	SLO float64
+	// Topo is the fabric of the studies that honour it (rack,
+	// member-scaling, fleet); the zero value is the flat pipe.
+	Topo topo.Spec
+
+	// RackNodes sizes the rack study's ensemble; <= 0 selects the
+	// canonical 4-node rack.
 	RackNodes int
-	// Topo selects the interconnect fabric for experiments that honour it:
-	// "flat" (default, the legacy single pipe) or "fattree". Racks and
-	// Oversub shape the fat tree; 0 selects the topo package defaults.
-	Topo    string
-	Racks   int
-	Oversub float64
+	// DropProb is the chaos study's baseline loss probability (the
+	// degraded and crash plans derive theirs from it); zero means 2 %.
+	// CrashFrac places its node-1 outage as a fraction of the fault-free
+	// runtime; zero means 0.35 (recovery at CrashFrac + 0.15).
+	DropProb, CrashFrac float64
+	// PeriodFracs are the detector study's heartbeat periods, as fractions
+	// of the fault-free runtime; empty means {1/80, 1/40, 1/20}.
+	PeriodFracs []float64
+	// Arrivals selects the fleet study's traffic processes; empty runs all
+	// three.
+	Arrivals []traffic.Kind
+	// MTTF and MTTR override the storm study's node-churn means in
+	// seconds; <= 0 picks the scale defaults.
+	MTTF, MTTR float64
+
+	// FuzzSeed is the fuzz sweep's first generator seed (programs use
+	// FuzzSeed, FuzzSeed+1, ...); zero means 1.
+	FuzzSeed int64
+	// FuzzBudget bounds the sweep's wall-clock time; zero selects 5s
+	// quick, 30s default, 120s full. FuzzMax stops it after that many
+	// programs (0: none).
+	FuzzBudget time.Duration
+	FuzzMax    int
+	// CorpusDir is where the sweep writes reduced repros; empty selects the
+	// package corpus (internal/fuzz/testdata).
+	CorpusDir string
 }
 
 // errDiverged is what onBothEngines wraps when the engines disagree.
@@ -64,16 +101,6 @@ func onBothEngines[T any](run func(engine string) (T, string, error)) (runs [2]T
 		err = fmt.Errorf("%w:\nseq %s\npar %s", errDiverged, prints[0], prints[1])
 	}
 	return runs, err
-}
-
-// topoSpec resolves the Config's fabric selection to a topo.Spec.
-func (c Config) topoSpec() topo.Spec {
-	switch c.Topo {
-	case "", topo.KindFlat:
-		return topo.FlatSpec()
-	default:
-		return topo.Spec{Kind: c.Topo, Racks: c.Racks, Oversub: c.Oversub}
-	}
 }
 
 func (c Config) out() io.Writer {

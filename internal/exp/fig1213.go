@@ -6,7 +6,6 @@ import (
 
 	"heterodc/internal/npb"
 	"heterodc/internal/sched"
-	"heterodc/internal/topo"
 	"heterodc/internal/trace"
 )
 
@@ -55,10 +54,7 @@ func Fig12(cfg Config) ([]*Fig12Set, error) {
 		js := sched.GenerateJobs(int64(1000+set), jobs, classes, nil)
 		fs := &Fig12Set{Set: set}
 		for _, pol := range fig12Policies() {
-			cl, models, err := sched.TestbedFor(pol, true, topo.FlatSpec())
-			if err != nil {
-				return nil, err
-			}
+			cl, models := sched.TestbedFor(pol)
 			r := sched.NewRunner(cl, pol, models)
 			res, err := r.Run(sched.Workload{Jobs: js, Concurrency: conc})
 			if err != nil {
@@ -169,10 +165,7 @@ func Fig13(cfg Config) ([]*Fig13Set, error) {
 
 		fs := &Fig13Set{Set: set}
 		for _, pol := range []sched.Policy{sched.StaticX86Pair(), sched.DynamicBalanced()} {
-			cl, models, err := sched.TestbedFor(pol, true, topo.FlatSpec())
-			if err != nil {
-				return nil, err
-			}
+			cl, models := sched.TestbedFor(pol)
 			r := sched.NewRunner(cl, pol, models)
 			res, err := r.Run(sched.Workload{Jobs: js})
 			if err != nil {

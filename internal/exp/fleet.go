@@ -10,18 +10,6 @@ import (
 	"heterodc/internal/traffic"
 )
 
-// FleetOptions parameterises the staged-rollout study.
-type FleetOptions struct {
-	// Arrivals selects the offered traffic processes; empty runs all three.
-	Arrivals []traffic.Kind
-	// Rate is the offered arrival rate in jobs/sec; <= 0 picks the scale
-	// default.
-	Rate float64
-	// SLO is the per-job latency objective; the zero value picks the scale
-	// default.
-	SLO traffic.SLO
-}
-
 // fleetWaveFracs is the staged x86→ARM rollout schedule: the fraction of the
 // fleet swapped to (power-projected) ARM machines at each wave.
 var fleetWaveFracs = []float64{0, 0.25, 0.50, 0.75, 1.00}
@@ -76,7 +64,7 @@ func fleetArches(n, armNodes int) []isa.Arch {
 }
 
 // fleetParams resolves the scale's fleet size, offered load and SLO.
-func fleetParams(cfg Config, opts FleetOptions) (nodes, jobsN int, classes []npb.Class, rate float64, slo traffic.SLO) {
+func fleetParams(cfg Config) (nodes, jobsN int, classes []npb.Class, rate float64, slo traffic.SLO) {
 	switch cfg.Scale {
 	case Quick:
 		nodes, jobsN, classes = 4, 12, []npb.Class{npb.ClassS}
@@ -88,11 +76,11 @@ func fleetParams(cfg Config, opts FleetOptions) (nodes, jobsN int, classes []npb
 		nodes, jobsN, classes = 8, 80, []npb.Class{npb.ClassS, npb.ClassA, npb.ClassB}
 		rate, slo = 80, traffic.SLO{LatencyTargetSec: 2.0, BudgetFrac: 0.10}
 	}
-	if opts.Rate > 0 {
-		rate = opts.Rate
+	if cfg.Rate > 0 {
+		rate = cfg.Rate
 	}
-	if opts.SLO != (traffic.SLO{}) {
-		slo = opts.SLO
+	if cfg.SLO > 0 {
+		slo.LatencyTargetSec = cfg.SLO
 	}
 	return nodes, jobsN, classes, rate, slo
 }
@@ -105,12 +93,12 @@ func fleetParams(cfg Config, opts FleetOptions) (nodes, jobsN int, classes []npb
 // ends its series. Each wave runs under both time engines and the results
 // must be bit-identical (the open-loop driver injects work via engine
 // control events).
-func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
-	kinds := opts.Arrivals
+func Fleet(cfg Config) ([]FleetSeries, error) {
+	kinds := cfg.Arrivals
 	if len(kinds) == 0 {
 		kinds = traffic.Kinds()
 	}
-	nodes, jobsN, classes, rate, slo := fleetParams(cfg, opts)
+	nodes, jobsN, classes, rate, slo := fleetParams(cfg)
 
 	var out []FleetSeries
 	for _, kind := range kinds {
@@ -136,7 +124,7 @@ func Fleet(cfg Config, opts FleetOptions) ([]FleetSeries, error) {
 			armNodes := int(frac*float64(nodes) + 0.5)
 			runs, err := Scenario{
 				Name:   fmt.Sprintf("fleet %s wave %.0f%%", kind, frac*100),
-				Arches: fleetArches(nodes, armNodes), Topo: cfg.topoSpec(),
+				Arches: fleetArches(nodes, armNodes), Topo: cfg.Topo,
 				Open:   &sched.OpenLoop{Jobs: jobs, SLO: slo},
 				Policy: sched.NewBalanced("fleet dynamic balanced", true),
 			}.runBoth()

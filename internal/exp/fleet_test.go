@@ -7,7 +7,7 @@ import (
 )
 
 func TestFleetRolloutQuick(t *testing.T) {
-	series, err := Fleet(Config{Scale: Quick}, FleetOptions{})
+	series, err := Fleet(Config{Scale: Quick})
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
 	}

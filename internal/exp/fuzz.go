@@ -13,20 +13,6 @@ import (
 // entry point (programs/sec) next to the go-test entry point
 // (FuzzDifferential), and the 30-second CI smoke runs through it.
 
-// FuzzOptions parameterises the sweep.
-type FuzzOptions struct {
-	// Seed is the first generator seed; programs use Seed, Seed+1, ...
-	Seed int64
-	// Budget bounds the sweep's wall-clock time. Zero selects a default by
-	// scale: 5s quick, 30s default, 120s full.
-	Budget time.Duration
-	// MaxPrograms stops the sweep early after that many programs (0: none).
-	MaxPrograms int
-	// CorpusDir is where reduced repros are written; empty selects the
-	// package corpus (internal/fuzz/testdata).
-	CorpusDir string
-}
-
 // FuzzResult summarises one sweep.
 type FuzzResult struct {
 	Programs       int
@@ -45,12 +31,12 @@ type FuzzResult struct {
 // Fuzz runs the sweep. A build failure is returned as an error — the
 // generator promises valid programs, so that is a harness bug, not a
 // finding. Divergences are findings: reduced, archived and counted.
-func Fuzz(cfg Config, opts FuzzOptions) (*FuzzResult, error) {
-	seed := opts.Seed
+func Fuzz(cfg Config) (*FuzzResult, error) {
+	seed := cfg.FuzzSeed
 	if seed == 0 {
 		seed = 1
 	}
-	budget := opts.Budget
+	budget := cfg.FuzzBudget
 	if budget == 0 {
 		switch cfg.Scale {
 		case Quick:
@@ -61,7 +47,7 @@ func Fuzz(cfg Config, opts FuzzOptions) (*FuzzResult, error) {
 			budget = 30 * time.Second
 		}
 	}
-	dir := opts.CorpusDir
+	dir := cfg.CorpusDir
 	if dir == "" {
 		dir = fuzz.CorpusDir()
 	}
@@ -69,7 +55,7 @@ func Fuzz(cfg Config, opts FuzzOptions) (*FuzzResult, error) {
 	res := &FuzzResult{}
 	start := time.Now()
 	for i := 0; ; i++ {
-		if opts.MaxPrograms > 0 && res.Programs >= opts.MaxPrograms {
+		if cfg.FuzzMax > 0 && res.Programs >= cfg.FuzzMax {
 			break
 		}
 		if time.Since(start) > budget {

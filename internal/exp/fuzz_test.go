@@ -10,10 +10,11 @@ import (
 // current generator has no known divergences over this range, so any
 // finding here is a fresh toolchain/kernel regression.
 func TestFuzzSweepQuick(t *testing.T) {
-	res, err := Fuzz(Config{Scale: Quick}, FuzzOptions{
-		Seed:        1,
-		MaxPrograms: 3,
-		CorpusDir:   filepath.Join(t.TempDir(), "corpus"),
+	res, err := Fuzz(Config{
+		Scale:     Quick,
+		FuzzSeed:  1,
+		FuzzMax:   3,
+		CorpusDir: filepath.Join(t.TempDir(), "corpus"),
 	})
 	if err != nil {
 		t.Fatalf("fuzz sweep: %v", err)

@@ -9,12 +9,6 @@ import (
 	"heterodc/internal/sched"
 )
 
-// MemberScaleOptions parameterises the membership-scaling study.
-type MemberScaleOptions struct {
-	// Seed selects the deterministic fault and rotation streams.
-	Seed int64
-}
-
 // MemberScaleRow reports one rack size: the per-node message rate that must
 // stay flat as the rack grows, the detector state that must stay
 // sub-quadratic, and the detection quality that must not regress against
@@ -58,7 +52,7 @@ const memberScaleMaxDetect = 8e-3
 // between-jobs regime the idle-gap fix keeps alive. Each size runs on both
 // time engines, which must agree. The rack sizes are {8, 16} at Quick scale
 // and the acceptance grid {8, 64, 256} otherwise; the fleet runs 60 rounds.
-func MemberScale(cfg Config, opts MemberScaleOptions) ([]MemberScaleRow, error) {
+func MemberScale(cfg Config) ([]MemberScaleRow, error) {
 	sizes := []int{8, 64, 256}
 	if cfg.Scale == Quick {
 		sizes = []int{8, 16}
@@ -71,13 +65,13 @@ func MemberScale(cfg Config, opts MemberScaleOptions) ([]MemberScaleRow, error) 
 	var rows []MemberScaleRow
 	for _, n := range sizes {
 		outs, err := Scenario{
-			Arches: sched.RackArches(n), Topo: cfg.topoSpec(),
+			Arches: sched.RackArches(n), Topo: cfg.Topo,
 			Faults: fault.Plan{
-				Seed:     opts.Seed,
+				Seed:     cfg.Seed,
 				DropProb: 0.01,
 				Crashes:  []fault.Crash{{Node: 1, At: crashAt, RecoverAt: 0}},
 			},
-			Member: &member.Config{HeartbeatPeriod: period, Seed: opts.Seed},
+			Member: &member.Config{HeartbeatPeriod: period, Seed: cfg.Seed},
 			Settle: horizon,
 		}.runBoth()
 		if err != nil {

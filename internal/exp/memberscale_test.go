@@ -9,7 +9,7 @@ import "testing"
 // acceptance grid runs through hdcbench -exp member-scaling; this covers the
 // same invariants at {8, 16}.
 func TestMemberScaleStudy(t *testing.T) {
-	rows, err := MemberScale(Config{Scale: Quick}, MemberScaleOptions{Seed: 3})
+	rows, err := MemberScale(Config{Scale: Quick, Seed: 3})
 	if err != nil {
 		t.Fatalf("member-scale study: %v", err)
 	}

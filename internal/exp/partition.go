@@ -15,12 +15,6 @@ import (
 	"heterodc/internal/topo"
 )
 
-// PartitionOptions parameterises the partition study.
-type PartitionOptions struct {
-	// Seed selects the deterministic fault and rotation streams.
-	Seed int64
-}
-
 // partitionScenario is one seeded bipartition of the rack.
 type partitionScenario struct {
 	name   string
@@ -176,14 +170,14 @@ func partitionRow(pc partitionScenario, engine string, out *Rig, refOut []byte) 
 // side, quorumless observers only defer, healing reconverges every view
 // with exactly one incarnation per job, and both engines produce
 // byte-identical runs.
-func Partition(cfg Config, opts PartitionOptions) ([]PartitionRow, error) {
+func Partition(cfg Config) ([]PartitionRow, error) {
 	is, err := newBench(npb.IS, npb.ClassS)
 	if err != nil {
 		return nil, err
 	}
 	var rows []PartitionRow
 	for _, pc := range partitionScenarios() {
-		sc, err := pc.scenario(is.img, is.ref.Seconds, opts.Seed)
+		sc, err := pc.scenario(is.img, is.ref.Seconds, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

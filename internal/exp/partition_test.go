@@ -9,7 +9,7 @@ import "testing"
 // the whole run is byte-identical on the sequential and parallel engines
 // (Partition itself fails on any engine divergence).
 func TestPartitionStudy(t *testing.T) {
-	rows, err := Partition(Config{Scale: Quick}, PartitionOptions{Seed: 17})
+	rows, err := Partition(Config{Scale: Quick, Seed: 17})
 	if err != nil {
 		t.Fatalf("partition study: %v", err)
 	}

@@ -55,7 +55,7 @@ func RackScale(cfg Config) ([]RackScaleRow, error) {
 		{Arches: mixed, Policy: sched.NewBalanced("rack dynamic balanced", true)},
 		{Arches: mixed, Policy: sched.NewArchWeighted("rack dynamic unbalanced", true, 2.2)},
 	} {
-		s.Topo = cfg.topoSpec()
+		s.Topo = cfg.Topo
 		runs, err := onBothEngines(func(engine string) (*sched.Result, string, error) {
 			rig, err := s.Build(engine)
 			if err != nil {

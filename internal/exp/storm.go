@@ -13,23 +13,6 @@ import (
 	"heterodc/internal/traffic"
 )
 
-// StormOptions parameterises the chaos-under-traffic study.
-type StormOptions struct {
-	// Seed selects the storm's event stream and the workload's priority
-	// stamps; <= 0 picks the default.
-	Seed int64
-	// Rate is the offered arrival rate in jobs/sec; <= 0 picks the scale
-	// default.
-	Rate float64
-	// SLO is the per-job latency objective; the zero value picks the
-	// scale default.
-	SLO traffic.SLO
-	// MTTF/MTTR override the node-churn means in seconds; <= 0 picks the
-	// scale defaults. Both must be overridden together (see
-	// cmd/hdcbench's stormOptions validator).
-	MTTF, MTTR float64
-}
-
 // StormPhase is the SLO scorecard for one slice of the run, bucketed by
 // job arrival time: before the storm, during it, and after the heal.
 type StormPhase struct {
@@ -89,7 +72,7 @@ type StormResult struct {
 }
 
 // stormParams resolves the scale's fleet shape, traffic and chaos process.
-func stormParams(cfg Config, opts StormOptions) (racks, perRack, jobsN int, rate float64, slo traffic.SLO, spec fault.StormSpec) {
+func stormParams(cfg Config) (racks, perRack, jobsN int, rate float64, slo traffic.SLO, spec fault.StormSpec) {
 	switch cfg.Scale {
 	case Quick:
 		racks, perRack, jobsN = 3, 2, 36
@@ -125,17 +108,17 @@ func stormParams(cfg Config, opts StormOptions) (racks, perRack, jobsN int, rate
 			UplinkMTTF: 1.5, UplinkMTTR: 0.06,
 		}
 	}
-	if opts.Rate > 0 {
-		rate = opts.Rate
+	if cfg.Rate > 0 {
+		rate = cfg.Rate
 	}
-	if opts.SLO != (traffic.SLO{}) {
-		slo = opts.SLO
+	if cfg.SLO > 0 {
+		slo.LatencyTargetSec = cfg.SLO
 	}
-	if opts.MTTF > 0 {
-		spec.NodeMTTF = opts.MTTF
+	if cfg.MTTF > 0 {
+		spec.NodeMTTF = cfg.MTTF
 	}
-	if opts.MTTR > 0 {
-		spec.NodeMTTR = opts.MTTR
+	if cfg.MTTR > 0 {
+		spec.NodeMTTR = cfg.MTTR
 	}
 	return racks, perRack, jobsN, rate, slo, spec
 }
@@ -186,13 +169,13 @@ func stormPhases(res *sched.OpenLoopResult, slo traffic.SLO, start, end float64)
 // burns, steers placement away from degraded nodes, evacuates running
 // jobs off them, and ramps back after the heal. Both time engines run
 // the identical scenario and must agree byte-for-byte.
-func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
-	if opts.Seed <= 0 {
-		opts.Seed = 77
+func Storm(cfg Config) (*StormResult, error) {
+	if cfg.Seed <= 0 {
+		cfg.Seed = 77
 	}
-	racks, perRack, jobsN, rate, slo, spec := stormParams(cfg, opts)
+	racks, perRack, jobsN, rate, slo, spec := stormParams(cfg)
 	nodes := racks * perRack
-	spec.Seed = opts.Seed
+	spec.Seed = cfg.Seed
 
 	// One offered stream, replayed identically by both engines.
 	src, err := traffic.NewSource(traffic.Spec{Kind: traffic.KindPoisson, Rate: rate, Seed: 9001}.WithDefaults())
@@ -200,7 +183,7 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 		return nil, fmt.Errorf("storm: %w", err)
 	}
 	jobs := sched.GenerateJobs(8484, jobsN, []npb.Class{npb.ClassS}, traffic.Spacing(src))
-	sched.StampPriorities(jobs, opts.Seed, 3)
+	sched.StampPriorities(jobs, cfg.Seed, 3)
 
 	// Membership counters are only comparable at a common absolute instant:
 	// the open loop exits as soon as the last job is accounted, but the
@@ -211,7 +194,7 @@ func Storm(cfg Config, opts StormOptions) (*StormResult, error) {
 		Name:   "storm",
 		Arches: sched.RackArches(nodes), Topo: topo.FatTree(racks, 4),
 		Storm:  &spec,
-		Member: &member.Config{HeartbeatPeriod: 2e-3, Seed: opts.Seed},
+		Member: &member.Config{HeartbeatPeriod: 2e-3, Seed: cfg.Seed},
 		Ckpt:   kernel.CkptPolicy{EverySeconds: 10e-3},
 		Open: &sched.OpenLoop{Jobs: jobs, SLO: slo,
 			Degrade: &sched.Degrade{Levels: 3, TolerateLoss: true}},

@@ -11,7 +11,7 @@ import (
 // invariant (accounting identity, no checkpointed-job loss, no
 // split-brain restore, graceful degradation with post-heal recovery).
 func TestStormQuick(t *testing.T) {
-	res, err := Storm(Config{Scale: Quick}, StormOptions{})
+	res, err := Storm(Config{Scale: Quick})
 	if err != nil {
 		t.Fatalf("storm: %v", err)
 	}

@@ -15,12 +15,6 @@ import (
 	"heterodc/internal/topo"
 )
 
-// TopologyOptions parameterises the fabric-oversubscription study.
-type TopologyOptions struct {
-	// Seed selects the deterministic rotation/fault streams.
-	Seed int64
-}
-
 // The study's fat tree is 4 racks of 3 nodes, a shape where the 1:1/4:1/8:1
 // sweep of uplink oversubscription has three distinct bottleneck regimes: at
 // 3 nodes per rack no swept ratio ties the uplink to the access rate.
@@ -253,11 +247,11 @@ func runTopologyOnce(cfg Config, engine string, racks, perRack int, oversub floa
 // thread migration and checkpoint fan-in each pay for crossing loaded
 // uplinks, while in-rack traffic is immune. Every scenario runs on both
 // engines and must be byte-identical.
-func Topology(cfg Config, opts TopologyOptions) ([]TopologyRow, error) {
+func Topology(cfg Config) ([]TopologyRow, error) {
 	var rows []TopologyRow
 	for _, o := range topoOversubs {
 		per, err := onBothEngines(func(engine string) (TopologyRow, string, error) {
-			row, err := runTopologyOnce(cfg, engine, topoRacks, topoPerRack, o, opts.Seed)
+			row, err := runTopologyOnce(cfg, engine, topoRacks, topoPerRack, o, cfg.Seed)
 			if err != nil {
 				return row, "", err
 			}

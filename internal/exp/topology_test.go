@@ -6,7 +6,7 @@ import "testing"
 // compares the seq and par engines byte for byte) and checks every claimed
 // trend: cross-rack costs grow with oversubscription, in-rack costs don't.
 func TestTopologyShape(t *testing.T) {
-	rows, err := Topology(Config{Scale: Quick}, TopologyOptions{Seed: 1})
+	rows, err := Topology(Config{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatalf("topology: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"heterodc/internal/npb"
 	"heterodc/internal/sched"
-	"heterodc/internal/topo"
 	"heterodc/internal/traffic"
 )
 
@@ -28,10 +27,7 @@ func TestEngineDeterminismFleet(t *testing.T) {
 				}
 				jobs := sched.GenerateJobs(64, 8, []npb.Class{npb.ClassS}, traffic.Spacing(src))
 				p := sched.DynamicBalanced()
-				cl, models, err := sched.TestbedFor(p, true, topo.FlatSpec())
-				if err != nil {
-					t.Fatalf("testbed: %v", err)
-				}
+				cl, models := sched.TestbedFor(p)
 				if engine == "par" {
 					cl.UseParallelEngine(0)
 				}

@@ -21,9 +21,6 @@ import (
 // of this length, which bounds cross-machine clock skew.
 const Quantum = 2e-6 // 2 µs
 
-// DebugDSM enables fault tracing (tests only).
-var DebugDSM = false
-
 // Timeslice is the scheduler's preemption interval.
 const Timeslice = 5e-3 // 5 ms
 
@@ -419,17 +416,11 @@ func (k *Kernel) resolveFault(p *Process, addr uint64, write bool, now float64) 
 
 	if act.Cold {
 		local.EnsurePage(base)
-		if DebugDSM {
-			fmt.Printf("dsm: node%d COLD %#x write=%v\n", k.Node, base, write)
-		}
 		return act, coldFaultSeconds, nil
 	}
 
 	peer, size := act.TransferFrom, int64(mem.PageSize)
 	if peer >= 0 {
-		if DebugDSM {
-			fmt.Printf("dsm: node%d XFER %#x from node%d write=%v grant=%d\n", k.Node, base, peer, write, act.Grant)
-		}
 		// Bring the content in BEFORE applying Drop directives — the owner's
 		// copy is the content source and Drop destroys it. An Exclusive
 		// grant leaves no other copy, the source's included: take its frame.

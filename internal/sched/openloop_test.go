@@ -8,7 +8,6 @@ import (
 
 	"heterodc/internal/member"
 	"heterodc/internal/npb"
-	"heterodc/internal/topo"
 	"heterodc/internal/traffic"
 )
 
@@ -26,10 +25,7 @@ func openLoopJobs(t *testing.T, n int, rate float64) []Job {
 func runOpenLoop(t *testing.T, engine string) *OpenLoopResult {
 	t.Helper()
 	p := DynamicBalanced()
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	if engine == "par" {
 		cl.UseParallelEngine(0)
 	}
@@ -96,10 +92,7 @@ func TestOpenLoopEngineIdentical(t *testing.T) {
 
 func TestOpenLoopValidation(t *testing.T) {
 	p := StaticHetBalanced()
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	r := NewRunner(cl, p, models)
 	if _, err := r.RunOpenLoop(OpenLoop{SLO: traffic.SLO{LatencyTargetSec: 1, BudgetFrac: 0.1}}); err == nil {
 		t.Errorf("empty workload accepted")
@@ -174,10 +167,7 @@ func TestArrivalSpacingSeam(t *testing.T) {
 // still notice the last exit and the run return.
 func TestOpenLoopReturnsUnderMembership(t *testing.T) {
 	p := StaticHetBalanced()
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	if _, err := member.Attach(cl, member.Config{HeartbeatPeriod: 1e-3}); err != nil {
 		t.Fatal(err)
 	}
@@ -226,16 +216,14 @@ func TestClosedLoopEngineIdentical(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			var runs [2]*Result
 			for i, engine := range []string{"seq", "par"} {
-				cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-				if err != nil {
-					t.Fatalf("testbed: %v", err)
-				}
+				cl, models := TestbedFor(p)
 				if engine == "par" {
 					cl.UseParallelEngine(0)
 				}
 				r := NewRunner(cl, p, models)
 				r.RebalanceEvery = 1e-3
 				r.Cooldown = 2e-3
+				var err error
 				if runs[i], err = r.Run(Workload{Jobs: smallJobs(12), Concurrency: 6}); err != nil {
 					t.Fatalf("closed-loop run (%s): %v", engine, err)
 				}

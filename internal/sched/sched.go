@@ -14,7 +14,6 @@ import (
 	"heterodc/internal/kernel"
 	"heterodc/internal/npb"
 	"heterodc/internal/power"
-	"heterodc/internal/topo"
 	"heterodc/internal/traffic"
 )
 
@@ -362,20 +361,15 @@ func StampPriorities(jobs []Job, seed int64, levels int) {
 
 // TestbedFor builds the right cluster for a policy: identical x86 machines
 // for a homogeneous baseline (StaticX86Pair), otherwise the heterogeneous
-// x86+ARM testbed. projected applies the paper's McPAT FinFET projection to
-// the ARM machine's power model. spec selects the interconnect fabric the
-// machines are joined by — topo.FlatSpec() is the legacy single pipe, a
-// fat-tree spec routes all traffic through a rack/spine topology.
-func TestbedFor(p Policy, projected bool, spec topo.Spec) (*kernel.Cluster, []power.Model, error) {
+// x86+ARM testbed, joined by the flat pipe. The ARM machine's power model
+// carries the paper's McPAT FinFET projection.
+func TestbedFor(p Policy) (*kernel.Cluster, []power.Model) {
 	arches := []isa.Arch{isa.X86, isa.ARM64}
 	if p.x86Machines > 0 {
 		arches = make([]isa.Arch, p.x86Machines) // all isa.X86, the zero Arch
 	}
-	cl, _, err := kernel.NewClusterTopo(arches, kernel.DefaultInterconnect(), spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cl, power.DefaultModels(cl, projected), nil
+	cl := kernel.NewCluster(arches, kernel.DefaultInterconnect())
+	return cl, power.DefaultModels(cl, true)
 }
 
 // RackArches returns the canonical n-node heterogeneous rack shape: the

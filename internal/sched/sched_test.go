@@ -8,7 +8,6 @@ import (
 	"heterodc/internal/kernel"
 	"heterodc/internal/member"
 	"heterodc/internal/npb"
-	"heterodc/internal/topo"
 )
 
 func smallJobs(n int) []Job {
@@ -30,10 +29,7 @@ func TestPoliciesCompleteSustained(t *testing.T) {
 	} {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-			if err != nil {
-				t.Fatalf("testbed: %v", err)
-			}
+			cl, models := TestbedFor(p)
 			r := NewRunner(cl, p, models)
 			res, err := r.Run(Workload{Jobs: jobs, Concurrency: 3})
 			if err != nil {
@@ -58,10 +54,7 @@ func TestDynamicPolicyMigrates(t *testing.T) {
 		jobs[i].Arrival = 0
 	}
 	p := DynamicBalanced()
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	r := NewRunner(cl, p, models)
 	r.RebalanceEvery = 1e-3
 	r.Cooldown = 2e-3
@@ -85,10 +78,7 @@ func TestPeriodicArrivalsIdleGaps(t *testing.T) {
 		jobs[i].Threads = 1
 	}
 	p := StaticHetBalanced()
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	r := NewRunner(cl, p, models)
 	res, err := r.Run(Workload{Jobs: jobs})
 	if err != nil {
@@ -101,10 +91,7 @@ func TestPeriodicArrivalsIdleGaps(t *testing.T) {
 
 func TestPlacementSkipsCrashedNode(t *testing.T) {
 	p := DynamicBalanced()
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	cl.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Node: 1, At: 0, RecoverAt: 0}}})
 	cl.CrashNode(1)
 	st := &State{Cluster: cl}
@@ -119,10 +106,7 @@ func TestPlacementSkipsCrashedNode(t *testing.T) {
 
 func TestRebalanceIgnoresCrashedNode(t *testing.T) {
 	p := DynamicBalanced()
-	cl, _, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, _ := TestbedFor(p)
 	img, err := npb.Build(npb.EP, npb.ClassS, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -170,10 +154,7 @@ func TestRunnerCheckpointRecovery(t *testing.T) {
 		{ID: 3, Bench: npb.IS, Class: npb.ClassS, Threads: 1},
 	}
 	p := StaticHetBalanced() // half the jobs start on node 1
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	// Node 1 dies for good mid-run, after at least one checkpoint interval.
 	cl.InjectFaults(fault.Plan{Seed: 5, Crashes: []fault.Crash{{Node: 1, At: 1e-3, RecoverAt: 0}}})
 	r := NewRunner(cl, p, models)
@@ -208,10 +189,7 @@ func TestRunnerIdleGapsNoFalseSuspicions(t *testing.T) {
 		jobs[i].Threads = 1
 	}
 	p := StaticHetBalanced()
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	svc, err := member.Attach(cl, member.Config{HeartbeatPeriod: 1e-3})
 	if err != nil {
 		t.Fatal(err)
@@ -247,10 +225,7 @@ func TestRunnerSurvivesMidRunCrash(t *testing.T) {
 		jobs[i].Arrival = 0
 	}
 	p := DynamicBalanced()
-	cl, models, err := TestbedFor(p, true, topo.FlatSpec())
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
+	cl, models := TestbedFor(p)
 	// Node 1 drops out almost immediately and comes back much later.
 	cl.InjectFaults(fault.Plan{Seed: 3, Crashes: []fault.Crash{{Node: 1, At: 2e-3, RecoverAt: 30e-3}}})
 	r := NewRunner(cl, p, models)

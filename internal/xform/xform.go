@@ -144,11 +144,6 @@ func (t *Transformer) Transform(in *Input) (*Output, error) {
 		return nil, fmt.Errorf("xform: no application frames to transform")
 	}
 	out.Stats.Frames = len(frames)
-	if Debug {
-		for i, f := range frames {
-			fmt.Printf("xform: frame[%d] %s site=%d fp=%#x\n", i, f.fn.Name, f.site.ID, f.fp)
-		}
-	}
 
 	// ---- Pass 2: lay out destination frames (outermost first). ----
 	if cap(t.dsts) < len(frames) {
@@ -207,10 +202,6 @@ func (t *Transformer) Transform(in *Input) (*Output, error) {
 		}
 		if err := in.Mem.WriteU64(dsts[k].fp+8, retAddr); err != nil {
 			return nil, err
-		}
-		if Debug {
-			fmt.Printf("xform: dst[%d] %s fp=%#x sp=%#x callerFP=%#x ret=%#x\n",
-				k, dsts[k].fn.Name, dsts[k].fp, dsts[k].sp, callerFP, retAddr)
 		}
 	}
 
@@ -326,9 +317,6 @@ func (t *Transformer) Transform(in *Input) (*Output, error) {
 	if !ok {
 		return nil, fmt.Errorf("xform: innermost destination site missing")
 	}
-	if Debug {
-		fmt.Printf("xform: resume pc=%#x sp=%#x fp=%#x\n", site0.RetPC, dsts[0].sp, dsts[0].fp)
-	}
 	out.Regs.I[dstDesc.SP] = int64(dsts[0].sp)
 	out.Regs.I[dstDesc.FP] = int64(dsts[0].fp)
 	if dstDesc.LR != isa.NoReg {
@@ -429,6 +417,3 @@ func (t *Transformer) unwind(srcDesc *isa.Desc) error {
 func f64bits(f float64) uint64 { return math.Float64bits(f) }
 
 func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
-
-// Debug enables verbose transformation tracing (tests only).
-var Debug = false
