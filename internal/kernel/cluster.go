@@ -136,11 +136,20 @@ func NewClusterSpec(descs []*isa.Desc, cfg msg.Config) *Cluster {
 // newCluster builds a cluster of n kernels over the interconnect ic, node
 // i's from the description desc(i). desc is a function rather than a slice
 // so that clusters built from architectures allocate no slice of
-// descriptions.
+// descriptions. The kernels, and their core slots, are carved from one
+// slab each.
 func newCluster(ic *msg.Interconnect, n int, desc func(i int) *isa.Desc) *Cluster {
-	cl := &Cluster{IC: ic, Kernels: make([]*Kernel, 0, n)}
+	cl := &Cluster{IC: ic, Kernels: make([]*Kernel, n)}
+	cores := 0
 	for i := 0; i < n; i++ {
-		cl.Kernels = append(cl.Kernels, newKernel(cl, i, desc(i)))
+		cores += desc(i).Cores
+	}
+	kernels, slots := make([]Kernel, n), make([]coreSlot, cores)
+	for i := range kernels {
+		d := desc(i)
+		newKernel(&kernels[i], cl, i, d, slots[:d.Cores:d.Cores])
+		slots = slots[d.Cores:]
+		cl.Kernels[i] = &kernels[i]
 	}
 	cl.IC.Grow(n)
 	cl.IC.OnQueueChange(cl.changed)

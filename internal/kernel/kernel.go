@@ -105,11 +105,10 @@ type coreSlot struct {
 	thr  *Thread
 }
 
-// newKernel builds a kernel for the machine d describes: its ISA, core
-// count, clock and per-op costs.
-func newKernel(cl *Cluster, node int, d *isa.Desc) *Kernel {
-	return &Kernel{Node: node, Arch: d.Arch, Desc: d, cluster: cl,
-		cores: make([]coreSlot, d.Cores), slow: 1}
+// newKernel makes k the kernel for the machine d describes — its ISA, core
+// count, clock and per-op costs — with the core slots in cores.
+func newKernel(k *Kernel, cl *Cluster, node int, d *isa.Desc, cores []coreSlot) {
+	*k = Kernel{Node: node, Arch: d.Arch, Desc: d, cluster: cl, cores: cores, slow: 1}
 }
 
 // coreOf returns cs's core, building it on first use. A core built here is

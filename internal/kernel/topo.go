@@ -28,9 +28,9 @@ func NewClusterTopo(arches []isa.Arch, cfg msg.Config, spec topo.Spec) (*Cluster
 	}
 	ic := msg.New(cfg)
 	if fab != nil {
-		if pairs := fab.UnrouteablePairs(); len(pairs) > 0 {
+		if k, first := fab.Unrouteable(); k > 0 {
 			return nil, nil, fmt.Errorf("kernel: fabric leaves %d node pairs unrouteable (first %d->%d); use a fault plan for time-bounded cuts",
-				len(pairs), pairs[0][0], pairs[0][1])
+				k, first[0], first[1])
 		}
 		if err := ic.SetPathModel(fab); err != nil {
 			return nil, nil, err

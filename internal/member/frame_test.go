@@ -95,8 +95,8 @@ func TestDuplicateOutlivesItsOriginal(t *testing.T) {
 	orig := cl.IC.PopDue(1, inf)
 	want := frameKey(orig.From, orig.Payload.(*swimPayload))
 	s.Deliver(1, orig)
-	s.Deliver(0, confirmFrame(2, s.views[0][3], 3, at+1e-6))
-	if got := s.views[0][3].conf.count(); got != 2 {
+	s.Deliver(0, confirmFrame(2, s.obs[0].view(3), 3, at+1e-6))
+	if got := s.obs[0].view(3).conf.count(); got != 2 {
 		t.Fatalf("setup: the sender's set holds %d confirmations, want 2", got)
 	}
 	s.sendSwim(at, 1, 2, swimPayload{kind: swimPing, origin: 1, target: 2, seq: 9},

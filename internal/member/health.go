@@ -22,17 +22,20 @@ import "heterodc/internal/kernel"
 // input it reads is engine-exact and the whole layer adds no hazard.
 
 // observeRTT folds one direct-probe round-trip sample into the
-// observer's EWMA for target (observer-sharded; see Service.rtt).
+// observer's EWMA for target (observer-sharded; see Service.obs).
 func (s *Service) observeRTT(observer, target int, sample float64) {
 	if sample < 0 {
 		return
 	}
-	old, ok := s.rtt[observer][target]
+	o := &s.obs[observer]
+	slot := o.rttSlot(observer, target, s.n-1)
+	old, ok := o.rttAt(slot)
 	if !ok {
-		s.rtt[observer][target] = sample
+		o.growRTT(slot, s.n-1)
+		o.rtt[slot] = sample
 		return
 	}
-	s.rtt[observer][target] = old + 0.25*(sample-old)
+	o.rtt[slot] = old + 0.25*(sample-old)
 }
 
 // RTTTowards returns the mean of the per-observer smoothed probe RTTs to
@@ -41,8 +44,12 @@ func (s *Service) observeRTT(observer, target int, sample float64) {
 func (s *Service) RTTTowards(target int) (float64, bool) {
 	var sum float64
 	n := 0
-	for o := 0; o < s.n; o++ {
-		if v, ok := s.rtt[o][target]; ok {
+	for i := range s.obs {
+		if i == target {
+			continue
+		}
+		o := &s.obs[i]
+		if v, ok := o.rttAt(o.rttSlot(i, target, s.n-1)); ok {
 			sum += v
 			n++
 		}
@@ -57,8 +64,8 @@ func (s *Service) RTTTowards(target int) (float64, bool) {
 // observers. Exact between engine steps.
 func (s *Service) FlapsTowards(target int) uint64 {
 	var sum uint64
-	for o := 0; o < s.n; o++ {
-		sum += s.flaps[o][target]
+	for i := range s.obs {
+		sum += s.obs[i].flapsOf(target)
 	}
 	return sum
 }

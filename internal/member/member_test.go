@@ -201,8 +201,8 @@ func TestIdleFleetStaysQuiet(t *testing.T) {
 	// Sparse-state claim: a healthy fleet holds no materialized view records;
 	// only in-flight probes and queued gossip may exist transiently.
 	for o := 0; o < 4; o++ {
-		if len(s.views[o]) != 0 {
-			t.Errorf("observer %d holds %d view records on a healthy fabric", o, len(s.views[o]))
+		if len(s.obs[o].views) != 0 {
+			t.Errorf("observer %d holds %d view records on a healthy fabric", o, len(s.obs[o].views))
 		}
 	}
 	if rec := s.StateRecords(); rec > 2*4 {
@@ -335,14 +335,14 @@ func TestGossipRefutationByEpoch(t *testing.T) {
 	}
 	// The cleared record stays materialized: the epoch history is still
 	// load-bearing (a replayed epoch-0 suspicion must not re-suspect).
-	if v := s.views[0][2]; v == nil || v.epoch != 1 {
+	if v := s.obs[0].view(2); v == nil || v.epoch != 1 {
 		t.Fatalf("refuted view lost its epoch history: %+v", v)
 	}
 	s.applyUpdate(0, update{state: Suspect, node: 2, inc: 1, epoch: 0}, 0.4e-3)
 	if s.View(0, 2) != Suspect {
 		t.Log("note: replayed epoch-0 suspicion ignored (already refuted at epoch 1)")
 	}
-	if s.views[0][2].state == Suspect {
+	if s.obs[0].view(2).state == Suspect {
 		t.Error("already-refuted suspicion epoch re-suspected the node")
 	}
 }
@@ -395,7 +395,7 @@ func TestMinorityDefersVerdictAndQuorumReArms(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 deferred verdicts and 0 deaths", st)
 	}
 	for _, tg := range []int{1, 2, 3} {
-		if v := s.views[0][tg]; v == nil || !v.deferred || v.state != Suspect {
+		if v := s.obs[0].view(tg); v == nil || !v.deferred || v.state != Suspect {
 			t.Fatalf("view of %d not parked: %+v", tg, v)
 		}
 		if cl.DeadIncarnation(tg) != 0 {
@@ -424,7 +424,7 @@ func TestMinorityDefersVerdictAndQuorumReArms(t *testing.T) {
 	// refute before the verdict can fire.
 	rearmed := heal + s.cfg.SuspectTimeout + float64(4)*s.cfg.HeartbeatPeriod
 	for _, tg := range []int{2, 3} {
-		v := s.views[0][tg]
+		v := s.obs[0].view(tg)
 		if v.deferred || v.deadline != rearmed {
 			t.Fatalf("verdict on %d not re-armed: %+v (want deadline %g)", tg, v, rearmed)
 		}
@@ -438,7 +438,7 @@ func TestMinorityDefersVerdictAndQuorumReArms(t *testing.T) {
 		t.Fatalf("deaths on the observer's own confirmation = %d, want 0", got)
 	}
 	for _, tg := range []int{2, 3} {
-		if v := s.views[0][tg]; v.missed != 0 || v.backoff == 0 || v.deferred || v.conf.count() != 1 {
+		if v := s.obs[0].view(tg); v.missed != 0 || v.backoff == 0 || v.deferred || v.conf.count() != 1 {
 			t.Fatalf("verdict on %d: want a pending verdict on a set of one, got %+v", tg, v)
 		}
 	}
@@ -448,9 +448,9 @@ func TestMinorityDefersVerdictAndQuorumReArms(t *testing.T) {
 	at := rearmed + 1e-6
 	for _, tg := range []int{2, 3} {
 		for _, from := range []int{1, 4} {
-			s.Deliver(0, confirmFrame(from, s.views[0][tg], tg, at))
+			s.Deliver(0, confirmFrame(from, s.obs[0].view(tg), tg, at))
 		}
-		if v := s.views[0][tg]; !v.called || v.deadline != at+s.cfg.probeTimeout() {
+		if v := s.obs[0].view(tg); !v.called || v.deadline != at+s.cfg.probeTimeout() {
 			t.Fatalf("the proven verdict on %d made no last call: %+v", tg, v)
 		}
 		discardAll(cl, s, tg)
@@ -470,7 +470,7 @@ func TestMinorityDefersVerdictAndQuorumReArms(t *testing.T) {
 // confirmFrame is a frame from node from that confirms v's suspicion of
 // target: from holds it, so its set is {from} under v's restart stamp.
 func confirmFrame(from int, v *view, target int, at float64) *msg.Message {
-	conf, _ := union(nil, nil, from, 64)
+	conf, _ := new(observer).union(nil, nil, from, 64)
 	return &msg.Message{From: from, To: 0, Deliver: at,
 		Payload: &swimPayload{kind: swimAck, from: from, inc: 1, target: from,
 			updates: []update{{state: Suspect, node: target, inc: v.inc, epoch: v.epoch, conf: conf, gen: v.gen}}}}
@@ -497,7 +497,7 @@ func TestUnconfirmedVerdictDefers(t *testing.T) {
 	// verdict park like any minority verdict.
 	at := s.cfg.SuspectTimeout
 	s.expireSuspects(0, at)
-	v := s.views[0][1]
+	v := s.obs[0].view(1)
 	if v.missed != 0 || v.deferred || v.conf.count() != 1 || v.deadline <= at {
 		t.Fatalf("the deadline did not open the round: %+v", v)
 	}
@@ -538,7 +538,7 @@ func TestLapsedRecheckSurvivesLateAcks(t *testing.T) {
 	if s.Stats().Deaths != 0 {
 		t.Fatal("a single deadline executed a two-node death")
 	}
-	v := s.views[0][1]
+	v := s.obs[0].view(1)
 	if v.missed != 1 || v.deferred {
 		t.Fatalf("the deadline did not re-arm a re-check: %+v", v)
 	}
@@ -577,22 +577,22 @@ func TestRefutationClearsConfirmations(t *testing.T) {
 	at := s.cfg.SuspectTimeout
 	s.expireSuspects(0, at)
 	for _, from := range []int{2, 3, 4} {
-		s.Deliver(0, confirmFrame(from, s.views[0][1], 1, at+1e-5))
+		s.Deliver(0, confirmFrame(from, s.obs[0].view(1), 1, at+1e-5))
 	}
-	if v := s.views[0][1]; v.conf.count() != 4 || !v.called {
+	if v := s.obs[0].view(1); v.conf.count() != 4 || !v.called {
 		t.Fatalf("setup: %d confirmations, want a proven verdict on 4", v.conf.count())
 	}
 	// Node 1 refutes: its epoch-1 aliveness reaches observer 0.
 	s.applyUpdate(0, update{state: Alive, node: 1, inc: 1, epoch: 1}, at+2e-5)
 	discardAll(cl, s, 1)
-	if v := s.views[0][1]; v != nil && (v.state != Alive || v.conf != nil) {
+	if v := s.obs[0].view(1); v != nil && (v.state != Alive || v.conf != nil) {
 		t.Fatalf("refutation left %+v", v)
 	}
 	// A new suspicion of the same incarnation at the refuted epoch holds
 	// only what is confirmed anew: its round opened, the holder joined it.
 	again := at + 3e-5
 	s.applyUpdate(0, update{state: Suspect, node: 1, inc: 1, epoch: 1, gen: math.Float64bits(again)}, again)
-	v := s.views[0][1]
+	v := s.obs[0].view(1)
 	if v.state != Suspect || v.conf.count() != 1 || v.called {
 		t.Fatalf("the new suspicion inherited confirmations: %+v (%d)", v, v.conf.count())
 	}
@@ -615,7 +615,7 @@ func TestRefutationClearsConfirmations(t *testing.T) {
 func TestCutBeforeTheDeadlineLeavesNoQuorum(t *testing.T) {
 	cl, s := swimCluster(t, 7, Config{HeartbeatPeriod: 1e-3})
 	s.suspect(0, 1, 0, "test")
-	suspicion := update{state: Suspect, node: 1, inc: 1, gen: s.views[0][1].gen}
+	suspicion := update{state: Suspect, node: 1, inc: 1, gen: s.obs[0].view(1).gen}
 	// Before the cut, every other node hears the suspicion, holds it and
 	// gossips it back to the observer.
 	for k := 2; k < 7; k++ {
@@ -626,7 +626,7 @@ func TestCutBeforeTheDeadlineLeavesNoQuorum(t *testing.T) {
 	// The cut falls at 2 ms, and from then on only nodes 2 and 3 reach the
 	// observer. The deadline at 3 ms opens the round; the near side joins
 	// it and confirms at every re-check.
-	v := s.views[0][1]
+	v := s.obs[0].view(1)
 	for at, check := s.cfg.SuspectTimeout, 0; check <= deathMisses; at, check = v.deadline, check+1 {
 		s.expireSuspects(0, at)
 		for _, k := range []int{2, 3} {
@@ -756,7 +756,7 @@ func TestIdleGapReArmsLiveSuspicion(t *testing.T) {
 	if s.View(0, 1) != Suspect {
 		t.Errorf("re-armed suspicion lost: view = %v", s.View(0, 1))
 	}
-	if v := s.views[0][1]; v.deadline != 10.0+s.cfg.SuspectTimeout {
+	if v := s.obs[0].view(1); v.deadline != 10.0+s.cfg.SuspectTimeout {
 		t.Errorf("suspicion deadline %g, want re-armed at %g", v.deadline, 10.0+s.cfg.SuspectTimeout)
 	}
 }

@@ -15,7 +15,7 @@ func quietWalk(s *Service) bool {
 		return false
 	}
 	for o := 0; o < s.n; o++ {
-		for _, v := range s.views[o] {
+		for _, v := range s.obs[o].views {
 			if v.state != Alive || v.deadInc != 0 || v.deferred {
 				return false
 			}
@@ -33,7 +33,7 @@ func quietWalk(s *Service) bool {
 func loudWalk(s *Service) int {
 	c := 0
 	for o := 0; o < s.n; o++ {
-		for _, v := range s.views[o] {
+		for _, v := range s.obs[o].views {
 			if v.deadInc != 0 {
 				c++
 			}

@@ -1,6 +1,8 @@
 package member
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"heterodc/internal/fault"
@@ -9,13 +11,17 @@ import (
 	"heterodc/internal/topo"
 )
 
-// idleFleetRounds runs the idle fleet's scenario — n nodes on a 16-node-rack
-// fat tree, SWIM at 1 ms, node 1 crashed for good at round 40 of 80 — and
-// returns the cluster, the service, and the SWIM frames the fleet sent in
-// each round.
-func idleFleetRounds(t *testing.T, n int) (*kernel.Cluster, *Service, []uint64) {
+// The idle fleet's scenario: n nodes on a 16-node-rack fat tree, SWIM at
+// 1 ms, node 1 crashed for good at round 40 of 80.
+const (
+	idlePeriod = 1e-3
+	idleRounds = 80
+)
+
+// idleFleet builds the idle fleet's scenario over n nodes, on the parallel
+// engine when par is set and the sequential one otherwise.
+func idleFleet(t testing.TB, n int, par bool) (*kernel.Cluster, *Service) {
 	t.Helper()
-	const period, rounds = 1e-3, 80
 	arches := make([]isa.Arch, n)
 	for i := range arches {
 		arches[i] = isa.Arches[i%len(isa.Arches)]
@@ -25,15 +31,27 @@ func idleFleetRounds(t *testing.T, n int) (*kernel.Cluster, *Service, []uint64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Node: 1, At: rounds / 2 * period}}})
-	s, err := Attach(cl, Config{HeartbeatPeriod: period, Seed: 7})
+	if par {
+		cl.UseParallelEngine(0)
+	}
+	cl.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Node: 1, At: idleRounds / 2 * idlePeriod}}})
+	s, err := Attach(cl, Config{HeartbeatPeriod: idlePeriod, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := make([]uint64, rounds)
+	return cl, s
+}
+
+// idleFleetRounds runs the idle fleet's scenario over n nodes and returns
+// the cluster, the service, and the SWIM frames the fleet sent in each
+// round.
+func idleFleetRounds(t *testing.T, n int) (*kernel.Cluster, *Service, []uint64) {
+	t.Helper()
+	cl, s := idleFleet(t, n, false)
+	sent := make([]uint64, idleRounds)
 	for r := range sent {
 		before := s.Stats().HeartbeatsSent
-		cl.Run(float64(r+1) * period)
+		cl.Run(float64(r+1) * idlePeriod)
 		sent[r] = s.Stats().HeartbeatsSent - before
 	}
 	return cl, s, sent
@@ -119,4 +137,50 @@ func TestRackCrashIsDetectedWhole(t *testing.T) {
 	if worst >= rackCrashMaxDetect {
 		t.Fatalf("the last death landed %.2f ms after the crash, want under %.0f ms", worst*1e3, rackCrashMaxDetect*1e3)
 	}
+}
+
+// idleFleetAllocCeiling is about 1.2x the objects one op of the benchmark's
+// idle_fleet workload allocates — the 256-node scenario on the sequential
+// engine, then on the parallel one: 6.1k, against 18.8k when each
+// observer kept its views, RTTs and flaps in maps.
+const idleFleetAllocCeiling = 7300
+
+// TestIdleFleetAllocations holds the idle fleet under its ceiling, so that a
+// per-observer map, a per-probe or per-union allocation coming back fails.
+// It also logs the live heap per node of a 1024-node fleet after its 80
+// rounds.
+func TestIdleFleetAllocations(t *testing.T) {
+	op := func() {
+		for _, par := range []bool{false, true} {
+			cl, s := idleFleet(t, 256, par)
+			cl.Run(idleRounds * idlePeriod)
+			if d := s.Deaths(); len(d) != 1 || d[0].Node != 1 {
+				t.Fatalf("par=%v: deaths %+v, want node 1's", par, d)
+			}
+		}
+	}
+	op()
+	var before, after runtime.MemStats
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("the 256-node idle fleet allocates %d objects per op (seq and par)", best)
+	if best > idleFleetAllocCeiling {
+		t.Errorf("the 256-node idle fleet allocates %d objects per op (seq and par), ceiling %d", best, idleFleetAllocCeiling)
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cl, s, _ := idleFleetRounds(t, 1024)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("1024 nodes after %d rounds: %.2f MB live, %d bytes per node", idleRounds, float64(live)/1e6, live/1024)
+	runtime.KeepAlive(cl)
+	runtime.KeepAlive(s)
 }

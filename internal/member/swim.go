@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"heterodc/internal/kernel"
 	"heterodc/internal/msg"
@@ -59,8 +58,9 @@ func (u update) wireBytes() int {
 }
 
 // confirms is a confirmation set, bit i for node i. A set is never written
-// once built — growing one builds a new one — so gossip queues, frames in
-// flight and duplicate legs share it without copying or locking.
+// once built — growing one builds a new one (observer.union) — so gossip
+// queues, frames in flight and duplicate legs share it without copying or
+// locking.
 type confirms []uint64
 
 func (c confirms) count() int {
@@ -69,28 +69,6 @@ func (c confirms) count() int {
 		k += bits.OnesCount64(w)
 	}
 	return k
-}
-
-// union returns a ∪ b ∪ {self} over n nodes (self < 0: none), and whether
-// that outgrows a (when it does not, a itself comes back and nothing is
-// allocated).
-func union(a, b confirms, self, n int) (confirms, bool) {
-	grows := self >= 0 && (a == nil || a[self/64]&(1<<(self%64)) == 0)
-	for i := 0; i < len(b) && !grows; i++ {
-		grows = a == nil && b[i] != 0 || a != nil && b[i]&^a[i] != 0
-	}
-	if !grows {
-		return a, false
-	}
-	c := make(confirms, (n+63)/64)
-	copy(c, a)
-	for i, w := range b {
-		c[i] |= w
-	}
-	if self >= 0 {
-		c[self/64] |= 1 << (self % 64)
-	}
-	return c, true
 }
 
 // supersedes reports whether update a overrides b for the same subject:
@@ -174,6 +152,7 @@ func (p *swimPayload) GroupPeers(add func(node int)) {
 // incarnation or epoch); everything else is implicitly alive at incarnation
 // 1 — that sparsity is what keeps detector state sub-quadratic.
 type view struct {
+	target   int
 	state    State
 	inc      uint64   // highest incarnation evidenced for the target
 	epoch    uint64   // highest refutation epoch within inc
@@ -185,6 +164,15 @@ type view struct {
 	backoff  float64  // current re-check backoff after a miss
 	conf     confirms // who held this suspicion since its round opened
 	gen      uint64   // the round's opening instant (float64 bits)
+}
+
+// rotation is where one node stands in its probe order: pos within cycle,
+// and cycle's affine map (a, b), derived by cycleParams when the cycle
+// opens.
+type rotation struct {
+	cycle uint64
+	pos   int
+	a, b  int
 }
 
 // probeState is one node's in-flight direct probe.
@@ -211,12 +199,19 @@ type Service struct {
 
 	nextProbe []float64 // next probe round per node (inf while down)
 	probeSeq  []uint64
-	cycle     []uint64 // rotation cycle per node
-	pos       []int    // position within the cycle
+	rot       []rotation
 	probes    []probeState
 
-	views     []map[int]*view // views[observer][target], sparse
-	selfInc   []uint64        // incarnation selfEpoch belongs to
+	// obs[observer] holds observer's records of its peers (views, sparse),
+	// and the health layer's raw signals: the smoothed RTT of observer's
+	// direct probes to each target, and the refuted suspicions (missed-
+	// but-refuted evidence) of each. All are written only while the
+	// observer delivers its own frames or runs its own protocol actions,
+	// so they are single-writer inside grouped parallel windows and exact
+	// between engine steps. A gray NIC inflates RTT and flap rate long
+	// before (or without ever) producing a death verdict.
+	obs       []observer
+	selfInc   []uint64 // incarnation selfEpoch belongs to
 	selfEpoch []uint64
 	gossip    [][]gossipEntry
 	// free[node] holds SWIM payloads node has received and may send again
@@ -239,18 +234,6 @@ type Service struct {
 	stats    []Stats
 	suspects int
 	deaths   []DeathRecord
-
-	// rtt[observer][target] is an exponentially-weighted moving average of
-	// observer's direct-probe round-trip times to target, and flaps
-	// [observer][target] counts refuted suspicions (missed-but-refuted
-	// evidence). Both are observer-sharded like views — written only while
-	// the observer delivers its own frames or runs its own protocol
-	// actions — so they are single-writer inside grouped parallel windows
-	// and exact between engine steps. They are the health layer's raw
-	// signals: a gray NIC inflates RTT and flap rate long before (or
-	// without ever) producing a death verdict.
-	rtt   []map[int]float64
-	flaps []map[int]uint64
 
 	// airborne counts in-flight frames carrying a non-Alive update. Node
 	// state can look fully healthy — every view Alive, every gossip buffer
@@ -291,27 +274,26 @@ func Attach(cl *kernel.Cluster, cfg Config) (*Service, error) {
 		n:         n,
 		nextProbe: make([]float64, n),
 		probeSeq:  make([]uint64, n),
-		cycle:     make([]uint64, n),
-		pos:       make([]int, n),
+		rot:       make([]rotation, n),
 		probes:    make([]probeState, n),
-		views:     make([]map[int]*view, n),
+		obs:       make([]observer, n),
 		selfInc:   make([]uint64, n),
 		selfEpoch: make([]uint64, n),
 		gossip:    make([][]gossipEntry, n),
 		free:      make([][]*swimPayload, n),
 		nextDue:   make([]float64, n),
 		stats:     make([]Stats, n),
-		rtt:       make([]map[int]float64, n),
-		flaps:     make([]map[int]uint64, n),
 	}
 	for i := 0; i < n; i++ {
 		// Stagger initial phases so the fabric does not burst every probe at
 		// one instant.
 		s.nextProbe[i] = cfg.HeartbeatPeriod * float64(i) / float64(n)
 		s.probes[i].target = -1
-		s.views[i] = make(map[int]*view)
-		s.rtt[i] = make(map[int]float64)
-		s.flaps[i] = make(map[int]uint64)
+		r := &s.rot[i]
+		r.a, r.b = s.cycleParams(i, 0, n-1)
+		if n > 2 {
+			s.obs[i].inv, s.obs[i].b0 = inverse(r.a, n-1), r.b
+		}
 		s.selfInc[i] = cl.Incarnation(i)
 		s.nextDue[i] = s.nextProbe[i]
 	}
@@ -416,47 +398,35 @@ func (s *Service) Quorum() int {
 // viewOf returns observer's record for target, or the implicit default
 // (alive, incarnation 1).
 func (s *Service) viewOf(observer, target int) view {
-	if v := s.views[observer][target]; v != nil {
+	if v := s.obs[observer].view(target); v != nil {
 		return *v
 	}
-	return view{state: Alive, inc: 1, deadline: inf}
+	return view{target: target, state: Alive, inc: 1, deadline: inf}
 }
 
 // mview materializes observer's record for target.
-func (s *Service) mview(observer, target int) *view {
-	if v := s.views[observer][target]; v != nil {
-		return v
-	}
-	v := &view{state: Alive, inc: 1, deadline: inf}
-	s.views[observer][target] = v
-	return v
-}
+func (s *Service) mview(observer, target int) *view { return s.obs[observer].materialize(target) }
 
 // maybePrune drops a record that carries no information beyond the implicit
-// default, keeping healthy-fleet state near zero.
-func (s *Service) maybePrune(observer, target int) {
-	v := s.views[observer][target]
-	if v != nil && v.state == Alive && v.inc <= 1 && v.epoch == 0 && v.deadInc == 0 && !v.deferred {
-		delete(s.views[observer], target)
+// default, keeping healthy-fleet state near zero. It reports whether it did.
+func (s *Service) maybePrune(observer, target int) bool {
+	o := &s.obs[observer]
+	i, ok := o.find(target)
+	if !ok {
+		return false
 	}
-}
-
-// viewKeys returns observer's materialized targets in ascending order, for
-// deterministic iteration over the sparse map.
-func (s *Service) viewKeys(observer int) []int {
-	keys := make([]int, 0, len(s.views[observer]))
-	for t := range s.views[observer] {
-		keys = append(keys, t)
+	if v := o.views[i]; v.state == Alive && v.inc <= 1 && v.epoch == 0 && v.deadInc == 0 && !v.deferred {
+		o.remove(i)
+		return true
 	}
-	sort.Ints(keys)
-	return keys
+	return false
 }
 
 // AliveCount returns how many nodes observer currently views alive,
 // including itself.
 func (s *Service) AliveCount(observer int) int {
 	c := s.n
-	for _, v := range s.views[observer] {
+	for _, v := range s.obs[observer].views {
 		if v.state != Alive {
 			c--
 		}
@@ -481,7 +451,7 @@ func (s *Service) View(observer, target int) State {
 func (s *Service) StateRecords() int {
 	c := 0
 	for o := 0; o < s.n; o++ {
-		c += len(s.views[o]) + len(s.gossip[o])
+		c += len(s.obs[o].views) + len(s.gossip[o])
 		if s.probes[o].target >= 0 {
 			c++
 		}
@@ -500,7 +470,7 @@ func (s *Service) recompute(node int) {
 			t = p.roundBy
 		}
 	}
-	for _, v := range s.views[node] {
+	for _, v := range s.obs[node].views {
 		if v.state == Suspect && !v.deferred && v.deadline < t {
 			t = v.deadline
 		}
@@ -535,8 +505,8 @@ func (s *Service) RunDue(node int, now float64) {
 		// and re-arm live suspicions instead of letting the gap's silence
 		// read as verdicts.
 		s.probes[node].target = -1
-		for _, t := range s.viewKeys(node) {
-			if v := s.views[node][t]; v.state == Suspect && !v.deferred {
+		for _, v := range s.obs[node].views {
+			if v.state == Suspect && !v.deferred {
 				v.deadline = now + s.cfg.SuspectTimeout
 			}
 		}
@@ -575,24 +545,14 @@ func (s *Service) expireProbe(node int, now float64) {
 	}
 }
 
-// expireSuspects reaches verdicts on observer's expired suspicions.
+// expireSuspects reaches verdicts on observer's expired suspicions, in
+// target order. A verdict neither materializes nor prunes a record of its
+// observer, so the table holds still under the walk.
 func (s *Service) expireSuspects(observer int, now float64) {
-	due := false
-	for _, v := range s.views[observer] {
+	for _, v := range s.obs[observer].views {
 		if v.state == Suspect && !v.deferred && v.deadline <= now {
-			due = true
-			break
+			s.verdict(observer, v.target, now)
 		}
-	}
-	if !due {
-		return
-	}
-	for _, t := range s.viewKeys(observer) {
-		v := s.views[observer][t]
-		if v.state != Suspect || v.deferred || v.deadline > now {
-			continue
-		}
-		s.verdict(observer, t, now)
 	}
 }
 
@@ -631,7 +591,7 @@ func (s *Service) confirm(observer, target int, v *view, in confirms, gen uint64
 	if now >= math.Float64frombits(v.gen) {
 		self = observer
 	}
-	c, grew := union(v.conf, in, self, s.n)
+	c, grew := s.obs[observer].union(v.conf, in, self, s.n)
 	if grew || earlier {
 		v.conf = c
 		s.gossipSuspicion(observer, target, v)
@@ -664,7 +624,7 @@ func (s *Service) proven(observer int, v *view) bool {
 // split's minority can only defer; only quorum-side verdicts ever gossip
 // Dead, and the minority can never poison the majority at heal.
 func (s *Service) verdict(observer, target int, now float64) {
-	v := s.views[observer][target]
+	v := s.obs[observer].view(target)
 	if !s.HasQuorum(observer) {
 		s.deferVerdict(observer, target, now, "no quorum")
 		return
@@ -725,7 +685,7 @@ func (s *Service) lastCall(observer, target int, v *view, now float64) {
 
 // deferVerdict parks a verdict that could not prove quorum.
 func (s *Service) deferVerdict(observer, target int, now float64, why string) {
-	v := s.views[observer][target]
+	v := s.obs[observer].view(target)
 	if !v.deferred {
 		s.stats[observer].DeferredVerdicts++
 		s.trace(now, "defer-death", "node %d defers death of node %d (%s: %d alive of %d, need %d)",
@@ -737,7 +697,7 @@ func (s *Service) deferVerdict(observer, target int, now float64, why string) {
 
 // executeDeath lands a quorum-proven verdict on the cluster.
 func (s *Service) executeDeath(observer, target int, now float64) {
-	v := s.views[observer][target]
+	v := s.obs[observer].view(target)
 	if v == nil || v.state != Suspect {
 		return
 	}
@@ -772,12 +732,11 @@ func (s *Service) reevaluateDeferred(observer int, now float64) {
 		return
 	}
 	cycle := float64(s.n-1) * s.cfg.HeartbeatPeriod
-	for _, t := range s.viewKeys(observer) {
-		v := s.views[observer][t]
+	for _, v := range s.obs[observer].views {
 		if v.state == Suspect && v.deferred {
 			v.deferred, v.called, v.missed, v.backoff = false, false, 0, 0
 			v.deadline = now + s.cfg.SuspectTimeout + cycle
-			s.gossipSuspicion(observer, t, v)
+			s.gossipSuspicion(observer, v.target, v)
 		}
 	}
 }
@@ -820,7 +779,7 @@ func gcd(a, b int) int {
 // gcd(a, m) = 1 visits every peer exactly once per cycle in a
 // pseudo-random, per-cycle-reshuffled order while keeping O(1) rotation
 // state per node — the SWIM round-robin randomization without storing a
-// permutation.
+// permutation. The rotation derives each cycle's map once, as it opens.
 func (s *Service) cycleParams(node int, cycle uint64, m int) (a, b int) {
 	if m <= 1 {
 		return 1, 0
@@ -844,14 +803,15 @@ func (s *Service) nextTarget(node int) int {
 	if m <= 0 {
 		return -1
 	}
+	r := &s.rot[node]
 	// Two full cycles cover every peer regardless of the starting phase.
 	for tries := 0; tries < 2*m; tries++ {
-		a, b := s.cycleParams(node, s.cycle[node], m)
-		idx := (a*s.pos[node] + b) % m
-		s.pos[node]++
-		if s.pos[node] >= m {
-			s.pos[node] = 0
-			s.cycle[node]++
+		idx := (r.a*r.pos + r.b) % m
+		r.pos++
+		if r.pos >= m {
+			r.pos = 0
+			r.cycle++
+			r.a, r.b = s.cycleParams(node, r.cycle, m)
 		}
 		cand := idx
 		if cand >= node {
@@ -1116,7 +1076,7 @@ func (s *Service) applyAlive(observer, target int, inc, epoch uint64, now float6
 	if observer == target {
 		return true
 	}
-	if inc == 1 && epoch == 0 && s.views[observer][target] == nil {
+	if inc == 1 && epoch == 0 && s.obs[observer].view(target) == nil {
 		// The implicit default record already says exactly this: nothing to
 		// materialize (and prune again).
 		return true
@@ -1146,12 +1106,12 @@ func (s *Service) applyAlive(observer, target int, inc, epoch uint64, now float6
 	switch was {
 	case Suspect:
 		s.stats[observer].Readmissions++
-		s.flaps[observer][target]++
+		s.obs[observer].flap(target)
 		s.trace(now, "readmit", "node %d clears suspicion of node %d", observer, target)
 	case Dead:
 		s.stats[observer].Readmissions++
 		s.stats[observer].FalseSuspicions++
-		s.flaps[observer][target]++
+		s.obs[observer].flap(target)
 		s.trace(now, "readmit", "node %d readmits node %d as incarnation %d (death refuted)", observer, target, inc)
 	}
 	if was != Alive {
@@ -1311,8 +1271,9 @@ func (s *Service) NodeCrashed(node int, now float64) {
 func (s *Service) NodeRecovered(node int, inc uint64, now float64) {
 	s.selfInc[node] = inc
 	s.selfEpoch[node] = 0
-	for _, t := range s.viewKeys(node) {
-		v := s.views[node][t]
+	o := &s.obs[node]
+	for i := 0; i < len(o.views); i++ {
+		v := o.views[i]
 		if v.state == Dead {
 			continue
 		}
@@ -1323,7 +1284,9 @@ func (s *Service) NodeRecovered(node int, inc uint64, now float64) {
 		v.deadline = inf
 		v.deferred = false
 		v.conf = nil
-		s.maybePrune(node, t)
+		if s.maybePrune(node, v.target) {
+			i-- // the next record moved into slot i
+		}
 	}
 	s.dropGossip(node)
 	s.enqueueUpdate(node, update{state: Alive, node: node, inc: inc})

@@ -109,8 +109,8 @@ func (s Spec) Validate() error {
 }
 
 // link is one directed fabric link with its own occupancy and counters.
+// Its name is derived from its id when asked for (Fabric.linkName).
 type link struct {
-	name        string
 	latencySec  float64
 	bytesPerSec float64
 
@@ -147,6 +147,8 @@ type Fabric struct {
 	racks   int
 	perRack int
 
+	// links holds node nd's access links at ids 2nd (up) and 2nd+1 (down),
+	// then the uplink pairs of the racks not cut, in rack order.
 	links      []link
 	accessUp   []int // per node: node -> ToR
 	accessDown []int // per node: ToR -> node
@@ -175,37 +177,59 @@ func Build(s Spec, n int) (*Fabric, error) {
 	racks := (n + perRack - 1) / perRack // drop racks left empty by the division
 	f := &Fabric{
 		spec: s, n: n, racks: racks, perRack: perRack,
+		links:      make([]link, 0, 2*n+2*racks),
 		accessUp:   make([]int, n),
 		accessDown: make([]int, n),
 		uplinkUp:   make([]int, racks),
 		uplinkDown: make([]int, racks),
 	}
-	addLink := func(name string, bw float64) int {
-		f.links = append(f.links, link{name: name, latencySec: DefaultHopLatencySec, bytesPerSec: bw})
+	addLink := func(bw float64) int {
+		f.links = append(f.links, link{latencySec: DefaultHopLatencySec, bytesPerSec: bw})
 		return len(f.links) - 1
 	}
 	for nd := 0; nd < n; nd++ {
-		r := nd / perRack
-		f.accessUp[nd] = addLink(fmt.Sprintf("n%d->tor%d", nd, r), DefaultAccessBytesPerSec)
-		f.accessDown[nd] = addLink(fmt.Sprintf("tor%d->n%d", r, nd), DefaultAccessBytesPerSec)
+		f.accessUp[nd] = addLink(DefaultAccessBytesPerSec)
+		f.accessDown[nd] = addLink(DefaultAccessBytesPerSec)
 	}
-	cut := map[int]bool{}
 	for _, r := range s.CutUplinks {
 		if r < 0 || r >= racks {
 			return nil, fmt.Errorf("topo: cut uplink names rack %d, fabric has racks 0..%d", r, racks-1)
 		}
-		cut[r] = true
+		f.uplinkUp[r], f.uplinkDown[r] = -1, -1
 	}
 	uplinkBW := float64(perRack) * DefaultAccessBytesPerSec / s.Oversub
 	for r := 0; r < racks; r++ {
-		if cut[r] {
-			f.uplinkUp[r], f.uplinkDown[r] = -1, -1
+		if f.cut(r) {
 			continue
 		}
-		f.uplinkUp[r] = addLink(fmt.Sprintf("tor%d->spine", r), uplinkBW)
-		f.uplinkDown[r] = addLink(fmt.Sprintf("spine->tor%d", r), uplinkBW)
+		f.uplinkUp[r] = addLink(uplinkBW)
+		f.uplinkDown[r] = addLink(uplinkBW)
 	}
 	return f, nil
+}
+
+// cut reports whether rack's uplinks are cut.
+func (f *Fabric) cut(rack int) bool { return f.uplinkUp[rack] < 0 }
+
+// linkName names link id by what it joins: "n3->tor0", "tor0->n3",
+// "tor1->spine" or "spine->tor1".
+func (f *Fabric) linkName(id int) string {
+	if id < 2*f.n {
+		nd := id / 2
+		if id%2 == 0 {
+			return fmt.Sprintf("n%d->tor%d", nd, f.Rack(nd))
+		}
+		return fmt.Sprintf("tor%d->n%d", f.Rack(nd), nd)
+	}
+	for r := 0; r < f.racks; r++ {
+		switch id {
+		case f.uplinkUp[r]:
+			return fmt.Sprintf("tor%d->spine", r)
+		case f.uplinkDown[r]:
+			return fmt.Sprintf("spine->tor%d", r)
+		}
+	}
+	panic(fmt.Sprintf("topo: no link %d", id))
 }
 
 // Spec returns the spec the fabric was built from (defaults resolved).
@@ -259,7 +283,7 @@ func (f *Fabric) route(from, to int) (hops [4]int, nh int, ok bool) {
 		hops[0], hops[1] = f.accessUp[from], f.accessDown[to]
 		return hops, 2, true
 	}
-	if f.uplinkUp[rf] < 0 || f.uplinkDown[rt] < 0 {
+	if f.cut(rf) || f.cut(rt) {
 		return hops, 0, false
 	}
 	hops[0], hops[1] = f.accessUp[from], f.uplinkUp[rf]
@@ -415,15 +439,13 @@ func (f *Fabric) Legs(id int) [][2]int {
 }
 
 // UnrouteablePairs returns every ordered distinct pair a cut uplink
-// disconnects, in deterministic order.
+// disconnects, in (from, to) order: the pairs that cross racks where
+// either rack's uplinks are cut.
 func (f *Fabric) UnrouteablePairs() [][2]int {
 	var pairs [][2]int
 	for from := 0; from < f.n; from++ {
 		for to := 0; to < f.n; to++ {
-			if from == to {
-				continue
-			}
-			if _, _, ok := f.route(from, to); !ok {
+			if rf, rt := f.Rack(from), f.Rack(to); rf != rt && (f.cut(rf) || f.cut(rt)) {
 				pairs = append(pairs, [2]int{from, to})
 			}
 		}
@@ -431,13 +453,34 @@ func (f *Fabric) UnrouteablePairs() [][2]int {
 	return pairs
 }
 
+// Unrouteable returns how many pairs UnrouteablePairs lists and the first
+// of them, from the racks alone: the nodes of a rack all reach the same
+// racks, so rack pairs in order meet the first pair first.
+func (f *Fabric) Unrouteable() (count int, first [2]int) {
+	for a := 0; a < f.racks; a++ {
+		for b := 0; b < f.racks; b++ {
+			if a == b || !f.cut(a) && !f.cut(b) {
+				continue
+			}
+			if count == 0 {
+				first = [2]int{a * f.perRack, b * f.perRack}
+			}
+			count += f.rackSize(a) * f.rackSize(b)
+		}
+	}
+	return count, first
+}
+
+// rackSize returns how many nodes rack holds (the last may hold fewer).
+func (f *Fabric) rackSize(rack int) int { return min(f.perRack, f.n-rack*f.perRack) }
+
 // LinkStats snapshots every link's counters in link-id order.
 func (f *Fabric) LinkStats() []LinkStat {
 	out := make([]LinkStat, len(f.links))
 	for i := range f.links {
 		l := &f.links[i]
 		out[i] = LinkStat{
-			ID: i, Name: l.name,
+			ID: i, Name: f.linkName(i),
 			LatencySec: l.latencySec, BytesPerSec: l.bytesPerSec,
 			Msgs: l.msgs, Bytes: l.bytes, BusySec: l.busySec,
 			Queued: l.queued, QueueSec: l.queueSec,

@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -273,6 +276,63 @@ func TestInRackNeverSlowerThanCrossRack(t *testing.T) {
 				t.Fatalf("seed %d (racks=%d perRack=%d oversub=%.1f): in-rack %.9g > cross-rack %.9g",
 					seed, racks, f.PerRack(), oversub, in, cross)
 			}
+		}
+	}
+}
+
+// TestUnrouteableMatchesEnumeration holds UnrouteablePairs and
+// Unrouteable, which read only the cut racks, to route() asked about every
+// ordered pair, over seeded random fabrics and cuts.
+func TestUnrouteableMatchesEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 400; i++ {
+		n := 1 + r.Intn(40)
+		spec := FatTree(1+r.Intn(n), 1)
+		racks := mustBuild(t, spec, n).Racks()
+		for c := r.Intn(racks + 1); c > 0; c-- {
+			spec.CutUplinks = append(spec.CutUplinks, r.Intn(racks))
+		}
+		f := mustBuild(t, spec, n)
+		var want [][2]int
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if _, _, ok := f.route(from, to); from != to && !ok {
+					want = append(want, [2]int{from, to})
+				}
+			}
+		}
+		if got := f.UnrouteablePairs(); !slices.Equal(got, want) {
+			t.Fatalf("%d nodes, %+v: UnrouteablePairs %d pairs, route() %d", n, spec, len(got), len(want))
+		}
+		k, first := f.Unrouteable()
+		if k != len(want) || k > 0 && first != want[0] {
+			t.Fatalf("%d nodes, %+v: Unrouteable %d first %v, route() %d first %v", n, spec, k, first, len(want), want[:min(1, len(want))])
+		}
+	}
+}
+
+// TestLinkNames: every link is named by what it joins, as the builder named
+// it when it stored the names.
+func TestLinkNames(t *testing.T) {
+	f := mustBuild(t, Spec{Kind: KindFatTree, Racks: 4, CutUplinks: []int{2}}, 11)
+	stats := f.LinkStats()
+	want := map[int]string{}
+	for nd := 0; nd < f.Nodes(); nd++ {
+		want[f.AccessUp(nd)] = fmt.Sprintf("n%d->tor%d", nd, f.Rack(nd))
+		want[f.AccessDown(nd)] = fmt.Sprintf("tor%d->n%d", f.Rack(nd), nd)
+	}
+	for r := 0; r < f.Racks(); r++ {
+		if f.UplinkUp(r) >= 0 {
+			want[f.UplinkUp(r)] = fmt.Sprintf("tor%d->spine", r)
+			want[f.UplinkDown(r)] = fmt.Sprintf("spine->tor%d", r)
+		}
+	}
+	if len(stats) != len(want) {
+		t.Fatalf("%d links, want %d", len(stats), len(want))
+	}
+	for _, ls := range stats {
+		if ls.Name != want[ls.ID] {
+			t.Errorf("link %d is named %q, want %q", ls.ID, ls.Name, want[ls.ID])
 		}
 	}
 }
