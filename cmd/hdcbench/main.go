@@ -40,7 +40,9 @@
 // streams (chaos, ckpt, detector, member-scaling, partition, topology,
 // storm). A flag value that an experiment would ignore or silently replace
 // fails before anything runs, with exit status 2 and a message naming the
-// flag.
+// flag. So does a flag the selected experiment does not read at all (its
+// exp.Study.Reads; -exp all takes every flag) and, under -check, every flag
+// that lands in exp.Config, -scale included.
 //
 // The rack experiment takes -rack-nodes N (default 4; below 2 is rejected)
 // to size the ensemble. Every experiment that drives a cluster, bar the
@@ -252,7 +254,39 @@ func parseArgs(fs *flag.FlagSet, args []string) (*command, error) {
 	if cfg.RackNodes < 2 {
 		return nil, fmt.Errorf("-rack-nodes: %d is below 2: a rack needs an x86 and an ARM machine", cfg.RackNodes)
 	}
-	return c, nil
+	return c, unread(fs, c)
+}
+
+// studyFlags maps every flag that sets a study's Config field, bar -scale,
+// to that field (exp.Study.Reads).
+var studyFlags = map[string]string{
+	"fault-seed": "Seed", "drop-prob": "DropProb", "crash-at": "CrashFrac",
+	"fuzz-seed": "FuzzSeed", "fuzz-budget": "FuzzBudget", "fuzz-max": "FuzzMax",
+	"rack-nodes": "RackNodes", "hb-fracs": "PeriodFracs",
+	"topo": "Topo", "racks": "Topo", "oversub": "Topo",
+	"arrivals": "Arrivals", "rate": "Rate", "slo": "SLO",
+	"storm-mttf": "MTTF", "storm-mttr": "MTTR",
+}
+
+// unread rejects the first explicitly set study flag (in flag-name order)
+// that c's run would ignore: one whose field the selected study does not
+// read, or, under -check, any study flag at all and -scale, since -check
+// regenerates every artefact with the config exp.Manifest records for it.
+// -exp all runs every study, so it takes every flag.
+func unread(fs *flag.FlagSet, c *command) error {
+	i := slices.IndexFunc(exp.Studies, func(s exp.Study) bool { return s.Name == c.exp })
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		field, ok := studyFlags[f.Name]
+		switch {
+		case err != nil:
+		case c.check && (ok || f.Name == "scale"):
+			err = fmt.Errorf("-%s: -check regenerates each artefact with the config exp.Manifest records for it and would ignore the flag", f.Name)
+		case ok && i >= 0 && !slices.Contains(exp.Studies[i].Reads, field):
+			err = fmt.Errorf("-%s: experiment %s does not read it", f.Name, c.exp)
+		}
+	})
+	return err
 }
 
 // runStudies runs every study of the table that only selects ("all": each

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,78 @@ func TestIgnoredFlagsExitTwo(t *testing.T) {
 		"-oversub", "3", "-drop-prob", "-1", "-crash-at", "7", "-rack-nodes", "-5")
 	if code != 2 || out != "" || !strings.Contains(errOut, `unknown fabric kind "bogus"`) {
 		t.Errorf("exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+}
+
+// A flag the selected study does not read, or any study flag under -check
+// (which replaces the config with each artefact's recorded one), exits 2
+// naming the flag before anything runs. These command lines ran and exited 0.
+func TestUnreadFlagsExitTwo(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "tab1", "-scale", "quick", "-topo", "fattree", "-racks", "2", "-arrivals", "bursty", "-rate", "50",
+			"-storm-mttf", "1", "-storm-mttr", "0.1", "-hb-fracs", "0.1", "-fuzz-max", "3"}, "-arrivals: experiment tab1 does not read it"},
+		{[]string{"-exp", "storm", "-topo", "fattree"}, "-topo: experiment storm does not read it"},
+		{[]string{"-exp", "fleet", "-fault-seed", "3"}, "-fault-seed: experiment fleet does not read it"},
+		{[]string{"-check", "-exp", "chaos", "-drop-prob", "0.5"}, "-drop-prob: -check"},
+		{[]string{"-check", "-scale", "quick"}, "-scale: -check"},
+	} {
+		out, errOut, code := cmdtest.Run(t, c.args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, c.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q: want exit 2 and %q", c.args, code, out, errOut, c.want)
+		}
+	}
+}
+
+// docCommand finds an hdcbench command line in a document, run as `go run
+// ./cmd/hdcbench`, `/tmp/hdcbench` or quoted as `hdcbench ...`.
+var docCommand = regexp.MustCompile("(?:go run \\./cmd/|/tmp/|`(?:cmd/)?)hdcbench((?: -[a-z-]+(?: [^ #(-][^ ]*)?)*)")
+
+// Every hdcbench command line the documents and CI show still parses. A
+// placeholder study (<name>, CI's "$study") stands for every study, and
+// a|b for each alternative.
+func TestDocumentedCommandLinesParse(t *testing.T) {
+	var names []string
+	for _, s := range exp.Studies {
+		names = append(names, s.Name)
+	}
+	found := 0
+	for _, doc := range []string{".github/workflows/ci.yml", "README.md", "results/README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.Join(strings.Fields(string(data)), " ")
+		for _, m := range docCommand.FindAllStringSubmatch(text, -1) {
+			lines := [][]string{nil}
+			for _, tok := range strings.Fields(m[1]) {
+				tok = strings.TrimRight(tok, "`);,.")
+				alts := strings.Split(tok, "|")
+				if tok == "<name>" || tok == `"$study"` {
+					alts = names
+				}
+				var next [][]string
+				for _, l := range lines {
+					for _, a := range alts {
+						next = append(next, append(append([]string(nil), l...), a))
+					}
+				}
+				lines = next
+			}
+			for _, args := range lines {
+				found++
+				fs := flag.NewFlagSet("hdcbench", flag.ContinueOnError)
+				fs.SetOutput(io.Discard)
+				if _, err := parseArgs(fs, args); err != nil {
+					t.Errorf("%s: hdcbench %s: %v", doc, strings.Join(args, " "), err)
+				}
+			}
+		}
+	}
+	if found < 100 {
+		t.Errorf("found %d documented command lines, want the 130 or so the documents hold once expanded", found)
 	}
 }
 

@@ -56,24 +56,15 @@ func main() {
 					name, ev.Time, ev.XformSeconds*1e6)
 			}
 		}
-		requested := false
-		for {
-			if done, _ := p.Exited(); done {
-				break
-			}
-			if !requested && cl.Time() >= moveAt {
-				cl.RequestProcessMigration(p, core.NodeARM)
-				requested = true
-			}
-			if !cl.Step() {
-				log.Fatalf("%s: drained", name)
-			}
+		move := core.Job{P: p, Migrate: true, At: moveAt, To: core.NodeARM}
+		if _, err := core.Drive(cl, nil, []core.Job{move}, nil); err != nil {
+			log.Fatalf("%s: %v", name, err)
 		}
 		if err := p.Err(); err != nil {
 			log.Fatalf("%s failed: %v", name, err)
 		}
 
-		fmt.Printf("[%s] total %.4fs; trace (downsampled):\n", name, cl.Time())
+		fmt.Printf("[%s] total %.4fs; trace (downsampled):\n", name, p.ExitTime())
 		fmt.Printf("  %8s %9s %9s %7s %7s\n", "t(s)", "x86 W", "arm W", "x86 %", "arm %")
 		step := len(meter.Trace)/12 + 1
 		for i := 0; i < len(meter.Trace); i += step {

@@ -338,26 +338,28 @@ func expandCountedEdge(f *ir.Func, bi int, counter ir.VReg, interval int64) {
 	f.Blocks = append(f.Blocks[:bi+1], rest...)
 }
 
+// loopHead returns the first block of the loop the back edge at block bi
+// (terminator in) closes: the earliest block the terminator branches to, or
+// bi itself when it branches nowhere earlier. The loop is blocks
+// [loopHead, bi].
+func loopHead(in *ir.Instr, bi int) int {
+	head := bi
+	switch in.Kind {
+	case ir.KBr:
+		head = min(head, in.TargetA)
+	case ir.KCondBr:
+		head = min(head, in.TargetA, in.TargetB)
+	}
+	return head
+}
+
 // loopContainsLoop reports whether the loop closed by the back edge at
 // (block bi) contains a deeper nested loop. Counters go only on such
 // loops: the innermost loops' gaps are bounded by the enclosing counter,
 // and keeping them polling-free keeps the per-iteration overhead of hot
 // kernels negligible.
 func loopContainsLoop(in *ir.Instr, bi int, depth []int) bool {
-	tgt := bi
-	switch in.Kind {
-	case ir.KBr:
-		tgt = in.TargetA
-	case ir.KCondBr:
-		tgt = in.TargetA
-		if in.TargetB < tgt {
-			tgt = in.TargetB
-		}
-	}
-	if tgt > bi {
-		tgt = bi
-	}
-	for b := tgt; b <= bi; b++ {
+	for b := loopHead(in, bi); b <= bi; b++ {
 		if depth[b] > depth[bi] {
 			return true
 		}
@@ -370,20 +372,7 @@ func loopContainsLoop(in *ir.Instr, bi int, depth []int) bool {
 // per iteration already, so a polling counter is negligible; and their
 // callees may be point-free leaves, leaving the loop otherwise uncovered.
 func loopContainsCall(f *ir.Func, in *ir.Instr, bi int) bool {
-	tgt := bi
-	switch in.Kind {
-	case ir.KBr:
-		tgt = in.TargetA
-	case ir.KCondBr:
-		tgt = in.TargetA
-		if in.TargetB < tgt {
-			tgt = in.TargetB
-		}
-	}
-	if tgt > bi {
-		tgt = bi
-	}
-	for b := tgt; b <= bi; b++ {
+	for b := loopHead(in, bi); b <= bi; b++ {
 		for ii := range f.Blocks[b].Instrs {
 			if f.Blocks[b].Instrs[ii].IsCallLike() {
 				return true
@@ -413,21 +402,8 @@ func isSmallLeaf(f *ir.Func, limit int) bool {
 // loopBodySize returns the static instruction count of the loop body the
 // back edge at (block bi, terminator in) closes: blocks [target, bi].
 func loopBodySize(f *ir.Func, in *ir.Instr, bi int) int {
-	tgt := bi
-	switch in.Kind {
-	case ir.KBr:
-		tgt = in.TargetA
-	case ir.KCondBr:
-		tgt = in.TargetA
-		if in.TargetB < tgt {
-			tgt = in.TargetB
-		}
-	}
-	if tgt > bi {
-		tgt = bi
-	}
 	n := 0
-	for b := tgt; b <= bi; b++ {
+	for b := loopHead(in, bi); b <= bi; b++ {
 		n += len(f.Blocks[b].Instrs)
 	}
 	return n

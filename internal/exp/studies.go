@@ -13,6 +13,10 @@ type Study struct {
 	// (…)" line, or why the shape does not hold. Nil for the studies that
 	// only print (fig345, ablation, rack).
 	Check func(rows any) (ok string, err error)
+	// Reads names the Config fields Run reads besides Scale and W, which
+	// every study is handed: a flag that sets any other field would be
+	// ignored, so hdcbench rejects it.
+	Reads []string
 }
 
 // Report runs s the way hdcbench prints it — header, rows, shape-check
@@ -31,8 +35,8 @@ func (s Study) Report(cfg Config) (rows any, err error) {
 }
 
 // study types one table row: run's rows reach check unconverted.
-func study[R any](name string, run func(Config) (R, error), check func(R) (string, error)) Study {
-	s := Study{Name: name, Run: func(cfg Config) (any, error) { return run(cfg) }}
+func study[R any](name string, run func(Config) (R, error), check func(R) (string, error), reads ...string) Study {
+	s := Study{Name: name, Run: func(cfg Config) (any, error) { return run(cfg) }, Reads: reads}
 	if check != nil {
 		s.Check = func(rows any) (string, error) { return check(rows.(R)) }
 	}
@@ -54,17 +58,17 @@ var Studies = []Study{
 	study("fig11", Fig11, holds((*Fig11Result).ShapeHolds, "managed ~2x native end-to-end; native resumes immediately")),
 	study("fig12", Fig12, holds(Fig12ShapeHolds, "dynamic policies trade makespan for energy")),
 	study("ablation", Ablation, nil),
-	study("rack", RackScale, nil),
-	study("chaos", Chaos, holds(ChaosShapeHolds, "every run exits cleanly with baseline-identical output")),
-	study("ckpt", Ckpt, holds(CkptShapeHolds, "capture invisible to output; every crash recovered from checkpoint")),
-	study("detector", Detector, holds(DetectorShapeHolds, "every crash detected by silence; false positives refuted by rejoin; no stranded jobs")),
+	study("rack", RackScale, nil, "RackNodes", "Topo"),
+	study("chaos", Chaos, holds(ChaosShapeHolds, "every run exits cleanly with baseline-identical output"), "Seed", "DropProb", "CrashFrac"),
+	study("ckpt", Ckpt, holds(CkptShapeHolds, "capture invisible to output; every crash recovered from checkpoint"), "Seed"),
+	study("detector", Detector, holds(DetectorShapeHolds, "every crash detected by silence; false positives refuted by rejoin; no stranded jobs"), "Seed", "PeriodFracs"),
 	study("fuzz", Fuzz, func(res *FuzzResult) (string, error) {
 		return fmt.Sprintf("%d programs, %.1f/s, all five modes byte-identical", res.Programs, res.ProgramsPerSec),
 			FuzzShapeHolds(res)
-	}),
-	study("member-scaling", MemberScale, holds(MemberScaleShapeHolds, "SWIM traffic flat and state sub-quadratic; detection under the lease baseline's 8 ms; no false deaths")),
-	study("partition", Partition, holds(PartitionInvariantsHold, "no split-brain restore or quorumless verdict; views reconverge on both engines")),
-	study("topology", Topology, holds(TopologyShapeHolds, "cross-rack costs grow with oversubscription, in-rack costs flat; engines byte-identical")),
+	}, "FuzzSeed", "FuzzBudget", "FuzzMax", "CorpusDir"),
+	study("member-scaling", MemberScale, holds(MemberScaleShapeHolds, "SWIM traffic flat and state sub-quadratic; detection under the lease baseline's 8 ms; no false deaths"), "Seed", "Topo"),
+	study("partition", Partition, holds(PartitionInvariantsHold, "no split-brain restore or quorumless verdict; views reconverge on both engines"), "Seed"),
+	study("topology", Topology, holds(TopologyShapeHolds, "cross-rack costs grow with oversubscription, in-rack costs flat; engines byte-identical"), "Seed"),
 	study("fleet", Fleet, func(series []FleetSeries) (string, error) {
 		ok := "every rollout reached 100% ARM within budget; engines byte-identical per wave"
 		for _, s := range series {
@@ -73,7 +77,7 @@ var Studies = []Study{
 			}
 		}
 		return ok, FleetInvariantsHold(series)
-	}),
-	study("storm", Storm, holds(StormInvariantsHold, "SLO degraded gracefully under chaos and recovered post-heal; no checkpointed job lost; engines byte-identical")),
+	}, "Rate", "SLO", "Arrivals", "Topo"),
+	study("storm", Storm, holds(StormInvariantsHold, "SLO degraded gracefully under chaos and recovered post-heal; no checkpointed job lost; engines byte-identical"), "Seed", "Rate", "SLO", "MTTF", "MTTR"),
 	study("fig13", Fig13, holds(Fig13ShapeHolds, "migration reduces energy for bursty arrivals")),
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -11,6 +12,27 @@ import (
 )
 
 const resultsDir = "../../results"
+
+// Every study's Reads names a Config field other than the two every study
+// is handed, and every other field is read by some study: hdcbench rejects
+// the flags of the fields a study leaves out, so a wrong name there would
+// reject a flag that works or pass one that is ignored.
+func TestStudyReadsNameConfigFields(t *testing.T) {
+	read := map[string]bool{}
+	for _, s := range Studies {
+		for _, f := range s.Reads {
+			if _, ok := reflect.TypeOf(Config{}).FieldByName(f); !ok || f == "Scale" || f == "W" {
+				t.Errorf("study %s reads %q, which is not a Config field a flag can set", s.Name, f)
+			}
+			read[f] = true
+		}
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if f.Name != "Scale" && f.Name != "W" && !read[f.Name] {
+			t.Errorf("no study reads Config.%s", f.Name)
+		}
+	}
+}
 
 // The table is what -exp all runs and what -check looks studies up in: names
 // must be unique, and the recorded transcript's sections must come in table

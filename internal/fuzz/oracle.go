@@ -198,17 +198,9 @@ func finish(p *kernel.Process, mode string, timedOut bool) RunResult {
 	if timedOut {
 		return r
 	}
-	_, code := p.Exited()
+	res := core.ResultOf(p, p.ExitTime())
 	r.OK = p.Err() == nil
-	r.Exit = code
-	r.Output = p.Output()
-	for tid := int64(0); ; tid++ {
-		t := p.Thread(tid)
-		if t == nil {
-			break
-		}
-		r.Migrations += t.Migrations
-	}
+	r.Exit, r.Output, r.Migrations = res.ExitCode, res.Output, res.Migrations
 	return r
 }
 

@@ -545,82 +545,8 @@ func (ic *Interconnect) SendReliable(now float64, from, to int, t Type, size int
 	if ic.inj == nil {
 		return ic.Send(now, from, to, t, size, payload), true
 	}
-	ic.ensure(from)
-	ic.ensure(to)
-	st := &ic.stats[from]
-	rx := retx{rto: ic.retxTimeout()}
-	for {
-		at := now + rx.elapsed
-		if ic.inj.NodeDown(to, at) {
-			rec, ok := ic.inj.NodeRecoverAt(to, at)
-			if !ok {
-				st.Exhausted++
-				ic.tracef(from, at, "send-fail", "type %d %d->%d: node %d down permanently", t, from, to, to)
-				return at, false
-			}
-			st.CrashStalls++
-			rx.elapsed = rec - now + rx.rto
-			continue
-		}
-		if ic.inj.LinkCut(at, from, to) {
-			// A partition with a known heal is waited out like a crash; a
-			// never-healing cut burns the retry budget at the backoff cadence
-			// (the sender cannot distinguish it from loss).
-			if heal, ok := ic.inj.LinkClearAt(at, from, to); ok {
-				st.PartitionStalls++
-				ic.tracef(from, at, "cut-stall", "type %d %d->%d: partitioned until %.6g", t, from, to, heal)
-				rx.elapsed = heal - now + rx.rto
-				continue
-			}
-			st.PartitionDrops++
-			again := ic.retry(st, &rx)
-			ic.tracef(from, at, "retx", "type %d %d->%d cut, retry %d", t, from, to, rx.retries)
-			if !again {
-				ic.tracef(from, at, "send-fail", "type %d %d->%d: partitioned permanently", t, from, to)
-				return at, false
-			}
-			continue
-		}
-		m := ic.transmit(at, from, to, t, size, payload)
-		drop, dup, jit := ic.inj.Fate(at, from, to, m.Seq)
-		if drop {
-			st.Dropped++
-			again := ic.retry(st, &rx)
-			ic.tracef(from, at, "retx", "type %d %d->%d seq %d retry %d", t, from, to, m.Seq, rx.retries)
-			if !again {
-				ic.tracef(from, at, "send-fail", "type %d %d->%d: retries exhausted", t, from, to)
-				return at, false
-			}
-			continue
-		}
-		m.Deliver += jit
-		if ic.inj.LinkCut(m.Deliver, from, to) {
-			// The cut landed while the leg was in flight: it is lost and the
-			// sender retransmits after the timeout.
-			st.Dropped++
-			st.PartitionDrops++
-			again := ic.retry(st, &rx)
-			ic.tracef(from, at, "retx", "type %d %d->%d seq %d cut in flight, retry %d", t, from, to, m.Seq, rx.retries)
-			if !again {
-				ic.tracef(from, at, "send-fail", "type %d %d->%d: partitioned permanently", t, from, to)
-				return at, false
-			}
-			continue
-		}
-		ic.push(m)
-		// Decide the acknowledgement's fate on the reverse link: a lost ack
-		// makes the sender retransmit a copy the receiver has already seen.
-		// An asymmetric partition that severs only the reverse leg loses the
-		// ack the same way.
-		ackDrop, _, _ := ic.inj.Fate(m.Deliver, to, from, ic.nextSeq(to, from))
-		if ic.inj.LinkCut(m.Deliver, to, from) {
-			ackDrop = true
-		}
-		if dup || ackDrop {
-			ic.pushDuplicate(st, m, m.Deliver+rx.rto)
-		}
-		return m.Deliver, true
-	}
+	deliver, _, ok := ic.reliable(now, &exchange{from: from, to: to, t: t, size: size, payload: payload})
+	return deliver, ok
 }
 
 // RoundTripTime estimates a small-request/sized-reply exchange starting at
@@ -645,69 +571,141 @@ func (ic *Interconnect) ReliableRTT(now float64, from, to int, replySize int64) 
 	if ic.inj == nil || from == to {
 		return ic.RoundTripTime(now, from, to, replySize), true
 	}
-	ic.ensure(from)
-	ic.ensure(to)
-	st := &ic.stats[from]
+	done, elapsed, ok := ic.reliable(now, &exchange{from: from, to: to, rtt: true, size: replySize})
+	if !ok {
+		return elapsed, false
+	}
+	return done, true
+}
+
+// exchange is one reliable exchange from->to: a send carries a size-byte
+// message of type t on the forward leg; a round trip (rtt) fetches a
+// size-byte reply over both legs and queues nothing.
+type exchange struct {
+	from, to int
+	rtt      bool
+	t        Type
+	size     int64
+	payload  interface{}
+}
+
+// reliable is the retransmission policy of both exchanges. Each round, at
+// now plus the time burnt so far, waits out a known-finite outage of the
+// destination (a permanent one gives up), stalls to the latest heal of a cut
+// on the exchange's legs, loses the round to a cut that never heals, or else
+// makes one attempt; a lost round backs off through retry. It returns the
+// attempt's result or the give-up instant, and the time burnt before it.
+func (ic *Interconnect) reliable(now float64, ex *exchange) (done, elapsed float64, ok bool) {
+	ic.link(ex.from, ex.to)
+	st := &ic.stats[ex.from]
+	fail := "send-fail"
+	if ex.rtt {
+		fail = "rtt-fail"
+	}
 	rx := retx{rto: ic.retxTimeout()}
 	for {
 		at := now + rx.elapsed
-		if ic.inj.NodeDown(to, at) {
-			rec, ok := ic.inj.NodeRecoverAt(to, at)
+		if ic.inj.NodeDown(ex.to, at) {
+			rec, ok := ic.inj.NodeRecoverAt(ex.to, at)
 			if !ok {
 				st.Exhausted++
-				ic.tracef(from, at, "rtt-fail", "%d->%d: node %d down permanently", from, to, to)
-				return rx.elapsed, false
+				ic.tracex(ex, at, fail, "destination down permanently", &rx)
+				return at, rx.elapsed, false
 			}
 			st.CrashStalls++
 			rx.elapsed = rec - now + rx.rto
 			continue
 		}
-		if ic.inj.LinkCut(at, from, to) || ic.inj.LinkCut(at, to, from) {
-			// Either leg severed kills the exchange. Stall to the latest
-			// known heal over both legs, or burn the retry budget when a cut
-			// never heals.
-			heal, ok := at, true
-			for _, leg := range [2][2]int{{from, to}, {to, from}} {
-				if !ic.inj.LinkCut(at, leg[0], leg[1]) {
-					continue
-				}
-				h, o := ic.inj.LinkClearAt(at, leg[0], leg[1])
-				if !o {
-					ok = false
-					break
-				}
-				if h > heal {
-					heal = h
-				}
-			}
-			if ok {
-				st.PartitionStalls++
-				ic.tracef(from, at, "cut-stall", "rtt %d->%d: partitioned until %.6g", from, to, heal)
-				rx.elapsed = heal - now + rx.rto
-				continue
-			}
-			st.PartitionDrops++
-			again := ic.retry(st, &rx)
-			ic.tracef(from, at, "retx", "rtt %d->%d cut, retry %d", from, to, rx.retries)
-			if !again {
-				ic.tracef(from, at, "rtt-fail", "%d->%d: partitioned permanently", from, to)
-				return rx.elapsed, false
-			}
+		var loss string
+		switch heal, cut, heals := ic.cutLegs(at, ex); {
+		case cut && heals:
+			st.PartitionStalls++
+			ic.tracex(ex, at, "cut-stall", "partitioned, stalling to the heal", &rx)
+			rx.elapsed = heal - now + rx.rto
 			continue
+		case cut:
+			st.PartitionDrops++
+			loss = "cut"
+		default:
+			done, loss = ic.attempt(at, ex, st, &rx)
 		}
-		reqDrop, _, reqJit := ic.inj.Fate(at, from, to, ic.nextSeq(from, to))
-		repDrop, _, repJit := ic.inj.Fate(at, to, from, ic.nextSeq(to, from))
-		if !reqDrop && !repDrop {
-			return rx.elapsed + ic.RoundTripTime(at, from, to, replySize) + reqJit + repJit, true
+		if loss == "" {
+			return done, rx.elapsed, true
 		}
-		st.Dropped++
 		again := ic.retry(st, &rx)
-		ic.tracef(from, at, "retx", "rtt %d->%d retry %d", from, to, rx.retries)
+		ic.tracex(ex, at, "retx", loss, &rx)
 		if !again {
-			ic.tracef(from, at, "rtt-fail", "%d->%d: retries exhausted", from, to)
-			return rx.elapsed, false
+			ic.tracex(ex, at, fail, "retries exhausted", &rx)
+			return at, rx.elapsed, false
 		}
 	}
+}
+
+// cutLegs reports whether a cut severs ex's forward leg at at, or for a
+// round trip either leg, and, when every such cut heals, the latest heal.
+func (ic *Interconnect) cutLegs(at float64, ex *exchange) (heal float64, cut, heals bool) {
+	heal = at
+	for leg, l := range [2][2]int{{ex.from, ex.to}, {ex.to, ex.from}} {
+		if leg == 1 && !ex.rtt || !ic.inj.LinkCut(at, l[0], l[1]) {
+			continue
+		}
+		cut = true
+		h, ok := ic.inj.LinkClearAt(at, l[0], l[1])
+		if !ok {
+			return at, true, false
+		}
+		heal = max(heal, h)
+	}
+	return heal, cut, true
+}
+
+// attempt makes one try of ex at at and returns its result, or how it was
+// lost after counting the loss. A round trip draws both legs' fates and
+// takes the estimated round trip plus their jitter. A send transmits its
+// message, lost if its fate drops it or a cut lands in flight; a
+// duplication fault, or a lost acknowledgement (its fate on the reverse
+// leg, or a cut of that leg alone), queues a copy the receiver has seen.
+func (ic *Interconnect) attempt(at float64, ex *exchange, st *Stats, rx *retx) (float64, string) {
+	if ex.rtt {
+		reqDrop, _, reqJit := ic.inj.Fate(at, ex.from, ex.to, ic.nextSeq(ex.from, ex.to))
+		repDrop, _, repJit := ic.inj.Fate(at, ex.to, ex.from, ic.nextSeq(ex.to, ex.from))
+		if reqDrop || repDrop {
+			st.Dropped++
+			return 0, "dropped"
+		}
+		return rx.elapsed + ic.RoundTripTime(at, ex.from, ex.to, ex.size) + reqJit + repJit, ""
+	}
+	m := ic.transmit(at, ex.from, ex.to, ex.t, ex.size, ex.payload)
+	drop, dup, jit := ic.inj.Fate(at, ex.from, ex.to, m.Seq)
+	if drop {
+		st.Dropped++
+		return 0, "dropped"
+	}
+	m.Deliver += jit
+	if ic.inj.LinkCut(m.Deliver, ex.from, ex.to) {
+		st.Dropped++
+		st.PartitionDrops++
+		return 0, "cut in flight"
+	}
+	ic.push(m)
+	ackDrop, _, _ := ic.inj.Fate(m.Deliver, ex.to, ex.from, ic.nextSeq(ex.to, ex.from))
+	if dup || ackDrop || ic.inj.LinkCut(m.Deliver, ex.to, ex.from) {
+		ic.pushDuplicate(st, m, m.Deliver+rx.rto)
+	}
+	return m.Deliver, ""
+}
+
+// tracex records one step of ex's retransmission in the sender's shard,
+// formatting nothing unless a tracer is installed.
+func (ic *Interconnect) tracex(ex *exchange, at float64, kind, what string, rx *retx) {
+	if ic.tracer == nil {
+		return
+	}
+	what = fmt.Sprintf("%d->%d: %s, retry %d, %.6g s elapsed", ex.from, ex.to, what, rx.retries, rx.elapsed)
+	if !ex.rtt {
+		what = fmt.Sprintf("type %d %s", ex.t, what)
+	}
+	ic.tracer.RecordNode(ex.from, at, kind, what)
 }
 
 // PopDue removes and returns the next message for node due at or before

@@ -367,35 +367,72 @@ func (f *Fabric) Estimate(now float64, from, to int, wire int64) float64 {
 
 // MinLatency returns the minimum zero-byte one-way latency over all
 // routeable distinct pairs — the lookahead floor for conservative parallel
-// co-simulation over this fabric.
+// co-simulation over this fabric — or DefaultHopLatencySec when no pair is
+// routeable. A route's latency is its hop latencies summed from the source,
+// and a rounded sum never falls when one term grows, so the minimum comes
+// from the racks rather than from all n² routes: a pair's best partner is
+// the best source of the other end's rack or uplink, or the runner-up when
+// the best is that end itself.
 func (f *Fabric) MinLatency() float64 {
 	if f.minLatValid {
 		return f.minLat
 	}
-	min := math.Inf(1)
-	for from := 0; from < f.n; from++ {
-		for to := 0; to < f.n; to++ {
-			if from == to {
-				continue
-			}
-			hops, nh, ok := f.route(from, to)
-			if !ok {
-				continue
-			}
-			lat := 0.0
-			for _, id := range hops[:nh] {
-				lat += f.links[id].latencySec
-			}
-			if lat < min {
-				min = lat
-			}
+	lat := math.Inf(1)
+	src := newBest() // over uncut racks: 0 + the rack's best access up + its uplink up
+	for r := 0; r < f.racks; r++ {
+		lo, hi := r*f.perRack, r*f.perRack+f.rackSize(r)
+		up := newBest() // over the rack's nodes: 0 + access up
+		for nd := lo; nd < hi; nd++ {
+			up.offer(nd, 0.0+f.links[f.accessUp[nd]].latencySec)
+		}
+		for nd := lo; nd < hi; nd++ {
+			lat = min(lat, up.except(nd)+f.links[f.accessDown[nd]].latencySec)
+		}
+		if !f.cut(r) {
+			src.offer(r, up.v[0]+f.links[f.uplinkUp[r]].latencySec)
 		}
 	}
-	if math.IsInf(min, 1) {
-		min = DefaultHopLatencySec
+	for r := 0; r < f.racks; r++ {
+		if f.cut(r) {
+			continue
+		}
+		down := math.Inf(1)
+		for nd := r * f.perRack; nd < r*f.perRack+f.rackSize(r); nd++ {
+			down = min(down, f.links[f.accessDown[nd]].latencySec)
+		}
+		lat = min(lat, src.except(r)+f.links[f.uplinkDown[r]].latencySec+down)
 	}
-	f.minLat, f.minLatValid = min, true
-	return min
+	if math.IsInf(lat, 1) {
+		lat = DefaultHopLatencySec
+	}
+	f.minLat, f.minLatValid = lat, true
+	return lat
+}
+
+// best keeps the two smallest values offered, +Inf while none, and who
+// offered them.
+type best struct {
+	v  [2]float64
+	id [2]int
+}
+
+func newBest() best { return best{v: [2]float64{math.Inf(1), math.Inf(1)}, id: [2]int{-1, -1}} }
+
+func (b *best) offer(id int, v float64) {
+	if v < b.v[0] {
+		b.v[1], b.id[1] = b.v[0], b.id[0]
+		b.v[0], b.id[0] = v, id
+	} else if v < b.v[1] {
+		b.v[1], b.id[1] = v, id
+	}
+}
+
+// except returns the smallest value not offered by id.
+func (b *best) except(id int) float64 {
+	if b.id[0] != id {
+		return b.v[0]
+	}
+	return b.v[1]
 }
 
 // Domain returns node's sharing domain: its rack. All link sharing in the

@@ -311,6 +311,53 @@ func TestUnrouteableMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// TestMinLatencyMatchesEnumeration holds MinLatency, which reads the racks,
+// bit for bit to the minimum over every routeable ordered pair with the hop
+// latencies summed from the source, over seeded random fabrics, cut
+// uplinks and per-link latency overrides (some of them tied).
+func TestMinLatencyMatchesEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	lats := []float64{0.1e-6, 0.3e-6, DefaultHopLatencySec, 1.7e-6}
+	for i := 0; i < 600; i++ {
+		n := 1 + r.Intn(40)
+		spec := FatTree(1+r.Intn(n), 1)
+		racks := mustBuild(t, spec, n).Racks()
+		for c := r.Intn(racks + 1); c > 0; c-- {
+			spec.CutUplinks = append(spec.CutUplinks, r.Intn(racks))
+		}
+		f := mustBuild(t, spec, n)
+		for c := r.Intn(3 * n); c > 0; c-- {
+			lat := lats[r.Intn(len(lats))]
+			if r.Intn(2) == 0 {
+				lat = r.Float64() * 2e-6
+			}
+			f.SetLinkLatency(r.Intn(len(f.links)), lat)
+		}
+		want := math.Inf(1)
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				hops, nh, ok := f.route(from, to)
+				if from == to || !ok {
+					continue
+				}
+				lat := 0.0
+				for _, id := range hops[:nh] {
+					lat += f.links[id].latencySec
+				}
+				if lat < want {
+					want = lat
+				}
+			}
+		}
+		if math.IsInf(want, 1) {
+			want = DefaultHopLatencySec
+		}
+		if got := f.MinLatency(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d nodes, %+v: MinLatency %.17g, enumeration %.17g", n, spec, got, want)
+		}
+	}
+}
+
 // TestLinkNames: every link is named by what it joins, as the builder named
 // it when it stored the names.
 func TestLinkNames(t *testing.T) {
