@@ -165,14 +165,9 @@ func main() {
 				for i, off := range fi.AllocaOffsets {
 					fmt.Printf("  alloca %d: fp%+d (%d bytes)\n", i, off, fi.AllocaSizes[i])
 				}
-				var ids []int
-				for id := range fi.CallSites {
-					ids = append(ids, id)
-				}
-				sort.Ints(ids)
-				for _, id := range ids {
-					cs := fi.CallSites[id]
-					fmt.Printf("  call site %d: retPC %#x, %d live values\n", id, cs.RetPC, len(cs.Live))
+				for i := range fi.CallSites {
+					cs := &fi.CallSites[i]
+					fmt.Printf("  call site %d: retPC %#x, %d live values\n", cs.ID, cs.RetPC, len(cs.Live))
 					for _, lv := range cs.Live {
 						fmt.Printf("    v%d %s @ %s\n", lv.VReg, lv.Type, lv.Loc)
 					}

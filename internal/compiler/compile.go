@@ -85,12 +85,13 @@ func Compile(m *ir.Module, opts Options) (*Artifact, error) {
 		return nil, fmt.Errorf("compiler: verify: %w", err)
 	}
 	art := &Artifact{Module: m}
+	funcs := make([]*AsmFunc, isa.NumArch*len(m.Funcs))
 	for _, arch := range isa.Arches {
-		art.Funcs[arch] = make([]*AsmFunc, 0, len(m.Funcs))
+		art.Funcs[arch], funcs = funcs[:0:len(m.Funcs)], funcs[len(m.Funcs):]
 	}
 	lo := newLowerer(m)
 	for _, f := range m.Funcs {
-		lo.lv.compute(f)
+		lo.begin(f)
 		for _, arch := range isa.Arches {
 			af, err := lo.lowerFunc(f, isa.Describe(arch))
 			if err != nil {
@@ -99,5 +100,6 @@ func Compile(m *ir.Module, opts Options) (*Artifact, error) {
 			art.Funcs[arch] = append(art.Funcs[arch], af)
 		}
 	}
+	lo.flush()
 	return art, nil
 }

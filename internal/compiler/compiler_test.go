@@ -74,8 +74,10 @@ func TestStackmapLiveSetsAgreeAcrossISAs(t *testing.T) {
 			t.Fatalf("%s: call-site counts differ (%d vs %d)",
 				fx.Name, len(fx.Info.CallSites), len(fa.Info.CallSites))
 		}
-		for id, csx := range fx.Info.CallSites {
-			csa := fa.Info.CallSites[id]
+		for i := range fx.Info.CallSites {
+			csx := &fx.Info.CallSites[i]
+			id := csx.ID
+			csa := fa.Info.Site(id)
 			if csa == nil {
 				t.Fatalf("%s: site %d missing on arm", fx.Name, id)
 			}
@@ -304,6 +306,8 @@ func TestLowerRejectsFunctionPastBranchRange(t *testing.T) {
 	}
 }
 
+// ir.Instr holds call-site IDs as int32 too, so an ID past int32 reaches
+// the lowerer wrapped negative, as Func.Finish's counter would wrap it.
 func TestLowerRejectsCallSiteIDPastInt32(t *testing.T) {
 	m, err := minic.CompileToIR("t", minic.Source{Name: "t.c", Code: simpleSrc})
 	if err != nil {
@@ -325,10 +329,11 @@ func TestLowerRejectsCallSiteIDPastInt32(t *testing.T) {
 	if call == nil {
 		t.Fatal("main has no call")
 	}
-	for _, id := range []int{math.MaxInt32 + 1, -1} {
+	pastInt32 := int64(math.MaxInt32) + 1
+	for _, id := range []int32{int32(pastInt32), -1} {
 		call.CallSiteID = id
 		lo := newLowerer(art.Module)
-		lo.lv.compute(f)
+		lo.begin(f)
 		_, err := lo.lowerFunc(f, isa.Describe(isa.X86))
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("call site ID %d outside", id)) {
 			t.Errorf("call site ID %d: err = %v", id, err)

@@ -99,10 +99,10 @@ func def(in *ir.Instr) ir.VReg {
 func successors(in *ir.Instr, buf *[2]int) []int {
 	switch in.Kind {
 	case ir.KBr:
-		buf[0] = in.TargetA
+		buf[0] = int(in.TargetA)
 		return buf[:1]
 	case ir.KCondBr:
-		buf[0], buf[1] = in.TargetA, in.TargetB
+		buf[0], buf[1] = int(in.TargetA), int(in.TargetB)
 		return buf[:2]
 	}
 	return nil
@@ -214,19 +214,8 @@ func (lv *liveness) compute(f *ir.Func) {
 func (lv *liveness) computeWeights() {
 	f := lv.f
 	lv.weight = grow(lv.weight, f.NumVRegs())
-	lv.depth = grow(lv.depth, len(f.Blocks))
+	lv.depth = loopDepths(f, lv.depth)
 	depth := lv.depth
-	// A back edge j->k (k <= j) makes blocks k..j one loop level deeper.
-	var sbuf [2]int
-	for bi, blk := range f.Blocks {
-		for _, s := range successors(&blk.Instrs[len(blk.Instrs)-1], &sbuf) {
-			if s <= bi {
-				for b := s; b <= bi; b++ {
-					depth[b]++
-				}
-			}
-		}
-	}
 	ubuf := lv.ubuf
 	for bi, blk := range f.Blocks {
 		w := int64(1)
@@ -245,6 +234,24 @@ func (lv *liveness) computeWeights() {
 		}
 	}
 	lv.ubuf = ubuf
+}
+
+// loopDepths estimates per-block loop nesting in buf's array, when it is
+// large enough: each back edge j->k (k <= j) makes blocks k..j one loop
+// level deeper.
+func loopDepths(f *ir.Func, buf []int) []int {
+	depth := grow(buf, len(f.Blocks))
+	var sbuf [2]int
+	for bi, blk := range f.Blocks {
+		for _, s := range successors(&blk.Instrs[len(blk.Instrs)-1], &sbuf) {
+			if s <= bi {
+				for b := s; b <= bi; b++ {
+					depth[b]++
+				}
+			}
+		}
+	}
+	return depth
 }
 
 // liveAcrossCall returns the vregs live after the k-th call-like

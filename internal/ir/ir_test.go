@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	. "heterodc/internal/ir"
 )
@@ -195,7 +196,7 @@ func buildCallSites(t testing.TB) *Module {
 
 func TestFinishAssignsSequentialCallSiteIDs(t *testing.T) {
 	f := buildCallSites(t).Func("caller")
-	var ids []int
+	var ids []int32
 	for _, blk := range f.Blocks {
 		for i := range blk.Instrs {
 			if blk.Instrs[i].IsCallLike() {
@@ -388,5 +389,16 @@ func TestPropertyEvalBin(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIRInstrStaysPacked: the passes copy instructions block by block and
+// the module holds one per IR operation, so Instr's size is what their
+// bytes scale with. The operator enums are bytes and the block, slot and
+// call-site indices int32s; a field that widens shows here (152 bytes when
+// every one was an int).
+func TestIRInstrStaysPacked(t *testing.T) {
+	if size := unsafe.Sizeof(Instr{}); size > 112 {
+		t.Errorf("ir.Instr is %d bytes, at most 112", size)
 	}
 }

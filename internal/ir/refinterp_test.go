@@ -377,12 +377,12 @@ func (ip *refInterp) exec(fr *frame, in *Instr, depth int) (int, int64, float64,
 		}
 		return -1, ri[in.A], 0, true, nil
 	case KBr:
-		return in.TargetA, 0, 0, false, nil
+		return int(in.TargetA), 0, 0, false, nil
 	case KCondBr:
 		if ri[in.A] != 0 {
-			return in.TargetA, 0, 0, false, nil
+			return int(in.TargetA), 0, 0, false, nil
 		}
-		return in.TargetB, 0, 0, false, nil
+		return int(in.TargetB), 0, 0, false, nil
 	default:
 		return 0, 0, 0, false, fmt.Errorf("interp: unknown kind %d", int(in.Kind))
 	}

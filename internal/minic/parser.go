@@ -149,6 +149,7 @@ type FuncDecl struct {
 	Params []Param
 	Body   *Stmt
 
+	tokens    int32 // in Body, braces included
 	line, col int32
 }
 
@@ -406,11 +407,12 @@ func (p *parser) funcRest(ret *Ty, nameTok *token) (*FuncDecl, error) {
 	if err := p.expect(cRParen); err != nil {
 		return nil, err
 	}
+	start := p.pos
 	body, err := p.block()
 	if err != nil {
 		return nil, err
 	}
-	fd.Body = body
+	fd.Body, fd.tokens = body, int32(p.pos-start)
 	return fd, nil
 }
 

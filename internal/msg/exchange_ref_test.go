@@ -352,3 +352,37 @@ func TestReliableExchangesAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestLostSendsAllocateNothing: with no tracer installed, an unreliable
+// send that the injector drops or a partition cuts allocates nothing, also
+// once its link's sequence numbers pass 255 (an interface holds the
+// integers up to 255 without a heap box).
+func TestLostSendsAllocateNothing(t *testing.T) {
+	ic := New(testCfg())
+	ic.SetInjector(fault.NewInjector(fault.Plan{
+		Seed: 1, DropProb: 1,
+		Partitions: []fault.PartitionWindow{{Legs: [][2]int{{0, 1}}, Start: 0, HealAt: 1e9}},
+	}))
+	ic.Grow(3)
+	now := 0.0
+	send := func() {
+		now += 1e-6
+		for _, to := range []int{1, 2} {
+			if _, queued := ic.SendQueued(now, 0, to, THeartbeat, 64, nil); queued {
+				t.Fatalf("send 0->%d queued under a plan that loses every send", to)
+			}
+		}
+	}
+	for i := 0; i < 300; i++ {
+		send()
+	}
+	before := ic.Stats()
+	allocs := testing.AllocsPerRun(200, send)
+	s := ic.Stats()
+	if s.PartitionDrops == before.PartitionDrops || s.Dropped-s.PartitionDrops == before.Dropped-before.PartitionDrops {
+		t.Fatalf("the plan reached no cut or no drop: %+v", s)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per pair of lost sends, want 0", allocs)
+	}
+}

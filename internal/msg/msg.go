@@ -398,7 +398,9 @@ func (ic *Interconnect) SetTracer(s EventSink) { ic.tracer = s }
 
 // tracef records a diagnostic produced by node's schedule (the sender of
 // the message in question) in node's shard of the sink, so sends inside
-// grouped parallel windows stay race-free.
+// grouped parallel windows stay race-free. Its arguments are boxed whether
+// or not a tracer is installed: a caller on an allocation-free path checks
+// ic.tracer first.
 func (ic *Interconnect) tracef(node int, t float64, kind, format string, args ...interface{}) {
 	if ic.tracer != nil {
 		ic.tracer.RecordNode(node, t, kind, fmt.Sprintf(format, args...))
@@ -499,12 +501,16 @@ func (ic *Interconnect) SendQueued(now float64, from, to int, t Type, size int64
 		if ic.inj.LinkCut(m.Deliver, from, to) {
 			ic.stats[from].Dropped++
 			ic.stats[from].PartitionDrops++
-			ic.tracef(from, now, "cut", "type %d %d->%d seq %d", t, from, to, m.Seq)
+			if ic.tracer != nil {
+				ic.tracef(from, now, "cut", "type %d %d->%d seq %d", t, from, to, m.Seq)
+			}
 			return m.Deliver, false
 		}
 		if drop || ic.inj.NodeDown(to, m.Deliver) {
 			ic.stats[from].Dropped++
-			ic.tracef(from, now, "drop", "type %d %d->%d seq %d", t, from, to, m.Seq)
+			if ic.tracer != nil {
+				ic.tracef(from, now, "drop", "type %d %d->%d seq %d", t, from, to, m.Seq)
+			}
 			return m.Deliver, false
 		}
 		if dup {

@@ -101,13 +101,15 @@ type FuncInfo struct {
 	// AllocaPtr[i] marks slots that may hold pointer values; only these
 	// get content pointer fixup during stack transformation.
 	AllocaPtr []bool
-	// StackParams maps IR parameter index -> FP-relative offset for
-	// parameters passed on the stack (absent when passed in registers).
-	StackParams map[int]int64
+	// StackParams lists the parameters passed on the stack, by ascending
+	// IR parameter index (those passed in registers are absent).
+	StackParams []StackParam
 	// NumStackArgBytes is the outgoing stack-argument area size.
 	NumStackArgBytes int64
-	// CallSites, keyed by call-site ID.
-	CallSites map[int]*CallSite
+	// CallSites holds one record per call-like instruction, ordered by ID:
+	// IDs run 1..len in code order, so CallSites[id-1] is site id and the
+	// RetPCs ascend. Look sites up with Site and SiteByRetPC.
+	CallSites []CallSite
 	// IsEntry marks functions that begin a thread (the unwinder stops when
 	// it reaches one, signalled by a zero return address).
 	IsEntry bool
@@ -116,14 +118,29 @@ type FuncInfo struct {
 	NoMigrate bool
 }
 
-// SiteByRetPC finds the call site whose RetPC equals pc, or nil.
-func (fi *FuncInfo) SiteByRetPC(pc uint64) *CallSite {
-	for _, cs := range fi.CallSites {
-		if cs.RetPC == pc {
-			return cs
-		}
+// StackParam is the FP-relative slot of one parameter passed on the stack.
+type StackParam struct {
+	Param int // IR parameter index
+	Off   int64
+}
+
+// Site returns the call site with the given ID, or nil.
+func (fi *FuncInfo) Site(id int) *CallSite {
+	if id < 1 || id > len(fi.CallSites) || fi.CallSites[id-1].ID != id {
+		return nil
 	}
-	return nil
+	return &fi.CallSites[id-1]
+}
+
+// SiteByRetPC finds the call site whose RetPC equals pc, or nil: a binary
+// search, since RetPC ascends with ID.
+func (fi *FuncInfo) SiteByRetPC(pc uint64) *CallSite {
+	sites := fi.CallSites
+	i := sort.Search(len(sites), func(i int) bool { return sites[i].RetPC >= pc })
+	if i == len(sites) || sites[i].RetPC != pc {
+		return nil
+	}
+	return &sites[i]
 }
 
 // SaveOffset returns the FP-relative save slot of callee-saved register reg,
@@ -162,8 +179,8 @@ func (m *Map) Seal() {
 	for _, fi := range m.Funcs {
 		m.entryToFunc[fi.Entry] = fi
 		m.sortedEntries = append(m.sortedEntries, fi.Entry)
-		for _, cs := range fi.CallSites {
-			slices.SortStableFunc(cs.Live, func(a, b LiveValue) int { return cmp.Compare(a.VReg, b.VReg) })
+		for i := range fi.CallSites {
+			slices.SortStableFunc(fi.CallSites[i].Live, func(a, b LiveValue) int { return cmp.Compare(a.VReg, b.VReg) })
 		}
 	}
 	slices.Sort(m.sortedEntries)

@@ -17,17 +17,16 @@ func buildMap() *Map {
 			{Reg: isa.R12, Off: -16},
 			{Reg: 8, IsFloat: true, Off: -24},
 		},
-		CallSites: map[int]*CallSite{
-			1: {ID: 1, RetPC: 0x1040, Live: []LiveValue{
+		CallSites: []CallSite{
+			{ID: 1, RetPC: 0x1040, Live: []LiveValue{
 				{VReg: 3, Type: ir.I64, Loc: Loc{Kind: InReg, Reg: isa.RBX}},
 				{VReg: 5, Type: ir.Ptr, Loc: Loc{Kind: InFrame, Off: -32}},
 			}},
-			2: {ID: 2, RetPC: 0x10f0},
+			{ID: 2, RetPC: 0x10f0},
 		},
 	})
 	m.Add(&FuncInfo{
 		Name: "beta", Entry: 0x1100, Size: 0x40,
-		CallSites: map[int]*CallSite{},
 	})
 	m.Seal()
 	return m

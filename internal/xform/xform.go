@@ -158,6 +158,11 @@ func (t *Transformer) Transform(in *Input) (*Output, error) {
 		if !ok {
 			return nil, fmt.Errorf("xform: destination has no metadata for %s", name)
 		}
+		// The alloca passes below index both frames by the source's slots.
+		if n := len(frames[k].fn.AllocaOffsets); len(dfn.AllocaOffsets) != n || len(frames[k].fn.AllocaSizes) != n {
+			return nil, fmt.Errorf("xform: %s: %d alloca slots on %s, %d on %s",
+				name, n, in.SrcProg.Arch, len(dfn.AllocaOffsets), in.DstProg.Arch)
+		}
 		fp := sp - 16
 		dsts[k] = dstFrame{fn: dfn, fp: fp, sp: fp - uint64(dfn.FrameSize)}
 		sp = dsts[k].sp
@@ -190,8 +195,8 @@ func (t *Transformer) Transform(in *Input) (*Output, error) {
 			callerFP, retAddr = 0, 0 // entry shim: unwinder sentinel
 		} else {
 			callerFP = dsts[k+1].fp
-			callerSite, ok := dsts[k+1].fn.CallSites[frames[k+1].site.ID]
-			if !ok {
+			callerSite := dsts[k+1].fn.Site(frames[k+1].site.ID)
+			if callerSite == nil {
 				return nil, fmt.Errorf("xform: %s: destination missing call site %d",
 					frames[k+1].fn.Name, frames[k+1].site.ID)
 			}
@@ -248,8 +253,8 @@ func (t *Transformer) Transform(in *Input) (*Output, error) {
 				regs.I[s.reg] = int64(s.bits)
 			}
 		}
-		dsite, ok := dsts[k].fn.CallSites[f.site.ID]
-		if !ok {
+		dsite := dsts[k].fn.Site(f.site.ID)
+		if dsite == nil {
 			return nil, fmt.Errorf("xform: %s: destination missing call site %d", f.fn.Name, f.site.ID)
 		}
 		// Both live sets are sorted by VReg (Map.Seal sees to it), so one
@@ -313,8 +318,8 @@ func (t *Transformer) Transform(in *Input) (*Output, error) {
 	}
 
 	// ---- Resume state: map PC, SP, FP (the paper's r^AB function). ----
-	site0, ok := dsts[0].fn.CallSites[frames[0].site.ID]
-	if !ok {
+	site0 := dsts[0].fn.Site(frames[0].site.ID)
+	if site0 == nil {
 		return nil, fmt.Errorf("xform: innermost destination site missing")
 	}
 	out.Regs.I[dstDesc.SP] = int64(dsts[0].sp)

@@ -131,3 +131,40 @@ func TestLatencyModelMonotonic(t *testing.T) {
 		t.Fatal("bogus")
 	}
 }
+
+// TestTransformRejectsAllocaCountMismatch: a destination frame with fewer
+// alloca slots than the source's is a metadata defect that Transform
+// reports, naming the function, where it used to index past the slots.
+func TestTransformRejectsAllocaCountMismatch(t *testing.T) {
+	img := buildImage(t)
+	sl, sh, dl, dh := stackBounds()
+	src, dst := img.Prog(isa.X86), img.Prog(isa.ARM64)
+	work := src.ByName["work"]
+	if len(work.Info.AllocaOffsets) == 0 || len(work.Info.CallSites) == 0 {
+		t.Fatalf("work has %d alloca slots and %d call sites", len(work.Info.AllocaOffsets), len(work.Info.CallSites))
+	}
+	// Suspend inside __migrate_check, called from work's first call site;
+	// work's own record ends the chain.
+	transform := func() error {
+		fm := newFakeMem()
+		fp, workFP := sl+0x1000, sl+0x2000
+		_ = fm.WriteU64(fp, workFP)
+		_ = fm.WriteU64(fp+8, work.Info.CallSites[0].RetPC)
+		in := &xform.Input{
+			SrcProg: src, DstProg: dst, Mem: fm, PC: src.ByName["__migrate_check"].Base,
+			SrcStackLo: sl, SrcStackHi: sh, DstStackLo: dl, DstStackHi: dh,
+		}
+		in.Regs.I[isa.Describe(isa.X86).FP] = int64(fp)
+		_, err := xform.Transform(in)
+		return err
+	}
+	if err := transform(); err != nil {
+		t.Fatalf("the intact image: %v", err)
+	}
+	dfi := dst.SMap.Funcs["work"]
+	dfi.AllocaOffsets = dfi.AllocaOffsets[:len(dfi.AllocaOffsets)-1]
+	err := transform()
+	if err == nil || !strings.Contains(err.Error(), "work") || !strings.Contains(err.Error(), "alloca") {
+		t.Fatalf("one destination alloca slot removed: err = %v", err)
+	}
+}
