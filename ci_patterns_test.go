@@ -100,6 +100,42 @@ func TestCIRunPatternsResolve(t *testing.T) {
 	t.Logf("%d alternatives checked", patterns)
 }
 
+// plainPair matches a YAML line holding one key and its value: an
+// optional sequence dash, the key, ": ", and the rest of the line.
+var plainPair = regexp.MustCompile(`^(\s*)(?:- )?[\w.-]+: (.*)$`)
+
+// TestCIScalarsAreQuoted: no unquoted value in ci.yml contains ": " (a YAML
+// parser rejects the file: "mapping values are not allowed here") or " #"
+// (the rest of the value silently becomes a comment). Step names are
+// prose, so a colon typed into one breaks the whole workflow; quote such a
+// value. The lines of a block scalar ("run: |") are shell, not YAML, and
+// are skipped.
+func TestCIScalarsAreQuoted(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := -1 // indentation of the key that opened a block scalar
+	for i, line := range strings.Split(string(ci), "\n") {
+		indent := len(line) - len(strings.TrimLeft(line, " "))
+		if block >= 0 && (strings.TrimSpace(line) == "" || indent > block) {
+			continue
+		}
+		block = -1
+		m := plainPair.FindStringSubmatch(line)
+		if m == nil || strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		switch v := m[2]; {
+		case strings.HasPrefix(v, "|") || strings.HasPrefix(v, ">"):
+			block = len(m[1])
+		case strings.IndexAny(v, `"'[{`) == 0:
+		case strings.Contains(v, ": ") || strings.Contains(v, " #"):
+			t.Errorf("ci.yml:%d: unquoted value %q contains \": \" or \" #\"; quote it", i+1, v)
+		}
+	}
+}
+
 // artefactLoop matches the study list of ci.yml's step that regenerates the
 // recorded artefacts.
 var artefactLoop = regexp.MustCompile(`(?s)name: Recorded artefacts regenerate byte for byte.*?for study in ([^;\n]*); do`)

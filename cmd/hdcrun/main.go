@@ -493,8 +493,8 @@ func main() {
 	}
 	if chaos {
 		s := cl.IC.Stats()
-		fmt.Printf("faults         : %d dropped, %d retries, %d duplicated, %d exhausted, %d crash stalls\n",
-			s.Dropped, s.Retries, s.Duplicated, s.Exhausted, s.CrashStalls)
+		fmt.Printf("faults         : %d dropped, %d retries, %d duplicated, %d exhausted, %d crash stalls, %d partition drops, %d partition stalls\n",
+			s.Dropped, s.Retries, s.Duplicated, s.Exhausted, s.CrashStalls, s.PartitionDrops, s.PartitionStalls)
 	}
 	if svc != nil {
 		st := svc.Stats()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -236,5 +237,19 @@ func TestProfileSurvivesAFailedRun(t *testing.T) {
 	}
 	if !cmdtest.IsPprof(t, cpu) {
 		t.Errorf("%s was left unfinished", cpu)
+	}
+}
+
+// A -partition-node run reports what the cut cost in its faults line: a
+// migration whose transfer meets the partition stalls to the heal.
+func TestFaultsLineReportsPartitionCounters(t *testing.T) {
+	out, errOut, code := cmdtest.Run(t, "-bench", "is", "-class", "S", "-output=false", "-migrate-at", "0.3",
+		"-partition-node", "arm", "-partition-at", "3e-4", "-partition-heal", "8e-4")
+	m := regexp.MustCompile(`(?m)^faults .*, (\d+) partition drops, (\d+) partition stalls$`).FindStringSubmatch(out)
+	if code != 0 || m == nil {
+		t.Fatalf("exit %d, stderr %q, stdout %q: want exit 0 and a faults line with both partition counters", code, errOut, out)
+	}
+	if m[2] == "0" {
+		t.Errorf("faults line %q: the migration across the cut stalled to no heal", m[0])
 	}
 }

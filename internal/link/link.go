@@ -205,6 +205,13 @@ func Link(name string, art *compiler.Artifact, opts Options) (*Image, error) {
 	if nFuncs != len(art.Funcs[isa.ARM64]) {
 		return nil, &LinkError{msg: "per-ISA function counts differ"}
 	}
+	// Both layouts pair functions by index, so the ISAs must list the same
+	// functions in the same order.
+	for i, f := range art.Funcs[isa.X86] {
+		if g := art.Funcs[isa.ARM64][i]; g.Name != f.Name {
+			return nil, &LinkError{msg: fmt.Sprintf("%s: function %d is %s on %v but %s on %v", name, i, f.Name, isa.X86, g.Name, isa.ARM64)}
+		}
+	}
 
 	// --- Text layout ---
 	if opts.Aligned {

@@ -272,6 +272,39 @@ func TestRelinkIsRefused(t *testing.T) {
 	}
 }
 
+// TestLinkRefusesFunctionsOutOfOrder: the layouts pair the ISAs' functions
+// by index, so an artifact whose ARM functions are in another order than
+// its x86 ones is a LinkError naming the index and both names, in either
+// layout, not an image whose addresses belong to the wrong functions.
+func TestLinkRefusesFunctionsOutOfOrder(t *testing.T) {
+	src, err := npb.Source(npb.CG, npb.ClassS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, aligned := range []bool{true, false} {
+		mod, err := minic.CompileToIR("cg", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := compiler.Compile(mod, compiler.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		arm := art.Funcs[isa.ARM64]
+		arm[1], arm[2] = arm[2], arm[1]
+		img, err := link.Link("cg", art, link.Options{Aligned: aligned})
+		var le *link.LinkError
+		if !errors.As(err, &le) || img != nil {
+			t.Fatalf("aligned %t: Link returned an image: %t, error %v; want a *LinkError and no image", aligned, img != nil, err)
+		}
+		for _, want := range []string{"function 1 ", arm[1].Name, arm[2].Name} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("aligned %t: error %q does not name %q", aligned, err, want)
+			}
+		}
+	}
+}
+
 // frontEnd and backEnd run CG's build up to and including CompileToIR and
 // Compile. Compile and Link consume their input, so every run of either
 // stage needs a fresh one.

@@ -1,9 +1,12 @@
 package msg
 
-// The reliable exchanges against the two retransmission loops they replaced,
-// kept here verbatim (only the receiver became a parameter): both exchanges
-// now run one loop, and every counter, fate draw, queued message and
-// returned instant must be what the separate loops produced.
+// Every message leg against the code it replaced: the two retransmission
+// loops of the reliable exchanges, SendQueued and pushDuplicate, kept here
+// as they stood (only the receiver became a parameter) but for the lines
+// marked "leg:", which follow the one fate path of Interconnect.leg (fate at
+// the send instant, a cut at the jittered delivery instant, then the drop
+// draw, one loss counted per leg). Every counter, fate draw, queued message
+// and returned instant must be what the reference produces.
 
 import (
 	"fmt"
@@ -13,6 +16,14 @@ import (
 
 	"heterodc/internal/fault"
 )
+
+// tracef records a diagnostic in node's shard of the tracer, formatting it
+// only when one is installed (its arguments are boxed either way).
+func (ic *Interconnect) tracef(node int, t float64, kind, format string, args ...interface{}) {
+	if ic.tracer != nil {
+		ic.tracer.RecordNode(node, t, kind, fmt.Sprintf(format, args...))
+	}
+}
 
 // refSendReliable is SendReliable's own retransmission loop as it stood
 // before the exchanges shared one.
@@ -58,7 +69,7 @@ func refSendReliable(ic *Interconnect, now float64, from, to int, t Type, size i
 		}
 		m := ic.transmit(at, from, to, t, size, payload)
 		drop, dup, jit := ic.inj.Fate(at, from, to, m.Seq)
-		if drop {
+		if drop && !ic.inj.LinkCut(m.Deliver, from, to) { // leg: a dropped leg that is also cut counts as cut below
 			st.Dropped++
 			again := ic.retry(st, &rx)
 			ic.tracef(from, at, "retx", "type %d %d->%d seq %d retry %d", t, from, to, m.Seq, rx.retries)
@@ -87,12 +98,16 @@ func refSendReliable(ic *Interconnect, now float64, from, to int, t Type, size i
 		// makes the sender retransmit a copy the receiver has already seen.
 		// An asymmetric partition that severs only the reverse leg loses the
 		// ack the same way.
-		ackDrop, _, _ := ic.inj.Fate(m.Deliver, to, from, ic.nextSeq(to, from))
-		if ic.inj.LinkCut(m.Deliver, to, from) {
+		ackDrop, _, ackJit := ic.inj.Fate(m.Deliver, to, from, ic.nextSeq(to, from)) // leg: the ack's jitter
+		if ic.inj.LinkCut(m.Deliver+ackJit, to, from) {                              // leg: cut at the ack's jittered instant
 			ackDrop = true
+			st.PartitionDrops++ // leg: a cut ack counts
+		}
+		if ackDrop {
+			st.Dropped++ // leg: a lost ack counts
 		}
 		if dup || ackDrop {
-			ic.pushDuplicate(st, m, m.Deliver+rx.rto)
+			refPushDuplicate(ic, st, at+rx.rto, m, m.Deliver+rx.rto) // leg: the copy is sent a timeout after the original
 		}
 		return m.Deliver, true
 	}
@@ -156,10 +171,18 @@ func refReliableRTT(ic *Interconnect, now float64, from, to int, replySize int64
 		}
 		reqDrop, _, reqJit := ic.inj.Fate(at, from, to, ic.nextSeq(from, to))
 		repDrop, _, repJit := ic.inj.Fate(at, to, from, ic.nextSeq(to, from))
-		if !reqDrop && !repDrop {
+		reqCut, repCut := ic.inj.LinkCut(at+reqJit, from, to), ic.inj.LinkCut(at+repJit, to, from) // leg: cut at the attempt instant plus the leg's jitter
+		if !reqDrop && !repDrop && !reqCut && !repCut {                                            // leg: either cut loses the round
 			return rx.elapsed + ic.RoundTripTime(at, from, to, replySize) + reqJit + repJit, true
 		}
-		st.Dropped++
+		for _, lost := range [2][2]bool{{reqDrop, reqCut}, {repDrop, repCut}} { // leg: one loss per lost leg
+			if lost[1] {
+				st.PartitionDrops++
+			}
+			if lost[0] || lost[1] {
+				st.Dropped++
+			}
+		}
 		again := ic.retry(st, &rx)
 		ic.tracef(from, at, "retx", "rtt %d->%d retry %d", from, to, rx.retries)
 		if !again {
@@ -167,6 +190,58 @@ func refReliableRTT(ic *Interconnect, now float64, from, to int, replySize int64
 			return rx.elapsed, false
 		}
 	}
+}
+
+// refSendQueued is SendQueued as it stood before every leg shared one fate
+// path.
+func refSendQueued(ic *Interconnect, now float64, from, to int, t Type, size int64, payload interface{}) (float64, bool) {
+	m := ic.transmit(now, from, to, t, size, payload)
+	if ic.inj != nil {
+		drop, dup, jit := ic.inj.Fate(now, from, to, m.Seq)
+		m.Deliver += jit
+		if ic.inj.LinkCut(m.Deliver, from, to) {
+			ic.stats[from].Dropped++
+			ic.stats[from].PartitionDrops++
+			if ic.tracer != nil {
+				ic.tracef(from, now, "cut", "type %d %d->%d seq %d", t, from, to, m.Seq)
+			}
+			return m.Deliver, false
+		}
+		if drop || ic.inj.NodeDown(to, m.Deliver) {
+			ic.stats[from].Dropped++
+			if ic.tracer != nil {
+				ic.tracef(from, now, "drop", "type %d %d->%d seq %d", t, from, to, m.Seq)
+			}
+			return m.Deliver, false
+		}
+		if dup {
+			refPushDuplicate(ic, &ic.stats[from], now, m, m.Deliver+ic.path.MinLatency()) // leg: the copy is sent with the original
+		}
+	}
+	ic.push(m)
+	return m.Deliver, true
+}
+
+// refPushDuplicate is pushDuplicate as it stood before every leg shared one
+// fate path.
+func refPushDuplicate(ic *Interconnect, st *Stats, sent float64, m Message, deliver float64) {
+	m.Seq = ic.nextSeq(m.From, m.To)
+	drop, _, jit := ic.inj.Fate(sent, m.From, m.To, m.Seq) // leg: the copy draws its own fate
+	m.Deliver = deliver + jit                              // leg: and its own jitter
+	if ic.inj.LinkCut(m.Deliver, m.From, m.To) {           // leg: cut at the copy's jittered instant
+		st.Dropped++ // leg: a cut copy is a lost leg
+		st.PartitionDrops++
+		return
+	}
+	if drop { // leg: a dropped copy is a lost leg
+		st.Dropped++
+		return
+	}
+	st.Duplicated++
+	if d, ok := m.Payload.(Duplicator); ok {
+		m.Payload = d.Duplicate()
+	}
+	ic.push(m)
 }
 
 // kindLog keeps each node's trace kinds in order; details are not compared.
@@ -222,11 +297,11 @@ func randomPlan(rng *rand.Rand, n int, span float64) fault.Plan {
 }
 
 // TestReliableExchangesMatchReference drives twin interconnects, one
-// through SendReliable and ReliableRTT and one through the reference loops,
-// with the same calls (SendQueued interleaved) under seeded random plans.
-// Return values, Stats after every call, trace kinds and every queued
-// message must be bit-equal; the plans together must reach every branch of
-// the retransmission policy.
+// through SendReliable, ReliableRTT and SendQueued and one through their
+// references, with the same calls under seeded random plans. Return values,
+// Stats after every call, trace kinds and every queued message, duplicates
+// included, must be bit-equal; the plans together must reach every branch
+// of the retransmission policy and both ways an unreliable send is lost.
 func TestReliableExchangesMatchReference(t *testing.T) {
 	const n, span = 5, 4e-3
 	var seen Stats
@@ -263,7 +338,7 @@ func TestReliableExchangesMatchReference(t *testing.T) {
 			default:
 				call = "SendQueued"
 				g, gok = got.SendQueued(now, from, to, TRemoteWake, size, op)
-				w, wok = want.SendQueued(now, from, to, TRemoteWake, size, op)
+				w, wok = refSendQueued(want, now, from, to, TRemoteWake, size, op)
 			}
 			where := fmt.Sprintf("seed %d op %d: %s(%.9g, %d->%d)", seed, op, call, now, from, to)
 			if math.Float64bits(g) != math.Float64bits(w) || gok != wok {
@@ -297,11 +372,11 @@ func TestReliableExchangesMatchReference(t *testing.T) {
 		}
 		seen.add(got.Stats())
 	}
-	if seen.Retries == 0 || seen.Exhausted == 0 || seen.CrashStalls == 0 || seen.Duplicated == 0 ||
-		seen.PartitionDrops == 0 || seen.PartitionStalls == 0 {
+	if seen.Dropped == 0 || seen.Retries == 0 || seen.Exhausted == 0 || seen.CrashStalls == 0 ||
+		seen.Duplicated == 0 || seen.PartitionDrops == 0 || seen.PartitionStalls == 0 {
 		t.Fatalf("the plans missed a branch: %+v", seen)
 	}
-	for _, k := range []string{"retx", "cut-stall", "send-fail", "rtt-fail"} {
+	for _, k := range []string{"retx", "cut-stall", "send-fail", "rtt-fail", "drop", "cut"} {
 		if kinds[k] == 0 {
 			t.Fatalf("no %q event over all plans: %v", k, kinds)
 		}

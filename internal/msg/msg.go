@@ -28,7 +28,10 @@
 // pipe shares nothing and has one domain, so the fold merges nothing.
 package msg
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Type tags inter-kernel messages.
 type Type int
@@ -107,7 +110,7 @@ type Stats struct {
 	// Fault-injection and reliable-delivery counters; all stay zero on a
 	// healthy interconnect. Two runs of the same workload under the same
 	// fault plan produce identical counters.
-	Dropped     uint64 // message legs lost to the injector or a dead node
+	Dropped     uint64 // message legs lost (see leg), or sent unreliably to a down node
 	Duplicated  uint64 // duplicate deliveries enqueued (lost acks, dup faults)
 	Retries     uint64 // retransmissions by reliable senders
 	Exhausted   uint64 // reliable exchanges that gave up
@@ -396,17 +399,6 @@ func (ic *Interconnect) SetInjector(inj Injector) { ic.inj = inj }
 // SetTracer installs an event sink for fault/retry diagnostics.
 func (ic *Interconnect) SetTracer(s EventSink) { ic.tracer = s }
 
-// tracef records a diagnostic produced by node's schedule (the sender of
-// the message in question) in node's shard of the sink, so sends inside
-// grouped parallel windows stay race-free. Its arguments are boxed whether
-// or not a tracer is installed: a caller on an allocation-free path checks
-// ic.tracer first.
-func (ic *Interconnect) tracef(node int, t float64, kind, format string, args ...interface{}) {
-	if ic.tracer != nil {
-		ic.tracer.RecordNode(node, t, kind, fmt.Sprintf(format, args...))
-	}
-}
-
 func (ic *Interconnect) retxTimeout() float64 {
 	if ic.cfg.RetxTimeoutSec > 0 {
 		return ic.cfg.RetxTimeoutSec
@@ -490,52 +482,68 @@ func (ic *Interconnect) Send(now float64, from, to int, t Type, size int64, payl
 }
 
 // SendQueued is Send that also reports whether the message was queued:
-// false when the injector dropped it, a partition cut it or its
-// destination was down. A sender that reuses its payloads takes a dropped
-// one back.
+// false when its leg was lost (see leg) or its destination was down at
+// delivery. A sender that reuses its payloads takes a lost one back.
 func (ic *Interconnect) SendQueued(now float64, from, to int, t Type, size int64, payload interface{}) (float64, bool) {
 	m := ic.transmit(now, from, to, t, size, payload)
 	if ic.inj != nil {
-		drop, dup, jit := ic.inj.Fate(now, from, to, m.Seq)
+		st := &ic.stats[from]
+		jit, dup, loss := ic.leg(st, now, m.Deliver, from, to, m.Seq)
 		m.Deliver += jit
-		if ic.inj.LinkCut(m.Deliver, from, to) {
-			ic.stats[from].Dropped++
-			ic.stats[from].PartitionDrops++
-			if ic.tracer != nil {
-				ic.tracef(from, now, "cut", "type %d %d->%d seq %d", t, from, to, m.Seq)
-			}
-			return m.Deliver, false
+		if loss == "" && ic.inj.NodeDown(to, m.Deliver) {
+			st.Dropped++
+			loss = "drop"
 		}
-		if drop || ic.inj.NodeDown(to, m.Deliver) {
-			ic.stats[from].Dropped++
+		if loss != "" {
 			if ic.tracer != nil {
-				ic.tracef(from, now, "drop", "type %d %d->%d seq %d", t, from, to, m.Seq)
+				ic.tracer.RecordNode(from, now, loss, fmt.Sprintf("type %d %d->%d seq %d", t, from, to, m.Seq))
 			}
 			return m.Deliver, false
 		}
 		if dup {
-			ic.pushDuplicate(&ic.stats[from], m, m.Deliver+ic.path.MinLatency())
+			ic.pushDuplicate(st, now, m, m.Deliver+ic.path.MinLatency())
 		}
 	}
 	ic.push(m)
 	return m.Deliver, true
 }
 
-// pushDuplicate enqueues a second copy of m delivered at deliver, on its
-// own sequence number and with its own payload (see Duplicator), unless a
-// partition cuts the copy's leg.
-func (ic *Interconnect) pushDuplicate(st *Stats, m Message, deliver float64) {
+// pushDuplicate enqueues a second copy of m, sent at sent on its own
+// sequence number and with its own payload (see Duplicator), for delivery at
+// deliver plus the copy's own jitter, unless the copy's leg is lost.
+func (ic *Interconnect) pushDuplicate(st *Stats, sent float64, m Message, deliver float64) {
 	m.Seq = ic.nextSeq(m.From, m.To)
-	m.Deliver = deliver
-	if ic.inj.LinkCut(deliver, m.From, m.To) {
-		st.PartitionDrops++
+	jit, _, loss := ic.leg(st, sent, deliver, m.From, m.To, m.Seq)
+	if loss != "" {
 		return
 	}
+	m.Deliver = deliver + jit
 	st.Duplicated++
 	if d, ok := m.Payload.(Duplicator); ok {
 		m.Payload = d.Duplicate()
 	}
 	ic.push(m)
+}
+
+// leg decides the fate of one message leg from->to, numbered seq on its
+// link, sent at at and delivered at deliver by a fault-free fabric. In this
+// order: the leg's fate is drawn at the send instant; a cut of the link at
+// the jittered delivery instant loses the leg (Dropped, PartitionDrops);
+// else the drop draw does (Dropped). It returns the jitter, not an instant,
+// so every caller's sum stays bit-exact; the duplication flag; and the loss,
+// "cut" or "drop" ("" for a delivered leg). Whether the destination is up
+// is for the callers to judge (DESIGN.md §8).
+func (ic *Interconnect) leg(st *Stats, at, deliver float64, from, to int, seq uint64) (jit float64, dup bool, loss string) {
+	drop, dup, jit := ic.inj.Fate(at, from, to, seq)
+	if cut := ic.inj.LinkCut(deliver+jit, from, to); cut || drop {
+		st.Dropped++
+		loss = "drop"
+		if cut {
+			st.PartitionDrops++
+			loss = "cut"
+		}
+	}
+	return jit, dup, loss
 }
 
 // SendReliable models an acknowledged send: every lost attempt costs the
@@ -631,7 +639,7 @@ func (ic *Interconnect) reliable(now float64, ex *exchange) (done, elapsed float
 			continue
 		case cut:
 			st.PartitionDrops++
-			loss = "cut"
+			loss = "partitioned"
 		default:
 			done, loss = ic.attempt(at, ex, st, &rx)
 		}
@@ -651,8 +659,8 @@ func (ic *Interconnect) reliable(now float64, ex *exchange) (done, elapsed float
 // round trip either leg, and, when every such cut heals, the latest heal.
 func (ic *Interconnect) cutLegs(at float64, ex *exchange) (heal float64, cut, heals bool) {
 	heal = at
-	for leg, l := range [2][2]int{{ex.from, ex.to}, {ex.to, ex.from}} {
-		if leg == 1 && !ex.rtt || !ic.inj.LinkCut(at, l[0], l[1]) {
+	for i, l := range [2][2]int{{ex.from, ex.to}, {ex.to, ex.from}} {
+		if i == 1 && !ex.rtt || !ic.inj.LinkCut(at, l[0], l[1]) {
 			continue
 		}
 		cut = true
@@ -665,38 +673,27 @@ func (ic *Interconnect) cutLegs(at float64, ex *exchange) (heal float64, cut, he
 	return heal, cut, true
 }
 
-// attempt makes one try of ex at at and returns its result, or how it was
-// lost after counting the loss. A round trip draws both legs' fates and
+// attempt makes one try of ex at at and returns its result and, for a lost
+// try, how leg lost it (and counted the loss). A round trip is estimated, not
+// transmitted: both legs are sent and judged at the attempt instant, and it
 // takes the estimated round trip plus their jitter. A send transmits its
-// message, lost if its fate drops it or a cut lands in flight; a
-// duplication fault, or a lost acknowledgement (its fate on the reverse
-// leg, or a cut of that leg alone), queues a copy the receiver has seen.
+// message; a duplication fault, or a lost acknowledgement (a leg back from
+// the message's delivery instant), queues a copy the receiver has seen.
 func (ic *Interconnect) attempt(at float64, ex *exchange, st *Stats, rx *retx) (float64, string) {
 	if ex.rtt {
-		reqDrop, _, reqJit := ic.inj.Fate(at, ex.from, ex.to, ic.nextSeq(ex.from, ex.to))
-		repDrop, _, repJit := ic.inj.Fate(at, ex.to, ex.from, ic.nextSeq(ex.to, ex.from))
-		if reqDrop || repDrop {
-			st.Dropped++
-			return 0, "dropped"
-		}
-		return rx.elapsed + ic.RoundTripTime(at, ex.from, ex.to, ex.size) + reqJit + repJit, ""
+		reqJit, _, reqLoss := ic.leg(st, at, at, ex.from, ex.to, ic.nextSeq(ex.from, ex.to))
+		repJit, _, repLoss := ic.leg(st, at, at, ex.to, ex.from, ic.nextSeq(ex.to, ex.from))
+		return rx.elapsed + ic.RoundTripTime(at, ex.from, ex.to, ex.size) + reqJit + repJit, cmp.Or(reqLoss, repLoss)
 	}
 	m := ic.transmit(at, ex.from, ex.to, ex.t, ex.size, ex.payload)
-	drop, dup, jit := ic.inj.Fate(at, ex.from, ex.to, m.Seq)
-	if drop {
-		st.Dropped++
-		return 0, "dropped"
+	jit, dup, loss := ic.leg(st, at, m.Deliver, ex.from, ex.to, m.Seq)
+	if loss != "" {
+		return 0, loss
 	}
 	m.Deliver += jit
-	if ic.inj.LinkCut(m.Deliver, ex.from, ex.to) {
-		st.Dropped++
-		st.PartitionDrops++
-		return 0, "cut in flight"
-	}
 	ic.push(m)
-	ackDrop, _, _ := ic.inj.Fate(m.Deliver, ex.to, ex.from, ic.nextSeq(ex.to, ex.from))
-	if dup || ackDrop || ic.inj.LinkCut(m.Deliver, ex.to, ex.from) {
-		ic.pushDuplicate(st, m, m.Deliver+rx.rto)
+	if _, _, ack := ic.leg(st, m.Deliver, m.Deliver, ex.to, ex.from, ic.nextSeq(ex.to, ex.from)); dup || ack != "" {
+		ic.pushDuplicate(st, at+rx.rto, m, m.Deliver+rx.rto)
 	}
 	return m.Deliver, ""
 }

@@ -217,3 +217,31 @@ func TestSendReliableWaitsOutOutage(t *testing.T) {
 		t.Fatalf("delivered at %g, want after recovery at 1.0", d)
 	}
 }
+
+// TestReliableSendLeavesInFlightCrashToTheDrain: a reliable send whose
+// destination is up at the attempt and crashes before the message lands is
+// queued and succeeds. The reliable loop judges the outage only at the
+// attempt instant; a crash in flight is the crashed kernel's queue drain's
+// to rehome or requeue, so no leg may be lost to the destination's outage.
+func TestReliableSendLeavesInFlightCrashToTheDrain(t *testing.T) {
+	const at, crash = 0.5, 0.5 + 1e-6 // the fault-free delivery is at + 1.1 µs
+	inj := fault.NewInjector(fault.Plan{
+		Seed: 1, JitterSec: 2e-6,
+		Crashes: []fault.Crash{{Node: 1, At: crash}}, // never recovers
+	})
+	ic := New(testCfg())
+	ic.SetInjector(inj)
+	d, ok := ic.SendReliable(at, 0, 1, TThreadMigrate, 100, nil)
+	if !ok {
+		t.Fatal("send failed although its destination was up at the attempt")
+	}
+	if !inj.NodeDown(1, d) || inj.NodeDown(1, at) {
+		t.Fatalf("delivery at %v: the destination must be up at the attempt and down at delivery", d)
+	}
+	if ic.Pending(1) != 1 {
+		t.Fatalf("%d messages queued for the crashed destination, want 1 for its drain", ic.Pending(1))
+	}
+	if s := ic.Stats(); s.Dropped != 0 || s.Retries != 0 || s.Exhausted != 0 {
+		t.Fatalf("stats %+v: the crash in flight cost the send a leg", s)
+	}
+}
