@@ -26,21 +26,21 @@ func main() {
 			host := guest.Other()
 
 			// Native: the guest binary on its own machine.
-			cl := core.NewSingle(guest)
-			p, err := cl.Spawn(img, 0)
+			nat, err := core.RunOn(core.NewSingle(guest), img, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if _, err := cl.RunProcess(p); err != nil {
-				log.Fatal(err)
-			}
-			native := cl.Time()
 
 			// Emulated: the same guest binary on the other machine via DBT.
-			emulated, _, err := dbt.RunEmulated(img, guest, host)
+			emu, err := dbt.NewEmulated(guest, host)
 			if err != nil {
 				log.Fatal(err)
 			}
+			em, err := core.RunOn(emu, img, 0)
+			if err != nil {
+				log.Fatal(err)
+			}
+			native, emulated := nat.Seconds, em.Seconds
 
 			fmt.Printf("%-6s %-8s %-8s  %12.4f %14.4f %9.1fx\n",
 				b, guest, host, native, emulated, emulated/native)

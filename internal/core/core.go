@@ -9,6 +9,8 @@
 //	p, err := cl.Spawn(img, core.NodeX86)
 //	res, err := core.Wait(cl, p)
 //
+// core.RunOn(cl, img, node) does the spawn and the wait in one call.
+//
 // Migration is requested with cl.RequestProcessMigration(p, core.NodeARM)
 // (or per-thread via cl.RequestMigration); the thread moves at its next
 // migration point, exactly as in the paper.
@@ -89,7 +91,8 @@ func NewSingle(arch isa.Arch) *kernel.Cluster {
 type Result struct {
 	ExitCode int64
 	Output   []byte
-	// Seconds is the simulated wall time at exit.
+	// Seconds is the clock of the cluster step that noticed the exit: up
+	// to one quantum after the exit instant, p.ExitTime().
 	Seconds float64
 	// Migrations counts completed thread migrations.
 	Migrations int
@@ -109,7 +112,8 @@ func ResultOf(p *kernel.Process, seconds float64) *Result {
 	return res
 }
 
-// Wait runs the cluster until p exits and returns its result.
+// Wait runs the cluster until p exits and returns its result. It is the one
+// place that decides a run's reported time.
 func Wait(cl *kernel.Cluster, p *kernel.Process) (*Result, error) {
 	if _, err := cl.RunProcess(p); err != nil {
 		return nil, err
@@ -192,9 +196,11 @@ func (d *driver) Fire(now float64) {
 	}
 }
 
-// Run is the one-shot helper: build a fresh testbed, run img on node, wait.
-func Run(img *link.Image, node int) (*Result, error) {
-	cl := NewTestbed()
+// Run is the one-shot helper: run img on node of a fresh testbed.
+func Run(img *link.Image, node int) (*Result, error) { return RunOn(NewTestbed(), img, node) }
+
+// RunOn spawns img on node of cl and waits for its exit.
+func RunOn(cl *kernel.Cluster, img *link.Image, node int) (*Result, error) {
 	p, err := cl.Spawn(img, node)
 	if err != nil {
 		return nil, err

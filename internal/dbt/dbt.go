@@ -18,7 +18,6 @@ import (
 
 	"heterodc/internal/isa"
 	"heterodc/internal/kernel"
-	"heterodc/internal/link"
 	"heterodc/internal/msg"
 )
 
@@ -107,20 +106,12 @@ func EmulatedDesc(guest, host isa.Arch) (*isa.Desc, error) {
 	return &g, nil
 }
 
-// RunEmulated runs img's guest-arch code under emulation on host and
-// returns the simulated wall time.
-func RunEmulated(img *link.Image, guest, host isa.Arch) (seconds float64, out []byte, err error) {
+// NewEmulated builds a one-machine cluster that runs guest-arch code under
+// emulation on host.
+func NewEmulated(guest, host isa.Arch) (*kernel.Cluster, error) {
 	d, err := EmulatedDesc(guest, host)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	cl := kernel.NewClusterSpec([]*isa.Desc{d}, msg.DolphinPXH810())
-	p, err := cl.Spawn(img, 0)
-	if err != nil {
-		return 0, nil, err
-	}
-	if _, err := cl.RunProcess(p); err != nil {
-		return 0, nil, err
-	}
-	return cl.Time(), p.Output(), nil
+	return kernel.NewClusterSpec([]*isa.Desc{d}, msg.DolphinPXH810()), nil
 }

@@ -119,7 +119,7 @@ func TestEmulatedDescRejectsSameISA(t *testing.T) {
 	if _, err := EmulatedDesc(isa.X86, isa.X86); err == nil {
 		t.Error("same-ISA emulated description built")
 	}
-	if _, _, err := RunEmulated(nil, isa.ARM64, isa.ARM64); err == nil {
-		t.Error("same-ISA emulated run accepted")
+	if _, err := NewEmulated(isa.ARM64, isa.ARM64); err == nil {
+		t.Error("same-ISA emulated cluster built")
 	}
 }

@@ -40,7 +40,7 @@ func AblationPointPlacement(cfg Config) ([]PointPlacementRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb, _, err := runNative(base, isa.X86)
+	rb, err := core.RunOn(core.NewSingle(isa.X86), base, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -77,16 +77,13 @@ func AblationPointPlacement(cfg Config) ([]PointPlacementRow, error) {
 				max = gap
 			}
 		})
-		p, err := cl.Spawn(img, 0)
+		res, err := core.RunOn(cl, img, 0)
 		if err != nil {
-			return nil, err
-		}
-		if _, err := cl.RunProcess(p); err != nil {
 			return nil, err
 		}
 		row := PointPlacementRow{
 			Config:       c.name,
-			OverheadPct:  (cl.Time()/tb - 1) * 100,
+			OverheadPct:  (res.Seconds/rb.Seconds - 1) * 100,
 			MaxGapInstrs: max,
 			Points:       points,
 		}

@@ -12,8 +12,6 @@ import (
 
 	"heterodc/internal/compiler"
 	"heterodc/internal/core"
-	"heterodc/internal/isa"
-	"heterodc/internal/kernel"
 	"heterodc/internal/link"
 	"heterodc/internal/npb"
 	"heterodc/internal/topo"
@@ -136,20 +134,6 @@ func (c Config) threadCounts() []int {
 	default:
 		return []int{1, 2, 4, 8}
 	}
-}
-
-// runNative runs img on a fresh single-machine cluster of arch and returns
-// (seconds, cluster) for stat extraction.
-func runNative(img *link.Image, arch isa.Arch) (float64, *kernel.Cluster, error) {
-	cl := core.NewSingle(arch)
-	p, err := cl.Spawn(img, 0)
-	if err != nil {
-		return 0, nil, err
-	}
-	if _, err := cl.RunProcess(p); err != nil {
-		return 0, nil, err
-	}
-	return cl.Time(), cl, nil
 }
 
 // buildVariants caches the non-default toolchain builds the experiments use.

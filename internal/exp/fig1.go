@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"heterodc/internal/core"
 	"heterodc/internal/dbt"
 	"heterodc/internal/isa"
 	"heterodc/internal/npb"
@@ -46,14 +47,19 @@ func Fig1(cfg Config) (*Fig1Result, error) {
 					if err != nil {
 						return nil, err
 					}
-					tn, _, err := runNative(img, guest)
+					nat, err := core.RunOn(core.NewSingle(guest), img, 0)
 					if err != nil {
 						return nil, fmt.Errorf("fig1 native %s.%s: %w", b, c, err)
 					}
-					te, _, err := dbt.RunEmulated(img, guest, host)
+					emu, err := dbt.NewEmulated(guest, host)
 					if err != nil {
 						return nil, fmt.Errorf("fig1 emul %s.%s: %w", b, c, err)
 					}
+					em, err := core.RunOn(emu, img, 0)
+					if err != nil {
+						return nil, fmt.Errorf("fig1 emul %s.%s: %w", b, c, err)
+					}
+					tn, te := nat.Seconds, em.Seconds
 					res.Rows = append(res.Rows, Fig1Row{
 						Bench: b, Class: c, Threads: th, Guest: guest,
 						NativeSeconds: tn, EmulatedSeconds: te,

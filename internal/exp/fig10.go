@@ -56,7 +56,7 @@ func Fig10(cfg Config) ([]*Fig10Result, error) {
 		if err := cl.RequestMigration(p, 0, core.NodeARM); err != nil {
 			return nil, err
 		}
-		if _, err := cl.RunProcess(p); err != nil {
+		if _, err := core.Wait(cl, p); err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", b, err)
 		}
 		for _, arch := range isa.Arches {

@@ -80,10 +80,11 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := refCl.RunProcess(refP); err != nil {
+		ref, err := core.Wait(refCl, refP)
+		if err != nil {
 			return nil, fmt.Errorf("fig11 managed ref: %w", err)
 		}
-		moveAt := refCl.Time() * 0.70
+		moveAt := ref.Seconds * 0.70
 
 		cl := serial.NewManagedTestbed()
 		meter := power.NewMeter(cl, power.DefaultModels(cl, false))

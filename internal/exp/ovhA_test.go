@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"heterodc/internal/core"
 	"heterodc/internal/isa"
 	"heterodc/internal/npb"
 )
@@ -25,15 +26,15 @@ func TestOverheadClassA(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, arch := range isa.Arches {
-			tb, _, err := runNative(base, arch)
+			rb, err := core.RunOn(core.NewSingle(arch), base, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ti, _, err := runNative(instr, arch)
+			ri, err := core.RunOn(core.NewSingle(arch), instr, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ov := (ti/tb - 1) * 100
+			ov := (ri.Seconds/rb.Seconds - 1) * 100
 			t.Logf("%s A %s: %+.2f%%", b, arch, ov)
 			n++
 			if ov > 5 {

@@ -69,11 +69,7 @@ func measurePoints(img *link.Image, h *trace.DecadeHistogram, max *uint64) error
 			*max = gap
 		}
 	})
-	p, err := cl.Spawn(img, 0)
-	if err != nil {
-		return err
-	}
-	_, err = cl.RunProcess(p)
+	_, err := core.RunOn(cl, img, 0)
 	return err
 }
 
@@ -115,14 +111,15 @@ func Fig6789(cfg Config) ([]Fig6789Row, error) {
 					return nil, err
 				}
 				for _, arch := range isa.Arches {
-					tb, _, err := runNative(base, arch)
+					rb, err := core.RunOn(core.NewSingle(arch), base, 0)
 					if err != nil {
 						return nil, fmt.Errorf("fig6-9 base %s.%s: %w", b, c, err)
 					}
-					ti, _, err := runNative(instr, arch)
+					ri, err := core.RunOn(core.NewSingle(arch), instr, 0)
 					if err != nil {
 						return nil, fmt.Errorf("fig6-9 instr %s.%s: %w", b, c, err)
 					}
+					tb, ti := rb.Seconds, ri.Seconds
 					row := Fig6789Row{
 						Bench: b, Class: c, Threads: th, Arch: arch,
 						BaseSeconds: tb, InstrSeconds: ti,

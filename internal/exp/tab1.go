@@ -5,7 +5,6 @@ import (
 
 	"heterodc/internal/core"
 	"heterodc/internal/isa"
-	"heterodc/internal/kernel"
 	"heterodc/internal/link"
 	"heterodc/internal/npb"
 )
@@ -73,15 +72,11 @@ type cacheRates struct {
 
 func runWithCacheStats(img *link.Image, arch isa.Arch) (float64, cacheRates, error) {
 	cl := core.NewSingle(arch)
-	p, err := cl.Spawn(img, 0)
+	res, err := core.RunOn(cl, img, 0)
 	if err != nil {
 		return 0, cacheRates{}, err
 	}
-	if _, err := cl.RunProcess(p); err != nil {
-		return 0, cacheRates{}, err
-	}
-	var k *kernel.Kernel = cl.Kernels[0]
-	iAcc, iMiss, dAcc, dMiss := k.CacheStats()
+	iAcc, iMiss, dAcc, dMiss := cl.Kernels[0].CacheStats()
 	var cr cacheRates
 	if iAcc > 0 {
 		cr.iMissRate = float64(iMiss) / float64(iAcc)
@@ -89,7 +84,7 @@ func runWithCacheStats(img *link.Image, arch isa.Arch) (float64, cacheRates, err
 	if dAcc > 0 {
 		cr.dMissRate = float64(dMiss) / float64(dAcc)
 	}
-	return cl.Time(), cr, nil
+	return res.Seconds, cr, nil
 }
 
 // Table1ShapeHolds checks the paper's claim: symbol alignment costs at most

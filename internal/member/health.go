@@ -70,54 +70,34 @@ func (s *Service) FlapsTowards(target int) uint64 {
 	return sum
 }
 
-// HealthConfig tunes the monitor's signal-to-score mapping.
-type HealthConfig struct {
-	// Enter/Exit are the hysteresis thresholds on the combined score:
-	// a node is marked degraded at score >= Enter and cleared at
-	// score <= Exit. Defaults 0.5 / 0.2.
-	Enter, Exit float64
-	// SlowAt is the retire-rate slowdown factor that maps to score 1
-	// (default 2: a node running at half speed scores 1).
-	SlowAt float64
-	// RTTAt is the RTT inflation factor over baseline that maps to score 1
-	// (default 4).
-	RTTAt float64
-	// FlapsAt is the per-tick flap count that maps to score 1 (default 2).
-	FlapsAt float64
-	// Decay multiplies the event-driven signal scores each tick with no
-	// fresh evidence (default 0.5), so a healed node ramps back in instead
-	// of flipping.
-	Decay float64
-}
+// The monitor's signal-to-score mapping.
+const (
+	// healthEnter and healthExit are the hysteresis thresholds on the
+	// combined score: a node is marked degraded at score >= healthEnter and
+	// cleared at score <= healthExit.
+	healthEnter, healthExit = 0.5, 0.2
+	// slowAt is the retire-rate slowdown factor that maps to score 1 (a
+	// node running at half speed scores 1).
+	slowAt = 2
+	// rttAt is the RTT inflation factor over baseline that maps to score 1.
+	rttAt = 4
+	// flapsAt is the per-tick flap count that maps to score 1.
+	flapsAt = 2
+	// scoreDecay multiplies the event-driven signal scores each tick with
+	// no fresh evidence, so a healed node ramps back in instead of flipping.
+	scoreDecay = 0.5
+)
 
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.Enter == 0 {
-		c.Enter = 0.5
-	}
-	if c.Exit == 0 {
-		c.Exit = 0.2
-	}
-	if c.SlowAt == 0 {
-		c.SlowAt = 2
-	}
-	if c.RTTAt == 0 {
-		c.RTTAt = 4
-	}
-	if c.FlapsAt == 0 {
-		c.FlapsAt = 2
-	}
-	if c.Decay == 0 {
-		c.Decay = 0.5
-	}
-	return c
-}
+// HealthConfig has no fields: the monitor's thresholds are the constants
+// above. The type stays so that NewMonitor keeps its signature, which the
+// benchmark module's storm workload calls with HealthConfig{}.
+type HealthConfig struct{}
 
 // Monitor scores every node's health from the cluster's retirement
 // counters and (when a SWIM service is attached) the RTT/flap signals.
 type Monitor struct {
 	cl  *kernel.Cluster
 	svc *Service
-	cfg HealthConfig
 
 	lastCycles []int64
 	lastBusy   []float64
@@ -135,10 +115,10 @@ type Monitor struct {
 
 // NewMonitor builds a health monitor over cl. svc may be nil (CPU signal
 // only — e.g. a deployment without SWIM attached).
-func NewMonitor(cl *kernel.Cluster, svc *Service, cfg HealthConfig) *Monitor {
+func NewMonitor(cl *kernel.Cluster, svc *Service, _ HealthConfig) *Monitor {
 	n := cl.NumNodes()
 	return &Monitor{
-		cl: cl, svc: svc, cfg: cfg.withDefaults(),
+		cl: cl, svc: svc,
 		lastCycles: make([]int64, n),
 		lastBusy:   make([]float64, n),
 		lastFlaps:  make([]uint64, n),
@@ -182,10 +162,10 @@ func (m *Monitor) Tick(now float64) {
 		m.lastCycles[node], m.lastBusy[node] = cyc, busy
 		if db > 1e-9 && dc > 0 {
 			factor := db * k.Desc.ClockHz / float64(dc)
-			m.slowScore[node] = clamp01((factor - 1) / (m.cfg.SlowAt - 1))
+			m.slowScore[node] = clamp01((factor - 1) / (slowAt - 1))
 		} else {
 			// Idle interval: no measurement, decay toward healthy.
-			m.slowScore[node] *= m.cfg.Decay
+			m.slowScore[node] *= scoreDecay
 		}
 		if m.svc != nil {
 			// RTT inflation over the node's own healthy floor.
@@ -194,14 +174,14 @@ func (m *Monitor) Tick(now float64) {
 					m.baseRTT[node] = agg
 				}
 				infl := agg / m.baseRTT[node]
-				m.rttScore[node] = clamp01((infl - 1) / (m.cfg.RTTAt - 1))
+				m.rttScore[node] = clamp01((infl - 1) / (rttAt - 1))
 			}
 			// Missed-but-refuted suspicions since the last tick.
 			f := m.svc.FlapsTowards(node)
 			df := f - m.lastFlaps[node]
 			m.lastFlaps[node] = f
-			inst := clamp01(float64(df) / m.cfg.FlapsAt)
-			if decayed := m.flapScore[node] * m.cfg.Decay; inst > decayed {
+			inst := clamp01(float64(df) / flapsAt)
+			if decayed := m.flapScore[node] * scoreDecay; inst > decayed {
 				m.flapScore[node] = inst
 			} else {
 				m.flapScore[node] = decayed
@@ -209,10 +189,10 @@ func (m *Monitor) Tick(now float64) {
 		}
 		score := m.Score(node)
 		if m.degraded[node] {
-			if score <= m.cfg.Exit {
+			if score <= healthExit {
 				m.degraded[node] = false
 			}
-		} else if score >= m.cfg.Enter {
+		} else if score >= healthEnter {
 			m.degraded[node] = true
 		}
 	}

@@ -153,7 +153,7 @@ func (p *swimPayload) GroupPeers(add func(node int)) {
 // 1 — that sparsity is what keeps detector state sub-quadratic.
 type view struct {
 	target   int
-	state    State
+	state    State    // written only by Service.become
 	inc      uint64   // highest incarnation evidenced for the target
 	epoch    uint64   // highest refutation epoch within inc
 	deadInc  uint64   // highest incarnation this observer holds dead
@@ -227,10 +227,11 @@ type Service struct {
 
 	// stats is sharded by acting node (the prober, sender or receiver), so
 	// counters have a single writer inside a parallel window; Stats sums
-	// them. suspects counts materialized views with state != Alive across
-	// all observers — the exact fast path for SuspectedAny, and constant
-	// zero during grouped windows (transitions only happen in protocol
-	// actions or on non-Alive gossip, both of which collapse the engine).
+	// them. suspects, kept by become, counts materialized views with state
+	// != Alive across all observers — the exact fast path for SuspectedAny,
+	// and constant zero during grouped windows (transitions only happen in
+	// protocol actions or on non-Alive gossip, both of which collapse the
+	// engine).
 	stats    []Stats
 	suspects int
 	deaths   []DeathRecord
@@ -369,6 +370,23 @@ func (s *Service) dropGossip(node int) {
 	s.gossip[node] = nil
 }
 
+// become moves v to state st. It is the only writer of view.state and of
+// suspects. A view outside Suspect holds no round: its deadline is inf, it
+// has no parked verdict and no confirmations.
+func (s *Service) become(v *view, st State) {
+	if (v.state == Alive) != (st == Alive) {
+		if st == Alive {
+			s.suspects--
+		} else {
+			s.suspects++
+		}
+	}
+	v.state = st
+	if st != Suspect {
+		v.deadline, v.deferred, v.conf = inf, false, nil
+	}
+}
+
 // holdDead records that v's observer holds incarnation inc of the target
 // dead.
 func (s *Service) holdDead(v *view, inc uint64) {
@@ -401,7 +419,7 @@ func (s *Service) viewOf(observer, target int) view {
 	if v := s.obs[observer].view(target); v != nil {
 		return *v
 	}
-	return view{target: target, state: Alive, inc: 1, deadline: inf}
+	return view{target: target, inc: 1, deadline: inf} // Alive is State's zero
 }
 
 // mview materializes observer's record for target.
@@ -563,8 +581,7 @@ func (s *Service) suspect(observer, target int, now float64, why string) {
 	if v.state != Alive {
 		return
 	}
-	v.state = Suspect
-	s.suspects++
+	s.become(v, Suspect)
 	v.deadline = now + s.cfg.SuspectTimeout
 	v.deferred, v.called, v.missed, v.backoff = false, false, 0, 0
 	v.conf, v.gen = nil, math.Float64bits(v.deadline)
@@ -701,11 +718,8 @@ func (s *Service) executeDeath(observer, target int, now float64) {
 	if v == nil || v.state != Suspect {
 		return
 	}
-	v.state = Dead
+	s.become(v, Dead)
 	s.holdDead(v, v.inc)
-	v.deadline = inf
-	v.deferred = false
-	v.conf = nil
 	s.enqueueUpdate(observer, update{state: Dead, node: target, inc: v.inc})
 	if s.cl.Incarnation(target) == v.inc && s.cl.DeadIncarnation(target) < v.inc {
 		s.stats[observer].Deaths++
@@ -1099,10 +1113,7 @@ func (s *Service) applyAlive(observer, target int, inc, epoch uint64, now float6
 	} else if epoch > v.epoch {
 		v.epoch = epoch
 	}
-	v.state = Alive
-	v.deadline = inf
-	v.deferred = false
-	v.conf = nil
+	s.become(v, Alive)
 	switch was {
 	case Suspect:
 		s.stats[observer].Readmissions++
@@ -1115,7 +1126,6 @@ func (s *Service) applyAlive(observer, target int, inc, epoch uint64, now float6
 		s.trace(now, "readmit", "node %d readmits node %d as incarnation %d (death refuted)", observer, target, inc)
 	}
 	if was != Alive {
-		s.suspects--
 		s.enqueueUpdate(observer, update{state: Alive, node: target, inc: v.inc, epoch: v.epoch})
 		s.reevaluateDeferred(observer, now)
 	}
@@ -1152,8 +1162,7 @@ func (s *Service) applyUpdate(observer int, u update, now float64) {
 			return
 		}
 		if v.state == Alive {
-			v.state, v.deferred = Suspect, false
-			s.suspects++
+			s.become(v, Suspect)
 			s.stats[observer].Suspicions++
 			s.trace(now, "suspect", "node %d suspects node %d (gossip)", observer, u.node)
 		}
@@ -1182,17 +1191,11 @@ func (s *Service) applyUpdate(observer int, u update, now float64) {
 			return // the subject already rejoined under a higher incarnation
 		}
 		v := s.mview(observer, u.node)
-		if v.state == Alive {
-			s.suspects++
-		}
-		v.state = Dead
+		s.become(v, Dead)
 		if u.inc > v.inc {
 			v.inc = u.inc
 		}
 		s.holdDead(v, u.inc)
-		v.deadline = inf
-		v.deferred = false
-		v.conf = nil
 		s.enqueueUpdate(observer, u)
 		s.trace(now, "member-dead", "node %d learns node %d (incarnation %d) dead via gossip", observer, u.node, u.inc)
 	}
@@ -1277,13 +1280,7 @@ func (s *Service) NodeRecovered(node int, inc uint64, now float64) {
 		if v.state == Dead {
 			continue
 		}
-		if v.state != Alive {
-			s.suspects--
-		}
-		v.state = Alive
-		v.deadline = inf
-		v.deferred = false
-		v.conf = nil
+		s.become(v, Alive)
 		if s.maybePrune(node, v.target) {
 			i-- // the next record moved into slot i
 		}

@@ -75,7 +75,7 @@ func (o *observer) materialize(target int) *view {
 	}
 	v := &o.recs[0]
 	o.recs = o.recs[1:]
-	*v = view{target: target, state: Alive, inc: 1, deadline: inf}
+	*v = view{target: target, inc: 1, deadline: inf} // Alive is State's zero
 	if o.views == nil {
 		o.views = make([]*view, 0, recChunk)
 	}
