@@ -263,7 +263,7 @@ func (cl *Cluster) raiseCkptFlags(p *Process) {
 // destination.
 func (cl *Cluster) ensureCkptFlag(p *Process, t *Thread) {
 	k := cl.Kernels[t.Node]
-	cur, err := p.Mems[k.Node].ReadU64(sys.MigrationFlagAddr(t.Tid))
+	cur, err := p.mem(k.Node).ReadU64(sys.MigrationFlagAddr(t.Tid))
 	if err == nil && cur == 0 {
 		k.vdsoSetFlag(p, t.Tid, ckptFlagRequest)
 	}
@@ -427,7 +427,7 @@ func (cl *Cluster) snapshotProcess(p *Process, at float64) (*Snapshot, error) {
 			return nil, fmt.Errorf("page %#x owner node %d is down", pg<<mem.PageShift, owner)
 		}
 		rec := PageRecord{Index: pg, Data: make([]byte, mem.PageSize)}
-		if src := p.Mems[owner].Page(pg << mem.PageShift); src != nil {
+		if src := p.mems[owner].Page(pg << mem.PageShift); src != nil {
 			copy(rec.Data, src[:])
 		}
 		s.Pages = append(s.Pages, rec)
@@ -507,7 +507,7 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 		Img:                 img,
 		Origin:              node,
 		Space:               dsm.NewSpace(len(cl.Kernels)),
-		Mems:                make([]*mem.Memory, len(cl.Kernels)),
+		mems:                make([]*mem.Memory, len(cl.Kernels)),
 		brk:                 s.Brk,
 		threads:             make(map[int64]*Thread),
 		nextTid:             s.NextTid,
@@ -520,10 +520,6 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 		pendingMig:          make(map[int64]int),
 	}
 	p.Out.Write(s.Output)
-	for i := range p.Mems {
-		p.Mems[i] = mem.NewMemory()
-		p.Mems[i].EnsurePage(mem.VDSOBase)
-	}
 	for _, f := range s.Files {
 		p.FS.AddFile(f.Name, f.Data)
 	}
@@ -537,9 +533,9 @@ func (cl *Cluster) RestoreProcess(img *link.Image, s *Snapshot, node int) (*Proc
 	}
 	// Every page lands Exclusive on the restore node, exactly like the
 	// loader seeding a fresh image; other nodes pull on demand.
+	local := p.mem(node)
 	for _, pr := range s.Pages {
-		base := pr.Index << mem.PageShift
-		p.Mems[node].InstallPage(base, (*mem.Page)(pr.Data))
+		local.InstallPage(pr.Index<<mem.PageShift, (*mem.Page)(pr.Data))
 		p.Space.Seed(node, pr.Index)
 	}
 

@@ -571,6 +571,15 @@ func (cl *Cluster) reapProcess(p *Process) {
 		}
 		return false
 	})
+	// Nothing reads an exited process's memory: every view it built goes.
+	// A core elsewhere may still be attached to one; Release empties it,
+	// and the core's TLB lets go at its next attach.
+	for n, m := range p.mems {
+		if m != nil {
+			m.Release()
+			p.mems[n] = nil
+		}
+	}
 }
 
 // DefaultInterconnect exposes the testbed interconnect configuration for

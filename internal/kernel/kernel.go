@@ -259,7 +259,7 @@ func (k *Kernel) attach(cs *coreSlot, t *Thread) {
 	t.sliceStart = k.now()
 	c := k.coreOf(cs)
 	c.Prog = t.Proc.Img.Prog(k.Arch)
-	c.Mem = t.Proc.Mems[k.Node]
+	c.Mem = t.Proc.mem(k.Node)
 	c.RegsI = t.Regs.I
 	c.RegsF = t.Regs.F
 	c.CurTID = t.Tid
@@ -411,7 +411,7 @@ func (k *Kernel) resolveFault(p *Process, addr uint64, write bool, now float64) 
 		return act, 0, fmt.Errorf("kernel: node %d addr %#x: %w", k.Node, addr, err)
 	}
 	base := page << mem.PageShift
-	local := p.Mems[k.Node]
+	local := p.mem(k.Node)
 
 	if act.Cold {
 		local.EnsurePage(base)
@@ -450,9 +450,10 @@ func (k *Kernel) resolveFault(p *Process, addr uint64, write bool, now float64) 
 // means the bytes need no rewriting, so they need no copying either;
 // otherwise the content is copied from the source, which keeps its copy.
 // A source with no frame (the directory and the memory disagree) leaves the
-// destination's page as it is, zero-filled if new.
+// destination's page as it is, zero-filled if new. The source, which the
+// directory names, has touched p; the destination may be touching it now.
 func (p *Process) pullPage(base uint64, from, to int, take bool) {
-	src, dst := p.Mems[from], p.Mems[to]
+	src, dst := p.mems[from], p.mem(to)
 	if !take {
 		dst.InstallPage(base, src.Page(base))
 	} else if frame := src.TakePage(base); frame != nil {
@@ -482,13 +483,14 @@ func dsmPeer(act dsm.Action, p *Process, self int) int {
 	return self
 }
 
-// applyDSM applies Drop/Protect directives to other nodes' copies.
+// applyDSM applies Drop/Protect directives to other nodes' copies. The
+// directory names only nodes that hold a copy, so each has a view.
 func (k *Kernel) applyDSM(p *Process, act dsm.Action, base uint64) {
 	for _, n := range act.Drop {
-		p.Mems[n].DropPage(base)
+		p.mems[n].DropPage(base)
 	}
 	for _, n := range act.Protect {
-		p.Mems[n].Protect(base)
+		p.mems[n].Protect(base)
 	}
 }
 
@@ -532,7 +534,7 @@ type kmem struct {
 }
 
 // mem is the local memory the view reads and writes.
-func (m *kmem) mem() *mem.Memory { return m.p.Mems[m.k.Node] }
+func (m *kmem) mem() *mem.Memory { return m.p.mem(m.k.Node) }
 
 // resolve runs the DSM protocol for the fault an access of size bytes at
 // addr just took, so the access can be retried.
@@ -606,8 +608,8 @@ func (m *kmem) WriteBytes(addr uint64, data []byte) error {
 // local vDSO copy.
 func (k *Kernel) vdsoSetFlag(p *Process, tid int64, val int64) {
 	addr := sys.MigrationFlagAddr(tid)
-	// The vDSO page is always present locally.
-	if err := p.Mems[k.Node].WriteU64(addr, uint64(val)); err != nil {
+	// The vDSO page is present and writable in every view p.mem builds.
+	if err := p.mem(k.Node).WriteU64(addr, uint64(val)); err != nil {
 		panic(fmt.Sprintf("kernel: vdso write failed: %v", err))
 	}
 }

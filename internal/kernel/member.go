@@ -228,8 +228,9 @@ func (p *Process) sweepNode(node int) (dropped, lost []uint64) {
 	dropped, lost = p.Space.SweepNode(node)
 	for _, pg := range dropped {
 		// The directory says Invalid now; drop the local frame too, or a
-		// resurrected node would read the stale copy without faulting.
-		p.Mems[node].DropPage(pg << mem.PageShift)
+		// resurrected node would read the stale copy without faulting. A
+		// node that held a copy has touched p, so it has a view.
+		p.mems[node].DropPage(pg << mem.PageShift)
 	}
 	return dropped, lost
 }

@@ -164,12 +164,12 @@ func (p *Process) pullAllPages(target int) (moved uint64) {
 			p.pullPage(base, prev, target, true)
 			moved++
 		}
-		for n := range p.Mems {
-			if n != target {
-				p.Mems[n].DropPage(base)
+		for n, m := range p.mems {
+			if n != target && m != nil {
+				m.DropPage(base)
 			}
 		}
-		p.Mems[target].Unprotect(base)
+		p.mem(target).Unprotect(base)
 	}
 	return moved
 }

@@ -43,6 +43,7 @@ func (m *refMem) snapshot(pg uint64) *mem.Page {
 }
 
 // pageWorld is one address space over three kernels with its reference.
+// A kernel's view is built by the first fault it takes, as in a process.
 type pageWorld struct {
 	cl   *Cluster
 	p    *Process
@@ -54,11 +55,10 @@ func newPageWorld() *pageWorld {
 	arches := []isa.Arch{isa.X86, isa.ARM64, isa.X86}
 	w := &pageWorld{
 		cl:   NewCluster(arches, DefaultInterconnect()),
-		p:    &Process{Pid: 1, Space: dsm.NewSpace(len(arches))},
+		p:    &Process{Pid: 1, Space: dsm.NewSpace(len(arches)), mems: make([]*mem.Memory, len(arches))},
 		tlbs: make([]mem.TLB, len(arches)),
 	}
 	for range arches {
-		w.p.Mems = append(w.p.Mems, mem.NewMemory())
 		w.ref = append(w.ref, newRefMem())
 	}
 	return w
@@ -133,7 +133,13 @@ func (w *pageWorld) sweep(node int) {
 // through a TLB that has been attached since before the step — and audits
 // frame ownership.
 func (w *pageWorld) check(pages []uint64) error {
-	for node, m := range w.p.Mems {
+	for node, m := range w.p.mems {
+		if m == nil {
+			if len(w.ref[node].pages) > 0 {
+				return fmt.Errorf("node %d has no view; the reference holds %d pages", node, len(w.ref[node].pages))
+			}
+			continue
+		}
 		tlb := &w.tlbs[node]
 		tlb.Attach(m)
 		for _, pg := range pages {
@@ -164,7 +170,7 @@ func (w *pageWorld) check(pages []uint64) error {
 			}
 		}
 	}
-	return mem.AuditFrames(w.p.Mems)
+	return mem.AuditFrames(w.p.mems)
 }
 
 // Frames move between memories on an exclusive transfer and are recycled
@@ -186,7 +192,7 @@ func TestFrameOwnershipProperty(t *testing.T) {
 			w := newPageWorld()
 			cold, moved := 0, 0
 			for step := 0; step < 3000; step++ {
-				node := rng.Intn(len(w.p.Mems))
+				node := rng.Intn(len(w.p.mems))
 				pg := pages[rng.Intn(len(pages))]
 				base := pg << mem.PageShift
 				what := "store"
@@ -204,7 +210,7 @@ func TestFrameOwnershipProperty(t *testing.T) {
 					}
 					if act.Cold {
 						cold++
-						if *w.p.Mems[node].Page(base) != (mem.Page{}) {
+						if *w.p.mems[node].Page(base) != (mem.Page{}) {
 							t.Fatalf("step %d: cold fault on node %d page %#x handed out a dirty frame", step, node, pg)
 						}
 					}
@@ -212,11 +218,12 @@ func TestFrameOwnershipProperty(t *testing.T) {
 						moved++
 					}
 				case r < 90:
-					if !w.p.Mems[node].Writable(base) {
+					m := w.p.mems[node]
+					if m == nil || !m.Writable(base) {
 						continue
 					}
 					off, v := uint64(rng.Intn(mem.PageSize/8))*8, rng.Uint64()
-					if err := w.p.Mems[node].WriteU64(base+off, v); err != nil {
+					if err := m.WriteU64(base+off, v); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
 					for i := uint64(0); i < 8; i++ {
@@ -244,13 +251,13 @@ func TestFrameOwnershipProperty(t *testing.T) {
 // them, and returns a function that bounces it once more each way.
 func pingPong(tb testing.TB) func() {
 	cl := NewCluster([]isa.Arch{isa.X86, isa.ARM64}, DefaultInterconnect())
-	p := &Process{Pid: 1, Space: dsm.NewSpace(2), Mems: []*mem.Memory{mem.NewMemory(), mem.NewMemory()}}
+	p := &Process{Pid: 1, Space: dsm.NewSpace(2), mems: make([]*mem.Memory, 2)}
 	bounce := func() {
 		for node, k := range cl.Kernels {
 			if _, _, err := k.resolveFault(p, mem.HeapBase, true, 0); err != nil {
 				tb.Fatal(err)
 			}
-			if err := p.Mems[node].WriteU64(mem.HeapBase, uint64(node)); err != nil {
+			if err := p.mems[node].WriteU64(mem.HeapBase, uint64(node)); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -292,7 +299,7 @@ func cstringWorld(t *testing.T, addr uint64, path string) *pageWorld {
 			t.Fatal(err)
 		}
 	}
-	w.p.Mems[0].WriteBytes(addr, append([]byte(path), 0))
+	w.p.mems[0].WriteBytes(addr, append([]byte(path), 0))
 	if _, _, err := w.cl.Kernels[1].resolveFault(w.p, first, false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +329,7 @@ func TestReadCStringAcrossAFault(t *testing.T) {
 	}
 
 	w := cstringWorld(t, addr, path)
-	if w.p.Mems[1].Present(addr + 9) {
+	if w.p.mems[1].Present(addr + 9) {
 		t.Fatal("the second page is already resident on the reading node")
 	}
 	km := &kmem{k: w.cl.Kernels[1], p: w.p}

@@ -96,10 +96,11 @@ type Process struct {
 	// its filesystem namespace and break).
 	Origin int
 
-	// Space is the hDSM coherence directory; Mems[node] is each kernel's
-	// local view of the address space.
+	// Space is the hDSM coherence directory; mems[node] is node's kernel's
+	// local view of the address space, nil until something on node first
+	// touches the process (see mem) and again once the process is reaped.
 	Space *dsm.Space
-	Mems  []*mem.Memory
+	mems  []*mem.Memory
 
 	brk uint64
 
@@ -174,7 +175,7 @@ func (cl *Cluster) newProcess(img *link.Image, node int, fs *FS) (*Process, erro
 		Img:     img,
 		Origin:  node,
 		Space:   dsm.NewSpace(len(cl.Kernels)),
-		Mems:    make([]*mem.Memory, len(cl.Kernels)),
+		mems:    make([]*mem.Memory, len(cl.Kernels)),
 		brk:     mem.HeapBase,
 		threads: make(map[int64]*Thread),
 		FS:      fs,
@@ -185,31 +186,39 @@ func (cl *Cluster) newProcess(img *link.Image, node int, fs *FS) (*Process, erro
 	if p.FS == nil {
 		p.FS = NewFS()
 	}
-	for i := range p.Mems {
-		p.Mems[i] = mem.NewMemory()
-	}
 
 	// Install the data segments on the origin node and seed DSM ownership
 	// (the heterogeneous binary loader; text is aliased per ISA and needs no
 	// pages, as instruction fetch never reaches the DSM).
 	arch := cl.Kernels[node].Arch
+	local := p.mem(node)
 	for _, seg := range img.Data[arch] {
 		end := seg.Addr + uint64(seg.Size)
 		for a := mem.PageBase(seg.Addr); a < end; a += mem.PageSize {
-			p.Mems[node].EnsurePage(a)
+			local.EnsurePage(a)
 			p.Space.Seed(node, mem.PageIndex(a))
 		}
 		if len(seg.Bytes) > 0 {
-			p.Mems[node].WriteBytes(seg.Addr, seg.Bytes)
+			local.WriteBytes(seg.Addr, seg.Bytes)
 		}
 	}
-
-	// vDSO page: present and writable on every node, excluded from DSM (it
-	// is the explicit user/kernel communication channel).
-	for i := range p.Mems {
-		p.Mems[i].EnsurePage(mem.VDSOBase)
-	}
 	return p, nil
+}
+
+// mem returns node's view of p's address space, building it the first time
+// anything on node touches p: an empty memory holding only the vDSO page,
+// present, writable and zero. The vDSO page is excluded from DSM (it is the
+// explicit user/kernel communication channel), so each kernel's copy is its
+// own and reads zero until that kernel raises a flag in it. A node that
+// never touches p never costs it a memory.
+func (p *Process) mem(node int) *mem.Memory {
+	m := p.mems[node]
+	if m == nil {
+		m = mem.NewMemory()
+		m.EnsurePage(mem.VDSOBase)
+		p.mems[node] = m
+	}
+	return m
 }
 
 // newThread creates a thread at entry with up to two integer arguments,

@@ -33,6 +33,10 @@ func (k *Kernel) syscall(cs *coreSlot, num int64, args [5]int64) bool {
 	switch num {
 	case sys.SysExit:
 		k.detach(cs)
+		// The exiting core lets go of the address space now; a core that
+		// ran p elsewhere belongs to its own node's worker and lets go at
+		// its next attach.
+		c.ForgetMem()
 		p.exited = true
 		p.exitCode = args[0]
 		p.exitTime = k.now()

@@ -106,6 +106,24 @@ func NewCore(desc *isa.Desc) *Core {
 	}
 }
 
+// ForgetMem detaches the core from its address space: Mem is nil and the
+// TLB holds no translation, so an idle core keeps no page of a process
+// that has gone. The next thread attached sets Mem again.
+func (c *Core) ForgetMem() {
+	c.Mem = nil
+	if c.tlb != nil {
+		*c.tlb = mem.TLB{}
+	}
+}
+
+// Translations returns how many page translations the core's TLB holds.
+func (c *Core) Translations() int {
+	if c.tlb == nil {
+		return 0
+	}
+	return c.tlb.Len()
+}
+
 // SetPC repositions execution at pc, resolving the containing function.
 func (c *Core) SetPC(pc uint64) error {
 	fn, idx, err := c.locate(pc)

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // A dropped frame comes back from EnsurePage — the same frame, zeroed — and
 // the free list stops growing at its cap.
@@ -86,6 +89,65 @@ func TestAuditFramesReportsSharedFrame(t *testing.T) {
 	b.AdoptPage(0x2000, p) // a frame a still maps: the bug the audit exists for
 	if err := AuditFrames([]*Memory{a, b}); err == nil {
 		t.Fatal("a frame mapped by two memories passed the audit")
+	}
+}
+
+// A frame reachable from two memories is caught across memories that were
+// never built (nil entries), and the gap itself is no violation.
+func TestAuditFramesSkipsNilMemories(t *testing.T) {
+	a, b := NewMemory(), NewMemory()
+	a.EnsurePage(0x1000)
+	b.EnsurePage(0x1000)
+	if err := AuditFrames([]*Memory{nil, a, nil, b, nil}); err != nil {
+		t.Fatalf("nil memories between two sound ones: %v", err)
+	}
+	b.AdoptPage(0x2000, a.Page(0x1000))
+	err := AuditFrames([]*Memory{a, nil, b})
+	if err == nil {
+		t.Fatal("a frame mapped by two memories passed the audit across a nil gap")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "memory 0") || !strings.Contains(msg, "memory 2") {
+		t.Fatalf("audit names the wrong memories: %v", err)
+	}
+}
+
+// Release leaves no page present and no frame parked, and a TLB filled
+// before it drops every entry at its next Attach.
+func TestReleaseDropsEveryFrame(t *testing.T) {
+	m := NewMemory()
+	for i := uint64(0); i < 40; i++ {
+		m.EnsurePage(HeapBase + i<<PageShift)
+	}
+	m.Protect(HeapBase)
+	for i := uint64(0); i < 4; i++ {
+		m.DropPage(HeapBase + (30+i)<<PageShift)
+	}
+	tlb := tlbOn(m)
+	for i := uint64(0); i < 8; i++ {
+		if _, ok := tlb.ReadU64(HeapBase + i<<PageShift); !ok {
+			t.Fatalf("page %d not readable before Release", i)
+		}
+	}
+	if tlb.Len() != 8 || len(m.free) != 4 {
+		t.Fatalf("before Release: %d translations, %d parked frames; want 8 and 4", tlb.Len(), len(m.free))
+	}
+
+	m.Release()
+	if n := len(m.PageIndices()); n != 0 {
+		t.Fatalf("%d pages present after Release", n)
+	}
+	if len(m.free) != 0 || m.Present(HeapBase) || m.Writable(HeapBase+PageSize) {
+		t.Fatalf("after Release: %d parked frames, page present %v", len(m.free), m.Present(HeapBase))
+	}
+	tlb.Attach(m)
+	if tlb.Len() != 0 {
+		t.Fatalf("TLB holds %d translations after Release and Attach", tlb.Len())
+	}
+	if _, ok := tlb.ReadU64(HeapBase); ok {
+		t.Fatal("TLB read a page of a released memory")
+	}
+	if err := AuditFrames([]*Memory{m}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -293,10 +293,20 @@ func (m *Memory) recycle(p *Page) {
 	}
 }
 
+// Release empties m for good when its address space is gone: its pages
+// and parked frames go to the collector, and the epoch moves on, so a TLB
+// still attached to m drops its entries at its next Attach. Only such a
+// TLB may still hold m's frames.
+func (m *Memory) Release() {
+	m.leaves, m.free = nil, nil
+	m.epoch++
+}
+
 // AuditFrames checks the ownership rule over a set of memories (one address
-// space's, typically): every frame is mapped by exactly one page of one
-// memory or parked on exactly one free list, and no free list exceeds its
-// cap. It returns the first violation.
+// space's, typically; a nil entry is a memory never built and is skipped):
+// every frame is mapped by exactly one page of one memory or parked on
+// exactly one free list, and no free list exceeds its cap. It returns the
+// first violation.
 func AuditFrames(mems []*Memory) error {
 	type place struct {
 		mem  int
@@ -312,6 +322,9 @@ func AuditFrames(mems []*Memory) error {
 		return nil
 	}
 	for i, m := range mems {
+		if m == nil {
+			continue
+		}
 		for _, l := range m.leaves {
 			for slot, p := range l.pages {
 				if p == nil {

@@ -21,8 +21,9 @@ type tlbEntry struct {
 // Memory itself — differs from the one the entries were filled under.
 //
 // The state lives with the accessor (one per machine.Core, allocated at the
-// core's first instruction) and not in Memory: every process owns a Memory
-// per node, most of which never execute a guest instruction.
+// core's first instruction) and not in Memory: a process owns a Memory on
+// every node it touches, and some of those only serve pages, never running
+// a guest instruction.
 type TLB struct {
 	m     *Memory
 	epoch uint64
@@ -36,6 +37,17 @@ func (t *TLB) Attach(m *Memory) {
 	if t.m != m || t.epoch != m.epoch {
 		*t = TLB{m: m, epoch: m.epoch}
 	}
+}
+
+// Len returns how many translations the TLB holds.
+func (t *TLB) Len() int {
+	n := 0
+	for _, e := range t.ent {
+		if e.key != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // ReadHit returns the cached page containing addr, or nil on a miss. It and
